@@ -6,6 +6,7 @@ inequalities, and runs Picard fixed-point iteration with diagnostics.
 """
 
 from .errors import (
+    DistanceOverflow,
     EmptySubfamily,
     IncompleteTable,
     InfeasibleExhaustive,
@@ -51,10 +52,6 @@ from .topology import (
     canonical_radii,
     generate_topology,
     inner_ball_radius,
-    is_T0,
-    is_T1,
-    is_T2,
-    is_compact,
     is_connected,
     open_ball,
     separation_report,

@@ -26,10 +26,11 @@ _VARIANTS = {v.value: v for v in AxiomSet}
 
 
 def _default_seed() -> int:
+    value = os.environ.get("PSBM_SEED", "0")
     try:
-        return int(os.environ.get("PSBM_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise PsbmError(f"PSBM_SEED must be an integer, got {value!r}") from None
 
 
 def _resolve_space(selector: str):
@@ -319,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space=True, formats=("text", "json")):
+    def common(p, space=True, bound=True, formats=("text", "json")):
         if space:
             p.add_argument("--space", required=True, help="builtin:<name> or file:<path>")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--bound", type=float, default=None, help="region truncation bound")
+        if space and bound:
+            p.add_argument("--bound", type=float, default=None, help="region truncation bound")
 
     p = sub.add_parser("verify-axioms", help="check an axiom set on a space")
     common(p)
@@ -341,15 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ball)
 
     p = sub.add_parser("topology", help="generate the topology of a finite space")
-    common(p)
+    common(p, bound=False)
     p.set_defaults(func=_cmd_topology)
 
     p = sub.add_parser("separation", help="T0/T1/T2 report for a finite space")
-    common(p)
+    common(p, bound=False)
     p.set_defaults(func=_cmd_separation)
 
     p = sub.add_parser("connected", help="connectedness of a finite space")
-    common(p)
+    common(p, bound=False)
     p.set_defaults(func=_cmd_connected)
 
     p = sub.add_parser("cover-witness", help="point escaping a finite subfamily of balls")
@@ -386,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json", "csv"))
     p.add_argument("--map", default="paper_S")
     p.add_argument("--start", required=True)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=1000)
     p.set_defaults(func=_cmd_fixpoint)
 
@@ -397,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PsbmError as exc:
         print(f"error: {exc}", file=sys.stderr)

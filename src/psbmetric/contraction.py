@@ -106,7 +106,7 @@ def rhs_value(space: PartialSbSpace, spec: InterpolativeSpec, a, b, c):
     return spec.comparison(product)
 
 
-def fixed_points_bruteforce(space: PartialSbSpace, mapping: SelfMap, sample) -> tuple:
+def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
     """Exactly the sampled points the map sends to themselves."""
     sample = list(sample)
     if not sample:
@@ -159,7 +159,7 @@ def certify(
     validate_exponents(spec)
     S = spec.mapping
     pool = list(points) if points is not None else sample_carrier(space, seed=seed)
-    fixed = set(fixed_points_bruteforce(space, S, pool))
+    fixed = set(fixed_points_bruteforce(S, pool))
     active = [x for x in pool if x not in fixed]
 
     if points is not None or sample_count is None:

@@ -29,6 +29,10 @@ class NegativeValue(PsbmError):
     """A distance table entry is negative."""
 
 
+class DistanceOverflow(PsbmError):
+    """An analytic distance rule overflows the float range."""
+
+
 class NotInBall(PsbmError):
     """Inner-ball construction asked for a point outside the outer ball."""
 

@@ -96,7 +96,7 @@ def _t0_item(seed, count=200):
     rng = random.Random(f"psbm:t0:{seed}")
     for i in range(count):
         space = spaces.random_valid_space(rng)
-        if not topology.is_T0(topology.generate_topology(space)):
+        if not topology.separation_report(topology.generate_topology(space)).t0:
             return _item("t0-universality", False, f"counterexample at draw {i}")
     return _item("t0-universality", True, f"{count}/{count} random valid spaces are T0")
 

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping
 
 from .errors import (
+    DistanceOverflow,
     IncompleteTable,
     InfeasibleExhaustive,
     NegativeValue,
@@ -104,7 +105,11 @@ class RuleMetric:
     rule: Callable
 
     def __call__(self, p, q, r):
-        return self.rule(p, q, r)
+        try:
+            return self.rule(p, q, r)
+        except OverflowError:
+            labels = ", ".join(point_label(x) for x in (p, q, r))
+            raise DistanceOverflow(f"{self.name}({labels}) overflows the float range") from None
 
 
 def quintic(p, q, r):

@@ -4,6 +4,11 @@ A ball D(p; r) collects the candidates z with dist(p,p,z) < r + dist(p,p,p);
 note the self-distance offset. On a finite carrier only finitely many
 distinct balls exist, realized by one radius per gap between consecutive
 distance thresholds, and the topology is the union-closure of those balls.
+
+Every verdict on a family of opens comes from each point's inclusion-minimal
+opens (Alexandroff 1937; Stong 1966). In a topology x has exactly one, its
+smallest neighbourhood U_x; in any family an open holds u but not v iff one
+of u's minimal opens misses v, so the verdicts are exact on non-topologies.
 """
 
 from __future__ import annotations
@@ -118,6 +123,18 @@ class FiniteTopology:
         }
 
 
+def _minimal_opens(opens, points) -> dict:
+    """Per point, its inclusion-minimal opens: scanned by size, an open is
+    minimal for x iff no open already kept for x is a subset of it."""
+    minimal = {x: [] for x in points}
+    for o in sorted(opens, key=len):
+        for x in o:
+            kept = minimal.get(x)
+            if kept is not None and not any(m <= o for m in kept):
+                kept.append(o)
+    return minimal
+
+
 def generate_topology(space: PartialSbSpace) -> FiniteTopology:
     """All unions of canonical balls over all centers, plus the empty set."""
     pts = exhaustive_points(space)
@@ -125,28 +142,23 @@ def generate_topology(space: PartialSbSpace) -> FiniteTopology:
     for center in pts:
         for radius in canonical_radii(space, center, pts):
             basis.add(open_ball(space, center, radius, pts).members)
-    opens = {frozenset()} | basis
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(opens), 2):
-            union = a | b
-            if union not in opens:
-                opens.add(union)
-                changed = True
+    opens = {frozenset()}
+    for ball in basis:
+        opens |= {o | ball for o in opens}
     return FiniteTopology(frozenset(pts), frozenset(opens))
 
 
 def verify_topology_axioms(topology: FiniteTopology) -> bool:
-    """Empty set and carrier present; closed under pairwise union and
-    intersection (which, on a finite family, covers arbitrary unions)."""
+    """Empty set and carrier open, one minimal open U_x per point, and
+    o | U_x open for every open o: closure under union and intersection,
+    since every open and every meet of two is then a union of U_x's."""
     opens = topology.opens
     if frozenset() not in opens or topology.carrier not in opens:
         return False
-    for a, b in itertools.combinations(opens, 2):
-        if (a | b) not in opens or (a & b) not in opens:
-            return False
-    return True
+    minimal = _minimal_opens(opens, frozenset().union(*opens))
+    if any(len(kept) != 1 for kept in minimal.values()):
+        return False
+    return all(o | u in opens for (u,) in minimal.values() for o in opens)
 
 
 @dataclass(frozen=True)
@@ -169,23 +181,20 @@ class SeparationReport:
 
 
 def separation_report(topology: FiniteTopology) -> SeparationReport:
-    """Exhaustive search over point pairs and open sets for T0/T1/T2."""
-    opens = topology.opens
-    pairs = list(itertools.combinations(sorted_points(topology.carrier), 2))
+    """A pair fails T0 when each point lies in all of the other's minimal
+    opens, T1 when either one does, and T2 when every minimal open of one
+    meets every minimal open of the other."""
+    points = sorted_points(topology.carrier)
+    minimal = _minimal_opens(topology.opens, points)
     t0_bad, t1_bad, t2_bad = [], [], []
-    for u, v in pairs:
-        if not any((u in o) != (v in o) for o in opens):
+    for u, v in itertools.combinations(points, 2):
+        v_near_u = all(v in o for o in minimal[u])
+        u_near_v = all(u in o for o in minimal[v])
+        if v_near_u and u_near_v:
             t0_bad.append((u, v))
-        if not (
-            any(u in o and v not in o for o in opens)
-            and any(v in o and u not in o for o in opens)
-        ):
+        if v_near_u or u_near_v:
             t1_bad.append((u, v))
-        if not any(
-            u in a and v in b and not (a & b)
-            for a in opens
-            for b in opens
-        ):
+        if all(a & b for a in minimal[u] for b in minimal[v]):
             t2_bad.append((u, v))
     return SeparationReport(
         t0=not t0_bad,
@@ -195,32 +204,15 @@ def separation_report(topology: FiniteTopology) -> SeparationReport:
     )
 
 
-def is_T0(topology: FiniteTopology) -> bool:
-    return separation_report(topology).t0
-
-
-def is_T1(topology: FiniteTopology) -> bool:
-    return separation_report(topology).t1
-
-
-def is_T2(topology: FiniteTopology) -> bool:
-    return separation_report(topology).t2
-
-
 def is_connected(topology: FiniteTopology):
     """True, or False with the lexicographically first separating pair of
-    disjoint nonempty opens."""
-    nonempty = sorted((o for o in topology.opens if o), key=sorted_labels)
-    for a, b in itertools.combinations(nonempty, 2):
-        if not (a & b) and (a | b) == topology.carrier:
-            return False, (a, b)
+    disjoint nonempty opens: the first open whose complement in the carrier
+    is a nonempty open, and that complement."""
+    carrier = topology.carrier
+    for a in sorted((o for o in topology.opens if o), key=sorted_labels):
+        if a < carrier and carrier - a in topology.opens:
+            return False, (a, carrier - a)
     return True, None
-
-
-def is_compact(topology: FiniteTopology) -> bool:
-    """Finite topologies are compact; non-compactness of infinite spaces is
-    demonstrated through uncovered_witness instead."""
-    return True
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from psbmetric import (
     check_matkowski_properties,
     evaluate_metric,
     generate_topology,
-    is_T0,
     is_connected,
     matkowski_envelope_check,
     open_ball,
@@ -144,7 +143,7 @@ def test_t0_universality():
     rng = random.Random("psbm:t0:0")
     for draw in range(200):
         space = random_valid_space(rng)
-        assert is_T0(generate_topology(space)), f"counterexample at draw {draw}"
+        assert separation_report(generate_topology(space)).t0, f"counterexample at draw {draw}"
 
 
 @criterion(5, "cover witness")

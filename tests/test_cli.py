@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from psbmetric.cli import main
+import pytest
+
+from psbmetric.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -89,6 +91,13 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_float_overflow_is_one_error_line(self, capsys):
+        code = run_cli("certify", "--space", "builtin:quintic_gap", "--bound", "1e80")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: quintic(") and err.endswith("overflows the float range\n")
+        assert err.count("\n") == 1
+
     def test_fixpoint_converges(self, capsys):
         code = run_cli(
             "fixpoint", "--space", "builtin:quintic_gap", "--map", "paper_S", "--start", "7"
@@ -96,6 +105,46 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "7 -> 3 -> 0 -> 0" in out
+
+
+# Shortest argv each subcommand accepts.
+MINIMAL_ARGV = {
+    "verify-axioms": ["--space", "builtin:two_point_a"],
+    "ball": ["--space", "builtin:quintic_ray", "--center", "1", "--radius", "3"],
+    "topology": ["--space", "builtin:two_point_a"],
+    "separation": ["--space", "builtin:two_point_a"],
+    "connected": ["--space", "builtin:two_point_a"],
+    "cover-witness": ["--space", "builtin:quintic_ray", "--center", "1", "--indices", "3..20"],
+    "check-comparison": ["--fn", "paper_tau"],
+    "certify": ["--space", "builtin:quintic_gap"],
+    "case-table": ["--space", "builtin:quintic_gap"],
+    "fixpoint": ["--space", "builtin:quintic_gap", "--start", "7"],
+    "repro": [],
+}
+
+
+class TestFlagRegistration:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, "--tolerance") for command in MINIMAL_ARGV if command != "fixpoint"]
+        + [
+            (command, "--bound")
+            for command in ("topology", "separation", "connected", "check-comparison", "repro")
+        ],
+    )
+    def test_ignored_flag_is_rejected(self, command, flag, capsys):
+        build_parser().parse_args([command, *MINIMAL_ARGV[command]])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *MINIMAL_ARGV[command], flag, "10")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+
+    def test_flags_stay_where_they_are_read(self):
+        parser = build_parser()
+        args = parser.parse_args(["fixpoint", *MINIMAL_ARGV["fixpoint"], "--tolerance", "1e-6"])
+        assert args.tolerance == 1e-6
+        for command in ("verify-axioms", "ball", "cover-witness", "certify", "case-table", "fixpoint"):
+            assert parser.parse_args([command, *MINIMAL_ARGV[command], "--bound", "10"]).bound == 10
 
 
 class TestVerdictParity:
@@ -205,6 +254,13 @@ class TestSeedHandling:
         ) == 0
         via_flag = capsys.readouterr().out
         assert via_env == via_flag
+
+    def test_invalid_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSBM_SEED", "xyz")
+        assert run_cli("certify", "--space", "builtin:quintic_gap") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PSBM_SEED must be an integer, got 'xyz'\n"
 
 
 class TestRepro:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from psbmetric import (
     AxiomSet,
+    DistanceOverflow,
     FiniteCarrier,
     IncompleteTable,
     InfeasibleExhaustive,
@@ -69,6 +70,11 @@ class TestEvaluateMetric:
 
     def test_quintic_integer_points_stay_exact(self):
         assert type(quintic(4, 4, 3)) is int
+
+    def test_float_overflow_raises_distance_overflow(self):
+        space = builtin_space("quintic_gap")
+        with pytest.raises(DistanceOverflow, match=r"quintic\(1e\+80, 1e\+80, 3\)"):
+            evaluate_metric(space, 1e80, 1e80, 3)
 
     def test_unknown_point_on_tabulated(self):
         space = builtin_space("two_point_a")

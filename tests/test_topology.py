@@ -9,6 +9,7 @@ from psbmetric import (
     FiniteTopology,
     InfeasibleExhaustive,
     NotInBall,
+    SeparationReport,
     UnknownPoint,
     builtin_space,
     canonical_radii,
@@ -16,12 +17,9 @@ from psbmetric import (
     exhaustive_points,
     generate_topology,
     inner_ball_radius,
-    is_T0,
-    is_T1,
-    is_T2,
-    is_compact,
     is_connected,
     open_ball,
+    random_tabulated_space,
     random_valid_space,
     sample_carrier,
     separation_report,
@@ -30,6 +28,7 @@ from psbmetric import (
     verify_topology_axioms,
     witness_candidates,
 )
+from psbmetric.topology import sorted_labels, sorted_points
 
 TWO_A = builtin_space("two_point_a")
 TWO_B = builtin_space("two_point_b")
@@ -53,6 +52,81 @@ def brute_force_topology(space):
         for group in itertools.combinations(distinct, size):
             opens.add(frozenset().union(*group) if group else frozenset())
     return opens
+
+
+# Reference implementations: the exhaustive searches over pairs of opens
+# that the minimal-opens rules in psbmetric.topology replaced.
+
+def reference_verify_topology_axioms(topology):
+    opens = topology.opens
+    if frozenset() not in opens or topology.carrier not in opens:
+        return False
+    for a, b in itertools.combinations(opens, 2):
+        if (a | b) not in opens or (a & b) not in opens:
+            return False
+    return True
+
+
+def reference_separation_report(topology):
+    opens = topology.opens
+    pairs = list(itertools.combinations(sorted_points(topology.carrier), 2))
+    t0_bad, t1_bad, t2_bad = [], [], []
+    for u, v in pairs:
+        if not any((u in o) != (v in o) for o in opens):
+            t0_bad.append((u, v))
+        if not (
+            any(u in o and v not in o for o in opens)
+            and any(v in o and u not in o for o in opens)
+        ):
+            t1_bad.append((u, v))
+        if not any(u in a and v in b and not (a & b) for a in opens for b in opens):
+            t2_bad.append((u, v))
+    return SeparationReport(
+        t0=not t0_bad,
+        t1=not t1_bad,
+        t2=not t2_bad,
+        witnesses={"t0": t0_bad, "t1": t1_bad, "t2": t2_bad},
+    )
+
+
+def reference_is_connected(topology):
+    nonempty = sorted((o for o in topology.opens if o), key=sorted_labels)
+    for a, b in itertools.combinations(nonempty, 2):
+        if not (a & b) and (a | b) == topology.carrier:
+            return False, (a, b)
+    return True, None
+
+
+def tabulated_families(count=600):
+    """Topologies generated from random tables over 2 to 4 points; the
+    invalid tables among them give families that are not topologies."""
+    rng = random.Random("oracle:tabulated")
+    for i in range(count):
+        labels = tuple(range(1, 2 + i % 3 + 1))
+        yield generate_topology(random_tabulated_space(rng, labels))
+
+
+def valid_space_families(count=200):
+    """The first draws of repro's T0 item at seed 0, non-topologies included."""
+    rng = random.Random("psbm:t0:0")
+    for _ in range(count):
+        yield generate_topology(random_valid_space(rng))
+
+
+def subset_families(count=400):
+    """Random subset families over {1..5}: some lack the empty set or the
+    carrier, some hold the point 9 outside the carrier."""
+    rng = random.Random("oracle:subsets")
+    carrier = frozenset(range(1, 6))
+    for i in range(count):
+        pool = sorted(carrier | {9}) if i % 4 == 0 else sorted(carrier)
+        opens = {
+            frozenset(p for p in pool if rng.random() < 0.5)
+            for _ in range(rng.randint(0, 10))
+        }
+        if i % 3:
+            opens |= {frozenset(), carrier}
+        yield FiniteTopology(carrier, frozenset(opens))
 
 
 class TestOpenBall:
@@ -210,6 +284,24 @@ class TestTopologyAxioms:
     def test_discrete_family_verifies(self):
         assert verify_topology_axioms(FiniteTopology(frozenset({1, 2}), DISCRETE))
 
+    def test_points_outside_the_carrier_are_checked(self):
+        # {1,2,3} and {1,2,4} meet in the missing {1,2}; every carrier point
+        # alone passes the minimal-open checks.
+        family = FiniteTopology(
+            frozenset({1}),
+            frozenset(
+                {
+                    frozenset(),
+                    frozenset({1}),
+                    frozenset({1, 2, 3}),
+                    frozenset({1, 2, 4}),
+                    frozenset({1, 2, 3, 4}),
+                }
+            ),
+        )
+        assert not verify_topology_axioms(family)
+        assert not reference_verify_topology_axioms(family)
+
     def test_union_gap_fails(self):
         family = FiniteTopology(
             frozenset({1, 2, 3}),
@@ -232,8 +324,8 @@ class TestSeparation:
         assert report.witnesses["t1"] == [(1, 2)]
 
     def test_two_point_b_is_t2(self):
-        topology = generate_topology(TWO_B)
-        assert is_T0(topology) and is_T1(topology) and is_T2(topology)
+        report = separation_report(generate_topology(TWO_B))
+        assert report.t0 and report.t1 and report.t2
 
     def test_one_point_space_separates_trivially(self):
         topology = generate_topology(tabulated_space(("x",), {("x", "x", "x"): 0}))
@@ -251,7 +343,7 @@ class TestSeparation:
         rng = random.Random("t0-sample")
         for _ in range(25):
             space = random_valid_space(rng)
-            assert is_T0(generate_topology(space))
+            assert separation_report(generate_topology(space)).t0
 
 
 class TestConnected:
@@ -267,8 +359,33 @@ class TestConnected:
         topology = generate_topology(tabulated_space(("x",), {("x", "x", "x"): 0}))
         assert is_connected(topology) == (True, None)
 
-    def test_finite_topologies_are_compact(self):
-        assert is_compact(generate_topology(TWO_A))
+
+class TestMinimalOpensMatchExhaustiveSearch:
+    @pytest.mark.parametrize(
+        "families", [tabulated_families, valid_space_families, subset_families]
+    )
+    def test_verdicts_match_reference(self, families):
+        verdicts = set()
+        for topology in families():
+            valid = verify_topology_axioms(topology)
+            assert valid == reference_verify_topology_axioms(topology)
+            assert (
+                separation_report(topology).to_dict()
+                == reference_separation_report(topology).to_dict()
+            )
+            assert is_connected(topology) == reference_is_connected(topology)
+            verdicts.add(valid)
+        assert verdicts == {True, False}
+
+    def test_valid_space_whose_balls_are_no_base(self):
+        # Draw 2 of repro's T0 seed 0: {1,2} and {2,3} are open, {2} is not.
+        rng = random.Random("psbm:t0:0")
+        for _ in range(3):
+            topology = generate_topology(random_valid_space(rng))
+        assert {frozenset({1, 2}), frozenset({2, 3})} <= topology.opens
+        assert frozenset({2}) not in topology.opens
+        assert not verify_topology_axioms(topology)
+        assert separation_report(topology).t0
 
 
 class TestCoverWitness:
