@@ -34,7 +34,6 @@ from .spaces import (
     Violation,
     builtin_space,
     check_axioms,
-    evaluate_metric,
     exhaustive_points,
     load_tabulated_space,
     parse_point,
@@ -83,9 +82,10 @@ from .contraction import (
     builtin_map,
     certify,
     fixed_points_bruteforce,
+    inequality_sides,
     map_from_table,
+    ray_grid,
     reproduce_case_table,
-    rhs_value,
     standard_spec,
     validate_exponents,
 )

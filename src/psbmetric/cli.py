@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -78,6 +79,17 @@ def _emit(report: dict, args, render) -> None:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(render(report))
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# argparse names the type in its message: "invalid finite float value: 'inf'".
+_finite_float.__name__ = "finite float"
 
 
 def _with_bound(space, bound):
@@ -236,13 +248,11 @@ def _build_spec(args):
 def _cmd_certify(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     spec = _build_spec(args)
-    if args.grid:
+    if args.grid is not None:
         carrier = space.carrier
         if not isinstance(carrier, RegionCarrier):
             raise PsbmError("--grid needs a region carrier")
-        lo, hi = carrier.truncated_intervals()[0]
-        step = (hi - lo) / (args.grid - 1)
-        points = list(carrier.isolated) + [lo + i * step for i in range(args.grid)]
+        points = list(carrier.isolated) + contraction.ray_grid(carrier, args.grid)
         report = contraction.certify(space, spec, points=points)
     else:
         report = contraction.certify(space, spec, sample_count=args.samples, seed=args.seed)
@@ -326,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--seed", type=int, default=_default_seed())
         if space and bound:
-            p.add_argument("--bound", type=float, default=None, help="region truncation bound")
+            p.add_argument("--bound", type=_finite_float, default=None, help="finite region truncation bound")
 
     p = sub.add_parser("verify-axioms", help="check an axiom set on a space")
     common(p)

@@ -4,6 +4,11 @@ The right-hand side is a comparison function applied to a product of five
 distance factors raised to exponents p, q, r, s and 1-p-q-r-s. A certificate
 checks lhs <= rhs over every generated triple whose points are not fixed by
 the map, since the defining inequality is quantified away from fixed points.
+
+`inequality_sides` is the one evaluator of both sides: `certify` and the
+case table loop over the (lhs, rhs) pairs it returns. `ray_grid` is the one
+evenly spaced grid on a region carrier's ray, used by the case table, by
+`psbm certify --grid` and by the reproduction script.
 """
 
 from __future__ import annotations
@@ -15,12 +20,7 @@ from dataclasses import dataclass
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import leq, point_label, point_sort_key
-from .spaces import (
-    PartialSbSpace,
-    RegionCarrier,
-    evaluate_metric,
-    sample_carrier,
-)
+from .spaces import PartialSbSpace, RegionCarrier, sample_carrier
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,43 @@ def _power(base, exponent):
     return base ** exponent
 
 
-def rhs_value(space: PartialSbSpace, spec: InterpolativeSpec, a, b, c):
-    """comparison( product of the five interpolation factors ) at (a, b, c)."""
-    S = spec.mapping
-    dist = lambda x, y, z: evaluate_metric(space, x, y, z)
-    mean = (dist(S(a), S(a), b) + dist(S(b), S(b), c)) / (2 * space.coefficient)
-    product = (
-        _power(dist(a, b, c), spec.p)
-        * _power(dist(a, a, S(a)), spec.q)
-        * _power(dist(b, b, S(b)), spec.r)
-        * _power(dist(c, c, S(c)), spec.s)
-        * _power(mean, spec.residual)
-    )
-    return spec.comparison(product)
+def inequality_sides(space: PartialSbSpace, spec: InterpolativeSpec, points):
+    """Both sides of the interpolative inequality for triples over `points`.
+
+    Returns sides(a, b, c) -> (lhs, rhs) with lhs = dist(S(a), S(b), S(c))
+    and rhs = comparison(product of the five interpolation factors). The
+    image, the powered self-gaps dist(x, x, S(x)) and the S-image pair
+    distances are tabulated once over `points`; lhs is cached per image
+    triple.
+    """
+    validate_exponents(spec)
+    dist = space.metric
+    image = {x: spec.mapping(x) for x in points}
+    gap = {x: dist(x, x, image[x]) for x in points}
+    fq = {x: _power(gap[x], spec.q) for x in points}
+    fr = {x: _power(gap[x], spec.r) for x in points}
+    fs = {x: _power(gap[x], spec.s) for x in points}
+    pair = {(x, y): dist(image[x], image[x], y) for x in points for y in points}
+    lhs_cache = {}
+    two_t = 2 * space.coefficient
+    comparison = spec.comparison
+    p_exp, e5 = spec.p, spec.residual
+
+    def sides(a, b, c):
+        key = (image[a], image[b], image[c])
+        lhs = lhs_cache.get(key)
+        if lhs is None:
+            lhs = lhs_cache[key] = dist(*key)
+        product = (
+            _power(dist(a, b, c), p_exp)
+            * fq[a]
+            * fr[b]
+            * fs[c]
+            * _power((pair[(a, b)] + pair[(b, c)]) / two_t, e5)
+        )
+        return lhs, comparison(product)
+
+    return sides
 
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
@@ -156,11 +180,12 @@ def certify(
     carrier sample; otherwise the default carrier sample is exhausted.
     Triples containing fixed points are skipped and reported.
     """
-    validate_exponents(spec)
-    S = spec.mapping
+    if sample_count is not None and sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     pool = list(points) if points is not None else sample_carrier(space, seed=seed)
-    fixed = set(fixed_points_bruteforce(S, pool))
+    fixed = set(fixed_points_bruteforce(spec.mapping, pool))
     active = [x for x in pool if x not in fixed]
+    sides = inequality_sides(space, spec, active)
 
     if points is not None or sample_count is None:
         triples = itertools.product(active, repeat=3)
@@ -174,38 +199,12 @@ def certify(
             if not any(x in fixed for x in tpl)
         )
 
-    # Per-point factors and the S-image pair table keep the triple loop lean.
-    image = {x: S(x) for x in active}
-    fq = {x: _power(evaluate_metric(space, x, x, image[x]), spec.q) for x in active}
-    fr = {x: _power(evaluate_metric(space, x, x, image[x]), spec.r) for x in active}
-    fs = {x: _power(evaluate_metric(space, x, x, image[x]), spec.s) for x in active}
-    pair = {
-        (x, y): evaluate_metric(space, image[x], image[x], y)
-        for x in active
-        for y in active
-    }
-    lhs_cache = {}
-    two_t = 2 * space.coefficient
-    comparison = spec.comparison
-    p_exp, e5 = spec.p, spec.residual
-
     checked = 0
     failures = []
     min_margin = None
     for a, b, c in triples:
         checked += 1
-        key = (image[a], image[b], image[c])
-        lhs = lhs_cache.get(key)
-        if lhs is None:
-            lhs = lhs_cache[key] = evaluate_metric(space, *key)
-        product = (
-            _power(evaluate_metric(space, a, b, c), p_exp)
-            * fq[a]
-            * fr[b]
-            * fs[c]
-            * _power((pair[(a, b)] + pair[(b, c)]) / two_t, e5)
-        )
-        rhs = comparison(product)
+        lhs, rhs = sides(a, b, c)
         margin = rhs - lhs
         if min_margin is None or margin < min_margin:
             min_margin = margin
@@ -345,12 +344,17 @@ class CaseTable:
         return "\n".join(lines)
 
 
-def _ray_grid(carrier: RegionCarrier, grid_size: int) -> list:
-    lo, hi = carrier.truncated_intervals()[0]
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    step = (hi - lo) / (grid_size - 1)
-    return [lo + i * step for i in range(grid_size)]
+def ray_grid(carrier: RegionCarrier, n: int) -> list:
+    """n evenly spaced points from the start to the end of the carrier's
+    first truncated interval."""
+    if n < 2:
+        raise PsbmError(f"a ray grid needs at least 2 points, got {n}")
+    spans = carrier.truncated_intervals()
+    if not spans or spans[0][0] == spans[0][1]:
+        raise PsbmError(f"no interval of positive length lies below the bound {carrier.bound}")
+    lo, hi = spans[0]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
 
 
 def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_size: int = 20) -> CaseTable:
@@ -360,7 +364,6 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     Reference bounds are compared at 1% and logged as discrepancies, never
     asserted; the lhs <= rhs verdict is carried per row in `holds`.
     """
-    validate_exponents(spec)
     carrier = space.carrier
     if (
         not isinstance(carrier, RegionCarrier)
@@ -368,8 +371,10 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
         or not carrier.truncated_intervals()
     ):
         raise WrongSpaceShape("expected isolated points {0, 3} plus a ray")
-    grid = _ray_grid(carrier, grid_size)
-    S = spec.mapping
+    if grid_size < 3:
+        raise ValueError("grid_size must be >= 3")
+    grid = ray_grid(carrier, grid_size)
+    sides = inequality_sides(space, spec, [3] + grid)
 
     rows = []
     for label, condition, generate in _SUBCASES:
@@ -377,12 +382,11 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
         rhs_min = None
         argmin = None
         for a, b, c in generate(grid):
-            value = evaluate_metric(space, S(a), S(b), S(c))
+            value, rhs = sides(a, b, c)
             if lhs is None:
                 lhs = value
             elif value != lhs:
                 raise PsbmError(f"subcase {label} lhs is not constant: {lhs} vs {value}")
-            rhs = rhs_value(space, spec, a, b, c)
             if rhs_min is None or rhs < rhs_min:
                 rhs_min = rhs
                 argmin = (a, b, c)

@@ -10,7 +10,7 @@ from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
 from .errors import NotAFixedPoint, TraceTooShort
 from .numerics import leq, point_label, point_sort_key, points_close
-from .spaces import PartialSbSpace, evaluate_metric
+from .spaces import PartialSbSpace
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
@@ -58,10 +58,10 @@ def picard_iterate(
             converged = True
             break
     gaps = tuple(
-        evaluate_metric(space, orbit[k], orbit[k], orbit[k + 1])
+        space.metric(orbit[k], orbit[k], orbit[k + 1])
         for k in range(len(orbit) - 1)
     )
-    self_distances = tuple(evaluate_metric(space, x, x, x) for x in orbit)
+    self_distances = tuple(space.metric(x, x, x) for x in orbit)
     return IterationTrace(
         orbit=tuple(orbit),
         gaps=gaps,
@@ -76,7 +76,7 @@ def verify_fixed_point(space: PartialSbSpace, mapping: SelfMap, a, tol: float = 
     """(is_fixed, self_distance_zero): S(a) = a, and dist(a,a,a) <= tol.
     The two conclusions are independent checks."""
     is_fixed = mapping(a) == a
-    self_distance_zero = evaluate_metric(space, a, a, a) <= tol
+    self_distance_zero = space.metric(a, a, a) <= tol
     return is_fixed, self_distance_zero
 
 
@@ -107,7 +107,7 @@ def cauchy_diagnostic(space: PartialSbSpace, trace: IterationTrace, tail: int = 
         raise TraceTooShort(f"need at least {tail + 2} orbit points, have {len(trace.orbit)}")
     window = trace.orbit[-tail:]
     last = trace.orbit[-1]
-    reference = evaluate_metric(space, last, last, last)
+    reference = space.metric(last, last, last)
     deviation = 0.0
     pairs = 0
     for i, u in enumerate(window):
@@ -115,7 +115,7 @@ def cauchy_diagnostic(space: PartialSbSpace, trace: IterationTrace, tail: int = 
             if i == j:
                 continue
             pairs += 1
-            deviation = max(deviation, abs(evaluate_metric(space, u, u, v) - reference))
+            deviation = max(deviation, abs(space.metric(u, u, v) - reference))
     monotone = all(leq(b, a) for a, b in zip(trace.gaps, trace.gaps[1:]))
     return ConvergenceReport(
         gap_monotone_nonincreasing=monotone,

@@ -106,7 +106,7 @@ def _cover_item(seed, bound=64):
     indices = tuple(range(3, 21))
     family = topology.CoverFamily(center=1, indices=indices)
     candidates = topology.witness_candidates(ray, bound)
-    self_d = spaces.evaluate_metric(ray, 1, 1, 1)
+    self_d = ray.metric(1, 1, 1)
     checked = 0
     for size in range(1, len(indices) + 1):
         for subfamily in itertools.combinations(indices, size):
@@ -115,7 +115,7 @@ def _cover_item(seed, bound=64):
             )
             if witness is None:
                 return _item("cover-witness", False, f"no witness for {subfamily}")
-            d = spaces.evaluate_metric(ray, 1, 1, witness)
+            d = ray.metric(1, 1, witness)
             if any(d < n + self_d for n in subfamily):
                 return _item(
                     "cover-witness", False, f"witness {witness} inside a ball of {subfamily}"
@@ -142,14 +142,9 @@ def _comparison_item(seed):
     return _item("comparison", ok, f"{sum(checks)}/{len(checks)} property verdicts match")
 
 
-def _grid_points(lo, hi, n):
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
-
-
 def _contraction_item(seed):
     gap = spaces.builtin_space("quintic_gap")
-    points = [0, 3] + _grid_points(4, 64, 50)
+    points = list(gap.carrier.isolated) + contraction.ray_grid(gap.carrier, 50)
     failures = []
     for matkowski in (False, True):
         spec = contraction.standard_spec(matkowski=matkowski)

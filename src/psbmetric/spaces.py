@@ -133,11 +133,6 @@ class PartialSbSpace:
             raise ValueError("coefficient must be >= 1")
 
 
-def evaluate_metric(space: PartialSbSpace, p, q, r):
-    """Evaluate the space's triple distance at (p, q, r)."""
-    return space.metric(p, q, r)
-
-
 def exhaustive_points(space: PartialSbSpace) -> tuple:
     if isinstance(space.carrier, FiniteCarrier):
         return space.carrier.points

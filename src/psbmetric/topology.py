@@ -20,13 +20,7 @@ from typing import Callable, Iterable
 
 from .errors import EmptySubfamily, NotInBall, UnknownPoint
 from .numerics import point_label, point_sort_key, strictly_less
-from .spaces import (
-    FiniteCarrier,
-    PartialSbSpace,
-    evaluate_metric,
-    exhaustive_points,
-    sample_carrier,
-)
+from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points, sample_carrier
 
 
 @dataclass(frozen=True)
@@ -58,11 +52,11 @@ def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     candidates = list(candidates)
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
-    self_d = evaluate_metric(space, center, center, center)
+    self_d = space.metric(center, center, center)
     members = frozenset(
         z
         for z in candidates
-        if strictly_less(evaluate_metric(space, center, center, z), radius + self_d)
+        if strictly_less(space.metric(center, center, z), radius + self_d)
     )
     return OpenBall(center, radius, members)
 
@@ -92,12 +86,12 @@ def canonical_radii(space: PartialSbSpace, center, candidates) -> list:
     candidates = list(candidates)
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
-    self_d = evaluate_metric(space, center, center, center)
+    self_d = space.metric(center, center, center)
     thresholds = sorted(
         {
             gap
             for z in candidates
-            if (gap := evaluate_metric(space, center, center, z) - self_d) > 0
+            if (gap := space.metric(center, center, z) - self_d) > 0
         }
     )
     radii = []
@@ -263,10 +257,10 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     if candidates is None:
         candidates = witness_candidates(space, search_bound)
     center = family.center
-    self_d = evaluate_metric(space, center, center, center)
+    self_d = space.metric(center, center, center)
     thresholds = [family.radius(n) + self_d for n in subfamily]
     for z in candidates:
-        d = evaluate_metric(space, center, center, z)
+        d = space.metric(center, center, z)
         if all(not strictly_less(d, cut) for cut in thresholds):
             return z
     return None

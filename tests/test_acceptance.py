@@ -23,7 +23,6 @@ from psbmetric import (
     check_axioms,
     check_boyd_wong_properties,
     check_matkowski_properties,
-    evaluate_metric,
     generate_topology,
     is_connected,
     matkowski_envelope_check,
@@ -63,7 +62,7 @@ def criterion(number, title):
 
 def recompute_violation(space, violation):
     """Reproduce a violation's lhs/rhs straight from the space and witness."""
-    m = lambda *t: evaluate_metric(space, *t)
+    m = space.metric
     if violation.axiom == 1:
         p, q, r = violation.witness
         return m(p, q, r), m(p, p, p)
@@ -152,8 +151,8 @@ def test_cover_witness_all_subfamilies():
     indices = tuple(range(3, 21))
     family = CoverFamily(center=1, indices=indices)
     candidates = witness_candidates(ray, 64)
-    self_d = evaluate_metric(ray, 1, 1, 1)
-    dist_of = {z: evaluate_metric(ray, 1, 1, z) for z in candidates}
+    self_d = ray.metric(1, 1, 1)
+    dist_of = {z: ray.metric(1, 1, z) for z in candidates}
 
     for size in range(1, len(indices) + 1):
         for subfamily in itertools.combinations(indices, size):
@@ -212,7 +211,7 @@ def test_fixed_point_suite():
         assert matkowski_envelope_check(trace, half) == (True, None)
 
     assert verify_fixed_point(gap, mapping, 0) == (True, True)
-    assert evaluate_metric(gap, 0, 0, 0) == 0
+    assert gap.metric(0, 0, 0) == 0
 
     sample = sample_carrier(gap, seed=0)
     assert uniqueness_check(gap, mapping, sample, 0) == (True, None)

@@ -122,6 +122,9 @@ MINIMAL_ARGV = {
     "repro": [],
 }
 
+# Subcommands that read a region carrier and so take --bound.
+BOUND_COMMANDS = ("verify-axioms", "ball", "cover-witness", "certify", "case-table", "fixpoint")
+
 
 class TestFlagRegistration:
     @pytest.mark.parametrize(
@@ -143,8 +146,44 @@ class TestFlagRegistration:
         parser = build_parser()
         args = parser.parse_args(["fixpoint", *MINIMAL_ARGV["fixpoint"], "--tolerance", "1e-6"])
         assert args.tolerance == 1e-6
-        for command in ("verify-axioms", "ball", "cover-witness", "certify", "case-table", "fixpoint"):
+        for command in BOUND_COMMANDS:
             assert parser.parse_args([command, *MINIMAL_ARGV[command], "--bound", "10"]).bound == 10
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--grid", "1"], "a ray grid needs at least 2 points, got 1"),
+            (["--grid", "0"], "a ray grid needs at least 2 points, got 0"),
+            (["--grid", "-3"], "a ray grid needs at least 2 points, got -3"),
+            (["--grid", "5", "--bound", "2"], "no interval of positive length lies below the bound 2.0"),
+            (["--grid", "2", "--bound", "4"], "no interval of positive length lies below the bound 4.0"),
+            (["--samples", "0"], "sample_count must be >= 1"),
+            (["--samples", "-5"], "sample_count must be >= 1"),
+        ],
+    )
+    def test_certify_size_is_one_error_line(self, extra, message, capsys):
+        assert run_cli("certify", "--space", "builtin:quintic_gap", *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_case_table_on_a_zero_length_ray_is_one_error_line(self, capsys):
+        assert run_cli("case-table", "--space", "builtin:quintic_gap", "--bound", "4") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no interval of positive length lies below the bound 4.0\n"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
+    @pytest.mark.parametrize("command", BOUND_COMMANDS)
+    def test_non_finite_bound_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *MINIMAL_ARGV[command], f"--bound={value}")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --bound: invalid finite float value: '{value}'" in captured.err
 
 
 class TestVerdictParity:

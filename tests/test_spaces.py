@@ -18,7 +18,6 @@ from psbmetric import (
     UnknownPoint,
     builtin_space,
     check_axioms,
-    evaluate_metric,
     load_tabulated_space,
     quintic,
     random_tabulated_space,
@@ -57,16 +56,16 @@ def absdiff_space(points=(0, 1, 3)):
 class TestEvaluateMetric:
     def test_two_point_a_mixed_triple(self):
         space = builtin_space("two_point_a")
-        assert evaluate_metric(space, 1, 1, 2) == 8
-        assert evaluate_metric(space, 2, 2, 1) == 8
+        assert space.metric(1, 1, 2) == 8
+        assert space.metric(2, 2, 1) == 8
 
     def test_quintic_self_triple(self):
         space = builtin_space("quintic_ray")
-        assert evaluate_metric(space, 1, 1, 1) == 1
+        assert space.metric(1, 1, 1) == 1
 
     def test_quintic_pair_triple_matches_hand_expansion(self):
         space = builtin_space("quintic_ray")
-        assert evaluate_metric(space, 4, 4, 3) == 2 * (4**5 + 3**5) == 2534
+        assert space.metric(4, 4, 3) == 2 * (4**5 + 3**5) == 2534
 
     def test_quintic_integer_points_stay_exact(self):
         assert type(quintic(4, 4, 3)) is int
@@ -74,12 +73,12 @@ class TestEvaluateMetric:
     def test_float_overflow_raises_distance_overflow(self):
         space = builtin_space("quintic_gap")
         with pytest.raises(DistanceOverflow, match=r"quintic\(1e\+80, 1e\+80, 3\)"):
-            evaluate_metric(space, 1e80, 1e80, 3)
+            space.metric(1e80, 1e80, 3)
 
     def test_unknown_point_on_tabulated(self):
         space = builtin_space("two_point_a")
         with pytest.raises(UnknownPoint):
-            evaluate_metric(space, 1, 1, 3)
+            space.metric(1, 1, 3)
 
 
 class TestCheckAxioms:
@@ -165,19 +164,19 @@ class TestCheckAxioms:
 class TestBuiltinSpaces:
     def test_two_point_b_table_values(self):
         space = builtin_space("two_point_b")
-        assert evaluate_metric(space, 1, 1, 1) == 4
-        assert evaluate_metric(space, 2, 2, 2) == 4
+        assert space.metric(1, 1, 1) == 4
+        assert space.metric(2, 2, 2) == 4
         for triple in itertools.product((1, 2), repeat=3):
             if len(set(triple)) > 1:
-                assert evaluate_metric(space, *triple) == 8
+                assert space.metric(*triple) == 8
 
     def test_two_point_a_table_values(self):
         space = builtin_space("two_point_a")
-        assert evaluate_metric(space, 2, 2, 2) == 4
-        assert evaluate_metric(space, 2, 1, 2) == 4
+        assert space.metric(2, 2, 2) == 4
+        assert space.metric(2, 1, 2) == 4
 
     def test_quintic_gap_zero_self_distance(self):
-        assert evaluate_metric(builtin_space("quintic_gap"), 0, 0, 0) == 0
+        assert builtin_space("quintic_gap").metric(0, 0, 0) == 0
 
     def test_all_builtins_have_unit_coefficient(self):
         for name in ("quintic_ray", "two_point_a", "two_point_b", "quintic_gap"):
@@ -258,4 +257,4 @@ class TestRandomSpaces:
         rng = random.Random("test-random-symmetric")
         space = random_tabulated_space(rng)
         for p, q in itertools.permutations((1, 2, 3), 2):
-            assert evaluate_metric(space, p, p, q) == evaluate_metric(space, q, q, p)
+            assert space.metric(p, p, q) == space.metric(q, q, p)

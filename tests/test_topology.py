@@ -13,7 +13,6 @@ from psbmetric import (
     UnknownPoint,
     builtin_space,
     canonical_radii,
-    evaluate_metric,
     exhaustive_points,
     generate_topology,
     inner_ball_radius,
@@ -195,7 +194,7 @@ class TestInnerBall:
 class TestCanonicalRadii:
     def test_two_point_a_center_2_realizes_both_balls(self):
         gaps = sorted(
-            evaluate_metric(TWO_A, 2, 2, z) - evaluate_metric(TWO_A, 2, 2, 2)
+            TWO_A.metric(2, 2, z) - TWO_A.metric(2, 2, 2)
             for z in (1, 2)
         )
         assert gaps == [0, 4]
@@ -394,10 +393,10 @@ class TestCoverWitness:
     def test_subfamily_3_5_escapes_at_2(self):
         witness = uncovered_witness(RAY, self.FAMILY, [3, 5], 64)
         assert witness == 2
-        assert evaluate_metric(RAY, 1, 1, 2) == 66
-        self_d = evaluate_metric(RAY, 1, 1, 1)
+        assert RAY.metric(1, 1, 2) == 66
+        self_d = RAY.metric(1, 1, 1)
         for n in (3, 5):
-            assert evaluate_metric(RAY, 1, 1, 2) >= n + self_d
+            assert RAY.metric(1, 1, 2) >= n + self_d
 
     def test_finite_space_fully_covered(self):
         family = CoverFamily(center=1, indices=(1,))
@@ -414,14 +413,14 @@ class TestCoverWitness:
 
     def test_escape_threshold_property(self):
         # A witness exists whenever the scan reaches past ((N-1)/2)^(1/5).
-        self_d = evaluate_metric(RAY, 1, 1, 1)
+        self_d = RAY.metric(1, 1, 1)
         for top in range(3, 21):
             subfamily = list(range(3, top + 1))
             threshold = ((top - 1) / 2) ** 0.2
             for bound in (threshold * (1 + 1e-6), threshold + 0.5, 64):
                 witness = uncovered_witness(RAY, self.FAMILY, subfamily, bound)
                 assert witness is not None
-                d = evaluate_metric(RAY, 1, 1, witness)
+                d = RAY.metric(1, 1, witness)
                 assert all(d >= n + self_d for n in subfamily)
 
     def test_precomputed_candidates_agree(self):
