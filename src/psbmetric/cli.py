@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="materialize an open ball")
     common(p)
     p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     p.add_argument("--candidates", default=None, help="comma-separated candidate points")
     p.set_defaults(func=_cmd_ball)
 
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json", "csv"))
     p.add_argument("--map", default="paper_S")
     p.add_argument("--start", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=1000)
     p.set_defaults(func=_cmd_fixpoint)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 
 from .comparison import MATKOWSKI, ComparisonFn
@@ -49,6 +50,8 @@ def picard_iterate(
     iteration budget runs out. Non-convergence is a reported outcome."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if isinstance(a0, float) and not math.isfinite(a0):
+        raise ValueError(f"start point must be finite, got {a0}")
     orbit = [a0]
     converged = False
     for _ in range(max_iter):

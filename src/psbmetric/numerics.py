@@ -10,8 +10,8 @@ REL_TOL = 1e-9
 STRICT_MARGIN = 1e-12
 
 
-def exact(*values) -> bool:
-    return all(type(v) is int for v in values)
+def exact(a, b) -> bool:
+    return type(a) is int and type(b) is int
 
 
 def _scale(a, b) -> float:

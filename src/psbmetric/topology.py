@@ -13,6 +13,7 @@ of u's minimal opens misses v, so the verdicts are exact on non-topologies.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,6 +50,8 @@ def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     """Materialize D(center; radius) against a candidate point list."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if not radius < math.inf:
+        raise ValueError(f"radius must be finite, got {radius}")
     candidates = list(candidates)
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
@@ -230,24 +233,38 @@ class CoverFamily:
         }
 
 
+def _scan_candidates(space: PartialSbSpace, search_bound):
+    """witness_candidates, lazily. Of equal values (4 and 4.0) the one from
+    the earliest stream is kept: isolated points, then per interval its ends,
+    then its integers."""
+    carrier = space.carrier
+    if isinstance(carrier, FiniteCarrier):
+        return iter(sorted_points(carrier.points))
+    streams = [sorted_points(p for p in carrier.isolated if p <= search_bound)]
+    for lo, hi in carrier.truncated_intervals(cap=search_bound):
+        streams += [(lo, hi), range(math.ceil(lo), math.floor(hi) + 1)]
+    merged = heapq.merge(*streams, key=point_sort_key)
+    return (next(equal) for _, equal in itertools.groupby(merged))
+
+
 def witness_candidates(space: PartialSbSpace, search_bound) -> list:
     """Deterministic ascending scan order for uncovered_witness: all finite
     carrier points, or isolated points plus the integer lattice, interval
     endpoints, and the bound itself."""
-    carrier = space.carrier
-    if isinstance(carrier, FiniteCarrier):
-        return sorted_points(carrier.points)
-    found = {p for p in carrier.isolated if p <= search_bound}
-    for lo, hi in carrier.truncated_intervals(cap=search_bound):
-        found.add(lo)
-        found.add(hi)
-        found.update(range(math.ceil(lo), math.floor(hi) + 1))
-    return sorted_points(found)
+    return list(_scan_candidates(space, search_bound))
 
 
 def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indices, search_bound, candidates=None):
     """A carrier point outside every subfamily ball, or None if the scanned
-    candidates are covered."""
+    candidates are covered.
+
+    Balls around one centre are nested, so each candidate is compared once
+    with the widest cut radius + dist(c,c,c). Integer cuts compare exactly
+    and others with the float margin, and the two disagree on which cut is
+    wider (near 1e13), so the widest of each kind is kept. Radii must be
+    finite. The default scan stops at the first witness; a fully covered
+    scan costs the length of the lattice.
+    """
     subfamily = list(subfamily_indices)
     if not subfamily:
         raise EmptySubfamily("subfamily must contain at least one index")
@@ -255,12 +272,22 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     if missing:
         raise ValueError(f"indices {sorted(missing)} are not in the family")
     if candidates is None:
-        candidates = witness_candidates(space, search_bound)
+        candidates = _scan_candidates(space, search_bound)
     center = family.center
     self_d = space.metric(center, center, center)
-    thresholds = [family.radius(n) + self_d for n in subfamily]
+    widest = {}
+    for n in subfamily:
+        cut = family.radius(n) + self_d
+        is_int = type(cut) is int
+        if not (is_int or math.isfinite(cut)):
+            raise ValueError(f"radius of index {n} is not finite")
+        if is_int not in widest or cut > widest[is_int]:
+            widest[is_int] = cut
     for z in candidates:
         d = space.metric(center, center, z)
-        if all(not strictly_less(d, cut) for cut in thresholds):
+        for cut in widest.values():
+            if strictly_less(d, cut):
+                break
+        else:
             return z
     return None

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -36,6 +37,7 @@ def run_subprocess(*argv):
         capture_output=True,
         text=True,
         env=env,
+        **kwargs,
     )
 
 
@@ -184,6 +186,51 @@ class TestRejectedValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --bound: invalid finite float value: '{value}'" in captured.err
+
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
+    def test_non_finite_radius_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ball", "--space", "builtin:quintic_ray", "--center", "1", f"--radius={value}")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert f"argument --radius: invalid finite float value: '{value}'" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_start_is_one_error_line(self, value, capsys):
+        argv = ["fixpoint", "--space", "builtin:quintic_gap", f"--start={value}"]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: start point must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*["fixpoint", *MINIMAL_ARGV["fixpoint"]], f"--tolerance={value}")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert f"argument --tolerance: invalid finite float value: '{value}'" in captured.err
+
+
+class TestLazyCoverScan:
+    @pytest.mark.parametrize("bound", ["1e9", "1e40", "1e300"])
+    def test_huge_bound_stops_at_the_first_witness(self, bound):
+        # The lattice up to the bound has more points than memory holds; the
+        # scan has to stop at the witness 2. The child gets 1 GiB of address
+        # space, so a scan that collects the lattice fails instead of growing.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = run_subprocess(
+            "cover-witness", "--space", "builtin:quintic_ray", "--center", "1",
+            "--indices", "3..20", "--bound", bound, preexec_fn=limit_memory, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "uncovered witness: 2\n", "")
 
 
 class TestVerdictParity:

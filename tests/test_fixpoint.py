@@ -55,6 +55,11 @@ class TestPicardIterate:
         assert trace.limit is None and trace.limit_gap is None
         assert len(trace.orbit) == 10
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_is_rejected(self, start):
+        with pytest.raises(ValueError, match="start point must be finite"):
+            picard_iterate(GAP, PAPER_S, start)
+
 
 class TestVerifyFixedPoint:
     def test_zero_is_fixed_with_zero_self_distance(self):

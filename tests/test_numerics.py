@@ -1,0 +1,106 @@
+"""Edge behaviour of the shared comparators.
+
+Two int operands compare exactly; any other pair (a float, a bool) uses the
+relative tolerance REL_TOL for leq/values_equal and the margin STRICT_MARGIN
+for strictly_less, both scaled by max(1, |a|, |b|).
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from psbmetric.numerics import REL_TOL, STRICT_MARGIN, exact, leq, strictly_less, values_equal
+
+INTS = st.integers(min_value=-(10**30), max_value=10**30)
+FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+NUMBERS = st.one_of(INTS, FLOATS, st.booleans())
+
+
+class TestExact:
+    def test_only_two_plain_ints_are_exact(self):
+        assert exact(3, 10**40)
+        assert not exact(3, 3.0) and not exact(3.0, 3)
+        assert not exact(True, 1) and not exact(1, False)
+        assert not exact(2.5, 2.5)
+
+    @given(NUMBERS, NUMBERS)
+    def test_exact_is_the_type_test(self, a, b):
+        assert exact(a, b) == (type(a) is int and type(b) is int)
+
+
+class TestExactPath:
+    @given(INTS, INTS)
+    def test_int_pairs_compare_like_python(self, a, b):
+        assert leq(a, b) == (a <= b)
+        assert strictly_less(a, b) == (a < b)
+        assert values_equal(a, b) == (a == b)
+
+    def test_neighbouring_big_ints_stay_apart(self):
+        # 10^17 + 1 and 10^17 are one float apart at most: only the int path tells them apart.
+        big = 10**17
+        assert not values_equal(big, big + 1) and not leq(big + 1, big)
+        assert strictly_less(big, big + 1)
+        assert values_equal(big, float(big + 1)) and leq(big + 1, float(big))
+        assert not strictly_less(big, float(big + 1))
+
+
+class TestTolerancePath:
+    @given(FLOATS, st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+    def test_inside_rel_tol_is_equal(self, a, k):
+        b = a + k * REL_TOL * max(1.0, abs(a))
+        assert values_equal(a, b) and values_equal(b, a)
+        assert leq(b, a) and leq(a, b)
+
+    @given(FLOATS, st.sampled_from([1.1, 2.0, 10.0]))
+    def test_beyond_rel_tol_is_unequal(self, a, k):
+        b = a + k * REL_TOL * max(1.0, abs(a))
+        assert not values_equal(a, b) and not values_equal(b, a)
+        assert not leq(b, a) and leq(a, b)
+
+    @given(FLOATS, st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+    def test_inside_strict_margin_is_not_less(self, a, k):
+        b = a + k * STRICT_MARGIN * max(1.0, abs(a))
+        assert not strictly_less(a, b)
+
+    @given(FLOATS, st.sampled_from([1.1, 2.0, 10.0]))
+    def test_beyond_strict_margin_is_less(self, a, k):
+        b = a + k * STRICT_MARGIN * max(1.0, abs(a))
+        assert strictly_less(a, b) and not strictly_less(b, a)
+
+    @given(st.integers(min_value=-(10**9), max_value=10**9), st.sampled_from([0.5, 2.0]))
+    def test_int_against_float_uses_the_margin(self, n, k):
+        margin = STRICT_MARGIN * max(1.0, abs(n))
+        assert strictly_less(n, n + k * margin) == (k > 1)
+        assert values_equal(n, n + k * REL_TOL * max(1.0, abs(n))) == (k < 1)
+
+    def test_a_gap_between_margin_and_tolerance_is_both_less_and_equal(self):
+        b = 1 + 100 * STRICT_MARGIN
+        assert 100 * STRICT_MARGIN < REL_TOL
+        assert strictly_less(1.0, b) and values_equal(1.0, b) and leq(b, 1.0)
+
+    def test_bools_take_the_tolerance_path(self):
+        assert values_equal(True, 1) and values_equal(1, True)
+        assert values_equal(True, 1 + 0.5 * REL_TOL)
+        assert leq(True, 1.0) and leq(1 + 0.5 * REL_TOL, True)
+        assert strictly_less(False, True) and not strictly_less(True, 1 + 0.5 * STRICT_MARGIN)
+
+
+class TestConsistency:
+    @settings(max_examples=300)
+    @given(NUMBERS, NUMBERS)
+    def test_comparators_agree(self, a, b):
+        if strictly_less(a, b):
+            assert leq(a, b) and not strictly_less(b, a)
+        if values_equal(a, b):
+            assert values_equal(b, a) and leq(a, b) and leq(b, a)
+        if not leq(a, b):
+            assert strictly_less(b, a)
+
+    @settings(max_examples=300)
+    @given(NUMBERS, NUMBERS, NUMBERS)
+    def test_strictly_less_is_monotone_in_the_bound_on_each_path(self, d, b1, b2):
+        # The nested-ball cut in uncovered_witness rests on this: for cuts
+        # of one kind (both int, or both not), a larger cut covers more.
+        if (type(b1) is int) != (type(b2) is int):
+            return
+        lo, hi = sorted((b1, b2))
+        if strictly_less(d, lo):
+            assert strictly_less(d, hi)

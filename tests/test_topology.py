@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -6,9 +8,11 @@ import pytest
 from psbmetric import (
     CoverFamily,
     EmptySubfamily,
+    FiniteCarrier,
     FiniteTopology,
     InfeasibleExhaustive,
     NotInBall,
+    RegionCarrier,
     SeparationReport,
     UnknownPoint,
     builtin_space,
@@ -27,11 +31,13 @@ from psbmetric import (
     verify_topology_axioms,
     witness_candidates,
 )
+from psbmetric.numerics import strictly_less
 from psbmetric.topology import sorted_labels, sorted_points
 
 TWO_A = builtin_space("two_point_a")
 TWO_B = builtin_space("two_point_b")
 RAY = builtin_space("quintic_ray")
+GAP = builtin_space("quintic_gap")
 
 SIERPINSKI = frozenset({frozenset(), frozenset({2}), frozenset({1, 2})})
 DISCRETE = frozenset({frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})})
@@ -96,6 +102,43 @@ def reference_is_connected(topology):
     return True, None
 
 
+# Reference implementations of the cover-witness scan before the nested-ball
+# cut and the lazy lattice: every candidate is tested against every cut, and
+# the candidates are collected in a set before sorting.
+
+def reference_witness_candidates(space, search_bound):
+    carrier = space.carrier
+    if isinstance(carrier, FiniteCarrier):
+        return sorted_points(carrier.points)
+    found = {p for p in carrier.isolated if p <= search_bound}
+    for lo, hi in carrier.truncated_intervals(cap=search_bound):
+        found.add(lo)
+        found.add(hi)
+        found.update(range(math.ceil(lo), math.floor(hi) + 1))
+    return sorted_points(found)
+
+
+def reference_uncovered_witness(space, family, subfamily, search_bound, candidates=None):
+    if candidates is None:
+        candidates = reference_witness_candidates(space, search_bound)
+    center = family.center
+    self_d = space.metric(center, center, center)
+    thresholds = [family.radius(n) + self_d for n in subfamily]
+    for z in candidates:
+        d = space.metric(center, center, z)
+        if all(not strictly_less(d, cut) for cut in thresholds):
+            return z
+    return None
+
+
+def assert_witness_matches_reference(space, family, subfamily, bound, candidates=None):
+    """Same witness, of the same type, as the per-cut reference; returns it."""
+    expected = reference_uncovered_witness(space, family, subfamily, bound, candidates)
+    witness = uncovered_witness(space, family, subfamily, bound, candidates=candidates)
+    assert (witness, type(witness)) == (expected, type(expected)), (family, subfamily, bound)
+    return witness
+
+
 def tabulated_families(count=600):
     """Topologies generated from random tables over 2 to 4 points; the
     invalid tables among them give families that are not topologies."""
@@ -151,6 +194,12 @@ class TestOpenBall:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             open_ball(TWO_A, 1, 0, [1, 2])
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_radius_must_be_finite(self, radius):
+        # A ball of infinite radius used to come out empty: inf - margin * inf is nan.
+        with pytest.raises(ValueError, match="radius must be finite"):
+            open_ball(RAY, 1, radius, [1, 2, 3])
 
 
 class TestInnerBall:
@@ -429,3 +478,139 @@ class TestCoverWitness:
             assert uncovered_witness(
                 RAY, self.FAMILY, subfamily, 64, candidates=candidates
             ) == uncovered_witness(RAY, self.FAMILY, subfamily, 64)
+
+
+class TestNestedBallCut:
+    """uncovered_witness keeps one widest cut per comparator path; the
+    per-cut reference above tests every candidate against every cut."""
+
+    REPRO_FAMILY = CoverFamily(center=1, indices=tuple(range(3, 21)))
+
+    @staticmethod
+    def random_subfamilies(rng, indices, count):
+        for _ in range(count):
+            size = rng.randint(1, len(indices))
+            yield rng.sample(indices, size)
+
+    def test_sampled_repro_subfamilies(self):
+        rng = random.Random("cover:repro-sample")
+        indices = list(self.REPRO_FAMILY.indices)
+        candidates = witness_candidates(RAY, 64)
+        witnesses = set()
+        for subfamily in self.random_subfamilies(rng, indices, 1500):
+            witnesses.add(
+                assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamily, 64, candidates)
+            )
+            # Shorter scans end at 1.5 or 2.5, where some subfamilies cover all.
+            for bound in (1.5, 2.5):
+                witnesses.add(
+                    assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamily, bound)
+                )
+        assert witnesses == {None, 1.5, 2}
+
+    @pytest.mark.parametrize(
+        "radius_of",
+        [
+            lambda n: ((n * 7919) % 97 + 1) * 311,
+            lambda n: ((n * 7919) % 97 + 1) * 311.5,
+            lambda n: ((n * 104729) % 89 + 1) * (401 if n % 2 else 397.25),
+        ],
+        ids=["int", "float", "mixed"],
+    )
+    def test_non_monotone_radii(self, radius_of):
+        family = CoverFamily(center=1, indices=tuple(range(1, 30)), radius_of=radius_of)
+        rng = random.Random("cover:non-monotone")
+        witnesses = set()
+        for bound in (2.5, 6.5, 64):
+            candidates = witness_candidates(RAY, bound)
+            for subfamily in self.random_subfamilies(rng, list(family.indices), 300):
+                witnesses.add(
+                    assert_witness_matches_reference(RAY, family, subfamily, bound, candidates)
+                )
+        assert len(witnesses) >= 4
+
+    @pytest.mark.parametrize("center", [4.5, 6.25, 3.0, 4.0])
+    def test_float_centres_on_quintic_gap(self, center):
+        family = CoverFamily(
+            center=center,
+            indices=tuple(range(1, 40)),
+            radius_of=lambda n: (n * 37 % 41) * 2500 + (0.5 if n % 3 else 0),
+        )
+        rng = random.Random(f"cover:gap:{center}")
+        witnesses = set()
+        for bound in (4.5, 9.5, 64):
+            candidates = witness_candidates(GAP, bound)
+            for subfamily in self.random_subfamilies(rng, list(family.indices), 200):
+                witnesses.add(
+                    assert_witness_matches_reference(GAP, family, subfamily, bound, candidates)
+                )
+        assert len(witnesses) >= 3
+
+    def test_random_tabulated_spaces(self):
+        rng = random.Random("cover:tabulated")
+        witnesses = set()
+        for i in range(400):
+            labels = tuple(range(1, 3 + i % 4))
+            space = random_tabulated_space(rng, labels)
+            radii = {n: rng.choice((rng.randint(1, 12), rng.uniform(0.5, 12))) for n in range(6)}
+            family = CoverFamily(
+                center=rng.choice(labels), indices=tuple(radii), radius_of=radii.__getitem__
+            )
+            for subfamily in self.random_subfamilies(rng, list(radii), 5):
+                witnesses.add(assert_witness_matches_reference(space, family, subfamily, 64))
+        assert None in witnesses and len(witnesses) >= 3
+
+    def test_int_and_float_cuts_near_1e13_are_kept_apart(self):
+        # d = 10^13 lies inside the int cut d + 1 (exact), but not inside the
+        # larger float cut d + 2.0, which the float margin shrinks to d - 8.
+        d = 10**13
+        table = {triple: d for triple in itertools.product((1, 2), repeat=3)}
+        table[(1, 1, 1)] = 0
+        space = tabulated_space((1, 2), table)
+        radii = {"int": d + 1, "float": d + 2.0}
+        family = CoverFamily(center=1, indices=tuple(radii), radius_of=radii.__getitem__)
+        assert strictly_less(d, d + 1) and not strictly_less(d, d + 2.0)
+        for subfamily in (["int", "float"], ["float", "int"]):
+            assert assert_witness_matches_reference(space, family, subfamily, 64) is None
+        assert assert_witness_matches_reference(space, family, ["float"], 64) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_rejected(self, bad):
+        family = CoverFamily(center=1, indices=(3, 4), radius_of=lambda n: bad if n == 4 else n)
+        with pytest.raises(ValueError, match="radius of index 4 is not finite"):
+            uncovered_witness(RAY, family, [3, 4], 64)
+
+
+class TestWitnessCandidates:
+    """The lazy scan lists the same points, of the same types and in the same
+    order, as the set-based reference."""
+
+    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap", "two_point_a"])
+    @pytest.mark.parametrize("bound", [0.5, 1, 2.5, 3, 4, 4.0, 4.5, 10, 10.0, 64, 1000, 1000.0])
+    def test_builtins_match_reference(self, name, bound):
+        space = builtin_space(name)
+        expected = reference_witness_candidates(space, bound)
+        found = witness_candidates(space, bound)
+        assert [(p, type(p)) for p in found] == [(p, type(p)) for p in expected]
+
+    def test_random_region_carriers_match_reference(self):
+        rng = random.Random("cover:regions")
+
+        def number(lo, hi):
+            value = rng.choice((rng.randint(lo, hi), rng.randint(2 * lo, 2 * hi) / 2))
+            return float(value) if rng.random() < 0.3 else value
+
+        for _ in range(300):
+            isolated = tuple(number(0, 12) for _ in range(rng.randint(0, 4)))
+            intervals = []
+            for _ in range(rng.randint(0, 3)):
+                lo = number(0, 10)
+                hi = rng.choice((None, lo, lo + number(0, 6), number(0, 10)))
+                intervals.append((lo, hi))
+            space = dataclasses.replace(
+                GAP, carrier=RegionCarrier(isolated=isolated, intervals=tuple(intervals))
+            )
+            bound = number(0, 20)
+            expected = reference_witness_candidates(space, bound)
+            found = witness_candidates(space, bound)
+            assert [(p, type(p)) for p in found] == [(p, type(p)) for p in expected]
