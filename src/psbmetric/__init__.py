@@ -40,6 +40,7 @@ from .spaces import (
     quintic,
     random_tabulated_space,
     random_valid_space,
+    require_point,
     sample_carrier,
     tabulated_space,
 )

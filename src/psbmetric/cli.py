@@ -26,7 +26,10 @@ EXIT_USAGE = 2
 _VARIANTS = {v.value: v for v in AxiomSet}
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else PSBM_SEED, else 0; read only by the commands that sample."""
+    if args.seed is not None:
+        return args.seed
     value = os.environ.get("PSBM_SEED", "0")
     try:
         return int(value)
@@ -110,7 +113,7 @@ def _cmd_verify_axioms(args) -> int:
     if samples is None and isinstance(space.carrier, RegionCarrier):
         samples = 10000
     report = spaces.check_axioms(
-        space, _VARIANTS[args.variant], sample_count=samples, seed=args.seed
+        space, _VARIANTS[args.variant], sample_count=samples, seed=_seed(args)
     )
     payload = report.to_dict()
 
@@ -129,11 +132,11 @@ def _cmd_verify_axioms(args) -> int:
 
 def _cmd_ball(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
-    center = parse_point(args.center)
+    center = spaces.require_point(space, parse_point(args.center))
     if args.candidates:
-        candidates = parse_points_list(args.candidates)
+        candidates = [spaces.require_point(space, x) for x in parse_points_list(args.candidates)]
     else:
-        candidates = spaces.sample_carrier(space, seed=args.seed)
+        candidates = spaces.sample_carrier(space, seed=_seed(args))
         if center not in candidates:
             candidates.append(center)
     ball = topology.open_ball(space, center, args.radius, candidates)
@@ -195,7 +198,8 @@ def _cmd_connected(args) -> int:
 def _cmd_cover_witness(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     indices = _parse_indices(args.indices)
-    family = topology.CoverFamily(center=parse_point(args.center), indices=tuple(indices))
+    center = spaces.require_point(space, parse_point(args.center))
+    family = topology.CoverFamily(center=center, indices=tuple(indices))
     subfamily = _parse_indices(args.subfamily) if args.subfamily else indices
     bound = args.bound if args.bound is not None else spaces.DEFAULT_REGION_BOUND
     witness = topology.uncovered_witness(space, family, subfamily, bound)
@@ -255,7 +259,7 @@ def _cmd_certify(args) -> int:
         points = list(carrier.isolated) + contraction.ray_grid(carrier, args.grid)
         report = contraction.certify(space, spec, points=points)
     else:
-        report = contraction.certify(space, spec, sample_count=args.samples, seed=args.seed)
+        report = contraction.certify(space, spec, sample_count=args.samples, seed=_seed(args))
     payload = report.to_dict()
 
     def render(r):
@@ -304,7 +308,7 @@ def _cmd_fixpoint(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    report = repro.run_repro(seed=args.seed)
+    report = repro.run_repro(seed=_seed(args))
 
     def render(r):
         width = max(len(i["name"]) for i in r["items"])
@@ -330,22 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space=True, bound=True, formats=("text", "json")):
+    def common(p, space=True, bound=True, seed=False, formats=("text", "json")):
         if space:
             p.add_argument("--space", required=True, help="builtin:<name> or file:<path>")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="sampling seed; default PSBM_SEED or 0")
         if space and bound:
             p.add_argument("--bound", type=_finite_float, default=None, help="finite region truncation bound")
 
     p = sub.add_parser("verify-axioms", help="check an axiom set on a space")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--variant", choices=sorted(_VARIANTS), default=AxiomSet.PARTIAL_SB.value)
     p.add_argument("--samples", type=int, default=None, help="sampled quadruples; default exhaustive on finite carriers")
     p.set_defaults(func=_cmd_verify_axioms)
 
     p = sub.add_parser("ball", help="materialize an open ball")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--center", required=True)
     p.add_argument("--radius", type=_finite_float, required=True)
     p.add_argument("--candidates", default=None, help="comma-separated candidate points")
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_comparison)
 
     p = sub.add_parser("certify", help="certify an interpolative contraction")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--spec", default="paper")
     p.add_argument("--matkowski", action="store_true")
     p.add_argument("--samples", type=int, default=200)
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fixpoint)
 
     p = sub.add_parser("repro", help="reproduce every worked example")
-    common(p, space=False)
+    common(p, space=False, seed=True)
     p.set_defaults(func=_cmd_repro)
 
     return parser

@@ -11,7 +11,7 @@ from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
 from .errors import NotAFixedPoint, TraceTooShort
 from .numerics import leq, point_label, point_sort_key, points_close
-from .spaces import PartialSbSpace
+from .spaces import PartialSbSpace, require_point
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
@@ -52,6 +52,7 @@ def picard_iterate(
         raise ValueError("max_iter must be >= 1")
     if isinstance(a0, float) and not math.isfinite(a0):
         raise ValueError(f"start point must be finite, got {a0}")
+    require_point(space, a0)
     orbit = [a0]
     converged = False
     for _ in range(max_iter):
@@ -144,10 +145,10 @@ def matkowski_envelope_check(trace: IterationTrace, fn: ComparisonFn):
     return True, None
 
 
-def uniqueness_check(space: PartialSbSpace, mapping: SelfMap, sample, claimed, tol: float = DEFAULT_TOL):
+def uniqueness_check(space: PartialSbSpace, mapping: SelfMap, sample, claimed):
     """True when no sampled point other than `claimed` is fixed; otherwise
     False with the first counterexample in sorted point order."""
-    is_fixed, _ = verify_fixed_point(space, mapping, claimed, tol)
+    is_fixed, _ = verify_fixed_point(space, mapping, claimed)
     if not is_fixed:
         raise NotAFixedPoint(f"{point_label(claimed)} is not fixed by {mapping.name}")
     for x in sorted(sample, key=point_sort_key):

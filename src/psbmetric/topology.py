@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import EmptySubfamily, NotInBall, UnknownPoint
+from .errors import EmptySubfamily, NotInBall, PsbmError, UnknownPoint
 from .numerics import point_label, point_sort_key, strictly_less
 from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points, sample_carrier
 
@@ -256,7 +256,7 @@ def witness_candidates(space: PartialSbSpace, search_bound) -> list:
 
 def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indices, search_bound, candidates=None):
     """A carrier point outside every subfamily ball, or None if the scanned
-    candidates are covered.
+    candidates are covered; an empty scan covers nothing and is an error.
 
     Balls around one centre are nested, so each candidate is compared once
     with the widest cut radius + dist(c,c,c). Integer cuts compare exactly
@@ -283,6 +283,7 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
             raise ValueError(f"radius of index {n} is not finite")
         if is_int not in widest or cut > widest[is_int]:
             widest[is_int] = cut
+    z = None  # stays None only when the scan yields no point
     for z in candidates:
         d = space.metric(center, center, z)
         for cut in widest.values():
@@ -290,4 +291,6 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
                 break
         else:
             return z
+    if z is None:
+        raise PsbmError(f"no carrier point to scan up to the search bound {search_bound}")
     return None

@@ -1,15 +1,21 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psbmetric.cli import build_parser, main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 TWO_POINT_B_FILE = """\
 points: 1 2
@@ -329,6 +335,10 @@ right left right 8
         assert "{left}" in capsys.readouterr().out
 
 
+# Subcommands that sample and so take --seed (and read PSBM_SEED).
+SEED_COMMANDS = ("verify-axioms", "ball", "certify", "repro")
+
+
 class TestSeedHandling:
     def test_env_seed_matches_explicit_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("PSBM_SEED", "5")
@@ -347,6 +357,196 @@ class TestSeedHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: PSBM_SEED must be an integer, got 'xyz'\n"
+
+    def test_explicit_seed_wins_over_an_invalid_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSBM_SEED", "xyz")
+        assert run_cli("verify-axioms", "--space", "builtin:quintic_gap", "--samples", "50", "--seed", "1") == 0
+
+    @pytest.mark.parametrize("command", [c for c in MINIMAL_ARGV if c not in SEED_COMMANDS])
+    def test_seed_is_rejected_where_nothing_samples(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *MINIMAL_ARGV[command], "--seed", "7")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [c for c in MINIMAL_ARGV if c not in SEED_COMMANDS])
+    def test_invalid_env_seed_is_ignored_where_nothing_samples(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("PSBM_SEED", "xyz")
+        assert run_cli(command, *MINIMAL_ARGV[command]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    def test_seed_stays_where_it_is_read(self):
+        parser = build_parser()
+        for command in SEED_COMMANDS:
+            assert parser.parse_args([command, *MINIMAL_ARGV[command], "--seed", "7"]).seed == 7
+
+
+class TestSpaceFileNumbers:
+    @pytest.mark.parametrize("old, new", [
+        ("coefficient: 1", "coefficient: nan"),
+        ("coefficient: 1", "coefficient: inf"),
+        ("coefficient: 1", "coefficient: 1e400"),
+        ("1 1 2 8", "1 1 2 nan"),
+        ("1 1 2 8", "1 1 2 inf"),
+        ("1 1 2 8", "1 1 2 1e400"),
+    ])
+    @pytest.mark.parametrize("command", ["verify-axioms", "topology"])
+    def test_non_finite_number_is_one_error_line(self, command, old, new, tmp_path, capsys):
+        path = tmp_path / "space.psb"
+        path.write_text(TWO_POINT_B_FILE.replace(old, new), encoding="utf-8")
+        assert run_cli(command, "--space", f"file:{path}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        token = new.split()[-1]
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f"{token!r} is not a finite number\n")
+
+
+class TestPointsOffTheCarrier:
+    @pytest.mark.parametrize("argv, label", [
+        (["fixpoint", "--space", "builtin:quintic_gap", "--start", "abc"], "abc"),
+        (["fixpoint", "--space", "builtin:quintic_gap", "--start", "2"], "2"),
+        (["fixpoint", "--space", "builtin:quintic_gap", "--start", "1.5"], "1.5"),
+        (["ball", "--space", "builtin:quintic_ray", "--center", "0.5", "--radius", "3"], "0.5"),
+        (["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3",
+          "--candidates", "1,0.5"], "0.5"),
+        (["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3",
+          "--candidates", "1,abc"], "abc"),
+        (["cover-witness", "--space", "builtin:quintic_ray", "--center", "abc",
+          "--indices", "3..20"], "abc"),
+        (["cover-witness", "--space", "builtin:quintic_gap", "--center", "2",
+          "--indices", "3..20"], "2"),
+    ])
+    def test_point_off_the_carrier_is_one_error_line(self, argv, label, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point {label} is not in the carrier\n"
+
+    @pytest.mark.parametrize("extra", [["--start", "7"], ["--start", "100", "--bound", "64"], ["--start", "4.5"]])
+    def test_carrier_starts_still_iterate(self, extra, capsys):
+        assert run_cli("fixpoint", "--space", "builtin:quintic_gap", *extra) == 0
+        assert "converged: True  limit: 0" in capsys.readouterr().out
+
+    def test_ball_center_above_the_bound_is_a_carrier_point(self, capsys):
+        assert run_cli("ball", "--space", "builtin:quintic_ray", "--center", "100",
+                       "--radius", "1", "--bound", "64") == 0
+        assert capsys.readouterr().out == "D(100; 1.0) = {100}\n"
+
+
+class TestEmptyCoverScan:
+    @pytest.mark.parametrize("bound", ["-5", "0.5"])
+    def test_a_scan_without_points_is_one_error_line(self, bound, capsys):
+        argv = ["cover-witness", "--space", "builtin:quintic_ray", "--center", "1",
+                "--indices", "3..20", "--bound", bound]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no carrier point to scan up to the search bound {float(bound)}\n"
+
+    def test_a_scan_of_the_isolated_points_only_still_answers(self, capsys):
+        argv = ["cover-witness", "--space", "builtin:quintic_gap", "--center", "3",
+                "--indices", "1..3", "--bound", "3.5"]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == "uncovered witness: 0\n"
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+NUMBER_TOKENS = st.one_of(
+    st.integers(min_value=0, max_value=12).map(str),
+    st.integers(min_value=-3).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0.5", "1.5", "2", "x", "1e-10"]),
+)
+LABEL_TOKENS = st.sampled_from(["1", "2", "3", "a", "b", "2.5", "-1", "nan", "inf", "1.0"])
+JUNK_LINES = st.sampled_from(
+    ["", "# comment", "1 2", "1 1 1 1 1", "points: 1", "coefficient: 1", "1 1 1 4 # tail"]
+)
+
+
+@st.composite
+def space_file_texts(draw):
+    """Space files: half of them well formed (distinct labels, small finite
+    values, so the checks run and sometimes fail), the rest with any tokens
+    and a dropped, a duplicated or a junk line; sometimes arbitrary text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=80))
+    clean = draw(st.booleans())
+    if clean:
+        labels = draw(st.lists(st.sampled_from(["1", "2", "3", "a", "b", "2.5"]), min_size=1, max_size=3, unique=True))
+        values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["0.5", "2.5", "8.0"]))
+    else:
+        labels = draw(st.lists(LABEL_TOKENS, min_size=1, max_size=3))
+        values = NUMBER_TOKENS
+    lines = [
+        "points: " + " ".join(labels),
+        "coefficient: " + draw(st.one_of(st.sampled_from(["1", "1.5", "2"]), NUMBER_TOKENS)),
+    ]
+    lines += [" ".join(tpl) + " " + draw(values) for tpl in itertools.product(labels, repeat=3)]
+    if not clean and draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    if not clean and draw(st.booleans()):
+        lines.append(lines[draw(st.integers(0, len(lines) - 1))])
+    if not clean and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINES))
+    return "\n".join(lines) + "\n"
+
+
+class TestSpaceFileFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=space_file_texts(), variant=st.sampled_from(["partial-sb", "partial-s", "sb-metric", "s-metric"]))
+    def test_exit_codes_and_verdicts(self, tmp_path_factory, text, variant):
+        path = tmp_path_factory.mktemp("fuzz") / "space.psb"
+        path.write_text(text, encoding="utf-8")
+        for command, extra, verdict in (
+            ("verify-axioms", ["--variant", variant], "passed"),
+            ("topology", [], "valid"),
+        ):
+            argv = [command, "--space", f"file:{path}", *extra]
+            code, out, err = run_captured(argv)
+            json_code, json_out, json_err = run_captured([*argv, "--format", "json"])
+            assert code in (0, 1, 2) and json_code == code
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == json_out == "" and err == json_err and err.count("\n") == 1
+            else:
+                assert err == json_err == ""
+                assert f"{verdict}: {json.loads(json_out)[verdict]}" in out
+
+
+def readme_examples():
+    """(argv, expected exit) for every `psbm` line of README's command-line
+    block; a line whose comment says it exits 1 expects 1, the rest 0."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("psbm "):
+            examples.append((shlex.split(command)[1:], 1 if "exits 1" in comment else 0))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_the_block_is_found(self):
+        assert len(readme_examples()) >= 15
+
+    # repro is left to TestRepro, which already runs it twice.
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [example for example in readme_examples() if example[0][0] != "repro"],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_example_exits_as_documented(self, argv, expected, capsys):
+        assert run_cli(*argv) == expected
+        assert capsys.readouterr().err == ""
 
 
 class TestRepro:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from psbmetric import (
     NegativeValue,
     ParseError,
     PartialSbSpace,
+    RegionCarrier,
     RuleMetric,
     UnknownBuiltin,
     UnknownPoint,
@@ -22,9 +24,12 @@ from psbmetric import (
     quintic,
     random_tabulated_space,
     random_valid_space,
+    require_point,
     sample_carrier,
     tabulated_space,
 )
+from psbmetric.numerics import leq, point_sort_key, values_equal
+from psbmetric.spaces import AxiomReport, Violation
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -51,6 +56,254 @@ def absdiff_space(points=(0, 1, 3)):
         FiniteCarrier(points),
         RuleMetric("absdiff", lambda u, v, w: abs(u - w) + abs(v - w)),
     )
+
+
+# --------------------------------------------------------------------------
+# Reference axiom checkers: one function per variant and axiom, as written
+# before the checkers took the variant differences as options.
+# --------------------------------------------------------------------------
+
+def reference_all_equal(*values):
+    first = values[0]
+    return all(values_equal(first, v) for v in values[1:])
+
+
+def reference_zero_iff(space, tpl):
+    u, v, w = tpl
+    val = space.metric(u, v, w)
+    if u == v == w and not values_equal(val, 0):
+        return (val, 0)
+    if values_equal(val, 0) and not (u == v == w):
+        return (val, 0)
+    return None
+
+
+def reference_partial_s_identity(space, tpl):
+    u, v, w = tpl
+    val = space.metric(u, v, w)
+    selfs = (space.metric(u, u, u), space.metric(v, v, v), space.metric(w, w, w))
+    agrees = reference_all_equal(val, *selfs)
+    if (u == v) and not agrees:
+        return (val, selfs[0])
+    if agrees and not (u == v):
+        return (val, selfs[0])
+    return None
+
+
+def reference_psb_identity(space, tpl):
+    p, q, r = tpl
+    val = space.metric(p, q, r)
+    selfs = (space.metric(p, p, p), space.metric(q, q, q), space.metric(r, r, r))
+    agrees = reference_all_equal(val, *selfs)
+    if (p == q == r) and not agrees:
+        return (val, selfs[0])
+    if agrees and not (p == q == r):
+        return (val, selfs[0])
+    return None
+
+
+def reference_self_min(space, tpl):
+    p, q, r = tpl
+    lhs = space.metric(p, p, p)
+    rhs = space.metric(p, q, r)
+    if not leq(lhs, rhs):
+        return (lhs, rhs)
+    return None
+
+
+def reference_symmetry(space, tpl):
+    p, q = tpl
+    a = space.metric(p, p, q)
+    b = space.metric(q, q, p)
+    if not values_equal(a, b):
+        return (a, b)
+    return None
+
+
+def reference_s_triangle(space, tpl):
+    p, q, r, s = tpl
+    lhs = space.metric(p, q, r)
+    rhs = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
+    if not leq(lhs, rhs):
+        return (lhs, rhs)
+    return None
+
+
+def reference_partial_s_rectangle(space, tpl):
+    p, q, r, s = tpl
+    lhs = space.metric(p, q, r)
+    rhs = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
+    rhs = rhs - space.metric(s, s, s)
+    if not leq(lhs, rhs):
+        return (lhs, rhs)
+    return None
+
+
+def reference_sb_rectangle(space, tpl):
+    p, q, r, s = tpl
+    lhs = space.metric(p, q, r)
+    total = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
+    rhs = space.coefficient * total
+    if not leq(lhs, rhs):
+        return (lhs, rhs)
+    return None
+
+
+def reference_psb_rectangle(space, tpl):
+    p, q, r, s = tpl
+    lhs = space.metric(p, q, r)
+    total = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
+    rhs = space.coefficient * total - space.metric(s, s, s)
+    if not leq(lhs, rhs):
+        return (lhs, rhs)
+    return None
+
+
+REFERENCE_AXIOMS = {
+    AxiomSet.S_METRIC: ((1, 3, reference_zero_iff), (2, 4, reference_s_triangle)),
+    AxiomSet.PARTIAL_S: (
+        (1, 3, reference_partial_s_identity),
+        (2, 3, reference_self_min),
+        (3, 2, reference_symmetry),
+        (4, 4, reference_partial_s_rectangle),
+    ),
+    AxiomSet.SB_METRIC: (
+        (1, 3, reference_zero_iff),
+        (2, 2, reference_symmetry),
+        (3, 4, reference_sb_rectangle),
+    ),
+    AxiomSet.PARTIAL_SB: (
+        (1, 3, reference_psb_identity),
+        (2, 3, reference_self_min),
+        (3, 2, reference_symmetry),
+        (4, 4, reference_psb_rectangle),
+    ),
+}
+
+
+def reference_check_axioms(space, variant, sample_count=None, seed=0):
+    if sample_count is None:
+        pts = space.carrier.points
+        tuples_of = lambda arity: itertools.product(pts, repeat=arity)  # noqa: E731
+    else:
+        pool = sample_carrier(space, count=32, seed=seed)
+        rng = random.Random(f"psbm:axioms:{seed}")
+        quads = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(sample_count)]
+        tuples_of = lambda arity: (q[:arity] for q in quads)  # noqa: E731
+    checked = 0
+    found = {}
+    for index, arity, checker in REFERENCE_AXIOMS[variant]:
+        for tpl in tuples_of(arity):
+            checked += 1
+            bad = checker(space, tpl)
+            if bad is not None:
+                found.setdefault((index, tpl), bad)
+    violations = tuple(
+        Violation(index, tpl, lhs, rhs)
+        for (index, tpl), (lhs, rhs) in sorted(
+            found.items(),
+            key=lambda kv: (kv[0][0], tuple(point_sort_key(x) for x in kv[0][1])),
+        )
+    )
+    return AxiomReport(variant, checked, violations)
+
+
+def reference_sample_carrier(space, count=32, seed=0):
+    carrier = space.carrier
+    if isinstance(carrier, FiniteCarrier):
+        return list(carrier.points)
+    rng = random.Random(f"psbm:sample:{seed}")
+    points = list(carrier.isolated)
+    spans = carrier.truncated_intervals()
+    remaining = max(0, count - len(points))
+    if not spans or remaining == 0:
+        return points
+    total = sum(hi - lo for lo, hi in spans)
+    if total == 0:
+        return points + [lo for lo, _ in spans]
+    for i, (lo, hi) in enumerate(spans):
+        if i == len(spans) - 1:
+            m = remaining - sum(
+                max(1, round(remaining * (h - l) / total)) for l, h in spans[:-1]
+            )
+            m = max(1, m)
+        else:
+            m = max(1, round(remaining * (hi - lo) / total))
+        width = (hi - lo) / m
+        for cell in range(m):
+            points.append(lo + (cell + rng.uniform(0.1, 0.9)) * width)
+    return points
+
+
+def perturbed_table(rng, labels, floats):
+    """A random_tabulated_space table with a few entries moved by one (or
+    by a float step near the comparators' tolerances), so that every axiom
+    sees both sides of its boundary."""
+    table = dict(random_tabulated_space(rng, labels).metric.table)
+    steps = (1e-10, -1e-10, 0.5, -0.5, 1.0) if floats else (1, -1, 2)
+    for tpl in rng.sample(sorted(table, key=str), rng.randint(0, 3)):
+        table[tpl] = max(0, table[tpl] + rng.choice(steps))
+    if floats:
+        for tpl in rng.sample(sorted(table, key=str), rng.randint(1, len(table))):
+            table[tpl] = float(table[tpl])
+    return table
+
+
+def reference_corpus():
+    """1,200 seeded tabulated spaces: integer tables over 2 to 4 points,
+    float-valued tables, coefficients 1, 1.5 and 2, and string labels."""
+    rng = random.Random("axioms:reference")
+    label_sets = ((1, 2), (1, 2, 3), (1, 2, 3, 4), ("a", "b"), ("x", 2, "z"), ("p", "q", "r", "s"))
+    spaces_out = []
+    for i in range(1200):
+        labels = label_sets[i % len(label_sets)]
+        if i % 4 == 0:
+            space = random_tabulated_space(rng, labels)
+        else:
+            space = tabulated_space(
+                labels, perturbed_table(rng, labels, floats=i % 4 == 3), rng.choice((1, 1.5, 2))
+            )
+        spaces_out.append(space)
+    return spaces_out
+
+
+class TestOneCheckerPerAxiomKind:
+    """check_axioms writes each axiom kind once and takes the variant
+    differences from its table; the reports must equal those of the
+    per-variant reference checkers above."""
+
+    def test_reports_match_the_reference_on_the_table_corpus(self):
+        corpus = reference_corpus()
+        failing = set()
+        for space in corpus:
+            for variant in AxiomSet:
+                report = check_axioms(space, variant)
+                expected = reference_check_axioms(space, variant)
+                assert report.to_dict() == expected.to_dict(), (space, variant)
+                assert report == expected
+                if not report.passed:
+                    failing.add(variant)
+        # Every variant is seen failing somewhere in the corpus.
+        assert failing == set(AxiomSet)
+
+    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
+    @pytest.mark.parametrize("bound", [5, 64])
+    def test_sampled_reports_match_the_reference_on_the_quintic_builtins(self, name, bound):
+        space = builtin_space(name)
+        space = PartialSbSpace(
+            RegionCarrier(space.carrier.isolated, space.carrier.intervals, bound), space.metric
+        )
+        for seed in range(5):
+            for variant in AxiomSet:
+                report = check_axioms(space, variant, sample_count=400, seed=seed)
+                expected = reference_check_axioms(space, variant, sample_count=400, seed=seed)
+                assert report.to_dict() == expected.to_dict(), (seed, variant)
+
+    def test_builtins_match_the_reference(self):
+        for name in ("two_point_a", "two_point_b"):
+            for variant in AxiomSet:
+                space = builtin_space(name)
+                assert check_axioms(space, variant) == reference_check_axioms(space, variant)
 
 
 class TestEvaluateMetric:
@@ -222,6 +475,23 @@ class TestSpaceFiles:
         with pytest.raises(ParseError):
             load_tabulated_space(TWO_POINT_B_FILE.replace("coefficient: 1", "coefficient: 0.5"))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "Infinity", "abc"])
+    def test_non_finite_coefficient_rejected(self, token):
+        with pytest.raises(ParseError, match=f"coefficient: '{token}' is not a finite number"):
+            load_tabulated_space(TWO_POINT_B_FILE.replace("coefficient: 1", f"coefficient: {token}"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400", "x"])
+    def test_non_finite_value_rejected(self, token):
+        with pytest.raises(ParseError, match="is not a finite number"):
+            load_tabulated_space(TWO_POINT_B_FILE.replace("1 1 2 8", f"1 1 2 {token}"))
+
+    def test_numbers_keep_their_type(self):
+        space = load_tabulated_space(
+            TWO_POINT_B_FILE.replace("coefficient: 1", "coefficient: 1.5").replace("1 1 2 8", "1 1 2 8.25")
+        )
+        assert space.coefficient == 1.5 and space.metric(1, 1, 2) == 8.25
+        assert type(space.metric(1, 1, 1)) is int
+
 
 class TestSampleCarrier:
     def test_finite_carrier_returns_itself(self):
@@ -244,6 +514,49 @@ class TestSampleCarrier:
     def test_distinct_seeds_differ(self):
         space = builtin_space("quintic_ray")
         assert sample_carrier(space, count=10, seed=1) != sample_carrier(space, count=10, seed=2)
+
+    def test_matches_the_reference_split_on_random_region_carriers(self):
+        rng = random.Random("sample:reference")
+        for _ in range(1000):
+            isolated = tuple(sorted(rng.sample(range(-5, 20), rng.randint(0, 3))))
+            intervals = []
+            for _ in range(rng.randint(0, 4)):
+                lo = rng.choice((rng.randint(-5, 30), rng.uniform(-5, 30)))
+                intervals.append((lo, rng.choice((None, lo, lo + 0.5, lo + rng.uniform(0, 40)))))
+            carrier = RegionCarrier(isolated, tuple(intervals), rng.choice((64, 10, 3.5)))
+            space = PartialSbSpace(carrier, RuleMetric("quintic", quintic))
+            count, seed = rng.randint(1, 60), rng.randint(0, 9)
+            assert sample_carrier(space, count, seed) == reference_sample_carrier(space, count, seed)
+
+
+class TestRequirePoint:
+    GAP = builtin_space("quintic_gap")
+
+    @pytest.mark.parametrize("point", [0, 3, 4, 4.0, 7, 7.5, 100, 10**30])
+    def test_carrier_points_pass_through(self, point):
+        # Points above the truncation bound (64) are still carrier points.
+        assert require_point(self.GAP, point) is point
+
+    @pytest.mark.parametrize("point", [2, 1.5, 3.5, -1, 0.5, "abc", "3", True, False, math.nan, None])
+    def test_points_off_a_region_carrier_are_unknown(self, point):
+        with pytest.raises(UnknownPoint, match="is not in the carrier"):
+            require_point(self.GAP, point)
+
+    def test_bounded_interval_keeps_both_ends(self):
+        space = PartialSbSpace(
+            RegionCarrier(intervals=((1, 2.5),)), RuleMetric("quintic", quintic)
+        )
+        for point in (1, 2, 2.5):
+            assert require_point(space, point) == point
+        for point in (0.999, 2.5000001):
+            with pytest.raises(UnknownPoint):
+                require_point(space, point)
+
+    def test_finite_carrier_membership(self):
+        space = builtin_space("two_point_a")
+        assert require_point(space, 2) == 2
+        with pytest.raises(UnknownPoint):
+            require_point(space, 3)
 
 
 class TestRandomSpaces:
