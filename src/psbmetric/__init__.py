@@ -56,6 +56,7 @@ from .topology import (
     open_ball,
     separation_report,
     uncovered_witness,
+    uncovered_witnesses,
     verify_topology_axioms,
     witness_candidates,
 )

@@ -27,7 +27,7 @@ _VARIANTS = {v.value: v for v in AxiomSet}
 
 
 def _seed(args) -> int:
-    """--seed, else PSBM_SEED, else 0; read only by the commands that sample."""
+    """--seed, else PSBM_SEED, else 0; read only on the paths that sample."""
     if args.seed is not None:
         return args.seed
     value = os.environ.get("PSBM_SEED", "0")
@@ -35,6 +35,12 @@ def _seed(args) -> int:
         return int(value)
     except ValueError:
         raise PsbmError(f"PSBM_SEED must be an integer, got {value!r}") from None
+
+
+def _no_seed(args, path: str) -> None:
+    """Reject an explicit --seed on a path that samples nothing."""
+    if args.seed is not None:
+        raise PsbmError(f"--seed has no effect {path}")
 
 
 def _resolve_space(selector: str):
@@ -112,9 +118,12 @@ def _cmd_verify_axioms(args) -> int:
     samples = args.samples
     if samples is None and isinstance(space.carrier, RegionCarrier):
         samples = 10000
-    report = spaces.check_axioms(
-        space, _VARIANTS[args.variant], sample_count=samples, seed=_seed(args)
-    )
+    if samples is None:
+        _no_seed(args, "on an exhaustive check")
+        seed = 0
+    else:
+        seed = _seed(args)
+    report = spaces.check_axioms(space, _VARIANTS[args.variant], sample_count=samples, seed=seed)
     payload = report.to_dict()
 
     def render(r):
@@ -134,6 +143,7 @@ def _cmd_ball(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     center = spaces.require_point(space, parse_point(args.center))
     if args.candidates:
+        _no_seed(args, "with --candidates")
         candidates = [spaces.require_point(space, x) for x in parse_points_list(args.candidates)]
     else:
         candidates = spaces.sample_carrier(space, seed=_seed(args))
@@ -253,6 +263,7 @@ def _cmd_certify(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     spec = _build_spec(args)
     if args.grid is not None:
+        _no_seed(args, "with --grid")
         carrier = space.carrier
         if not isinstance(carrier, RegionCarrier):
             raise PsbmError("--grid needs a region carrier")

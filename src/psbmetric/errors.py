@@ -30,7 +30,7 @@ class NegativeValue(PsbmError):
 
 
 class DistanceOverflow(PsbmError):
-    """An analytic distance rule overflows the float range."""
+    """A distance, or arithmetic on distances, overflows the float range."""
 
 
 class NotInBall(PsbmError):

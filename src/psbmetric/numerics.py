@@ -25,17 +25,27 @@ def values_equal(a, b) -> bool:
 
 
 def leq(a, b) -> bool:
-    """a <= b, with float slack so round-off never flags a true inequality."""
-    if exact(a, b):
-        return a <= b
-    return a <= b + REL_TOL * _scale(a, b)
+    """a <= b, with float slack so round-off never flags a true inequality.
+
+    A plain a <= b (exact across int and float) is true at once. The slack
+    test agrees, since the slack is far wider than the rounding of b, save
+    where it breaks: -inf + inf is nan, and ints beyond the float range
+    overflow.
+    """
+    if a <= b:
+        return True
+    return not exact(a, b) and a <= b + REL_TOL * _scale(a, b)
 
 
 def strictly_less(a, b) -> bool:
-    """a < b; floats must clear the boundary by the strictness margin."""
-    if exact(a, b):
-        return a < b
-    return a < b - STRICT_MARGIN * _scale(a, b)
+    """a < b; floats must clear the boundary by the strictness margin.
+
+    A failed plain a < b (or a nan) is false at once: the margin only
+    lowers the bound, by far more than the rounding of b.
+    """
+    if not a < b:
+        return False
+    return exact(a, b) or a < b - STRICT_MARGIN * _scale(a, b)
 
 
 def points_close(x, y, tol: float) -> bool:

@@ -107,20 +107,21 @@ def _cover_item(seed, bound=64):
     family = topology.CoverFamily(center=1, indices=indices)
     candidates = topology.witness_candidates(ray, bound)
     self_d = ray.metric(1, 1, 1)
+    subfamilies = itertools.chain.from_iterable(
+        itertools.combinations(indices, size) for size in range(1, len(indices) + 1)
+    )
     checked = 0
-    for size in range(1, len(indices) + 1):
-        for subfamily in itertools.combinations(indices, size):
-            witness = topology.uncovered_witness(
-                ray, family, subfamily, bound, candidates=candidates
+    for subfamily, witness in topology.uncovered_witnesses(
+        ray, family, subfamilies, bound, candidates=candidates
+    ):
+        if witness is None:
+            return _item("cover-witness", False, f"no witness for {subfamily}")
+        d = ray.metric(1, 1, witness)
+        if any(d < n + self_d for n in subfamily):
+            return _item(
+                "cover-witness", False, f"witness {witness} inside a ball of {subfamily}"
             )
-            if witness is None:
-                return _item("cover-witness", False, f"no witness for {subfamily}")
-            d = ray.metric(1, 1, witness)
-            if any(d < n + self_d for n in subfamily):
-                return _item(
-                    "cover-witness", False, f"witness {witness} inside a ball of {subfamily}"
-                )
-            checked += 1
+        checked += 1
     return _item("cover-witness", True, f"{checked} subfamilies all escape coverage")
 
 

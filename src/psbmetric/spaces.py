@@ -342,7 +342,11 @@ def check_axioms(
     for index, arity, checker, options in axioms:
         for tpl in tuples_of(arity):
             checked += 1
-            bad = checker(space, tpl, options)
+            try:
+                bad = checker(space, tpl, options)
+            except OverflowError:
+                labels = ", ".join(point_label(x) for x in tpl)
+                raise DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range") from None
             if bad is not None:
                 found.setdefault((index, tpl), bad)
     violations = tuple(

@@ -9,6 +9,11 @@ Every verdict on a family of opens comes from each point's inclusion-minimal
 opens (Alexandroff 1937; Stong 1966). In a topology x has exactly one, its
 smallest neighbourhood U_x; in any family an open holds u but not v iff one
 of u's minimal opens misses v, so the verdicts are exact on non-topologies.
+
+Cover witnesses: balls around one centre are nested, so a point escapes a
+subfamily of them iff it escapes the widest. uncovered_witnesses streams
+subfamilies and scans the carrier once per distinct widest cut;
+uncovered_witness is the same sweep over one subfamily.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import EmptySubfamily, NotInBall, PsbmError, UnknownPoint
+from .errors import DistanceOverflow, EmptySubfamily, NotInBall, PsbmError, UnknownPoint
 from .numerics import point_label, point_sort_key, strictly_less
 from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points, sample_carrier
 
@@ -56,11 +61,16 @@ def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
     self_d = space.metric(center, center, center)
-    members = frozenset(
-        z
-        for z in candidates
-        if strictly_less(space.metric(center, center, z), radius + self_d)
-    )
+    try:
+        members = frozenset(
+            z
+            for z in candidates
+            if strictly_less(space.metric(center, center, z), radius + self_d)
+        )
+    except OverflowError:
+        raise DistanceOverflow(
+            f"D({point_label(center)}; {radius}) overflows the float range"
+        ) from None
     return OpenBall(center, radius, members)
 
 
@@ -90,18 +100,23 @@ def canonical_radii(space: PartialSbSpace, center, candidates) -> list:
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
     self_d = space.metric(center, center, center)
-    thresholds = sorted(
-        {
-            gap
-            for z in candidates
-            if (gap := space.metric(center, center, z) - self_d) > 0
-        }
-    )
-    radii = []
-    prev = 0
-    for g in thresholds:
-        radii.append((prev + g) / 2)
-        prev = g
+    try:
+        thresholds = sorted(
+            {
+                gap
+                for z in candidates
+                if (gap := space.metric(center, center, z) - self_d) > 0
+            }
+        )
+        radii = []
+        prev = 0
+        for g in thresholds:
+            radii.append((prev + g) / 2)
+            prev = g
+    except OverflowError:
+        raise DistanceOverflow(
+            f"a distance from {point_label(center)} overflows the float range"
+        ) from None
     radii.append(prev + 1)
     return radii
 
@@ -254,39 +269,64 @@ def witness_candidates(space: PartialSbSpace, search_bound) -> list:
     return list(_scan_candidates(space, search_bound))
 
 
-def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indices, search_bound, candidates=None):
-    """A carrier point outside every subfamily ball, or None if the scanned
-    candidates are covered; an empty scan covers nothing and is an error.
+def uncovered_witnesses(space: PartialSbSpace, family: CoverFamily, subfamilies, search_bound, candidates=None):
+    """Yield (subfamily, witness) per subfamily of the stream: a carrier
+    point outside every ball of the subfamily, or None if the scanned
+    candidates are covered.
 
-    Balls around one centre are nested, so each candidate is compared once
-    with the widest cut radius + dist(c,c,c). Integer cuts compare exactly
-    and others with the float margin, and the two disagree on which cut is
-    wider (near 1e13), so the widest of each kind is kept. Radii must be
-    finite. The default scan stops at the first witness; a fully covered
-    scan costs the length of the lattice.
+    A candidate escapes iff it escapes the widest cut radius + dist(c,c,c)
+    of each kind: integer cuts compare exactly and others with the float
+    margin, and the two disagree on which is wider (near 1e13). The witness
+    depends on that pair alone, so the scan runs once per new pair. Each
+    cut is computed on first use, and kept per index (equal indices, such
+    as 3 and 3.0, share it); it must be finite. `subfamilies`
+    (sequences of indices) is read lazily and an invalid one raises when it
+    is reached; `candidates`, when given, must be re-iterable. Without it
+    each scan is lazy and stops at the first witness; a fully covered scan
+    costs the length of the lattice, and an empty scan is an error.
     """
-    subfamily = list(subfamily_indices)
-    if not subfamily:
-        raise EmptySubfamily("subfamily must contain at least one index")
-    missing = set(subfamily) - set(family.indices)
-    if missing:
-        raise ValueError(f"indices {sorted(missing)} are not in the family")
-    if candidates is None:
-        candidates = _scan_candidates(space, search_bound)
+    indices = set(family.indices)
     center = family.center
-    self_d = space.metric(center, center, center)
-    widest = {}
-    for n in subfamily:
-        cut = family.radius(n) + self_d
-        is_int = type(cut) is int
-        if not (is_int or math.isfinite(cut)):
-            raise ValueError(f"radius of index {n} is not finite")
-        if is_int not in widest or cut > widest[is_int]:
-            widest[is_int] = cut
+    self_d = None
+    cuts = {}  # index -> (is_int, cut)
+    witnesses = {}  # (widest int cut, widest other cut), None if absent -> witness
+    for subfamily in subfamilies:
+        if not subfamily:
+            raise EmptySubfamily("subfamily must contain at least one index")
+        if not indices.issuperset(subfamily):
+            raise ValueError(f"indices {sorted(set(subfamily) - indices)} are not in the family")
+        if self_d is None:
+            self_d = space.metric(center, center, center)
+        widest_int = widest_other = None
+        for n in subfamily:
+            if n in cuts:
+                is_int, cut = cuts[n]
+            else:
+                cut = family.radius(n) + self_d
+                is_int = type(cut) is int
+                if not (is_int or math.isfinite(cut)):
+                    raise ValueError(f"radius of index {n} is not finite")
+                cuts[n] = is_int, cut
+            if is_int:
+                if widest_int is None or cut > widest_int:
+                    widest_int = cut
+            elif widest_other is None or cut > widest_other:
+                widest_other = cut
+        key = widest_int, widest_other
+        if key not in witnesses:
+            scan = _scan_candidates(space, search_bound) if candidates is None else candidates
+            witnesses[key] = _first_uncovered(space, center, key, scan, search_bound)
+        yield subfamily, witnesses[key]
+
+
+def _first_uncovered(space, center, widest, scan, search_bound):
+    """The first scanned point inside none of the cuts in `widest` (None
+    entries skipped), or None; an empty scan raises."""
+    cuts = [cut for cut in widest if cut is not None]
     z = None  # stays None only when the scan yields no point
-    for z in candidates:
+    for z in scan:
         d = space.metric(center, center, z)
-        for cut in widest.values():
+        for cut in cuts:
             if strictly_less(d, cut):
                 break
         else:
@@ -294,3 +334,11 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     if z is None:
         raise PsbmError(f"no carrier point to scan up to the search bound {search_bound}")
     return None
+
+
+def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indices, search_bound, candidates=None):
+    """The witness of uncovered_witnesses for one subfamily: a carrier point
+    outside every subfamily ball, or None if the scanned candidates are
+    covered."""
+    stream = uncovered_witnesses(space, family, [list(subfamily_indices)], search_bound, candidates)
+    return next(stream)[1]

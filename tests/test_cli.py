@@ -381,6 +381,69 @@ class TestSeedHandling:
             assert parser.parse_args([command, *MINIMAL_ARGV[command], "--seed", "7"]).seed == 7
 
 
+# Paths of the seeded subcommands that sample nothing.
+UNSEEDED_PATHS = {
+    "exhaustive verify-axioms": (["verify-axioms", "--space", "builtin:two_point_a"], "on an exhaustive check"),
+    "ball --candidates": (
+        ["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3", "--candidates", "1,2"],
+        "with --candidates",
+    ),
+    "certify --grid": (["certify", "--space", "builtin:quintic_gap", "--grid", "20"], "with --grid"),
+}
+
+
+class TestSeedOnPathsThatDoNotSample:
+    @pytest.mark.parametrize("path", sorted(UNSEEDED_PATHS))
+    def test_explicit_seed_is_one_error_line(self, path, capsys):
+        argv, where = UNSEEDED_PATHS[path]
+        assert run_cli(*argv, "--seed", "7") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed has no effect {where}\n"
+
+    @pytest.mark.parametrize("path", sorted(UNSEEDED_PATHS))
+    def test_invalid_env_seed_is_not_read(self, path, capsys, monkeypatch):
+        argv, _ = UNSEEDED_PATHS[path]
+        monkeypatch.setenv("PSBM_SEED", "xyz")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sampled_check_of_a_finite_space_still_takes_a_seed(self, capsys, monkeypatch):
+        assert run_cli("verify-axioms", "--space", "builtin:two_point_a", "--samples", "20", "--seed", "7") == 0
+        monkeypatch.setenv("PSBM_SEED", "xyz")
+        assert run_cli("verify-axioms", "--space", "builtin:two_point_a", "--samples", "20") == 2
+        assert capsys.readouterr().err == "error: PSBM_SEED must be an integer, got 'xyz'\n"
+
+
+class TestIntegerOverflow:
+    """Exact integer distances beyond the float range meet a float."""
+
+    BIG = "1" + "0" * 400
+    # verify-axioms meets it in coefficient * sum, topology in a midpoint radius.
+    SCALED = [("coefficient: 1", "coefficient: 1.5"), ("1 2 2 8", f"1 2 2 {BIG}")]
+    GAPS = [("1 1 2 8", f"1 1 2 {BIG}"), ("2 2 1 8", f"2 2 1 {BIG}")]
+    # A float radius plus this self-distance.
+    SELF = [("1 1 1 4", f"1 1 1 {BIG}")]
+
+    @pytest.mark.parametrize("argv, edits, message", [
+        (["verify-axioms"], SCALED, "axiom 4 at (1, 2, 2, 1) overflows the float range"),
+        (["verify-axioms", "--samples", "50"], SCALED, "axiom 4 at (1, 2, 2, 2) overflows the float range"),
+        (["topology"], GAPS, "a distance from 1 overflows the float range"),
+        (["separation"], GAPS, "a distance from 1 overflows the float range"),
+        (["ball", "--center", "1", "--radius", "1"], SELF, "D(1; 1.0) overflows the float range"),
+    ], ids=["verify-axioms", "sampled verify-axioms", "topology", "separation", "ball"])
+    def test_overflow_is_one_error_line(self, argv, edits, message, tmp_path, capsys):
+        text = TWO_POINT_B_FILE
+        for before, after in edits:
+            text = text.replace(before, after)
+        path = tmp_path / "space.psb"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(argv[0], "--space", f"file:{path}", *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestSpaceFileNumbers:
     @pytest.mark.parametrize("old, new", [
         ("coefficient: 1", "coefficient: nan"),

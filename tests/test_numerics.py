@@ -5,13 +5,65 @@ relative tolerance REL_TOL for leq/values_equal and the margin STRICT_MARGIN
 for strictly_less, both scaled by max(1, |a|, |b|).
 """
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
-from psbmetric.numerics import REL_TOL, STRICT_MARGIN, exact, leq, strictly_less, values_equal
+from psbmetric.numerics import REL_TOL, STRICT_MARGIN, _scale, exact, leq, strictly_less, values_equal
 
 INTS = st.integers(min_value=-(10**30), max_value=10**30)
 FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 NUMBERS = st.one_of(INTS, FLOATS, st.booleans())
+
+
+# The comparators before their plain-comparison fast paths.
+
+def reference_leq(a, b):
+    if exact(a, b):
+        return a <= b
+    return a <= b + REL_TOL * _scale(a, b)
+
+
+def reference_strictly_less(a, b):
+    if exact(a, b):
+        return a < b
+    return a < b - STRICT_MARGIN * _scale(a, b)
+
+
+# Operands of every kind: ints far beyond the float range, any float
+# (nan and the infinities included) and bools.
+WIDE_OPERANDS = st.one_of(
+    INTS,
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -0.0, 1, 1.0, 10**17, 10**17 + 1]),
+)
+
+
+@st.composite
+def near_pairs(draw):
+    """Pairs a few tolerances or margins apart, as int/int, int/float,
+    float/float or bool pairs, in either order."""
+    a = draw(NUMBERS)
+    tol = draw(st.sampled_from([REL_TOL, STRICT_MARGIN]))
+    k = draw(st.sampled_from([-10, -1.1, -1, -0.9, -0.5, 0, 0.5, 0.9, 1, 1.1, 10]))
+    b = a + k * tol * max(1.0, abs(a))
+    if draw(st.booleans()):
+        b = round(b)
+    if draw(st.booleans()):
+        a = float(a)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+PAIRS = st.one_of(st.tuples(WIDE_OPERANDS, WIDE_OPERANDS), near_pairs())
+
+
+def outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except OverflowError:
+        return OverflowError
 
 
 class TestExact:
@@ -104,3 +156,52 @@ class TestConsistency:
         lo, hi = sorted((b1, b2))
         if strictly_less(d, lo):
             assert strictly_less(d, hi)
+
+
+class TestFastPathsMatchReference:
+    """The plain-comparison fast paths return what the reference returns;
+    where the reference overflows, they overflow too or give the plain
+    answer. The one exception: leq(-inf, -inf), where the reference's
+    bound -inf + inf is nan."""
+
+    @settings(max_examples=600)
+    @given(PAIRS)
+    def test_both_comparators(self, pair):
+        a, b = pair
+        expected, found = outcome(reference_leq, a, b), outcome(leq, a, b)
+        if expected is OverflowError:
+            assert found in (OverflowError, a <= b)
+        elif a == b == -math.inf:
+            assert expected is False and found is True
+        else:
+            assert found == expected
+        expected, found = outcome(reference_strictly_less, a, b), outcome(strictly_less, a, b)
+        if expected is OverflowError:
+            assert found in (OverflowError, a < b)
+        else:
+            assert found == expected
+
+    def test_the_overflow_cases_take_the_plain_answer(self):
+        huge = 10**400
+        assert leq(1.5, huge) and not strictly_less(huge, 1.5)
+        assert outcome(reference_leq, 1.5, huge) is OverflowError
+        assert outcome(reference_strictly_less, huge, 1.5) is OverflowError
+
+    def test_minus_infinity_is_at_most_itself(self):
+        assert leq(-math.inf, -math.inf) and not reference_leq(-math.inf, -math.inf)
+        assert not strictly_less(-math.inf, -math.inf)
+
+    @given(PAIRS)
+    def test_plain_order_implies_leq_on_every_path(self, pair):
+        a, b = pair
+        if a <= b:
+            assert leq(a, b)
+
+    @settings(max_examples=300)
+    @given(NUMBERS, NUMBERS, NUMBERS)
+    def test_leq_is_monotone_in_the_bound_on_each_path(self, d, b1, b2):
+        if (type(b1) is int) != (type(b2) is int):
+            return
+        lo, hi = sorted((b1, b2))
+        if leq(d, lo):
+            assert leq(d, hi)

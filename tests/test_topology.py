@@ -28,10 +28,13 @@ from psbmetric import (
     separation_report,
     tabulated_space,
     uncovered_witness,
+    uncovered_witnesses,
     verify_topology_axioms,
     witness_candidates,
 )
+from psbmetric.errors import PsbmError
 from psbmetric.numerics import strictly_less
+from psbmetric.spaces import RuleMetric, quintic
 from psbmetric.topology import sorted_labels, sorted_points
 
 TWO_A = builtin_space("two_point_a")
@@ -131,12 +134,28 @@ def reference_uncovered_witness(space, family, subfamily, search_bound, candidat
     return None
 
 
-def assert_witness_matches_reference(space, family, subfamily, bound, candidates=None):
-    """Same witness, of the same type, as the per-cut reference; returns it."""
-    expected = reference_uncovered_witness(space, family, subfamily, bound, candidates)
-    witness = uncovered_witness(space, family, subfamily, bound, candidates=candidates)
-    assert (witness, type(witness)) == (expected, type(expected)), (family, subfamily, bound)
-    return witness
+def assert_sweep_matches_reference(space, family, subfamilies, bound, candidates=None):
+    """Single calls, and one batch over a shuffled stream with repeats, give
+    the per-cut reference's witness, of the same type, for every subfamily;
+    returns the set of witnesses."""
+    subfamilies = list(subfamilies)
+    expected = [reference_uncovered_witness(space, family, s, bound, candidates) for s in subfamilies]
+    for subfamily, want in zip(subfamilies, expected):
+        witness = uncovered_witness(space, family, subfamily, bound, candidates=candidates)
+        assert (witness, type(witness)) == (want, type(want)), (family, subfamily, bound)
+    rng = random.Random(f"sweep:{len(subfamilies)}:{bound}")
+    order = list(range(len(subfamilies)))
+    order += rng.choices(order, k=len(order) // 2 + 1)
+    rng.shuffle(order)
+    pairs = uncovered_witnesses(space, family, (subfamilies[i] for i in order), bound, candidates)
+    count = 0
+    for i, (subfamily, witness) in zip(order, pairs):
+        want = expected[i]
+        assert subfamily is subfamilies[i]
+        assert (witness, type(witness)) == (want, type(want)), (family, subfamily, bound)
+        count += 1
+    assert count == len(order)
+    return set(expected)
 
 
 def tabulated_families(count=600):
@@ -496,16 +515,11 @@ class TestNestedBallCut:
         rng = random.Random("cover:repro-sample")
         indices = list(self.REPRO_FAMILY.indices)
         candidates = witness_candidates(RAY, 64)
-        witnesses = set()
-        for subfamily in self.random_subfamilies(rng, indices, 1500):
-            witnesses.add(
-                assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamily, 64, candidates)
-            )
-            # Shorter scans end at 1.5 or 2.5, where some subfamilies cover all.
-            for bound in (1.5, 2.5):
-                witnesses.add(
-                    assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamily, bound)
-                )
+        subfamilies = list(self.random_subfamilies(rng, indices, 1500))
+        witnesses = assert_sweep_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, 64, candidates)
+        # Shorter scans end at 1.5 or 2.5, where some subfamilies cover all.
+        for bound in (1.5, 2.5):
+            witnesses |= assert_sweep_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, bound)
         assert witnesses == {None, 1.5, 2}
 
     @pytest.mark.parametrize(
@@ -523,10 +537,8 @@ class TestNestedBallCut:
         witnesses = set()
         for bound in (2.5, 6.5, 64):
             candidates = witness_candidates(RAY, bound)
-            for subfamily in self.random_subfamilies(rng, list(family.indices), 300):
-                witnesses.add(
-                    assert_witness_matches_reference(RAY, family, subfamily, bound, candidates)
-                )
+            subfamilies = self.random_subfamilies(rng, list(family.indices), 300)
+            witnesses |= assert_sweep_matches_reference(RAY, family, subfamilies, bound, candidates)
         assert len(witnesses) >= 4
 
     @pytest.mark.parametrize("center", [4.5, 6.25, 3.0, 4.0])
@@ -540,10 +552,8 @@ class TestNestedBallCut:
         witnesses = set()
         for bound in (4.5, 9.5, 64):
             candidates = witness_candidates(GAP, bound)
-            for subfamily in self.random_subfamilies(rng, list(family.indices), 200):
-                witnesses.add(
-                    assert_witness_matches_reference(GAP, family, subfamily, bound, candidates)
-                )
+            subfamilies = self.random_subfamilies(rng, list(family.indices), 200)
+            witnesses |= assert_sweep_matches_reference(GAP, family, subfamilies, bound, candidates)
         assert len(witnesses) >= 3
 
     def test_random_tabulated_spaces(self):
@@ -556,8 +566,8 @@ class TestNestedBallCut:
             family = CoverFamily(
                 center=rng.choice(labels), indices=tuple(radii), radius_of=radii.__getitem__
             )
-            for subfamily in self.random_subfamilies(rng, list(radii), 5):
-                witnesses.add(assert_witness_matches_reference(space, family, subfamily, 64))
+            subfamilies = list(self.random_subfamilies(rng, list(radii), 5))
+            witnesses |= assert_sweep_matches_reference(space, family, subfamilies, 64)
         assert None in witnesses and len(witnesses) >= 3
 
     def test_int_and_float_cuts_near_1e13_are_kept_apart(self):
@@ -570,15 +580,92 @@ class TestNestedBallCut:
         radii = {"int": d + 1, "float": d + 2.0}
         family = CoverFamily(center=1, indices=tuple(radii), radius_of=radii.__getitem__)
         assert strictly_less(d, d + 1) and not strictly_less(d, d + 2.0)
-        for subfamily in (["int", "float"], ["float", "int"]):
-            assert assert_witness_matches_reference(space, family, subfamily, 64) is None
-        assert assert_witness_matches_reference(space, family, ["float"], 64) == 2
+        subfamilies = [["int", "float"], ["float", "int"], ["float"]]
+        assert assert_sweep_matches_reference(space, family, subfamilies, 64) == {None, 2}
+        assert [uncovered_witness(space, family, s, 64) for s in subfamilies] == [None, None, 2]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_is_rejected(self, bad):
         family = CoverFamily(center=1, indices=(3, 4), radius_of=lambda n: bad if n == 4 else n)
         with pytest.raises(ValueError, match="radius of index 4 is not finite"):
             uncovered_witness(RAY, family, [3, 4], 64)
+
+
+class TestBatchSweep:
+    """uncovered_witnesses validates each subfamily as the single call does,
+    scans once per widest-cut pair and reads its stream lazily."""
+
+    REPRO_FAMILY = CoverFamily(center=1, indices=tuple(range(3, 21)))
+    # Indices 4 and 6 have non-finite radii; the others radius n.
+    PARTLY_BAD = CoverFamily(
+        center=1, indices=tuple(range(3, 21)), radius_of=lambda n: math.nan if n in (4, 6) else n
+    )
+
+    @pytest.mark.parametrize("family, bad, error", [
+        (REPRO_FAMILY, [], EmptySubfamily),
+        (REPRO_FAMILY, (3, 99, 98, 99), ValueError),
+        (PARTLY_BAD, [3, 4], ValueError),
+        (PARTLY_BAD, (6, 5, 4), ValueError),
+        (PARTLY_BAD, [4, 6], ValueError),
+    ], ids=["empty", "missing", "non-finite", "first-non-finite", "first-of-two"])
+    def test_errors_match_the_single_call_and_wait_for_their_subfamily(self, family, bad, error):
+        with pytest.raises(error) as single:
+            uncovered_witness(RAY, family, bad, 64)
+        stream = uncovered_witnesses(RAY, family, iter([[3], (5, 3), bad, [3]]), 64)
+        assert next(stream) == ([3], 2) and next(stream) == ((5, 3), 2)
+        with pytest.raises(error) as batch:
+            next(stream)
+        assert type(batch.value) is type(single.value) and str(batch.value) == str(single.value)
+
+    def test_the_subfamily_is_checked_before_the_centre(self):
+        family = CoverFamily(center=9, indices=(1, 2))
+        for subfamily, error in (([], EmptySubfamily), ([1, 5], ValueError), ([1], UnknownPoint)):
+            with pytest.raises(error):
+                uncovered_witness(TWO_A, family, subfamily, 64)
+            with pytest.raises(error):
+                next(uncovered_witnesses(TWO_A, family, [subfamily], 64))
+
+    def test_an_index_is_evaluated_only_when_a_subfamily_holds_it(self):
+        subfamilies = [[3], [5, 20], [3, 7]]
+        pairs = list(uncovered_witnesses(RAY, self.PARTLY_BAD, subfamilies, 64))
+        assert pairs == [(s, uncovered_witness(RAY, self.REPRO_FAMILY, s, 64)) for s in subfamilies]
+
+    def test_an_empty_scan_is_an_error(self):
+        with pytest.raises(PsbmError, match="no carrier point to scan up to the search bound -5"):
+            next(uncovered_witnesses(RAY, self.REPRO_FAMILY, [[3]], -5))
+        with pytest.raises(PsbmError, match="no carrier point"):
+            next(uncovered_witnesses(RAY, self.REPRO_FAMILY, [[3]], 64, candidates=[]))
+
+    def test_one_scan_per_widest_cut_pair(self):
+        # Metric calls: one for dist(c,c,c), then one per scanned point. The
+        # repro family's widest cut is its largest index, so the 262,143
+        # subfamilies scan what the 18 singletons scan, once each.
+        calls = [0]
+
+        def counting(p, q, r):
+            calls[0] += 1
+            return quintic(p, q, r)
+
+        space = dataclasses.replace(RAY, metric=RuleMetric("quintic", counting))
+        indices = self.REPRO_FAMILY.indices
+        singletons = 0
+        for n in indices:
+            calls[0] = 0
+            uncovered_witness(space, self.REPRO_FAMILY, [n], 64)
+            singletons += calls[0] - 1
+        calls[0] = 0
+        subfamilies = itertools.chain.from_iterable(
+            itertools.combinations(indices, size) for size in range(1, len(indices) + 1)
+        )
+        count = sum(1 for _ in uncovered_witnesses(space, self.REPRO_FAMILY, subfamilies, 64))
+        assert count == 2**18 - 1
+        assert calls[0] == 1 + singletons
+
+    def test_the_stream_is_read_lazily(self):
+        stream = itertools.cycle([[3], [3, 5], [20], [19, 4]])
+        pairs = list(itertools.islice(uncovered_witnesses(RAY, self.REPRO_FAMILY, stream, 64), 5))
+        assert [witness for _, witness in pairs] == [2, 2, 2, 2, 2]
+        assert [subfamily for subfamily, _ in pairs] == [[3], [3, 5], [20], [19, 4], [3]]
 
 
 class TestWitnessCandidates:
