@@ -78,13 +78,13 @@ from .contraction import (
     CaseRow,
     CaseTable,
     CertificateReport,
+    InequalitySides,
     InterpolativeSpec,
     REFERENCE_BOUNDS,
     SelfMap,
     builtin_map,
     certify,
     fixed_points_bruteforce,
-    inequality_sides,
     map_from_table,
     ray_grid,
     reproduce_case_table,

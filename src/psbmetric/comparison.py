@@ -10,6 +10,7 @@ explicitly labelled semicontinuity probe.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,8 +103,18 @@ def piecewise_linear(breakpoints, kind: str | None = None, name: str = "piecewis
     return ComparisonFn(name, evaluate, kind)
 
 
+def _finite_number(value, where: str) -> float:
+    """value as a float, if it is a JSON number (not a bool) in the float range."""
+    if type(value) not in (int, float) or not -math.inf < value < math.inf:
+        raise ParseError(f"{where}: {value!r} is not a finite number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: {value!r} is not a finite number") from None
+
+
 def load_piecewise(text: str, kind: str | None = None, name: str = "piecewise") -> ComparisonFn:
-    """Breakpoints from a JSON array of [x, y] pairs."""
+    """Breakpoints from a JSON array of [x, y] pairs of finite numbers."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,7 +123,11 @@ def load_piecewise(text: str, kind: str | None = None, name: str = "piecewise") 
         not isinstance(bp, (list, tuple)) or len(bp) != 2 for bp in data
     ):
         raise ParseError("expected a JSON array of [x, y] pairs")
-    return piecewise_linear(data, kind=kind, name=name)
+    breakpoints = [
+        (_finite_number(x, f"breakpoint {i} x"), _finite_number(y, f"breakpoint {i} y"))
+        for i, (x, y) in enumerate(data)
+    ]
+    return piecewise_linear(breakpoints, kind=kind, name=name)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,23 @@ distance factors raised to exponents p, q, r, s and 1-p-q-r-s. A certificate
 checks lhs <= rhs over every generated triple whose points are not fixed by
 the map, since the defining inequality is quantified away from fixed points.
 
-`inequality_sides` is the one evaluator of both sides: `certify` and the
-case table loop over the (lhs, rhs) pairs it returns. `ray_grid` is the one
-evenly spaced grid on a region carrier's ray, used by the case table, by
-`psbm certify --grid` and by the reproduction script.
+`InequalitySides` is the one evaluator of both sides. It evaluates only
+dist(a, b, c) and the comparison per triple; every other factor is
+tabulated once per point, per image S(x), per (S(a), S(b)) or per (S(a), b),
+whichever it depends on. `certify` walks whole (a, b) rows over its points
+and reduces each row's margins at C level; its sampled path reads the same
+tables triple by triple. The case table takes its subcases from the same
+rows and single triples. `ray_grid` is the one evenly spaced grid on a
+region carrier's ray, used by the case table, by `psbm certify --grid` and
+by the reproduction script.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import le, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
@@ -91,43 +97,122 @@ def _power(base, exponent):
     return base ** exponent
 
 
-def inequality_sides(space: PartialSbSpace, spec: InterpolativeSpec, points):
+_MISSING = object()
+
+
+def _table(entries):
+    """The list of entries, or None if computing one raises: each entry is
+    then computed where it is used, and raises there."""
+    try:
+        return list(entries)
+    except Exception:
+        return None
+
+
+class InequalitySides:
     """Both sides of the interpolative inequality for triples over `points`.
 
-    Returns sides(a, b, c) -> (lhs, rhs) with lhs = dist(S(a), S(b), S(c))
-    and rhs = comparison(product of the five interpolation factors). The
-    image, the powered self-gaps dist(x, x, S(x)) and the S-image pair
-    distances are tabulated once over `points`; lhs is cached per image
-    triple.
+    For a triple (a, b, c), lhs = dist(S(a), S(b), S(c)) and
+    rhs = comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s)),
+    with g(x) = dist(x, x, S(x)) and m = (dist(S(a),S(a),b) + dist(S(b),S(b),c)) / 2t.
+    `sides(a, b, c)` gives one pair; `sides.row(a, b)` gives both sides for
+    every c in `points` as two lists.
+
+    Only dist(a, b, c) and the comparison are evaluated per triple. The
+    rest is tabulated over `points`, keyed by what it depends on:
+    - g(x)^q, g(x)^r and g(x)^s, once per point;
+    - dist(S(x), S(x), y), one row over y per distinct image S(x);
+    - the lhs, one row over c per distinct (S(a), S(b));
+    - the fifth factor m^(1-p-q-r-s), one row over c per distinct (S(a), b),
+      since m depends on a only through S(a).
+    A table row that would raise is stored as None and its entries are then
+    computed where they are used, so each error surfaces at the triple, and
+    with the message, that a triple-by-triple evaluation meets first.
     """
-    validate_exponents(spec)
-    dist = space.metric
-    image = {x: spec.mapping(x) for x in points}
-    gap = {x: dist(x, x, image[x]) for x in points}
-    fq = {x: _power(gap[x], spec.q) for x in points}
-    fr = {x: _power(gap[x], spec.r) for x in points}
-    fs = {x: _power(gap[x], spec.s) for x in points}
-    pair = {(x, y): dist(image[x], image[x], y) for x in points for y in points}
-    lhs_cache = {}
-    two_t = 2 * space.coefficient
-    comparison = spec.comparison
-    p_exp, e5 = spec.p, spec.residual
 
-    def sides(a, b, c):
-        key = (image[a], image[b], image[c])
-        lhs = lhs_cache.get(key)
-        if lhs is None:
-            lhs = lhs_cache[key] = dist(*key)
-        product = (
-            _power(dist(a, b, c), p_exp)
-            * fq[a]
-            * fr[b]
-            * fs[c]
-            * _power((pair[(a, b)] + pair[(b, c)]) / two_t, e5)
-        )
-        return lhs, comparison(product)
+    def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
+        validate_exponents(spec)
+        self.points = points = list(points)
+        # Bound __call__ methods: cheaper to call once per triple than the
+        # metric and comparison objects themselves.
+        self._dist = dist = space.metric.__call__
+        self._comparison = spec.comparison.__call__
+        self._p, self._e5 = spec.p, spec.residual
+        self._two_t = 2 * space.coefficient
+        self._index = {x: k for k, x in enumerate(points)}
+        self._image = image = {x: spec.mapping(x) for x in points}
+        gap = {x: dist(x, x, image[x]) for x in points}
+        self._fq = {x: _power(gap[x], spec.q) for x in points}
+        self._fr = {x: _power(gap[x], spec.r) for x in points}
+        self._fs = [_power(gap[x], spec.s) for x in points]
+        self._pair = {}
+        for ix in image.values():
+            if ix not in self._pair:
+                self._pair[ix] = [dist(ix, ix, y) for y in points]
+        self._lhs_rows = {}
+        self._fifth_rows = {}
 
-    return sides
+    def _lhs_row(self, ia, ib):
+        """dist(ia, ib, S(c)) over the points c; None if some entry raises."""
+        row = self._lhs_rows.get((ia, ib), _MISSING)
+        if row is _MISSING:
+            dist, image = self._dist, self._image
+            row = self._lhs_rows[(ia, ib)] = _table(dist(ia, ib, image[c]) for c in self.points)
+        return row
+
+    def _fifth_row(self, ia, b):
+        """The fifth factor over the points c; None if some entry raises."""
+        row = self._fifth_rows.get((ia, b), _MISSING)
+        if row is _MISSING:
+            pair_ab, pair_b = self._pair[ia][self._index[b]], self._pair[self._image[b]]
+            row = self._fifth_rows[(ia, b)] = _table(self._fifth(pair_ab, pair_bc) for pair_bc in pair_b)
+        return row
+
+    def _fifth(self, pair_ab, pair_bc):
+        return _power((pair_ab + pair_bc) / self._two_t, self._e5)
+
+    def _rhs(self, ds, fqa, frb, fs, fifth):
+        """comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s))
+        for aligned dist(a, b, c), g(c)^s and fifth-factor values, with the
+        factors multiplied in this order."""
+        p, comparison = self._p, self._comparison
+        if not (ds and min(ds) >= 0):
+            for d in ds:
+                _power(d, p)  # raises at the first negative factor
+        return [comparison(d ** p * fqa * frb * f * t) for d, f, t in zip(ds, fs, fifth)]
+
+    def __call__(self, a, b, c):
+        """(lhs, rhs) at (a, b, c), each factor in the triple-by-triple order."""
+        index, image, dist = self._index, self._image, self._dist
+        ia, ib, k = image[a], image[b], index[c]
+        lhs_row = self._lhs_row(ia, ib)
+        lhs = dist(ia, ib, image[c]) if lhs_row is None else lhs_row[k]
+        d = dist(a, b, c)
+        if d < 0:
+            _power(d, self._p)  # raises before the fifth factor is formed
+        fifth_row = self._fifth_row(ia, b)
+        if fifth_row is None:
+            fifth = self._fifth(self._pair[ia][index[b]], self._pair[ib][k])
+        else:
+            fifth = fifth_row[k]
+        (rhs,) = self._rhs((d,), self._fq[a], self._fr[b], (self._fs[k],), (fifth,))
+        return lhs, rhs
+
+    def row(self, a, b):
+        """(lhs list, rhs list) over (a, b, c) for every c in `points`. The
+        lhs list is shared with the table: do not modify it."""
+        lhs = self._lhs_row(self._image[a], self._image[b])
+        fifth = self._fifth_row(self._image[a], b)
+        if lhs is not None and fifth is not None:
+            try:
+                ds = [self._dist(a, b, c) for c in self.points]
+                return lhs, self._rhs(ds, self._fq[a], self._fr[b], self._fs, fifth)
+            except Exception:
+                pass
+        # A table row or a stage of this row raised: re-run the row triple by
+        # triple, which raises the error that this order meets first.
+        sides = [self(a, b, c) for c in self.points]
+        return [lhs for lhs, _ in sides], [rhs for _, rhs in sides]
 
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
@@ -136,6 +221,10 @@ def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
     if not sample:
         raise ValueError("sample must be nonempty")
     return tuple(sorted({x for x in sample if mapping(x) == x}, key=point_sort_key))
+
+
+# Sampled triples are drawn and evaluated this many at a time.
+_SAMPLED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -185,31 +274,36 @@ def certify(
     pool = list(points) if points is not None else sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(spec.mapping, pool))
     active = [x for x in pool if x not in fixed]
-    sides = inequality_sides(space, spec, active)
+    sides = InequalitySides(space, spec, active)
 
+    # Chunks of (triples, their lhs values, their rhs values); the triples
+    # are read only to list failures.
     if points is not None or sample_count is None:
-        triples = itertools.product(active, repeat=3)
+        chunks = (
+            (((a, b, c) for c in active), *sides.row(a, b)) for a in active for b in active
+        )
     else:
         rng = random.Random(f"psbm:certify:{seed}")
-        triples = (
+        choice = rng.choice
+        drawn = (
             tpl
-            for tpl in (
-                tuple(rng.choice(pool) for _ in range(3)) for _ in range(sample_count)
-            )
-            if not any(x in fixed for x in tpl)
+            for tpl in ((choice(pool), choice(pool), choice(pool)) for _ in range(sample_count))
+            if fixed.isdisjoint(tpl)
         )
+        blocks = iter(lambda: list(islice(drawn, _SAMPLED_BLOCK)), [])
+        chunks = ((block, *zip(*[sides(*tpl) for tpl in block])) for block in blocks)
 
     checked = 0
     failures = []
     min_margin = None
-    for a, b, c in triples:
-        checked += 1
-        lhs, rhs = sides(a, b, c)
-        margin = rhs - lhs
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if not leq(lhs, rhs):
-            failures.append((a, b, c, lhs, rhs))
+    for triples, lhs, rhs in chunks:
+        checked += len(rhs)
+        margins = map(sub, rhs, lhs)
+        # Continues the running minimum exactly as a triple-by-triple
+        # `if margin < min_margin` loop would, nan margins included.
+        min_margin = min(margins) if min_margin is None else min(chain((min_margin,), margins))
+        if not all(map(le, lhs, rhs)):
+            failures.extend((*t, l, r) for t, l, r in zip(triples, lhs, rhs) if not leq(l, r))
 
     failures.sort(key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
     return CertificateReport(
@@ -248,36 +342,31 @@ _DISCREPANCY_REL = 0.01
 
 
 def _distinct_pairs(grid):
-    return [(x, y) for x in grid for y in grid if x != y]
+    return ((x, y) for x in grid for y in grid if x != y)
 
 
-def _distinct_triples(grid):
-    return [
-        (x, y, z)
-        for x in grid
-        for y in grid
-        if y != x
-        for z in grid
-        if z != x and z != y
-    ]
+def _others(grid, *excluded):
+    return [z for z in grid if z not in excluded]
 
 
+# Each subcase lists its triples as rows (a, b, [c, ...]), in the order in
+# which the first minimum of the rhs is taken.
 _SUBCASES = (
-    ("1(i)", "a = b = c = 3", lambda g: [(3, 3, 3)]),
-    ("1(ii)", "a = b = c != 3", lambda g: [(x, x, x) for x in g]),
-    ("2(i)", "a = b = 3, c != 3", lambda g: [(3, 3, x) for x in g]),
-    ("2(ii)", "a = b != 3, c = 3", lambda g: [(x, x, 3) for x in g]),
-    ("2(iii)", "a = b != 3, c != 3", lambda g: [(x, x, y) for x, y in _distinct_pairs(g)]),
-    ("3(i)", "b != 3, a = c = 3", lambda g: [(3, x, 3) for x in g]),
-    ("3(ii)", "b = 3, a = c != 3", lambda g: [(x, 3, x) for x in g]),
-    ("3(iii)", "b != 3, a = c != 3", lambda g: [(x, y, x) for x, y in _distinct_pairs(g)]),
-    ("4(i)", "b = c = 3, a != 3", lambda g: [(x, 3, 3) for x in g]),
-    ("4(ii)", "b = c != 3, a = 3", lambda g: [(3, x, x) for x in g]),
-    ("4(iii)", "b = c != 3, a != 3", lambda g: [(y, x, x) for x, y in _distinct_pairs(g)]),
-    ("5(i)", "all distinct, a = 3", lambda g: [(3, x, y) for x, y in _distinct_pairs(g)]),
-    ("5(ii)", "all distinct, b = 3", lambda g: [(x, 3, y) for x, y in _distinct_pairs(g)]),
-    ("5(iii)", "all distinct, c = 3", lambda g: [(x, y, 3) for x, y in _distinct_pairs(g)]),
-    ("5(iv)", "all distinct, none = 3", _distinct_triples),
+    ("1(i)", "a = b = c = 3", lambda g: [(3, 3, [3])]),
+    ("1(ii)", "a = b = c != 3", lambda g: ((x, x, [x]) for x in g)),
+    ("2(i)", "a = b = 3, c != 3", lambda g: [(3, 3, g)]),
+    ("2(ii)", "a = b != 3, c = 3", lambda g: ((x, x, [3]) for x in g)),
+    ("2(iii)", "a = b != 3, c != 3", lambda g: ((x, x, _others(g, x)) for x in g)),
+    ("3(i)", "b != 3, a = c = 3", lambda g: ((3, x, [3]) for x in g)),
+    ("3(ii)", "b = 3, a = c != 3", lambda g: ((x, 3, [x]) for x in g)),
+    ("3(iii)", "b != 3, a = c != 3", lambda g: ((x, y, [x]) for x, y in _distinct_pairs(g))),
+    ("4(i)", "b = c = 3, a != 3", lambda g: ((x, 3, [3]) for x in g)),
+    ("4(ii)", "b = c != 3, a = 3", lambda g: ((3, x, [x]) for x in g)),
+    ("4(iii)", "b = c != 3, a != 3", lambda g: ((y, x, [x]) for x, y in _distinct_pairs(g))),
+    ("5(i)", "all distinct, a = 3", lambda g: ((3, x, _others(g, x)) for x in g)),
+    ("5(ii)", "all distinct, b = 3", lambda g: ((x, 3, _others(g, x)) for x in g)),
+    ("5(iii)", "all distinct, c = 3", lambda g: ((x, y, [3]) for x, y in _distinct_pairs(g))),
+    ("5(iv)", "all distinct, none = 3", lambda g: ((x, y, _others(g, x, y)) for x, y in _distinct_pairs(g))),
 )
 
 
@@ -357,6 +446,19 @@ def ray_grid(carrier: RegionCarrier, n: int) -> list:
     return [lo + i * step for i in range(n)]
 
 
+def _first_min(values, current=None):
+    """Index of the value on which the scan `if current is None or v <
+    current: current = v` over `values` ends, or None if it keeps
+    `current`: the first minimum, nan included, as a triple-by-triple loop
+    finds it."""
+    if current is not None:
+        values = [current, *values]
+    k = min(range(len(values)), key=values.__getitem__)
+    if current is None:
+        return k
+    return k - 1 if k else None
+
+
 def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_size: int = 20) -> CaseTable:
     """The fifteen-subcase split of the worked example: exact lhs per subcase
     and the rhs minimized over the subcase's free ray variables on a grid.
@@ -374,22 +476,33 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
     grid = ray_grid(carrier, grid_size)
-    sides = inequality_sides(space, spec, [3] + grid)
+    points = [3] + grid
+    sides = InequalitySides(space, spec, points)
+    index = {x: k for k, x in enumerate(points)}
+
+    def segment_sides(a, b, cs):
+        """Both sides over (a, b, c) for c in cs. Several c take the whole
+        row: its other triples belong to subcases walked before."""
+        if len(cs) == 1:
+            lhs, rhs = sides(a, b, cs[0])
+            return [lhs], [rhs]
+        lhs, rhs = sides.row(a, b)
+        ks = [index[c] for c in cs]
+        return [lhs[k] for k in ks], [rhs[k] for k in ks]
 
     rows = []
-    for label, condition, generate in _SUBCASES:
-        lhs = None
-        rhs_min = None
-        argmin = None
-        for a, b, c in generate(grid):
-            value, rhs = sides(a, b, c)
+    for label, condition, subcase_rows in _SUBCASES:
+        lhs = rhs_min = argmin = None
+        for a, b, cs in subcase_rows(grid):
+            lhs_row, rhs_row = segment_sides(a, b, cs)
             if lhs is None:
-                lhs = value
-            elif value != lhs:
+                lhs = lhs_row[0]
+            if any(map(ne, lhs_row, repeat(lhs))):
+                value = next(v for v in lhs_row if v != lhs)
                 raise PsbmError(f"subcase {label} lhs is not constant: {lhs} vs {value}")
-            if rhs_min is None or rhs < rhs_min:
-                rhs_min = rhs
-                argmin = (a, b, c)
+            k = _first_min(rhs_row, rhs_min)
+            if k is not None:
+                rhs_min, argmin = rhs_row[k], (a, b, cs[k])
         reference = REFERENCE_BOUNDS.get(label)
         discrepancy = (
             reference is not None

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
-from .errors import NotAFixedPoint, TraceTooShort
+from .errors import NotAFixedPoint, TraceTooShort, UnknownPoint
 from .numerics import leq, point_label, point_sort_key, points_close
 from .spaces import PartialSbSpace, require_point
 
@@ -47,7 +47,9 @@ def picard_iterate(
 ) -> IterationTrace:
     """Iterate a_{k+1} = S(a_k) until the orbit repeats its last point
     (exactly for discrete points, within tol for continuous ones) or the
-    iteration budget runs out. Non-convergence is a reported outcome."""
+    iteration budget runs out. Non-convergence is a reported outcome. An
+    image off the carrier raises UnknownPoint naming the map, the point and
+    its image."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if isinstance(a0, float) and not math.isfinite(a0):
@@ -57,6 +59,13 @@ def picard_iterate(
     converged = False
     for _ in range(max_iter):
         nxt = mapping(orbit[-1])
+        try:
+            require_point(space, nxt)
+        except UnknownPoint:
+            raise UnknownPoint(
+                f"map {mapping.name} sends {point_label(orbit[-1])} to {point_label(nxt)}, "
+                "which is not in the carrier"
+            ) from None
         orbit.append(nxt)
         if points_close(nxt, orbit[-2], tol):
             converged = True

@@ -111,12 +111,15 @@ def _cover_item(seed, bound=64):
         itertools.combinations(indices, size) for size in range(1, len(indices) + 1)
     )
     checked = 0
+    distances = {}  # per witness: the sweep yields few distinct ones
     for subfamily, witness in topology.uncovered_witnesses(
         ray, family, subfamilies, bound, candidates=candidates
     ):
         if witness is None:
             return _item("cover-witness", False, f"no witness for {subfamily}")
-        d = ray.metric(1, 1, witness)
+        d = distances.get(witness)
+        if d is None:
+            d = distances[witness] = ray.metric(1, 1, witness)
         if any(d < n + self_d for n in subfamily):
             return _item(
                 "cover-witness", False, f"witness {witness} inside a ball of {subfamily}"

@@ -199,15 +199,17 @@ def separation_report(topology: FiniteTopology) -> SeparationReport:
     points = sorted_points(topology.carrier)
     minimal = _minimal_opens(topology.opens, points)
     t0_bad, t1_bad, t2_bad = [], [], []
-    for u, v in itertools.combinations(points, 2):
+    # The three witness lists share one tuple per pair.
+    for pair in itertools.combinations(points, 2):
+        u, v = pair
         v_near_u = all(v in o for o in minimal[u])
         u_near_v = all(u in o for o in minimal[v])
         if v_near_u and u_near_v:
-            t0_bad.append((u, v))
+            t0_bad.append(pair)
         if v_near_u or u_near_v:
-            t1_bad.append((u, v))
+            t1_bad.append(pair)
         if all(a & b for a in minimal[u] for b in minimal[v]):
-            t2_bad.append((u, v))
+            t2_bad.append(pair)
     return SeparationReport(
         t0=not t0_bad,
         t1=not t1_bad,

@@ -486,6 +486,22 @@ class TestPointsOffTheCarrier:
         assert captured.out == ""
         assert captured.err == f"error: point {label} is not in the carrier\n"
 
+    def test_image_off_the_carrier_names_the_map_point_and_image(self, tmp_path, capsys):
+        # paper_S sends 1 to 3, which the two-point file does not contain.
+        path = tmp_path / "two.psb"
+        path.write_text(TWO_POINT_B_FILE, encoding="utf-8")
+        for extra in ([], ["--format", "csv"], ["--format", "json"]):
+            assert run_cli("fixpoint", "--space", f"file:{path}", "--start", "1", *extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: map paper_S sends 1 to 3, which is not in the carrier\n"
+
+    def test_carrier_images_still_iterate_on_a_file_space(self, tmp_path, capsys):
+        path = tmp_path / "two.psb"
+        path.write_text(TWO_POINT_B_FILE, encoding="utf-8")
+        assert run_cli("fixpoint", "--space", f"file:{path}", "--map", "identity", "--start", "2") == 0
+        assert capsys.readouterr().out == "orbit: 2 -> 2\ngaps: [4]\nconverged: True  limit: 2  limit gap: 4\n"
+
     @pytest.mark.parametrize("extra", [["--start", "7"], ["--start", "100", "--bound", "64"], ["--start", "4.5"]])
     def test_carrier_starts_still_iterate(self, extra, capsys):
         assert run_cli("fixpoint", "--space", "builtin:quintic_gap", *extra) == 0
@@ -582,6 +598,66 @@ class TestSpaceFileFuzz:
             else:
                 assert err == json_err == ""
                 assert f"{verdict}: {json.loads(json_out)[verdict]}" in out
+
+
+BREAKPOINT_SCALARS = st.one_of(
+    st.integers(min_value=-5, max_value=20),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1", "x", ""]),
+)
+
+
+@st.composite
+def breakpoint_texts(draw):
+    """Breakpoint files: mostly arrays of pairs of any JSON scalars (NaN,
+    Infinity, 1e400, bools, null, strings, huge ints), some of other shapes,
+    some literals out of the float range, some arbitrary text."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.text(max_size=40))
+    if kind == 1:
+        return draw(st.recursive(BREAKPOINT_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8).map(json.dumps))
+    pairs = draw(st.lists(st.lists(BREAKPOINT_SCALARS, min_size=2, max_size=2), max_size=5))
+    if kind == 2 and pairs:
+        pairs[0][draw(st.integers(0, 1))] = 1e400  # dumped as Infinity
+    text = json.dumps(pairs)
+    if kind == 3:
+        text = text.replace("Infinity", "1e400")
+    return text
+
+
+class TestBreakpointFileFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=breakpoint_texts(), kind=st.sampled_from(["boyd-wong", "matkowski"]))
+    def test_exit_codes(self, tmp_path_factory, text, kind):
+        path = tmp_path_factory.mktemp("fuzz") / "bp.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_captured(["check-comparison", "--fn", f"file:{path}", "--kind", kind])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("[[0,0],[1,null]]", "breakpoint 1 y: None is not a finite number"),
+        ("[[0,0],[1e400,1]]", "breakpoint 1 x: inf is not a finite number"),
+        ("[[0,0],[NaN,1]]", "breakpoint 1 x: nan is not a finite number"),
+        ("[[0,0],[1,-Infinity]]", "breakpoint 1 y: -inf is not a finite number"),
+        ("[[true,0],[1,1]]", "breakpoint 0 x: True is not a finite number"),
+        ('[[0,0],[1,"2"]]', "breakpoint 1 y: '2' is not a finite number"),
+        ("[[0,0],[1," + "9" * 400 + "]]", "breakpoint 1 y: " + "9" * 400 + " is not a finite number"),
+    ], ids=["null", "1e400", "nan", "-inf", "bool", "string", "huge-int"])
+    def test_non_finite_breakpoint_is_one_error_line(self, pairs, message, tmp_path, capsys):
+        path = tmp_path / "bp.json"
+        path.write_text(pairs, encoding="utf-8")
+        assert run_cli("check-comparison", "--fn", f"file:{path}", "--kind", "matkowski") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def readme_examples():

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from psbmetric import (
     BOYD_WONG,
     ComparisonFn,
+    InequalitySides,
     InterpolativeSpec,
     InvalidExponents,
     PsbmError,
     REFERENCE_BOUNDS,
+    RuleMetric,
+    SelfMap,
     UnknownBuiltin,
     UnknownPoint,
     WrongSpaceShape,
@@ -21,9 +24,9 @@ from psbmetric import (
     builtin_space,
     certify,
     fixed_points_bruteforce,
-    inequality_sides,
     map_from_table,
     random_tabulated_space,
+    quintic,
     ray_grid,
     reproduce_case_table,
     sample_carrier,
@@ -101,6 +104,51 @@ def assert_matches_reference(report, space, spec, triples):
     assert report.min_margin == min_margin
 
 
+def reference_error(space, spec, points, triples):
+    """(type, message) of the first error that a triple-by-triple
+    evaluation meets, or None: every g(x) = dist(x, x, S(x)) is powered
+    first, then each triple's dist(a, b, c), its mean and the comparison."""
+    S, dist = spec.mapping, space.metric
+    try:
+        for x in points:
+            if dist(x, x, S(x)) < 0:
+                raise PsbmError(f"negative distance factor {dist(x, x, S(x))}")
+        for a, b, c in triples:
+            if dist(a, b, c) < 0:
+                raise PsbmError(f"negative distance factor {dist(a, b, c)}")
+            mean = (dist(S(a), S(a), b) + dist(S(b), S(b), c)) / (2 * space.coefficient)
+            if mean < 0:
+                raise PsbmError(f"negative distance factor {mean}")
+            reference_rhs(space, spec, a, b, c)
+    except Exception as exc:  # the first error is the result
+        return type(exc), str(exc)
+    return None
+
+
+def picky(v):
+    """v / 4, except that it refuses some values."""
+    if int(v * 10) % 7 == 3:
+        raise ArithmeticError(f"picky refuses {v}")
+    return v / 4
+
+
+def random_spec(rng, labels, comparisons):
+    mapping = map_from_table({x: rng.choice(labels) for x in labels})
+    exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
+    return InterpolativeSpec(*exps, comparison=rng.choice(comparisons), mapping=mapping)
+
+
+NAN = float("nan")
+INF = float("inf")
+# Comparisons that return nan or +-inf on some products, so that a nan margin
+# opens some rows and sits inside others.
+SPIKY = (
+    ComparisonFn("nan-spikes", lambda v: NAN if int(v * 7) % 5 == 0 else v / 4),
+    ComparisonFn("inf-spikes", lambda v: INF if int(v * 3) % 4 == 0 else -INF if int(v) % 9 == 0 else v / 4),
+    ComparisonFn("all-nan", lambda v: NAN),
+)
+
+
 class TestSelfMap:
     def test_paper_s_values(self):
         assert PAPER_S(0) == 0 and PAPER_S(3) == 0
@@ -148,7 +196,7 @@ class TestRhsValue:
         tau = builtin_comparison("paper_tau")
         spec = InterpolativeSpec(*exps, comparison=tau, mapping=swap)
         assert math.isclose(reference_rhs(space, spec, 1, 2, 1), tau(v), rel_tol=1e-12)
-        assert inequality_sides(space, spec, (1, 2))(1, 2, 1) == (v, reference_rhs(space, spec, 1, 2, 1))
+        assert InequalitySides(space, spec, (1, 2))(1, 2, 1) == (v, reference_rhs(space, spec, 1, 2, 1))
 
 
 class TestInequalitySides:
@@ -156,21 +204,22 @@ class TestInequalitySides:
         points = [3] + grid_points(4, 64, 7)
         for matkowski in (False, True):
             spec = standard_spec(matkowski=matkowski)
-            sides = inequality_sides(GAP, spec, points)
-            for a, b, c in itertools.product(points, repeat=3):
-                lhs, rhs = sides(a, b, c)
-                assert lhs == GAP.metric(PAPER_S(a), PAPER_S(b), PAPER_S(c))
-                assert rhs == reference_rhs(GAP, spec, a, b, c)
+            sides = InequalitySides(GAP, spec, points)
+            for a, b in itertools.product(points, repeat=2):
+                lhs = [GAP.metric(PAPER_S(a), PAPER_S(b), PAPER_S(c)) for c in points]
+                rhs = [reference_rhs(GAP, spec, a, b, c) for c in points]
+                assert [sides(a, b, c) for c in points] == list(zip(lhs, rhs))
+                assert sides.row(a, b) == (lhs, rhs)
 
     def test_hand_expansion_at_444(self):
-        lhs, rhs = inequality_sides(GAP, standard_spec(), [4])(4, 4, 4)
+        lhs, rhs = InequalitySides(GAP, standard_spec(), [4])(4, 4, 4)
         assert lhs == 243
         assert math.isclose(rhs, 1057.0007223483, rel_tol=1e-9)
 
     def test_invalid_exponents_rejected(self):
         spec = InterpolativeSpec(0.3, 0.3, 0.3, 0.3, QUARTER, PAPER_S)
         with pytest.raises(InvalidExponents):
-            inequality_sides(GAP, spec, [3, 4])
+            InequalitySides(GAP, spec, [3, 4])
 
 
 class TestRayGrid:
@@ -283,20 +332,18 @@ class TestCertify:
 
     def test_tabulated_certificates_equal_reference(self):
         rng = random.Random("psbm:test:certify-oracle")
-        labels = (1, 2, 3, 4)
+        comparisons = [QUARTER, builtin_comparison("paper_tau"), builtin_comparison("half")]
         failing = 0
-        for _ in range(40):
+        for _ in range(60):
+            labels = tuple(range(1, rng.randint(2, 6)))
             space = random_tabulated_space(rng, labels)
-            mapping = map_from_table({x: rng.choice(labels) for x in labels})
-            exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
-            comparison = rng.choice([QUARTER, builtin_comparison("paper_tau")])
-            spec = InterpolativeSpec(*exps, comparison=comparison, mapping=mapping)
+            spec = random_spec(rng, labels, comparisons)
             report = certify(space, spec, points=labels)
             assert_matches_reference(report, space, spec, grid_triples(spec, labels))
             sampled = certify(space, spec, sample_count=50, seed=3)
             assert_matches_reference(sampled, space, spec, sampled_triples(space, spec, 50, 3))
             failing += bool(report.failures)
-        assert 0 < failing < 40
+        assert 0 < failing < 60
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(min_value=1.0, max_value=4.0))
@@ -312,6 +359,103 @@ class TestCertify:
         )
         assert base.passed and widened.passed
 
+
+
+class TestRowEvaluator:
+    """The row-tabulated evaluator against the pointwise references above,
+    compared with ==: every lhs and rhs float is the same bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    @pytest.mark.parametrize("matkowski", [False, True])
+    def test_grid_certificates_equal_reference(self, matkowski, n):
+        spec = standard_spec(matkowski=matkowski)
+        points = [0, 3] + grid_points(4, 64, n)
+        assert_matches_reference(certify(GAP, spec, points=points), GAP, spec, grid_triples(spec, points))
+
+    @pytest.mark.parametrize("comparison", SPIKY, ids=lambda fn: fn.name)
+    def test_nan_and_inf_comparisons_match_the_scalar_loop(self, comparison):
+        # reference_certificate takes min() over the margins in triple order,
+        # which is the scalar `if margin < min_margin` loop; repr compares
+        # nan with nan.
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, PAPER_S)
+        points = [0, 3] + grid_points(4, 64, 12)
+        runs = [
+            (certify(GAP, spec, points=points), GAP, spec, grid_triples(spec, points)),
+            (certify(GAP, spec, sample_count=500, seed=1), GAP, spec, sampled_triples(GAP, spec, 500, 1)),
+        ]
+        rng = random.Random("psbm:test:spiky")
+        for _ in range(20):
+            labels = tuple(range(1, rng.randint(2, 6)))
+            space = random_tabulated_space(rng, labels)
+            tabulated = random_spec(rng, labels, [comparison])
+            runs.append((certify(space, tabulated, points=labels), space, tabulated, grid_triples(tabulated, labels)))
+        for report, space, run_spec, triples in runs:
+            checked, failures, min_margin = reference_certificate(space, run_spec, triples)
+            assert report.triples_checked == checked
+            assert repr((report.failures, report.min_margin)) == repr((failures, min_margin))
+
+    @pytest.mark.parametrize("comparison", [QUARTER, ComparisonFn("picky", picky)], ids=lambda fn: fn.name)
+    def test_errors_surface_as_triple_by_triple(self, comparison):
+        # Tables with negative entries, and a comparison that raises on some
+        # products: the certificate raises the error, with the message, that
+        # a triple-by-triple evaluation meets first, or none at all.
+        rng = random.Random(f"psbm:test:errors:{comparison.name}")
+        raised = 0
+        for _ in range(150):
+            labels = tuple(range(1, rng.randint(3, 6)))
+            table = dict(random_tabulated_space(rng, labels).metric.table)
+            for tpl in rng.sample(sorted(table), rng.randint(0, 3)):
+                table[tpl] = -rng.randint(1, 9)
+            space = tabulated_space(labels, table)
+            spec = random_spec(rng, labels, [comparison])
+            active = [x for x in labels if spec.mapping(x) != x]
+            for run, triples in (
+                (lambda: certify(space, spec, points=labels), grid_triples(spec, labels)),
+                (lambda: certify(space, spec, sample_count=60, seed=2), sampled_triples(space, spec, 60, 2)),
+            ):
+                triples = list(triples)
+                expected = reference_error(space, spec, active, triples)
+                if expected is None:
+                    assert_matches_reference(run(), space, spec, triples)
+                else:
+                    with pytest.raises(expected[0]) as exc:
+                        run()
+                    assert (type(exc.value), str(exc.value)) == expected
+                    raised += 1
+        assert raised > 50
+
+    def test_grid_certify_evaluates_each_triple_distance_once(self):
+        calls = []
+
+        def counting(p, q, r):
+            calls.append(None)
+            return quintic(p, q, r)
+
+        space = dataclasses.replace(GAP, metric=RuleMetric("counting", counting))
+        for n in (10, 30):
+            calls.clear()
+            report = certify(space, standard_spec(), points=[0, 3] + grid_points(4, 64, n))
+            m = n + 1  # 0 is the map's only fixed point
+            assert report.triples_checked == m**3
+            assert m**3 <= len(calls) <= m**3 + 2 * m**2
+
+    def test_case_table_non_constant_lhs_names_the_first_differing_value(self):
+        # This map keeps the ray below 30 where it is, so lhs varies in
+        # subcases that the paper's map makes constant.
+        mapping = SelfMap("cut", lambda x: x if x < 30 else (0 if x in (0, 3) else 3))
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"), mapping)
+        grid = grid_points(4, 64, 7)
+        message = None
+        for label, _, subcase_rows in _SUBCASES:
+            lhs_values = [GAP.metric(mapping(a), mapping(b), mapping(c)) for a, b, cs in subcase_rows(grid) for c in cs]
+            differing = [v for v in lhs_values if v != lhs_values[0]]
+            if differing:
+                message = f"subcase {label} lhs is not constant: {lhs_values[0]} vs {differing[0]}"
+                break
+        assert message is not None
+        with pytest.raises(PsbmError) as exc:
+            reproduce_case_table(GAP, spec, grid_size=7)
+        assert str(exc.value) == message
 
 class TestFixedPoints:
     def test_paper_s_unique_zero(self):
@@ -358,19 +502,24 @@ class TestCaseTable:
         assert self.TABLE.discrepancies and self.TABLE.passed
 
     @pytest.mark.parametrize("grid_size", [5, 20, 33])
-    @pytest.mark.parametrize("matkowski", [False, True])
-    def test_rows_equal_reference_minimum(self, matkowski, grid_size):
-        spec = standard_spec(matkowski=matkowski)
+    @pytest.mark.parametrize(
+        "comparison",
+        [builtin_comparison("paper_tau"), builtin_comparison("half"), *SPIKY[:2]],
+        ids=lambda fn: fn.name,
+    )
+    def test_rows_equal_reference_minimum(self, comparison, grid_size):
+        # repr compares nan with nan and tells -0.0 from 0.0.
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, PAPER_S)
         table = reproduce_case_table(GAP, spec, grid_size=grid_size)
         grid = grid_points(4, 64, grid_size)
         assert [row.label for row in table.rows] == [label for label, _, _ in _SUBCASES]
-        for row, (_, _, generate) in zip(table.rows, _SUBCASES):
+        for row, (_, _, subcase_rows) in zip(table.rows, _SUBCASES):
             rhs_min, argmin = None, None
-            for triple in generate(grid):
+            for triple in ((a, b, c) for a, b, cs in subcase_rows(grid) for c in cs):
                 rhs = reference_rhs(GAP, spec, *triple)
                 if rhs_min is None or rhs < rhs_min:
                     rhs_min, argmin = rhs, triple
-            assert (row.rhs_min, row.argmin) == (rhs_min, argmin)
+            assert repr((row.rhs_min, row.argmin)) == repr((rhs_min, argmin))
 
     def test_grid_size_below_three_rejected(self):
         with pytest.raises(ValueError, match="grid_size must be >= 3"):

@@ -4,6 +4,7 @@ from psbmetric import (
     IterationTrace,
     NotAFixedPoint,
     TraceTooShort,
+    UnknownPoint,
     builtin_comparison,
     builtin_map,
     builtin_space,
@@ -60,6 +61,17 @@ class TestPicardIterate:
         with pytest.raises(ValueError, match="start point must be finite"):
             picard_iterate(GAP, PAPER_S, start)
 
+
+    def test_image_off_the_carrier_names_map_point_and_image(self):
+        # The orbit 1 -> 2 -> 5 leaves the carrier {1, 2} at its second step.
+        leaving = map_from_table({1: 2, 2: 5}, name="leaving")
+        with pytest.raises(UnknownPoint) as exc:
+            picard_iterate(TWO_A, leaving, 1)
+        assert str(exc.value) == "map leaving sends 2 to 5, which is not in the carrier"
+
+    def test_image_in_a_region_carrier_is_accepted(self):
+        identity = builtin_map("identity")
+        assert picard_iterate(GAP, identity, 4.5).orbit == (4.5, 4.5)
 
 class TestVerifyFixedPoint:
     def test_zero_is_fixed_with_zero_self_distance(self):

@@ -413,6 +413,14 @@ class TestSeparation:
             assert separation_report(generate_topology(space)).t0
 
 
+    def test_witness_lists_share_one_tuple_per_pair(self):
+        # On the indiscrete two-point space each pair fails T0, T1 and T2.
+        table = {tpl: 1 for tpl in itertools.product((1, 2), repeat=3)}
+        report = separation_report(generate_topology(tabulated_space((1, 2), table)))
+        t0, t1, t2 = (report.witnesses[k] for k in ("t0", "t1", "t2"))
+        assert t0 == t1 == t2 == [(1, 2)]
+        assert t0[0] is t1[0] is t2[0]
+
 class TestConnected:
     def test_two_point_b_disconnects(self):
         connected, witness = is_connected(generate_topology(TWO_B))
