@@ -62,7 +62,6 @@ from .topology import (
 )
 from .comparison import (
     BOYD_WONG,
-    DEFAULT_GRID,
     MATKOWSKI,
     ComparisonFn,
     ComparisonReport,
@@ -70,7 +69,6 @@ from .comparison import (
     builtin_comparison,
     check_boyd_wong_properties,
     check_matkowski_properties,
-    iterate_comparison,
     load_piecewise,
     piecewise_linear,
 )

@@ -234,11 +234,10 @@ def _cmd_check_comparison(args) -> int:
     kind = args.kind or fn.kind
     if kind is None:
         raise PsbmError("comparison kind is untagged; pass --kind")
-    grid = [float(tok) for tok in args.grid.replace(",", " ").split()] if args.grid else comparison.DEFAULT_GRID
     if kind == comparison.BOYD_WONG:
-        report = comparison.check_boyd_wong_properties(fn, grid)
+        report = comparison.check_boyd_wong_properties(fn)
     else:
-        report = comparison.check_matkowski_properties(fn, grid, args.budget)
+        report = comparison.check_matkowski_properties(fn)
     payload = report.to_dict()
     payload["kind"] = kind
 
@@ -390,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, space=False)
     p.add_argument("--fn", required=True, help="builtin name or file:<breakpoints.json>")
     p.add_argument("--kind", choices=(comparison.BOYD_WONG, comparison.MATKOWSKI), default=None)
-    p.add_argument("--grid", default=None, help="comma-separated grid points")
-    p.add_argument("--budget", type=int, default=comparison.DEFAULT_ITER_BUDGET)
     p.set_defaults(func=_cmd_check_comparison)
 
     p = sub.add_parser("certify", help="certify an interpolative contraction")

@@ -1,80 +1,77 @@
 """Comparison functions and their property checks.
 
-Two classes matter: Boyd-Wong style functions (zero at zero, strictly below
-the identity, upper semicontinuous) and Matkowski style functions (monotone
-with iterates decaying to zero). Membership in either class cannot be proved
-from finitely many samples; the checks here are grid evaluations plus an
-explicitly labelled semicontinuity probe.
+Every comparison function here is piecewise affine on [0, inf): the
+builtins and the interpolants of breakpoint files. Two classes matter:
+Boyd-Wong (zero at zero, strictly below the identity, upper semicontinuous)
+and Matkowski (nondecreasing with iterates tending to zero). Each property
+is decided exactly from the pieces, and a failure names a float witness at
+which it holds for the exact function.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from .errors import ParseError, UnknownBuiltin
-from .numerics import leq, strictly_less
 
 BOYD_WONG = "boyd-wong"
 MATKOWSKI = "matkowski"
 
-DEFAULT_GRID = (1e-6, 0.1, 0.5, 1.0, 2.0, 10.0, 243.0, 486.0, 34100.0)
-DEFAULT_ITER_BUDGET = 64
-DECAY_TOL = 1e-9
-
-_USC_SAMPLES = 16
-_USC_SHRINK = 0.5
-_USC_TAIL = 4
-_USC_REL_TOL = 1e-3
-
 
 @dataclass(frozen=True)
 class ComparisonFn:
+    """fn(v) = max(0, y0 + (v - x0) * slope) on the line of the piece holding v.
+
+    `pieces` is a tuple of (start, ((x0, y0), (x1, y1)), closed), with starts
+    rising from 0 and x0 < x1. A piece holds the open interval up to the next
+    start (the last reaches inf); the first also holds 0 and every v < 0. A
+    later start b belongs to its own piece when `closed`, else to the one
+    before. A nan input gives nan.
+    """
+
     name: str
-    fn: Callable
+    pieces: tuple
     kind: str | None = None
 
+    def __post_init__(self):
+        # One bisect over the cuts picks the line for v. A start b held by the piece before cuts at
+        # the least float or int above b, so that v < cut exactly when v <= b.
+        cuts = tuple(b if closed else min(math.nextafter(b, math.inf), math.floor(b) + 1)
+                     for b, _, closed in self.pieces[1:])
+        lines = tuple((x0, y0, (y1 - y0) / (x1 - x0)) for _, ((x0, y0), (x1, y1)), _ in self.pieces)
+        object.__setattr__(self, "_cuts", cuts)
+        object.__setattr__(self, "_lines", lines)
+
     def __call__(self, v):
-        return self.fn(v)
+        x0, y0, slope = self._lines[bisect_right(self._cuts, v)]
+        y = y0 + (v - x0) * slope
+        return 0.0 if y < 0 else y
 
 
-def _paper_tau(a):
-    return 0.9 * a if a <= 1 else 0.5 * a
-
-
-def _half(a):
-    return a / 2
-
-
-def _identity(a):
-    return a
+_ORIGIN = (0.0, 0.0)
+_BUILTINS = {
+    # 0.9 t up to 1 (inclusive), 0.5 t above.
+    "paper_tau": (((0.0, (_ORIGIN, (1.0, 0.9)), True), (1.0, (_ORIGIN, (1.0, 0.5)), False)), BOYD_WONG),
+    "half": (((0.0, (_ORIGIN, (1.0, 0.5)), True),), MATKOWSKI),
+    "identity": (((0.0, (_ORIGIN, (1.0, 1.0)), True),), None),
+}
 
 
 def builtin_comparison(name: str) -> ComparisonFn:
-    if name == "paper_tau":
-        return ComparisonFn("paper_tau", _paper_tau, BOYD_WONG)
-    if name == "half":
-        return ComparisonFn("half", _half, MATKOWSKI)
-    if name == "identity":
-        return ComparisonFn("identity", _identity)
-    raise UnknownBuiltin(f"no builtin comparison function named {name!r}")
-
-
-def iterate_comparison(fn: ComparisonFn, v, k: int):
-    """k-fold composition of fn applied to v; k = 0 returns v unchanged."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    for _ in range(k):
-        v = fn(v)
-    return v
+    if name not in _BUILTINS:
+        raise UnknownBuiltin(f"no builtin comparison function named {name!r}")
+    return ComparisonFn(name, *_BUILTINS[name])
 
 
 def piecewise_linear(breakpoints, kind: str | None = None, name: str = "piecewise") -> ComparisonFn:
     """Linear interpolation through (x, y) breakpoints, extended by the
     first/last segment slope outside their range and clamped at zero."""
-    pts = [(float(x), float(y)) for x, y in breakpoints]
+    # + 0.0 turns a y of -0.0 into 0.0, so that no value comes out as -0.0.
+    pts = [(float(x), float(y) + 0.0) for x, y in breakpoints]
     if len(pts) < 2:
         raise ParseError("need at least two breakpoints")
     xs = [x for x, _ in pts]
@@ -82,25 +79,16 @@ def piecewise_linear(breakpoints, kind: str | None = None, name: str = "piecewis
         raise ParseError("breakpoint x values must be strictly increasing")
     if any(y < 0 for _, y in pts):
         raise ParseError("breakpoint y values must be nonnegative")
-
-    def evaluate(v):
-        if v <= pts[0][0]:
-            (x0, y0), (x1, y1) = pts[0], pts[1]
-        elif v >= pts[-1][0]:
-            (x0, y0), (x1, y1) = pts[-2], pts[-1]
-        else:
-            lo, hi = 0, len(pts) - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if pts[mid][0] <= v:
-                    lo = mid
-                else:
-                    hi = mid
-            (x0, y0), (x1, y1) = pts[lo], pts[hi]
-        slope = (y1 - y0) / (x1 - x0)
-        return max(0.0, y0 + (v - x0) * slope)
-
-    return ComparisonFn(name, evaluate, kind)
+    segments = list(zip(pts, pts[1:]))
+    for i, ((x0, y0), (x1, y1)) in enumerate(segments):
+        if not math.isfinite(x1 - x0) or not math.isfinite((y1 - y0) / (x1 - x0)):
+            raise ParseError(f"breakpoints {i} and {i + 1}, {[x0, y0]} and {[x1, y1]}: "
+                             "the segment's width or slope overflows the float range")
+    # Segment i holds [x_i, x_(i+1)); the first also holds everything left
+    # of it and the last everything right of it.
+    first = bisect_right(xs[1:-1], 0.0)
+    pieces = tuple((xs[i] if i > first else 0.0, segments[i], True) for i in range(first, len(segments)))
+    return ComparisonFn(name, pieces, kind)
 
 
 def _finite_number(value, where: str) -> float:
@@ -148,123 +136,140 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
     def to_dict(self) -> dict:
-        return {
-            "fn": self.fn_name,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"fn": self.fn_name, "passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def _validate_grid(grid):
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if any(g <= 0 for g in grid):
-        raise ValueError("grid points must be strictly positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
-    return grid
+# Exact values: a line's own points are exact floats, its other values Fractions.
+
+
+def _slope(line):
+    (x0, y0), (x1, y1) = line
+    return (Fraction(y1) - Fraction(y0)) / (Fraction(x1) - Fraction(x0))
+
+
+def _at(line, t):
+    (x0, y0), (x1, y1) = line
+    if t == x0 or t == x1:
+        return y0 if t == x0 else y1
+    return Fraction(y0) + (Fraction(t) - Fraction(x0)) * _slope(line)
+
+
+def _clamp(y):
+    return y if y > 0 else 0.0
+
+
+def _exact(fn, t):
+    """fn(t) for a float t >= 0, on the line that evaluation picks."""
+    return _clamp(_at(fn.pieces[bisect_right(fn._cuts, t)][1], t))
+
+
+def _spans(fn):
+    """(lo, hi, line) per piece; the last hi is inf."""
+    starts = [start for start, _, _ in fn.pieces]
+    return list(zip(starts, starts[1:] + [math.inf], (line for _, line, _ in fn.pieces)))
+
+
+def _breakpoints(fn):
+    """(b, fn(b-), fn(b), fn(b+), span before b, span from b) per start b; the
+    span before 0 is the one from 0."""
+    spans = _spans(fn)
+    for (b, line, closed), before, after in zip(fn.pieces, spans[:1] + spans, spans):
+        left, right = _clamp(_at(before[2], b)), _clamp(_at(line, b))
+        yield b, left, right if closed else left, right, before, after
+
+
+def _float_in(lo, hi, holds=lambda t: True):
+    """A float w in (lo, hi) with holds(w), else None; lo and hi are floats. It tries the middle (lo + 1
+    and its doublings when hi is inf) and the floats at the ends: enough if holds marks a part touching
+    one of them."""
+    middles = [lo / 2 + hi / 2 if hi < math.inf else lo + 1.0]
+    while hi == math.inf and middles[-1] < hi:
+        middles.append(middles[-1] * 2)
+    ends = [math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+    return next((w for w in middles[:1] + ends + middles[1:] if lo < w < hi and holds(w)), None)
 
 
 def _check_zero_at_zero(fn):
-    value = fn(0)
-    return PropertyCheck("zero-at-zero", value == 0, witness=0 if value != 0 else None,
-                         detail=f"fn(0) = {value}")
+    value = _exact(fn, 0.0)
+    return PropertyCheck("zero-at-zero", value == 0, None if value == 0 else 0, f"fn(0) = {value}")
 
 
-def _check_below_identity(fn, grid):
-    for g in grid:
-        if not strictly_less(fn(g), g):
-            return PropertyCheck("below-identity", False, witness=g,
-                                 detail=f"fn({g}) = {fn(g)} is not below {g}")
-    return PropertyCheck("below-identity", True)
+def _below_on_span(lo, hi, line) -> bool:
+    """line(t) < t on (lo, hi), touching the identity at most at an end."""
+    start = _at(line, lo)
+    if hi == math.inf:
+        return start < lo and _slope(line) <= 1 or start <= lo and _slope(line) < 1
+    end = _at(line, hi)
+    return start <= lo and end <= hi and (start < lo or end < hi)
 
 
-def _check_monotone(fn, grid):
-    for a, b in zip(grid, grid[1:]):
-        if not leq(fn(a), fn(b)):
-            return PropertyCheck("monotone", False, witness=(a, b),
-                                 detail=f"fn({a}) = {fn(a)} > fn({b}) = {fn(b)}")
-    return PropertyCheck("monotone", True)
+def _check_below_identity(fn):
+    w = next((b for b, _, value, _, _, _ in _breakpoints(fn) if 0 < b <= value), None)
+    bad = None if w is not None else next((span for span in _spans(fn) if not _below_on_span(*span)), None)
+    if bad:
+        lo, hi, line = bad
+        w = _float_in(lo, hi, lambda t: _at(line, t) >= t)
+    if w is None:
+        return PropertyCheck("below-identity", not bad, None, "fn(t) >= t only between adjacent floats" if bad else "")
+    return PropertyCheck("below-identity", False, w, f"fn({w}) >= {w}")
 
 
-def _usc_probe_at(fn, g):
-    reference = fn(g)
-    tol = _USC_REL_TOL * max(1.0, abs(reference))
-    for side in (1.0, -1.0):
-        offsets = [side * (g / 4) * _USC_SHRINK ** i for i in range(_USC_SAMPLES)]
-        samples = [fn(g + h) for h in offsets if g + h >= 0]
-        tail = samples[-_USC_TAIL:]
-        if tail and max(tail) > reference + tol:
-            return max(tail)
-    return None
+def _check_monotone(fn):
+    pair = None
+    for b, left, value, right, (lo, _, _), (_, hi, line) in _breakpoints(fn):
+        if left > value:
+            pair = _float_in(lo, b, lambda t: _exact(fn, t) > value), b
+        elif value > right:
+            pair = b, _float_in(b, hi, lambda t: _exact(fn, t) < value)
+        elif line[1][1] < line[0][1] and right > 0:
+            # Falling while positive, whether or not clamped at 0 later.
+            a = _float_in(b, hi, lambda t: _at(line, t) > 0)
+            pair = a, a and _float_in(a, hi)
+        if pair:
+            break
+    if pair is None:
+        return PropertyCheck("monotone", True)
+    if None in pair:
+        return PropertyCheck("monotone", False, None, "fn falls only between adjacent floats")
+    a, c = pair
+    return PropertyCheck("monotone", False, pair, f"fn({a}) > fn({c})")
 
 
-def _check_usc_probe(fn, grid):
-    # Finite sampling cannot prove semicontinuity; this only flags upward
-    # jumps large enough to clear the probe tolerance.
-    for g in grid:
-        excess = _usc_probe_at(fn, g)
-        if excess is not None:
-            return PropertyCheck("usc-probe", False, witness=g,
-                                 detail=f"samples near {g} reach {excess} above fn({g}) = {fn(g)}")
-    return PropertyCheck("usc-probe", True, detail="probe only, not a proof")
+def _check_usc(fn):
+    for b, left, value, right, _, _ in _breakpoints(fn):
+        if value < max(left, right):
+            return PropertyCheck("usc", False, b, f"fn({b}) = {value} is below a one-sided limit, {max(left, right)}")
+    return PropertyCheck("usc", True)
 
 
-def _check_iterate_decay(fn, grid, iter_budget):
-    for g in grid:
-        v = g
-        decayed = False
-        for _ in range(iter_budget):
-            v = fn(v)
-            if v <= DECAY_TOL:
-                decayed = True
-                break
-        if not decayed:
-            return PropertyCheck("iterate-decay", False, witness=g,
-                                 detail=f"iterates from {g} still at {v} after {iter_budget} steps")
+def _check_iterate_decay(fn, below, monotone):
+    """Matkowski's condition, given the below-identity and monotone verdicts."""
+    t = below.witness
+    if not below.passed and (monotone.passed or t is not None and _exact(fn, t) == t):
+        return PropertyCheck("iterate-decay", False, t, f"fn({t}) >= {t} and fn is nondecreasing or fixes "
+                                                        f"{t}, so the iterates from {t} stay at or above {t}")
+    if not below.passed:
+        return PropertyCheck("iterate-decay", False, None, f"undecided without monotonicity: {below.detail}")
+    # Below the identity the iterates fall; they stall only at a jump b with
+    # fn(b+) = b and a rising piece on its right.
+    for b, _, _, right, _, (_, _, ((_, y0), (_, y1))) in _breakpoints(fn):
+        if 0 < b == right and y1 > y0:
+            return PropertyCheck("iterate-decay", False, b, f"fn({b}+) = {b} on a rising piece: iterates tend to {b}")
     return PropertyCheck("iterate-decay", True)
 
 
-def check_boyd_wong_properties(fn: ComparisonFn, grid=DEFAULT_GRID) -> ComparisonReport:
-    """Zero at zero, below the identity and monotone on the grid, plus the
-    semicontinuity probe."""
-    grid = _validate_grid(grid)
-    checks = (
-        _check_zero_at_zero(fn),
-        _check_below_identity(fn, grid),
-        _check_monotone(fn, grid),
-        _check_usc_probe(fn, grid),
-    )
-    return ComparisonReport(fn.name, checks)
+def check_boyd_wong_properties(fn: ComparisonFn, grid=None) -> ComparisonReport:
+    """Zero at zero, below the identity and upper semicontinuous, each
+    decided exactly. `grid` is ignored; it stays for callers that pass one."""
+    return ComparisonReport(fn.name, (_check_zero_at_zero(fn), _check_below_identity(fn), _check_usc(fn)))
 
 
-def check_matkowski_properties(
-    fn: ComparisonFn, grid=DEFAULT_GRID, iter_budget: int = DEFAULT_ITER_BUDGET
-) -> ComparisonReport:
-    """Monotone on the grid with iterates decaying within the budget, plus
-    the below-identity and zero-at-zero consequences."""
-    if iter_budget < 1:
-        raise ValueError("iter_budget must be >= 1")
-    grid = _validate_grid(grid)
-    checks = (
-        _check_monotone(fn, grid),
-        _check_iterate_decay(fn, grid, iter_budget),
-        _check_below_identity(fn, grid),
-        _check_zero_at_zero(fn),
-    )
-    return ComparisonReport(fn.name, checks)
+def check_matkowski_properties(fn: ComparisonFn, grid=None) -> ComparisonReport:
+    """Nondecreasing with iterates tending to zero, plus the below-identity
+    and zero-at-zero consequences, each decided exactly. `grid` is ignored."""
+    monotone, below = _check_monotone(fn), _check_below_identity(fn)
+    return ComparisonReport(fn.name, (monotone, _check_iterate_decay(fn, below, monotone), below,
+                                      _check_zero_at_zero(fn)))

@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -658,6 +659,102 @@ class TestBreakpointFileFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def run_exiting(argv):
+    """run_captured, with argparse's SystemExit read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+BUMP = [[0, 0], [4, 1], [5, 6], [6, 2], [7, 2.5]]
+
+
+def interpolant_at(pairs, t):
+    """The breakpoint interpolant at t, in rational arithmetic (t inside the breakpoints' range)."""
+    for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
+        if x0 <= t <= x1:
+            return Fraction(y0) + (Fraction(t) - Fraction(x0)) * (Fraction(y1) - Fraction(y0)) / (Fraction(x1) - Fraction(x0))
+    raise ValueError(t)
+
+
+@pytest.fixture(scope="module")
+def comparison_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("comparisons")
+    texts = {
+        "bump": json.dumps(BUMP),
+        "near-identity": "[[0, 0], [1, 0.999]]",
+        "overflow": "[[-1e308, 0], [1e308, 1]]",
+        "garbage": "[[0, 0], [1",
+        "empty": "",
+    }
+    for name, text in texts.items():
+        (folder / f"{name}.json").write_text(text, encoding="utf-8")
+    return {name: str(folder / f"{name}.json") for name in texts}
+
+
+class TestCheckComparison:
+    def test_bump_between_grid_points_fails_boyd_wong(self, comparison_files):
+        code, out, err = run_captured(["check-comparison", "--fn", f"file:{comparison_files['bump']}",
+                                       "--kind", "boyd-wong", "--format", "json"])
+        assert code == 1 and err == ""
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "below-identity")
+        w = check["witness"]
+        assert not check["passed"] and 4 < w < 6 and interpolant_at(BUMP, w) >= w
+
+    def test_near_identity_slope_is_matkowski(self, comparison_files):
+        code, out, _ = run_captured(["check-comparison", "--fn", f"file:{comparison_files['near-identity']}",
+                                     "--kind", "matkowski"])
+        assert code == 0 and "passed: True" in out
+
+    def test_paper_tau_is_boyd_wong(self):
+        assert run_captured(["check-comparison", "--fn", "paper_tau"])[0] == 0
+
+    def test_overflowing_span_is_one_error_line(self, comparison_files):
+        code, out, err = run_captured(["check-comparison", "--fn", f"file:{comparison_files['overflow']}",
+                                       "--kind", "matkowski"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: breakpoints 0 and 1") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--grid", "0.5,1,1.5"), ("--budget", "64")])
+    def test_removed_flags_are_usage_errors(self, flag, value):
+        code, out, err = run_exiting(["check-comparison", "--fn", "half", flag, value])
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_argv_fuzz(self, comparison_files, data):
+        """--fn (builtin, file or garbage), --kind, --format, the removed
+        flags and junk tokens, in any order: exit 0, 1 or 2, and on 2 one
+        error line."""
+        junk = st.one_of(st.sampled_from(["--seed", "7", "--bound", "-x", "--", "--kind", "--fn"]),
+                         st.text(alphabet="abc-=.,:1 ", max_size=6))
+        fn = st.one_of(
+            st.sampled_from(["paper_tau", "half", "identity", "missing", "", "file:", "file:/nonexistent.json"]),
+            st.sampled_from([f"file:{path}" for path in comparison_files.values()]),
+            st.text(max_size=8),
+        )
+        options = [
+            ["--fn", data.draw(fn)],
+            ["--kind", data.draw(st.sampled_from(["boyd-wong", "matkowski", "usc", ""]))],
+            ["--format", data.draw(st.sampled_from(["text", "json", "csv", "x"]))],
+            ["--grid", data.draw(st.sampled_from(["0.5,1,1.5", "", "x"]))],
+            ["--budget", data.draw(st.sampled_from(["64", "0", "-1"]))],
+            [data.draw(junk)],
+        ]
+        chosen = [option for option in options if data.draw(st.booleans())]
+        argv = ["check-comparison"] + [token for option in data.draw(st.permutations(chosen)) for token in option]
+        code, out, err = run_exiting(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert sum("error: " in line for line in err.splitlines()) == 1
+        else:
+            assert err == ""
 
 
 def readme_examples():

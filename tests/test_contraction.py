@@ -50,7 +50,22 @@ def grid_points(lo, hi, n):
 
 CERT_POINTS = [0, 3] + grid_points(4, 64, 50)
 
-QUARTER = ComparisonFn("quarter", lambda a: a / 4, BOYD_WONG)
+ORIGIN = (0.0, 0.0)
+# t / 4, one piece through the origin.
+QUARTER = ComparisonFn("quarter", ((0.0, (ORIGIN, (1.0, 0.25)), True),), BOYD_WONG)
+
+
+@dataclasses.dataclass(frozen=True)
+class FakeComparison:
+    """Stands in for a ComparisonFn where a test needs values no piece list
+    gives: nan, inf, or an error."""
+
+    name: str
+    fn: object
+    kind: str | None = None
+
+    def __call__(self, v):
+        return self.fn(v)
 
 
 def reference_rhs(space, spec, a, b, c):
@@ -143,9 +158,9 @@ INF = float("inf")
 # Comparisons that return nan or +-inf on some products, so that a nan margin
 # opens some rows and sits inside others.
 SPIKY = (
-    ComparisonFn("nan-spikes", lambda v: NAN if int(v * 7) % 5 == 0 else v / 4),
-    ComparisonFn("inf-spikes", lambda v: INF if int(v * 3) % 4 == 0 else -INF if int(v) % 9 == 0 else v / 4),
-    ComparisonFn("all-nan", lambda v: NAN),
+    FakeComparison("nan-spikes", lambda v: NAN if int(v * 7) % 5 == 0 else v / 4),
+    FakeComparison("inf-spikes", lambda v: INF if int(v * 3) % 4 == 0 else -INF if int(v) % 9 == 0 else v / 4),
+    FakeComparison("all-nan", lambda v: NAN),
 )
 
 
@@ -348,8 +363,11 @@ class TestCertify:
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(min_value=1.0, max_value=4.0))
     def test_pointwise_larger_comparison_preserves_pass(self, scale):
-        tau = builtin_comparison("paper_tau")
-        bigger = ComparisonFn("scaled", lambda a: scale * tau(a), BOYD_WONG)
+        # paper_tau with both slopes scaled up.
+        bigger = ComparisonFn("scaled", (
+            (0.0, (ORIGIN, (1.0, scale * 0.9)), True),
+            (1.0, (ORIGIN, (1.0, scale * 0.5)), False),
+        ), BOYD_WONG)
         points = [0, 3, 4, 7, 20]
         base = certify(GAP, standard_spec(), points=points)
         widened = certify(
@@ -394,7 +412,7 @@ class TestRowEvaluator:
             assert report.triples_checked == checked
             assert repr((report.failures, report.min_margin)) == repr((failures, min_margin))
 
-    @pytest.mark.parametrize("comparison", [QUARTER, ComparisonFn("picky", picky)], ids=lambda fn: fn.name)
+    @pytest.mark.parametrize("comparison", [QUARTER, FakeComparison("picky", picky)], ids=lambda fn: fn.name)
     def test_errors_surface_as_triple_by_triple(self, comparison):
         # Tables with negative entries, and a comparison that raises on some
         # products: the certificate raises the error, with the message, that
