@@ -13,7 +13,6 @@ from .errors import (
     InvalidExponents,
     NegativeValue,
     NotAFixedPoint,
-    NotInBall,
     ParseError,
     PsbmError,
     TraceTooShort,
@@ -49,9 +48,8 @@ from .topology import (
     FiniteTopology,
     OpenBall,
     SeparationReport,
-    canonical_radii,
+    ball_base_witness,
     generate_topology,
-    inner_ball_radius,
     is_connected,
     open_ball,
     separation_report,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for pass/success verdicts, 1 for verified failures (axiom
 violations, inequality failures, non-convergence), 2 for usage or parse
-errors. Reports print as text by default or as JSON with --format json.
+errors, 141 when the reader closes stdout early. Reports print as text by
+default or as JSON with --format json.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .spaces import AxiomSet, RegionCarrier, parse_point
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 _VARIANTS = {v.value: v for v in AxiomSet}
 
@@ -37,10 +39,10 @@ def _seed(args) -> int:
         raise PsbmError(f"PSBM_SEED must be an integer, got {value!r}") from None
 
 
-def _no_seed(args, path: str) -> None:
-    """Reject an explicit --seed on a path that samples nothing."""
-    if args.seed is not None:
-        raise PsbmError(f"--seed has no effect {path}")
+def _no_effect(flag: str, value, path: str) -> None:
+    """Reject a flag given on a path that ignores it."""
+    if value is not None:
+        raise PsbmError(f"{flag} has no effect {path}")
 
 
 def _resolve_space(selector: str):
@@ -102,11 +104,11 @@ _finite_float.__name__ = "finite float"
 
 
 def _with_bound(space, bound):
-    if bound is not None and isinstance(space.carrier, RegionCarrier):
-        return dataclasses.replace(
-            space, carrier=dataclasses.replace(space.carrier, bound=bound)
-        )
-    return space
+    if bound is None:
+        return space
+    if not isinstance(space.carrier, RegionCarrier):
+        raise PsbmError("--bound has no effect on a finite carrier")
+    return dataclasses.replace(space, carrier=dataclasses.replace(space.carrier, bound=bound))
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def _cmd_verify_axioms(args) -> int:
     if samples is None and isinstance(space.carrier, RegionCarrier):
         samples = 10000
     if samples is None:
-        _no_seed(args, "on an exhaustive check")
+        _no_effect("--seed", args.seed, "on an exhaustive check")
         seed = 0
     else:
         seed = _seed(args)
@@ -143,7 +145,8 @@ def _cmd_ball(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     center = spaces.require_point(space, parse_point(args.center))
     if args.candidates:
-        _no_seed(args, "with --candidates")
+        _no_effect("--seed", args.seed, "with --candidates")
+        _no_effect("--bound", args.bound, "with --candidates")
         candidates = [spaces.require_point(space, x) for x in parse_points_list(args.candidates)]
     else:
         candidates = spaces.sample_carrier(space, seed=_seed(args))
@@ -157,13 +160,15 @@ def _cmd_ball(args) -> int:
 
 def _cmd_topology(args) -> int:
     space = _resolve_space(args.space)
-    top = topology.generate_topology(space)
-    payload = top.to_dict()
-    payload["valid"] = topology.verify_topology_axioms(top)
+    payload = topology.generate_topology(space).to_dict()
+    witness = topology.ball_base_witness(space)
+    payload["base"] = witness is None
+    payload["base_witness"] = None if witness is None else [point_label(p) for p in witness]
 
     def render(r):
         shown = ", ".join("{" + ", ".join(o) + "}" for o in r["opens"])
-        return f"carrier {{{', '.join(r['carrier'])}}}\nopens: {shown}\nvalid: {r['valid']}"
+        base = "True" if r["base"] else f"False ({', '.join(r['base_witness'])})"
+        return f"carrier {{{', '.join(r['carrier'])}}}\nopens: {shown}\nbase: {base}"
 
     _emit(payload, args, render)
     return EXIT_OK
@@ -244,8 +249,8 @@ def _cmd_check_comparison(args) -> int:
     def render(r):
         lines = [f"fn: {r['fn']}  kind: {r['kind']}  passed: {r['passed']}"]
         for c in r["checks"]:
-            mark = "pass" if c["passed"] else f"FAIL (witness {c['witness']})"
-            lines.append(f"  {c['name']}: {mark}")
+            failed = f"FAIL (witness {c['witness']})" if c["witness"] is not None else f"FAIL: {c['detail']}"
+            lines.append(f"  {c['name']}: {'pass' if c['passed'] else failed}")
         return "\n".join(lines)
 
     _emit(payload, args, render)
@@ -262,14 +267,16 @@ def _cmd_certify(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     spec = _build_spec(args)
     if args.grid is not None:
-        _no_seed(args, "with --grid")
+        _no_effect("--seed", args.seed, "with --grid")
+        _no_effect("--samples", args.samples, "with --grid")
         carrier = space.carrier
         if not isinstance(carrier, RegionCarrier):
             raise PsbmError("--grid needs a region carrier")
         points = list(carrier.isolated) + contraction.ray_grid(carrier, args.grid)
         report = contraction.certify(space, spec, points=points)
     else:
-        report = contraction.certify(space, spec, sample_count=args.samples, seed=_seed(args))
+        samples = 200 if args.samples is None else args.samples
+        report = contraction.certify(space, spec, sample_count=samples, seed=_seed(args))
     payload = report.to_dict()
 
     def render(r):
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--spec", default="paper")
     p.add_argument("--matkowski", action="store_true")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=None, help="sampled triples; default 200")
     p.add_argument("--grid", type=int, default=None, help="exhaustive over isolated points plus an n-point ray grid")
     p.set_defaults(func=_cmd_certify)
 
@@ -424,7 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so the
+        # flush at exit neither fails nor prints.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except PsbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

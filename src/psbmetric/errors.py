@@ -33,10 +33,6 @@ class DistanceOverflow(PsbmError):
     """A distance, or arithmetic on distances, overflows the float range."""
 
 
-class NotInBall(PsbmError):
-    """Inner-ball construction asked for a point outside the outer ball."""
-
-
 class EmptySubfamily(PsbmError):
     """Cover-witness search over an empty subfamily."""
 

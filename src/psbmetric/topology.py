@@ -1,9 +1,10 @@
 """Open balls, the induced topology on finite carriers, and its properties.
 
 A ball D(p; r) collects the candidates z with dist(p,p,z) < r + dist(p,p,p);
-note the self-distance offset. On a finite carrier only finitely many
-distinct balls exist, realized by one radius per gap between consecutive
-distance thresholds, and the topology is the union-closure of those balls.
+note the self-distance offset. A set U is open iff every x in U has a ball
+inside U (Sedghi, Shobe and Aliouche 2012); on a finite carrier, iff U holds
+the smallest ball M_y of each y in U. The opens are the unions of the U_x,
+the points reachable from x by repeatedly applying y -> M_y.
 
 Every verdict on a family of opens comes from each point's inclusion-minimal
 opens (Alexandroff 1937; Stong 1966). In a topology x has exactly one, its
@@ -24,9 +25,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import DistanceOverflow, EmptySubfamily, NotInBall, PsbmError, UnknownPoint
+from .errors import DistanceOverflow, EmptySubfamily, PsbmError, UnknownPoint
 from .numerics import point_label, point_sort_key, strictly_less
-from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points, sample_carrier
+from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points
 
 
 @dataclass(frozen=True)
@@ -74,53 +75,6 @@ def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     return OpenBall(center, radius, members)
 
 
-def inner_ball_radius(space: PartialSbSpace, x, s, v, candidates=None):
-    """Radius c with D(v; c) inside D(x; s): s itself when v = x, else s/(4t).
-
-    Returns (c, verdict) where the verdict confirms containment by direct
-    membership comparison over the candidate set.
-    """
-    if candidates is None:
-        candidates = sample_carrier(space)
-    outer = open_ball(space, x, s, candidates)
-    if v not in outer.members:
-        raise NotInBall(f"{point_label(v)} is not in D({point_label(x)}; {s})")
-    c = s if v == x else s / (4 * space.coefficient)
-    inner = open_ball(space, v, c, candidates)
-    return c, inner.members <= outer.members
-
-
-def canonical_radii(space: PartialSbSpace, center, candidates) -> list:
-    """Radii realizing every distinct ball centered at `center`.
-
-    One radius strictly between consecutive distance thresholds (midpoints)
-    plus one radius above the largest threshold.
-    """
-    candidates = list(candidates)
-    if center not in candidates:
-        raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
-    self_d = space.metric(center, center, center)
-    try:
-        thresholds = sorted(
-            {
-                gap
-                for z in candidates
-                if (gap := space.metric(center, center, z) - self_d) > 0
-            }
-        )
-        radii = []
-        prev = 0
-        for g in thresholds:
-            radii.append((prev + g) / 2)
-            prev = g
-    except OverflowError:
-        raise DistanceOverflow(
-            f"a distance from {point_label(center)} overflows the float range"
-        ) from None
-    radii.append(prev + 1)
-    return radii
-
-
 @dataclass(frozen=True)
 class FiniteTopology:
     carrier: frozenset
@@ -147,17 +101,50 @@ def _minimal_opens(opens, points) -> dict:
     return minimal
 
 
+def _smallest_balls(space: PartialSbSpace, pts) -> dict:
+    """M_x per point: the ball at half the least positive gap
+    dist(x,x,z) - dist(x,x,x), or at radius 1 when no gap is positive."""
+    smallest = {}
+    for x in pts:
+        self_d = space.metric(x, x, x)
+        try:
+            gaps = [g for z in pts if (g := space.metric(x, x, z) - self_d) > 0]
+            radius = min(gaps) / 2 if gaps else 1
+        except OverflowError:
+            raise DistanceOverflow(
+                f"a distance from {point_label(x)} overflows the float range"
+            ) from None
+        smallest[x] = open_ball(space, x, radius, pts).members
+    return smallest
+
+
 def generate_topology(space: PartialSbSpace) -> FiniteTopology:
-    """All unions of canonical balls over all centers, plus the empty set."""
+    """U open iff every x in U has a ball inside U: the unions of the U_x,
+    the points reachable from x by repeatedly applying y -> M_y."""
     pts = exhaustive_points(space)
-    basis = set()
-    for center in pts:
-        for radius in canonical_radii(space, center, pts):
-            basis.add(open_ball(space, center, radius, pts).members)
+    smallest = _smallest_balls(space, pts)
     opens = {frozenset()}
-    for ball in basis:
-        opens |= {o | ball for o in opens}
+    for x in pts:
+        u = frozenset({x})
+        while (grown := u.union(*(smallest[y] for y in u))) != u:
+            u = grown
+        opens |= {o | u for o in opens}
     return FiniteTopology(frozenset(pts), frozenset(opens))
+
+
+def ball_base_witness(space: PartialSbSpace):
+    """None when every ball is open, so the balls are a base of the topology.
+    Else the first (x, v, z), by x, then z, then v, such that v lies in a
+    ball at x that misses z although z is in M_v: a ball D(x; r) holds v and
+    misses z iff dist(x,x,v) < r + dist(x,x,x) <= dist(x,x,z)."""
+    pts = sorted_points(exhaustive_points(space))
+    smallest = _smallest_balls(space, pts)
+    for x in pts:
+        d = {z: space.metric(x, x, z) for z in pts}
+        for z, v in itertools.product(pts, pts):
+            if d[z] - d[x] > 0 and strictly_less(d[v], d[z]) and z in smallest[v]:
+                return x, v, z
+    return None
 
 
 def verify_topology_axioms(topology: FiniteTopology) -> bool:

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from psbmetric import random_valid_space, tabulated_space
 from psbmetric.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -259,7 +261,7 @@ class TestVerdictParity:
         assert run_cli("topology", "--space", "builtin:two_point_b", "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["opens"] == [[], ["1"], ["2"], ["1", "2"]]
-        assert payload["valid"] is True
+        assert payload["base"] is True and payload["base_witness"] is None
 
     def test_connected_json(self, capsys):
         assert run_cli("connected", "--space", "builtin:two_point_b", "--format", "json") == 0
@@ -294,6 +296,73 @@ class TestVerdictParity:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "k,a_k,gap_k"
         assert lines[1] == "0,7,34100"
+
+
+def space_file_text(space) -> str:
+    lines = ["points: " + " ".join(map(str, space.carrier.points)), f"coefficient: {space.coefficient}"]
+    lines += [f"{p} {q} {r} {v}" for (p, q, r), v in sorted(space.metric.table.items())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def no_base_file(tmp_path_factory):
+    """Draw 2 of repro's T0 item at seed 0: the ball {2, 3} at 3 is not open."""
+    rng = random.Random("psbm:t0:0")
+    for _ in range(3):
+        space = random_valid_space(rng)
+    path = tmp_path_factory.mktemp("spaces") / "no-base.psb"
+    path.write_text(space_file_text(space), encoding="utf-8")
+    return f"file:{path}"
+
+
+class TestSpaceWhoseBallsAreNoBase:
+    @pytest.mark.parametrize("command, text, payload", [
+        (
+            "topology",
+            "carrier {1, 2, 3}\nopens: {}, {1}, {3}, {1, 2}, {1, 3}, {1, 2, 3}\nbase: False (3, 2, 1)\n",
+            {
+                "carrier": ["1", "2", "3"],
+                "opens": [[], ["1"], ["3"], ["1", "2"], ["1", "3"], ["1", "2", "3"]],
+                "base": False,
+                "base_witness": ["3", "2", "1"],
+            },
+        ),
+        (
+            "separation",
+            "T0: True  T1: False  T2: False\n  t1 fails for pair (1, 2)\n  t2 fails for pair (1, 2)\n",
+            {"t0": True, "t1": False, "t2": False, "witnesses": {"t0": [], "t1": [["1", "2"]], "t2": [["1", "2"]]}},
+        ),
+        (
+            "connected",
+            "connected: False  witness: {1, 2} | {3}\n",
+            {"connected": False, "witness": [["1", "2"], ["3"]]},
+        ),
+    ])
+    def test_text_and_json(self, no_base_file, command, text, payload):
+        assert run_captured([command, "--space", no_base_file]) == (0, text, "")
+        code, out, err = run_captured([command, "--space", no_base_file, "--format", "json"])
+        assert (code, json.loads(out), err) == (0, payload, "")
+
+
+class TestClosedStdout:
+    def test_a_reader_that_stops_early_ends_the_run_quietly(self, tmp_path):
+        # The discrete topology on 12 points has 4096 opens, far more JSON
+        # than a pipe buffers, so the writer meets the closed pipe.
+        labels = range(12)
+        table = {(p, q, r): int(not p == q == r) for p, q, r in itertools.product(labels, repeat=3)}
+        path = tmp_path / "discrete.psb"
+        path.write_text(space_file_text(tabulated_space(labels, table)), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "psbmetric", "topology", "--space", f"file:{path}", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestLoadedSpaces:
@@ -531,6 +600,53 @@ class TestEmptyCoverScan:
         assert capsys.readouterr().out == "uncovered witness: 0\n"
 
 
+# Flags that the chosen path would ignore.
+IGNORED_FLAGS = {
+    "certify --grid --samples": (
+        ["certify", "--space", "builtin:quintic_gap", "--grid", "5", "--samples", "7"],
+        "--samples has no effect with --grid",
+    ),
+    "ball --candidates --bound": (
+        ["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3",
+         "--candidates", "1,2", "--bound", "2"],
+        "--bound has no effect with --candidates",
+    ),
+} | {
+    f"{command} --bound on a finite carrier": (
+        [command, *(a.replace("quintic_ray", "two_point_a").replace("quintic_gap", "two_point_a")
+                    for a in MINIMAL_ARGV[command]), "--bound", "5"],
+        "--bound has no effect on a finite carrier",
+    )
+    for command in BOUND_COMMANDS
+}
+
+
+class TestFlagsThatChangeNothing:
+    @pytest.mark.parametrize("path", sorted(IGNORED_FLAGS))
+    def test_flag_is_one_error_line(self, path, capsys):
+        argv, message = IGNORED_FLAGS[path]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "path",
+        ["certify --grid --samples", "ball --candidates --bound", "verify-axioms --bound on a finite carrier"],
+    )
+    def test_without_the_flag_the_path_runs(self, path, capsys):
+        argv, message = IGNORED_FLAGS[path]
+        flag = message.split()[0]
+        argv = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
+        assert run_cli(*argv) == 0
+
+    def test_samples_defaults_to_200(self, capsys):
+        assert run_cli("certify", "--space", "builtin:quintic_gap", "--format", "json") == 0
+        default = capsys.readouterr().out
+        assert run_cli("certify", "--space", "builtin:quintic_gap", "--samples", "200", "--format", "json") == 0
+        assert capsys.readouterr().out == default
+
+
 def run_captured(argv):
     """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -587,7 +703,7 @@ class TestSpaceFileFuzz:
         path.write_text(text, encoding="utf-8")
         for command, extra, verdict in (
             ("verify-axioms", ["--variant", variant], "passed"),
-            ("topology", [], "valid"),
+            ("topology", [], "base"),
         ):
             argv = [command, "--space", f"file:{path}", *extra]
             code, out, err = run_captured(argv)
@@ -690,6 +806,7 @@ def comparison_files(tmp_path_factory):
         "bump": json.dumps(BUMP),
         "near-identity": "[[0, 0], [1, 0.999]]",
         "overflow": "[[-1e308, 0], [1e308, 1]]",
+        "undecided": "[[0, 0], [1, 0.5], [2, 0.2], [4, 6]]",
         "garbage": "[[0, 0], [1",
         "empty": "",
     }
@@ -711,6 +828,16 @@ class TestCheckComparison:
         code, out, _ = run_captured(["check-comparison", "--fn", f"file:{comparison_files['near-identity']}",
                                      "--kind", "matkowski"])
         assert code == 0 and "passed: True" in out
+
+    def test_a_failure_without_witness_shows_its_detail(self, comparison_files):
+        argv = ["check-comparison", "--fn", f"file:{comparison_files['undecided']}", "--kind", "matkowski"]
+        code, out, err = run_captured(argv)
+        assert code == 1 and err == ""
+        assert "  iterate-decay: FAIL: undecided without monotonicity: fn(3.0) >= 3.0\n" in out
+        assert "  monotone: FAIL (witness (1.5, 1.75))\n" in out
+        check = next(c for c in json.loads(run_captured([*argv, "--format", "json"])[1])["checks"]
+                     if c["name"] == "iterate-decay")
+        assert check["witness"] is None
 
     def test_paper_tau_is_boyd_wong(self):
         assert run_captured(["check-comparison", "--fn", "paper_tau"])[0] == 0

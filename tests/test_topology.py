@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,20 +12,17 @@ from psbmetric import (
     FiniteCarrier,
     FiniteTopology,
     InfeasibleExhaustive,
-    NotInBall,
     RegionCarrier,
     SeparationReport,
     UnknownPoint,
+    ball_base_witness,
     builtin_space,
-    canonical_radii,
     exhaustive_points,
     generate_topology,
-    inner_ball_radius,
     is_connected,
     open_ball,
     random_tabulated_space,
     random_valid_space,
-    sample_carrier,
     separation_report,
     tabulated_space,
     uncovered_witness,
@@ -33,7 +31,7 @@ from psbmetric import (
     witness_candidates,
 )
 from psbmetric.errors import PsbmError
-from psbmetric.numerics import strictly_less
+from psbmetric.numerics import point_sort_key, strictly_less
 from psbmetric.spaces import RuleMetric, quintic
 from psbmetric.topology import sorted_labels, sorted_points
 
@@ -44,6 +42,53 @@ GAP = builtin_space("quintic_gap")
 
 SIERPINSKI = frozenset({frozenset(), frozenset({2}), frozenset({1, 2})})
 DISCRETE = frozenset({frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})})
+
+
+def reference_canonical_radii(space, center, candidates) -> list:
+    """Radii realizing every distinct ball centered at `center`: one strictly
+    between consecutive distance thresholds (midpoints) plus one above the
+    largest threshold."""
+    self_d = space.metric(center, center, center)
+    thresholds = sorted(
+        {gap for z in candidates if (gap := space.metric(center, center, z) - self_d) > 0}
+    )
+    radii = []
+    prev = 0
+    for g in thresholds:
+        radii.append((prev + g) / 2)
+        prev = g
+    radii.append(prev + 1)
+    return radii
+
+
+def reference_canonical_balls(space, center, pts):
+    return [open_ball(space, center, r, pts).members for r in reference_canonical_radii(space, center, pts)]
+
+
+def reference_union_closure(space):
+    """The opens generate_topology built before it read the smallest balls:
+    every union of canonical balls. A topology exactly when every ball is
+    open."""
+    pts = exhaustive_points(space)
+    balls = {ball for center in pts for ball in reference_canonical_balls(space, center, pts)}
+    opens = {frozenset()}
+    for ball in balls:
+        opens |= {o | ball for o in opens}
+    return opens
+
+
+def reference_ball_base_failures(space):
+    """Every (x, v, z) such that some canonical ball at x holds v and misses
+    a point z of v's smallest ball, the ball at its first canonical radius."""
+    pts = exhaustive_points(space)
+    smallest = {x: reference_canonical_balls(space, x, pts)[0] for x in pts}
+    return {
+        (x, v, z)
+        for x in pts
+        for ball in reference_canonical_balls(space, x, pts)
+        for v in ball
+        for z in smallest[v] - ball
+    }
 
 
 def brute_force_topology(space):
@@ -158,20 +203,44 @@ def assert_sweep_matches_reference(space, family, subfamilies, bound, candidates
     return set(expected)
 
 
-def tabulated_families(count=600):
-    """Topologies generated from random tables over 2 to 4 points; the
-    invalid tables among them give families that are not topologies."""
+def tabulated_spaces(count=600):
+    """Random tables over 2 to 4 points, many of them invalid; every other
+    one has a quarter or a half added to some values, so floats meet ints."""
     rng = random.Random("oracle:tabulated")
     for i in range(count):
         labels = tuple(range(1, 2 + i % 3 + 1))
-        yield generate_topology(random_tabulated_space(rng, labels))
+        space = random_tabulated_space(rng, labels)
+        if i % 2:
+            table = {k: v + rng.choice((0, 0.25, 0.5)) for k, v in space.metric.table.items()}
+            space = tabulated_space(labels, table)
+        yield space
 
 
-def valid_space_families(count=200):
-    """The first draws of repro's T0 item at seed 0, non-topologies included."""
-    rng = random.Random("psbm:t0:0")
-    for _ in range(count):
-        yield generate_topology(random_valid_space(rng))
+def tabulated_families(count=600):
+    """Topologies generated from tabulated_spaces."""
+    for space in tabulated_spaces(count):
+        yield generate_topology(space)
+
+
+def valid_draws(seeds=(0,), count=200):
+    """Draws of repro's T0 item: `count` per seed."""
+    for seed in seeds:
+        rng = random.Random(f"psbm:t0:{seed}")
+        for _ in range(count):
+            yield random_valid_space(rng)
+
+
+def valid_space_families():
+    """Topologies of the first draws of repro's T0 item at seed 0."""
+    for space in valid_draws():
+        yield generate_topology(space)
+
+
+def union_closure_families():
+    """The union-closures of the balls of the same draws, non-topologies
+    included."""
+    for space in valid_draws():
+        yield FiniteTopology(frozenset(exhaustive_points(space)), frozenset(reference_union_closure(space)))
 
 
 def subset_families(count=400):
@@ -221,62 +290,24 @@ class TestOpenBall:
             open_ball(RAY, 1, radius, [1, 2, 3])
 
 
-class TestInnerBall:
-    def test_two_point_a_inner_ball(self):
-        c, verdict = inner_ball_radius(TWO_A, 1, 1, 2, [1, 2])
-        assert c == 0.25 and verdict
-        inner = open_ball(TWO_A, 2, c, [1, 2]).members
-        outer = open_ball(TWO_A, 1, 1, [1, 2]).members
-        assert inner == frozenset({2}) and outer == frozenset({1, 2})
-
-    def test_same_center_keeps_radius(self):
-        c, verdict = inner_ball_radius(TWO_A, 1, 1, 1, [1, 2])
-        assert c == 1 and verdict
-
-    def test_ray_reflexive_containment(self):
-        candidates = sorted(set(sample_carrier(RAY)) | {1})
-        c, verdict = inner_ball_radius(RAY, 1, 3, 1, candidates)
-        assert c == 3 and verdict
-
-    def test_not_in_ball(self):
-        with pytest.raises(NotInBall):
-            inner_ball_radius(TWO_B, 1, 0.5, 2, [1, 2])
-
-    def test_default_candidates_come_from_carrier_sample(self):
-        c, verdict = inner_ball_radius(TWO_A, 1, 1, 2)
-        assert c == 0.25 and verdict
-
-    def test_every_ball_member_gets_an_inner_ball(self):
-        # Openness of balls, checked over every canonical ball of the
-        # finite builtins.
-        for space in (TWO_A, TWO_B):
-            pts = list(exhaustive_points(space))
-            for center in pts:
-                for radius in canonical_radii(space, center, pts):
-                    ball = open_ball(space, center, radius, pts)
-                    for member in ball.members:
-                        _, verdict = inner_ball_radius(space, center, radius, member, pts)
-                        assert verdict
-
-
-class TestCanonicalRadii:
+class TestReferenceCanonicalRadii:
     def test_two_point_a_center_2_realizes_both_balls(self):
         gaps = sorted(
             TWO_A.metric(2, 2, z) - TWO_A.metric(2, 2, 2)
             for z in (1, 2)
         )
         assert gaps == [0, 4]
-        radii = canonical_radii(TWO_A, 2, [1, 2])
+        radii = reference_canonical_radii(TWO_A, 2, [1, 2])
         balls = {open_ball(TWO_A, 2, r, [1, 2]).members for r in radii}
         assert balls == {frozenset({2}), frozenset({1, 2})}
 
     def test_single_candidate(self):
-        radii = canonical_radii(TWO_A, 2, [2])
+        radii = reference_canonical_radii(TWO_A, 2, [2])
         assert len(radii) == 1
         assert open_ball(TWO_A, 2, radii[0], [2]).members == frozenset({2})
 
     def test_two_point_b_center_1_realizes_both_balls(self):
-        radii = canonical_radii(TWO_B, 1, [1, 2])
+        radii = reference_canonical_radii(TWO_B, 1, [1, 2])
         balls = {open_ball(TWO_B, 1, r, [1, 2]).members for r in radii}
         assert balls == {frozenset({1}), frozenset({1, 2})}
 
@@ -287,7 +318,7 @@ class TestCanonicalRadii:
         table = dict(TWO_B.metric.table)
         table[(1, 1, 2)] = 1
         space = tabulated_space((1, 2), table)
-        radii = canonical_radii(space, 1, [1, 2])
+        radii = reference_canonical_radii(space, 1, [1, 2])
         assert radii == [1]
         assert open_ball(space, 1, radii[0], [1, 2]).members == frozenset({1, 2})
 
@@ -298,11 +329,7 @@ class TestCanonicalRadii:
                 sweep = {
                     open_ball(space, center, k / 4, pts).members for k in range(1, 41)
                 }
-                canonical = {
-                    open_ball(space, center, r, pts).members
-                    for r in canonical_radii(space, center, pts)
-                }
-                assert canonical == sweep
+                assert set(reference_canonical_balls(space, center, pts)) == sweep
 
 
 class TestGenerateTopology:
@@ -328,15 +355,66 @@ class TestGenerateTopology:
         for space in (TWO_A, TWO_B):
             pts = list(exhaustive_points(space))
             topology = generate_topology(space)
-            balls = {
-                open_ball(space, c, r, pts).members
-                for c in pts
-                for r in canonical_radii(space, c, pts)
-            }
+            balls = {ball for c in pts for ball in reference_canonical_balls(space, c, pts)}
             assert balls <= topology.opens
             for o in topology.opens:
                 pieces = [b for b in balls if b <= o]
                 assert frozenset().union(*pieces) == o if pieces else o == frozenset()
+
+    def test_smallest_ball_of_a_negative_gap_table_is_the_carrier(self):
+        # dist(1,1,2) below the self distance: no gap at 1 is positive, so
+        # M_1 is the ball of radius 1 and holds 2.
+        table = dict(TWO_B.metric.table)
+        table[(1, 1, 2)] = 1
+        topology = generate_topology(tabulated_space((1, 2), table))
+        assert topology.opens == frozenset({frozenset(), frozenset({2}), frozenset({1, 2})})
+
+    def test_a_point_outside_its_smallest_ball_keeps_a_neighbourhood(self):
+        # The radius 50 is below the comparator's margin (1e-12 of 1e15), so
+        # each smallest ball comes out empty; U_x still holds x.
+        table = {t: 1e15 + 100 for t in itertools.product((1, 2), repeat=3)}
+        table[(1, 1, 1)] = table[(2, 2, 2)] = 1e15
+        space = tabulated_space((1, 2), table)
+        assert open_ball(space, 1, 50.0, [1, 2]).members == frozenset()
+        topology = generate_topology(space)
+        assert topology.opens == DISCRETE and verify_topology_axioms(topology)
+
+    def test_opens_are_a_t0_topology_on_every_valid_draw(self):
+        # Seeds 0..4 of repro's T0 item. Where every ball is open the opens
+        # are the union-closure of the balls; elsewhere that closure is no
+        # topology, and the opens differ from it.
+        base = Counter()
+        for space in valid_draws(seeds=range(5)):
+            topology = generate_topology(space)
+            assert verify_topology_axioms(topology)
+            assert separation_report(topology).t0
+            is_base = ball_base_witness(space) is None
+            assert (topology.opens == reference_union_closure(space)) == is_base
+            base[is_base] += 1
+        assert base == {True: 927, False: 73}
+
+
+class TestBallBaseWitness:
+    def test_builtins_balls_are_a_base(self):
+        assert ball_base_witness(TWO_A) is None and ball_base_witness(TWO_B) is None
+
+    def test_region_carrier_rejected(self):
+        with pytest.raises(InfeasibleExhaustive):
+            ball_base_witness(RAY)
+
+    def test_agrees_with_the_canonical_balls(self):
+        # The first failure by x, then z, then v, or None when there is none.
+        found = Counter()
+        for space in tabulated_spaces():
+            failures = reference_ball_base_failures(space)
+            first = min(
+                failures,
+                key=lambda t: (point_sort_key(t[0]), point_sort_key(t[2]), point_sort_key(t[1])),
+                default=None,
+            )
+            assert ball_base_witness(space) == first
+            found[first is None] += 1
+        assert found[True] and found[False]
 
 
 class TestTopologyAxioms:
@@ -437,10 +515,16 @@ class TestConnected:
 
 class TestMinimalOpensMatchExhaustiveSearch:
     @pytest.mark.parametrize(
-        "families", [tabulated_families, valid_space_families, subset_families]
+        "families, verdicts",
+        [
+            (tabulated_families, {True}),
+            (valid_space_families, {True}),
+            (union_closure_families, {True, False}),
+            (subset_families, {True, False}),
+        ],
     )
-    def test_verdicts_match_reference(self, families):
-        verdicts = set()
+    def test_verdicts_match_reference(self, families, verdicts):
+        seen = set()
         for topology in families():
             valid = verify_topology_axioms(topology)
             assert valid == reference_verify_topology_axioms(topology)
@@ -449,17 +533,23 @@ class TestMinimalOpensMatchExhaustiveSearch:
                 == reference_separation_report(topology).to_dict()
             )
             assert is_connected(topology) == reference_is_connected(topology)
-            verdicts.add(valid)
-        assert verdicts == {True, False}
+            seen.add(valid)
+        assert seen == verdicts
 
     def test_valid_space_whose_balls_are_no_base(self):
-        # Draw 2 of repro's T0 seed 0: {1,2} and {2,3} are open, {2} is not.
-        rng = random.Random("psbm:t0:0")
-        for _ in range(3):
-            topology = generate_topology(random_valid_space(rng))
-        assert {frozenset({1, 2}), frozenset({2, 3})} <= topology.opens
-        assert frozenset({2}) not in topology.opens
-        assert not verify_topology_axioms(topology)
+        # Draw 2 of repro's T0 seed 0: the ball {2, 3} at 3 is not open, as
+        # 1 lies in M_2; its union-closure holds {1,2} and {2,3} but not {2}.
+        space = list(valid_draws(count=3))[2]
+        assert ball_base_witness(space) == (3, 2, 1)
+        assert {frozenset({1, 2}), frozenset({2, 3})} <= reference_union_closure(space)
+        assert frozenset({2}) not in reference_union_closure(space)
+        topology = generate_topology(space)
+        assert topology.opens == {
+            frozenset(), frozenset({1}), frozenset({3}),
+            frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 2, 3}),
+        }
+        assert verify_topology_axioms(topology)
+        assert reference_verify_topology_axioms(topology)
         assert separation_report(topology).t0
 
 
