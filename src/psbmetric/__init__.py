@@ -10,6 +10,7 @@ from .errors import (
     EmptySubfamily,
     IncompleteTable,
     InfeasibleExhaustive,
+    InvalidArgument,
     InvalidExponents,
     NegativeValue,
     NotAFixedPoint,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for pass/success verdicts, 1 for verified failures (axiom
 violations, inequality failures, non-convergence), 2 for usage or parse
-errors, 141 when the reader closes stdout early. Reports print as text by
-default or as JSON with --format json.
+errors, 3 for an internal error (an exception the program does not raise
+deliberately), 141 when the reader closes stdout early. Reports print as
+text by default or as JSON with --format json.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import os
 import sys
 
 from . import comparison, contraction, fixpoint, repro, spaces, topology
-from .errors import PsbmError
+from .errors import InvalidArgument, PsbmError
 from .numerics import point_label
 from .spaces import AxiomSet, RegionCarrier, parse_point
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_PIPE = 128 + 13  # SIGPIPE
 
 _VARIANTS = {v.value: v for v in AxiomSet}
@@ -76,12 +78,15 @@ def parse_points_list(text: str) -> list:
 
 def _parse_indices(text: str) -> list:
     out = []
-    for token in text.replace(",", " ").split():
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(token))
+    try:
+        for token in text.replace(",", " ").split():
+            if ".." in token:
+                lo, hi = token.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(token))
+    except ValueError as exc:
+        raise InvalidArgument(str(exc)) from None
     return out
 
 
@@ -442,9 +447,10 @@ def main(argv=None) -> int:
     except PsbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        # A defect, not a verdict or a usage error: one line, no traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -24,7 +24,7 @@ from itertools import chain, islice, repeat
 from operator import le, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
-from .errors import InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
+from .errors import InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import leq, point_label, point_sort_key
 from .spaces import PartialSbSpace, RegionCarrier, sample_carrier
 
@@ -219,7 +219,7 @@ def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
     """Exactly the sampled points the map sends to themselves."""
     sample = list(sample)
     if not sample:
-        raise ValueError("sample must be nonempty")
+        raise InvalidArgument("sample must be nonempty")
     return tuple(sorted({x for x in sample if mapping(x) == x}, key=point_sort_key))
 
 
@@ -270,7 +270,7 @@ def certify(
     Triples containing fixed points are skipped and reported.
     """
     if sample_count is not None and sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+        raise InvalidArgument("sample_count must be >= 1")
     pool = list(points) if points is not None else sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(spec.mapping, pool))
     active = [x for x in pool if x not in fixed]
@@ -474,7 +474,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     ):
         raise WrongSpaceShape("expected isolated points {0, 3} plus a ray")
     if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
+        raise InvalidArgument("grid_size must be >= 3")
     grid = ray_grid(carrier, grid_size)
     points = [3] + grid
     sides = InequalitySides(space, spec, points)

@@ -5,6 +5,11 @@ class PsbmError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+class InvalidArgument(PsbmError, ValueError):
+    """An argument outside its domain, such as a radius <= 0 or a count < 1.
+    Also a ValueError, so code that catches ValueError still catches it."""
+
+
 class UnknownPoint(PsbmError):
     """A point argument is not part of the carrier (or candidate set)."""
 

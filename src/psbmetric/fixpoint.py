@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
-from .errors import NotAFixedPoint, TraceTooShort, UnknownPoint
+from .errors import InvalidArgument, NotAFixedPoint, TraceTooShort, UnknownPoint
 from .numerics import leq, point_label, point_sort_key, points_close
 from .spaces import PartialSbSpace, require_point
 
@@ -51,9 +51,9 @@ def picard_iterate(
     image off the carrier raises UnknownPoint naming the map, the point and
     its image."""
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise InvalidArgument("max_iter must be >= 1")
     if isinstance(a0, float) and not math.isfinite(a0):
-        raise ValueError(f"start point must be finite, got {a0}")
+        raise InvalidArgument(f"start point must be finite, got {a0}")
     require_point(space, a0)
     orbit = [a0]
     converged = False
@@ -115,7 +115,7 @@ def cauchy_diagnostic(space: PartialSbSpace, trace: IterationTrace, tail: int = 
     """Pairwise distances over the last `tail` orbit points, compared against
     the self-distance at the trace's final point."""
     if tail < 1:
-        raise ValueError("tail must be >= 1")
+        raise InvalidArgument("tail must be >= 1")
     if len(trace.orbit) < tail + 2:
         raise TraceTooShort(f"need at least {tail + 2} orbit points, have {len(trace.orbit)}")
     window = trace.orbit[-tail:]
@@ -142,7 +142,7 @@ def cauchy_diagnostic(space: PartialSbSpace, trace: IterationTrace, tail: int = 
 def matkowski_envelope_check(trace: IterationTrace, fn: ComparisonFn):
     """gaps[k] <= fn^k(gaps[0]) for all k; returns (ok, first violating index)."""
     if fn.kind != MATKOWSKI:
-        raise ValueError("envelope check needs a Matkowski-tagged comparison function")
+        raise InvalidArgument("envelope check needs a Matkowski-tagged comparison function")
     if not trace.gaps:
         return True, None
     envelope = trace.gaps[0]

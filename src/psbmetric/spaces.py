@@ -12,14 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .errors import (
     DistanceOverflow,
     IncompleteTable,
     InfeasibleExhaustive,
+    InvalidArgument,
     NegativeValue,
     ParseError,
     UnknownBuiltin,
@@ -45,9 +46,9 @@ class FiniteCarrier:
 
     def __post_init__(self):
         if not self.points:
-            raise ValueError("carrier must contain at least one point")
+            raise InvalidArgument("carrier must contain at least one point")
         if len(set(self.points)) != len(self.points):
-            raise ValueError("carrier points must be distinct")
+            raise InvalidArgument("carrier points must be distinct")
 
 
 @dataclass(frozen=True)
@@ -81,21 +82,31 @@ Carrier = FiniteCarrier | RegionCarrier
 
 @dataclass(frozen=True)
 class TabulatedMetric:
-    """Distance given by an explicit value per ordered triple of points."""
+    """Distance given by an explicit value per ordered triple of points,
+    stored as rows: rows[i][j][k] = S(points[i], points[j], points[k])."""
 
     points: tuple
-    table: Mapping
+    rows: tuple
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.points)})
 
     def __call__(self, p, q, r):
+        index = self._index
         try:
-            return self.table[(p, q, r)]
+            return self.rows[index[p]][index[q]][index[r]]
         except KeyError:
-            for x in (p, q, r):
-                if x not in self.points:
-                    raise UnknownPoint(f"point {point_label(x)} is not in the carrier") from None
-            raise IncompleteTable(
-                f"no table entry for triple ({point_label(p)}, {point_label(q)}, {point_label(r)})"
-            ) from None
+            x = next(x for x in (p, q, r) if x not in index)
+            raise UnknownPoint(f"point {point_label(x)} is not in the carrier") from None
+
+    @property
+    def table(self) -> dict:
+        """The value per ordered triple, as a new dict in carrier order."""
+        return {
+            (p, q, r): self.rows[i][j][k]
+            for (i, p), (j, q), (k, r) in itertools.product(enumerate(self.points), repeat=3)
+        }
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ class PartialSbSpace:
 
     def __post_init__(self):
         if self.coefficient < 1:
-            raise ValueError("coefficient must be >= 1")
+            raise InvalidArgument("coefficient must be >= 1")
 
 
 def exhaustive_points(space: PartialSbSpace) -> tuple:
@@ -165,7 +176,7 @@ def sample_carrier(space: PartialSbSpace, count: int = DEFAULT_SAMPLE_COUNT, see
     continuous parts, count points in total; repeatable for fixed (count, seed).
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidArgument("count must be >= 1")
     carrier = space.carrier
     if isinstance(carrier, FiniteCarrier):
         return list(carrier.points)
@@ -320,35 +331,27 @@ def check_axioms(
     otherwise that many quadruples are drawn from a deterministic carrier
     sample and lower-arity axioms see the quadruples' leading coordinates,
     so any sampled violation is also found by the exhaustive scan.
+
+    The verdicts come from one pass over tables of the point set (see
+    _check_by_tables). Should that pass raise, the tuple-by-tuple check
+    runs instead, so an error surfaces at the tuple, and with the message,
+    that the tuple-by-tuple order meets first.
     """
     axioms = _AXIOMS[variant]
     if sample_count is None:
         pts = exhaustive_points(space)
-
-        def tuples_of(arity: int) -> Iterator[tuple]:
-            return itertools.product(pts, repeat=arity)
+        checked = sum(len(pts) ** arity for _, arity, _, _ in axioms)
     else:
         if sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        pool = sample_carrier(space, seed=seed)
-        rng = random.Random(f"psbm:axioms:{seed}")
-        quads = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(sample_count)]
-
-        def tuples_of(arity: int) -> Iterator[tuple]:
-            return (q[:arity] for q in quads)
-
-    checked = 0
-    found = {}
-    for index, arity, checker, options in axioms:
-        for tpl in tuples_of(arity):
-            checked += 1
-            try:
-                bad = checker(space, tpl, options)
-            except OverflowError:
-                labels = ", ".join(point_label(x) for x in tpl)
-                raise DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range") from None
-            if bad is not None:
-                found.setdefault((index, tpl), bad)
+            raise InvalidArgument("sample_count must be >= 1")
+        pts = sample_carrier(space, seed=seed)
+        if not pts:
+            raise InvalidArgument("sample must be nonempty")
+        checked = len(axioms) * sample_count
+    try:
+        found = _check_by_tables(space, axioms, pts, sample_count, seed)
+    except Exception:
+        found = _check_by_tuples(space, axioms, pts, sample_count, seed)
     violations = tuple(
         Violation(index, tpl, lhs, rhs)
         for (index, tpl), (lhs, rhs) in sorted(
@@ -357,6 +360,121 @@ def check_axioms(
         )
     )
     return AxiomReport(variant, checked, violations)
+
+
+def _sampled_positions(pool_size: int, sample_count: int, seed: int) -> Iterator[tuple]:
+    """The sampled quadruples as positions in the pool, drawn one at a time."""
+    rng = random.Random(f"psbm:axioms:{seed}")
+    positions = range(pool_size)
+    for _ in range(sample_count):
+        yield rng.choice(positions), rng.choice(positions), rng.choice(positions), rng.choice(positions)
+
+
+def _check_by_tuples(space, axioms, pts, sample_count, seed) -> dict:
+    """{(axiom, tuple): (lhs, rhs)} per violated tuple, first occurrence
+    kept, running each axiom's checker on every tuple in turn."""
+    if sample_count is None:
+
+        def tuples_of(arity: int) -> Iterator[tuple]:
+            return itertools.product(pts, repeat=arity)
+    else:
+        quads = [tuple(pts[i] for i in quad) for quad in _sampled_positions(len(pts), sample_count, seed)]
+
+        def tuples_of(arity: int) -> Iterator[tuple]:
+            return (q[:arity] for q in quads)
+
+    found = {}
+    for index, arity, checker, options in axioms:
+        for tpl in tuples_of(arity):
+            try:
+                bad = checker(space, tpl, options)
+            except OverflowError:
+                labels = ", ".join(point_label(x) for x in tpl)
+                raise DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range") from None
+            if bad is not None:
+                found.setdefault((index, tpl), bad)
+    return found
+
+
+def _rectangle_rhs(pair_sums, thirds, selfs, t, partial, scaled) -> list:
+    """The rectangle's right-hand sides over aligned lists, in the checker's
+    order: pair_sums hold S(p,p,s) + S(q,q,s), thirds S(r,r,s) and selfs
+    S(s,s,s); the sum times t when `scaled`, less S(s,s,s) when `partial`."""
+    if partial and scaled:
+        return [t * (a + b) - c for a, b, c in zip(pair_sums, thirds, selfs)]
+    if partial:
+        return [a + b - c for a, b, c in zip(pair_sums, thirds, selfs)]
+    if scaled:
+        return [t * (a + b) for a, b in zip(pair_sums, thirds)]
+    return [a + b for a, b in zip(pair_sums, thirds)]
+
+
+def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
+    """_check_by_tuples' result from one pass per triple (exhaustive) or
+    per sampled quadruple, which evaluates S(p,q,r) once for identity,
+    self-minimality and the rectangle. The self-distances S(x,x,x) and the
+    rows S(x,x,s) are tabulated once over `pts`, by position: equal points
+    such as 3 and 3.0 may give an int and a float distance.
+
+    Each comparison and each arithmetic step is the checker's own, on the
+    same values, save one: an exhaustive rectangle row whose every
+    right-hand side is at least S(p,q,r) under a plain <= holds without a
+    walk over s, since leq is then true at its first test. A NaN, which
+    min() can pass over, is looked for only when t or a tabulated value is
+    not finite: otherwise each step adds, scales by or subtracts a finite
+    value, which may reach inf but never NaN.
+    """
+    dist = space.metric.__call__
+    t = space.coefficient
+    selfs = [dist(x, x, x) for x in pts]
+    pairs = [[dist(x, x, y) for y in pts] for x in pts]
+    roles = {checker: (index, options) for index, _, checker, options in axioms}
+    identity, (id_partial, id_pair) = roles[_identity]
+    self_min = roles.get(_self_min, (None,))[0]
+    symmetry = roles.get(_symmetry, (None,))[0]
+    rectangle, (partial, scaled) = roles[_rectangle]
+    found = {}
+
+    def check_triple(tpl, val, sp, sq, sr):
+        if id_partial:
+            agrees = values_equal(val, sp) and values_equal(val, sq) and values_equal(val, sr)
+        else:
+            agrees = values_equal(val, 0)
+        p, q, r = tpl
+        if (p == q if id_pair else p == q == r) != agrees:
+            found.setdefault((identity, tpl), (val, sp if id_partial else 0))
+        if self_min is not None and not leq(sp, val):
+            found.setdefault((self_min, tpl), (sp, val))
+
+    if sample_count is not None:
+        for i, j, k, m in _sampled_positions(len(pts), sample_count, seed):
+            p, q, r, s = pts[i], pts[j], pts[k], pts[m]
+            val = dist(p, q, r)
+            check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
+            if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
+                found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+            (rhs,) = _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
+            if not leq(val, rhs):
+                found.setdefault((rectangle, (p, q, r, s)), (val, rhs))
+        return found
+
+    positions = list(enumerate(pts))
+    if symmetry is not None:
+        for (i, p), (j, q) in itertools.product(positions, repeat=2):
+            if not values_equal(pairs[i][j], pairs[j][i]):
+                found[(symmetry, (p, q))] = (pairs[i][j], pairs[j][i])
+    maybe_nan = not all(x - x == 0 for x in itertools.chain((t,), selfs, *pairs))
+    for (i, p), (j, q) in itertools.product(positions, repeat=2):
+        pair_sums = [a + b for a, b in zip(pairs[i], pairs[j])]
+        for k, r in positions:
+            val = dist(p, q, r)
+            check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
+            row = _rectangle_rhs(pair_sums, pairs[k], selfs, t, partial, scaled)
+            if not val <= min(row) or (maybe_nan and any(x != x for x in row)):
+                for s, rhs in zip(pts, row):
+                    if not leq(val, rhs):
+                        found[(rectangle, (p, q, r, s))] = (val, rhs)
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -399,14 +517,21 @@ def builtin_space(name: str) -> PartialSbSpace:
 
 def tabulated_space(points, table, coefficient=1) -> PartialSbSpace:
     """Build a finite tabulated space, requiring a value for every ordered
-    triple. Axiom validity is NOT checked here; use check_axioms."""
+    triple of carrier points and no entry for any other point. Axiom
+    validity is NOT checked here; use check_axioms."""
     points = tuple(points)
     carrier = FiniteCarrier(points)
-    for tpl in itertools.product(points, repeat=3):
-        if tpl not in table:
-            labels = ", ".join(point_label(x) for x in tpl)
-            raise IncompleteTable(f"no table entry for triple ({labels})")
-    return PartialSbSpace(carrier, TabulatedMetric(points, dict(table)), coefficient)
+    try:
+        rows = tuple(tuple(tuple([table[(p, q, r)] for r in points]) for q in points) for p in points)
+    except KeyError as exc:
+        labels = ", ".join(point_label(x) for x in exc.args[0])
+        raise IncompleteTable(f"no table entry for triple ({labels})") from None
+    if len(table) != len(points) ** 3:
+        for tpl in table:
+            for x in tpl:
+                if x not in carrier.points:
+                    raise UnknownPoint(f"point {point_label(x)} is not in the carrier")
+    return PartialSbSpace(carrier, TabulatedMetric(points, rows), coefficient)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import DistanceOverflow, EmptySubfamily, PsbmError, UnknownPoint
+from .errors import DistanceOverflow, EmptySubfamily, InvalidArgument, PsbmError, UnknownPoint
 from .numerics import point_label, point_sort_key, strictly_less
 from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points
 
@@ -55,18 +55,21 @@ def sorted_labels(points: Iterable) -> list:
 def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     """Materialize D(center; radius) against a candidate point list."""
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InvalidArgument("radius must be positive")
     if not radius < math.inf:
-        raise ValueError(f"radius must be finite, got {radius}")
+        raise InvalidArgument(f"radius must be finite, got {radius}")
     candidates = list(candidates)
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
     self_d = space.metric(center, center, center)
     try:
+        cut = radius + self_d
+        # dist <= dist(c,c,c) lies inside every ball, as r > 0: the float
+        # margin of strictly_less must not drop the centre.
         members = frozenset(
             z
             for z in candidates
-            if strictly_less(space.metric(center, center, z), radius + self_d)
+            if (d := space.metric(center, center, z)) <= self_d or strictly_less(d, cut)
         )
     except OverflowError:
         raise DistanceOverflow(
@@ -283,7 +286,7 @@ def uncovered_witnesses(space: PartialSbSpace, family: CoverFamily, subfamilies,
         if not subfamily:
             raise EmptySubfamily("subfamily must contain at least one index")
         if not indices.issuperset(subfamily):
-            raise ValueError(f"indices {sorted(set(subfamily) - indices)} are not in the family")
+            raise InvalidArgument(f"indices {sorted(set(subfamily) - indices)} are not in the family")
         if self_d is None:
             self_d = space.metric(center, center, center)
         widest_int = widest_other = None
@@ -294,7 +297,7 @@ def uncovered_witnesses(space: PartialSbSpace, family: CoverFamily, subfamilies,
                 cut = family.radius(n) + self_d
                 is_int = type(cut) is int
                 if not (is_int or math.isfinite(cut)):
-                    raise ValueError(f"radius of index {n} is not finite")
+                    raise InvalidArgument(f"radius of index {n} is not finite")
                 cuts[n] = is_int, cut
             if is_int:
                 if widest_int is None or cut > widest_int:

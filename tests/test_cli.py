@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psbmetric import random_valid_space, tabulated_space
+from psbmetric import cli
 from psbmetric.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -581,6 +582,50 @@ class TestPointsOffTheCarrier:
         assert run_cli("ball", "--space", "builtin:quintic_ray", "--center", "100",
                        "--radius", "1", "--bound", "64") == 0
         assert capsys.readouterr().out == "D(100; 1.0) = {100}\n"
+
+
+class TestBallCentre:
+    def test_a_radius_below_the_float_margin_keeps_the_centre(self, tmp_path, capsys):
+        # Self-distances 1e15, every other value 2e15: the comparator's margin
+        # (1e-12 of 1e15) is wider than the radius, yet the centre lies in
+        # every ball around it.
+        lines = ["points: 1 2", "coefficient: 1"] + [
+            f"{p} {q} {r} {'1e15' if p == q == r else '2e15'}"
+            for p, q, r in itertools.product((1, 2), repeat=3)
+        ]
+        path = tmp_path / "space.psb"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("verify-axioms", "--space", f"file:{path}") == 0
+        capsys.readouterr()
+        argv = ["ball", "--space", f"file:{path}", "--center", "1", "--radius", "0.5", "--candidates", "1,2"]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == "D(1; 0.5) = {1}\n"
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [TypeError("unsupported operand"), ValueError("math domain error")])
+    def test_an_unexpected_exception_is_exit_3_and_one_line(self, error, monkeypatch, capsys):
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_verify_axioms", broken)
+        assert run_cli("verify-axioms", "--space", "builtin:two_point_a") == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "-1"], "radius must be positive"),
+        (["cover-witness", "--space", "builtin:quintic_ray", "--center", "1", "--indices", "3..x"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["verify-axioms", "--space", "builtin:quintic_ray", "--bound", "0.5", "--samples", "5"],
+         "sample must be nonempty"),
+    ], ids=["invalid-argument", "indices", "empty-sample"])
+    def test_usage_errors_stay_exit_2(self, argv, message, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestEmptyCoverScan:

@@ -28,7 +28,7 @@ from psbmetric import (
     sample_carrier,
     tabulated_space,
 )
-from psbmetric.numerics import leq, point_sort_key, values_equal
+from psbmetric.numerics import leq, point_label, point_sort_key, values_equal
 from psbmetric.spaces import AxiomReport, Violation
 
 TWO_POINT_B_FILE = """\
@@ -195,7 +195,11 @@ def reference_check_axioms(space, variant, sample_count=None, seed=0):
     for index, arity, checker in REFERENCE_AXIOMS[variant]:
         for tpl in tuples_of(arity):
             checked += 1
-            bad = checker(space, tpl)
+            try:
+                bad = checker(space, tpl)
+            except OverflowError:
+                labels = ", ".join(point_label(x) for x in tpl)
+                raise DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range") from None
             if bad is not None:
                 found.setdefault((index, tpl), bad)
     violations = tuple(
@@ -267,6 +271,129 @@ def reference_corpus():
     return spaces_out
 
 
+def report_reprs(report):
+    """The report with each witness and side value by repr: 3 and 3.0, or
+    8 and 8.0, differ here though they compare equal."""
+    return report.variant, report.checked_count, [
+        (v.axiom, repr(v.witness), repr(v.lhs), repr(v.rhs)) for v in report.violations
+    ]
+
+
+def assert_matches_reference(space, variant, sample_count=None, seed=0):
+    """check_axioms gives the reference's report, bit for bit, or raises the
+    reference's error type with its message; returns the report or None."""
+    try:
+        expected = reference_check_axioms(space, variant, sample_count, seed)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            check_axioms(space, variant, sample_count, seed)
+        assert str(raised.value) == str(exc), (space, variant, sample_count, seed)
+        return None
+    report = check_axioms(space, variant, sample_count, seed)
+    assert report_reprs(report) == report_reprs(expected), (space, variant, sample_count, seed)
+    return report
+
+
+def clustered_table(rng, sizes):
+    """A finite_topology bench table: S(x,y,z) = max(w_x,w_y,w_z) + d(x,z)
+    + d(y,z), d the distance between cluster positions, distinct weights."""
+    n = sum(sizes)
+    positions = rng.sample(range(10 * len(sizes) + 10), len(sizes))
+    where = [pos for size, pos in zip(sizes, positions) for _ in range(size)]
+    rng.shuffle(where)
+    weights = rng.sample(range(5 * n), n)
+    return {
+        (x, y, z): max(weights[x], weights[y], weights[z]) + abs(where[x] - where[z]) + abs(where[y] - where[z])
+        for x, y, z in itertools.product(range(n), repeat=3)
+    }
+
+
+class TestOnePassMatchesTheTupleLoop:
+    """check_axioms decides every axiom from tables in one pass; its reports
+    (checked count, every violation, lhs and rhs by repr) and its errors must
+    be those of the tuple-by-tuple reference."""
+
+    def test_sampled_quadruples_that_repeat(self):
+        # At most 4 points and 60 quadruples: most tuples are drawn again.
+        for i, space in enumerate(reference_corpus()[::4]):
+            for variant in AxiomSet:
+                assert_matches_reference(space, variant, sample_count=60, seed=i % 7)
+
+    def test_clustered_bench_tables(self):
+        rng = random.Random("axioms:clustered")
+        for sizes in ((3, 2), (5,), (2, 2, 1, 1), (4, 3), (1,) * 7):
+            table = clustered_table(rng, sizes)
+            labels = tuple(range(sum(sizes)))
+            # The bench's own table (valid), then one entry lowered and a
+            # float copy with a scaled coefficient.
+            lowered = dict(table)
+            lowered[rng.choice(sorted(lowered))] -= 3
+            floats = {t: v + 0.25 for t, v in lowered.items()}
+            for tab, coefficient in ((table, 1), (lowered, 1), (floats, 1.5)):
+                space = tabulated_space(labels, tab, coefficient)
+                for variant in AxiomSet:
+                    assert_matches_reference(space, variant)
+                    assert_matches_reference(space, variant, sample_count=200, seed=len(labels))
+
+    def test_a_pool_holding_3_and_3_0(self):
+        # The pool is [3, 5, 3.0]; the rule gives 3 and 3.0 an int and a float
+        # self-distance, so tables keyed by value would report the wrong one.
+        carrier = RegionCarrier(isolated=(3, 5), intervals=((3.0, 3.0),))
+        rule = RuleMetric("sum-or-one", lambda p, q, r: p + q + r if p == q == r else 1)
+        space = PartialSbSpace(carrier, rule, 1.5)
+        assert sample_carrier(space) == [3, 5, 3.0]
+        witnesses = set()
+        for seed in range(6):
+            for variant in AxiomSet:
+                report = assert_matches_reference(space, variant, sample_count=40, seed=seed)
+                witnesses.update(repr(v.witness[0]) for v in report.violations)
+        assert {"3", "3.0", "5"} <= witnesses
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), (1, 2, 3, 4)])
+    def test_rows_that_reach_inf_or_nan(self, labels):
+        rng = random.Random(f"axioms:non-finite:{labels}")
+        for i in range(120):
+            table = perturbed_table(rng, labels, floats=i % 2 == 1)
+            for tpl in rng.sample(sorted(table), rng.randint(1, 3)):
+                table[tpl] = rng.choice((math.inf, math.nan, 1e308, -math.inf))
+            space = tabulated_space(labels, table, rng.choice((1, 1.5, 2)))
+            for variant in AxiomSet:
+                assert_matches_reference(space, variant)
+                assert_matches_reference(space, variant, sample_count=40, seed=i)
+
+    def test_float_sums_round_in_the_checker_order(self):
+        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): a rectangle rhs summed in
+        # another order shows in the violations' repr.
+        rng = random.Random("axioms:rounding")
+        values = (0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16)
+        violations = 0
+        for i in range(150):
+            labels = (1, 2, 3)
+            table = {t: rng.choice(values) for t in itertools.product(labels, repeat=3)}
+            space = tabulated_space(labels, table, rng.choice((1, 1.5, 2)))
+            for variant in AxiomSet:
+                report = assert_matches_reference(space, variant)
+                violations += len(report.violations)
+                assert_matches_reference(space, variant, sample_count=40, seed=i)
+        assert violations
+
+    def test_ints_beyond_the_float_range(self):
+        big = 10 ** 400
+        rng = random.Random("axioms:big-ints")
+        raised = 0
+        for i in range(80):
+            labels = (1, 2, 3)
+            table = perturbed_table(rng, labels, floats=i % 3 == 2)
+            for tpl in rng.sample(sorted(table), rng.randint(1, 2)):
+                table[tpl] = big + rng.randint(0, 1)
+            space = tabulated_space(labels, table, rng.choice((1, 2, 1.5)))
+            for variant in AxiomSet:
+                for sample_count in (None, 30):
+                    raised += assert_matches_reference(space, variant, sample_count, seed=i) is None
+        # Both outcomes occur: exact integer reports and overflow errors.
+        assert 0 < raised < 80 * 8
+
+
 class TestOneCheckerPerAxiomKind:
     """check_axioms writes each axiom kind once and takes the variant
     differences from its table; the reports must equal those of the
@@ -277,10 +404,7 @@ class TestOneCheckerPerAxiomKind:
         failing = set()
         for space in corpus:
             for variant in AxiomSet:
-                report = check_axioms(space, variant)
-                expected = reference_check_axioms(space, variant)
-                assert report.to_dict() == expected.to_dict(), (space, variant)
-                assert report == expected
+                report = assert_matches_reference(space, variant)
                 if not report.passed:
                     failing.add(variant)
         # Every variant is seen failing somewhere in the corpus.
@@ -295,15 +419,12 @@ class TestOneCheckerPerAxiomKind:
         )
         for seed in range(5):
             for variant in AxiomSet:
-                report = check_axioms(space, variant, sample_count=400, seed=seed)
-                expected = reference_check_axioms(space, variant, sample_count=400, seed=seed)
-                assert report.to_dict() == expected.to_dict(), (seed, variant)
+                assert_matches_reference(space, variant, sample_count=400, seed=seed)
 
     def test_builtins_match_the_reference(self):
         for name in ("two_point_a", "two_point_b"):
             for variant in AxiomSet:
-                space = builtin_space(name)
-                assert check_axioms(space, variant) == reference_check_axioms(space, variant)
+                assert_matches_reference(builtin_space(name), variant)
 
 
 class TestEvaluateMetric:
@@ -412,6 +533,43 @@ class TestCheckAxioms:
         sampled = check_axioms(space, sample_count=60, seed=seed)
         exhaustive = check_axioms(space)
         assert set(sampled.violations) <= set(exhaustive.violations)
+
+
+class TestRowStorage:
+    def test_table_is_the_input_on_the_carrier(self):
+        rng = random.Random("rows:table")
+        for labels in ((1,), (2, 1), ("a", 2, 3.5), (4, 1, 3, 2)):
+            table = {t: rng.choice((rng.randint(0, 9), rng.uniform(0, 9))) for t in itertools.product(labels, repeat=3)}
+            shuffled = dict(rng.sample(sorted(table.items(), key=str), len(table)))
+            metric = tabulated_space(labels, shuffled).metric
+            assert metric.table == table
+            assert list(metric.table) == list(itertools.product(labels, repeat=3))
+            assert all(metric(*t) is v for t, v in table.items())
+            assert metric.rows[1 % len(labels)][0][-1] is table[(labels[1 % len(labels)], labels[0], labels[-1])]
+
+    def test_table_is_read_only(self):
+        metric = builtin_space("two_point_a").metric
+        with pytest.raises(AttributeError):
+            metric.table = {}
+
+    def test_a_key_off_the_carrier_is_an_unknown_point(self):
+        table = dict(builtin_space("two_point_b").metric.table)
+        table[(1, 3, 2)] = 8
+        with pytest.raises(UnknownPoint, match="^point 3 is not in the carrier$"):
+            tabulated_space((1, 2), table)
+
+    def test_a_call_off_the_carrier_names_the_first_unknown_point(self):
+        metric = builtin_space("two_point_b").metric
+        with pytest.raises(UnknownPoint, match="^point 5 is not in the carrier$"):
+            metric(1, 5, 7)
+        with pytest.raises(UnknownPoint, match="^point x is not in the carrier$"):
+            metric("x", 1, 2)
+
+    def test_equal_tables_give_equal_spaces(self):
+        table = builtin_space("two_point_b").metric.table
+        reordered = dict(reversed(list(table.items())))
+        assert tabulated_space((1, 2), reordered) == builtin_space("two_point_b")
+        assert tabulated_space((2, 1), table) != builtin_space("two_point_b")
 
 
 class TestBuiltinSpaces:

@@ -369,13 +369,13 @@ class TestGenerateTopology:
         topology = generate_topology(tabulated_space((1, 2), table))
         assert topology.opens == frozenset({frozenset(), frozenset({2}), frozenset({1, 2})})
 
-    def test_a_point_outside_its_smallest_ball_keeps_a_neighbourhood(self):
-        # The radius 50 is below the comparator's margin (1e-12 of 1e15), so
-        # each smallest ball comes out empty; U_x still holds x.
+    def test_a_smallest_ball_below_the_margin_holds_its_centre(self):
+        # The radius 50 is below the comparator's margin (1e-12 of 1e15):
+        # each smallest ball still holds its centre, and only it.
         table = {t: 1e15 + 100 for t in itertools.product((1, 2), repeat=3)}
         table[(1, 1, 1)] = table[(2, 2, 2)] = 1e15
         space = tabulated_space((1, 2), table)
-        assert open_ball(space, 1, 50.0, [1, 2]).members == frozenset()
+        assert open_ball(space, 1, 50.0, [1, 2]).members == frozenset({1})
         topology = generate_topology(space)
         assert topology.opens == DISCRETE and verify_topology_axioms(topology)
 
