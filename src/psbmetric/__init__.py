@@ -16,7 +16,6 @@ from .errors import (
     NotAFixedPoint,
     ParseError,
     PsbmError,
-    TraceTooShort,
     UnknownBuiltin,
     UnknownPoint,
     WrongSpaceShape,
@@ -55,7 +54,6 @@ from .topology import (
     open_ball,
     separation_report,
     uncovered_witness,
-    uncovered_witnesses,
     verify_topology_axioms,
     witness_candidates,
 )
@@ -89,9 +87,7 @@ from .contraction import (
     validate_exponents,
 )
 from .fixpoint import (
-    ConvergenceReport,
     IterationTrace,
-    cauchy_diagnostic,
     matkowski_envelope_check,
     picard_iterate,
     trace_to_csv,

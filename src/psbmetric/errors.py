@@ -50,9 +50,5 @@ class InvalidExponents(PsbmError):
     """Interpolation exponents must each lie in (0,1) and sum below 1."""
 
 
-class TraceTooShort(PsbmError):
-    """Iteration trace has fewer points than the diagnostic window needs."""
-
-
 class NotAFixedPoint(PsbmError):
     """Uniqueness check received a claimed point the map does not fix."""

@@ -1,4 +1,4 @@
-"""Picard iteration with convergence, Cauchy, and envelope diagnostics."""
+"""Picard iteration with convergence and envelope diagnostics."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ from dataclasses import dataclass
 
 from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
-from .errors import InvalidArgument, NotAFixedPoint, TraceTooShort, UnknownPoint
+from .errors import InvalidArgument, NotAFixedPoint, UnknownPoint
 from .numerics import leq, point_label, point_sort_key, points_close
 from .spaces import PartialSbSpace, require_point
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
-DEFAULT_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -91,52 +90,6 @@ def verify_fixed_point(space: PartialSbSpace, mapping: SelfMap, a, tol: float = 
     is_fixed = mapping(a) == a
     self_distance_zero = space.metric(a, a, a) <= tol
     return is_fixed, self_distance_zero
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    gap_monotone_nonincreasing: bool
-    gap_limit: float
-    cauchy_pairs_checked: int
-    max_pair_deviation: float
-    self_distance_at_limit: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gap_monotone_nonincreasing": self.gap_monotone_nonincreasing,
-            "gap_limit": self.gap_limit,
-            "cauchy_pairs_checked": self.cauchy_pairs_checked,
-            "max_pair_deviation": self.max_pair_deviation,
-            "self_distance_at_limit": self.self_distance_at_limit,
-        }
-
-
-def cauchy_diagnostic(space: PartialSbSpace, trace: IterationTrace, tail: int = DEFAULT_TAIL) -> ConvergenceReport:
-    """Pairwise distances over the last `tail` orbit points, compared against
-    the self-distance at the trace's final point."""
-    if tail < 1:
-        raise InvalidArgument("tail must be >= 1")
-    if len(trace.orbit) < tail + 2:
-        raise TraceTooShort(f"need at least {tail + 2} orbit points, have {len(trace.orbit)}")
-    window = trace.orbit[-tail:]
-    last = trace.orbit[-1]
-    reference = space.metric(last, last, last)
-    deviation = 0.0
-    pairs = 0
-    for i, u in enumerate(window):
-        for j, v in enumerate(window):
-            if i == j:
-                continue
-            pairs += 1
-            deviation = max(deviation, abs(space.metric(u, u, v) - reference))
-    monotone = all(leq(b, a) for a, b in zip(trace.gaps, trace.gaps[1:]))
-    return ConvergenceReport(
-        gap_monotone_nonincreasing=monotone,
-        gap_limit=trace.gaps[-1],
-        cauchy_pairs_checked=pairs,
-        max_pair_deviation=deviation,
-        self_distance_at_limit=reference,
-    )
 
 
 def matkowski_envelope_check(trace: IterationTrace, fn: ComparisonFn):

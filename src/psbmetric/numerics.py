@@ -62,12 +62,12 @@ def points_close(x, y, tol: float) -> bool:
 
 
 def point_sort_key(p):
-    """Total order over mixed numeric/label points, for normalized output."""
-    if isinstance(p, bool):
-        return (1, 0.0, str(p))
-    if isinstance(p, (int, float)):
-        return (0, float(p), "")
-    return (1, 0.0, str(p))
+    """Total order over mixed numeric/label points, for normalized output:
+    numbers first, by value (Python compares ints and floats exactly, so
+    ints beyond the float range sort too), then labels by their text."""
+    if isinstance(p, (int, float)) and not isinstance(p, bool):
+        return (0, p)
+    return (1, str(p))
 
 
 def point_label(p) -> str:

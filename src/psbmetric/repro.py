@@ -107,24 +107,17 @@ def _cover_item(seed, bound=64):
     family = topology.CoverFamily(center=1, indices=indices)
     candidates = topology.witness_candidates(ray, bound)
     self_d = ray.metric(1, 1, 1)
-    subfamilies = itertools.chain.from_iterable(
-        itertools.combinations(indices, size) for size in range(1, len(indices) + 1)
-    )
     checked = 0
-    distances = {}  # per witness: the sweep yields few distinct ones
-    for subfamily, witness in topology.uncovered_witnesses(
-        ray, family, subfamilies, bound, candidates=candidates
-    ):
+    # The radius is n, so the balls are nested and a subfamily escapes iff
+    # its widest ball does: index k decides the 2^(k-3) subfamilies whose
+    # widest index it is, 2^18 - 1 in all.
+    for k in indices:
+        witness = topology.uncovered_witness(ray, family, [k], bound, candidates=candidates)
         if witness is None:
-            return _item("cover-witness", False, f"no witness for {subfamily}")
-        d = distances.get(witness)
-        if d is None:
-            d = distances[witness] = ray.metric(1, 1, witness)
-        if any(d < n + self_d for n in subfamily):
-            return _item(
-                "cover-witness", False, f"witness {witness} inside a ball of {subfamily}"
-            )
-        checked += 1
+            return _item("cover-witness", False, f"no witness for {(k,)}")
+        if ray.metric(1, 1, witness) < k + self_d:
+            return _item("cover-witness", False, f"witness {witness} inside a ball of {(k,)}")
+        checked += 2 ** (k - indices[0])
     return _item("cover-witness", True, f"{checked} subfamilies all escape coverage")
 
 

@@ -12,9 +12,8 @@ smallest neighbourhood U_x; in any family an open holds u but not v iff one
 of u's minimal opens misses v, so the verdicts are exact on non-topologies.
 
 Cover witnesses: balls around one centre are nested, so a point escapes a
-subfamily of them iff it escapes the widest. uncovered_witnesses streams
-subfamilies and scans the carrier once per distinct widest cut;
-uncovered_witness is the same sweep over one subfamily.
+subfamily of them iff it escapes the widest. uncovered_witness scans the
+carrier once, against the widest cut of each comparator kind.
 """
 
 from __future__ import annotations
@@ -52,6 +51,13 @@ def sorted_labels(points: Iterable) -> list:
     return [point_label(p) for p in sorted_points(points)]
 
 
+def _in_ball(d, self_d, radius, cut) -> bool:
+    """dist(c,c,z) = d against D(c; radius), where cut = radius + dist(c,c,c).
+    A d <= dist(c,c,c) lies inside every ball of positive radius, by exact
+    comparison: the float margin of strictly_less must not drop the centre."""
+    return (radius > 0 and d <= self_d) or strictly_less(d, cut)
+
+
 def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     """Materialize D(center; radius) against a candidate point list."""
     if radius <= 0:
@@ -64,12 +70,8 @@ def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     self_d = space.metric(center, center, center)
     try:
         cut = radius + self_d
-        # dist <= dist(c,c,c) lies inside every ball, as r > 0: the float
-        # margin of strictly_less must not drop the centre.
         members = frozenset(
-            z
-            for z in candidates
-            if (d := space.metric(center, center, z)) <= self_d or strictly_less(d, cut)
+            z for z in candidates if _in_ball(space.metric(center, center, z), self_d, radius, cut)
         )
     except OverflowError:
         raise DistanceOverflow(
@@ -261,76 +263,49 @@ def witness_candidates(space: PartialSbSpace, search_bound) -> list:
     return list(_scan_candidates(space, search_bound))
 
 
-def uncovered_witnesses(space: PartialSbSpace, family: CoverFamily, subfamilies, search_bound, candidates=None):
-    """Yield (subfamily, witness) per subfamily of the stream: a carrier
-    point outside every ball of the subfamily, or None if the scanned
-    candidates are covered.
+def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indices, search_bound, candidates=None):
+    """A carrier point outside every subfamily ball, or None if the scanned
+    candidates are covered; an empty scan covers nothing and is an error.
 
-    A candidate escapes iff it escapes the widest cut radius + dist(c,c,c)
-    of each kind: integer cuts compare exactly and others with the float
-    margin, and the two disagree on which is wider (near 1e13). The witness
-    depends on that pair alone, so the scan runs once per new pair. Each
-    cut is computed on first use, and kept per index (equal indices, such
-    as 3 and 3.0, share it); it must be finite. `subfamilies`
-    (sequences of indices) is read lazily and an invalid one raises when it
-    is reached; `candidates`, when given, must be re-iterable. Without it
-    each scan is lazy and stops at the first witness; a fully covered scan
-    costs the length of the lattice, and an empty scan is an error.
+    Balls around one centre are nested, so each candidate is compared once
+    with the widest ball. Integer cuts radius + dist(c,c,c) compare exactly
+    and others with the float margin, and the two disagree on which cut is
+    wider (near 1e13), so the widest of each kind is kept. Radii must be
+    finite. The default scan stops at the first witness; a fully covered
+    scan costs the length of the lattice.
     """
+    subfamily = list(subfamily_indices)
+    if not subfamily:
+        raise EmptySubfamily("subfamily must contain at least one index")
     indices = set(family.indices)
+    if not indices.issuperset(subfamily):
+        raise InvalidArgument(f"indices {sorted(set(subfamily) - indices)} are not in the family")
     center = family.center
-    self_d = None
-    cuts = {}  # index -> (is_int, cut)
-    witnesses = {}  # (widest int cut, widest other cut), None if absent -> witness
-    for subfamily in subfamilies:
-        if not subfamily:
-            raise EmptySubfamily("subfamily must contain at least one index")
-        if not indices.issuperset(subfamily):
-            raise InvalidArgument(f"indices {sorted(set(subfamily) - indices)} are not in the family")
-        if self_d is None:
-            self_d = space.metric(center, center, center)
-        widest_int = widest_other = None
+    self_d = space.metric(center, center, center)
+    widest = {}  # is_int -> (radius, cut) of the widest radius of that kind
+    try:
         for n in subfamily:
-            if n in cuts:
-                is_int, cut = cuts[n]
+            radius = family.radius(n)
+            cut = radius + self_d
+            is_int = type(cut) is int
+            if not (is_int or math.isfinite(cut)):
+                raise InvalidArgument(f"radius of index {n} is not finite")
+            if is_int not in widest or radius > widest[is_int][0]:
+                widest[is_int] = radius, cut
+        balls = list(widest.values())
+        scan = _scan_candidates(space, search_bound) if candidates is None else candidates
+        z = None  # stays None only when the scan yields no point
+        for z in scan:
+            d = space.metric(center, center, z)
+            for radius, cut in balls:
+                if _in_ball(d, self_d, radius, cut):
+                    break
             else:
-                cut = family.radius(n) + self_d
-                is_int = type(cut) is int
-                if not (is_int or math.isfinite(cut)):
-                    raise InvalidArgument(f"radius of index {n} is not finite")
-                cuts[n] = is_int, cut
-            if is_int:
-                if widest_int is None or cut > widest_int:
-                    widest_int = cut
-            elif widest_other is None or cut > widest_other:
-                widest_other = cut
-        key = widest_int, widest_other
-        if key not in witnesses:
-            scan = _scan_candidates(space, search_bound) if candidates is None else candidates
-            witnesses[key] = _first_uncovered(space, center, key, scan, search_bound)
-        yield subfamily, witnesses[key]
-
-
-def _first_uncovered(space, center, widest, scan, search_bound):
-    """The first scanned point inside none of the cuts in `widest` (None
-    entries skipped), or None; an empty scan raises."""
-    cuts = [cut for cut in widest if cut is not None]
-    z = None  # stays None only when the scan yields no point
-    for z in scan:
-        d = space.metric(center, center, z)
-        for cut in cuts:
-            if strictly_less(d, cut):
-                break
-        else:
-            return z
+                return z
+    except OverflowError:
+        raise DistanceOverflow(
+            f"a ball around {point_label(center)} overflows the float range"
+        ) from None
     if z is None:
         raise PsbmError(f"no carrier point to scan up to the search bound {search_bound}")
     return None
-
-
-def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indices, search_bound, candidates=None):
-    """The witness of uncovered_witnesses for one subfamily: a carrier point
-    outside every subfamily ball, or None if the scanned candidates are
-    covered."""
-    stream = uncovered_witnesses(space, family, [list(subfamily_indices)], search_bound, candidates)
-    return next(stream)[1]

@@ -515,6 +515,63 @@ class TestIntegerOverflow:
         assert captured.err == f"error: {message}\n"
 
 
+class TestCoverWitnessCentre:
+    """A radius below the float margin of the self-distances still covers
+    the centre: dist(1,1,1) <= dist(1,1,1) by exact comparison."""
+
+    TEXT = "points: 1 2\ncoefficient: 1\n" + "".join(
+        f"{a} {b} {c} {'1e15' if a == b == c else '2e15'}\n" for a, b, c in itertools.product((1, 2), repeat=3)
+    )
+
+    def test_the_witness_is_the_other_point(self, tmp_path):
+        path = tmp_path / "space.psb"
+        path.write_text(self.TEXT, encoding="utf-8")
+        argv = ["cover-witness", "--space", f"file:{path}", "--center", "1", "--indices", "1..3"]
+        assert run_captured(argv) == (0, "uncovered witness: 2\n", "")
+
+    @pytest.mark.parametrize("space, center, extra", [
+        ("big-self", "1", []),
+        ("builtin:quintic_gap", "4.5", []),
+        ("builtin:quintic_ray", "1", ["--bound", "2.5"]),
+    ], ids=["float-self-distance", "float-centre", "float-candidate"])
+    def test_an_index_beyond_the_float_range_is_one_error_line(self, space, center, extra, tmp_path):
+        # 10^400 plus a float self-distance, or a float distance against the
+        # integer cut 10^400 + 1.
+        if space == "big-self":
+            path = tmp_path / "space.psb"
+            path.write_text(self.TEXT, encoding="utf-8")
+            space = f"file:{path}"
+        argv = ["cover-witness", "--space", space, "--center", center, "--indices", "1," + "1" + "0" * 400, *extra]
+        assert run_captured(argv) == (2, "", f"error: a ball around {center} overflows the float range\n")
+
+
+class TestPointsBeyondTheFloatRange:
+    """A carrier point that is an integer beyond the float range sorts by
+    its value."""
+
+    BIG = "1" + "0" * 400
+    TEXT = f"points: 1 {BIG}\ncoefficient: 1\n" + "".join(
+        f"{a} {b} {c} {4 if a == b == c else 8}\n" for a, b, c in itertools.product(("1", BIG), repeat=3)
+    )
+
+    @pytest.mark.parametrize("command, expected", [
+        ("verify-axioms", "variant: partial-sb  checked: 36  passed: True\n"),
+        ("separation", "T0: True  T1: True  T2: True\n"),
+        ("connected", f"connected: False  witness: {{1}} | {{{BIG}}}\n"),
+    ])
+    def test_the_command_answers(self, command, expected, tmp_path):
+        path = tmp_path / "space.psb"
+        path.write_text(self.TEXT, encoding="utf-8")
+        assert run_captured([command, "--space", f"file:{path}"]) == (0, expected, "")
+
+    def test_topology_lists_the_point_last(self, tmp_path):
+        path = tmp_path / "space.psb"
+        path.write_text(self.TEXT, encoding="utf-8")
+        code, out, err = run_captured(["topology", "--space", f"file:{path}", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["carrier"] == ["1", self.BIG]
+
+
 class TestSpaceFileNumbers:
     @pytest.mark.parametrize("old, new", [
         ("coefficient: 1", "coefficient: nan"),
@@ -927,6 +984,72 @@ class TestCheckComparison:
             assert sum("error: " in line for line in err.splitlines()) == 1
         else:
             assert err == ""
+
+
+HUGE = "1" + "0" * 400
+INDEX_TOKENS = st.one_of(
+    st.integers(-3, 25).map(str),
+    st.builds("{}..{}".format, st.integers(-3, 25), st.integers(-3, 25)),
+    st.sampled_from([HUGE, "-" + HUGE, f"{HUGE}..{HUGE}"]),
+    st.sampled_from(["3..x", "..5", "3..", "1.5", "x", "", ",", " "]),
+)
+INDEX_LISTS = st.lists(INDEX_TOKENS, max_size=4).flatmap(
+    lambda tokens: st.sampled_from([",", " ", ", "]).map(lambda sep: sep.join(tokens))
+)
+# Carrier points per space, so that most drawn centres get past the check.
+COVER_CENTRES = {
+    "builtin:quintic_ray": ["1", "2", "1.5", "4.0", "64", HUGE],
+    "builtin:quintic_gap": ["0", "3", "4", "4.5", "100"],
+    "builtin:two_point_a": ["1", "2"],
+    "builtin:two_point_b": ["1", "2"],
+    "big-self": ["1", "2"],
+}
+OTHER_CENTRES = st.one_of(
+    st.sampled_from(["0", "-1", "3.5", "abc", "", "nan", "inf", "1e400", "1e300", "-" + HUGE]),
+    st.text(max_size=4),
+)
+
+
+class TestCoverWitnessArgvFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_argv_fuzz(self, tmp_path_factory, data):
+        """--space, --center, --indices, --subfamily, --bound and --format,
+        each present or not, in any order: exit 0 with one answer line (or
+        JSON), or exit 2 with one error line; never 3. The bounds stay small,
+        because a fully covered scan costs the length of the lattice."""
+        folder = tmp_path_factory.mktemp("cover")
+        (folder / "big-self.psb").write_text(TestCoverWitnessCentre.TEXT, encoding="utf-8")
+        space = data.draw(st.sampled_from([*COVER_CENTRES, "builtin:none", "file:/nonexistent.psb", ""]))
+        centres = COVER_CENTRES.get(space)
+        if centres and data.draw(st.integers(0, 3)):
+            center = data.draw(st.sampled_from(centres))
+        else:
+            center = data.draw(OTHER_CENTRES)
+        if space == "big-self":
+            space = f"file:{folder / 'big-self.psb'}"
+        bound = st.sampled_from(["-5", "0", "0.5", "1", "2.5", "3", "4", "4.5", "10", "64", "1000.0",
+                                 "inf", "nan", "1e400", "x", ""])
+        options = [
+            ["--space", space],
+            ["--center", center],
+            ["--indices", data.draw(INDEX_LISTS)],
+            ["--subfamily", data.draw(INDEX_LISTS)],
+            ["--bound", data.draw(bound)],
+            ["--format", data.draw(st.sampled_from(["text", "json", "csv"]))],
+        ]
+        # The three required options are left out one time in ten, the rest half the time.
+        chosen = [option for i, option in enumerate(options) if data.draw(st.integers(0, 9 if i < 3 else 1))]
+        argv = ["cover-witness"] + [token for option in data.draw(st.permutations(chosen)) for token in option]
+        code, out, err = run_exiting(argv)
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert out == "" and sum("error: " in line for line in err.splitlines()) == 1
+        else:
+            assert err == "" and out.endswith("\n")
+            if "json" not in argv:
+                assert out.count("\n") == 1
+                assert out.startswith(("uncovered witness: ", "covered: "))
 
 
 def readme_examples():

@@ -3,12 +3,10 @@ import pytest
 from psbmetric import (
     IterationTrace,
     NotAFixedPoint,
-    TraceTooShort,
     UnknownPoint,
     builtin_comparison,
     builtin_map,
     builtin_space,
-    cauchy_diagnostic,
     map_from_table,
     matkowski_envelope_check,
     picard_iterate,
@@ -85,39 +83,6 @@ class TestVerifyFixedPoint:
         # Identity fixes every point, but self-distance stays positive.
         identity = builtin_map("identity")
         assert verify_fixed_point(TWO_A, identity, 1) == (True, False)
-
-
-class TestCauchyDiagnostic:
-    def test_converged_tail_has_zero_deviation(self):
-        trace = picard_iterate(GAP, PAPER_S, 7)
-        report = cauchy_diagnostic(GAP, trace, tail=2)
-        assert report.max_pair_deviation == 0
-        assert report.self_distance_at_limit == 0
-        assert report.cauchy_pairs_checked == 2
-
-    def test_constant_orbit_deviation_zero(self):
-        trace = IterationTrace(
-            orbit=(3,) * 6,
-            gaps=(243,) * 5,
-            self_distances=(243,) * 6,
-            converged=True,
-            limit=3,
-            limit_gap=243,
-        )
-        report = cauchy_diagnostic(GAP, trace, tail=3)
-        assert report.max_pair_deviation == 0
-        assert report.self_distance_at_limit == 243
-
-    def test_gap_sequence_nonincreasing(self):
-        trace = picard_iterate(GAP, PAPER_S, 7)
-        report = cauchy_diagnostic(GAP, trace, tail=2)
-        assert report.gap_monotone_nonincreasing
-        assert report.gap_limit == 0
-
-    def test_short_trace_rejected(self):
-        trace = picard_iterate(GAP, PAPER_S, 0)
-        with pytest.raises(TraceTooShort):
-            cauchy_diagnostic(GAP, trace, tail=8)
 
 
 class TestEnvelope:

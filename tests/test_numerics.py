@@ -1,15 +1,26 @@
-"""Edge behaviour of the shared comparators.
+"""Edge behaviour of the shared comparators and of the point sort key.
 
 Two int operands compare exactly; any other pair (a float, a bool) uses the
 relative tolerance REL_TOL for leq/values_equal and the margin STRICT_MARGIN
 for strictly_less, both scaled by max(1, |a|, |b|).
 """
 
+import itertools
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from psbmetric.numerics import REL_TOL, STRICT_MARGIN, _scale, exact, leq, strictly_less, values_equal
+from psbmetric import BUILTIN_SPACES, builtin_space, ray_grid, sample_carrier, witness_candidates
+from psbmetric.numerics import (
+    REL_TOL,
+    STRICT_MARGIN,
+    _scale,
+    exact,
+    leq,
+    point_sort_key,
+    strictly_less,
+    values_equal,
+)
 
 INTS = st.integers(min_value=-(10**30), max_value=10**30)
 FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -205,3 +216,63 @@ class TestFastPathsMatchReference:
         lo, hi = sorted((b1, b2))
         if leq(d, lo):
             assert leq(d, hi)
+
+
+# The sort key before it keyed numbers by the number itself.
+
+def reference_point_sort_key(p):
+    if isinstance(p, bool):
+        return (1, 0.0, str(p))
+    if isinstance(p, (int, float)):
+        return (0, float(p), "")
+    return (1, 0.0, str(p))
+
+
+def key_corpus():
+    """Every kind of point the program sorts: the builtins' scan candidates
+    and samples, the certificate grid, mixed region points (4 and 4.0,
+    halves, -0.0), labels and bools."""
+    points = [0, 0.0, -0.0, -3, 4, 4.0, 2.5, 1e-300, 1e300, -1e300, 2**53, float(2**53), "a", "b", "2.5", "10", True, False]
+    for name in BUILTIN_SPACES:
+        space = builtin_space(name)
+        for bound in (0.5, 2.5, 4.0, 64, 1000.0):
+            points += witness_candidates(space, bound)
+        for seed in range(3):
+            points += sample_carrier(space, count=50, seed=seed)
+    points += ray_grid(builtin_space("quintic_gap").carrier, 50)
+    return points
+
+
+class TestPointSortKey:
+    def test_the_corpus_sorts_as_before(self):
+        points = key_corpus()
+        assert sorted(points, key=point_sort_key) == sorted(points, key=reference_point_sort_key)
+        assert [type(p) for p in sorted(points, key=point_sort_key)] == [
+            type(p) for p in sorted(points, key=reference_point_sort_key)
+        ]
+
+    def test_every_corpus_pair_compares_as_before(self):
+        keys = [(point_sort_key(p), reference_point_sort_key(p)) for p in set(key_corpus()) | {"a", "b"}]
+        for (new_a, old_a), (new_b, old_b) in itertools.product(keys, repeat=2):
+            assert (new_a < new_b, new_a == new_b) == (old_a < old_b, old_a == old_b)
+
+    @given(
+        st.one_of(st.integers(-(2**53), 2**53), st.floats(allow_nan=False), st.booleans(), st.text(max_size=3)),
+        st.one_of(st.integers(-(2**53), 2**53), st.floats(allow_nan=False), st.booleans(), st.text(max_size=3)),
+    )
+    def test_points_within_float_precision_compare_as_before(self, a, b):
+        new_a, new_b = point_sort_key(a), point_sort_key(b)
+        old_a, old_b = reference_point_sort_key(a), reference_point_sort_key(b)
+        assert (new_a < new_b, new_a == new_b) == (old_a < old_b, old_a == old_b)
+
+    @given(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20))
+    def test_larger_ints_keep_every_strict_order_of_the_old_key(self, a, b):
+        # Above 2^53 the old key could tie distinct ints; it never reversed them.
+        if reference_point_sort_key(a) < reference_point_sort_key(b):
+            assert point_sort_key(a) < point_sort_key(b)
+        assert (point_sort_key(a) < point_sort_key(b)) == (a < b)
+
+    def test_ints_beyond_the_float_range_sort(self):
+        huge = 10**400
+        points = [huge, "a", 2.5, -huge, True, 1, math.inf]
+        assert sorted(points, key=point_sort_key) == [-huge, 1, 2.5, huge, math.inf, True, "a"]

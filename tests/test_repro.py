@@ -1,6 +1,10 @@
+import dataclasses
+import json
+
 import pytest
 
-from psbmetric import run_repro
+from psbmetric import repro, run_repro, spaces, topology
+from psbmetric.spaces import RuleMetric, quintic
 
 EXPECTED_ITEMS = (
     "axioms",
@@ -36,3 +40,102 @@ def test_repro_details_are_informative(reports):
     assert "8/8 mutations rejected" in details["axioms"]
     assert "262143 subfamilies" in details["cover-witness"]
     assert "logged" in details["contraction"]
+
+
+# `psbm repro --format json` (seed 0): the bytes every change must keep.
+REPRO_SEED_0_JSON = """\
+{
+  "items": [
+    {
+      "detail": "4 builtins pass; 8/8 mutations rejected",
+      "name": "axioms",
+      "passed": true
+    },
+    {
+      "detail": "7/7 ball memberships match",
+      "name": "balls",
+      "passed": true
+    },
+    {
+      "detail": "8/8 topology facts match",
+      "name": "topology",
+      "passed": true
+    },
+    {
+      "detail": "200/200 random valid spaces are T0",
+      "name": "t0-universality",
+      "passed": true
+    },
+    {
+      "detail": "262143 subfamilies all escape coverage",
+      "name": "cover-witness",
+      "passed": true
+    },
+    {
+      "detail": "4/4 property verdicts match",
+      "name": "comparison",
+      "passed": true
+    },
+    {
+      "detail": "certificates pass; lhs column matches; reference bounds differ in 11 subcases (logged)",
+      "name": "contraction",
+      "passed": true
+    },
+    {
+      "detail": "4 orbits converge to the unique fixed point 0",
+      "name": "fixpoint",
+      "passed": true
+    }
+  ],
+  "passed": true,
+  "seed": 0
+}
+"""
+
+
+def test_repro_json_bytes_are_pinned(reports):
+    assert json.dumps(reports[0], indent=2, sort_keys=True) + "\n" == REPRO_SEED_0_JSON
+
+
+def test_cover_item_makes_one_scan_per_index(monkeypatch):
+    """The balls D(1; n) are nested, so the 2^18 - 1 subfamilies need one
+    uncovered_witness scan per index 3..20. Metric calls: dist(1,1,1) once,
+    per scan dist(1,1,1) and the points up to the witness 2, and one escape
+    check per witness."""
+    metric_calls = [0]
+
+    def counting(p, q, r):
+        metric_calls[0] += 1
+        return quintic(p, q, r)
+
+    ray = dataclasses.replace(spaces.builtin_space("quintic_ray"), metric=RuleMetric("quintic", counting))
+    real_builtin, real_witness = spaces.builtin_space, topology.uncovered_witness
+    scans = []
+
+    def witness(space, family, subfamily, bound, candidates=None):
+        scans.append(list(subfamily))
+        return real_witness(space, family, subfamily, bound, candidates=candidates)
+
+    monkeypatch.setattr(spaces, "builtin_space", lambda name: ray if name == "quintic_ray" else real_builtin(name))
+    monkeypatch.setattr(topology, "uncovered_witness", witness)
+    item = repro._cover_item(0)
+    assert item == {"name": "cover-witness", "passed": True, "detail": "262143 subfamilies all escape coverage"}
+    assert scans == [[k] for k in range(3, 21)]
+    scanned = topology.witness_candidates(ray, 64).index(2) + 1
+    assert metric_calls[0] == 1 + 18 * (1 + scanned) + 18
+
+
+@pytest.mark.parametrize("wrong, detail", [
+    # dist(1,1,1.01) = 2(1 + 1.01^5) = 4.1..., inside D(1; 7) but not D(1; 3).
+    (1.01, "witness 1.01 inside a ball of (7,)"),
+    (None, "no witness for (7,)"),
+])
+def test_cover_item_checks_each_witness(monkeypatch, wrong, detail):
+    real_witness = topology.uncovered_witness
+
+    def witness(space, family, subfamily, bound, candidates=None):
+        found = real_witness(space, family, subfamily, bound, candidates=candidates)
+        return wrong if list(subfamily) == [7] else found
+
+    monkeypatch.setattr(topology, "uncovered_witness", witness)
+    assert repro._cover_item(0) == {"name": "cover-witness", "passed": False, "detail": detail}

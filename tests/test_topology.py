@@ -8,6 +8,7 @@ import pytest
 
 from psbmetric import (
     CoverFamily,
+    DistanceOverflow,
     EmptySubfamily,
     FiniteCarrier,
     FiniteTopology,
@@ -26,7 +27,6 @@ from psbmetric import (
     separation_report,
     tabulated_space,
     uncovered_witness,
-    uncovered_witnesses,
     verify_topology_axioms,
     witness_candidates,
 )
@@ -167,40 +167,30 @@ def reference_witness_candidates(space, search_bound):
 
 
 def reference_uncovered_witness(space, family, subfamily, search_bound, candidates=None):
+    """Every candidate against every ball of the subfamily; as in open_ball,
+    d <= dist(c,c,c) lies inside a ball of positive radius."""
     if candidates is None:
         candidates = reference_witness_candidates(space, search_bound)
     center = family.center
     self_d = space.metric(center, center, center)
-    thresholds = [family.radius(n) + self_d for n in subfamily]
+    balls = [(family.radius(n), family.radius(n) + self_d) for n in subfamily]
     for z in candidates:
         d = space.metric(center, center, z)
-        if all(not strictly_less(d, cut) for cut in thresholds):
+        if not any((radius > 0 and d <= self_d) or strictly_less(d, cut) for radius, cut in balls):
             return z
     return None
 
 
-def assert_sweep_matches_reference(space, family, subfamilies, bound, candidates=None):
-    """Single calls, and one batch over a shuffled stream with repeats, give
-    the per-cut reference's witness, of the same type, for every subfamily;
-    returns the set of witnesses."""
-    subfamilies = list(subfamilies)
-    expected = [reference_uncovered_witness(space, family, s, bound, candidates) for s in subfamilies]
-    for subfamily, want in zip(subfamilies, expected):
+def assert_witness_matches_reference(space, family, subfamilies, bound, candidates=None):
+    """uncovered_witness gives the per-ball reference's witness, of the same
+    type, for every subfamily; returns the set of witnesses."""
+    witnesses = set()
+    for subfamily in subfamilies:
+        want = reference_uncovered_witness(space, family, subfamily, bound, candidates)
         witness = uncovered_witness(space, family, subfamily, bound, candidates=candidates)
         assert (witness, type(witness)) == (want, type(want)), (family, subfamily, bound)
-    rng = random.Random(f"sweep:{len(subfamilies)}:{bound}")
-    order = list(range(len(subfamilies)))
-    order += rng.choices(order, k=len(order) // 2 + 1)
-    rng.shuffle(order)
-    pairs = uncovered_witnesses(space, family, (subfamilies[i] for i in order), bound, candidates)
-    count = 0
-    for i, (subfamily, witness) in zip(order, pairs):
-        want = expected[i]
-        assert subfamily is subfamilies[i]
-        assert (witness, type(witness)) == (want, type(want)), (family, subfamily, bound)
-        count += 1
-    assert count == len(order)
-    return set(expected)
+        witnesses.add(want)
+    return witnesses
 
 
 def tabulated_spaces(count=600):
@@ -614,10 +604,10 @@ class TestNestedBallCut:
         indices = list(self.REPRO_FAMILY.indices)
         candidates = witness_candidates(RAY, 64)
         subfamilies = list(self.random_subfamilies(rng, indices, 1500))
-        witnesses = assert_sweep_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, 64, candidates)
+        witnesses = assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, 64, candidates)
         # Shorter scans end at 1.5 or 2.5, where some subfamilies cover all.
         for bound in (1.5, 2.5):
-            witnesses |= assert_sweep_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, bound)
+            witnesses |= assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, bound)
         assert witnesses == {None, 1.5, 2}
 
     @pytest.mark.parametrize(
@@ -636,7 +626,7 @@ class TestNestedBallCut:
         for bound in (2.5, 6.5, 64):
             candidates = witness_candidates(RAY, bound)
             subfamilies = self.random_subfamilies(rng, list(family.indices), 300)
-            witnesses |= assert_sweep_matches_reference(RAY, family, subfamilies, bound, candidates)
+            witnesses |= assert_witness_matches_reference(RAY, family, subfamilies, bound, candidates)
         assert len(witnesses) >= 4
 
     @pytest.mark.parametrize("center", [4.5, 6.25, 3.0, 4.0])
@@ -651,7 +641,7 @@ class TestNestedBallCut:
         for bound in (4.5, 9.5, 64):
             candidates = witness_candidates(GAP, bound)
             subfamilies = self.random_subfamilies(rng, list(family.indices), 200)
-            witnesses |= assert_sweep_matches_reference(GAP, family, subfamilies, bound, candidates)
+            witnesses |= assert_witness_matches_reference(GAP, family, subfamilies, bound, candidates)
         assert len(witnesses) >= 3
 
     def test_random_tabulated_spaces(self):
@@ -665,7 +655,7 @@ class TestNestedBallCut:
                 center=rng.choice(labels), indices=tuple(radii), radius_of=radii.__getitem__
             )
             subfamilies = list(self.random_subfamilies(rng, list(radii), 5))
-            witnesses |= assert_sweep_matches_reference(space, family, subfamilies, 64)
+            witnesses |= assert_witness_matches_reference(space, family, subfamilies, 64)
         assert None in witnesses and len(witnesses) >= 3
 
     def test_int_and_float_cuts_near_1e13_are_kept_apart(self):
@@ -679,7 +669,7 @@ class TestNestedBallCut:
         family = CoverFamily(center=1, indices=tuple(radii), radius_of=radii.__getitem__)
         assert strictly_less(d, d + 1) and not strictly_less(d, d + 2.0)
         subfamilies = [["int", "float"], ["float", "int"], ["float"]]
-        assert assert_sweep_matches_reference(space, family, subfamilies, 64) == {None, 2}
+        assert assert_witness_matches_reference(space, family, subfamilies, 64) == {None, 2}
         assert [uncovered_witness(space, family, s, 64) for s in subfamilies] == [None, None, 2]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -689,9 +679,9 @@ class TestNestedBallCut:
             uncovered_witness(RAY, family, [3, 4], 64)
 
 
-class TestBatchSweep:
-    """uncovered_witnesses validates each subfamily as the single call does,
-    scans once per widest-cut pair and reads its stream lazily."""
+class TestCoverWitnessErrors:
+    """Each invalid subfamily raises on its own, with the type and message
+    of its first fault in subfamily order."""
 
     REPRO_FAMILY = CoverFamily(center=1, indices=tuple(range(3, 21)))
     # Indices 4 and 6 have non-finite radii; the others radius n.
@@ -699,71 +689,87 @@ class TestBatchSweep:
         center=1, indices=tuple(range(3, 21)), radius_of=lambda n: math.nan if n in (4, 6) else n
     )
 
-    @pytest.mark.parametrize("family, bad, error", [
-        (REPRO_FAMILY, [], EmptySubfamily),
-        (REPRO_FAMILY, (3, 99, 98, 99), ValueError),
-        (PARTLY_BAD, [3, 4], ValueError),
-        (PARTLY_BAD, (6, 5, 4), ValueError),
-        (PARTLY_BAD, [4, 6], ValueError),
+    @pytest.mark.parametrize("family, bad, error, message", [
+        (REPRO_FAMILY, [], EmptySubfamily, "subfamily must contain at least one index"),
+        (REPRO_FAMILY, (3, 99, 98, 99), ValueError, "indices [98, 99] are not in the family"),
+        (PARTLY_BAD, [3, 4], ValueError, "radius of index 4 is not finite"),
+        (PARTLY_BAD, (6, 5, 4), ValueError, "radius of index 6 is not finite"),
+        (PARTLY_BAD, [4, 6], ValueError, "radius of index 4 is not finite"),
     ], ids=["empty", "missing", "non-finite", "first-non-finite", "first-of-two"])
-    def test_errors_match_the_single_call_and_wait_for_their_subfamily(self, family, bad, error):
-        with pytest.raises(error) as single:
+    def test_each_error_names_its_first_fault(self, family, bad, error, message):
+        with pytest.raises(error) as raised:
             uncovered_witness(RAY, family, bad, 64)
-        stream = uncovered_witnesses(RAY, family, iter([[3], (5, 3), bad, [3]]), 64)
-        assert next(stream) == ([3], 2) and next(stream) == ((5, 3), 2)
-        with pytest.raises(error) as batch:
-            next(stream)
-        assert type(batch.value) is type(single.value) and str(batch.value) == str(single.value)
+        assert str(raised.value) == message
 
     def test_the_subfamily_is_checked_before_the_centre(self):
         family = CoverFamily(center=9, indices=(1, 2))
         for subfamily, error in (([], EmptySubfamily), ([1, 5], ValueError), ([1], UnknownPoint)):
             with pytest.raises(error):
                 uncovered_witness(TWO_A, family, subfamily, 64)
-            with pytest.raises(error):
-                next(uncovered_witnesses(TWO_A, family, [subfamily], 64))
 
-    def test_an_index_is_evaluated_only_when_a_subfamily_holds_it(self):
-        subfamilies = [[3], [5, 20], [3, 7]]
-        pairs = list(uncovered_witnesses(RAY, self.PARTLY_BAD, subfamilies, 64))
-        assert pairs == [(s, uncovered_witness(RAY, self.REPRO_FAMILY, s, 64)) for s in subfamilies]
+    def test_an_index_is_evaluated_only_when_the_subfamily_holds_it(self):
+        for subfamily in ([3], [5, 20], [3, 7]):
+            assert uncovered_witness(RAY, self.PARTLY_BAD, subfamily, 64) == 2
 
     def test_an_empty_scan_is_an_error(self):
         with pytest.raises(PsbmError, match="no carrier point to scan up to the search bound -5"):
-            next(uncovered_witnesses(RAY, self.REPRO_FAMILY, [[3]], -5))
+            uncovered_witness(RAY, self.REPRO_FAMILY, [3], -5)
         with pytest.raises(PsbmError, match="no carrier point"):
-            next(uncovered_witnesses(RAY, self.REPRO_FAMILY, [[3]], 64, candidates=[]))
+            uncovered_witness(RAY, self.REPRO_FAMILY, [3], 64, candidates=[])
 
-    def test_one_scan_per_widest_cut_pair(self):
-        # Metric calls: one for dist(c,c,c), then one per scanned point. The
-        # repro family's widest cut is its largest index, so the 262,143
-        # subfamilies scan what the 18 singletons scan, once each.
-        calls = [0]
+    @pytest.mark.parametrize("center, indices", [(4.5, [10**400]), (1, [3, 10**400])])
+    def test_a_cut_beyond_the_float_range_is_distance_overflow(self, center, indices):
+        # 10^400 + a float self-distance, or a float distance against the
+        # integer cut 10^400 + 1.
+        family = CoverFamily(center=center, indices=tuple(indices))
+        with pytest.raises(DistanceOverflow, match=f"a ball around {center} overflows the float range"):
+            uncovered_witness(GAP if center == 4.5 else RAY, family, indices, 2.5)
 
-        def counting(p, q, r):
-            calls[0] += 1
-            return quintic(p, q, r)
 
-        space = dataclasses.replace(RAY, metric=RuleMetric("quintic", counting))
-        indices = self.REPRO_FAMILY.indices
-        singletons = 0
-        for n in indices:
-            calls[0] = 0
-            uncovered_witness(space, self.REPRO_FAMILY, [n], 64)
-            singletons += calls[0] - 1
-        calls[0] = 0
-        subfamilies = itertools.chain.from_iterable(
-            itertools.combinations(indices, size) for size in range(1, len(indices) + 1)
-        )
-        count = sum(1 for _ in uncovered_witnesses(space, self.REPRO_FAMILY, subfamilies, 64))
-        assert count == 2**18 - 1
-        assert calls[0] == 1 + singletons
+class TestCentreUnderTheMargin:
+    """A point with dist(c,c,z) <= dist(c,c,c) lies in every ball of
+    positive radius, as in open_ball, whatever the float margin says."""
 
-    def test_the_stream_is_read_lazily(self):
-        stream = itertools.cycle([[3], [3, 5], [20], [19, 4]])
-        pairs = list(itertools.islice(uncovered_witnesses(RAY, self.REPRO_FAMILY, stream, 64), 5))
-        assert [witness for _, witness in pairs] == [2, 2, 2, 2, 2]
-        assert [subfamily for subfamily, _ in pairs] == [[3], [3, 5], [20], [19, 4], [3]]
+    @staticmethod
+    def big_self_space(self_d=1e15, other=2e15):
+        table = {t: (self_d if t[0] == t[1] == t[2] else other) for t in itertools.product((1, 2), repeat=3)}
+        return tabulated_space((1, 2), table)
+
+    def test_the_centre_is_covered_and_the_other_point_escapes(self):
+        space = self.big_self_space()
+        family = CoverFamily(center=1, indices=(1, 2, 3))
+        assert not strictly_less(1e15, 1 + 1e15)
+        assert open_ball(space, 1, 3, [1, 2]).members == frozenset({1})
+        for subfamily in ([1], [2, 3], [1, 2, 3]):
+            assert uncovered_witness(space, family, subfamily, 64) == 2
+        assert assert_witness_matches_reference(space, family, [[1], [3, 2]], 64) == {2}
+
+    @pytest.mark.parametrize("radii, expected", [
+        ({"a": 0}, 1), ({"a": -1}, 1), ({"a": -1.5, "b": 0.0}, 1), ({"a": -1, "b": 1e-20}, 2),
+        # Both cuts round to 1e15: the widest radius, not the first cut, decides.
+        ({"a": -1e-20, "b": 1e-20}, 2),
+    ])
+    def test_non_positive_radii_do_not_take_the_centre(self, radii, expected):
+        space = self.big_self_space()
+        family = CoverFamily(center=1, indices=tuple(radii), radius_of=radii.__getitem__)
+        assert uncovered_witness(space, family, list(radii), 64) == expected
+        assert assert_witness_matches_reference(space, family, [list(radii)], 64) == {expected}
+
+    def test_random_tabulated_spaces_with_signed_radii(self):
+        rng = random.Random("cover:signed")
+        witnesses = set()
+        for i in range(300):
+            labels = tuple(range(1, 3 + i % 3))
+            space = random_tabulated_space(rng, labels)
+            if i % 2:
+                scale = rng.choice((1e13, 1e15, 1e16))
+                table = {k: v * scale for k, v in space.metric.table.items()}
+                space = tabulated_space(labels, table)
+            radii = {n: rng.choice((rng.randint(-3, 3), rng.uniform(-2, 2), rng.choice((0, 0.0, 1e-20)))) for n in range(5)}
+            family = CoverFamily(center=rng.choice(labels), indices=tuple(radii), radius_of=radii.__getitem__)
+            subfamilies = [rng.sample(list(radii), rng.randint(1, 5)) for _ in range(5)]
+            witnesses |= assert_witness_matches_reference(space, family, subfamilies, 64)
+        assert None in witnesses and len(witnesses) >= 3
 
 
 class TestWitnessCandidates:
