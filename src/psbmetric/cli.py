@@ -76,18 +76,23 @@ def parse_points_list(text: str) -> list:
     return [parse_point(tok) for tok in text.replace(",", " ").split()]
 
 
+# The most indices one list may hold; each a..b range is sized before it is
+# expanded.
+MAX_INDICES = 10**6
+
+
 def _parse_indices(text: str) -> list:
-    out = []
+    spans = []
     try:
         for token in text.replace(",", " ").split():
-            if ".." in token:
-                lo, hi = token.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(token))
+            lo, sep, hi = token.partition("..")
+            spans.append((int(lo), int(hi) if sep else int(lo)))
     except ValueError as exc:
         raise InvalidArgument(str(exc)) from None
-    return out
+    total = sum(max(0, hi - lo + 1) for lo, hi in spans)
+    if total > MAX_INDICES:
+        raise InvalidArgument(f"{total} indices exceed the limit of {MAX_INDICES}")
+    return [n for lo, hi in spans for n in range(lo, hi + 1)]
 
 
 def _emit(report: dict, args, render) -> None:

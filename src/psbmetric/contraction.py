@@ -24,7 +24,7 @@ from itertools import chain, islice, repeat
 from operator import le, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
-from .errors import InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
+from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import leq, point_label, point_sort_key
 from .spaces import PartialSbSpace, RegionCarrier, sample_carrier
 
@@ -97,18 +97,6 @@ def _power(base, exponent):
     return base ** exponent
 
 
-_MISSING = object()
-
-
-def _table(entries):
-    """The list of entries, or None if computing one raises: each entry is
-    then computed where it is used, and raises there."""
-    try:
-        return list(entries)
-    except Exception:
-        return None
-
-
 class InequalitySides:
     """Both sides of the interpolative inequality for triples over `points`.
 
@@ -125,9 +113,9 @@ class InequalitySides:
     - the lhs, one row over c per distinct (S(a), S(b));
     - the fifth factor m^(1-p-q-r-s), one row over c per distinct (S(a), b),
       since m depends on a only through S(a).
-    A table row that would raise is stored as None and its entries are then
-    computed where they are used, so each error surfaces at the triple, and
-    with the message, that a triple-by-triple evaluation meets first.
+    A row is computed whole when a triple first needs it, so an error in
+    any of its entries (a negative factor, an OverflowError) is raised
+    there, also when that triple's own entries are fine.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
@@ -145,31 +133,27 @@ class InequalitySides:
         self._fq = {x: _power(gap[x], spec.q) for x in points}
         self._fr = {x: _power(gap[x], spec.r) for x in points}
         self._fs = [_power(gap[x], spec.s) for x in points]
-        self._pair = {}
-        for ix in image.values():
-            if ix not in self._pair:
-                self._pair[ix] = [dist(ix, ix, y) for y in points]
+        self._pair = {ix: [dist(ix, ix, y) for y in points] for ix in dict.fromkeys(image.values())}
         self._lhs_rows = {}
         self._fifth_rows = {}
 
     def _lhs_row(self, ia, ib):
-        """dist(ia, ib, S(c)) over the points c; None if some entry raises."""
-        row = self._lhs_rows.get((ia, ib), _MISSING)
-        if row is _MISSING:
+        """dist(ia, ib, S(c)) over the points c."""
+        row = self._lhs_rows.get((ia, ib))
+        if row is None:
             dist, image = self._dist, self._image
-            row = self._lhs_rows[(ia, ib)] = _table(dist(ia, ib, image[c]) for c in self.points)
+            row = self._lhs_rows[(ia, ib)] = [dist(ia, ib, image[c]) for c in self.points]
         return row
 
     def _fifth_row(self, ia, b):
-        """The fifth factor over the points c; None if some entry raises."""
-        row = self._fifth_rows.get((ia, b), _MISSING)
-        if row is _MISSING:
-            pair_ab, pair_b = self._pair[ia][self._index[b]], self._pair[self._image[b]]
-            row = self._fifth_rows[(ia, b)] = _table(self._fifth(pair_ab, pair_bc) for pair_bc in pair_b)
+        """The fifth factor m^(1-p-q-r-s) over the points c."""
+        row = self._fifth_rows.get((ia, b))
+        if row is None:
+            pair_ab, two_t, e5 = self._pair[ia][self._index[b]], self._two_t, self._e5
+            row = self._fifth_rows[(ia, b)] = [
+                _power((pair_ab + pair_bc) / two_t, e5) for pair_bc in self._pair[self._image[b]]
+            ]
         return row
-
-    def _fifth(self, pair_ab, pair_bc):
-        return _power((pair_ab + pair_bc) / self._two_t, self._e5)
 
     def _rhs(self, ds, fqa, frb, fs, fifth):
         """comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s))
@@ -182,37 +166,20 @@ class InequalitySides:
         return [comparison(d ** p * fqa * frb * f * t) for d, f, t in zip(ds, fs, fifth)]
 
     def __call__(self, a, b, c):
-        """(lhs, rhs) at (a, b, c), each factor in the triple-by-triple order."""
-        index, image, dist = self._index, self._image, self._dist
-        ia, ib, k = image[a], image[b], index[c]
-        lhs_row = self._lhs_row(ia, ib)
-        lhs = dist(ia, ib, image[c]) if lhs_row is None else lhs_row[k]
-        d = dist(a, b, c)
-        if d < 0:
-            _power(d, self._p)  # raises before the fifth factor is formed
-        fifth_row = self._fifth_row(ia, b)
-        if fifth_row is None:
-            fifth = self._fifth(self._pair[ia][index[b]], self._pair[ib][k])
-        else:
-            fifth = fifth_row[k]
-        (rhs,) = self._rhs((d,), self._fq[a], self._fr[b], (self._fs[k],), (fifth,))
-        return lhs, rhs
+        """(lhs, rhs) at (a, b, c)."""
+        k = self._index[c]
+        ia, ib = self._image[a], self._image[b]
+        fifth = self._fifth_row(ia, b)[k]
+        (rhs,) = self._rhs((self._dist(a, b, c),), self._fq[a], self._fr[b], (self._fs[k],), (fifth,))
+        return self._lhs_row(ia, ib)[k], rhs
 
     def row(self, a, b):
         """(lhs list, rhs list) over (a, b, c) for every c in `points`. The
         lhs list is shared with the table: do not modify it."""
-        lhs = self._lhs_row(self._image[a], self._image[b])
-        fifth = self._fifth_row(self._image[a], b)
-        if lhs is not None and fifth is not None:
-            try:
-                ds = [self._dist(a, b, c) for c in self.points]
-                return lhs, self._rhs(ds, self._fq[a], self._fr[b], self._fs, fifth)
-            except Exception:
-                pass
-        # A table row or a stage of this row raised: re-run the row triple by
-        # triple, which raises the error that this order meets first.
-        sides = [self(a, b, c) for c in self.points]
-        return [lhs for lhs, _ in sides], [rhs for _, rhs in sides]
+        ia = self._image[a]
+        fifth = self._fifth_row(ia, b)
+        ds = [self._dist(a, b, c) for c in self.points]
+        return self._lhs_row(ia, self._image[b]), self._rhs(ds, self._fq[a], self._fr[b], self._fs, fifth)
 
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
@@ -274,36 +241,39 @@ def certify(
     pool = list(points) if points is not None else sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(spec.mapping, pool))
     active = [x for x in pool if x not in fixed]
-    sides = InequalitySides(space, spec, active)
+    try:
+        sides = InequalitySides(space, spec, active)
 
-    # Chunks of (triples, their lhs values, their rhs values); the triples
-    # are read only to list failures.
-    if points is not None or sample_count is None:
-        chunks = (
-            (((a, b, c) for c in active), *sides.row(a, b)) for a in active for b in active
-        )
-    else:
-        rng = random.Random(f"psbm:certify:{seed}")
-        choice = rng.choice
-        drawn = (
-            tpl
-            for tpl in ((choice(pool), choice(pool), choice(pool)) for _ in range(sample_count))
-            if fixed.isdisjoint(tpl)
-        )
-        blocks = iter(lambda: list(islice(drawn, _SAMPLED_BLOCK)), [])
-        chunks = ((block, *zip(*[sides(*tpl) for tpl in block])) for block in blocks)
+        # Chunks of (triples, their lhs values, their rhs values); the triples
+        # are read only to list failures.
+        if points is not None or sample_count is None:
+            chunks = (
+                (((a, b, c) for c in active), *sides.row(a, b)) for a in active for b in active
+            )
+        else:
+            rng = random.Random(f"psbm:certify:{seed}")
+            choice = rng.choice
+            drawn = (
+                tpl
+                for tpl in ((choice(pool), choice(pool), choice(pool)) for _ in range(sample_count))
+                if fixed.isdisjoint(tpl)
+            )
+            blocks = iter(lambda: list(islice(drawn, _SAMPLED_BLOCK)), [])
+            chunks = ((block, *zip(*[sides(*tpl) for tpl in block])) for block in blocks)
 
-    checked = 0
-    failures = []
-    min_margin = None
-    for triples, lhs, rhs in chunks:
-        checked += len(rhs)
-        margins = map(sub, rhs, lhs)
-        # Continues the running minimum exactly as a triple-by-triple
-        # `if margin < min_margin` loop would, nan margins included.
-        min_margin = min(margins) if min_margin is None else min(chain((min_margin,), margins))
-        if not all(map(le, lhs, rhs)):
-            failures.extend((*t, l, r) for t, l, r in zip(triples, lhs, rhs) if not leq(l, r))
+        checked = 0
+        failures = []
+        min_margin = None
+        for triples, lhs, rhs in chunks:
+            checked += len(rhs)
+            margins = map(sub, rhs, lhs)
+            # Continues the running minimum exactly as a triple-by-triple
+            # `if margin < min_margin` loop would, nan margins included.
+            min_margin = min(margins) if min_margin is None else min(chain((min_margin,), margins))
+            if not all(map(le, lhs, rhs)):
+                failures.extend((*t, l, r) for t, l, r in zip(triples, lhs, rhs) if not leq(l, r))
+    except OverflowError:  # an int beyond the float range in a power, m or a margin
+        raise DistanceOverflow("the contraction inequality overflows the float range") from None
 
     failures.sort(key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
     return CertificateReport(

@@ -244,77 +244,33 @@ class AxiomReport:
         }
 
 
-def _identity(space, tpl, options):
-    # The points coincide (p = q = r, or only p = q when `pair`) iff S(p,q,r)
-    # agrees with the reference: 0, or all three self-distances if `partial`.
-    partial, pair = options
-    p, q, r = tpl
-    val = space.metric(p, q, r)
-    refs = (space.metric(p, p, p), space.metric(q, q, q), space.metric(r, r, r)) if partial else (0,)
-    agrees = all(values_equal(val, ref) for ref in refs)
-    if (p == q if pair else p == q == r) != agrees:
-        return (val, refs[0])
-    return None
-
-
-def _self_min(space, tpl, _options):
-    p, q, r = tpl
-    lhs = space.metric(p, p, p)
-    rhs = space.metric(p, q, r)
-    if not leq(lhs, rhs):
-        return (lhs, rhs)
-    return None
-
-
-def _symmetry(space, tpl, _options):
-    p, q = tpl
-    a = space.metric(p, p, q)
-    b = space.metric(q, q, p)
-    if not values_equal(a, b):
-        return (a, b)
-    return None
-
-
-def _rectangle(space, tpl, options):
-    # S(p,q,r) <= t * (S(p,p,s) + S(q,q,s) + S(r,r,s)) - S(s,s,s); t only
-    # when `scaled`, the self-distance only when `partial`.
-    partial, scaled = options
-    p, q, r, s = tpl
-    lhs = space.metric(p, q, r)
-    total = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
-    rhs = space.coefficient * total if scaled else total
-    if partial:
-        rhs = rhs - space.metric(s, s, s)
-    if not leq(lhs, rhs):
-        return (lhs, rhs)
-    return None
-
-
-# (axiom index, tuple arity, checker, checker options); exactly the listed
-# axioms per variant. Options: _identity (partial, pair), _rectangle
-# (partial, scaled). One options tuple, not *options: a star call costs the
-# rectangle loop about 7%.
+# (axiom index, tuple arity, kind, options); exactly the listed axioms per
+# variant. identity (partial, pair): p = q = r (p = q if `pair`) iff S(p,q,r)
+# equals 0 (each of S(p,p,p), S(q,q,q), S(r,r,r) if `partial`). self-min:
+# S(p,p,p) <= S(p,q,r). symmetry: S(p,p,q) = S(q,q,p). rectangle (partial,
+# scaled): S(p,q,r) <= t * (S(p,p,s) + S(q,q,s) + S(r,r,s)) - S(s,s,s), with
+# t only if `scaled` and S(s,s,s) only if `partial`.
 _AXIOMS = {
     AxiomSet.S_METRIC: (
-        (1, 3, _identity, (False, False)),
-        (2, 4, _rectangle, (False, False)),
+        (1, 3, "identity", (False, False)),
+        (2, 4, "rectangle", (False, False)),
     ),
     AxiomSet.PARTIAL_S: (
-        (1, 3, _identity, (True, True)),
-        (2, 3, _self_min, ()),
-        (3, 2, _symmetry, ()),
-        (4, 4, _rectangle, (True, False)),
+        (1, 3, "identity", (True, True)),
+        (2, 3, "self-min", ()),
+        (3, 2, "symmetry", ()),
+        (4, 4, "rectangle", (True, False)),
     ),
     AxiomSet.SB_METRIC: (
-        (1, 3, _identity, (False, False)),
-        (2, 2, _symmetry, ()),
-        (3, 4, _rectangle, (False, True)),
+        (1, 3, "identity", (False, False)),
+        (2, 2, "symmetry", ()),
+        (3, 4, "rectangle", (False, True)),
     ),
     AxiomSet.PARTIAL_SB: (
-        (1, 3, _identity, (True, False)),
-        (2, 3, _self_min, ()),
-        (3, 2, _symmetry, ()),
-        (4, 4, _rectangle, (True, True)),
+        (1, 3, "identity", (True, False)),
+        (2, 3, "self-min", ()),
+        (3, 2, "symmetry", ()),
+        (4, 4, "rectangle", (True, True)),
     ),
 }
 
@@ -333,9 +289,9 @@ def check_axioms(
     so any sampled violation is also found by the exhaustive scan.
 
     The verdicts come from one pass over tables of the point set (see
-    _check_by_tables). Should that pass raise, the tuple-by-tuple check
-    runs instead, so an error surfaces at the tuple, and with the message,
-    that the tuple-by-tuple order meets first.
+    _check_by_tables). Arithmetic that overflows the float range (an int
+    beyond it meeting a float) raises DistanceOverflow, naming the axiom
+    and the tuple that the pass was checking.
     """
     axioms = _AXIOMS[variant]
     if sample_count is None:
@@ -348,10 +304,7 @@ def check_axioms(
         if not pts:
             raise InvalidArgument("sample must be nonempty")
         checked = len(axioms) * sample_count
-    try:
-        found = _check_by_tables(space, axioms, pts, sample_count, seed)
-    except Exception:
-        found = _check_by_tuples(space, axioms, pts, sample_count, seed)
+    found = _check_by_tables(space, axioms, pts, sample_count, seed)
     violations = tuple(
         Violation(index, tpl, lhs, rhs)
         for (index, tpl), (lhs, rhs) in sorted(
@@ -370,36 +323,10 @@ def _sampled_positions(pool_size: int, sample_count: int, seed: int) -> Iterator
         yield rng.choice(positions), rng.choice(positions), rng.choice(positions), rng.choice(positions)
 
 
-def _check_by_tuples(space, axioms, pts, sample_count, seed) -> dict:
-    """{(axiom, tuple): (lhs, rhs)} per violated tuple, first occurrence
-    kept, running each axiom's checker on every tuple in turn."""
-    if sample_count is None:
-
-        def tuples_of(arity: int) -> Iterator[tuple]:
-            return itertools.product(pts, repeat=arity)
-    else:
-        quads = [tuple(pts[i] for i in quad) for quad in _sampled_positions(len(pts), sample_count, seed)]
-
-        def tuples_of(arity: int) -> Iterator[tuple]:
-            return (q[:arity] for q in quads)
-
-    found = {}
-    for index, arity, checker, options in axioms:
-        for tpl in tuples_of(arity):
-            try:
-                bad = checker(space, tpl, options)
-            except OverflowError:
-                labels = ", ".join(point_label(x) for x in tpl)
-                raise DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range") from None
-            if bad is not None:
-                found.setdefault((index, tpl), bad)
-    return found
-
-
 def _rectangle_rhs(pair_sums, thirds, selfs, t, partial, scaled) -> list:
-    """The rectangle's right-hand sides over aligned lists, in the checker's
-    order: pair_sums hold S(p,p,s) + S(q,q,s), thirds S(r,r,s) and selfs
-    S(s,s,s); the sum times t when `scaled`, less S(s,s,s) when `partial`."""
+    """The rectangle's right-hand sides over aligned lists: pair_sums hold
+    S(p,p,s) + S(q,q,s), thirds S(r,r,s) and selfs S(s,s,s); the sum times
+    t when `scaled`, less S(s,s,s) when `partial`."""
     if partial and scaled:
         return [t * (a + b) - c for a, b, c in zip(pair_sums, thirds, selfs)]
     if partial:
@@ -410,71 +337,101 @@ def _rectangle_rhs(pair_sums, thirds, selfs, t, partial, scaled) -> list:
 
 
 def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
-    """_check_by_tuples' result from one pass per triple (exhaustive) or
-    per sampled quadruple, which evaluates S(p,q,r) once for identity,
-    self-minimality and the rectangle. The self-distances S(x,x,x) and the
-    rows S(x,x,s) are tabulated once over `pts`, by position: equal points
-    such as 3 and 3.0 may give an int and a float distance.
+    """{(axiom, tuple): (lhs, rhs)} per violated tuple, first occurrence
+    kept, from one pass per triple (exhaustive) or per sampled quadruple,
+    which evaluates S(p,q,r) once for identity, self-minimality and the
+    rectangle. The self-distances S(x,x,x) and the rows S(x,x,s) are
+    tabulated once over `pts`, by position: equal points such as 3 and 3.0
+    may give an int and a float distance.
 
-    Each comparison and each arithmetic step is the checker's own, on the
-    same values, save one: an exhaustive rectangle row whose every
-    right-hand side is at least S(p,q,r) under a plain <= holds without a
-    walk over s, since leq is then true at its first test. A NaN, which
-    min() can pass over, is looked for only when t or a tabulated value is
-    not finite: otherwise each step adds, scales by or subtracts a finite
-    value, which may reach inf but never NaN.
+    An exhaustive rectangle row whose every right-hand side is at least
+    S(p,q,r) under a plain <= holds without a walk over s, since leq is
+    then true at its first test. A NaN, which min() can pass over, is
+    looked for only when t or a tabulated value is not finite: otherwise
+    each step adds, scales by or subtracts a finite value, which may reach
+    inf but never NaN.
     """
     dist = space.metric.__call__
     t = space.coefficient
     selfs = [dist(x, x, x) for x in pts]
     pairs = [[dist(x, x, y) for y in pts] for x in pts]
-    roles = {checker: (index, options) for index, _, checker, options in axioms}
-    identity, (id_partial, id_pair) = roles[_identity]
-    self_min = roles.get(_self_min, (None,))[0]
-    symmetry = roles.get(_symmetry, (None,))[0]
-    rectangle, (partial, scaled) = roles[_rectangle]
+    roles = {kind: (index, options) for index, _, kind, options in axioms}
+    identity, (id_partial, id_pair) = roles["identity"]
+    self_min = roles.get("self-min", (None,))[0]
+    symmetry = roles.get("symmetry", (None,))[0]
+    rectangle, (partial, scaled) = roles["rectangle"]
     found = {}
 
     def check_triple(tpl, val, sp, sq, sr):
-        if id_partial:
-            agrees = values_equal(val, sp) and values_equal(val, sq) and values_equal(val, sr)
-        else:
-            agrees = values_equal(val, 0)
-        p, q, r = tpl
-        if (p == q if id_pair else p == q == r) != agrees:
-            found.setdefault((identity, tpl), (val, sp if id_partial else 0))
-        if self_min is not None and not leq(sp, val):
-            found.setdefault((self_min, tpl), (sp, val))
+        index = identity
+        try:
+            if id_partial:
+                agrees = values_equal(val, sp) and values_equal(val, sq) and values_equal(val, sr)
+            else:
+                agrees = values_equal(val, 0)
+            p, q, r = tpl
+            if (p == q if id_pair else p == q == r) != agrees:
+                found.setdefault((identity, tpl), (val, sp if id_partial else 0))
+            index = self_min
+            if self_min is not None and not leq(sp, val):
+                found.setdefault((self_min, tpl), (sp, val))
+        except OverflowError:
+            raise _overflow(index, tpl) from None
 
     if sample_count is not None:
         for i, j, k, m in _sampled_positions(len(pts), sample_count, seed):
             p, q, r, s = pts[i], pts[j], pts[k], pts[m]
             val = dist(p, q, r)
             check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
-            if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
-                found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
-            (rhs,) = _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
-            if not leq(val, rhs):
-                found.setdefault((rectangle, (p, q, r, s)), (val, rhs))
+            try:
+                if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
+                    found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+            except OverflowError:
+                raise _overflow(symmetry, (p, q)) from None
+            try:
+                (rhs,) = _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
+                if not leq(val, rhs):
+                    found.setdefault((rectangle, (p, q, r, s)), (val, rhs))
+            except OverflowError:
+                raise _overflow(rectangle, (p, q, r, s)) from None
         return found
 
     positions = list(enumerate(pts))
     if symmetry is not None:
         for (i, p), (j, q) in itertools.product(positions, repeat=2):
-            if not values_equal(pairs[i][j], pairs[j][i]):
-                found[(symmetry, (p, q))] = (pairs[i][j], pairs[j][i])
+            try:
+                if not values_equal(pairs[i][j], pairs[j][i]):
+                    found[(symmetry, (p, q))] = (pairs[i][j], pairs[j][i])
+            except OverflowError:
+                raise _overflow(symmetry, (p, q)) from None
     maybe_nan = not all(x - x == 0 for x in itertools.chain((t,), selfs, *pairs))
     for (i, p), (j, q) in itertools.product(positions, repeat=2):
-        pair_sums = [a + b for a, b in zip(pairs[i], pairs[j])]
-        for k, r in positions:
-            val = dist(p, q, r)
-            check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
-            row = _rectangle_rhs(pair_sums, pairs[k], selfs, t, partial, scaled)
-            if not val <= min(row) or (maybe_nan and any(x != x for x in row)):
-                for s, rhs in zip(pts, row):
-                    if not leq(val, rhs):
-                        found[(rectangle, (p, q, r, s))] = (val, rhs)
+        k, m = 0, None  # the pair sums serve every r, the first one first
+        try:
+            pair_sums = [a + b for a, b in zip(pairs[i], pairs[j])]
+            for k, r in positions:
+                val = dist(p, q, r)
+                check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
+                row = _rectangle_rhs(pair_sums, pairs[k], selfs, t, partial, scaled)
+                if not val <= min(row) or (maybe_nan and any(x != x for x in row)):
+                    for m, rhs in enumerate(row):
+                        if not leq(val, rhs):
+                            found[(rectangle, (p, q, r, pts[m]))] = (val, rhs)
+                    m = None
+        except OverflowError:
+            if m is None:  # in a whole row: name its first s whose own rhs overflows
+                for m in range(len(pts)):
+                    try:
+                        _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
+                    except OverflowError:
+                        break
+            raise _overflow(rectangle, (p, q, pts[k], pts[m])) from None
     return found
+
+
+def _overflow(index, tpl) -> DistanceOverflow:
+    labels = ", ".join(point_label(x) for x in tpl)
+    return DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range")
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,10 @@ opens (Alexandroff 1937; Stong 1966). In a topology x has exactly one, its
 smallest neighbourhood U_x; in any family an open holds u but not v iff one
 of u's minimal opens misses v, so the verdicts are exact on non-topologies.
 
-Cover witnesses: balls around one centre are nested, so a point escapes a
-subfamily of them iff it escapes the widest. uncovered_witness scans the
-carrier once, against the widest cut of each comparator kind.
+Cover witnesses: the family's ball of index n is D(c; n), so the balls are
+nested and a point escapes a subfamily of them iff it escapes the widest.
+uncovered_witness scans the carrier once, against the cut of the largest
+index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import DistanceOverflow, EmptySubfamily, InvalidArgument, PsbmError, UnknownPoint
 from .numerics import point_label, point_sort_key, strictly_less
@@ -146,9 +147,12 @@ def ball_base_witness(space: PartialSbSpace):
     smallest = _smallest_balls(space, pts)
     for x in pts:
         d = {z: space.metric(x, x, z) for z in pts}
-        for z, v in itertools.product(pts, pts):
-            if d[z] - d[x] > 0 and strictly_less(d[v], d[z]) and z in smallest[v]:
-                return x, v, z
+        try:
+            for z, v in itertools.product(pts, pts):
+                if d[z] - d[x] > 0 and strictly_less(d[v], d[z]) and z in smallest[v]:
+                    return x, v, z
+        except OverflowError:
+            raise DistanceOverflow(f"a distance from {point_label(x)} overflows the float range") from None
     return None
 
 
@@ -223,21 +227,16 @@ def is_connected(topology: FiniteTopology):
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Indexed family of balls around one center; radius defaults to the
-    index itself."""
+    """Indexed family of balls D(center; n) around one center: the radius
+    of each ball is its index n."""
 
     center: object
     indices: tuple
-    radius_expr: str = "n"
-    radius_of: Callable | None = None
-
-    def radius(self, n):
-        return n if self.radius_of is None else self.radius_of(n)
 
     def to_dict(self) -> dict:
         return {
             "center": point_label(self.center),
-            "radius_expr": self.radius_expr,
+            "radius_expr": "n",
             "indices": list(self.indices),
         }
 
@@ -267,12 +266,10 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     """A carrier point outside every subfamily ball, or None if the scanned
     candidates are covered; an empty scan covers nothing and is an error.
 
-    Balls around one centre are nested, so each candidate is compared once
-    with the widest ball. Integer cuts radius + dist(c,c,c) compare exactly
-    and others with the float margin, and the two disagree on which cut is
-    wider (near 1e13), so the widest of each kind is kept. Radii must be
-    finite. The default scan stops at the first witness; a fully covered
-    scan costs the length of the lattice.
+    Balls around one centre are nested in the radius, so each candidate is
+    compared once with the widest ball, of radius max(subfamily); its cut
+    radius + dist(c,c,c) must be finite. The default scan stops at the
+    first witness; a fully covered scan costs the length of the lattice.
     """
     subfamily = list(subfamily_indices)
     if not subfamily:
@@ -282,25 +279,15 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
         raise InvalidArgument(f"indices {sorted(set(subfamily) - indices)} are not in the family")
     center = family.center
     self_d = space.metric(center, center, center)
-    widest = {}  # is_int -> (radius, cut) of the widest radius of that kind
+    radius = max(subfamily)
     try:
-        for n in subfamily:
-            radius = family.radius(n)
-            cut = radius + self_d
-            is_int = type(cut) is int
-            if not (is_int or math.isfinite(cut)):
-                raise InvalidArgument(f"radius of index {n} is not finite")
-            if is_int not in widest or radius > widest[is_int][0]:
-                widest[is_int] = radius, cut
-        balls = list(widest.values())
+        cut = radius + self_d
+        if not (type(cut) is int or math.isfinite(cut)):
+            raise InvalidArgument(f"radius of index {radius} is not finite")
         scan = _scan_candidates(space, search_bound) if candidates is None else candidates
         z = None  # stays None only when the scan yields no point
         for z in scan:
-            d = space.metric(center, center, z)
-            for radius, cut in balls:
-                if _in_ball(d, self_d, radius, cut):
-                    break
-            else:
+            if not _in_ball(space.metric(center, center, z), self_d, radius, cut):
                 return z
     except OverflowError:
         raise DistanceOverflow(

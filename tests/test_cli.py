@@ -228,6 +228,23 @@ class TestRejectedValues:
 
 
 class TestLazyCoverScan:
+    @pytest.mark.parametrize("extra, total", [
+        (["--indices", "1..100000000"], 100000000),
+        (["--indices", "3..20", "--subfamily", "1..600000,1..600000"], 1200000),
+    ], ids=["one-range", "in-all"])
+    def test_too_many_indices_exit_2_before_expanding(self, extra, total):
+        # Each range is sized before it is expanded: under 1 GiB of address
+        # space, expanding 10^8 indices fails instead of growing.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = run_subprocess(
+            "cover-witness", "--space", "builtin:quintic_ray", "--center", "1", *extra,
+            preexec_fn=limit_memory, timeout=60,
+        )
+        message = f"error: {total} indices exceed the limit of {cli.MAX_INDICES}\n"
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+
     @pytest.mark.parametrize("bound", ["1e9", "1e40", "1e300"])
     def test_huge_bound_stops_at_the_first_witness(self, bound):
         # The lattice up to the bound has more points than memory holds; the
@@ -492,6 +509,10 @@ class TestIntegerOverflow:
     BIG = "1" + "0" * 400
     # verify-axioms meets it in coefficient * sum, topology in a midpoint radius.
     SCALED = [("coefficient: 1", "coefficient: 1.5"), ("1 2 2 8", f"1 2 2 {BIG}")]
+    # Here in the sums of a whole rectangle row, before any of its tuples;
+    # then in the row for (1, 1, 2), after the row for (1, 1, 1) was walked.
+    SCALED_ROW = [("coefficient: 1", "coefficient: 1.5"), ("1 1 2 8", f"1 1 2 {BIG}")]
+    AFTER_WALK = [("coefficient: 1", "coefficient: 1.5"), ("1 1 1 4", "1 1 1 100"), ("2 2 1 8", f"2 2 1 {BIG}")]
     GAPS = [("1 1 2 8", f"1 1 2 {BIG}"), ("2 2 1 8", f"2 2 1 {BIG}")]
     # A float radius plus this self-distance.
     SELF = [("1 1 1 4", f"1 1 1 {BIG}")]
@@ -499,10 +520,13 @@ class TestIntegerOverflow:
     @pytest.mark.parametrize("argv, edits, message", [
         (["verify-axioms"], SCALED, "axiom 4 at (1, 2, 2, 1) overflows the float range"),
         (["verify-axioms", "--samples", "50"], SCALED, "axiom 4 at (1, 2, 2, 2) overflows the float range"),
+        (["verify-axioms"], SCALED_ROW, "axiom 4 at (1, 1, 1, 2) overflows the float range"),
+        (["verify-axioms"], AFTER_WALK, "axiom 4 at (1, 1, 2, 1) overflows the float range"),
         (["topology"], GAPS, "a distance from 1 overflows the float range"),
         (["separation"], GAPS, "a distance from 1 overflows the float range"),
         (["ball", "--center", "1", "--radius", "1"], SELF, "D(1; 1.0) overflows the float range"),
-    ], ids=["verify-axioms", "sampled verify-axioms", "topology", "separation", "ball"])
+    ], ids=["verify-axioms", "sampled verify-axioms", "verify-axioms row", "verify-axioms after a walk",
+            "topology", "separation", "ball"])
     def test_overflow_is_one_error_line(self, argv, edits, message, tmp_path, capsys):
         text = TWO_POINT_B_FILE
         for before, after in edits:
@@ -513,6 +537,39 @@ class TestIntegerOverflow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+    def test_the_ball_base_check_is_one_error_line(self, tmp_path):
+        # The smallest balls stay finite; the base check compares the float
+        # dist(1,1,3) = 0.5 with dist(1,1,2) = 10^400 under the float margin.
+        values = {(1, 1, 1): "0", (2, 2, 2): "0", (3, 3, 3): "0", (1, 1, 2): self.BIG, (1, 1, 3): "0.5"}
+        path = tmp_path / "space.psb"
+        path.write_text("points: 1 2 3\ncoefficient: 1\n" + "".join(
+            f"{a} {b} {c} {values.get((a, b, c), '1')}\n" for a, b, c in itertools.product((1, 2, 3), repeat=3)
+        ), encoding="utf-8")
+        argv = ["topology", "--space", f"file:{path}"]
+        assert run_captured(argv) == (2, "", "error: a distance from 1 overflows the float range\n")
+
+
+class TestCertifyBeyondTheFloatRange:
+    """An integer distance beyond the float range reaches a power in the
+    contraction inequality: at dist(a, b, c) for (4, 5, 4), or at the
+    self-gap g(4) = dist(4, 4, S(4)) for (4, 4, 3)."""
+
+    @staticmethod
+    def text(big_at):
+        return "points: 0 3 4 5\ncoefficient: 1\n" + "".join(
+            f"{a} {b} {c} {TestIntegerOverflow.BIG if (a, b, c) == big_at else 1 if a == b == c else 8}\n"
+            for a, b, c in itertools.product((0, 3, 4, 5), repeat=3)
+        )
+
+    @pytest.mark.parametrize("big_at", [(4, 5, 4), (4, 4, 3)])
+    @pytest.mark.parametrize("extra", [[], ["--samples", "20"]], ids=["default", "samples"])
+    def test_certify_is_one_error_line(self, big_at, extra, tmp_path):
+        path = tmp_path / "space.psb"
+        path.write_text(self.text(big_at), encoding="utf-8")
+        argv = ["certify", "--space", f"file:{path}", *extra]
+        assert run_captured(argv) == (2, "", "error: the contraction inequality overflows the float range\n")
 
 
 class TestCoverWitnessCentre:
@@ -772,14 +829,19 @@ JUNK_LINES = st.sampled_from(
 @st.composite
 def space_file_texts(draw):
     """Space files: half of them well formed (distinct labels, small finite
-    values, so the checks run and sometimes fail), the rest with any tokens
-    and a dropped, a duplicated or a junk line; sometimes arbitrary text."""
+    values or at times an integer beyond the float range, so the checks run
+    and sometimes fail), the rest with any tokens and a dropped, a
+    duplicated or a junk line; sometimes arbitrary text."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=80))
     clean = draw(st.booleans())
     if clean:
-        labels = draw(st.lists(st.sampled_from(["1", "2", "3", "a", "b", "2.5"]), min_size=1, max_size=3, unique=True))
-        values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["0.5", "2.5", "8.0"]))
+        labels = draw(st.lists(st.sampled_from(["0", "1", "2", "3", "a", "b", "2.5"]), min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            # The paper's map sends every point to 0 or 3: certify gets past the images.
+            labels = ["0", "3"] + [x for x in labels if x not in ("0", "3")]
+        big = [TestIntegerOverflow.BIG] if draw(st.booleans()) else []
+        values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["0.5", "2.5", "8.0", *big]))
     else:
         labels = draw(st.lists(LABEL_TOKENS, min_size=1, max_size=3))
         values = NUMBER_TOKENS
@@ -803,9 +865,12 @@ class TestSpaceFileFuzz:
     def test_exit_codes_and_verdicts(self, tmp_path_factory, text, variant):
         path = tmp_path_factory.mktemp("fuzz") / "space.psb"
         path.write_text(text, encoding="utf-8")
-        for command, extra, verdict in (
-            ("verify-axioms", ["--variant", variant], "passed"),
-            ("topology", [], "base"),
+        for command, extra, verdict, label in (
+            ("verify-axioms", ["--variant", variant], "passed", "passed"),
+            ("topology", [], "base", "base"),
+            ("separation", [], "t0", "T0"),
+            ("connected", [], "connected", "connected"),
+            ("certify", ["--samples", "20"], "passed", "passed"),
         ):
             argv = [command, "--space", f"file:{path}", *extra]
             code, out, err = run_captured(argv)
@@ -816,7 +881,7 @@ class TestSpaceFileFuzz:
                 assert out == json_out == "" and err == json_err and err.count("\n") == 1
             else:
                 assert err == json_err == ""
-                assert f"{verdict}: {json.loads(json_out)[verdict]}" in out
+                assert f"{label}: {json.loads(json_out)[verdict]}" in out
 
 
 BREAKPOINT_SCALARS = st.one_of(

@@ -167,13 +167,13 @@ def reference_witness_candidates(space, search_bound):
 
 
 def reference_uncovered_witness(space, family, subfamily, search_bound, candidates=None):
-    """Every candidate against every ball of the subfamily; as in open_ball,
-    d <= dist(c,c,c) lies inside a ball of positive radius."""
+    """Every candidate against every ball D(c; n) of the subfamily; as in
+    open_ball, d <= dist(c,c,c) lies inside a ball of positive radius."""
     if candidates is None:
         candidates = reference_witness_candidates(space, search_bound)
     center = family.center
     self_d = space.metric(center, center, center)
-    balls = [(family.radius(n), family.radius(n) + self_d) for n in subfamily]
+    balls = [(n, n + self_d) for n in subfamily]
     for z in candidates:
         d = space.metric(center, center, z)
         if not any((radius > 0 and d <= self_d) or strictly_less(d, cut) for radius, cut in balls):
@@ -588,8 +588,8 @@ class TestCoverWitness:
 
 
 class TestNestedBallCut:
-    """uncovered_witness keeps one widest cut per comparator path; the
-    per-cut reference above tests every candidate against every cut."""
+    """uncovered_witness tests each candidate against the cut of the largest
+    index; the per-cut reference above tests it against every cut."""
 
     REPRO_FAMILY = CoverFamily(center=1, indices=tuple(range(3, 21)))
 
@@ -610,31 +610,11 @@ class TestNestedBallCut:
             witnesses |= assert_witness_matches_reference(RAY, self.REPRO_FAMILY, subfamilies, bound)
         assert witnesses == {None, 1.5, 2}
 
-    @pytest.mark.parametrize(
-        "radius_of",
-        [
-            lambda n: ((n * 7919) % 97 + 1) * 311,
-            lambda n: ((n * 7919) % 97 + 1) * 311.5,
-            lambda n: ((n * 104729) % 89 + 1) * (401 if n % 2 else 397.25),
-        ],
-        ids=["int", "float", "mixed"],
-    )
-    def test_non_monotone_radii(self, radius_of):
-        family = CoverFamily(center=1, indices=tuple(range(1, 30)), radius_of=radius_of)
-        rng = random.Random("cover:non-monotone")
-        witnesses = set()
-        for bound in (2.5, 6.5, 64):
-            candidates = witness_candidates(RAY, bound)
-            subfamilies = self.random_subfamilies(rng, list(family.indices), 300)
-            witnesses |= assert_witness_matches_reference(RAY, family, subfamilies, bound, candidates)
-        assert len(witnesses) >= 4
-
     @pytest.mark.parametrize("center", [4.5, 6.25, 3.0, 4.0])
     def test_float_centres_on_quintic_gap(self, center):
+        # Int and float indices in no order of size.
         family = CoverFamily(
-            center=center,
-            indices=tuple(range(1, 40)),
-            radius_of=lambda n: (n * 37 % 41) * 2500 + (0.5 if n % 3 else 0),
+            center=center, indices=tuple((n * 37 % 41) * 2500 + (0.5 if n % 3 else 0) for n in range(1, 40))
         )
         rng = random.Random(f"cover:gap:{center}")
         witnesses = set()
@@ -650,33 +630,19 @@ class TestNestedBallCut:
         for i in range(400):
             labels = tuple(range(1, 3 + i % 4))
             space = random_tabulated_space(rng, labels)
-            radii = {n: rng.choice((rng.randint(1, 12), rng.uniform(0.5, 12))) for n in range(6)}
-            family = CoverFamily(
-                center=rng.choice(labels), indices=tuple(radii), radius_of=radii.__getitem__
-            )
-            subfamilies = list(self.random_subfamilies(rng, list(radii), 5))
+            radii = [rng.choice((rng.randint(1, 12), rng.uniform(0.5, 12))) for _ in range(6)]
+            family = CoverFamily(center=rng.choice(labels), indices=tuple(radii))
+            subfamilies = list(self.random_subfamilies(rng, radii, 5))
             witnesses |= assert_witness_matches_reference(space, family, subfamilies, 64)
         assert None in witnesses and len(witnesses) >= 3
 
-    def test_int_and_float_cuts_near_1e13_are_kept_apart(self):
-        # d = 10^13 lies inside the int cut d + 1 (exact), but not inside the
-        # larger float cut d + 2.0, which the float margin shrinks to d - 8.
-        d = 10**13
-        table = {triple: d for triple in itertools.product((1, 2), repeat=3)}
-        table[(1, 1, 1)] = 0
-        space = tabulated_space((1, 2), table)
-        radii = {"int": d + 1, "float": d + 2.0}
-        family = CoverFamily(center=1, indices=tuple(radii), radius_of=radii.__getitem__)
-        assert strictly_less(d, d + 1) and not strictly_less(d, d + 2.0)
-        subfamilies = [["int", "float"], ["float", "int"], ["float"]]
-        assert assert_witness_matches_reference(space, family, subfamilies, 64) == {None, 2}
-        assert [uncovered_witness(space, family, s, 64) for s in subfamilies] == [None, None, 2]
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_is_rejected(self, bad):
-        family = CoverFamily(center=1, indices=(3, 4), radius_of=lambda n: bad if n == 4 else n)
-        with pytest.raises(ValueError, match="radius of index 4 is not finite"):
-            uncovered_witness(RAY, family, [3, 4], 64)
+        # The radius is the index, so a non-finite widest index has no cut.
+        family = CoverFamily(center=1, indices=(3, bad))
+        with pytest.raises(ValueError) as raised:
+            uncovered_witness(RAY, family, [bad], 64)
+        assert str(raised.value) == f"radius of index {bad} is not finite"
 
 
 class TestCoverWitnessErrors:
@@ -684,18 +650,14 @@ class TestCoverWitnessErrors:
     of its first fault in subfamily order."""
 
     REPRO_FAMILY = CoverFamily(center=1, indices=tuple(range(3, 21)))
-    # Indices 4 and 6 have non-finite radii; the others radius n.
-    PARTLY_BAD = CoverFamily(
-        center=1, indices=tuple(range(3, 21)), radius_of=lambda n: math.nan if n in (4, 6) else n
-    )
+    # The repro indices and one index of infinite radius.
+    PARTLY_BAD = CoverFamily(center=1, indices=tuple(range(3, 21)) + (math.inf,))
 
     @pytest.mark.parametrize("family, bad, error, message", [
         (REPRO_FAMILY, [], EmptySubfamily, "subfamily must contain at least one index"),
         (REPRO_FAMILY, (3, 99, 98, 99), ValueError, "indices [98, 99] are not in the family"),
-        (PARTLY_BAD, [3, 4], ValueError, "radius of index 4 is not finite"),
-        (PARTLY_BAD, (6, 5, 4), ValueError, "radius of index 6 is not finite"),
-        (PARTLY_BAD, [4, 6], ValueError, "radius of index 4 is not finite"),
-    ], ids=["empty", "missing", "non-finite", "first-non-finite", "first-of-two"])
+        (PARTLY_BAD, [3, math.inf], ValueError, "radius of index inf is not finite"),
+    ], ids=["empty", "missing", "non-finite"])
     def test_each_error_names_its_first_fault(self, family, bad, error, message):
         with pytest.raises(error) as raised:
             uncovered_witness(RAY, family, bad, 64)
@@ -745,15 +707,15 @@ class TestCentreUnderTheMargin:
         assert assert_witness_matches_reference(space, family, [[1], [3, 2]], 64) == {2}
 
     @pytest.mark.parametrize("radii, expected", [
-        ({"a": 0}, 1), ({"a": -1}, 1), ({"a": -1.5, "b": 0.0}, 1), ({"a": -1, "b": 1e-20}, 2),
+        ([0], 1), ([-1], 1), ([-1.5, 0.0], 1), ([-1, 1e-20], 2),
         # Both cuts round to 1e15: the widest radius, not the first cut, decides.
-        ({"a": -1e-20, "b": 1e-20}, 2),
+        ([-1e-20, 1e-20], 2),
     ])
     def test_non_positive_radii_do_not_take_the_centre(self, radii, expected):
         space = self.big_self_space()
-        family = CoverFamily(center=1, indices=tuple(radii), radius_of=radii.__getitem__)
-        assert uncovered_witness(space, family, list(radii), 64) == expected
-        assert assert_witness_matches_reference(space, family, [list(radii)], 64) == {expected}
+        family = CoverFamily(center=1, indices=tuple(radii))
+        assert uncovered_witness(space, family, radii, 64) == expected
+        assert assert_witness_matches_reference(space, family, [radii], 64) == {expected}
 
     def test_random_tabulated_spaces_with_signed_radii(self):
         rng = random.Random("cover:signed")
@@ -765,9 +727,9 @@ class TestCentreUnderTheMargin:
                 scale = rng.choice((1e13, 1e15, 1e16))
                 table = {k: v * scale for k, v in space.metric.table.items()}
                 space = tabulated_space(labels, table)
-            radii = {n: rng.choice((rng.randint(-3, 3), rng.uniform(-2, 2), rng.choice((0, 0.0, 1e-20)))) for n in range(5)}
-            family = CoverFamily(center=rng.choice(labels), indices=tuple(radii), radius_of=radii.__getitem__)
-            subfamilies = [rng.sample(list(radii), rng.randint(1, 5)) for _ in range(5)]
+            radii = [rng.choice((rng.randint(-3, 3), rng.uniform(-2, 2), rng.choice((0, 0.0, 1e-20)))) for _ in range(5)]
+            family = CoverFamily(center=rng.choice(labels), indices=tuple(radii))
+            subfamilies = [rng.sample(radii, rng.randint(1, 5)) for _ in range(5)]
             witnesses |= assert_witness_matches_reference(space, family, subfamilies, 64)
         assert None in witnesses and len(witnesses) >= 3
 
