@@ -229,14 +229,13 @@ def certify(
     sample_count: int | None = None,
     seed: int = 0,
 ) -> CertificateReport:
-    """Check lhs = dist(S(a),S(b),S(c)) <= rhs over generated triples.
-
-    With `points` given, every triple over those points is checked; with
-    `sample_count`, that many random triples are drawn from a deterministic
-    carrier sample; otherwise the default carrier sample is exhausted.
-    Triples containing fixed points are skipped and reported.
-    """
-    if sample_count is not None and sample_count < 1:
+    """Check lhs = dist(S(a),S(b),S(c)) <= rhs over every triple over `points`
+    or over `sample_count` random triples of a deterministic carrier sample;
+    exactly one of the two is given. Triples holding fixed points are skipped
+    and reported."""
+    if (points is None) == (sample_count is None):
+        raise InvalidArgument("certify takes exactly one of points and sample_count")
+    if points is None and sample_count < 1:
         raise InvalidArgument("sample_count must be >= 1")
     pool = list(points) if points is not None else sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(spec.mapping, pool))
@@ -246,7 +245,7 @@ def certify(
 
         # Chunks of (triples, their lhs values, their rhs values); the triples
         # are read only to list failures.
-        if points is not None or sample_count is None:
+        if points is not None:
             chunks = (
                 (((a, b, c) for c in active), *sides.row(a, b)) for a in active for b in active
             )

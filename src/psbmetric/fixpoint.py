@@ -51,6 +51,8 @@ def picard_iterate(
     its image."""
     if max_iter < 1:
         raise InvalidArgument("max_iter must be >= 1")
+    if not tol >= 0:
+        raise InvalidArgument(f"tolerance must be >= 0, got {tol}")
     if isinstance(a0, float) and not math.isfinite(a0):
         raise InvalidArgument(f"start point must be finite, got {a0}")
     require_point(space, a0)
@@ -87,6 +89,8 @@ def picard_iterate(
 def verify_fixed_point(space: PartialSbSpace, mapping: SelfMap, a, tol: float = DEFAULT_TOL):
     """(is_fixed, self_distance_zero): S(a) = a, and dist(a,a,a) <= tol.
     The two conclusions are independent checks."""
+    if not tol >= 0:
+        raise InvalidArgument(f"tolerance must be >= 0, got {tol}")
     is_fixed = mapping(a) == a
     self_distance_zero = space.metric(a, a, a) <= tol
     return is_fixed, self_distance_zero

@@ -6,10 +6,10 @@ inside U (Sedghi, Shobe and Aliouche 2012); on a finite carrier, iff U holds
 the smallest ball M_y of each y in U. The opens are the unions of the U_x,
 the points reachable from x by repeatedly applying y -> M_y.
 
-Every verdict on a family of opens comes from each point's inclusion-minimal
-opens (Alexandroff 1937; Stong 1966). In a topology x has exactly one, its
-smallest neighbourhood U_x; in any family an open holds u but not v iff one
-of u's minimal opens misses v, so the verdicts are exact on non-topologies.
+The axiom check and the separation verdicts read each point's smallest open
+U_x, the intersection of the opens that hold x (Alexandroff 1937). The check
+is exact on any family, the verdicts on every family whose U_x are all open,
+every topology among them; separation_report raises on any other family.
 
 Cover witnesses: the family's ball of index n is D(c; n), so the balls are
 nested and a point escapes a subfamily of them iff it escapes the widest.
@@ -95,16 +95,13 @@ class FiniteTopology:
         }
 
 
-def _minimal_opens(opens, points) -> dict:
-    """Per point, its inclusion-minimal opens: scanned by size, an open is
-    minimal for x iff no open already kept for x is a subset of it."""
-    minimal = {x: [] for x in points}
-    for o in sorted(opens, key=len):
+def _smallest_opens(opens) -> dict:
+    """U_x per point of some open: the intersection of the opens that hold x."""
+    smallest = {}
+    for o in opens:
         for x in o:
-            kept = minimal.get(x)
-            if kept is not None and not any(m <= o for m in kept):
-                kept.append(o)
-    return minimal
+            smallest[x] = smallest[x] & o if x in smallest else o
+    return smallest
 
 
 def _smallest_balls(space: PartialSbSpace, pts) -> dict:
@@ -157,16 +154,12 @@ def ball_base_witness(space: PartialSbSpace):
 
 
 def verify_topology_axioms(topology: FiniteTopology) -> bool:
-    """Empty set and carrier open, one minimal open U_x per point, and
-    o | U_x open for every open o: closure under union and intersection,
-    since every open and every meet of two is then a union of U_x's."""
+    """Empty set and carrier open, and o | U_x open for every open o, the empty
+    one included: then every open and every meet of two is a union of U_x's."""
     opens = topology.opens
     if frozenset() not in opens or topology.carrier not in opens:
         return False
-    minimal = _minimal_opens(opens, frozenset().union(*opens))
-    if any(len(kept) != 1 for kept in minimal.values()):
-        return False
-    return all(o | u in opens for (u,) in minimal.values() for o in opens)
+    return all(o | u in opens for u in _smallest_opens(opens).values() for o in opens)
 
 
 @dataclass(frozen=True)
@@ -189,22 +182,25 @@ class SeparationReport:
 
 
 def separation_report(topology: FiniteTopology) -> SeparationReport:
-    """A pair fails T0 when each point lies in all of the other's minimal
-    opens, T1 when either one does, and T2 when every minimal open of one
-    meets every minimal open of the other."""
+    """A pair (u, v) fails T0 when v is in U_u and u in U_v, T1 when either
+    holds, and T2 when U_u meets U_v. Raises InvalidArgument naming the first
+    point that lies in no open or whose U_x is not open."""
     points = sorted_points(topology.carrier)
-    minimal = _minimal_opens(topology.opens, points)
+    smallest = _smallest_opens(topology.opens)
+    for x in points:
+        if smallest.get(x) not in topology.opens:
+            raise InvalidArgument(f"point {point_label(x)} has no smallest open set")
     t0_bad, t1_bad, t2_bad = [], [], []
     # The three witness lists share one tuple per pair.
     for pair in itertools.combinations(points, 2):
         u, v = pair
-        v_near_u = all(v in o for o in minimal[u])
-        u_near_v = all(u in o for o in minimal[v])
+        v_near_u = v in smallest[u]
+        u_near_v = u in smallest[v]
         if v_near_u and u_near_v:
             t0_bad.append(pair)
         if v_near_u or u_near_v:
             t1_bad.append(pair)
-        if all(a & b for a in minimal[u] for b in minimal[v]):
+        if not smallest[u].isdisjoint(smallest[v]):
             t2_bad.append(pair)
     return SeparationReport(
         t0=not t0_bad,

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from clustered import clustered_space
 from psbmetric import random_valid_space, tabulated_space
 from psbmetric import cli
 from psbmetric.cli import build_parser, main
@@ -226,6 +227,15 @@ class TestRejectedValues:
         assert captured.err.count("error:") == 1
         assert f"argument --tolerance: invalid finite float value: '{value}'" in captured.err
 
+    @pytest.mark.parametrize("value", ["-1", "-1e-300"])
+    def test_negative_tolerance_is_one_error_line(self, value):
+        # The identity fixes 7.5 at once: a negative tolerance would read the
+        # fixed orbit as non-convergence and exit 1.
+        argv = ["fixpoint", "--space", "builtin:quintic_gap", "--map", "identity", "--start", "7.5",
+                f"--tolerance={value}", "--max-iter", "5"]
+        assert run_captured(argv) == (2, "", f"error: tolerance must be >= 0, got {float(value)}\n")
+        assert run_captured([token for token in argv if not token.startswith("--tolerance")])[0] == 0
+
 
 class TestLazyCoverScan:
     @pytest.mark.parametrize("extra, total", [
@@ -359,6 +369,48 @@ class TestSpaceWhoseBallsAreNoBase:
     def test_text_and_json(self, no_base_file, command, text, payload):
         assert run_captured([command, "--space", no_base_file]) == (0, text, "")
         code, out, err = run_captured([command, "--space", no_base_file, "--format", "json"])
+        assert (code, json.loads(out), err) == (0, payload, "")
+
+
+CLUSTERED_PAIRS = [(0, 3), (0, 5), (1, 4), (1, 6), (2, 7), (3, 5), (4, 6)]
+
+
+@pytest.fixture(scope="module")
+def clustered_file(tmp_path_factory):
+    """The bench's clustered space on 8 points in clusters {1, 4, 6},
+    {0, 3, 5} and {2, 7}: the T1 and T2 witnesses are the pairs within a
+    cluster, and the topology is disconnected."""
+    clusters, space = clustered_space(random.Random("cli:clustered"), (3, 3, 2))
+    assert clusters == ((1, 4, 6), (0, 3, 5), (2, 7))
+    path = tmp_path_factory.mktemp("spaces") / "clustered.psb"
+    path.write_text(space_file_text(space), encoding="utf-8")
+    return f"file:{path}"
+
+
+class TestClusteredSpace:
+    @pytest.mark.parametrize("command, text, payload", [
+        (
+            "separation",
+            "T0: True  T1: False  T2: False\n"
+            + "".join(f"  {level} fails for pair ({u}, {v})\n" for level in ("t1", "t2") for u, v in CLUSTERED_PAIRS),
+            {
+                "t0": True, "t1": False, "t2": False,
+                "witnesses": {
+                    "t0": [],
+                    "t1": [[str(u), str(v)] for u, v in CLUSTERED_PAIRS],
+                    "t2": [[str(u), str(v)] for u, v in CLUSTERED_PAIRS],
+                },
+            },
+        ),
+        (
+            "connected",
+            "connected: False  witness: {0, 1, 3, 4, 5, 6} | {2, 7}\n",
+            {"connected": False, "witness": [["0", "1", "3", "4", "5", "6"], ["2", "7"]]},
+        ),
+    ])
+    def test_text_and_json(self, clustered_file, command, text, payload):
+        assert run_captured([command, "--space", clustered_file]) == (0, text, "")
+        code, out, err = run_captured([command, "--space", clustered_file, "--format", "json"])
         assert (code, json.loads(out), err) == (0, payload, "")
 
 
@@ -1115,6 +1167,113 @@ class TestCoverWitnessArgvFuzz:
             if "json" not in argv:
                 assert out.count("\n") == 1
                 assert out.startswith(("uncovered witness: ", "covered: "))
+
+
+BUILTIN_SPACES = ["builtin:quintic_ray", "builtin:quintic_gap", "builtin:two_point_a", "builtin:two_point_b"]
+# (flag, good values, bad values); a flag without a value has None for both.
+FUZZ_SPACE = ("--space", st.sampled_from(BUILTIN_SPACES), st.sampled_from(["builtin:none", "file:/nonexistent.psb", ""]))
+FUZZ_BOUND = (
+    "--bound",
+    st.one_of(st.floats(4.5, 1000), st.floats(1e-9, 1e300)).map(repr),
+    st.sampled_from(["-1", "-1e-9", "0", "3", "4", "1e80", "inf", "nan", "x", ""]),
+)
+FUZZ_SEED = ("--seed", st.integers(-5, 2**70).map(str), st.sampled_from(["x", "", "1.5"]))
+FUZZ_FORMAT = ("--format", st.sampled_from(["text", "json"]), st.sampled_from(["csv", "x"]))
+FUZZ_SPEC = ("--spec", st.just("paper"), st.just("other"))
+FUZZ_MATKOWSKI = ("--matkowski", None, None)
+POINTS = st.sampled_from(["0", "1", "2", "3", "4", "4.5", "7", "7.5", "64", "1e300"])
+BAD_POINTS = st.sampled_from(["-1", "2.5", "abc", "", "nan", "inf", "1e400", HUGE])
+SIZES = st.integers(2, 8).map(str)
+BAD_SIZES = st.sampled_from(["-2", "0", "1", "x", "1.5", ""])
+
+
+def fuzz_argv(data, command, options, required=0):
+    """`command` with its options in any order, each as one `--flag=value`
+    token, so that a negative value is not read as a flag. Half the runs
+    draw every value from its good values, the rest draw each from its bad
+    values half the time. The first `required` options are left out one
+    time in ten, the rest are given one time in three."""
+    clean = data.draw(st.booleans())
+    chosen = []
+    for i, (flag, good, bad) in enumerate(options):
+        if data.draw(st.integers(0, 9)) < 9 if i < required else data.draw(st.integers(0, 2)) == 0:
+            values = good if clean or data.draw(st.booleans()) else bad
+            chosen.append(flag if values is None else f"{flag}={data.draw(values)}")
+    return [command, *data.draw(st.permutations(chosen))]
+
+
+def assert_honest_exit(argv):
+    """Exit 0 or 1 with a report and nothing on stderr, or 2 with one error
+    line and nothing on stdout; never 3."""
+    code, out, err = run_exiting(argv)
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert out == "" and sum("error: " in line for line in err.splitlines()) == 1, (argv, err)
+    else:
+        assert err == "" and out.endswith("\n"), argv
+
+
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestSubcommandArgvFuzz:
+    """argv fuzz over the four builtins: bounds from 1e-9 to 1e300, negative
+    and non-numeric values, labels, seeds, small sizes and the formats."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_ball(self, data):
+        assert_honest_exit(fuzz_argv(data, "ball", [
+            FUZZ_SPACE,
+            ("--center", POINTS, BAD_POINTS),
+            ("--radius", st.floats(1e-9, 1e300).map(repr), st.sampled_from(["0", "-1", "-1e-9", "nan", "x"])),
+            ("--candidates", st.lists(POINTS, min_size=1, max_size=4).map(",".join),
+             st.lists(BAD_POINTS, max_size=3).map(",".join)),
+            FUZZ_SEED, FUZZ_BOUND, FUZZ_FORMAT,
+        ], required=3))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_certify(self, data):
+        assert_honest_exit(fuzz_argv(data, "certify", [
+            FUZZ_SPACE, FUZZ_SPEC, FUZZ_MATKOWSKI,
+            ("--samples", SIZES, BAD_SIZES), ("--grid", SIZES, BAD_SIZES),
+            FUZZ_SEED, FUZZ_BOUND, FUZZ_FORMAT,
+        ], required=1))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_case_table(self, data):
+        assert_honest_exit(fuzz_argv(data, "case-table", [
+            FUZZ_SPACE, FUZZ_SPEC, FUZZ_MATKOWSKI,
+            ("--grid-size", st.integers(3, 8).map(str), BAD_SIZES),
+            FUZZ_BOUND, FUZZ_FORMAT,
+        ], required=1))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_fixpoint(self, data):
+        # paper_S maps only quintic_gap into itself, so it is drawn more often.
+        spaces = st.sampled_from(["builtin:quintic_gap", "builtin:quintic_gap", *BUILTIN_SPACES])
+        assert_honest_exit(fuzz_argv(data, "fixpoint", [
+            ("--space", spaces, FUZZ_SPACE[2]),
+            ("--start", POINTS, BAD_POINTS),
+            ("--map", st.sampled_from(["paper_S", "identity"]), st.just("other")),
+            ("--tolerance", st.floats(0, 1e-3).map(repr), st.sampled_from(["-1", "-1e-300", "nan", "x"])),
+            ("--max-iter", SIZES, BAD_SIZES),
+            FUZZ_BOUND,
+            ("--format", st.sampled_from(["text", "json", "csv"]), st.just("x")),
+        ], required=2))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_verify_axioms(self, data):
+        assert_honest_exit(fuzz_argv(data, "verify-axioms", [
+            FUZZ_SPACE,
+            ("--variant", st.sampled_from(["partial-sb", "partial-s", "sb-metric", "s-metric"]), st.just("x")),
+            ("--samples", SIZES, BAD_SIZES),
+            FUZZ_SEED, FUZZ_BOUND, FUZZ_FORMAT,
+        ], required=1))
 
 
 def readme_examples():

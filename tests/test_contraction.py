@@ -11,6 +11,7 @@ from psbmetric import (
     ComparisonFn,
     InequalitySides,
     InterpolativeSpec,
+    InvalidArgument,
     InvalidExponents,
     PsbmError,
     REFERENCE_BOUNDS,
@@ -328,6 +329,13 @@ class TestCertify:
     def test_nonpositive_sample_count_rejected(self, count):
         with pytest.raises(ValueError, match="sample_count must be >= 1"):
             certify(GAP, standard_spec(), sample_count=count)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"points": [0, 3, 4, 5], "sample_count": 5}], ids=["neither", "both"]
+    )
+    def test_exactly_one_of_points_and_sample_count(self, kwargs):
+        with pytest.raises(InvalidArgument, match="^certify takes exactly one of points and sample_count$"):
+            certify(GAP, standard_spec(), **kwargs)
 
     def test_failing_grid_certificate_equals_reference(self):
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, QUARTER, PAPER_S)

@@ -1,6 +1,7 @@
 import pytest
 
 from psbmetric import (
+    InvalidArgument,
     IterationTrace,
     NotAFixedPoint,
     UnknownPoint,
@@ -71,6 +72,16 @@ class TestPicardIterate:
         identity = builtin_map("identity")
         assert picard_iterate(GAP, identity, 4.5).orbit == (4.5, 4.5)
 
+    @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan")])
+    def test_negative_or_nan_tolerance_is_rejected(self, tol):
+        # A negative tolerance would read the fixed orbit 7.5 -> 7.5 as
+        # non-convergence.
+        with pytest.raises(InvalidArgument, match="tolerance must be >= 0"):
+            picard_iterate(GAP, builtin_map("identity"), 7.5, tol=tol, max_iter=5)
+
+    def test_zero_tolerance_stops_at_an_exact_repeat(self):
+        assert picard_iterate(GAP, builtin_map("identity"), 7.5, tol=0).converged
+
 class TestVerifyFixedPoint:
     def test_zero_is_fixed_with_zero_self_distance(self):
         assert verify_fixed_point(GAP, PAPER_S, 0) == (True, True)
@@ -78,6 +89,11 @@ class TestVerifyFixedPoint:
     def test_three_is_not_fixed(self):
         is_fixed, _ = verify_fixed_point(GAP, PAPER_S, 3)
         assert not is_fixed
+
+    @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan")])
+    def test_negative_or_nan_tolerance_is_rejected(self, tol):
+        with pytest.raises(InvalidArgument, match="tolerance must be >= 0"):
+            verify_fixed_point(GAP, PAPER_S, 0, tol=tol)
 
     def test_conclusions_are_independent(self):
         # Identity fixes every point, but self-distance stays positive.

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from clustered import CLUSTER_PROFILES, clustered_space
 from psbmetric import (
     CoverFamily,
     DistanceOverflow,
@@ -13,6 +14,7 @@ from psbmetric import (
     FiniteCarrier,
     FiniteTopology,
     InfeasibleExhaustive,
+    InvalidArgument,
     RegionCarrier,
     SeparationReport,
     UnknownPoint,
@@ -108,7 +110,7 @@ def brute_force_topology(space):
 
 
 # Reference implementations: the exhaustive searches over pairs of opens
-# that the minimal-opens rules in psbmetric.topology replaced.
+# that the smallest-open rules in psbmetric.topology replaced.
 
 def reference_verify_topology_axioms(topology):
     opens = topology.opens
@@ -231,6 +233,13 @@ def union_closure_families():
     included."""
     for space in valid_draws():
         yield FiniteTopology(frozenset(exhaustive_points(space)), frozenset(reference_union_closure(space)))
+
+
+def clustered_families():
+    """Topologies of the bench's clustered spaces, one per profile."""
+    rng = random.Random("oracle:clustered")
+    for sizes in CLUSTER_PROFILES:
+        yield generate_topology(clustered_space(rng, sizes)[1])
 
 
 def subset_families(count=400):
@@ -420,8 +429,8 @@ class TestTopologyAxioms:
         assert verify_topology_axioms(FiniteTopology(frozenset({1, 2}), DISCRETE))
 
     def test_points_outside_the_carrier_are_checked(self):
-        # {1,2,3} and {1,2,4} meet in the missing {1,2}; every carrier point
-        # alone passes the minimal-open checks.
+        # {1,2,3} and {1,2,4} meet in the missing {1,2}: the carrier point 1
+        # has the open U_1 = {1}, but U_2 = {1,2} is not open.
         family = FiniteTopology(
             frozenset({1}),
             frozenset(
@@ -503,28 +512,65 @@ class TestConnected:
         assert is_connected(topology) == (True, None)
 
 
-class TestMinimalOpensMatchExhaustiveSearch:
+def smallest_opens_are_open(topology):
+    """Every carrier point lies in some open, and the intersection of the
+    opens that hold it is open."""
+    opens = topology.opens
+    for x in topology.carrier:
+        holding = [o for o in opens if x in o]
+        if not holding or frozenset.intersection(*holding) not in opens:
+            return False
+    return True
+
+
+class TestSmallestOpensMatchExhaustiveSearch:
+    # Per corpus: families, topologies among them, and families whose
+    # smallest opens are all open; separation_report raises on the rest.
     @pytest.mark.parametrize(
-        "families, verdicts",
+        "families, counts",
         [
-            (tabulated_families, {True}),
-            (valid_space_families, {True}),
-            (union_closure_families, {True, False}),
-            (subset_families, {True, False}),
+            (tabulated_families, (600, 600, 600)),
+            (valid_space_families, (200, 200, 200)),
+            (clustered_families, (30, 30, 30)),
+            (union_closure_families, (200, 183, 183)),
+            (subset_families, (400, 59, 81)),
         ],
     )
-    def test_verdicts_match_reference(self, families, verdicts):
-        seen = set()
+    def test_verdicts_match_reference(self, families, counts):
+        seen = Counter()
         for topology in families():
             valid = verify_topology_axioms(topology)
             assert valid == reference_verify_topology_axioms(topology)
-            assert (
-                separation_report(topology).to_dict()
-                == reference_separation_report(topology).to_dict()
-            )
             assert is_connected(topology) == reference_is_connected(topology)
-            seen.add(valid)
-        assert seen == verdicts
+            answers = smallest_opens_are_open(topology)
+            if answers:
+                assert (
+                    separation_report(topology).to_dict()
+                    == reference_separation_report(topology).to_dict()
+                )
+            else:
+                assert not valid
+                with pytest.raises(InvalidArgument, match="has no smallest open set"):
+                    separation_report(topology)
+            seen.update(family=1, topology=valid, answers=answers)
+        assert (seen["family"], seen["topology"], seen["answers"]) == counts
+
+    @pytest.mark.parametrize(
+        "opens, point",
+        [
+            ([(), (1, 2), (2, 3)], 2),
+            ([(), (2,), (2, 3)], 1),
+            ([(), (1,), (1, 2, 3)], None),
+        ],
+        ids=["smallest-not-open", "in-no-open", "answers"],
+    )
+    def test_separation_names_the_first_point_without_a_smallest_open(self, opens, point):
+        family = FiniteTopology(frozenset({1, 2, 3}), frozenset(map(frozenset, opens)))
+        if point is None:
+            assert separation_report(family).to_dict() == reference_separation_report(family).to_dict()
+        else:
+            with pytest.raises(InvalidArgument, match=f"^point {point} has no smallest open set$"):
+                separation_report(family)
 
     def test_valid_space_whose_balls_are_no_base(self):
         # Draw 2 of repro's T0 seed 0: the ball {2, 3} at 3 is not open, as
