@@ -132,7 +132,7 @@ def _cmd_verify_axioms(args) -> int:
         samples = 10000
     if samples is None:
         _no_effect("--seed", args.seed, "on an exhaustive check")
-        seed = 0
+        seed = None
     else:
         seed = _seed(args)
     report = spaces.check_axioms(space, _VARIANTS[args.variant], sample_count=samples, seed=seed)

@@ -10,23 +10,23 @@ dist(a, b, c) and the comparison per triple; every other factor is
 tabulated once per point, per image S(x), per (S(a), S(b)) or per (S(a), b),
 whichever it depends on. `certify` walks whole (a, b) rows over its points
 and reduces each row's margins at C level; its sampled path reads the same
-tables triple by triple. The case table takes its subcases from the same
-rows and single triples. `ray_grid` is the one evenly spaced grid on a
-region carrier's ray, used by the case table, by `psbm certify --grid` and
-by the reproduction script.
+tables a block of drawn triples at a time. The case table takes its
+subcases from the same rows and single triples. `ray_grid` is the one
+evenly spaced grid on a region carrier's ray, used by the case table, by
+`psbm certify --grid` and by the reproduction script.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import le, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import leq, point_label, point_sort_key
-from .spaces import PartialSbSpace, RegionCarrier, sample_carrier
+from .spaces import PartialSbSpace, RegionCarrier, sample_carrier, sampled_positions
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ class InequalitySides:
     rhs = comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s)),
     with g(x) = dist(x, x, S(x)) and m = (dist(S(a),S(a),b) + dist(S(b),S(b),c)) / 2t.
     `sides(a, b, c)` gives one pair; `sides.row(a, b)` gives both sides for
-    every c in `points` as two lists.
+    every c in `points` as two lists, and `sides.block(triples)` for a list
+    of triples.
 
     Only dist(a, b, c) and the comparison are evaluated per triple. The
     rest is tabulated over `points`, keyed by what it depends on:
@@ -158,11 +159,14 @@ class InequalitySides:
     def _rhs(self, ds, fqa, frb, fs, fifth):
         """comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s))
         for aligned dist(a, b, c), g(c)^s and fifth-factor values, with the
-        factors multiplied in this order."""
+        factors multiplied in this order. g(a)^q and g(b)^r are one value
+        each (a row) or aligned lists too (a block)."""
         p, comparison = self._p, self._comparison
         if not (ds and min(ds) >= 0):
             for d in ds:
                 _power(d, p)  # raises at the first negative factor
+        if isinstance(fqa, list):
+            return [comparison(d ** p * fq * fr * f * t) for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)]
         return [comparison(d ** p * fqa * frb * f * t) for d, f, t in zip(ds, fs, fifth)]
 
     def __call__(self, a, b, c):
@@ -181,6 +185,24 @@ class InequalitySides:
         ds = [self._dist(a, b, c) for c in self.points]
         return self._lhs_row(ia, self._image[b]), self._rhs(ds, self._fq[a], self._fr[b], self._fs, fifth)
 
+    def block(self, triples):
+        """(lhs list, rhs list) over a list of triples (a, b, c). If any
+        evaluation raises, the triples are replayed one at a time, so that
+        the error raised is the first that `sides(a, b, c)` calls in the
+        list's order meet."""
+        index, image, fq, fr, fs = self._index, self._image, self._fq, self._fr, self._fs
+        try:
+            ks = [index[c] for _, _, c in triples]
+            fifth = [self._fifth_row(image[a], b)[k] for (a, b, _), k in zip(triples, ks)]
+            ds = [self._dist(a, b, c) for a, b, c in triples]
+            rhs = self._rhs(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], [fs[k] for k in ks], fifth)
+            lhs = [self._lhs_row(image[a], image[b])[k] for (a, b, _), k in zip(triples, ks)]
+        except Exception:
+            for tpl in triples:
+                self(*tpl)
+            raise
+        return lhs, rhs
+
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
     """Exactly the sampled points the map sends to themselves."""
@@ -188,10 +210,6 @@ def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
     if not sample:
         raise InvalidArgument("sample must be nonempty")
     return tuple(sorted({x for x in sample if mapping(x) == x}, key=point_sort_key))
-
-
-# Sampled triples are drawn and evaluated this many at a time.
-_SAMPLED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -227,17 +245,29 @@ def certify(
     spec: InterpolativeSpec,
     points=None,
     sample_count: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> CertificateReport:
     """Check lhs = dist(S(a),S(b),S(c)) <= rhs over every triple over `points`
-    or over `sample_count` random triples of a deterministic carrier sample;
-    exactly one of the two is given. Triples holding fixed points are skipped
-    and reported."""
+    or over `sample_count` random triples of a deterministic carrier sample
+    (seed default 0); exactly one of the two is given, and a seed only with
+    `sample_count`. Triples holding fixed points are skipped and reported.
+
+    Sampled triples are drawn by spaces.sampled_positions, the draw that
+    check_axioms uses, and evaluated a block at a time by
+    InequalitySides.block; the report and any error are those of drawing
+    and evaluating them one at a time.
+    """
     if (points is None) == (sample_count is None):
         raise InvalidArgument("certify takes exactly one of points and sample_count")
-    if points is None and sample_count < 1:
-        raise InvalidArgument("sample_count must be >= 1")
-    pool = list(points) if points is not None else sample_carrier(space, seed=seed)
+    if points is not None:
+        if seed is not None:
+            raise InvalidArgument("seed has no effect with points")
+        pool = list(points)
+    else:
+        if sample_count < 1:
+            raise InvalidArgument("sample_count must be >= 1")
+        seed = 0 if seed is None else seed
+        pool = sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(spec.mapping, pool))
     active = [x for x in pool if x not in fixed]
     try:
@@ -250,15 +280,13 @@ def certify(
                 (((a, b, c) for c in active), *sides.row(a, b)) for a in active for b in active
             )
         else:
+            live = [x not in fixed for x in pool]
             rng = random.Random(f"psbm:certify:{seed}")
-            choice = rng.choice
-            drawn = (
-                tpl
-                for tpl in ((choice(pool), choice(pool), choice(pool)) for _ in range(sample_count))
-                if fixed.isdisjoint(tpl)
+            blocks = (
+                [(pool[i], pool[j], pool[k]) for i, j, k in zip(*positions) if live[i] and live[j] and live[k]]
+                for positions in sampled_positions(rng, len(pool), 3, sample_count)
             )
-            blocks = iter(lambda: list(islice(drawn, _SAMPLED_BLOCK)), [])
-            chunks = ((block, *zip(*[sides(*tpl) for tpl in block])) for block in blocks)
+            chunks = ((block, *sides.block(block)) for block in blocks if block)
 
         checked = 0
         failures = []

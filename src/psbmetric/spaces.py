@@ -279,14 +279,15 @@ def check_axioms(
     space: PartialSbSpace,
     variant: AxiomSet = AxiomSet.PARTIAL_SB,
     sample_count: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> AxiomReport:
     """Check every axiom of `variant` over exhaustive or sampled point tuples.
 
-    sample_count None means exhaustive enumeration (finite carriers only);
-    otherwise that many quadruples are drawn from a deterministic carrier
-    sample and lower-arity axioms see the quadruples' leading coordinates,
-    so any sampled violation is also found by the exhaustive scan.
+    sample_count None means exhaustive enumeration (finite carriers only),
+    which takes no seed; otherwise that many quadruples are drawn from a
+    deterministic carrier sample (seed default 0) and lower-arity axioms see
+    the quadruples' leading coordinates, so any sampled violation is also
+    found by the exhaustive scan.
 
     The verdicts come from one pass over tables of the point set (see
     _check_by_tables). Arithmetic that overflows the float range (an int
@@ -295,14 +296,15 @@ def check_axioms(
     """
     axioms = _AXIOMS[variant]
     if sample_count is None:
+        if seed is not None:
+            raise InvalidArgument("seed has no effect on an exhaustive check")
         pts = exhaustive_points(space)
         checked = sum(len(pts) ** arity for _, arity, _, _ in axioms)
     else:
         if sample_count < 1:
             raise InvalidArgument("sample_count must be >= 1")
+        seed = 0 if seed is None else seed
         pts = sample_carrier(space, seed=seed)
-        if not pts:
-            raise InvalidArgument("sample must be nonempty")
         checked = len(axioms) * sample_count
     found = _check_by_tables(space, axioms, pts, sample_count, seed)
     violations = tuple(
@@ -315,12 +317,28 @@ def check_axioms(
     return AxiomReport(variant, checked, violations)
 
 
-def _sampled_positions(pool_size: int, sample_count: int, seed: int) -> Iterator[tuple]:
-    """The sampled quadruples as positions in the pool, drawn one at a time."""
-    rng = random.Random(f"psbm:axioms:{seed}")
-    positions = range(pool_size)
-    for _ in range(sample_count):
-        yield rng.choice(positions), rng.choice(positions), rng.choice(positions), rng.choice(positions)
+# Sampled tuples are drawn and checked this many at a time.
+SAMPLE_BLOCK = 1024
+
+
+def sampled_positions(rng: random.Random, pool_size: int, arity: int, count: int) -> Iterator[list]:
+    """`count` random tuples of `arity` positions in a pool of `pool_size`
+    points, in blocks of at most SAMPLE_BLOCK tuples: each block is `arity`
+    aligned lists, the first position of each tuple, the second, and so on.
+
+    The positions are exactly those that `arity` calls of rng.choice(pool)
+    per tuple select, in the same order: with k = pool_size.bit_length(),
+    each is the first rng.getrandbits(k) below pool_size. The getrandbits
+    calls are made from C, a block at a time."""
+    if pool_size < 1:
+        raise InvalidArgument("sample must be nonempty")
+    bits, accept = pool_size.bit_length(), pool_size.__gt__
+    for start in range(0, count, SAMPLE_BLOCK):
+        need = arity * min(SAMPLE_BLOCK, count - start)
+        drawn = []
+        while len(drawn) < need:  # each draw yields at most one position
+            drawn += filter(accept, map(rng.getrandbits, itertools.repeat(bits, need - len(drawn))))
+        yield [drawn[a::arity] for a in range(arity)]
 
 
 def _rectangle_rhs(pair_sums, thirds, selfs, t, partial, scaled) -> list:
@@ -343,6 +361,13 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
     rectangle. The self-distances S(x,x,x) and the rows S(x,x,s) are
     tabulated once over `pts`, by position: equal points such as 3 and 3.0
     may give an int and a float distance.
+
+    Sampled quadruples come a block at a time from sampled_positions. A
+    block's S(p,q,r) values and rectangle right-hand sides are computed as
+    lists, then one loop checks every axiom per quadruple in draw order. A
+    block that raises is checked again quadruple by quadruple, evaluating
+    and checking in the order of check_quad, so the error and the tuple it
+    names are those of the first quadruple that fails.
 
     An exhaustive rectangle row whose every right-hand side is at least
     S(p,q,r) under a plain <= holds without a walk over s, since leq is
@@ -378,22 +403,56 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
         except OverflowError:
             raise _overflow(index, tpl) from None
 
+    def check_quad(i, j, k, m):
+        p, q, r, s = pts[i], pts[j], pts[k], pts[m]
+        val = dist(p, q, r)
+        check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
+        try:
+            if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
+                found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+        except OverflowError:
+            raise _overflow(symmetry, (p, q)) from None
+        try:
+            (rhs,) = _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
+            if not leq(val, rhs):
+                found.setdefault((rectangle, (p, q, r, s)), (val, rhs))
+        except OverflowError:
+            raise _overflow(rectangle, (p, q, r, s)) from None
+
+    def check_block(I, J, K, M):
+        vals = [dist(pts[i], pts[j], pts[k]) for i, j, k in zip(I, J, K)]
+        rhss = _rectangle_rhs(
+            [pairs[i][m] + pairs[j][m] for i, j, m in zip(I, J, M)],
+            [pairs[k][m] for k, m in zip(K, M)],
+            [selfs[m] for m in M],
+            t, partial, scaled,
+        )
+        # check_quad's checks, with leq's own first test `a <= b` inlined.
+        for i, j, k, m, val, rhs in zip(I, J, K, M, vals, rhss):
+            p, q, r, sp = pts[i], pts[j], pts[k], selfs[i]
+            if id_partial:
+                agrees = values_equal(val, sp) and values_equal(val, selfs[j]) and values_equal(val, selfs[k])
+            else:
+                agrees = values_equal(val, 0)
+            if (p == q if id_pair else p == q == r) != agrees:
+                found.setdefault((identity, (p, q, r)), (val, sp if id_partial else 0))
+            if self_min is not None and not (sp <= val or leq(sp, val)):
+                found.setdefault((self_min, (p, q, r)), (sp, val))
+            if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
+                found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+            if not (val <= rhs or leq(val, rhs)):
+                found.setdefault((rectangle, (p, q, r, pts[m])), (val, rhs))
+
     if sample_count is not None:
-        for i, j, k, m in _sampled_positions(len(pts), sample_count, seed):
-            p, q, r, s = pts[i], pts[j], pts[k], pts[m]
-            val = dist(p, q, r)
-            check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
+        rng = random.Random(f"psbm:axioms:{seed}")
+        for block in sampled_positions(rng, len(pts), 4, sample_count):
             try:
-                if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
-                    found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
-            except OverflowError:
-                raise _overflow(symmetry, (p, q)) from None
-            try:
-                (rhs,) = _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
-                if not leq(val, rhs):
-                    found.setdefault((rectangle, (p, q, r, s)), (val, rhs))
-            except OverflowError:
-                raise _overflow(rectangle, (p, q, r, s)) from None
+                check_block(*block)
+            except Exception:
+                # Raise the error that quad-by-quad checking meets first.
+                for quad in zip(*block):
+                    check_quad(*quad)
+                raise
         return found
 
     positions = list(enumerate(pts))

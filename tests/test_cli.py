@@ -1267,6 +1267,24 @@ class TestSubcommandArgvFuzz:
 
     @FUZZ
     @given(data=st.data())
+    def test_topology_separation_connected(self, data):
+        # --seed and --bound are not options of these three: exit 2.
+        command = data.draw(st.sampled_from(["topology", "separation", "connected"]))
+        assert_honest_exit(fuzz_argv(data, command, [
+            FUZZ_SPACE, FUZZ_FORMAT, FUZZ_SEED, FUZZ_BOUND,
+        ], required=1))
+
+    # A clean repro run takes about two seconds.
+    @settings(FUZZ, max_examples=12)
+    @given(data=st.data())
+    def test_repro(self, data):
+        # --space and --bound are not options of repro: exit 2.
+        assert_honest_exit(fuzz_argv(data, "repro", [
+            FUZZ_SEED, FUZZ_FORMAT, FUZZ_SPACE, FUZZ_BOUND,
+        ]))
+
+    @FUZZ
+    @given(data=st.data())
     def test_verify_axioms(self, data):
         assert_honest_exit(fuzz_argv(data, "verify-axioms", [
             FUZZ_SPACE,

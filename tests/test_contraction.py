@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,7 @@ class TestInequalitySides:
                 rhs = [reference_rhs(GAP, spec, a, b, c) for c in points]
                 assert [sides(a, b, c) for c in points] == list(zip(lhs, rhs))
                 assert sides.row(a, b) == (lhs, rhs)
+                assert sides.block([(a, b, c) for c in points]) == (lhs, rhs)
 
     def test_hand_expansion_at_444(self):
         lhs, rhs = InequalitySides(GAP, standard_spec(), [4])(4, 4, 4)
@@ -337,6 +339,31 @@ class TestCertify:
         with pytest.raises(InvalidArgument, match="^certify takes exactly one of points and sample_count$"):
             certify(GAP, standard_spec(), **kwargs)
 
+    @pytest.mark.parametrize("seed", [0, 99])
+    def test_points_take_no_seed(self, seed):
+        with pytest.raises(InvalidArgument, match="^seed has no effect with points$"):
+            certify(GAP, standard_spec(), points=[0, 3, 4, 5], seed=seed)
+
+    def test_sampled_mode_defaults_to_seed_0(self):
+        assert certify(GAP, standard_spec(), sample_count=300) == certify(GAP, standard_spec(), sample_count=300, seed=0)
+
+    def test_sampled_triples_all_fixed_certify_vacuously(self):
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"), builtin_map("identity"))
+        report = certify(GAP, spec, sample_count=3000, seed=1)
+        assert (report.triples_checked, report.passed, report.min_margin) == (0, True, None)
+
+    def test_a_long_sampled_certificate_holds_one_block(self):
+        # Every sample at once would hold 200,000 triples and both sides of
+        # each: tens of megabytes.
+        tracemalloc.start()
+        try:
+            report = certify(GAP, standard_spec(), sample_count=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and 0 < report.triples_checked <= 200_000
+        assert peak < 2_000_000
+
     def test_failing_grid_certificate_equals_reference(self):
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, QUARTER, PAPER_S)
         points = [0, 3] + grid_points(4, 64, 12)
@@ -356,7 +383,7 @@ class TestCertify:
     def test_tabulated_certificates_equal_reference(self):
         rng = random.Random("psbm:test:certify-oracle")
         comparisons = [QUARTER, builtin_comparison("paper_tau"), builtin_comparison("half")]
-        failing = 0
+        failing = failing_sampled = 0
         for _ in range(60):
             labels = tuple(range(1, rng.randint(2, 6)))
             space = random_tabulated_space(rng, labels)
@@ -366,7 +393,9 @@ class TestCertify:
             sampled = certify(space, spec, sample_count=50, seed=3)
             assert_matches_reference(sampled, space, spec, sampled_triples(space, spec, 50, 3))
             failing += bool(report.failures)
+            failing_sampled += bool(sampled.failures)
         assert 0 < failing < 60
+        assert failing_sampled
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(min_value=1.0, max_value=4.0))
@@ -458,6 +487,38 @@ class TestRowEvaluator:
                     assert expected is None
                     assert_matches_reference(report, space, spec, triples)
         assert raised > 50
+
+    @pytest.mark.parametrize("comparison", [QUARTER, FakeComparison("picky", picky)], ids=lambda fn: fn.name)
+    def test_sampled_errors_are_those_of_the_triple_walk(self, comparison):
+        # Several blocks per certificate. Where certify raises, the error is
+        # the first that one `sides(a, b, c)` call per drawn triple meets,
+        # in draw order; where it does not, the report is the reference's.
+        rng = random.Random(f"psbm:test:block-errors:{comparison.name}")
+        raised = 0
+        for _ in range(40):
+            labels = tuple(range(1, rng.randint(3, 9)))
+            table = dict(random_tabulated_space(rng, labels).metric.table)
+            for tpl in rng.sample(sorted(table), rng.randint(0, 2)):
+                table[tpl] = -rng.randint(1, 9)
+            space = tabulated_space(labels, table)
+            spec = random_spec(rng, labels, [comparison])
+            triples = sampled_triples(space, spec, 2500, 5)
+            expected = None
+            try:
+                sides = InequalitySides(space, spec, [x for x in labels if spec.mapping(x) != x])
+                for tpl in triples:
+                    sides(*tpl)
+            except Exception as exc:
+                expected = (type(exc), str(exc))
+            try:
+                report = certify(space, spec, sample_count=2500, seed=5)
+            except Exception as exc:
+                assert (type(exc), str(exc)) == expected
+                raised += 1
+            else:
+                assert expected is None
+                assert_matches_reference(report, space, spec, triples)
+        assert 5 < raised < 40
 
     def test_grid_certify_evaluates_each_triple_distance_once(self):
         calls = []

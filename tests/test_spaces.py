@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from psbmetric import (
     FiniteCarrier,
     IncompleteTable,
     InfeasibleExhaustive,
+    InvalidArgument,
     NegativeValue,
     ParseError,
     PartialSbSpace,
@@ -30,7 +32,7 @@ from psbmetric import (
     tabulated_space,
 )
 from psbmetric.numerics import leq, point_label, point_sort_key, values_equal
-from psbmetric.spaces import AxiomReport, Violation
+from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, sampled_positions
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -280,7 +282,7 @@ def report_reprs(report):
     ]
 
 
-def assert_matches_reference(space, variant, sample_count=None, seed=0):
+def assert_matches_reference(space, variant, sample_count=None, seed=None):
     """check_axioms gives the reference's report, bit for bit, or raises the
     reference's error type; returns the report or None. The message may name
     another tuple: the reference walks the tuples axiom by axiom."""
@@ -316,9 +318,25 @@ class TestOnePassMatchesTheTupleLoop:
 
     def test_sampled_quadruples_that_repeat(self):
         # At most 4 points and 60 quadruples: most tuples are drawn again.
+        violations = 0
         for i, space in enumerate(reference_corpus()[::4]):
             for variant in AxiomSet:
-                assert_matches_reference(space, variant, sample_count=60, seed=i % 7)
+                report = assert_matches_reference(space, variant, sample_count=60, seed=i % 7)
+                violations += len(report.violations)
+        assert violations
+
+    def test_sampled_blocks_on_failing_tables(self):
+        # Several blocks, the last one partial, on tables over up to 9
+        # points where most reports list violations.
+        rng = random.Random("axioms:blocks")
+        failing = 0
+        for i in range(24):
+            labels = tuple(range(rng.randint(2, 9)))
+            space = tabulated_space(labels, perturbed_table(rng, labels, floats=i % 2 == 1), rng.choice((1, 1.5)))
+            variant = list(AxiomSet)[i % 4]
+            report = assert_matches_reference(space, variant, sample_count=2 * SAMPLE_BLOCK + 7, seed=i)
+            failing += not report.passed
+        assert failing >= 12
 
     def test_clustered_bench_tables(self):
         rng = random.Random("axioms:clustered")
@@ -389,12 +407,53 @@ class TestOnePassMatchesTheTupleLoop:
                 table[tpl] = big + rng.randint(0, 1)
             space = tabulated_space(labels, table, rng.choice((1, 2, 1.5)))
             for variant in AxiomSet:
-                for sample_count in (None, 30):
-                    if assert_matches_reference(space, variant, sample_count, seed=i) is None:
+                for sample_count, seed in ((None, None), (30, i)):
+                    if assert_matches_reference(space, variant, sample_count, seed) is None:
                         raised += 1
-                        assert_names_an_overflowing_tuple(space, variant, sample_count, seed=i)
+                        assert_names_an_overflowing_tuple(space, variant, sample_count, seed)
         # Both outcomes occur: exact integer reports and overflow errors.
         assert 0 < raised < 80 * 8
+
+    def test_sampled_errors_name_the_first_quad_in_draw_order(self):
+        # One entry beyond the float range, at a triple of distinct points,
+        # in tables over 8 to 11 points, a float coefficient: the first quad
+        # that overflows often lies past the first block. The error names
+        # the axiom and tuple that a quad-by-quad walk meets first.
+        big = 10 ** 400
+        rng = random.Random("axioms:first-error")
+        late = 0
+        for i in range(40):
+            labels = tuple(range(rng.randint(8, 11)))
+            table = perturbed_table(rng, labels, floats=i % 2 == 1)
+            table[rng.choice([t for t in sorted(table) if len(set(t)) == 3])] = big
+            space = tabulated_space(labels, table, rng.choice((1.5, 2.0)))
+            variant = list(AxiomSet)[i % 4]
+            expected = reference_first_sampled_error(space, variant, 3 * SAMPLE_BLOCK, i)
+            if expected is None:
+                assert_matches_reference(space, variant, 3 * SAMPLE_BLOCK, i)
+                continue
+            message, position = expected
+            late += position >= SAMPLE_BLOCK
+            with pytest.raises(DistanceOverflow) as raised:
+                check_axioms(space, variant, 3 * SAMPLE_BLOCK, i)
+            assert str(raised.value) == message
+        assert late >= 5
+
+
+def reference_first_sampled_error(space, variant, sample_count, seed):
+    """(message, quad position) of the first overflow that a walk over the
+    sampled quads meets, each quad's axioms in index order, or None."""
+    pool = sample_carrier(space, seed=seed)
+    rng = random.Random(f"psbm:axioms:{seed}")
+    for position in range(sample_count):
+        quad = tuple(rng.choice(pool) for _ in range(4))
+        for index, arity, checker in REFERENCE_AXIOMS[variant]:
+            try:
+                checker(space, quad[:arity])
+            except OverflowError:
+                labels = ", ".join(point_label(x) for x in quad[:arity])
+                return f"axiom {index} at ({labels}) overflows the float range", position
+    return None
 
 
 def assert_names_an_overflowing_tuple(space, variant, sample_count, seed):
@@ -549,6 +608,57 @@ class TestCheckAxioms:
         sampled = check_axioms(space, sample_count=60, seed=seed)
         exhaustive = check_axioms(space)
         assert set(sampled.violations) <= set(exhaustive.violations)
+
+
+class TestSampledPositions:
+    """The one draw of sampled positions, shared with certify."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**70])
+    def test_same_positions_as_rng_choice(self, seed):
+        # 1..70 holds every power of two up to 64 and each 2^k + 1.
+        for n in range(1, 71):
+            reference = random.Random(f"psbm:axioms:{seed}")
+            expected = [reference.choice(range(n)) for _ in range(2 * SAMPLE_BLOCK + 10)]
+            blocks = list(sampled_positions(random.Random(f"psbm:axioms:{seed}"), n, 1, len(expected)))
+            assert [len(block[0]) for block in blocks] == [SAMPLE_BLOCK, SAMPLE_BLOCK, 10]
+            assert [x for (positions,) in blocks for x in positions] == expected, n
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_tuples_take_consecutive_draws(self, arity):
+        reference = random.Random("psbm:certify:3")
+        expected = [tuple(reference.choice(range(33)) for _ in range(arity)) for _ in range(SAMPLE_BLOCK + 1)]
+        blocks = sampled_positions(random.Random("psbm:certify:3"), 33, arity, len(expected))
+        assert [tpl for block in blocks for tpl in zip(*block)] == expected
+
+    def test_an_empty_pool_is_rejected(self):
+        with pytest.raises(InvalidArgument):
+            next(sampled_positions(random.Random(0), 0, 4, 1))
+
+
+class TestSeedScope:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_an_exhaustive_check_takes_no_seed(self, seed):
+        with pytest.raises(InvalidArgument, match="^seed has no effect on an exhaustive check$"):
+            check_axioms(builtin_space("two_point_a"), seed=seed)
+
+    def test_a_sampled_check_defaults_to_seed_0(self):
+        space = builtin_space("quintic_gap")
+        assert check_axioms(space, sample_count=300) == check_axioms(space, sample_count=300, seed=0)
+
+
+class TestSampledMemory:
+    def test_a_long_sampled_check_holds_one_block(self):
+        # Every sample at once would hold 200,000 quadruples and their
+        # values: tens of megabytes.
+        space = builtin_space("quintic_ray")
+        tracemalloc.start()
+        try:
+            report = check_axioms(space, sample_count=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.checked_count == 800_000
+        assert peak < 2_000_000
 
 
 class TestRowStorage:
