@@ -158,6 +158,9 @@ def _cmd_ball(args) -> int:
         _no_effect("--seed", args.seed, "with --candidates")
         _no_effect("--bound", args.bound, "with --candidates")
         candidates = [spaces.require_point(space, x) for x in parse_points_list(args.candidates)]
+    elif not isinstance(space.carrier, RegionCarrier):
+        _no_effect("--seed", args.seed, "on a finite carrier")
+        candidates = list(space.carrier.points)
     else:
         candidates = spaces.sample_carrier(space, seed=_seed(args))
         if center not in candidates:

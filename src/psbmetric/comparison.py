@@ -51,6 +51,27 @@ class ComparisonFn:
         y = y0 + (v - x0) * slope
         return 0.0 if y < 0 else y
 
+    def map(self, values: list) -> list:
+        """[fn(v) for v in values], bit for bit, reading the line once when
+        it can: when the list's min and max pick the same piece and its line
+        is >= 0 at both (a nan there fails the test). The rounded map
+        v -> y0 + (v - x0) * slope is monotone, so every value between them
+        lands on that piece at a value >= 0, which the clamp leaves as it is;
+        a nan inside gives nan on any line. Otherwise, or if the fast path
+        raises, the values go through fn one at a time, which raises fn's
+        own error at the first value that meets one."""
+        if values:
+            try:
+                lo, hi = min(values), max(values)
+                k = bisect_right(self._cuts, lo)
+                x0, y0, slope = self._lines[k]
+                same_piece = k == bisect_right(self._cuts, hi)
+                if same_piece and y0 + (lo - x0) * slope >= 0 and y0 + (hi - x0) * slope >= 0:
+                    return [y0 + (v - x0) * slope for v in values]
+            except (TypeError, ArithmeticError):
+                pass
+        return [self(v) for v in values]
+
 
 _ORIGIN = (0.0, 0.0)
 _BUILTINS = {

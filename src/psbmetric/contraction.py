@@ -6,12 +6,17 @@ checks lhs <= rhs over every generated triple whose points are not fixed by
 the map, since the defining inequality is quantified away from fixed points.
 
 `InequalitySides` is the one evaluator of both sides. It evaluates only
-dist(a, b, c) and the comparison per triple; every other factor is
-tabulated once per point, per image S(x), per (S(a), S(b)) or per (S(a), b),
-whichever it depends on. `certify` walks whole (a, b) rows over its points
-and reduces each row's margins at C level; its sampled path reads the same
-tables a block of drawn triples at a time. The case table takes its
-subcases from the same rows and single triples. `ray_grid` is the one
+dist(a, b, c) and the comparison per triple, a row or a list at a time:
+the metric's `row` gives one (a, b) row of distances, and a ComparisonFn's
+`map` the comparison of a list of products, reading its line once when the
+whole list lies on one piece; both are bit for bit the pointwise calls.
+Every other factor is tabulated once per point, per image S(x), per
+(S(a), S(b)) or per (S(a), b), whichever it depends on. `certify` walks
+whole (a, b) rows over its points and reduces each row's margins at C
+level; its sampled path reads the same tables a block of drawn triples at
+a time. The case table takes a subcase with several c per (a, b) from the
+same rows, and one with a single c per (a, b) as one block, walked segment
+by segment only if the block raises. `ray_grid` is the one
 evenly spaced grid on a region carrier's ray, used by the case table, by
 `psbm certify --grid` and by the reproduction script.
 """
@@ -117,24 +122,36 @@ class InequalitySides:
     A row is computed whole when a triple first needs it, so an error in
     any of its entries (a negative factor, an OverflowError) is raised
     there, also when that triple's own entries are fine.
+
+    `row` takes its distances from the metric's `row` method, and every
+    evaluation applies the comparison to the whole list of products, a
+    ComparisonFn through its `map` method and any other callable value by
+    value; so every product of a row or block is formed before the first
+    comparison.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
         validate_exponents(spec)
         self.points = points = list(points)
-        # Bound __call__ methods: cheaper to call once per triple than the
-        # metric and comparison objects themselves.
-        self._dist = dist = space.metric.__call__
-        self._comparison = spec.comparison.__call__
+        self._metric = metric = space.metric
+        # A bound __call__ method: cheaper to call once per triple than the
+        # metric object itself.
+        self._dist = dist = metric.__call__
+        comparison = spec.comparison
+        if isinstance(comparison, ComparisonFn):
+            self._compare = comparison.map
+        else:
+            self._compare = lambda products: list(map(comparison, products))
         self._p, self._e5 = spec.p, spec.residual
         self._two_t = 2 * space.coefficient
         self._index = {x: k for k, x in enumerate(points)}
         self._image = image = {x: spec.mapping(x) for x in points}
+        self._images = [image[c] for c in points]
         gap = {x: dist(x, x, image[x]) for x in points}
         self._fq = {x: _power(gap[x], spec.q) for x in points}
         self._fr = {x: _power(gap[x], spec.r) for x in points}
         self._fs = [_power(gap[x], spec.s) for x in points]
-        self._pair = {ix: [dist(ix, ix, y) for y in points] for ix in dict.fromkeys(image.values())}
+        self._pair = {ix: metric.row(ix, ix, points) for ix in dict.fromkeys(image.values())}
         self._lhs_rows = {}
         self._fifth_rows = {}
 
@@ -142,8 +159,7 @@ class InequalitySides:
         """dist(ia, ib, S(c)) over the points c."""
         row = self._lhs_rows.get((ia, ib))
         if row is None:
-            dist, image = self._dist, self._image
-            row = self._lhs_rows[(ia, ib)] = [dist(ia, ib, image[c]) for c in self.points]
+            row = self._lhs_rows[(ia, ib)] = self._metric.row(ia, ib, self._images)
         return row
 
     def _fifth_row(self, ia, b):
@@ -159,15 +175,16 @@ class InequalitySides:
     def _rhs(self, ds, fqa, frb, fs, fifth):
         """comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s))
         for aligned dist(a, b, c), g(c)^s and fifth-factor values, with the
-        factors multiplied in this order. g(a)^q and g(b)^r are one value
-        each (a row) or aligned lists too (a block)."""
-        p, comparison = self._p, self._comparison
+        factors multiplied in this order and the comparison applied to the
+        list of products. g(a)^q and g(b)^r are one value each (a row) or
+        aligned lists too (a block)."""
+        p = self._p
         if not (ds and min(ds) >= 0):
             for d in ds:
                 _power(d, p)  # raises at the first negative factor
         if isinstance(fqa, list):
-            return [comparison(d ** p * fq * fr * f * t) for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)]
-        return [comparison(d ** p * fqa * frb * f * t) for d, f, t in zip(ds, fs, fifth)]
+            return self._compare([d ** p * fq * fr * f * t for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)])
+        return self._compare([d ** p * fqa * frb * f * t for d, f, t in zip(ds, fs, fifth)])
 
     def __call__(self, a, b, c):
         """(lhs, rhs) at (a, b, c)."""
@@ -182,7 +199,7 @@ class InequalitySides:
         lhs list is shared with the table: do not modify it."""
         ia = self._image[a]
         fifth = self._fifth_row(ia, b)
-        ds = [self._dist(a, b, c) for c in self.points]
+        ds = self._metric.row(a, b, self.points)
         return self._lhs_row(ia, self._image[b]), self._rhs(ds, self._fq[a], self._fr[b], self._fs, fifth)
 
     def block(self, triples):
@@ -456,6 +473,24 @@ def _first_min(values, current=None):
     return k - 1 if k else None
 
 
+def _single_c_triples(segments):
+    """The triples (a, b, c) of the segments (a, b, cs) if each holds a
+    single c, else None after reading the first that does not."""
+    triples = []
+    for a, b, cs in segments:
+        if len(cs) != 1:
+            return None
+        triples.append((a, b, cs[0]))
+    return triples
+
+
+def _require_constant(label, lhs, values):
+    """Raise unless every value equals lhs, naming the first that differs."""
+    if any(map(ne, values, repeat(lhs))):
+        value = next(v for v in values if v != lhs)
+        raise PsbmError(f"subcase {label} lhs is not constant: {lhs} vs {value}")
+
+
 def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_size: int = 20) -> CaseTable:
     """The fifteen-subcase split of the worked example: exact lhs per subcase
     and the rhs minimized over the subcase's free ray variables on a grid.
@@ -487,19 +522,38 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
         ks = [index[c] for c in cs]
         return [lhs[k] for k in ks], [rhs[k] for k in ks]
 
-    rows = []
-    for label, condition, subcase_rows in _SUBCASES:
+    def walk(label, segments):
+        """(lhs, first rhs minimum, its triple) over the segments in order:
+        an error, or a lhs that differs from the first, is raised at the
+        segment that meets it."""
         lhs = rhs_min = argmin = None
-        for a, b, cs in subcase_rows(grid):
+        for a, b, cs in segments:
             lhs_row, rhs_row = segment_sides(a, b, cs)
             if lhs is None:
                 lhs = lhs_row[0]
-            if any(map(ne, lhs_row, repeat(lhs))):
-                value = next(v for v in lhs_row if v != lhs)
-                raise PsbmError(f"subcase {label} lhs is not constant: {lhs} vs {value}")
+            _require_constant(label, lhs, lhs_row)
             k = _first_min(rhs_row, rhs_min)
             if k is not None:
                 rhs_min, argmin = rhs_row[k], (a, b, cs[k])
+        return lhs, rhs_min, argmin
+
+    def one_block(label, triples):
+        """walk's result from one sides.block over the triples, or None if
+        the block raises: only the walk knows whether a differing lhs comes
+        before the error."""
+        try:
+            lhs, rhs = sides.block(triples)
+        except Exception:
+            return None
+        _require_constant(label, lhs[0], lhs)
+        k = _first_min(rhs)
+        return lhs[0], rhs[k], triples[k]
+
+    rows = []
+    for label, condition, subcase_rows in _SUBCASES:
+        triples = _single_c_triples(subcase_rows(grid))
+        found = None if triples is None else one_block(label, triples)
+        lhs, rhs_min, argmin = found or walk(label, subcase_rows(grid))
         reference = REFERENCE_BOUNDS.get(label)
         discrepancy = (
             reference is not None

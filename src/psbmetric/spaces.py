@@ -100,6 +100,18 @@ class TabulatedMetric:
             x = next(x for x in (p, q, r) if x not in index)
             raise UnknownPoint(f"point {point_label(x)} is not in the carrier") from None
 
+    def row(self, p, q, rs: list) -> list:
+        """[self(p, q, r) for r in rs], read off one stored row. On an
+        error the calls are made one at a time, so that the error raised is
+        the pointwise call's at the first r that meets one (and none when rs
+        is empty)."""
+        index = self._index
+        try:
+            line = self.rows[index[p]][index[q]]
+            return [line[index[r]] for r in rs]
+        except (KeyError, TypeError):
+            return [self(p, q, r) for r in rs]
+
     @property
     def table(self) -> dict:
         """The value per ordered triple, as a new dict in carrier order."""
@@ -122,6 +134,16 @@ class RuleMetric:
         except OverflowError:
             labels = ", ".join(point_label(x) for x in (p, q, r))
             raise DistanceOverflow(f"{self.name}({labels}) overflows the float range") from None
+
+    def row(self, p, q, rs: list) -> list:
+        """[self(p, q, r) for r in rs], calling the rule itself per r. An
+        overflow is replayed one call at a time, so that the error raised is
+        the pointwise call's at the first r that meets one."""
+        rule = self.rule
+        try:
+            return [rule(p, q, r) for r in rs]
+        except OverflowError:
+            return [self(p, q, r) for r in rs]
 
 
 def quintic(p, q, r):
@@ -364,7 +386,8 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
 
     Sampled quadruples come a block at a time from sampled_positions. A
     block's S(p,q,r) values and rectangle right-hand sides are computed as
-    lists, then one loop checks every axiom per quadruple in draw order. A
+    lists, then one loop checks every axiom per quadruple in draw order,
+    symmetry only at the first quadruple of each position pair. A
     block that raises is checked again quadruple by quadruple, evaluating
     and checking in the order of check_quad, so the error and the tuple it
     names are those of the first quadruple that fails.
@@ -419,6 +442,12 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
         except OverflowError:
             raise _overflow(rectangle, (p, q, r, s)) from None
 
+    # A flag at i * n + j per sampled position pair whose symmetry is
+    # decided. A pair whose comparison overflows is never flagged: it raises
+    # in its block, which is then replayed.
+    n = len(pts)
+    symmetry_decided = bytearray(n * n)
+
     def check_block(I, J, K, M):
         vals = [dist(pts[i], pts[j], pts[k]) for i, j, k in zip(I, J, K)]
         rhss = _rectangle_rhs(
@@ -438,8 +467,10 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
                 found.setdefault((identity, (p, q, r)), (val, sp if id_partial else 0))
             if self_min is not None and not (sp <= val or leq(sp, val)):
                 found.setdefault((self_min, (p, q, r)), (sp, val))
-            if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
-                found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+            if symmetry is not None and not symmetry_decided[i * n + j]:
+                if not values_equal(pairs[i][j], pairs[j][i]):
+                    found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+                symmetry_decided[i * n + j] = 1
             if not (val <= rhs or leq(val, rhs)):
                 found.setdefault((rectangle, (p, q, r, pts[m])), (val, rhs))
 

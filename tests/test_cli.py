@@ -529,6 +529,9 @@ UNSEEDED_PATHS = {
         "with --candidates",
     ),
     "certify --grid": (["certify", "--space", "builtin:quintic_gap", "--grid", "20"], "with --grid"),
+    "ball on a finite carrier": (
+        ["ball", "--space", "builtin:two_point_a", "--center", "1", "--radius", "3"], "on a finite carrier",
+    ),
 }
 
 

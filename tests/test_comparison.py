@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -420,6 +421,104 @@ class TestExactVerdicts:
     def test_float_evaluation_is_near_the_exact_function(self, fn, t):
         value = fn(float(t))
         assert math.isclose(value, exact_at(fn, float(t)), rel_tol=1e-12, abs_tol=1e-12)
+
+
+# -- the list method against the scalar loop ---------------------------------
+
+
+def outcome(call):
+    """What call() gives, bit for bit: each value's type with a float's
+    bytes (which tell -0.0 from 0.0 and keep a nan's sign), or the type
+    and message of the error it raises."""
+    try:
+        values = call()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    return [(type(v), struct.pack("<d", v) if type(v) is float else v) for v in values]
+
+
+@st.composite
+def value_lists(draw, fn):
+    """Lists of floats and ints on and beside fn's cuts, inside one piece
+    (where the list method reads the line once), nan anywhere, +-inf, -0.0
+    and ints up to 10**400."""
+    starts = [b for b, _, _ in fn.pieces]
+    near = [w for b in starts for w in (b, math.nextafter(b, -INF), math.nextafter(b, INF))]
+    k = draw(st.integers(0, len(starts) - 1))
+    inside = st.floats(starts[k], starts[k + 1] if k + 1 < len(starts) else starts[k] + 40)
+    element = st.one_of(
+        st.sampled_from(near),
+        inside,
+        inside,
+        st.floats(-20, 60),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([NAN, -NAN, INF, -INF, -0.0, 0.0, 0, 1, 5e-324]),
+        st.integers(-50, 50),
+        st.integers(-10 ** 400, 10 ** 400),
+    )
+    return draw(st.lists(element, max_size=12))
+
+
+class CountingFn(ComparisonFn):
+    """Counts the values that go through the scalar __call__."""
+
+    def __call__(self, v):
+        self.calls.append(v)
+        return super().__call__(v)
+
+
+def counting(fn):
+    counted = CountingFn(fn.name, fn.pieces, fn.kind)
+    object.__setattr__(counted, "calls", [])
+    return counted
+
+
+class TestListEvaluation:
+    """fn.map(values) is [fn(v) for v in values], bit for bit, errors
+    included."""
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_equals_the_scalar_loop(self, data):
+        fn = data.draw(st.one_of(piece_lists(), st.sampled_from([TAU, HALF, IDENTITY, STALL])))
+        values = data.draw(value_lists(fn))
+        assert outcome(lambda: fn.map(values)) == outcome(lambda: [fn(v) for v in values])
+
+    @pytest.mark.parametrize("values", [
+        [2.0, 3.5, 1e300, math.nextafter(1.0, INF)],
+        [0.0, -0.0, 0.25, 1.0],
+        [0.125, 1.0],
+        [0.5, NAN, 0.75],
+        [4, 9, 2 ** 70],
+    ], ids=["above-the-cut", "zeros", "up-to-the-closed-cut", "nan-inside", "ints"])
+    def test_one_piece_reads_the_line_once(self, values):
+        fn = counting(TAU)
+        assert outcome(lambda: fn.map(values)) == outcome(lambda: [TAU(v) for v in values])
+        assert fn.calls == []
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 2.0],
+        [1.0, math.nextafter(1.0, INF)],
+        [NAN, 2.0],
+        [2.0, INF, -INF],
+        [3.0, 10 ** 400],
+        [2.0, "x"],
+    ], ids=["straddles-the-cut", "beside-the-cut", "nan-first", "infinities", "big-int", "not-a-number"])
+    def test_otherwise_goes_value_by_value(self, values):
+        fn = counting(TAU)
+        assert outcome(lambda: fn.map(values)) == outcome(lambda: [TAU(v) for v in values])
+        assert fn.calls
+
+    def test_a_line_below_zero_at_an_end_is_clamped_value_by_value(self):
+        # (t - 1) / 2 on its one piece: negative below 1.
+        fn = counting(pieces_fn((0.0, line(1, 0, 3, 1), True)))
+        values = [0.25, 2.0, 5.0]
+        assert outcome(lambda: fn.map(values)) == outcome(lambda: [fn(v) for v in values])
+        assert fn.map(values) == [0.0, 0.5, 2.0]
+        assert fn.calls
+
+    def test_empty(self):
+        assert TAU.map([]) == []
 
 
 def shrinking_maps():

@@ -535,6 +535,30 @@ class TestRowEvaluator:
             assert report.triples_checked == m**3
             assert m**3 <= len(calls) <= m**3 + 2 * m**2
 
+    def test_tabulated_rows_straddling_the_cut_of_paper_tau_equal_reference(self):
+        # Float tables near 1, so that the products of one (a, b) row lie on
+        # both sides of paper_tau's cut at 1 and the row is evaluated value by
+        # value, while other rows lie on one side and read one line.
+        rng = random.Random("psbm:test:straddle")
+        tau = builtin_comparison("paper_tau")
+        identity = FakeComparison("identity", lambda v: v)
+        straddling = one_sided = 0
+        for _ in range(40):
+            labels = tuple(range(1, rng.randint(3, 6)))
+            table = {t: rng.uniform(0.3, 2.5) for t in itertools.product(labels, repeat=3)}
+            space = tabulated_space(labels, table)
+            spec = random_spec(rng, labels, [tau])
+            active = [x for x in labels if spec.mapping(x) != x]
+            products = InequalitySides(space, dataclasses.replace(spec, comparison=identity), active)
+            for a, b in itertools.product(active, repeat=2):
+                row = products.row(a, b)[1]
+                if min(row) <= 1 < max(row):
+                    straddling += 1
+                else:
+                    one_sided += 1
+            assert_matches_reference(certify(space, spec, points=labels), space, spec, grid_triples(spec, labels))
+        assert straddling > 20 and one_sided > 20
+
     def test_case_table_non_constant_lhs_names_the_first_differing_value(self):
         # This map keeps the ray below 30 where it is, so lhs varies in
         # subcases that the paper's map makes constant.
@@ -552,6 +576,35 @@ class TestRowEvaluator:
         with pytest.raises(PsbmError) as exc:
             reproduce_case_table(GAP, spec, grid_size=7)
         assert str(exc.value) == message
+
+    def test_case_table_block_errors_fall_back_to_the_segment_walk(self):
+        # A comparison that refuses the product of the last triple of 1(ii),
+        # (x, x, x) at the grid's end, so that the subcase's block raises
+        # there. With the cut map, 1(ii)'s lhs differs from its second
+        # segment on: the walk meets that first, and so must the table. With
+        # the paper's map the lhs is constant and the refusal is the error.
+        grid = grid_points(4, 64, 7)
+        cut = SelfMap("cut", lambda x: x if x < 30 else (0 if x in (0, 3) else 3))
+        for mapping, expected in ((cut, "subcase 1(ii) lhs is not constant: 1024.0 vs 537824.0"), (PAPER_S, None)):
+            spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, FakeComparison("identity", lambda v: v), mapping)
+            refused = reference_rhs(GAP, spec, grid[-1], grid[-1], grid[-1])
+
+            def refuse(v, refused=refused):
+                if v == refused:
+                    raise ArithmeticError(f"refused {v}")
+                return v / 4
+
+            spec = dataclasses.replace(spec, comparison=FakeComparison("refuse", refuse))
+            sides = InequalitySides(GAP, spec, [3] + grid)
+            with pytest.raises(ArithmeticError, match="^refused "):
+                sides.block([(x, x, x) for x in grid])
+            with pytest.raises(Exception) as exc:
+                reproduce_case_table(GAP, spec, grid_size=7)
+            if expected is None:
+                assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
+            else:
+                assert (type(exc.value), str(exc.value)) == (PsbmError, expected)
+
 
 class TestFixedPoints:
     def test_paper_s_unique_zero(self):

@@ -439,6 +439,30 @@ class TestOnePassMatchesTheTupleLoop:
             assert str(raised.value) == message
         assert late >= 5
 
+    def test_sampled_pair_overflows_name_the_first_quad(self):
+        # The entry beyond the float range sits at a pair triple (x, x, y),
+        # so symmetry, decided once per drawn pair, is among the axioms that
+        # overflow; with floats in the table, also its first test.
+        big = 10 ** 400
+        rng = random.Random("axioms:first-pair-error")
+        symmetry_first = 0
+        for i in range(40):
+            labels = tuple(range(rng.randint(6, 10)))
+            table = perturbed_table(rng, labels, floats=i % 2 == 0)
+            x, y = rng.sample(labels, 2)
+            table[(x, x, y)] = big
+            space = tabulated_space(labels, table, rng.choice((1, 1.5)))
+            variant = list(AxiomSet)[i % 4]
+            expected = reference_first_sampled_error(space, variant, 3 * SAMPLE_BLOCK, i)
+            if expected is None:
+                assert_matches_reference(space, variant, 3 * SAMPLE_BLOCK, i)
+                continue
+            message, _ = expected
+            with pytest.raises(DistanceOverflow) as raised:
+                check_axioms(space, variant, 3 * SAMPLE_BLOCK, i)
+            assert str(raised.value) == message
+            symmetry_first += message.startswith(f"axiom {2 if variant is AxiomSet.SB_METRIC else 3} at ({x}, {y})")
+        assert symmetry_first
 
 def reference_first_sampled_error(space, variant, sample_count, seed):
     """(message, quad position) of the first overflow that a walk over the
@@ -528,6 +552,56 @@ class TestEvaluateMetric:
         space = builtin_space("two_point_a")
         with pytest.raises(UnknownPoint):
             space.metric(1, 1, 3)
+
+
+def pointwise_outcome(call):
+    """call()'s list of (type, repr) per value, or its error's type and message."""
+    try:
+        return [(type(v), repr(v)) for v in call()]
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+class TestMetricRows:
+    """metric.row(p, q, rs) is [metric(p, q, r) for r in rs], errors included."""
+
+    def test_rule_rows_equal_pointwise_calls(self):
+        metric = builtin_space("quintic_gap").metric
+        rng = random.Random("spaces:rule-rows")
+        values = [0, 3, 4, 7, 4.5, 1e60, 1e80, 10 ** 70, 2 ** 1100, "abc"]
+        errors = set()
+        for _ in range(400):
+            p, q = rng.choice(values), rng.choice(values)
+            rs = [rng.choice(values) for _ in range(rng.randint(0, 6))]
+            expected = pointwise_outcome(lambda: [metric(p, q, r) for r in rs])
+            assert pointwise_outcome(lambda: metric.row(p, q, rs)) == expected
+            if isinstance(expected, tuple):
+                errors.add(expected[0])
+        assert errors == {DistanceOverflow, TypeError}
+
+    def test_rule_row_names_the_first_overflowing_r(self):
+        metric = builtin_space("quintic_gap").metric
+        with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+80\) overflows the float range$"):
+            metric.row(4.5, 7, [4, 1e80, 1e90])
+
+    def test_tabulated_rows_equal_pointwise_calls(self):
+        metric = builtin_space("two_point_a").metric
+        rng = random.Random("spaces:tabulated-rows")
+        values = [1, 2, 3, 1.0, "x", True]
+        errors = set()
+        for _ in range(400):
+            p, q = rng.choice(values), rng.choice(values)
+            rs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
+            expected = pointwise_outcome(lambda: [metric(p, q, r) for r in rs])
+            assert pointwise_outcome(lambda: metric.row(p, q, rs)) == expected
+            if isinstance(expected, tuple):
+                errors.add(expected)
+        assert (UnknownPoint, "point 3 is not in the carrier") in errors
+        assert (UnknownPoint, "point x is not in the carrier") in errors
+
+    def test_an_unknown_p_with_no_r_is_no_error(self):
+        metric = builtin_space("two_point_a").metric
+        assert metric.row(5, 1, []) == metric.row([5], 1, []) == []
 
 
 class TestCheckAxioms:
