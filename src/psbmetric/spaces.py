@@ -175,13 +175,14 @@ def exhaustive_points(space: PartialSbSpace) -> tuple:
 
 def require_point(space: PartialSbSpace, x):
     """Return x, or raise UnknownPoint if it is not a carrier point. A region
-    carrier holds the ints and floats (no bools) equal to an isolated point
-    or inside an interval; its truncation bound does not apply."""
+    carrier holds the finite ints and floats (no bools) equal to an isolated
+    point or inside an interval, so an unbounded ray stops short of inf; its
+    truncation bound does not apply."""
     carrier = space.carrier
     if isinstance(carrier, FiniteCarrier):
         inside = x in carrier.points
     else:
-        inside = type(x) in (int, float) and (
+        inside = type(x) in (int, float) and -math.inf < x < math.inf and (
             x in carrier.isolated
             or any(lo <= x and (hi is None or x <= hi) for lo, hi in carrier.intervals)
         )
@@ -311,10 +312,12 @@ def check_axioms(
     the quadruples' leading coordinates, so any sampled violation is also
     found by the exhaustive scan.
 
-    The verdicts come from one pass over tables of the point set (see
-    _check_by_tables). Arithmetic that overflows the float range (an int
-    beyond it meeting a float) raises DistanceOverflow, naming the axiom
-    and the tuple that the pass was checking.
+    The verdicts come from one loop over tables of the point set, which
+    both modes feed (see _check_by_tables). Arithmetic that overflows the
+    float range (an int beyond it meeting a float) raises DistanceOverflow,
+    naming the axiom and the tuple that the loop was checking: the first to
+    overflow, triple by triple (exhaustive) or quadruple by quadruple in
+    draw order (sampled), each one's axioms in index order.
     """
     axioms = _AXIOMS[variant]
     if sample_count is None:
@@ -363,159 +366,107 @@ def sampled_positions(rng: random.Random, pool_size: int, arity: int, count: int
         yield [drawn[a::arity] for a in range(arity)]
 
 
-def _rectangle_rhs(pair_sums, thirds, selfs, t, partial, scaled) -> list:
-    """The rectangle's right-hand sides over aligned lists: pair_sums hold
-    S(p,p,s) + S(q,q,s), thirds S(r,r,s) and selfs S(s,s,s); the sum times
-    t when `scaled`, less S(s,s,s) when `partial`."""
-    if partial and scaled:
-        return [t * (a + b) - c for a, b, c in zip(pair_sums, thirds, selfs)]
-    if partial:
-        return [a + b - c for a, b, c in zip(pair_sums, thirds, selfs)]
-    if scaled:
-        return [t * (a + b) for a, b in zip(pair_sums, thirds)]
-    return [a + b for a, b in zip(pair_sums, thirds)]
-
-
 def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
     """{(axiom, tuple): (lhs, rhs)} per violated tuple, first occurrence
-    kept, from one pass per triple (exhaustive) or per sampled quadruple,
-    which evaluates S(p,q,r) once for identity, self-minimality and the
-    rectangle. The self-distances S(x,x,x) and the rows S(x,x,s) are
-    tabulated once over `pts`, by position: equal points such as 3 and 3.0
-    may give an int and a float distance.
+    kept. The self-distances S(x,x,x) and the rows S(x,x,s) are tabulated
+    once over `pts`, by position: equal points such as 3 and 3.0 may give an
+    int and a float distance.
 
-    Sampled quadruples come a block at a time from sampled_positions. A
-    block's S(p,q,r) values and rectangle right-hand sides are computed as
-    lists, then one loop checks every axiom per quadruple in draw order,
-    symmetry only at the first quadruple of each position pair. A
-    block that raises is checked again quadruple by quadruple, evaluating
-    and checking in the order of check_quad, so the error and the tuple it
-    names are those of the first quadruple that fails.
+    One loop, `check`, decides every axiom. It takes position tuples
+    (i, j, k, columns) and evaluates S(p,q,r) once per tuple, then checks
+    identity, self-minimality, symmetry (at the first tuple of each
+    position pair) and the rectangle, in that order. The exhaustive mode
+    feeds it every triple with columns = range(n), and the rectangle is
+    checked over the whole row of s; the sampled mode feeds it each block
+    of quadruples from sampled_positions, and columns is the drawn s. Every
+    variant's right-hand side is scale * (S(p,p,s) + S(q,q,s) + S(r,r,s)) -
+    offset[s], scale being t or 1 and offset S(s,s,s) or 0: `1 * x` and
+    `x - 0` are x itself, an int or a float alike.
 
-    An exhaustive rectangle row whose every right-hand side is at least
-    S(p,q,r) under a plain <= holds without a walk over s, since leq is
-    then true at its first test. A NaN, which min() can pass over, is
-    looked for only when t or a tabulated value is not finite: otherwise
-    each step adds, scales by or subtracts a finite value, which may reach
-    inf but never NaN.
+    Arithmetic that overflows raises DistanceOverflow naming the axiom and
+    the tuple that the loop was checking, so the first in check order; in a
+    whole row, its first s whose right-hand side overflows. A rectangle row
+    whose every right-hand side is at least S(p,q,r) under a plain <= holds
+    without a walk over s, since leq is then true at its first test. A NaN,
+    which min() can pass over, is looked for only when the scale or a
+    tabulated value is not finite: otherwise each step adds, scales by or
+    subtracts a finite value, which may reach inf but never NaN.
     """
     dist = space.metric.__call__
-    t = space.coefficient
+    n = len(pts)
     selfs = [dist(x, x, x) for x in pts]
-    pairs = [[dist(x, x, y) for y in pts] for x in pts]
+    pairs = [space.metric.row(x, x, pts) for x in pts]
     roles = {kind: (index, options) for index, _, kind, options in axioms}
     identity, (id_partial, id_pair) = roles["identity"]
     self_min = roles.get("self-min", (None,))[0]
     symmetry = roles.get("symmetry", (None,))[0]
     rectangle, (partial, scaled) = roles["rectangle"]
+    scale = space.coefficient if scaled else 1
+    offset = selfs if partial else [0] * n
+    maybe_nan = not all(x - x == 0 for x in itertools.chain((scale,), selfs, *pairs))
+    sampled = sample_count is not None
+    # A flag at i * n + j per position pair whose symmetry is decided: every
+    # pair's, in a variant without the symmetry axiom.
+    symmetry_decided = bytearray(n * n) if symmetry is not None else b"\1" * (n * n)
     found = {}
 
-    def check_triple(tpl, val, sp, sq, sr):
-        index = identity
+    def rhs(i, j, k, m):
+        return scale * (pairs[i][m] + pairs[j][m] + pairs[k][m]) - offset[m]
+
+    def check(tuples):
+        axiom = m = summed = None
         try:
-            if id_partial:
-                agrees = values_equal(val, sp) and values_equal(val, sq) and values_equal(val, sr)
-            else:
-                agrees = values_equal(val, 0)
-            p, q, r = tpl
-            if (p == q if id_pair else p == q == r) != agrees:
-                found.setdefault((identity, tpl), (val, sp if id_partial else 0))
-            index = self_min
-            if self_min is not None and not leq(sp, val):
-                found.setdefault((self_min, tpl), (sp, val))
-        except OverflowError:
-            raise _overflow(index, tpl) from None
-
-    def check_quad(i, j, k, m):
-        p, q, r, s = pts[i], pts[j], pts[k], pts[m]
-        val = dist(p, q, r)
-        check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
-        try:
-            if symmetry is not None and not values_equal(pairs[i][j], pairs[j][i]):
-                found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
-        except OverflowError:
-            raise _overflow(symmetry, (p, q)) from None
-        try:
-            (rhs,) = _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
-            if not leq(val, rhs):
-                found.setdefault((rectangle, (p, q, r, s)), (val, rhs))
-        except OverflowError:
-            raise _overflow(rectangle, (p, q, r, s)) from None
-
-    # A flag at i * n + j per sampled position pair whose symmetry is
-    # decided. A pair whose comparison overflows is never flagged: it raises
-    # in its block, which is then replayed.
-    n = len(pts)
-    symmetry_decided = bytearray(n * n)
-
-    def check_block(I, J, K, M):
-        vals = [dist(pts[i], pts[j], pts[k]) for i, j, k in zip(I, J, K)]
-        rhss = _rectangle_rhs(
-            [pairs[i][m] + pairs[j][m] for i, j, m in zip(I, J, M)],
-            [pairs[k][m] for k, m in zip(K, M)],
-            [selfs[m] for m in M],
-            t, partial, scaled,
-        )
-        # check_quad's checks, with leq's own first test `a <= b` inlined.
-        for i, j, k, m, val, rhs in zip(I, J, K, M, vals, rhss):
-            p, q, r, sp = pts[i], pts[j], pts[k], selfs[i]
-            if id_partial:
-                agrees = values_equal(val, sp) and values_equal(val, selfs[j]) and values_equal(val, selfs[k])
-            else:
-                agrees = values_equal(val, 0)
-            if (p == q if id_pair else p == q == r) != agrees:
-                found.setdefault((identity, (p, q, r)), (val, sp if id_partial else 0))
-            if self_min is not None and not (sp <= val or leq(sp, val)):
-                found.setdefault((self_min, (p, q, r)), (sp, val))
-            if symmetry is not None and not symmetry_decided[i * n + j]:
-                if not values_equal(pairs[i][j], pairs[j][i]):
-                    found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
-                symmetry_decided[i * n + j] = 1
-            if not (val <= rhs or leq(val, rhs)):
-                found.setdefault((rectangle, (p, q, r, pts[m])), (val, rhs))
-
-    if sample_count is not None:
-        rng = random.Random(f"psbm:axioms:{seed}")
-        for block in sampled_positions(rng, len(pts), 4, sample_count):
-            try:
-                check_block(*block)
-            except Exception:
-                # Raise the error that quad-by-quad checking meets first.
-                for quad in zip(*block):
-                    check_quad(*quad)
-                raise
-        return found
-
-    positions = list(enumerate(pts))
-    if symmetry is not None:
-        for (i, p), (j, q) in itertools.product(positions, repeat=2):
-            try:
-                if not values_equal(pairs[i][j], pairs[j][i]):
-                    found[(symmetry, (p, q))] = (pairs[i][j], pairs[j][i])
-            except OverflowError:
-                raise _overflow(symmetry, (p, q)) from None
-    maybe_nan = not all(x - x == 0 for x in itertools.chain((t,), selfs, *pairs))
-    for (i, p), (j, q) in itertools.product(positions, repeat=2):
-        k, m = 0, None  # the pair sums serve every r, the first one first
-        try:
-            pair_sums = [a + b for a, b in zip(pairs[i], pairs[j])]
-            for k, r in positions:
-                val = dist(p, q, r)
-                check_triple((p, q, r), val, selfs[i], selfs[j], selfs[k])
-                row = _rectangle_rhs(pair_sums, pairs[k], selfs, t, partial, scaled)
+            for i, j, k, columns in tuples:
+                p, q, r = pts[i], pts[j], pts[k]
+                axiom, val, sp = identity, dist(p, q, r), selfs[i]
+                if id_partial:
+                    agrees = values_equal(val, sp) and values_equal(val, selfs[j]) and values_equal(val, selfs[k])
+                else:
+                    agrees = values_equal(val, 0)
+                if (p == q if id_pair else p == q == r) != agrees:
+                    found.setdefault((identity, (p, q, r)), (val, sp if id_partial else 0))
+                axiom = self_min  # leq's own first test `a <= b` inlined, as at the drawn s
+                if self_min is not None and not (sp <= val or leq(sp, val)):
+                    found.setdefault((self_min, (p, q, r)), (sp, val))
+                if not symmetry_decided[i * n + j]:
+                    axiom = symmetry
+                    if not values_equal(pairs[i][j], pairs[j][i]):
+                        found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+                    symmetry_decided[i * n + j] = 1
+                axiom = rectangle
+                if sampled:
+                    m = columns
+                    value = rhs(i, j, k, m)
+                    if not (val <= value or leq(val, value)):
+                        found.setdefault((rectangle, (p, q, r, pts[m])), (val, value))
+                    continue
+                m = None  # no s yet: the row is being formed
+                if summed != (i, j):  # S(p,p,s) + S(q,q,s) serves every r
+                    summed, sums = (i, j), [a + b for a, b in zip(pairs[i], pairs[j])]
+                row = [scale * (ab + c) - o for ab, c, o in zip(sums, pairs[k], offset)]
                 if not val <= min(row) or (maybe_nan and any(x != x for x in row)):
-                    for m, rhs in enumerate(row):
-                        if not leq(val, rhs):
-                            found[(rectangle, (p, q, r, pts[m]))] = (val, rhs)
-                    m = None
+                    for m in columns:
+                        if not leq(val, row[m]):
+                            found.setdefault((rectangle, (p, q, r, pts[m])), (val, row[m]))
         except OverflowError:
-            if m is None:  # in a whole row: name its first s whose own rhs overflows
-                for m in range(len(pts)):
-                    try:
-                        _rectangle_rhs((pairs[i][m] + pairs[j][m],), (pairs[k][m],), (selfs[m],), t, partial, scaled)
-                    except OverflowError:
-                        break
-            raise _overflow(rectangle, (p, q, pts[k], pts[m])) from None
+            tpl = (p, q) if axiom == symmetry else (p, q, r)
+            if axiom == rectangle:
+                if m is None:  # in a whole row: name its first s whose rhs overflows
+                    for m in columns:
+                        try:
+                            rhs(i, j, k, m)
+                        except OverflowError:
+                            break
+                tpl += (pts[m],)
+            raise _overflow(axiom, tpl) from None
+
+    if sampled:
+        rng = random.Random(f"psbm:axioms:{seed}")
+        for block in sampled_positions(rng, n, 4, sample_count):
+            check(zip(*block))
+    else:
+        positions = range(n)
+        check(itertools.product(positions, positions, positions, (positions,)))
     return found
 
 

@@ -711,6 +711,7 @@ class TestPointsOffTheCarrier:
         (["fixpoint", "--space", "builtin:quintic_gap", "--start", "2"], "2"),
         (["fixpoint", "--space", "builtin:quintic_gap", "--start", "1.5"], "1.5"),
         (["ball", "--space", "builtin:quintic_ray", "--center", "0.5", "--radius", "3"], "0.5"),
+        (["ball", "--space", "builtin:quintic_ray", "--center", "inf", "--radius", "1"], "inf"),
         (["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3",
           "--candidates", "1,0.5"], "0.5"),
         (["ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3",

@@ -382,14 +382,17 @@ class TestOnePassMatchesTheTupleLoop:
 
     def test_float_sums_round_in_the_checker_order(self):
         # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): a rectangle rhs summed in
-        # another order shows in the violations' repr.
+        # another order shows in the violations' repr. Every variant's rhs
+        # is formed as t * sum - S(s,s,s), with 1 for t and 0 for S(s,s,s)
+        # where the variant has neither: entries -0.0 and a coefficient 1.0
+        # show any change of type or sign that this brings.
         rng = random.Random("axioms:rounding")
-        values = (0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16)
+        values = (0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16, -0.0)
         violations = 0
         for i in range(150):
             labels = (1, 2, 3)
             table = {t: rng.choice(values) for t in itertools.product(labels, repeat=3)}
-            space = tabulated_space(labels, table, rng.choice((1, 1.5, 2)))
+            space = tabulated_space(labels, table, rng.choice((1, 1.0, 1.5, 2)))
             for variant in AxiomSet:
                 report = assert_matches_reference(space, variant)
                 violations += len(report.violations)
@@ -397,15 +400,8 @@ class TestOnePassMatchesTheTupleLoop:
         assert violations
 
     def test_ints_beyond_the_float_range(self):
-        big = 10 ** 400
-        rng = random.Random("axioms:big-ints")
         raised = 0
-        for i in range(80):
-            labels = (1, 2, 3)
-            table = perturbed_table(rng, labels, floats=i % 3 == 2)
-            for tpl in rng.sample(sorted(table), rng.randint(1, 2)):
-                table[tpl] = big + rng.randint(0, 1)
-            space = tabulated_space(labels, table, rng.choice((1, 2, 1.5)))
+        for i, space in enumerate(big_int_tables()):
             for variant in AxiomSet:
                 for sample_count, seed in ((None, None), (30, i)):
                     if assert_matches_reference(space, variant, sample_count, seed) is None:
@@ -413,6 +409,22 @@ class TestOnePassMatchesTheTupleLoop:
                         assert_names_an_overflowing_tuple(space, variant, sample_count, seed)
         # Both outcomes occur: exact integer reports and overflow errors.
         assert 0 < raised < 80 * 8
+
+    def test_exhaustive_errors_name_the_first_tuple_in_check_order(self):
+        # The error names the axiom and tuple that a triple-by-triple walk
+        # meets first, in the order the exhaustive loop checks them.
+        raised = 0
+        for space in big_int_tables():
+            for variant in AxiomSet:
+                expected = reference_first_exhaustive_error(space, variant)
+                if expected is None:
+                    check_axioms(space, variant)
+                    continue
+                raised += 1
+                with pytest.raises(DistanceOverflow) as error:
+                    check_axioms(space, variant)
+                assert str(error.value) == expected, (space, variant)
+        assert raised
 
     def test_sampled_errors_name_the_first_quad_in_draw_order(self):
         # One entry beyond the float range, at a triple of distinct points,
@@ -463,6 +475,66 @@ class TestOnePassMatchesTheTupleLoop:
             assert str(raised.value) == message
             symmetry_first += message.startswith(f"axiom {2 if variant is AxiomSet.SB_METRIC else 3} at ({x}, {y})")
         assert symmetry_first
+
+
+def big_int_tables():
+    """80 seeded tables over (1, 2, 3) with one or two entries beyond the
+    float range, a third of them holding floats too."""
+    big = 10 ** 400
+    rng = random.Random("axioms:big-ints")
+    for i in range(80):
+        labels = (1, 2, 3)
+        table = perturbed_table(rng, labels, floats=i % 3 == 2)
+        for tpl in rng.sample(sorted(table), rng.randint(1, 2)):
+            table[tpl] = big + rng.randint(0, 1)
+        yield tabulated_space(labels, table, rng.choice((1, 2, 1.5)))
+
+
+# The rectangle's right-hand side per variant, from t, the sum
+# S(p,p,s) + S(q,q,s) + S(r,r,s) and S(s,s,s), as the reference checkers
+# above form it.
+REFERENCE_RHS = {
+    AxiomSet.S_METRIC: lambda t, total, s_self: total,
+    AxiomSet.PARTIAL_S: lambda t, total, s_self: total - s_self,
+    AxiomSet.SB_METRIC: lambda t, total, s_self: t * total,
+    AxiomSet.PARTIAL_SB: lambda t, total, s_self: t * total - s_self,
+}
+
+
+def reference_first_exhaustive_error(space, variant):
+    """The message of the first overflow that a walk over the exhaustive
+    triples meets, or None. Per triple (p, q, r): identity, self-minimality
+    and symmetry at the pair's first triple, in index order; then the
+    rectangle's right-hand sides over s, then its comparisons over s."""
+    pts, metric, t = space.carrier.points, space.metric, space.coefficient
+    *lower, (rectangle, _, _) = REFERENCE_AXIOMS[variant]
+
+    def message(index, tpl):
+        labels = ", ".join(point_label(x) for x in tpl)
+        return f"axiom {index} at ({labels}) overflows the float range"
+
+    for p, q, r in itertools.product(pts, repeat=3):
+        for index, arity, checker in lower:
+            if arity == 2 and r != pts[0]:
+                continue
+            try:
+                checker(space, (p, q, r)[:arity])
+            except OverflowError:
+                return message(index, (p, q, r)[:arity])
+        rhss = []
+        for s in pts:
+            try:
+                total = metric(p, p, s) + metric(q, q, s) + metric(r, r, s)
+                rhss.append(REFERENCE_RHS[variant](t, total, metric(s, s, s)))
+            except OverflowError:
+                return message(rectangle, (p, q, r, s))
+        for s, rhs in zip(pts, rhss):
+            try:
+                leq(metric(p, q, r), rhs)
+            except OverflowError:
+                return message(rectangle, (p, q, r, s))
+    return None
+
 
 def reference_first_sampled_error(space, variant, sample_count, seed):
     """(message, quad position) of the first overflow that a walk over the
@@ -895,7 +967,7 @@ class TestRequirePoint:
         # Points above the truncation bound (64) are still carrier points.
         assert require_point(self.GAP, point) is point
 
-    @pytest.mark.parametrize("point", [2, 1.5, 3.5, -1, 0.5, "abc", "3", True, False, math.nan, None])
+    @pytest.mark.parametrize("point", [2, 1.5, 3.5, -1, 0.5, "abc", "3", True, False, math.nan, math.inf, None])
     def test_points_off_a_region_carrier_are_unknown(self, point):
         with pytest.raises(UnknownPoint, match="is not in the carrier"):
             require_point(self.GAP, point)
