@@ -14,9 +14,8 @@ Every other factor is tabulated once per point, per image S(x), per
 (S(a), S(b)) or per (S(a), b), whichever it depends on. `certify` walks
 whole (a, b) rows over its points and reduces each row's margins at C
 level; its sampled path reads the same tables a block of drawn triples at
-a time. The case table takes a subcase with several c per (a, b) from the
-same rows, and one with a single c per (a, b) as one block, walked segment
-by segment only if the block raises. `ray_grid` is the one
+a time. The case table evaluates each (a, b) row once and files each c of
+it into its subcase by the row's equality pattern. `ray_grid` is the one
 evenly spaced grid on a region carrier's ray, used by the case table, by
 `psbm certify --grid` and by the reproduction script.
 """
@@ -26,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import le, ne, sub
+from operator import le, lt, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
@@ -333,7 +332,8 @@ def certify(
 # --------------------------------------------------------------------------
 
 # Published rhs lower bounds per subcase, kept as reference annotations only;
-# our grid minimization is the authoritative side of the lhs <= rhs verdict.
+# the grid minimum over the triples filed into each subcase is the
+# authoritative side of the lhs <= rhs verdict.
 REFERENCE_BOUNDS = {
     "1(i)": 0.0,
     "1(ii)": 607.08,
@@ -354,34 +354,34 @@ REFERENCE_BOUNDS = {
 
 _DISCREPANCY_REL = 0.01
 
+# Each subcase's condition, in table order.
+_CONDITIONS = {
+    "1(i)": "a = b = c = 3",
+    "1(ii)": "a = b = c != 3",
+    "2(i)": "a = b = 3, c != 3",
+    "2(ii)": "a = b != 3, c = 3",
+    "2(iii)": "a = b != 3, c != 3",
+    "3(i)": "b != 3, a = c = 3",
+    "3(ii)": "b = 3, a = c != 3",
+    "3(iii)": "b != 3, a = c != 3",
+    "4(i)": "b = c = 3, a != 3",
+    "4(ii)": "b = c != 3, a = 3",
+    "4(iii)": "b = c != 3, a != 3",
+    "5(i)": "all distinct, a = 3",
+    "5(ii)": "all distinct, b = 3",
+    "5(iii)": "all distinct, c = 3",
+    "5(iv)": "all distinct, none = 3",
+}
 
-def _distinct_pairs(grid):
-    return ((x, y) for x in grid for y in grid if x != y)
-
-
-def _others(grid, *excluded):
-    return [z for z in grid if z not in excluded]
-
-
-# Each subcase lists its triples as rows (a, b, [c, ...]), in the order in
-# which the first minimum of the rhs is taken.
-_SUBCASES = (
-    ("1(i)", "a = b = c = 3", lambda g: [(3, 3, [3])]),
-    ("1(ii)", "a = b = c != 3", lambda g: ((x, x, [x]) for x in g)),
-    ("2(i)", "a = b = 3, c != 3", lambda g: [(3, 3, g)]),
-    ("2(ii)", "a = b != 3, c = 3", lambda g: ((x, x, [3]) for x in g)),
-    ("2(iii)", "a = b != 3, c != 3", lambda g: ((x, x, _others(g, x)) for x in g)),
-    ("3(i)", "b != 3, a = c = 3", lambda g: ((3, x, [3]) for x in g)),
-    ("3(ii)", "b = 3, a = c != 3", lambda g: ((x, 3, [x]) for x in g)),
-    ("3(iii)", "b != 3, a = c != 3", lambda g: ((x, y, [x]) for x, y in _distinct_pairs(g))),
-    ("4(i)", "b = c = 3, a != 3", lambda g: ((x, 3, [3]) for x in g)),
-    ("4(ii)", "b = c != 3, a = 3", lambda g: ((3, x, [x]) for x in g)),
-    ("4(iii)", "b = c != 3, a != 3", lambda g: ((y, x, [x]) for x, y in _distinct_pairs(g))),
-    ("5(i)", "all distinct, a = 3", lambda g: ((3, x, _others(g, x)) for x in g)),
-    ("5(ii)", "all distinct, b = 3", lambda g: ((x, 3, _others(g, x)) for x in g)),
-    ("5(iii)", "all distinct, c = 3", lambda g: ((x, y, [3]) for x, y in _distinct_pairs(g))),
-    ("5(iv)", "all distinct, none = 3", lambda g: ((x, y, _others(g, x, y)) for x, y in _distinct_pairs(g))),
-)
+# The subcase of c = 3, of c = a, of c = b and of every other c in the (a, b)
+# row, keyed by (a == 3, b == 3, a == b).
+_FILING = {
+    (True, True, True): ("1(i)", "1(i)", "1(i)", "2(i)"),
+    (False, False, True): ("2(ii)", "1(ii)", "1(ii)", "2(iii)"),
+    (True, False, False): ("3(i)", "3(i)", "4(ii)", "5(i)"),
+    (False, True, False): ("4(i)", "3(ii)", "4(i)", "5(ii)"),
+    (False, False, False): ("5(iii)", "3(iii)", "4(iii)", "5(iv)"),
+}
 
 
 @dataclass(frozen=True)
@@ -448,8 +448,8 @@ class CaseTable:
 
 
 def ray_grid(carrier: RegionCarrier, n: int) -> list:
-    """n evenly spaced points from the start to the end of the carrier's
-    first truncated interval."""
+    """n evenly spaced, strictly increasing points from the start to the end
+    of the carrier's first truncated interval."""
     if n < 2:
         raise PsbmError(f"a ray grid needs at least 2 points, got {n}")
     spans = carrier.truncated_intervals()
@@ -457,38 +457,41 @@ def ray_grid(carrier: RegionCarrier, n: int) -> list:
         raise PsbmError(f"no interval of positive length lies below the bound {carrier.bound}")
     lo, hi = spans[0]
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    grid = [lo + i * step for i in range(n)]
+    if not all(map(lt, grid, grid[1:])):
+        raise PsbmError(f"the interval [{lo}, {hi}] is too short for {n} distinct grid points")
+    return grid
 
 
-def _first_min(values, current=None):
-    """Index of the value on which the scan `if current is None or v <
-    current: current = v` over `values` ends, or None if it keeps
-    `current`: the first minimum, nan included, as a triple-by-triple loop
-    finds it."""
-    if current is not None:
-        values = [current, *values]
-    k = min(range(len(values)), key=values.__getitem__)
-    if current is None:
-        return k
-    return k - 1 if k else None
+def _without(values, ks):
+    """A copy of values without the ascending positions ks."""
+    values = values[:]
+    for k in reversed(ks):
+        del values[k]
+    return values
 
 
-def _single_c_triples(segments):
-    """The triples (a, b, c) of the segments (a, b, cs) if each holds a
-    single c, else None after reading the first that does not."""
-    triples = []
-    for a, b, cs in segments:
-        if len(cs) != 1:
-            return None
-        triples.append((a, b, cs[0]))
-    return triples
+class _Scan:
+    """One subcase's lhs and first rhs minimum with its triple, over its
+    segments (a, b, cs, lhs values, rhs values) fed in the subcase's order.
+    The minimum continues the scan `if rhs_min is None or v < rhs_min:
+    rhs_min = v`, nan included, as a triple-by-triple loop finds it. The
+    first lhs value that differs from the first is kept, not raised, so that
+    the table can name the first subcase, in table order, whose lhs is not
+    constant."""
 
+    def __init__(self):
+        self.lhs = self.differing = self.rhs_min = self.argmin = None
 
-def _require_constant(label, lhs, values):
-    """Raise unless every value equals lhs, naming the first that differs."""
-    if any(map(ne, values, repeat(lhs))):
-        value = next(v for v in values if v != lhs)
-        raise PsbmError(f"subcase {label} lhs is not constant: {lhs} vs {value}")
+    def feed(self, a, b, cs, lhs, rhs):
+        if self.lhs is None:
+            self.lhs, self.rhs_min, self.argmin = lhs[0], rhs[0], (a, b, cs[0])
+        if self.differing is None and any(map(ne, lhs, repeat(self.lhs))):
+            self.differing = next(v for v in lhs if v != self.lhs)
+        values = [self.rhs_min, *rhs]
+        k = min(range(len(values)), key=values.__getitem__)
+        if k:
+            self.rhs_min, self.argmin = rhs[k - 1], (a, b, cs[k - 1])
 
 
 def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_size: int = 20) -> CaseTable:
@@ -508,52 +511,38 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     if grid_size < 3:
         raise InvalidArgument("grid_size must be >= 3")
     grid = ray_grid(carrier, grid_size)
+    if 3 in grid:
+        raise WrongSpaceShape("the ray grid holds the isolated point 3")
     points = [3] + grid
     sides = InequalitySides(space, spec, points)
-    index = {x: k for k, x in enumerate(points)}
 
-    def segment_sides(a, b, cs):
-        """Both sides over (a, b, c) for c in cs. Several c take the whole
-        row: its other triples belong to subcases walked before."""
-        if len(cs) == 1:
-            lhs, rhs = sides(a, b, cs[0])
-            return [lhs], [rhs]
-        lhs, rhs = sides.row(a, b)
-        ks = [index[c] for c in cs]
-        return [lhs[k] for k in ks], [rhs[k] for k in ks]
-
-    def walk(label, segments):
-        """(lhs, first rhs minimum, its triple) over the segments in order:
-        an error, or a lhs that differs from the first, is raised at the
-        segment that meets it."""
-        lhs = rhs_min = argmin = None
-        for a, b, cs in segments:
-            lhs_row, rhs_row = segment_sides(a, b, cs)
-            if lhs is None:
-                lhs = lhs_row[0]
-            _require_constant(label, lhs, lhs_row)
-            k = _first_min(rhs_row, rhs_min)
-            if k is not None:
-                rhs_min, argmin = rhs_row[k], (a, b, cs[k])
-        return lhs, rhs_min, argmin
-
-    def one_block(label, triples):
-        """walk's result from one sides.block over the triples, or None if
-        the block raises: only the walk knows whether a differing lhs comes
-        before the error."""
-        try:
-            lhs, rhs = sides.block(triples)
-        except Exception:
-            return None
-        _require_constant(label, lhs[0], lhs)
-        k = _first_min(rhs)
-        return lhs[0], rhs[k], triples[k]
+    # Each row is filed as it is made, so that one row is held at a time: a
+    # subcase takes at most one segment of a row, and its segments come in
+    # its own order, except 4(iii)'s, whose first minimum runs over b and
+    # then a; they wait in `late` for the sort.
+    scans = {label: _Scan() for label in _CONDITIONS}
+    late = []
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            lhs, rhs = sides.row(a, b)
+            at_three, at_a, at_b, other = _FILING[(i == 0, j == 0, i == j)]
+            special = sorted({0, i, j})
+            for k in special:
+                label = at_three if k == 0 else at_a if k == i else at_b
+                if label == "4(iii)":
+                    late.append((b, a, lhs[k], rhs[k]))
+                else:
+                    scans[label].feed(a, b, [points[k]], [lhs[k]], [rhs[k]])
+            scans[other].feed(a, b, *(_without(v, special) for v in (points, lhs, rhs)))
+    for b, a, lhs, rhs in sorted(late):
+        scans["4(iii)"].feed(a, b, [b], [lhs], [rhs])
 
     rows = []
-    for label, condition, subcase_rows in _SUBCASES:
-        triples = _single_c_triples(subcase_rows(grid))
-        found = None if triples is None else one_block(label, triples)
-        lhs, rhs_min, argmin = found or walk(label, subcase_rows(grid))
+    for label, condition in _CONDITIONS.items():
+        scan = scans[label]
+        lhs, rhs_min = scan.lhs, scan.rhs_min
+        if scan.differing is not None:
+            raise PsbmError(f"subcase {label} lhs is not constant: {lhs} vs {scan.differing}")
         reference = REFERENCE_BOUNDS.get(label)
         discrepancy = (
             reference is not None
@@ -565,7 +554,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
                 condition=condition,
                 lhs=lhs,
                 rhs_min=rhs_min,
-                argmin=argmin,
+                argmin=scan.argmin,
                 reference=reference,
                 discrepancy=discrepancy,
                 holds=leq(lhs, rhs_min),

@@ -163,7 +163,7 @@ class PartialSbSpace:
     coefficient: int | float = 1
 
     def __post_init__(self):
-        if self.coefficient < 1:
+        if not self.coefficient >= 1:  # nan included
             raise InvalidArgument("coefficient must be >= 1")
 
 

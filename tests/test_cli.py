@@ -188,6 +188,15 @@ class TestRejectedValues:
         assert captured.out == ""
         assert captured.err == "error: no interval of positive length lies below the bound 4.0\n"
 
+    # Rays one and a few ulps long, on which 20 evenly spaced floats repeat.
+    @pytest.mark.parametrize("bound", ["4.000000000000001", "4.00000000000001"])
+    @pytest.mark.parametrize("command", [("case-table",), ("certify", "--grid", "20")])
+    def test_grid_on_a_ray_too_short_for_distinct_points_is_one_error_line(self, command, bound, capsys):
+        assert run_cli(*command, "--space", "builtin:quintic_gap", "--bound", bound) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the interval [4, {bound}] is too short for 20 distinct grid points\n"
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
     @pytest.mark.parametrize("command", BOUND_COMMANDS)
     def test_non_finite_bound_is_a_usage_error(self, command, value, capsys):
@@ -1178,7 +1187,9 @@ BUILTIN_SPACES = ["builtin:quintic_ray", "builtin:quintic_gap", "builtin:two_poi
 FUZZ_SPACE = ("--space", st.sampled_from(BUILTIN_SPACES), st.sampled_from(["builtin:none", "file:/nonexistent.psb", ""]))
 FUZZ_BOUND = (
     "--bound",
-    st.one_of(st.floats(4.5, 1000), st.floats(1e-9, 1e300)).map(repr),
+    # The two near 4 leave quintic_gap's ray too short for distinct grid points.
+    st.one_of(st.floats(4.5, 1000), st.floats(1e-9, 1e300)).map(repr)
+    | st.sampled_from(["4.000000000000001", "4.00000000000001"]),
     st.sampled_from(["-1", "-1e-9", "0", "3", "4", "1e80", "inf", "nan", "x", ""]),
 )
 FUZZ_SEED = ("--seed", st.integers(-5, 2**70).map(str), st.sampled_from(["x", "", "1.5"]))

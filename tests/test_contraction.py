@@ -36,7 +36,7 @@ from psbmetric import (
     tabulated_space,
     validate_exponents,
 )
-from psbmetric.contraction import _SUBCASES
+from psbmetric import contraction
 from psbmetric.numerics import leq, point_sort_key
 
 GAP = builtin_space("quintic_gap")
@@ -155,6 +155,41 @@ def random_spec(rng, labels, comparisons):
     return InterpolativeSpec(*exps, comparison=rng.choice(comparisons), mapping=mapping)
 
 
+def _distinct_pairs(grid):
+    return ((x, y) for x in grid for y in grid if x != y)
+
+
+def _others(grid, *excluded):
+    return [z for z in grid if z not in excluded]
+
+
+# The case table's subcases, each listing its triples as rows (a, b, [c, ...])
+# over the ray grid, in the order in which the first minimum of the rhs is
+# taken: the reference for the table's one-pass filing.
+_SUBCASES = (
+    ("1(i)", "a = b = c = 3", lambda g: [(3, 3, [3])]),
+    ("1(ii)", "a = b = c != 3", lambda g: ((x, x, [x]) for x in g)),
+    ("2(i)", "a = b = 3, c != 3", lambda g: [(3, 3, g)]),
+    ("2(ii)", "a = b != 3, c = 3", lambda g: ((x, x, [3]) for x in g)),
+    ("2(iii)", "a = b != 3, c != 3", lambda g: ((x, x, _others(g, x)) for x in g)),
+    ("3(i)", "b != 3, a = c = 3", lambda g: ((3, x, [3]) for x in g)),
+    ("3(ii)", "b = 3, a = c != 3", lambda g: ((x, 3, [x]) for x in g)),
+    ("3(iii)", "b != 3, a = c != 3", lambda g: ((x, y, [x]) for x, y in _distinct_pairs(g))),
+    ("4(i)", "b = c = 3, a != 3", lambda g: ((x, 3, [3]) for x in g)),
+    ("4(ii)", "b = c != 3, a = 3", lambda g: ((3, x, [x]) for x in g)),
+    ("4(iii)", "b = c != 3, a != 3", lambda g: ((y, x, [x]) for x, y in _distinct_pairs(g))),
+    ("5(i)", "all distinct, a = 3", lambda g: ((3, x, _others(g, x)) for x in g)),
+    ("5(ii)", "all distinct, b = 3", lambda g: ((x, 3, _others(g, x)) for x in g)),
+    ("5(iii)", "all distinct, c = 3", lambda g: ((x, y, [3]) for x, y in _distinct_pairs(g))),
+    ("5(iv)", "all distinct, none = 3", lambda g: ((x, y, _others(g, x, y)) for x, y in _distinct_pairs(g))),
+)
+
+
+def subcase_triples(subcase_rows, grid):
+    """A subcase's triples (a, b, c) over `grid`, in its order."""
+    return [(a, b, c) for a, b, cs in subcase_rows(grid) for c in cs]
+
+
 NAN = float("nan")
 INF = float("inf")
 # Comparisons that return nan or +-inf on some products, so that a nan margin
@@ -255,6 +290,14 @@ class TestRayGrid:
         carrier = dataclasses.replace(GAP.carrier, bound=bound)
         with pytest.raises(PsbmError, match="no interval of positive length"):
             ray_grid(carrier, 5)
+
+
+    @pytest.mark.parametrize("bound", [4.000000000000001, 4.00000000000001])
+    def test_points_that_repeat_as_floats_rejected(self, bound):
+        carrier = dataclasses.replace(GAP.carrier, bound=bound)
+        assert len(ray_grid(carrier, 2)) == 2
+        with pytest.raises(PsbmError, match=r"is too short for 20 distinct grid points$"):
+            ray_grid(carrier, 20)
 
 
 class TestCertify:
@@ -577,15 +620,16 @@ class TestRowEvaluator:
             reproduce_case_table(GAP, spec, grid_size=7)
         assert str(exc.value) == message
 
-    def test_case_table_block_errors_fall_back_to_the_segment_walk(self):
-        # A comparison that refuses the product of the last triple of 1(ii),
-        # (x, x, x) at the grid's end, so that the subcase's block raises
-        # there. With the cut map, 1(ii)'s lhs differs from its second
-        # segment on: the walk meets that first, and so must the table. With
-        # the paper's map the lhs is constant and the refusal is the error.
+    def test_case_table_evaluation_errors_come_before_a_non_constant_lhs(self):
+        # A comparison that refuses the product of (x, x, x) at the grid's
+        # end, the last triple of 1(ii), so that the last diagonal row raises.
+        # With the cut map, 1(ii)'s lhs differs from its second triple on;
+        # with the paper's map it is constant. Every row is evaluated before
+        # any subcase's lhs is checked, so the refusal is the error either way.
         grid = grid_points(4, 64, 7)
         cut = SelfMap("cut", lambda x: x if x < 30 else (0 if x in (0, 3) else 3))
-        for mapping, expected in ((cut, "subcase 1(ii) lhs is not constant: 1024.0 vs 537824.0"), (PAPER_S, None)):
+        assert [GAP.metric(cut(x), cut(x), cut(x)) for x in grid[:2]] == [1024.0, 537824.0]
+        for mapping in (cut, PAPER_S):
             spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, FakeComparison("identity", lambda v: v), mapping)
             refused = reference_rhs(GAP, spec, grid[-1], grid[-1], grid[-1])
 
@@ -597,13 +641,10 @@ class TestRowEvaluator:
             spec = dataclasses.replace(spec, comparison=FakeComparison("refuse", refuse))
             sides = InequalitySides(GAP, spec, [3] + grid)
             with pytest.raises(ArithmeticError, match="^refused "):
-                sides.block([(x, x, x) for x in grid])
+                sides.row(grid[-1], grid[-1])
             with pytest.raises(Exception) as exc:
                 reproduce_case_table(GAP, spec, grid_size=7)
-            if expected is None:
-                assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
-            else:
-                assert (type(exc.value), str(exc.value)) == (PsbmError, expected)
+            assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
 
 
 class TestFixedPoints:
@@ -669,6 +710,62 @@ class TestCaseTable:
                 if rhs_min is None or rhs < rhs_min:
                     rhs_min, argmin = rhs, triple
             assert repr((row.rhs_min, row.argmin)) == repr((rhs_min, argmin))
+
+    @pytest.mark.parametrize("grid_size", [3, 4, 5, 20])
+    def test_each_triple_is_filed_once_in_its_subcase_order(self, grid_size, monkeypatch):
+        scans = []
+
+        class RecordingScan(contraction._Scan):
+            def __init__(self):
+                super().__init__()
+                self.triples = []
+                scans.append(self)
+
+            def feed(self, a, b, cs, lhs, rhs):
+                self.triples += [(a, b, c) for c in cs]
+                super().feed(a, b, cs, lhs, rhs)
+
+        monkeypatch.setattr(contraction, "_Scan", RecordingScan)
+        reproduce_case_table(GAP, standard_spec(), grid_size=grid_size)
+        grid = grid_points(4, 64, grid_size)
+        expected = [subcase_triples(subcase_rows, grid) for _, _, subcase_rows in _SUBCASES]
+        assert [scan.triples for scan in scans] == expected
+        filed = [t for triples in expected for t in triples]
+        assert sorted(filed) == sorted(itertools.product([3] + grid, repeat=3))
+
+    @pytest.mark.parametrize("grid_size", [3, 5, 20])
+    def test_tied_rhs_takes_each_subcase_first_triple(self, grid_size):
+        # Every rhs is 0.0, so each row's argmin is where its scan starts;
+        # 4(iii)'s first triple is (grid[1], grid[0], grid[0]), not the first
+        # of its triples in row order.
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, FakeComparison("zero", lambda v: 0.0), PAPER_S)
+        table = reproduce_case_table(GAP, spec, grid_size=grid_size)
+        grid = grid_points(4, 64, grid_size)
+        assert [(row.label, row.condition) for row in table.rows] == [(label, condition) for label, condition, _ in _SUBCASES]
+        assert [row.argmin for row in table.rows] == [subcase_triples(rows, grid)[0] for _, _, rows in _SUBCASES]
+        assert all(row.rhs_min == 0.0 for row in table.rows)
+
+    def test_case_table_evaluates_each_triple_distance_once(self):
+        calls = []
+
+        def counting(p, q, r):
+            calls.append(None)
+            return quintic(p, q, r)
+
+        space = dataclasses.replace(GAP, metric=RuleMetric("counting", counting))
+        for g in (5, 20):
+            calls.clear()
+            assert reproduce_case_table(space, standard_spec(), grid_size=g).lhs_column() == EXPECTED_LHS_COLUMN
+            m = g + 1  # 3 and the grid
+            # Beyond the m^3 triples: g(x) per point, one row per image 0 and
+            # 3 of dist(S(x), S(x), y), one lhs row per pair of images.
+            assert len(calls) == m**3 + 7 * m
+
+    def test_grid_holding_three_rejected(self):
+        carrier = dataclasses.replace(GAP.carrier, intervals=((1, None),), bound=5)
+        assert 3 in ray_grid(carrier, 5)
+        with pytest.raises(WrongSpaceShape, match="the ray grid holds the isolated point 3"):
+            reproduce_case_table(dataclasses.replace(GAP, carrier=carrier), standard_spec(), grid_size=5)
 
     def test_grid_size_below_three_rejected(self):
         with pytest.raises(ValueError, match="grid_size must be >= 3"):

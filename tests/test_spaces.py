@@ -713,6 +713,14 @@ class TestCheckAxioms:
         assert check_axioms(space, AxiomSet.SB_METRIC).passed
         assert check_axioms(space, AxiomSet.PARTIAL_SB).passed
 
+    @pytest.mark.parametrize("coefficient", [math.nan, 0.5, 0, -1])
+    def test_coefficient_below_one_or_nan_rejected(self, coefficient):
+        # nan < 1 is false, so a plain `< 1` test let nan through, and the
+        # sb-metric check then reported violations on this true S-metric.
+        space = absdiff_space()
+        with pytest.raises(InvalidArgument, match=r"^coefficient must be >= 1$"):
+            PartialSbSpace(space.carrier, space.metric, coefficient)
+
     def test_nonzero_self_distance_fails_sb_variant(self):
         # two_point_a has dist(1,1,1) = 8, so the zero-iff axiom rejects it.
         report = check_axioms(builtin_space("two_point_a"), AxiomSet.SB_METRIC)
