@@ -123,10 +123,13 @@ class TabulatedMetric:
 
 @dataclass(frozen=True)
 class RuleMetric:
-    """Distance given by a named analytic rule."""
+    """Distance given by a named analytic rule, with an optional row rule:
+    row_rule(p, q, rs) must equal [rule(p, q, r) for r in rs] in every value
+    and type whenever it returns."""
 
     name: str
     rule: Callable
+    row_rule: Callable | None = None
 
     def __call__(self, p, q, r):
         try:
@@ -136,13 +139,16 @@ class RuleMetric:
             raise DistanceOverflow(f"{self.name}({labels}) overflows the float range") from None
 
     def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs], calling the rule itself per r. An
-        overflow is replayed one call at a time, so that the error raised is
-        the pointwise call's at the first r that meets one."""
-        rule = self.rule
+        """[self(p, q, r) for r in rs], from the row rule when there is one
+        and from the rule per r otherwise. On any error the calls are made
+        one at a time, so that the error raised is the pointwise call's at
+        the first r that meets one (and none when rs is empty)."""
         try:
+            if self.row_rule is not None:
+                return self.row_rule(p, q, rs)
+            rule = self.rule
             return [rule(p, q, r) for r in rs]
-        except OverflowError:
+        except Exception:
             return [self(p, q, r) for r in rs]
 
 
@@ -154,6 +160,16 @@ def quintic(p, q, r):
     if p == q:
         return 2 * (p ** 5 + r ** 5)
     return p ** 5 + q ** 5 + r ** 5
+
+
+def _quintic_row(p, q, rs):
+    """[quintic(p, q, r) for r in rs] with p^5 and p^5 + q^5 taken once; the
+    sum adds left to right, as quintic's does."""
+    p5 = p ** 5
+    if p == q:
+        return [p5 if q == r else 2 * (p5 + r ** 5) for r in rs]
+    base = p5 + q ** 5
+    return [base + r ** 5 for r in rs]
 
 
 @dataclass(frozen=True)
@@ -499,12 +515,13 @@ def builtin_space(name: str) -> PartialSbSpace:
     or quintic_gap. All carry coefficient t = 1."""
     if name == "quintic_ray":
         return PartialSbSpace(
-            RegionCarrier(intervals=((1, None),)), RuleMetric("quintic", quintic)
+            RegionCarrier(intervals=((1, None),)),
+            RuleMetric("quintic", quintic, _quintic_row),
         )
     if name == "quintic_gap":
         return PartialSbSpace(
             RegionCarrier(isolated=(0, 3), intervals=((4, None),)),
-            RuleMetric("quintic", quintic),
+            RuleMetric("quintic", quintic, _quintic_row),
         )
     if name == "two_point_a":
         return tabulated_space((1, 2), _TWO_POINT_A_TABLE)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clustered import clustered_space
 from psbmetric import random_valid_space, tabulated_space
-from psbmetric import cli
+from psbmetric import cli, spaces
 from psbmetric.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1346,3 +1347,39 @@ class TestRepro:
         payload = json.loads(first.stdout)
         assert payload["passed"] is True
         assert len(payload["items"]) == 8
+
+
+SHIPPED_BUILTIN = spaces.builtin_space
+GAP = ("--space", "builtin:quintic_gap", "--spec", "paper")
+
+
+def builtin_without_row_kernel(name):
+    """The builtin space, its rule metric stripped of any row rule."""
+    space = SHIPPED_BUILTIN(name)
+    if isinstance(space.metric, spaces.RuleMetric):
+        return dataclasses.replace(space, metric=dataclasses.replace(space.metric, row_rule=None))
+    return space
+
+
+class TestRowKernelParity:
+    """The quintic row kernel changes no byte of any report."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["certify", *GAP, "--grid", "50", "--format", "json"], 0),
+            (["certify", *GAP, "--grid", "50", "--matkowski", "--format", "json"], 0),
+            (["certify", *GAP, "--samples", "200", "--seed", "0"], 0),
+            (["case-table", *GAP, "--grid-size", "20", "--format", "json"], 0),
+            (["case-table", *GAP, "--grid-size", "40", "--format", "json"], 0),
+            (["certify", *GAP, "--grid", "3", "--bound", "1e62"], 2),
+            (["repro", "--format", "json", "--seed", "0"], 0),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_same_output_without_the_kernel(self, argv, code, monkeypatch):
+        shipped = run_captured(argv)
+        monkeypatch.setattr(spaces, "builtin_space", builtin_without_row_kernel)
+        assert spaces.builtin_space("quintic_gap").metric.row_rule is None
+        assert run_captured(argv) == shipped
+        assert shipped[0] == code

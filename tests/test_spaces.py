@@ -32,7 +32,7 @@ from psbmetric import (
     tabulated_space,
 )
 from psbmetric.numerics import leq, point_label, point_sort_key, values_equal
-from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, sampled_positions
+from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_row, sampled_positions
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -626,6 +626,17 @@ class TestEvaluateMetric:
             space.metric(1, 1, 3)
 
 
+# Finite points whose int and float forms are equal (ints within 2**53).
+TIE_POINTS = st.one_of(
+    st.integers(min_value=-(2 ** 53), max_value=2 ** 53),
+    st.integers(min_value=-(2 ** 53), max_value=2 ** 53).map(float),
+    st.sampled_from([0.0, -0.0, 3.0, 4.0, 1e60, 1e80, 2.0 ** 200]),
+)
+
+# Any float, and moderate ones whose fifth powers round when summed.
+ROW_FLOATS = st.one_of(st.floats(), st.floats(min_value=-1e4, max_value=1e4))
+
+
 def pointwise_outcome(call):
     """call()'s list of (type, repr) per value, or its error's type and message."""
     try:
@@ -640,7 +651,7 @@ class TestMetricRows:
     def test_rule_rows_equal_pointwise_calls(self):
         metric = builtin_space("quintic_gap").metric
         rng = random.Random("spaces:rule-rows")
-        values = [0, 3, 4, 7, 4.5, 1e60, 1e80, 10 ** 70, 2 ** 1100, "abc"]
+        values = [0, 3, 4, 7, 4.5, 3.0, 4.0, 0.0, math.nan, math.inf, 1e60, 1e80, 10 ** 70, 2 ** 1100, "abc"]
         errors = set()
         for _ in range(400):
             p, q = rng.choice(values), rng.choice(values)
@@ -651,10 +662,54 @@ class TestMetricRows:
                 errors.add(expected[0])
         assert errors == {DistanceOverflow, TypeError}
 
+    @settings(max_examples=200, deadline=None)
+    @given(q=TIE_POINTS, data=st.data())
+    def test_rule_rows_with_p_equal_q_keep_pointwise_types(self, q, data):
+        metric = builtin_space("quintic_gap").metric
+        ties = [q, float(q), int(q)]
+        p = data.draw(st.sampled_from(ties))
+        rs = data.draw(st.lists(st.one_of(st.sampled_from(ties), TIE_POINTS), max_size=6))
+        expected = pointwise_outcome(lambda: [metric(p, q, r) for r in rs])
+        assert pointwise_outcome(lambda: metric.row(p, q, rs)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=ROW_FLOATS, q=ROW_FLOATS, rs=st.lists(ROW_FLOATS, max_size=6))
+    def test_float_rule_rows_round_as_pointwise_calls(self, p, q, rs):
+        metric = builtin_space("quintic_gap").metric
+        expected = pointwise_outcome(lambda: [metric(p, q, r) for r in rs])
+        assert pointwise_outcome(lambda: metric.row(p, q, rs)) == expected
+
+    def test_an_int_p_tied_with_a_float_q_gives_an_int(self):
+        metric = builtin_space("quintic_gap").metric
+        assert quintic(3, 3.0, 3) == 243 and type(quintic(3, 3.0, 3)) is int
+        assert pointwise_outcome(lambda: metric.row(3, 3.0, [3, 3.0, 4])) == [
+            (int, "243"), (int, "243"), (int, "2534")
+        ]
+        assert pointwise_outcome(lambda: metric.row(3.0, 3, [3])) == [(float, "243.0")]
+
     def test_rule_row_names_the_first_overflowing_r(self):
         metric = builtin_space("quintic_gap").metric
         with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+80\) overflows the float range$"):
             metric.row(4.5, 7, [4, 1e80, 1e90])
+
+    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
+    def test_quintic_builtins_carry_the_row_kernel(self, name):
+        assert builtin_space(name).metric.row_rule is _quintic_row
+
+    def test_the_kernel_leaves_the_rule_to_rows_that_raise(self):
+        calls = []
+
+        def counting(p, q, r):
+            calls.append(r)
+            return quintic(p, q, r)
+
+        metric = RuleMetric("quintic", counting, _quintic_row)
+        rs = [4 + k / 10 for k in range(61)]
+        assert metric.row(4.5, 7, rs) == [quintic(4.5, 7, r) for r in rs]
+        assert calls == []
+        with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+80\) overflows"):
+            metric.row(4.5, 7, [4, 1e80, 1e90])
+        assert calls == [4, 1e80]
 
     def test_tabulated_rows_equal_pointwise_calls(self):
         metric = builtin_space("two_point_a").metric
