@@ -51,14 +51,16 @@ class ComparisonFn:
         y = y0 + (v - x0) * slope
         return 0.0 if y < 0 else y
 
-    def map(self, values: list) -> list:
+    def map(self, values: list, run: int | None = None) -> list:
         """[fn(v) for v in values], bit for bit, reading the line once when
         it can: when the list's min and max pick the same piece and its line
         is >= 0 at both (a nan there fails the test). The rounded map
         v -> y0 + (v - x0) * slope is monotone, so every value between them
         lands on that piece at a value >= 0, which the clamp leaves as it is;
         a nan inside gives nan on any line. Otherwise, or if the fast path
-        raises, the values go through fn one at a time, which raises fn's
+        raises, a list of rows of `run` values maps each row so on its own,
+        since a row may lie on one piece when the whole list does not; with
+        no run, the values go through fn one at a time, which raises fn's
         own error at the first value that meets one."""
         if values:
             try:
@@ -70,6 +72,8 @@ class ComparisonFn:
                     return [y0 + (v - x0) * slope for v in values]
             except (TypeError, ArithmeticError):
                 pass
+            if run is not None and run < len(values):
+                return [y for start in range(0, len(values), run) for y in self.map(values[start:start + run])]
         return [self(v) for v in values]
 
 

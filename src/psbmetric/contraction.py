@@ -6,18 +6,19 @@ checks lhs <= rhs over every generated triple whose points are not fixed by
 the map, since the defining inequality is quantified away from fixed points.
 
 `InequalitySides` is the one evaluator of both sides. It evaluates only
-dist(a, b, c) and the comparison per triple, a row or a list at a time:
-the metric's `row` gives one (a, b) row of distances, and a ComparisonFn's
-`map` the comparison of a list of products, reading its line once when the
-whole list lies on one piece; both are bit for bit the pointwise calls.
-Every other factor is tabulated once per point, per image S(x), per
-(S(a), S(b)) or per (S(a), b), whichever it depends on. `certify` walks
-whole (a, b) rows over its points and reduces each row's margins at C
-level; its sampled path reads the same tables a block of drawn triples at
-a time. The case table evaluates each (a, b) row once and files each c of
-it into its subcase by the row's equality pattern. `ray_grid` is the one
-evenly spaced grid on a region carrier's ray, used by the case table, by
-`psbm certify --grid` and by the reproduction script.
+dist(a, b, c) and the comparison per triple, a plane, a row or a list at a
+time: the metric's `plane` gives the distances of one a over every (b, c),
+and a ComparisonFn's `map` the comparison of a list of products, reading
+its line once when the whole list lies on one piece, and else once per row
+of a plane that does; both are bit for bit the pointwise calls. Every
+other factor is tabulated once per point, per image S(x), per (S(a), S(b))
+or per (S(a), b), whichever it depends on. `certify` walks the a-planes of
+its points, n^2 triples each, and reduces each plane's margins at C level;
+its sampled path reads the same tables a block of drawn triples at a time.
+The case table evaluates each a-plane once and files each c of each of its
+(a, b) rows into its subcase by the row's equality pattern. `ray_grid` is
+the one evenly spaced grid on a region carrier's ray, used by the case
+table, by `psbm certify --grid` and by the reproduction script.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import le, lt, ne, sub
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import leq, point_label, point_sort_key
-from .spaces import PartialSbSpace, RegionCarrier, sample_carrier, sampled_positions
+from .spaces import PartialSbSpace, RegionCarrier, require_point, sample_carrier, sampled_positions
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,16 @@ class SelfMap:
 
     def __call__(self, x):
         return self.rule(x)
+
+    def require_image(self, space: PartialSbSpace, x, image) -> None:
+        """Raise UnknownPoint naming the map, x and its image S(x) unless
+        the image is a point of the space's carrier."""
+        try:
+            require_point(space, image)
+        except UnknownPoint:
+            raise UnknownPoint(
+                f"map {self.name} sends {point_label(x)} to {point_label(image)}, which is not in the carrier"
+            ) from None
 
 
 def _paper_S(a):
@@ -108,8 +119,10 @@ class InequalitySides:
     rhs = comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s)),
     with g(x) = dist(x, x, S(x)) and m = (dist(S(a),S(a),b) + dist(S(b),S(b),c)) / 2t.
     `sides(a, b, c)` gives one pair; `sides.row(a, b)` gives both sides for
-    every c in `points` as two lists, and `sides.block(triples)` for a list
-    of triples.
+    every c in `points` as two lists, `sides.plane(a)` for every b and then
+    every c (n^2 values per list), and `sides.block(triples)` for a list of
+    triples. Every image S(x) must be a carrier point (UnknownPoint names
+    the map and the first point whose image is not).
 
     Only dist(a, b, c) and the comparison are evaluated per triple. The
     rest is tabulated over `points`, keyed by what it depends on:
@@ -122,11 +135,12 @@ class InequalitySides:
     any of its entries (a negative factor, an OverflowError) is raised
     there, also when that triple's own entries are fine.
 
-    `row` takes its distances from the metric's `row` method, and every
-    evaluation applies the comparison to the whole list of products, a
-    ComparisonFn through its `map` method and any other callable value by
-    value; so every product of a row or block is formed before the first
-    comparison.
+    `plane` takes its distances from the metric's `plane` method and `row`
+    from its `row` method, and every evaluation applies the comparison to
+    the whole list of products, a ComparisonFn through its `map` method
+    (a plane's list with its rows as runs) and any other callable value by
+    value; so every product of a plane, row or block is formed before the
+    first comparison.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
@@ -140,11 +154,18 @@ class InequalitySides:
         if isinstance(comparison, ComparisonFn):
             self._compare = comparison.map
         else:
-            self._compare = lambda products: list(map(comparison, products))
+            self._compare = lambda products, run=None: list(map(comparison, products))
         self._p, self._e5 = spec.p, spec.residual
         self._two_t = 2 * space.coefficient
         self._index = {x: k for k, x in enumerate(points)}
         self._image = image = {x: spec.mapping(x) for x in points}
+        # Each distinct image is checked once, at the first point that has it;
+        # keyed by type too, since a bool image equals an int one.
+        firsts = {}
+        for x, ix in image.items():
+            firsts.setdefault((type(ix), ix), x)
+        for (_, ix), x in firsts.items():
+            spec.mapping.require_image(space, x, ix)
         self._images = [image[c] for c in points]
         gap = {x: dist(x, x, image[x]) for x in points}
         self._fq = {x: _power(gap[x], spec.q) for x in points}
@@ -171,26 +192,23 @@ class InequalitySides:
             ]
         return row
 
-    def _rhs(self, ds, fqa, frb, fs, fifth):
-        """comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s))
-        for aligned dist(a, b, c), g(c)^s and fifth-factor values, with the
-        factors multiplied in this order and the comparison applied to the
-        list of products. g(a)^q and g(b)^r are one value each (a row) or
-        aligned lists too (a block)."""
+    def _products(self, ds, fqa, frb, fs, fifth):
+        """dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s) for a
+        sequence of dist(a, b, c) values and aligned iterables of the other
+        factors, with the factors multiplied in this order; the comparison
+        of the products is the caller's."""
         p = self._p
         if not (ds and min(ds) >= 0):
             for d in ds:
                 _power(d, p)  # raises at the first negative factor
-        if isinstance(fqa, list):
-            return self._compare([d ** p * fq * fr * f * t for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)])
-        return self._compare([d ** p * fqa * frb * f * t for d, f, t in zip(ds, fs, fifth)])
+        return [d ** p * fq * fr * f * t for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)]
 
     def __call__(self, a, b, c):
         """(lhs, rhs) at (a, b, c)."""
         k = self._index[c]
         ia, ib = self._image[a], self._image[b]
         fifth = self._fifth_row(ia, b)[k]
-        (rhs,) = self._rhs((self._dist(a, b, c),), self._fq[a], self._fr[b], (self._fs[k],), (fifth,))
+        (rhs,) = self._compare(self._products((self._dist(a, b, c),), (self._fq[a],), (self._fr[b],), (self._fs[k],), (fifth,)))
         return self._lhs_row(ia, ib)[k], rhs
 
     def row(self, a, b):
@@ -199,7 +217,29 @@ class InequalitySides:
         ia = self._image[a]
         fifth = self._fifth_row(ia, b)
         ds = self._metric.row(a, b, self.points)
-        return self._lhs_row(ia, self._image[b]), self._rhs(ds, self._fq[a], self._fr[b], self._fs, fifth)
+        lhs = self._lhs_row(ia, self._image[b])
+        return lhs, self._compare(self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), self._fs, fifth))
+
+    def plane(self, a):
+        """(lhs list, rhs list) over (a, b, c) for every b and then every c in
+        `points`: the lists of `row(a, b)` joined in b order, from one metric
+        plane and one comparison of the whole list. If any evaluation
+        raises, the rows are replayed in b order, so that the error raised is
+        the first that `row(a, b)` calls meet."""
+        points, image = self.points, self._image
+        n, ia = len(points), image[a]
+        try:
+            fifth = [self._fifth_row(ia, b) for b in points]
+            ds = list(chain.from_iterable(self._metric.plane(a, points, points)))
+            lhs = list(chain.from_iterable([self._lhs_row(ia, image[b]) for b in points]))
+            frb = chain.from_iterable([repeat(self._fr[b], n) for b in points])
+            products = self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
+            rhs = self._compare(products, n)
+        except Exception:
+            for b in points:
+                self.row(a, b)
+            raise
+        return lhs, rhs
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). If any
@@ -211,7 +251,8 @@ class InequalitySides:
             ks = [index[c] for _, _, c in triples]
             fifth = [self._fifth_row(image[a], b)[k] for (a, b, _), k in zip(triples, ks)]
             ds = [self._dist(a, b, c) for a, b, c in triples]
-            rhs = self._rhs(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], [fs[k] for k in ks], fifth)
+            products = self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], [fs[k] for k in ks], fifth)
+            rhs = self._compare(products)
             lhs = [self._lhs_row(image[a], image[b])[k] for (a, b, _), k in zip(triples, ks)]
         except Exception:
             for tpl in triples:
@@ -292,9 +333,7 @@ def certify(
         # Chunks of (triples, their lhs values, their rhs values); the triples
         # are read only to list failures.
         if points is not None:
-            chunks = (
-                (((a, b, c) for c in active), *sides.row(a, b)) for a in active for b in active
-            )
+            chunks = ((((a, b, c) for b in active for c in active), *sides.plane(a)) for a in active)
         else:
             live = [x not in fixed for x in pool]
             rng = random.Random(f"psbm:certify:{seed}")
@@ -516,15 +555,17 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     points = [3] + grid
     sides = InequalitySides(space, spec, points)
 
-    # Each row is filed as it is made, so that one row is held at a time: a
-    # subcase takes at most one segment of a row, and its segments come in
-    # its own order, except 4(iii)'s, whose first minimum runs over b and
-    # then a; they wait in `late` for the sort.
+    # Each row is filed as its plane is made, so that one plane is held at a
+    # time: a subcase takes at most one segment of a row, and its segments
+    # come in its own order, except 4(iii)'s, whose first minimum runs over
+    # b and then a; they wait in `late` for the sort.
     scans = {label: _Scan() for label in _CONDITIONS}
     late = []
+    n = len(points)
     for i, a in enumerate(points):
+        lhs_plane, rhs_plane = sides.plane(a)
         for j, b in enumerate(points):
-            lhs, rhs = sides.row(a, b)
+            lhs, rhs = lhs_plane[j * n:(j + 1) * n], rhs_plane[j * n:(j + 1) * n]
             at_three, at_a, at_b, other = _FILING[(i == 0, j == 0, i == j)]
             special = sorted({0, i, j})
             for k in special:

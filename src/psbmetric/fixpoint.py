@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
-from .errors import InvalidArgument, NotAFixedPoint, UnknownPoint
+from .errors import InvalidArgument, NotAFixedPoint
 from .numerics import leq, point_label, point_sort_key, points_close
 from .spaces import PartialSbSpace, require_point
 
@@ -60,13 +60,7 @@ def picard_iterate(
     converged = False
     for _ in range(max_iter):
         nxt = mapping(orbit[-1])
-        try:
-            require_point(space, nxt)
-        except UnknownPoint:
-            raise UnknownPoint(
-                f"map {mapping.name} sends {point_label(orbit[-1])} to {point_label(nxt)}, "
-                "which is not in the carrier"
-            ) from None
+        mapping.require_image(space, orbit[-1], nxt)
         orbit.append(nxt)
         if points_close(nxt, orbit[-2], tol):
             converged = True

@@ -100,17 +100,22 @@ class TabulatedMetric:
             x = next(x for x in (p, q, r) if x not in index)
             raise UnknownPoint(f"point {point_label(x)} is not in the carrier") from None
 
-    def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs], read off one stored row. On an
-        error the calls are made one at a time, so that the error raised is
-        the pointwise call's at the first r that meets one (and none when rs
-        is empty)."""
+    def plane(self, p, qs: list, rs: list) -> list:
+        """[[self(p, q, r) for r in rs] for q in qs], read off the stored
+        rows of p. On an error the calls are made one at a time, in (q, r)
+        order, so that the error raised is the pointwise call's at the first
+        (q, r) that meets one (and none when qs or rs is empty)."""
         index = self._index
         try:
-            line = self.rows[index[p]][index[q]]
-            return [line[index[r]] for r in rs]
+            lines = self.rows[index[p]]
+            ks = [index[r] for r in rs]
+            return [[line[k] for k in ks] for line in [lines[index[q]] for q in qs]]
         except (KeyError, TypeError):
-            return [self(p, q, r) for r in rs]
+            return [[self(p, q, r) for r in rs] for q in qs]
+
+    def row(self, p, q, rs: list) -> list:
+        """[self(p, q, r) for r in rs]: the plane of the one q."""
+        return self.plane(p, (q,), rs)[0]
 
     @property
     def table(self) -> dict:
@@ -123,13 +128,16 @@ class TabulatedMetric:
 
 @dataclass(frozen=True)
 class RuleMetric:
-    """Distance given by a named analytic rule, with an optional row rule:
-    row_rule(p, q, rs) must equal [rule(p, q, r) for r in rs] in every value
-    and type whenever it returns."""
+    """Distance given by a named analytic rule, with an optional plane rule:
+    plane_rule(p, qs, rs) must equal [[rule(p, q, r) for r in rs] for q in
+    qs] in every value and type whenever it returns. It may raise where the
+    pointwise calls do not (a power taken ahead of the branch that needs
+    it): on any error the calls are replayed one at a time. A plane holds
+    len(qs) * len(rs) values."""
 
     name: str
     rule: Callable
-    row_rule: Callable | None = None
+    plane_rule: Callable | None = None
 
     def __call__(self, p, q, r):
         try:
@@ -138,18 +146,23 @@ class RuleMetric:
             labels = ", ".join(point_label(x) for x in (p, q, r))
             raise DistanceOverflow(f"{self.name}({labels}) overflows the float range") from None
 
-    def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs], from the row rule when there is one
-        and from the rule per r otherwise. On any error the calls are made
-        one at a time, so that the error raised is the pointwise call's at
-        the first r that meets one (and none when rs is empty)."""
+    def plane(self, p, qs: list, rs: list) -> list:
+        """[[self(p, q, r) for r in rs] for q in qs], from the plane rule
+        when there is one and from the rule per entry otherwise. On any
+        error the calls are made one at a time, in (q, r) order, so that the
+        error raised is the pointwise call's at the first (q, r) that meets
+        one (and none when qs or rs is empty)."""
         try:
-            if self.row_rule is not None:
-                return self.row_rule(p, q, rs)
+            if self.plane_rule is not None:
+                return self.plane_rule(p, qs, rs)
             rule = self.rule
-            return [rule(p, q, r) for r in rs]
+            return [[rule(p, q, r) for r in rs] for q in qs]
         except Exception:
-            return [self(p, q, r) for r in rs]
+            return [[self(p, q, r) for r in rs] for q in qs]
+
+    def row(self, p, q, rs: list) -> list:
+        """[self(p, q, r) for r in rs]: the plane of the one q."""
+        return self.plane(p, (q,), rs)[0]
 
 
 def quintic(p, q, r):
@@ -162,14 +175,20 @@ def quintic(p, q, r):
     return p ** 5 + q ** 5 + r ** 5
 
 
-def _quintic_row(p, q, rs):
-    """[quintic(p, q, r) for r in rs] with p^5 and p^5 + q^5 taken once; the
-    sum adds left to right, as quintic's does."""
+def _quintic_plane(p, qs, rs):
+    """[[quintic(p, q, r) for r in rs] for q in qs] with p^5 taken once, the
+    r^5 once per plane and p^5 + q^5 once per q; the sums add left to right,
+    as quintic's do."""
     p5 = p ** 5
-    if p == q:
-        return [p5 if q == r else 2 * (p5 + r ** 5) for r in rs]
-    base = p5 + q ** 5
-    return [base + r ** 5 for r in rs]
+    r5s = [r ** 5 for r in rs]
+    plane = []
+    for q in qs:
+        if p == q:
+            plane.append([p5 if q == r else 2 * (p5 + r5) for r, r5 in zip(rs, r5s)])
+        else:
+            base = p5 + q ** 5
+            plane.append([base + r5 for r5 in r5s])
+    return plane
 
 
 @dataclass(frozen=True)
@@ -516,12 +535,12 @@ def builtin_space(name: str) -> PartialSbSpace:
     if name == "quintic_ray":
         return PartialSbSpace(
             RegionCarrier(intervals=((1, None),)),
-            RuleMetric("quintic", quintic, _quintic_row),
+            RuleMetric("quintic", quintic, _quintic_plane),
         )
     if name == "quintic_gap":
         return PartialSbSpace(
             RegionCarrier(isolated=(0, 3), intervals=((4, None),)),
-            RuleMetric("quintic", quintic, _quintic_row),
+            RuleMetric("quintic", quintic, _quintic_plane),
         )
     if name == "two_point_a":
         return tabulated_space((1, 2), _TWO_POINT_A_TABLE)

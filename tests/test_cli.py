@@ -747,6 +747,23 @@ class TestPointsOffTheCarrier:
             assert captured.out == ""
             assert captured.err == "error: map paper_S sends 1 to 3, which is not in the carrier\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # The grid [1, 2, ..., 64] holds 3.0, which paper_S sends to 0.
+        (["certify", "--space", "builtin:quintic_ray", "--spec", "paper", "--grid", "64"],
+         "map paper_S sends 3.0 to 0, which is not in the carrier"),
+        (["certify", "--space", "builtin:quintic_ray", "--spec", "paper", "--grid", "64", "--format", "json"],
+         "map paper_S sends 3.0 to 0, which is not in the carrier"),
+        (["fixpoint", "--space", "builtin:quintic_ray", "--start", "3"],
+         "map paper_S sends 3 to 0, which is not in the carrier"),
+        (["certify", "--space", "builtin:two_point_a", "--spec", "paper"],
+         "map paper_S sends 1 to 3, which is not in the carrier"),
+    ])
+    def test_certify_names_the_map_image_off_the_carrier(self, argv, message, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_carrier_images_still_iterate_on_a_file_space(self, tmp_path, capsys):
         path = tmp_path / "two.psb"
         path.write_text(TWO_POINT_B_FILE, encoding="utf-8")
@@ -1353,16 +1370,16 @@ SHIPPED_BUILTIN = spaces.builtin_space
 GAP = ("--space", "builtin:quintic_gap", "--spec", "paper")
 
 
-def builtin_without_row_kernel(name):
-    """The builtin space, its rule metric stripped of any row rule."""
+def builtin_without_plane_kernel(name):
+    """The builtin space, its rule metric stripped of any plane rule."""
     space = SHIPPED_BUILTIN(name)
     if isinstance(space.metric, spaces.RuleMetric):
-        return dataclasses.replace(space, metric=dataclasses.replace(space.metric, row_rule=None))
+        return dataclasses.replace(space, metric=dataclasses.replace(space.metric, plane_rule=None))
     return space
 
 
 class TestRowKernelParity:
-    """The quintic row kernel changes no byte of any report."""
+    """The quintic plane kernel changes no byte of any report."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1379,7 +1396,7 @@ class TestRowKernelParity:
     )
     def test_same_output_without_the_kernel(self, argv, code, monkeypatch):
         shipped = run_captured(argv)
-        monkeypatch.setattr(spaces, "builtin_space", builtin_without_row_kernel)
-        assert spaces.builtin_space("quintic_gap").metric.row_rule is None
+        monkeypatch.setattr(spaces, "builtin_space", builtin_without_plane_kernel)
+        assert spaces.builtin_space("quintic_gap").metric.plane_rule is None
         assert run_captured(argv) == shipped
         assert shipped[0] == code

@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from psbmetric import (
     BOYD_WONG,
     ComparisonFn,
+    DistanceOverflow,
+    FiniteCarrier,
     InequalitySides,
     InterpolativeSpec,
     InvalidArgument,
     InvalidExponents,
+    PartialSbSpace,
     PsbmError,
     REFERENCE_BOUNDS,
     RuleMetric,
@@ -645,6 +648,131 @@ class TestRowEvaluator:
             with pytest.raises(Exception) as exc:
                 reproduce_case_table(GAP, spec, grid_size=7)
             assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
+
+
+ROTATE = map_from_table({1: 2, 2: 3, 3: 1}, name="rotate")
+
+
+def patched_space(overrides):
+    """Points 1, 2, 3 at distance 5, except the triples in `overrides`; a
+    value None overflows the float range."""
+
+    def rule(p, q, r):
+        value = overrides.get((p, q, r), 5)
+        return 10.0 ** 400 if value is None else value
+
+    return PartialSbSpace(FiniteCarrier((1, 2, 3)), RuleMetric("patched", rule))
+
+
+def joined_rows(sides, a):
+    """(lhs, rhs) of sides.row(a, b) for every b, joined in b order."""
+    lhs, rhs = [], []
+    for b in sides.points:
+        row_lhs, row_rhs = sides.row(a, b)
+        lhs += row_lhs
+        rhs += row_rhs
+    return lhs, rhs
+
+
+def sides_outcome(call):
+    """call()'s (lhs, rhs) as lists of (type, repr) per value, or its
+    error's type and message."""
+    try:
+        return tuple([(type(v), repr(v)) for v in side] for side in call())
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+class TestPlanes:
+    """sides.plane(a) is the rows sides.row(a, b) joined in b order, bit for
+    bit, errors included; plane and rows run on separate evaluators, so
+    that neither reads a table the other filled."""
+
+    @pytest.mark.parametrize("n", [7, 40])
+    @pytest.mark.parametrize("matkowski", [False, True])
+    def test_planes_equal_joined_rows_on_gap_grids(self, matkowski, n):
+        spec = standard_spec(matkowski=matkowski)
+        points = [3] + grid_points(4, 64, n)
+        sides = InequalitySides(GAP, spec, points)
+        for a in points:
+            expected = sides_outcome(lambda: joined_rows(InequalitySides(GAP, spec, points), a))
+            assert isinstance(expected[0], list)
+            assert sides_outcome(lambda: sides.plane(a)) == expected
+
+    def test_planes_equal_joined_rows_on_random_tabulated_spaces(self):
+        # The tables of the certificate error tests: negative entries, and
+        # comparisons that raise, give nan or inf, or straddle a cut.
+        rng = random.Random("psbm:test:planes")
+        comparisons = [QUARTER, builtin_comparison("paper_tau"), FakeComparison("picky", picky), *SPIKY]
+        outcomes = {"raised": 0, "returned": 0}
+        for _ in range(150):
+            labels = tuple(range(1, rng.randint(3, 6)))
+            table = dict(random_tabulated_space(rng, labels).metric.table)
+            for tpl in rng.sample(sorted(table), rng.randint(0, 3)):
+                table[tpl] = -rng.randint(1, 9)
+            space = tabulated_space(labels, table)
+            spec = random_spec(rng, labels, comparisons)
+            try:
+                sides = InequalitySides(space, spec, labels)
+            except PsbmError:  # a negative self-gap
+                continue
+            for a in labels:
+                expected = sides_outcome(lambda: joined_rows(InequalitySides(space, spec, labels), a))
+                assert sides_outcome(lambda: sides.plane(a)) == expected
+                outcomes["raised" if isinstance(expected[0], type) else "returned"] += 1
+        assert outcomes["raised"] > 50 and outcomes["returned"] > 50
+
+    @pytest.mark.parametrize("overrides, comparison, error, message", [
+        # A negative dist(a, b, c) at the last b alone.
+        ({(1, 3, 2): -4}, QUARTER, PsbmError, "negative distance factor -4"),
+        # A negative dist(1, 1, 3) at the first b, which also makes the fifth
+        # factor of the last b negative: the plane meets the latter first.
+        ({(1, 1, 3): -7}, QUARTER, PsbmError, "negative distance factor -7"),
+        # A metric overflow at the last b, alone and behind a negative
+        # factor at the b before it.
+        ({(1, 3, 1): None}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
+        ({(1, 3, 1): None, (1, 2, 3): -7}, QUARTER, PsbmError, "negative distance factor -7"),
+        # A comparison that refuses the one product above 5.1, at the middle
+        # b, ahead of a negative factor at the last b.
+        ({(1, 2, 3): 6, (1, 3, 2): -4}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+         ZeroDivisionError, "division by zero"),
+    ])
+    def test_plane_errors_are_those_of_the_rows(self, overrides, comparison, error, message):
+        space = patched_space(overrides)
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, ROTATE)
+        expected = sides_outcome(lambda: joined_rows(InequalitySides(space, spec, [1, 2, 3]), 1))
+        assert expected == (error, message)
+        assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).plane(1)) == expected
+
+    def test_a_plane_straddling_a_cut_equals_its_rows(self):
+        # Products below 1 at odd b and above 1 at even b: the plane lies on
+        # both pieces of paper_tau, and each of its rows on one.
+        labels = tuple(range(2, 12))
+        table = {t: 1.0 if t[0] == t[1] else 0.3 if t[1] % 2 else 3.0 for t in itertools.product(labels, repeat=3)}
+        space = tabulated_space(labels, table)
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"),
+                                 map_from_table({x: 2 + (x - 1) % 10 for x in labels}))
+        identity = FakeComparison("identity", lambda v: v)
+        products = InequalitySides(space, dataclasses.replace(spec, comparison=identity), labels).plane(2)[1]
+        assert min(products) < 1 < max(products)
+        sides = InequalitySides(space, spec, labels)
+        for a in labels:
+            assert sides_outcome(lambda: sides.plane(a)) == sides_outcome(lambda: joined_rows(sides, a))
+        assert_matches_reference(certify(space, spec, points=labels), space, spec, grid_triples(spec, labels))
+
+    def test_an_image_off_the_carrier_names_the_map_and_the_point(self):
+        # The quintic ray is [1, inf); paper_S sends 3.0 to 0.
+        ray = builtin_space("quintic_ray")
+        for points in ([1.0, 2.0, 3.0, 4.0], [3.0, 1.0]):
+            with pytest.raises(UnknownPoint, match=r"^map paper_S sends 3\.0 to 0, which is not in the carrier$"):
+                certify(ray, standard_spec(), points=points)
+        space = tabulated_space((2, 3), {t: 5 for t in itertools.product((2, 3), repeat=3)})
+        with pytest.raises(UnknownPoint, match=r"^map rotate sends 3 to 1, which is not in the carrier$"):
+            InequalitySides(space, InterpolativeSpec(0.2, 0.2, 0.2, 0.2, QUARTER, ROTATE), [2, 3])
+        # True equals 1, a ray point, but a bool is no point of a region carrier.
+        ones = map_from_table({4: 1, 5: True, 6: 1.0}, name="ones")
+        with pytest.raises(UnknownPoint, match=r"^map ones sends 5 to True, which is not in the carrier$"):
+            InequalitySides(ray, InterpolativeSpec(0.2, 0.2, 0.2, 0.2, QUARTER, ones), [4, 5, 6])
 
 
 class TestFixedPoints:

@@ -32,7 +32,7 @@ from psbmetric import (
     tabulated_space,
 )
 from psbmetric.numerics import leq, point_label, point_sort_key, values_equal
-from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_row, sampled_positions
+from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, sampled_positions
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -645,8 +645,23 @@ def pointwise_outcome(call):
         return type(exc), str(exc)
 
 
+def plane_outcome(call):
+    """call()'s rows as lists of (type, repr) per value, or its error's type
+    and message."""
+    try:
+        return [[(type(v), repr(v)) for v in row] for row in call()]
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+def pointwise_plane(metric, p, qs, rs):
+    return [[metric(p, q, r) for r in rs] for q in qs]
+
+
 class TestMetricRows:
-    """metric.row(p, q, rs) is [metric(p, q, r) for r in rs], errors included."""
+    """metric.row(p, q, rs) is [metric(p, q, r) for r in rs] and
+    metric.plane(p, qs, rs) is [[metric(p, q, r) for r in rs] for q in qs],
+    errors included."""
 
     def test_rule_rows_equal_pointwise_calls(self):
         metric = builtin_space("quintic_gap").metric
@@ -692,24 +707,71 @@ class TestMetricRows:
         with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+80\) overflows the float range$"):
             metric.row(4.5, 7, [4, 1e80, 1e90])
 
-    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
-    def test_quintic_builtins_carry_the_row_kernel(self, name):
-        assert builtin_space(name).metric.row_rule is _quintic_row
+    def test_rule_planes_equal_pointwise_calls(self):
+        metric = builtin_space("quintic_gap").metric
+        rng = random.Random("spaces:rule-planes")
+        values = [0, 3, 4, 7, 4.5, 3.0, 4.0, 0.0, math.nan, math.inf, 1e60, 1e80, 10 ** 70, 2 ** 1100, "abc"]
+        errors = set()
+        for _ in range(400):
+            p = rng.choice(values)
+            qs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
+            rs = [rng.choice(values) for _ in range(rng.randint(0, 5))]
+            expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
+            assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+            if isinstance(expected, tuple):
+                errors.add(expected[0])
+        assert errors == {DistanceOverflow, TypeError}
 
-    def test_the_kernel_leaves_the_rule_to_rows_that_raise(self):
+    @settings(max_examples=200, deadline=None)
+    @given(q=TIE_POINTS, data=st.data())
+    def test_rule_planes_with_p_equal_q_keep_pointwise_types(self, q, data):
+        metric = builtin_space("quintic_gap").metric
+        ties = [q, float(q), int(q)]
+        p = data.draw(st.sampled_from(ties))
+        qs = data.draw(st.lists(st.one_of(st.sampled_from(ties), TIE_POINTS), max_size=4))
+        rs = data.draw(st.lists(st.one_of(st.sampled_from(ties), TIE_POINTS), max_size=6))
+        expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
+        assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=ROW_FLOATS, qs=st.lists(ROW_FLOATS, max_size=4), rs=st.lists(ROW_FLOATS, max_size=6))
+    def test_float_rule_planes_round_as_pointwise_calls(self, p, qs, rs):
+        metric = builtin_space("quintic_gap").metric
+        expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
+        assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+
+    def test_rule_plane_names_the_first_overflow_in_q_then_r_order(self):
+        # Every r of q = 1e80 overflows, but (7, 1e90) comes first.
+        metric = builtin_space("quintic_gap").metric
+        with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+90\) overflows the float range$"):
+            metric.plane(4.5, [7, 1e80, 5], [4, 1e90])
+
+    def test_empty_planes_raise_nothing(self):
+        for name in ("quintic_gap", "two_point_a"):
+            metric = builtin_space(name).metric
+            for p in (1, 1e80, "abc", 5):
+                assert metric.plane(p, [], [1, 1e90, "x"]) == []
+                assert metric.plane(p, [1, 1e90, "x"], []) == [[], [], []]
+
+    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
+    def test_quintic_builtins_carry_the_plane_kernel(self, name):
+        assert builtin_space(name).metric.plane_rule is _quintic_plane
+
+    def test_the_kernel_leaves_the_rule_to_planes_that_raise(self):
         calls = []
 
         def counting(p, q, r):
-            calls.append(r)
+            calls.append((q, r))
             return quintic(p, q, r)
 
-        metric = RuleMetric("quintic", counting, _quintic_row)
-        rs = [4 + k / 10 for k in range(61)]
-        assert metric.row(4.5, 7, rs) == [quintic(4.5, 7, r) for r in rs]
+        metric = RuleMetric("quintic", counting, _quintic_plane)
+        points = [4 + k / 10 for k in range(61)]
+        assert metric.plane(4.5, points, points) == pointwise_plane(quintic, 4.5, points, points)
+        assert metric.row(4.5, 7, points) == [quintic(4.5, 7, r) for r in points]
         assert calls == []
         with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+80\) overflows"):
-            metric.row(4.5, 7, [4, 1e80, 1e90])
-        assert calls == [4, 1e80]
+            metric.plane(4.5, [7, 8], [4, 1e80, 1e90])
+        assert calls == [(7, 4), (7, 1e80)]
 
     def test_tabulated_rows_equal_pointwise_calls(self):
         metric = builtin_space("two_point_a").metric
@@ -725,6 +787,27 @@ class TestMetricRows:
                 errors.add(expected)
         assert (UnknownPoint, "point 3 is not in the carrier") in errors
         assert (UnknownPoint, "point x is not in the carrier") in errors
+
+    def test_tabulated_planes_equal_pointwise_calls(self):
+        metric = builtin_space("two_point_a").metric
+        rng = random.Random("spaces:tabulated-planes")
+        values = [1, 2, 3, 1.0, "x", True]
+        errors = set()
+        for _ in range(400):
+            p = rng.choice(values)
+            qs = [rng.choice(values) for _ in range(rng.randint(0, 3))]
+            rs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
+            expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
+            assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+            if isinstance(expected, tuple):
+                errors.add(expected)
+        assert (UnknownPoint, "point 3 is not in the carrier") in errors
+        assert (UnknownPoint, "point x is not in the carrier") in errors
+
+    def test_tabulated_plane_names_the_first_unknown_point_in_q_then_r_order(self):
+        metric = builtin_space("two_point_a").metric
+        with pytest.raises(UnknownPoint, match="^point x is not in the carrier$"):
+            metric.plane(1, [1, 3], [2, "x"])
 
     def test_an_unknown_p_with_no_r_is_no_error(self):
         metric = builtin_space("two_point_a").metric
