@@ -6,16 +6,16 @@ checks lhs <= rhs over every generated triple whose points are not fixed by
 the map, since the defining inequality is quantified away from fixed points.
 
 `InequalitySides` is the one evaluator of both sides. It evaluates only
-dist(a, b, c) and the comparison per triple, a plane, a row or a list at a
-time: the metric's `plane` gives the distances of one a over every (b, c),
-and a ComparisonFn's `map` the comparison of a list of products, reading
-its line once when the whole list lies on one piece, and else once per row
-of a plane that does; both are bit for bit the pointwise calls. Every
-other factor is tabulated once per point, per image S(x), per (S(a), S(b))
-or per (S(a), b), whichever it depends on. `certify` walks the a-planes of
-its points, n^2 triples each, and reduces each plane's margins at C level;
-its sampled path reads the same tables a block of drawn triples at a time.
-The case table evaluates each a-plane once and files each c of each of its
+dist(a, b, c) and the comparison per triple, a plane or a list at a time:
+the metric's `plane` gives the distances of one a over every (b, c), and a
+ComparisonFn's `map` the comparison of a list of products, reading its line
+once when the whole list lies on one piece, and else once per row of a
+plane that does; both are bit for bit the pointwise calls. Every other
+factor is tabulated once per point, per image S(x), per (S(a), S(b)) or per
+(S(a), b), whichever it depends on. `certify` walks the a-planes of its
+points, n^2 triples each, and reduces each plane's margins at C level; its
+sampled path reads the same tables a block of drawn triples at a time. The
+case table evaluates each a-plane once and files each c of each of its
 (a, b) rows into its subcase by the row's equality pattern. `ray_grid` is
 the one evenly spaced grid on a region carrier's ray, used by the case
 table, by `psbm certify --grid` and by the reproduction script.
@@ -23,6 +23,7 @@ table, by `psbm certify --grid` and by the reproduction script.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -118,29 +119,29 @@ class InequalitySides:
     For a triple (a, b, c), lhs = dist(S(a), S(b), S(c)) and
     rhs = comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s)),
     with g(x) = dist(x, x, S(x)) and m = (dist(S(a),S(a),b) + dist(S(b),S(b),c)) / 2t.
-    `sides(a, b, c)` gives one pair; `sides.row(a, b)` gives both sides for
-    every c in `points` as two lists, `sides.plane(a)` for every b and then
-    every c (n^2 values per list), and `sides.block(triples)` for a list of
-    triples. Every image S(x) must be a carrier point (UnknownPoint names
-    the map and the first point whose image is not).
+    `sides.plane(a)` gives both sides for every b and then every c in
+    `points` as two lists (n^2 values each), and `sides.block(triples)` for
+    a list of triples. Every image S(x) must be a carrier point (UnknownPoint
+    names the map and the first point whose image is not).
 
-    Only dist(a, b, c) and the comparison are evaluated per triple. The
-    rest is tabulated over `points`, keyed by what it depends on:
+    Only dist(a, b, c) and the comparison are evaluated per triple, a plane
+    or a list at a time (any comparison other than a ComparisonFn value by
+    value). The rest is tabulated over `points`, keyed by what it depends on:
     - g(x)^q, g(x)^r and g(x)^s, once per point;
     - dist(S(x), S(x), y), one row over y per distinct image S(x);
     - the lhs, one row over c per distinct (S(a), S(b));
     - the fifth factor m^(1-p-q-r-s), one row over c per distinct (S(a), b),
-      since m depends on a only through S(a).
+      since m depends on a only through S(a); a mean m of +inf raises
+      DistanceOverflow.
     A row is computed whole when a triple first needs it, so an error in
-    any of its entries (a negative factor, an OverflowError) is raised
-    there, also when that triple's own entries are fine.
+    any of its entries is raised there, also when that triple's own entries
+    are fine.
 
-    `plane` takes its distances from the metric's `plane` method and `row`
-    from its `row` method, and every evaluation applies the comparison to
-    the whole list of products, a ComparisonFn through its `map` method
-    (a plane's list with its rows as runs) and any other callable value by
-    value; so every product of a plane, row or block is formed before the
-    first comparison.
+    `plane` and `block` evaluate in one stage order, each stage over all
+    their triples before the next, and raise the first error met: the
+    fifth-factor rows, the distances (in the metric's own (q, r) order in a
+    plane), the lhs rows, the first negative distance, the products, and the
+    comparison.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
@@ -187,9 +188,13 @@ class InequalitySides:
         row = self._fifth_rows.get((ia, b))
         if row is None:
             pair_ab, two_t, e5 = self._pair[ia][self._index[b]], self._two_t, self._e5
-            row = self._fifth_rows[(ia, b)] = [
-                _power((pair_ab + pair_bc) / two_t, e5) for pair_bc in self._pair[self._image[b]]
-            ]
+            row = []
+            for pair_bc in self._pair[self._image[b]]:
+                m = (pair_ab + pair_bc) / two_t
+                if m == math.inf:
+                    raise DistanceOverflow("the contraction inequality overflows the float range")
+                row.append(_power(m, e5))
+            self._fifth_rows[(ia, b)] = row
         return row
 
     def _products(self, ds, fqa, frb, fs, fifth):
@@ -203,62 +208,27 @@ class InequalitySides:
                 _power(d, p)  # raises at the first negative factor
         return [d ** p * fq * fr * f * t for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)]
 
-    def __call__(self, a, b, c):
-        """(lhs, rhs) at (a, b, c)."""
-        k = self._index[c]
-        ia, ib = self._image[a], self._image[b]
-        fifth = self._fifth_row(ia, b)[k]
-        (rhs,) = self._compare(self._products((self._dist(a, b, c),), (self._fq[a],), (self._fr[b],), (self._fs[k],), (fifth,)))
-        return self._lhs_row(ia, ib)[k], rhs
-
-    def row(self, a, b):
-        """(lhs list, rhs list) over (a, b, c) for every c in `points`. The
-        lhs list is shared with the table: do not modify it."""
-        ia = self._image[a]
-        fifth = self._fifth_row(ia, b)
-        ds = self._metric.row(a, b, self.points)
-        lhs = self._lhs_row(ia, self._image[b])
-        return lhs, self._compare(self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), self._fs, fifth))
-
     def plane(self, a):
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
-        `points`: the lists of `row(a, b)` joined in b order, from one metric
-        plane and one comparison of the whole list. If any evaluation
-        raises, the rows are replayed in b order, so that the error raised is
-        the first that `row(a, b)` calls meet."""
+        `points`, from one metric plane and one comparison of the whole list."""
         points, image = self.points, self._image
         n, ia = len(points), image[a]
-        try:
-            fifth = [self._fifth_row(ia, b) for b in points]
-            ds = list(chain.from_iterable(self._metric.plane(a, points, points)))
-            lhs = list(chain.from_iterable([self._lhs_row(ia, image[b]) for b in points]))
-            frb = chain.from_iterable([repeat(self._fr[b], n) for b in points])
-            products = self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
-            rhs = self._compare(products, n)
-        except Exception:
-            for b in points:
-                self.row(a, b)
-            raise
-        return lhs, rhs
+        fifth = [self._fifth_row(ia, b) for b in points]
+        ds = list(chain.from_iterable(self._metric.plane(a, points, points)))
+        lhs = list(chain.from_iterable([self._lhs_row(ia, image[b]) for b in points]))
+        frb = chain.from_iterable([repeat(self._fr[b], n) for b in points])
+        products = self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
+        return lhs, self._compare(products, n)
 
     def block(self, triples):
-        """(lhs list, rhs list) over a list of triples (a, b, c). If any
-        evaluation raises, the triples are replayed one at a time, so that
-        the error raised is the first that `sides(a, b, c)` calls in the
-        list's order meet."""
+        """(lhs list, rhs list) over a list of triples (a, b, c)."""
         index, image, fq, fr, fs = self._index, self._image, self._fq, self._fr, self._fs
-        try:
-            ks = [index[c] for _, _, c in triples]
-            fifth = [self._fifth_row(image[a], b)[k] for (a, b, _), k in zip(triples, ks)]
-            ds = [self._dist(a, b, c) for a, b, c in triples]
-            products = self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], [fs[k] for k in ks], fifth)
-            rhs = self._compare(products)
-            lhs = [self._lhs_row(image[a], image[b])[k] for (a, b, _), k in zip(triples, ks)]
-        except Exception:
-            for tpl in triples:
-                self(*tpl)
-            raise
-        return lhs, rhs
+        ks = [index[c] for _, _, c in triples]
+        fifth = [self._fifth_row(image[a], b)[k] for (a, b, _), k in zip(triples, ks)]
+        ds = [self._dist(a, b, c) for a, b, c in triples]
+        lhs = [self._lhs_row(image[a], image[b])[k] for (a, b, _), k in zip(triples, ks)]
+        products = self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], [fs[k] for k in ks], fifth)
+        return lhs, self._compare(products)
 
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
@@ -311,8 +281,9 @@ def certify(
 
     Sampled triples are drawn by spaces.sampled_positions, the draw that
     check_axioms uses, and evaluated a block at a time by
-    InequalitySides.block; the report and any error are those of drawing
-    and evaluating them one at a time.
+    InequalitySides.block; the report is that of drawing and evaluating them
+    one at a time. An error is the first, in InequalitySides' stage order,
+    of the first a-plane or block that raises.
     """
     if (points is None) == (sample_count is None):
         raise InvalidArgument("certify takes exactly one of points and sample_count")

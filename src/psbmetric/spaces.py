@@ -132,8 +132,8 @@ class RuleMetric:
     plane_rule(p, qs, rs) must equal [[rule(p, q, r) for r in rs] for q in
     qs] in every value and type whenever it returns. It may raise where the
     pointwise calls do not (a power taken ahead of the branch that needs
-    it): on any error the calls are replayed one at a time. A plane holds
-    len(qs) * len(rs) values."""
+    it, a check of a whole row): on any error the calls are replayed one at
+    a time. A plane holds len(qs) * len(rs) values."""
 
     name: str
     rule: Callable
@@ -167,27 +167,43 @@ class RuleMetric:
 
 def quintic(p, q, r):
     """Fifth-power distance: p^5 when all equal, 2(p^5+r^5) when p=q only,
-    p^5+q^5+r^5 otherwise. Integer points stay in exact integer arithmetic."""
+    p^5+q^5+r^5 otherwise. Integer points stay in exact integer arithmetic;
+    a float power or sum beyond the float range raises OverflowError."""
     if p == q == r:
-        return p ** 5
-    if p == q:
-        return 2 * (p ** 5 + r ** 5)
-    return p ** 5 + q ** 5 + r ** 5
+        d = p ** 5
+    elif p == q:
+        d = 2 * (p ** 5 + r ** 5)
+    else:
+        d = p ** 5 + q ** 5 + r ** 5
+    if abs(d) == math.inf:
+        raise OverflowError("a fifth-power distance overflows the float range")
+    return d
 
 
 def _quintic_plane(p, qs, rs):
     """[[quintic(p, q, r) for r in rs] for q in qs] with p^5 taken once, the
     r^5 once per plane and p^5 + q^5 once per q; the sums add left to right,
-    as quintic's do."""
+    as quintic's do. Float addition is monotone in r^5, so a row's sums are
+    finite if its sums with the least and the greatest r^5 are. A row whose
+    two end sums are not finite and in order (nan, which min and max may
+    return, included) raises OverflowError, also where quintic does not,
+    and the metric then replays the plane point by point."""
     p5 = p ** 5
     r5s = [r ** 5 for r in rs]
+    lo, hi = (min(r5s), max(r5s)) if r5s else (0, 0)
+    inf = math.inf
     plane = []
     for q in qs:
         if p == q:
-            plane.append([p5 if q == r else 2 * (p5 + r5) for r, r5 in zip(rs, r5s)])
+            low, high = 2 * (p5 + lo), 2 * (p5 + hi)
+            row = [p5 if q == r else 2 * (p5 + r5) for r, r5 in zip(rs, r5s)]
         else:
             base = p5 + q ** 5
-            plane.append([base + r5 for r5 in r5s])
+            low, high = base + lo, base + hi
+            row = [base + r5 for r5 in r5s]
+        if not -inf < low <= high < inf:
+            raise OverflowError("a fifth-power distance overflows the float range")
+        plane.append(row)
     return plane
 
 

@@ -1400,3 +1400,64 @@ class TestRowKernelParity:
         assert spaces.builtin_space("quintic_gap").metric.plane_rule is None
         assert run_captured(argv) == shipped
         assert shipped[0] == code
+
+
+# Sums of finite fifth powers beyond the float range: in a quintic distance,
+# or in the mean of the contraction inequality's fifth factor (the only
+# overflow that the case table can meet at these bounds).
+FLOAT_SUM_OVERFLOWS = [
+    (["verify-axioms", "--space", "builtin:quintic_ray", "--samples", "2000", "--bound", "3.9e61"],
+     "quintic(2.2184872158213135e+61, 2.2184872158213135e+61, 3.858150897088596e+61) overflows the float range"),
+    (["fixpoint", "--space", "builtin:quintic_gap", "--start", "3.9e61"],
+     "quintic(3.9e+61, 3.9e+61, 3) overflows the float range"),
+    (["certify", *GAP, "--grid", "5", "--bound", "3.5e61"], "the contraction inequality overflows the float range"),
+    (["certify", *GAP, "--grid", "3", "--bound", "3.6e61"], "the contraction inequality overflows the float range"),
+    (["case-table", *GAP, "--grid-size", "3", "--bound", "3.6e61"], "the contraction inequality overflows the float range"),
+]
+
+
+class TestFloatSumsBeyondTheFloatRange:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, message", [pytest.param(argv, message, id=" ".join(argv)) for argv, message in FLOAT_SUM_OVERFLOWS]
+    )
+    def test_one_error_line(self, argv, message, fmt):
+        assert run_captured([*argv, "--format", fmt]) == (2, "", f"error: {message}\n")
+
+
+def strict_json(text):
+    """text decoded as JSON, with NaN, Infinity and -Infinity refused."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def with_json_format(argv):
+    """argv with its --format, if any, replaced by --format json."""
+    if "--format" in argv:
+        k = argv.index("--format")
+        argv = argv[:k] + argv[k + 2:]
+    return [*argv, "--format", "json"]
+
+
+class TestStrictJson:
+    """Every JSON report decodes as strict JSON: an infinite or nan value is
+    an error line, never `Infinity` or `NaN` in the report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(with_json_format(argv) for argv, _ in readme_examples() if argv[0] != "repro"),
+            *(with_json_format(argv) for argv, _ in FLOAT_SUM_OVERFLOWS),
+            ["repro", "--seed", "0", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_json_output_decodes_strictly(self, argv):
+        code, out, err = run_captured(argv)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert isinstance(strict_json(out), dict)

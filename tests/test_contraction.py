@@ -41,6 +41,7 @@ from psbmetric import (
 )
 from psbmetric import contraction
 from psbmetric.numerics import leq, point_sort_key
+from psbmetric.spaces import SAMPLE_BLOCK
 
 GAP = builtin_space("quintic_gap")
 PAPER_S = builtin_map("paper_S")
@@ -73,20 +74,33 @@ class FakeComparison:
         return self.fn(v)
 
 
-def reference_rhs(space, spec, a, b, c):
-    """comparison( product of the five interpolation factors ) at (a, b, c),
-    evaluated point by point with the factors in the library's order."""
+def reference_product(space, spec, a, b, c):
+    """The product of the five interpolation factors at (a, b, c), evaluated
+    point by point with the factors in the library's order."""
     S = spec.mapping
     dist = space.metric
     mean = (dist(S(a), S(a), b) + dist(S(b), S(b), c)) / (2 * space.coefficient)
-    product = (
+    return (
         dist(a, b, c) ** spec.p
         * dist(a, a, S(a)) ** spec.q
         * dist(b, b, S(b)) ** spec.r
         * dist(c, c, S(c)) ** spec.s
         * mean ** spec.residual
     )
-    return spec.comparison(product)
+
+
+def reference_rhs(space, spec, a, b, c):
+    """comparison( product of the five interpolation factors ) at (a, b, c)."""
+    return spec.comparison(reference_product(space, spec, a, b, c))
+
+
+def reference_sides(space, spec, triples):
+    """(lhs list, rhs list) over `triples`, point by point."""
+    S = spec.mapping
+    return (
+        [space.metric(S(a), S(b), S(c)) for a, b, c in triples],
+        [reference_rhs(space, spec, a, b, c) for a, b, c in triples],
+    )
 
 
 def reference_certificate(space, spec, triples):
@@ -109,12 +123,21 @@ def grid_triples(spec, points):
     return itertools.product(active, repeat=3)
 
 
-def sampled_triples(space, spec, sample_count, seed):
-    """The triples certify draws in sampled mode, fixed points dropped."""
+def sampled_blocks(space, spec, sample_count, seed):
+    """The triples certify draws in sampled mode, fixed points dropped, as
+    the blocks it evaluates: the kept triples of each SAMPLE_BLOCK draws,
+    empty blocks left out."""
     pool = sample_carrier(space, seed=seed)
     rng = random.Random(f"psbm:certify:{seed}")
     drawn = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(sample_count)]
-    return [t for t in drawn if all(spec.mapping(x) != x for x in t)]
+    chunks = (drawn[k:k + SAMPLE_BLOCK] for k in range(0, sample_count, SAMPLE_BLOCK))
+    blocks = ([t for t in chunk if all(spec.mapping(x) != x for x in t)] for chunk in chunks)
+    return [block for block in blocks if block]
+
+
+def sampled_triples(space, spec, sample_count, seed):
+    """The triples certify draws in sampled mode, fixed points dropped."""
+    return [t for block in sampled_blocks(space, spec, sample_count, seed) for t in block]
 
 
 def assert_matches_reference(report, space, spec, triples):
@@ -143,6 +166,49 @@ def reference_error(space, spec, points, triples):
     except Exception as exc:  # the first error is the result
         return type(exc), str(exc)
     return None
+
+
+def stage_outcome(space, spec, points, triples):
+    """What an evaluator over `points` gives for `triples`, as sides_outcome
+    puts it: both sides, or the first error that its stages meet, each
+    stage evaluated point by point over every triple before the next. At
+    construction, the self-gaps g(x) of `points` and then their signs; then
+    the fifth-factor row over `points` of each triple, its mean checked for
+    +inf and then for sign at each c; the distances; the lhs row over
+    `points` of each triple; the first negative distance; the products; and
+    the comparison."""
+    S, dist = spec.mapping, space.metric
+
+    def factor(v):
+        if v < 0:
+            raise PsbmError(f"negative distance factor {v}")
+
+    pairs = list(dict.fromkeys((a, b) for a, b, _ in triples))  # a row per pair
+    try:
+        for gap in [dist(x, x, S(x)) for x in points]:
+            factor(gap)
+        for a, b in pairs:
+            for c in points:
+                mean = (dist(S(a), S(a), b) + dist(S(b), S(b), c)) / (2 * space.coefficient)
+                if mean == math.inf:
+                    raise DistanceOverflow("the contraction inequality overflows the float range")
+                factor(mean)
+        ds = [dist(a, b, c) for a, b, c in triples]
+        for a, b in pairs:
+            for c in points:
+                dist(S(a), S(b), S(c))
+        for d in ds:
+            factor(d)
+        products = [reference_product(space, spec, *t) for t in triples]
+        rhs = [spec.comparison(v) for v in products]
+    except Exception as exc:  # the first error is the outcome
+        return type(exc), str(exc)
+    lhs = [dist(S(a), S(b), S(c)) for a, b, c in triples]
+    return tuple([(type(v), repr(v)) for v in side] for side in (lhs, rhs))
+
+
+def raised(outcome):
+    return isinstance(outcome[0], type)
 
 
 def picky(v):
@@ -251,7 +317,7 @@ class TestRhsValue:
         tau = builtin_comparison("paper_tau")
         spec = InterpolativeSpec(*exps, comparison=tau, mapping=swap)
         assert math.isclose(reference_rhs(space, spec, 1, 2, 1), tau(v), rel_tol=1e-12)
-        assert InequalitySides(space, spec, (1, 2))(1, 2, 1) == (v, reference_rhs(space, spec, 1, 2, 1))
+        assert InequalitySides(space, spec, (1, 2)).block([(1, 2, 1)]) == ([v], [reference_rhs(space, spec, 1, 2, 1)])
 
 
 class TestInequalitySides:
@@ -260,15 +326,17 @@ class TestInequalitySides:
         for matkowski in (False, True):
             spec = standard_spec(matkowski=matkowski)
             sides = InequalitySides(GAP, spec, points)
-            for a, b in itertools.product(points, repeat=2):
-                lhs = [GAP.metric(PAPER_S(a), PAPER_S(b), PAPER_S(c)) for c in points]
-                rhs = [reference_rhs(GAP, spec, a, b, c) for c in points]
-                assert [sides(a, b, c) for c in points] == list(zip(lhs, rhs))
-                assert sides.row(a, b) == (lhs, rhs)
-                assert sides.block([(a, b, c) for c in points]) == (lhs, rhs)
+            for a in points:
+                triples = [(a, b, c) for b in points for c in points]
+                expected = reference_sides(GAP, spec, triples)
+                assert sides.plane(a) == expected
+                assert sides.block(triples) == expected
+                for b in points:
+                    row = [(a, b, c) for c in points]
+                    assert sides.block(row) == reference_sides(GAP, spec, row)
 
     def test_hand_expansion_at_444(self):
-        lhs, rhs = InequalitySides(GAP, standard_spec(), [4])(4, 4, 4)
+        (lhs,), (rhs,) = InequalitySides(GAP, standard_spec(), [4]).block([(4, 4, 4)])
         assert lhs == 243
         assert math.isclose(rhs, 1057.0007223483, rel_tol=1e-9)
 
@@ -535,12 +603,12 @@ class TestRowEvaluator:
         assert raised > 50
 
     @pytest.mark.parametrize("comparison", [QUARTER, FakeComparison("picky", picky)], ids=lambda fn: fn.name)
-    def test_sampled_errors_are_those_of_the_triple_walk(self, comparison):
+    def test_sampled_errors_follow_the_stage_order(self, comparison):
         # Several blocks per certificate. Where certify raises, the error is
-        # the first that one `sides(a, b, c)` call per drawn triple meets,
-        # in draw order; where it does not, the report is the reference's.
+        # the first in stage order of the first block that meets one; where
+        # it does not, the report is the reference's.
         rng = random.Random(f"psbm:test:block-errors:{comparison.name}")
-        raised = 0
+        count = 0
         for _ in range(40):
             labels = tuple(range(1, rng.randint(3, 9)))
             table = dict(random_tabulated_space(rng, labels).metric.table)
@@ -548,23 +616,19 @@ class TestRowEvaluator:
                 table[tpl] = -rng.randint(1, 9)
             space = tabulated_space(labels, table)
             spec = random_spec(rng, labels, [comparison])
-            triples = sampled_triples(space, spec, 2500, 5)
-            expected = None
-            try:
-                sides = InequalitySides(space, spec, [x for x in labels if spec.mapping(x) != x])
-                for tpl in triples:
-                    sides(*tpl)
-            except Exception as exc:
-                expected = (type(exc), str(exc))
+            active = [x for x in labels if spec.mapping(x) != x]
+            blocks = sampled_blocks(space, spec, 2500, 5)
+            outcomes = (stage_outcome(space, spec, active, block) for block in blocks)
+            expected = next((outcome for outcome in outcomes if raised(outcome)), None)
             try:
                 report = certify(space, spec, sample_count=2500, seed=5)
             except Exception as exc:
                 assert (type(exc), str(exc)) == expected
-                raised += 1
+                count += 1
             else:
                 assert expected is None
-                assert_matches_reference(report, space, spec, triples)
-        assert 5 < raised < 40
+                assert_matches_reference(report, space, spec, [t for block in blocks for t in block])
+        assert 5 < count < 40
 
     def test_grid_certify_evaluates_each_triple_distance_once(self):
         calls = []
@@ -596,12 +660,14 @@ class TestRowEvaluator:
             spec = random_spec(rng, labels, [tau])
             active = [x for x in labels if spec.mapping(x) != x]
             products = InequalitySides(space, dataclasses.replace(spec, comparison=identity), active)
-            for a, b in itertools.product(active, repeat=2):
-                row = products.row(a, b)[1]
-                if min(row) <= 1 < max(row):
-                    straddling += 1
-                else:
-                    one_sided += 1
+            n = len(active)
+            for a in active:
+                plane = products.plane(a)[1]
+                for row in (plane[j * n:(j + 1) * n] for j in range(n)):
+                    if min(row) <= 1 < max(row):
+                        straddling += 1
+                    else:
+                        one_sided += 1
             assert_matches_reference(certify(space, spec, points=labels), space, spec, grid_triples(spec, labels))
         assert straddling > 20 and one_sided > 20
 
@@ -644,7 +710,7 @@ class TestRowEvaluator:
             spec = dataclasses.replace(spec, comparison=FakeComparison("refuse", refuse))
             sides = InequalitySides(GAP, spec, [3] + grid)
             with pytest.raises(ArithmeticError, match="^refused "):
-                sides.row(grid[-1], grid[-1])
+                sides.block([(grid[-1], grid[-1], grid[-1])])
             with pytest.raises(Exception) as exc:
                 reproduce_case_table(GAP, spec, grid_size=7)
             assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
@@ -664,16 +730,6 @@ def patched_space(overrides):
     return PartialSbSpace(FiniteCarrier((1, 2, 3)), RuleMetric("patched", rule))
 
 
-def joined_rows(sides, a):
-    """(lhs, rhs) of sides.row(a, b) for every b, joined in b order."""
-    lhs, rhs = [], []
-    for b in sides.points:
-        row_lhs, row_rhs = sides.row(a, b)
-        lhs += row_lhs
-        rhs += row_rhs
-    return lhs, rhs
-
-
 def sides_outcome(call):
     """call()'s (lhs, rhs) as lists of (type, repr) per value, or its
     error's type and message."""
@@ -683,23 +739,28 @@ def sides_outcome(call):
         return type(exc), str(exc)
 
 
+def plane_triples(points, a):
+    return [(a, b, c) for b in points for c in points]
+
+
 class TestPlanes:
-    """sides.plane(a) is the rows sides.row(a, b) joined in b order, bit for
-    bit, errors included; plane and rows run on separate evaluators, so
-    that neither reads a table the other filled."""
+    """sides.plane(a) and sides.block over the same triples give what
+    stage_outcome gives, bit for bit, errors included; each runs on its own
+    evaluator, so that neither reads a table the other filled."""
 
     @pytest.mark.parametrize("n", [7, 40])
     @pytest.mark.parametrize("matkowski", [False, True])
-    def test_planes_equal_joined_rows_on_gap_grids(self, matkowski, n):
+    def test_planes_and_blocks_equal_reference_on_gap_grids(self, matkowski, n):
         spec = standard_spec(matkowski=matkowski)
         points = [3] + grid_points(4, 64, n)
-        sides = InequalitySides(GAP, spec, points)
+        planes, blocks = InequalitySides(GAP, spec, points), InequalitySides(GAP, spec, points)
         for a in points:
-            expected = sides_outcome(lambda: joined_rows(InequalitySides(GAP, spec, points), a))
-            assert isinstance(expected[0], list)
-            assert sides_outcome(lambda: sides.plane(a)) == expected
+            triples = plane_triples(points, a)
+            expected = sides_outcome(lambda: reference_sides(GAP, spec, triples))
+            assert sides_outcome(lambda: planes.plane(a)) == expected
+            assert sides_outcome(lambda: blocks.block(triples)) == expected
 
-    def test_planes_equal_joined_rows_on_random_tabulated_spaces(self):
+    def test_planes_and_blocks_follow_the_stage_order_on_random_tabulated_spaces(self):
         # The tables of the certificate error tests: negative entries, and
         # comparisons that raise, give nan or inf, or straddle a cut.
         rng = random.Random("psbm:test:planes")
@@ -713,38 +774,56 @@ class TestPlanes:
             space = tabulated_space(labels, table)
             spec = random_spec(rng, labels, comparisons)
             try:
-                sides = InequalitySides(space, spec, labels)
+                planes, blocks = InequalitySides(space, spec, labels), InequalitySides(space, spec, labels)
             except PsbmError:  # a negative self-gap
                 continue
             for a in labels:
-                expected = sides_outcome(lambda: joined_rows(InequalitySides(space, spec, labels), a))
-                assert sides_outcome(lambda: sides.plane(a)) == expected
-                outcomes["raised" if isinstance(expected[0], type) else "returned"] += 1
+                triples = plane_triples(labels, a)
+                expected = stage_outcome(space, spec, labels, triples)
+                assert sides_outcome(lambda: planes.plane(a)) == expected
+                assert sides_outcome(lambda: blocks.block(triples)) == expected
+                outcomes["raised" if raised(expected) else "returned"] += 1
         assert outcomes["raised"] > 50 and outcomes["returned"] > 50
 
     @pytest.mark.parametrize("overrides, comparison, error, message", [
-        # A negative dist(a, b, c) at the last b alone.
-        ({(1, 3, 2): -4}, QUARTER, PsbmError, "negative distance factor -4"),
-        # A negative dist(1, 1, 3) at the first b, which also makes the fifth
-        # factor of the last b negative: the plane meets the latter first.
-        ({(1, 1, 3): -7}, QUARTER, PsbmError, "negative distance factor -7"),
-        # A metric overflow at the last b, alone and behind a negative
-        # factor at the b before it.
+        # 1. The fifth factor: dist(2, 2, 3) + dist(1, 1, 1) overflows in
+        # the mean of the last b, ahead of a metric overflow.
+        ({(2, 2, 3): 1e308, (1, 1, 1): 1e308, (1, 2, 1): None}, QUARTER,
+         DistanceOverflow, "the contraction inequality overflows the float range"),
+        # A negative dist(1, 1, 3) makes the fifth factor of the last b
+        # negative, ahead of the negative distance at the first b.
+        ({(1, 1, 3): -7}, QUARTER, PsbmError, "negative distance factor -1.0"),
+        # 2. A metric overflow at the last b, alone and ahead of a negative
+        # distance at the b before it.
         ({(1, 3, 1): None}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
-        ({(1, 3, 1): None, (1, 2, 3): -7}, QUARTER, PsbmError, "negative distance factor -7"),
-        # A comparison that refuses the one product above 5.1, at the middle
-        # b, ahead of a negative factor at the last b.
+        ({(1, 3, 1): None, (1, 2, 3): -7}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
+        # 3. An lhs row that overflows at the last b, ahead of a negative
+        # distance at the b before it.
+        ({(2, 1, 3): None, (1, 2, 3): -7}, QUARTER, DistanceOverflow, "patched(2, 1, 3) overflows the float range"),
+        # 4. A negative dist(a, b, c) at the last b alone, and ahead of a
+        # comparison that refuses the one product above 5.1, at the middle b.
+        ({(1, 3, 2): -4}, QUARTER, PsbmError, "negative distance factor -4"),
         ({(1, 2, 3): 6, (1, 3, 2): -4}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+         PsbmError, "negative distance factor -4"),
+        # 5. A product whose integer distance is beyond the float range, at
+        # the last b, ahead of the refusal at the middle b.
+        ({(1, 2, 3): 6, (1, 3, 3): 10 ** 400}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+         OverflowError, "int too large to convert to float"),
+        # 6. The refusal alone.
+        ({(1, 2, 3): 6}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
          ZeroDivisionError, "division by zero"),
-    ])
-    def test_plane_errors_are_those_of_the_rows(self, overrides, comparison, error, message):
+    ], ids=["fifth-factor overflow", "negative fifth factor", "distance overflow", "distance overflow first",
+            "lhs overflow first", "negative distance", "negative distance first", "product overflow first",
+            "comparison"])
+    def test_plane_and_block_errors_follow_the_stage_order(self, overrides, comparison, error, message):
         space = patched_space(overrides)
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, ROTATE)
-        expected = sides_outcome(lambda: joined_rows(InequalitySides(space, spec, [1, 2, 3]), 1))
-        assert expected == (error, message)
-        assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).plane(1)) == expected
+        triples = plane_triples([1, 2, 3], 1)
+        assert stage_outcome(space, spec, [1, 2, 3], triples) == (error, message)
+        assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).plane(1)) == (error, message)
+        assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).block(triples)) == (error, message)
 
-    def test_a_plane_straddling_a_cut_equals_its_rows(self):
+    def test_a_plane_straddling_a_cut_equals_reference(self):
         # Products below 1 at odd b and above 1 at even b: the plane lies on
         # both pieces of paper_tau, and each of its rows on one.
         labels = tuple(range(2, 12))
@@ -757,7 +836,8 @@ class TestPlanes:
         assert min(products) < 1 < max(products)
         sides = InequalitySides(space, spec, labels)
         for a in labels:
-            assert sides_outcome(lambda: sides.plane(a)) == sides_outcome(lambda: joined_rows(sides, a))
+            expected = sides_outcome(lambda: reference_sides(space, spec, plane_triples(labels, a)))
+            assert sides_outcome(lambda: sides.plane(a)) == expected
         assert_matches_reference(certify(space, spec, points=labels), space, spec, grid_triples(spec, labels))
 
     def test_an_image_off_the_carrier_names_the_map_and_the_point(self):

@@ -746,6 +746,19 @@ class TestMetricRows:
         with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+90\) overflows the float range$"):
             metric.plane(4.5, [7, 1e80, 5], [4, 1e90])
 
+    def test_a_float_sum_beyond_the_float_range_overflows(self):
+        # Each fifth power is finite; their sum is not.
+        for triple in [(3.9e61, 3.9e61, 3), (3.9e61, 3.5e61, 3.5e61)]:
+            with pytest.raises(OverflowError):
+                quintic(*triple)
+        metric = builtin_space("quintic_gap").metric
+        with pytest.raises(DistanceOverflow, match=r"^quintic\(3\.5e\+61, 3\.6e\+61, 3\.9e\+61\) overflows the float range$"):
+            metric.plane(3.5e61, [7, 3.6e61], [3, 3.9e61])
+        with pytest.raises(DistanceOverflow, match=r"^quintic\(3\.9e\+61, 3\.9e\+61, 3\) overflows the float range$"):
+            metric.row(3.9e61, 3.9e61, [3.9e61, 3])
+        # 2 * (p^5 + p^5) overflows, but the entry at r = p is p^5 alone.
+        assert metric.row(3.9e61, 3.9e61, [3.9e61]) == [3.9e61 ** 5]
+
     def test_empty_planes_raise_nothing(self):
         for name in ("quintic_gap", "two_point_a"):
             metric = builtin_space(name).metric
