@@ -319,7 +319,7 @@ def _cmd_fixpoint(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
     mapping = contraction.builtin_map(args.map)
     a0 = parse_point(args.start)
-    trace = fixpoint.picard_iterate(space, mapping, a0, tol=args.tolerance, max_iter=args.max_iter)
+    trace = fixpoint.picard_iterate(space, mapping, a0, max_iter=args.max_iter)
     if args.format == "csv":
         print(fixpoint.trace_to_csv(trace), end="")
         return EXIT_OK if trace.converged else EXIT_FAIL
@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json", "csv"))
     p.add_argument("--map", default="paper_S")
     p.add_argument("--start", required=True)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=1000)
     p.set_defaults(func=_cmd_fixpoint)
 

@@ -31,7 +31,7 @@ from operator import le, lt, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
-from .numerics import leq, point_label, point_sort_key
+from .numerics import point_label, point_sort_key
 from .spaces import PartialSbSpace, RegionCarrier, require_point, sample_carrier, sampled_positions
 
 
@@ -284,6 +284,8 @@ def certify(
     InequalitySides.block; the report is that of drawing and evaluating them
     one at a time. An error is the first, in InequalitySides' stage order,
     of the first a-plane or block that raises.
+    Each lhs meets its rhs, a rounded product of powers with irrational
+    exponents, in a plain <=: a tie within rounding needs outward rounding.
     """
     if (points is None) == (sample_count is None):
         raise InvalidArgument("certify takes exactly one of points and sample_count")
@@ -324,7 +326,7 @@ def certify(
             # `if margin < min_margin` loop would, nan margins included.
             min_margin = min(margins) if min_margin is None else min(chain((min_margin,), margins))
             if not all(map(le, lhs, rhs)):
-                failures.extend((*t, l, r) for t, l, r in zip(triples, lhs, rhs) if not leq(l, r))
+                failures.extend((*t, l, r) for t, l, r in zip(triples, lhs, rhs) if not l <= r)
     except OverflowError:  # an int beyond the float range in a power, m or a margin
         raise DistanceOverflow("the contraction inequality overflows the float range") from None
 
@@ -509,7 +511,8 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     and the rhs minimized over the subcase's free ray variables on a grid.
 
     Reference bounds are compared at 1% and logged as discrepancies, never
-    asserted; the lhs <= rhs verdict is carried per row in `holds`.
+    asserted; `holds` is a plain lhs <= rhs against the rounded grid
+    minimum, so it speaks of grid points only, up to rounding.
     """
     carrier = space.carrier
     if (
@@ -569,7 +572,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
                 argmin=scan.argmin,
                 reference=reference,
                 discrepancy=discrepancy,
-                holds=leq(lhs, rhs_min),
+                holds=lhs <= rhs_min,
             )
         )
     return CaseTable(tuple(rows))

@@ -35,7 +35,9 @@ class NegativeValue(PsbmError):
 
 
 class DistanceOverflow(PsbmError):
-    """A distance, or arithmetic on distances, overflows the float range."""
+    """A float that a metric rule, the contraction inequality's powers and
+    means, or a reported axiom violation needs lies beyond the float range.
+    Comparisons never raise it."""
 
 
 class EmptySubfamily(PsbmError):

@@ -1,4 +1,6 @@
-"""Picard iteration with convergence and envelope diagnostics."""
+"""Picard iteration with convergence and envelope diagnostics. Convergence
+and a zero self-distance are exact: every map here sends a point to an
+exact point, so any slack could only make a verdict wrong."""
 
 from __future__ import annotations
 
@@ -10,10 +12,9 @@ from dataclasses import dataclass
 from .comparison import MATKOWSKI, ComparisonFn
 from .contraction import SelfMap
 from .errors import InvalidArgument, NotAFixedPoint
-from .numerics import leq, point_label, point_sort_key, points_close
+from .numerics import point_label, point_sort_key
 from .spaces import PartialSbSpace, require_point
 
-DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
 
 
@@ -41,18 +42,14 @@ def picard_iterate(
     space: PartialSbSpace,
     mapping: SelfMap,
     a0,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> IterationTrace:
-    """Iterate a_{k+1} = S(a_k) until the orbit repeats its last point
-    (exactly for discrete points, within tol for continuous ones) or the
-    iteration budget runs out. Non-convergence is a reported outcome. An
-    image off the carrier raises UnknownPoint naming the map, the point and
-    its image."""
+    """Iterate a_{k+1} = S(a_k) until the orbit repeats its last point,
+    S(a_k) == a_k, or the iteration budget runs out. Non-convergence is a
+    reported outcome. An image off the carrier raises UnknownPoint naming
+    the map, the point and its image."""
     if max_iter < 1:
         raise InvalidArgument("max_iter must be >= 1")
-    if not tol >= 0:
-        raise InvalidArgument(f"tolerance must be >= 0, got {tol}")
     if isinstance(a0, float) and not math.isfinite(a0):
         raise InvalidArgument(f"start point must be finite, got {a0}")
     require_point(space, a0)
@@ -62,7 +59,7 @@ def picard_iterate(
         nxt = mapping(orbit[-1])
         mapping.require_image(space, orbit[-1], nxt)
         orbit.append(nxt)
-        if points_close(nxt, orbit[-2], tol):
+        if nxt == orbit[-2]:
             converged = True
             break
     gaps = tuple(
@@ -80,18 +77,15 @@ def picard_iterate(
     )
 
 
-def verify_fixed_point(space: PartialSbSpace, mapping: SelfMap, a, tol: float = DEFAULT_TOL):
-    """(is_fixed, self_distance_zero): S(a) = a, and dist(a,a,a) <= tol.
+def verify_fixed_point(space: PartialSbSpace, mapping: SelfMap, a):
+    """(is_fixed, self_distance_zero): S(a) == a, and dist(a,a,a) == 0.
     The two conclusions are independent checks."""
-    if not tol >= 0:
-        raise InvalidArgument(f"tolerance must be >= 0, got {tol}")
-    is_fixed = mapping(a) == a
-    self_distance_zero = space.metric(a, a, a) <= tol
-    return is_fixed, self_distance_zero
+    return mapping(a) == a, space.metric(a, a, a) == 0
 
 
 def matkowski_envelope_check(trace: IterationTrace, fn: ComparisonFn):
-    """gaps[k] <= fn^k(gaps[0]) for all k; returns (ok, first violating index)."""
+    """gaps[k] <= fn^k(gaps[0]) for all k; returns (ok, first violating index).
+    The rounded iterates meet a plain <=: a tie needs outward rounding."""
     if fn.kind != MATKOWSKI:
         raise InvalidArgument("envelope check needs a Matkowski-tagged comparison function")
     if not trace.gaps:
@@ -100,7 +94,7 @@ def matkowski_envelope_check(trace: IterationTrace, fn: ComparisonFn):
     for k, gap in enumerate(trace.gaps):
         if k > 0:
             envelope = fn(envelope)
-        if not leq(gap, envelope):
+        if not gap <= envelope:
             return False, k
     return True, None
 

@@ -1,64 +1,55 @@
-"""Comparison helpers shared by every module.
+"""Point order and labels, and the exact decision for a computed bound.
 
-Distance values stay plain Python ints whenever a space is defined by an
-integer table or evaluated at integer points, and comparisons are then exact.
-As soon as a float enters, comparisons fall back to a relative tolerance for
-equality and a strictness margin for strict inequalities.
+Python compares ints and floats exactly and never overflows doing so, so
+two distance values are compared with a plain `==`, `<=` or `<`. Only a
+computed side can round or overflow: the rectangle's t * (S(p,p,s) +
+S(q,q,s) + S(r,r,s)) - S(s,s,s) and a ball's cut r + S(c,c,c). Their
+callers compare the float result first and fall back to `exact_value` only
+when that result lies within `rounding_bound` of the other side, is not
+finite, or raised OverflowError (adaptive-precision predicates, Shewchuk
+1997). Integer operands stay in exact integer arithmetic throughout.
 """
 
-REL_TOL = 1e-9
-STRICT_MARGIN = 1e-12
+import math
+from fractions import Fraction
 
 
-def exact(a, b) -> bool:
-    return type(a) is int and type(b) is int
+def rounding_bound(operands):
+    """(relative, absolute): a float expression of at most four operations
+    on nonnegative `operands`, such as t * (a + b + c) - o, is off from its
+    exact value by at most relative * m + absolute, m being the sum of the
+    values it adds and subtracts. (0, 0) when every operand is an int; nan
+    when one is negative or not finite, so that every comparison fails.
+    Four roundings stay below 4 * 2^-53 * m, plus 2^-1075 for a subnormal
+    product (Higham 2002); 2^-50 and 2^-1070 also cover the rounding of m,
+    of the bound and of its subtraction from the float result."""
+    if all(type(x) is int for x in operands):
+        return 0, 0
+    if all(0 <= x < math.inf for x in operands):
+        return 2.0 ** -50, 2.0 ** -1070
+    return math.nan, math.nan
 
 
-def _scale(a, b) -> float:
-    return max(1.0, abs(a), abs(b))
+def _sign(x):
+    """x when it is not finite, else its sign: the two agree wherever an
+    infinite operand decides the sum or product that x enters."""
+    return x if not -math.inf < x < math.inf else (x > 0) - (x < 0)
 
 
-def values_equal(a, b) -> bool:
-    if exact(a, b):
-        return a == b
-    return abs(a - b) <= REL_TOL * _scale(a, b)
-
-
-def leq(a, b) -> bool:
-    """a <= b, with float slack so round-off never flags a true inequality.
-
-    A plain a <= b (exact across int and float) is true at once. The slack
-    test agrees, since the slack is far wider than the rounding of b, save
-    where it breaks: -inf + inf is nan, and ints beyond the float range
-    overflow.
-    """
-    if a <= b:
-        return True
-    return not exact(a, b) and a <= b + REL_TOL * _scale(a, b)
-
-
-def strictly_less(a, b) -> bool:
-    """a < b; floats must clear the boundary by the strictness margin.
-
-    A failed plain a < b (or a nan) is false at once: the margin only
-    lowers the bound, by far more than the rounding of b.
-    """
-    if not a < b:
-        return False
-    return exact(a, b) or a < b - STRICT_MARGIN * _scale(a, b)
-
-
-def points_close(x, y, tol: float) -> bool:
-    """Point identity for orbit convergence.
-
-    Labels and integer-valued points compare exactly; a pair involving a float
-    is close when within tol.
-    """
-    if isinstance(x, str) or isinstance(y, str):
-        return x == y
-    if isinstance(x, float) or isinstance(y, float):
-        return abs(x - y) <= tol
-    return x == y
+def exact_value(scale, terms, offset=0):
+    """scale * (sum of terms) - offset on the true values of its operands:
+    a Fraction when every operand is finite; otherwise the value in the
+    extended reals (inf or -inf), or nan where that is undefined, as for
+    inf - inf or inf * 0. A Fraction compares exactly with ints and floats."""
+    if all(-math.inf < x < math.inf for x in (scale, offset, *terms)):
+        # In ints over one common denominator: a float's is a power of two.
+        (ns, ds), (no, do), *ratios = [x.as_integer_ratio() for x in (scale, offset, *terms)]
+        d = math.lcm(*[den for _, den in ratios])
+        total = sum(n * (d // den) for n, den in ratios)
+        return Fraction(ns * total * do - no * ds * d, ds * d * do)
+    infinite = [t for t in terms if not -math.inf < t < math.inf]
+    total = sum(infinite) if infinite else _sign(sum(map(Fraction, terms)))
+    return _sign(scale) * total - (0 if -math.inf < offset < math.inf else offset)
 
 
 def point_sort_key(p):

@@ -4,7 +4,8 @@ A space bundles a carrier (explicit finite point list, or isolated points
 plus truncated real intervals), a three-argument distance, and a relaxation
 coefficient t >= 1. Validity against an axiom set is a checked property, not
 a construction guarantee, so deliberately broken tables are representable
-for counterexample work.
+for counterexample work. Every axiom verdict compares true values (see
+numerics).
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .errors import (
     InvalidArgument,
     NegativeValue,
     ParseError,
+    PsbmError,
     UnknownBuiltin,
     UnknownPoint,
 )
-from .numerics import leq, point_label, point_sort_key, values_equal
+from .numerics import exact_value, point_label, point_sort_key, rounding_bound
 
 Point = int | float | str
 
@@ -364,11 +366,11 @@ def check_axioms(
     found by the exhaustive scan.
 
     The verdicts come from one loop over tables of the point set, which
-    both modes feed (see _check_by_tables). Arithmetic that overflows the
-    float range (an int beyond it meeting a float) raises DistanceOverflow,
-    naming the axiom and the tuple that the loop was checking: the first to
-    overflow, triple by triple (exhaustive) or quadruple by quadruple in
-    draw order (sampled), each one's axioms in index order.
+    both modes feed (see _check_by_tables), and every one is exact. A
+    rectangle violation whose right-hand side overflows the float range has
+    no float to report and raises DistanceOverflow, naming the axiom and the
+    tuple: the first such, triple by triple (exhaustive) or quadruple by
+    quadruple in draw order (sampled).
     """
     axioms = _AXIOMS[variant]
     if sample_count is None:
@@ -434,14 +436,15 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
     offset[s], scale being t or 1 and offset S(s,s,s) or 0: `1 * x` and
     `x - 0` are x itself, an int or a float alike.
 
-    Arithmetic that overflows raises DistanceOverflow naming the axiom and
-    the tuple that the loop was checking, so the first in check order; in a
-    whole row, its first s whose right-hand side overflows. A rectangle row
-    whose every right-hand side is at least S(p,q,r) under a plain <= holds
-    without a walk over s, since leq is then true at its first test. A NaN,
-    which min() can pass over, is looked for only when the scale or a
-    tabulated value is not finite: otherwise each step adds, scales by or
-    subtracts a finite value, which may reach inf but never NaN.
+    Every comparison is exact. A right-hand side is summed in floats (in
+    ints when every operand is one), and the sum decides when it lies
+    farther from the lhs than its rounding bound (numerics.rounding_bound:
+    0 on ints, none on a negative or non-finite operand); a whole
+    exhaustive row holds at once when its min clears the largest bound.
+    Any other, and any whose sum is not finite or overflows, is decided on
+    true values by numerics.exact_value. A violation reports the
+    float sum; one whose sum overflowed has none to report and raises
+    DistanceOverflow, naming the axiom and the tuple.
     """
     dist = space.metric.__call__
     n = len(pts)
@@ -454,62 +457,68 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
     rectangle, (partial, scaled) = roles["rectangle"]
     scale = space.coefficient if scaled else 1
     offset = selfs if partial else [0] * n
-    maybe_nan = not all(x - x == 0 for x in itertools.chain((scale,), selfs, *pairs))
+    # value = t * (a + b + c) - o rounds by at most rel * (value + 2 * o) + tiny,
+    # and by at most row_err for every (a, b, c, o) of the check.
+    rel, tiny = rounding_bound([scale, *offset, *itertools.chain.from_iterable(pairs)])
+    try:
+        row_err = rel * (3 * scale * max(map(max, pairs), default=0) + max(offset, default=0)) + tiny
+    except OverflowError:  # an int beyond the float range times a float
+        row_err = math.nan
     sampled = sample_count is not None
     # A flag at i * n + j per position pair whose symmetry is decided: every
     # pair's, in a variant without the symmetry axiom.
     symmetry_decided = bytearray(n * n) if symmetry is not None else b"\1" * (n * n)
     found = {}
 
-    def rhs(i, j, k, m):
-        return scale * (pairs[i][m] + pairs[j][m] + pairs[k][m]) - offset[m]
+    def check_rectangle(val, i, j, k, m):
+        a, b, c, o = pairs[i][m], pairs[j][m], pairs[k][m], offset[m]
+        value = None
+        try:
+            value = scale * (a + b + c) - o
+            err = rel * (value + o + o) + tiny  # value inf: err inf, so nan below
+            if val <= value - err:
+                return
+            violated = val > value + err
+        except OverflowError:  # also an int value beyond the float range times a float
+            violated = False
+        if not violated:
+            exact = exact_value(scale, (a, b, c), o)
+            if val <= exact:
+                return
+            if value is None or not -math.inf < value < math.inf and -math.inf < exact < math.inf:
+                labels = ", ".join(point_label(pts[x]) for x in (i, j, k, m))
+                raise DistanceOverflow(f"axiom {rectangle} at ({labels}) overflows the float range")
+        found.setdefault((rectangle, (pts[i], pts[j], pts[k], pts[m])), (val, value))
 
     def check(tuples):
-        axiom = m = summed = None
-        try:
-            for i, j, k, columns in tuples:
-                p, q, r = pts[i], pts[j], pts[k]
-                axiom, val, sp = identity, dist(p, q, r), selfs[i]
-                if id_partial:
-                    agrees = values_equal(val, sp) and values_equal(val, selfs[j]) and values_equal(val, selfs[k])
-                else:
-                    agrees = values_equal(val, 0)
-                if (p == q if id_pair else p == q == r) != agrees:
-                    found.setdefault((identity, (p, q, r)), (val, sp if id_partial else 0))
-                axiom = self_min  # leq's own first test `a <= b` inlined, as at the drawn s
-                if self_min is not None and not (sp <= val or leq(sp, val)):
-                    found.setdefault((self_min, (p, q, r)), (sp, val))
-                if not symmetry_decided[i * n + j]:
-                    axiom = symmetry
-                    if not values_equal(pairs[i][j], pairs[j][i]):
-                        found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
-                    symmetry_decided[i * n + j] = 1
-                axiom = rectangle
-                if sampled:
-                    m = columns
-                    value = rhs(i, j, k, m)
-                    if not (val <= value or leq(val, value)):
-                        found.setdefault((rectangle, (p, q, r, pts[m])), (val, value))
-                    continue
-                m = None  # no s yet: the row is being formed
+        summed = None
+        for i, j, k, columns in tuples:
+            p, q, r = pts[i], pts[j], pts[k]
+            val, sp = dist(p, q, r), selfs[i]
+            if id_partial:
+                agrees = val == sp and val == selfs[j] and val == selfs[k]
+            else:
+                agrees = val == 0
+            if (p == q if id_pair else p == q == r) != agrees:
+                found.setdefault((identity, (p, q, r)), (val, sp if id_partial else 0))
+            if self_min is not None and not sp <= val:
+                found.setdefault((self_min, (p, q, r)), (sp, val))
+            if not symmetry_decided[i * n + j]:
+                if pairs[i][j] != pairs[j][i]:
+                    found.setdefault((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
+                symmetry_decided[i * n + j] = 1
+            if sampled:
+                check_rectangle(val, i, j, k, columns)
+                continue
+            try:
                 if summed != (i, j):  # S(p,p,s) + S(q,q,s) serves every r
                     summed, sums = (i, j), [a + b for a, b in zip(pairs[i], pairs[j])]
-                row = [scale * (ab + c) - o for ab, c, o in zip(sums, pairs[k], offset)]
-                if not val <= min(row) or (maybe_nan and any(x != x for x in row)):
-                    for m in columns:
-                        if not leq(val, row[m]):
-                            found.setdefault((rectangle, (p, q, r, pts[m])), (val, row[m]))
-        except OverflowError:
-            tpl = (p, q) if axiom == symmetry else (p, q, r)
-            if axiom == rectangle:
-                if m is None:  # in a whole row: name its first s whose rhs overflows
-                    for m in columns:
-                        try:
-                            rhs(i, j, k, m)
-                        except OverflowError:
-                            break
-                tpl += (pts[m],)
-            raise _overflow(axiom, tpl) from None
+                if val <= min([scale * (ab + c) - o for ab, c, o in zip(sums, pairs[k], offset)]) - row_err:
+                    continue
+            except OverflowError:
+                pass
+            for m in columns:
+                check_rectangle(val, i, j, k, m)
 
     if sampled:
         rng = random.Random(f"psbm:axioms:{seed}")
@@ -519,11 +528,6 @@ def _check_by_tables(space, axioms, pts, sample_count, seed) -> dict:
         positions = range(n)
         check(itertools.product(positions, positions, positions, (positions,)))
     return found
-
-
-def _overflow(index, tpl) -> DistanceOverflow:
-    labels = ", ".join(point_label(x) for x in tpl)
-    return DistanceOverflow(f"axiom {index} at ({labels}) overflows the float range")
 
 
 # --------------------------------------------------------------------------
@@ -684,9 +688,10 @@ def random_tabulated_space(rng: random.Random, labels=(1, 2, 3)) -> PartialSbSpa
 
 
 def random_valid_space(rng: random.Random, labels=(1, 2, 3), max_attempts: int = 10000) -> PartialSbSpace:
-    """Draw random tables until one passes the exhaustive partial-Sb check."""
+    """Draw random tables until one passes the exhaustive partial-Sb check;
+    PsbmError when none does within `max_attempts` draws."""
     for _ in range(max_attempts):
         space = random_tabulated_space(rng, labels)
         if check_axioms(space, AxiomSet.PARTIAL_SB).passed:
             return space
-    raise RuntimeError("no valid random table found within the attempt budget")
+    raise PsbmError(f"no valid random table found within {max_attempts} attempts")

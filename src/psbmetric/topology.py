@@ -1,10 +1,14 @@
 """Open balls, the induced topology on finite carriers, and its properties.
 
 A ball D(p; r) collects the candidates z with dist(p,p,z) < r + dist(p,p,p);
-note the self-distance offset. A set U is open iff every x in U has a ball
-inside U (Sedghi, Shobe and Aliouche 2012); on a finite carrier, iff U holds
-the smallest ball M_y of each y in U. The opens are the unions of the U_x,
-the points reachable from x by repeatedly applying y -> M_y.
+note the self-distance offset. Membership is decided on true values: the
+float cut r + dist(p,p,p) decides every distance beyond its rounding bound
+and the exact cut the rest, so a ball of positive radius holds its centre.
+A set U is open iff every x in U has a ball inside U (Sedghi, Shobe and
+Aliouche 2012); on a finite carrier, iff U holds the smallest ball
+M_y = {z : dist(y,y,z) <= dist(y,y,y)} of each y in U. The opens are the
+unions of the U_x, the points reachable from x by repeatedly applying
+y -> M_y.
 
 The axiom check and the separation verdicts read each point's smallest open
 U_x, the intersection of the opens that hold x (Alexandroff 1937). The check
@@ -25,8 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import DistanceOverflow, EmptySubfamily, InvalidArgument, PsbmError, UnknownPoint
-from .numerics import point_label, point_sort_key, strictly_less
+from .errors import EmptySubfamily, InvalidArgument, PsbmError, UnknownPoint
+from .numerics import exact_value, point_label, point_sort_key, rounding_bound
 from .spaces import FiniteCarrier, PartialSbSpace, exhaustive_points
 
 
@@ -52,11 +56,19 @@ def sorted_labels(points: Iterable) -> list:
     return [point_label(p) for p in sorted_points(points)]
 
 
-def _in_ball(d, self_d, radius, cut) -> bool:
-    """dist(c,c,z) = d against D(c; radius), where cut = radius + dist(c,c,c).
-    A d <= dist(c,c,c) lies inside every ball of positive radius, by exact
-    comparison: the float margin of strictly_less must not drop the centre."""
-    return (radius > 0 and d <= self_d) or strictly_less(d, cut)
+def _ball_test(radius, self_d):
+    """The membership test d -> d < radius + self_d of D(c; radius), where
+    self_d = dist(c,c,c) and d = dist(c,c,z): on the float cut where d lies
+    beyond its rounding bound, else on the exact cut."""
+    exact = exact_value(1, (radius, self_d))
+    try:
+        cut, size = radius + self_d, (abs(radius), abs(self_d))
+        rel, tiny = rounding_bound(size)
+        err = rel * sum(size) + tiny  # inf or nan sends every d to the exact cut
+        lo, hi = cut - err, cut + err
+    except OverflowError:  # an int beyond the float range meets a float
+        lo = hi = math.nan
+    return lambda d: d < lo or not d >= hi and d < exact
 
 
 def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
@@ -68,16 +80,8 @@ def open_ball(space: PartialSbSpace, center, radius, candidates) -> OpenBall:
     candidates = list(candidates)
     if center not in candidates:
         raise UnknownPoint(f"center {point_label(center)} is not among the candidates")
-    self_d = space.metric(center, center, center)
-    try:
-        cut = radius + self_d
-        members = frozenset(
-            z for z in candidates if _in_ball(space.metric(center, center, z), self_d, radius, cut)
-        )
-    except OverflowError:
-        raise DistanceOverflow(
-            f"D({point_label(center)}; {radius}) overflows the float range"
-        ) from None
+    inside = _ball_test(radius, space.metric(center, center, center))
+    members = frozenset(z for z in candidates if inside(space.metric(center, center, z)))
     return OpenBall(center, radius, members)
 
 
@@ -105,19 +109,14 @@ def _smallest_opens(opens) -> dict:
 
 
 def _smallest_balls(space: PartialSbSpace, pts) -> dict:
-    """M_x per point: the ball at half the least positive gap
-    dist(x,x,z) - dist(x,x,x), or at radius 1 when no gap is positive."""
+    """M_x per point: {z : dist(x,x,z) <= dist(x,x,x)}, the ball at half the
+    least positive gap dist(x,x,z) - dist(x,x,x), or at any radius when no
+    gap is positive."""
+    metric = space.metric
     smallest = {}
     for x in pts:
-        self_d = space.metric(x, x, x)
-        try:
-            gaps = [g for z in pts if (g := space.metric(x, x, z) - self_d) > 0]
-            radius = min(gaps) / 2 if gaps else 1
-        except OverflowError:
-            raise DistanceOverflow(
-                f"a distance from {point_label(x)} overflows the float range"
-            ) from None
-        smallest[x] = open_ball(space, x, radius, pts).members
+        self_d = metric(x, x, x)
+        smallest[x] = frozenset(z for z in pts if metric(x, x, z) <= self_d)
     return smallest
 
 
@@ -144,12 +143,9 @@ def ball_base_witness(space: PartialSbSpace):
     smallest = _smallest_balls(space, pts)
     for x in pts:
         d = {z: space.metric(x, x, z) for z in pts}
-        try:
-            for z, v in itertools.product(pts, pts):
-                if d[z] - d[x] > 0 and strictly_less(d[v], d[z]) and z in smallest[v]:
-                    return x, v, z
-        except OverflowError:
-            raise DistanceOverflow(f"a distance from {point_label(x)} overflows the float range") from None
+        for z, v in itertools.product(pts, pts):
+            if d[z] > d[x] and d[v] < d[z] and z in smallest[v]:
+                return x, v, z
     return None
 
 
@@ -263,9 +259,9 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     candidates are covered; an empty scan covers nothing and is an error.
 
     Balls around one centre are nested in the radius, so each candidate is
-    compared once with the widest ball, of radius max(subfamily); its cut
-    radius + dist(c,c,c) must be finite. The default scan stops at the
-    first witness; a fully covered scan costs the length of the lattice.
+    compared once with the widest ball, of radius max(subfamily), which
+    must be finite. The default scan stops at the first witness; a fully
+    covered scan costs the length of the lattice.
     """
     subfamily = list(subfamily_indices)
     if not subfamily:
@@ -276,19 +272,14 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     center = family.center
     self_d = space.metric(center, center, center)
     radius = max(subfamily)
-    try:
-        cut = radius + self_d
-        if not (type(cut) is int or math.isfinite(cut)):
-            raise InvalidArgument(f"radius of index {radius} is not finite")
-        scan = _scan_candidates(space, search_bound) if candidates is None else candidates
-        z = None  # stays None only when the scan yields no point
-        for z in scan:
-            if not _in_ball(space.metric(center, center, z), self_d, radius, cut):
-                return z
-    except OverflowError:
-        raise DistanceOverflow(
-            f"a ball around {point_label(center)} overflows the float range"
-        ) from None
+    if not -math.inf < radius < math.inf:
+        raise InvalidArgument(f"radius of index {radius} is not finite")
+    inside = _ball_test(radius, self_d)
+    scan = _scan_candidates(space, search_bound) if candidates is None else candidates
+    z = None  # stays None only when the scan yields no point
+    for z in scan:
+        if not inside(space.metric(center, center, z)):
+            return z
     if z is None:
         raise PsbmError(f"no carrier point to scan up to the search bound {search_bound}")
     return None

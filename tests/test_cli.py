@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clustered import clustered_space
 from psbmetric import random_valid_space, tabulated_space
-from psbmetric import cli, spaces
+from psbmetric import cli, spaces, topology
 from psbmetric.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,7 +143,7 @@ BOUND_COMMANDS = ("verify-axioms", "ball", "cover-witness", "certify", "case-tab
 class TestFlagRegistration:
     @pytest.mark.parametrize(
         "command, flag",
-        [(command, "--tolerance") for command in MINIMAL_ARGV if command != "fixpoint"]
+        [(command, "--tolerance") for command in MINIMAL_ARGV]
         + [
             (command, "--bound")
             for command in ("topology", "separation", "connected", "check-comparison", "repro")
@@ -158,8 +158,6 @@ class TestFlagRegistration:
 
     def test_flags_stay_where_they_are_read(self):
         parser = build_parser()
-        args = parser.parse_args(["fixpoint", *MINIMAL_ARGV["fixpoint"], "--tolerance", "1e-6"])
-        assert args.tolerance == 1e-6
         for command in BOUND_COMMANDS:
             assert parser.parse_args([command, *MINIMAL_ARGV[command], "--bound", "10"]).bound == 10
 
@@ -227,24 +225,26 @@ class TestRejectedValues:
         assert captured.out == ""
         assert captured.err == f"error: start point must be finite, got {float(value)}\n"
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_tolerance_is_a_usage_error(self, value, capsys):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "0", "2"])
+    def test_a_tolerance_is_a_usage_error(self, value, capsys):
+        # Convergence is an exact repeat: fixpoint takes no tolerance.
         with pytest.raises(SystemExit) as exc:
             run_cli(*["fixpoint", *MINIMAL_ARGV["fixpoint"]], f"--tolerance={value}")
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("error:") == 1
-        assert f"argument --tolerance: invalid finite float value: '{value}'" in captured.err
+        assert f"unrecognized arguments: --tolerance={value}" in captured.err
 
-    @pytest.mark.parametrize("value", ["-1", "-1e-300"])
-    def test_negative_tolerance_is_one_error_line(self, value):
-        # The identity fixes 7.5 at once: a negative tolerance would read the
-        # fixed orbit as non-convergence and exit 1.
-        argv = ["fixpoint", "--space", "builtin:quintic_gap", "--map", "identity", "--start", "7.5",
-                f"--tolerance={value}", "--max-iter", "5"]
-        assert run_captured(argv) == (2, "", f"error: tolerance must be >= 0, got {float(value)}\n")
-        assert run_captured([token for token in argv if not token.startswith("--tolerance")])[0] == 0
+    def test_the_orbit_does_not_stop_at_a_point_that_is_not_fixed(self):
+        # A tolerance of 2 once stopped the orbit at 3, which S sends to 0.
+        argv = ["fixpoint", "--space", "builtin:quintic_gap", "--start", "4.5"]
+        result = run_subprocess(*argv, "--tolerance", "2")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "unrecognized arguments: --tolerance 2" in result.stderr
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "orbit: 4.5 -> 3 -> 0 -> 0"
+        assert out.splitlines()[2].startswith("converged: True  limit: 0 ")
 
 
 class TestLazyCoverScan:
@@ -569,10 +569,13 @@ class TestSeedOnPathsThatDoNotSample:
 
 
 class TestIntegerOverflow:
-    """Exact integer distances beyond the float range meet a float."""
+    """Exact integer distances beyond the float range meet a float. Every
+    comparison is decided on true values, so each command prints its
+    verdict, which these tests compute in Fraction; only a violation whose
+    right-hand side has no float to print exits 2."""
 
     BIG = "1" + "0" * 400
-    # verify-axioms meets it in coefficient * sum, topology in a midpoint radius.
+    # verify-axioms meets it in coefficient * sum.
     SCALED = [("coefficient: 1", "coefficient: 1.5"), ("1 2 2 8", f"1 2 2 {BIG}")]
     # Here in the sums of a whole rectangle row, before any of its tuples;
     # then in the row for (1, 1, 2), after the row for (1, 1, 1) was walked.
@@ -581,39 +584,115 @@ class TestIntegerOverflow:
     GAPS = [("1 1 2 8", f"1 1 2 {BIG}"), ("2 2 1 8", f"2 2 1 {BIG}")]
     # A float radius plus this self-distance.
     SELF = [("1 1 1 4", f"1 1 1 {BIG}")]
+    # 1.5 * (8 + 8 + 8) - 10^400 < 4 = S(2,2,2): a violation at (2, 2, 2, 1)
+    # whose right-hand side has no float.
+    SELF_SCALED = [("coefficient: 1", "coefficient: 1.5"), ("1 1 1 4", f"1 1 1 {BIG}")]
 
-    @pytest.mark.parametrize("argv, edits, message", [
-        (["verify-axioms"], SCALED, "axiom 4 at (1, 2, 2, 1) overflows the float range"),
-        (["verify-axioms", "--samples", "50"], SCALED, "axiom 4 at (1, 2, 2, 2) overflows the float range"),
-        (["verify-axioms"], SCALED_ROW, "axiom 4 at (1, 1, 1, 2) overflows the float range"),
-        (["verify-axioms"], AFTER_WALK, "axiom 4 at (1, 1, 2, 1) overflows the float range"),
-        (["topology"], GAPS, "a distance from 1 overflows the float range"),
-        (["separation"], GAPS, "a distance from 1 overflows the float range"),
-        (["ball", "--center", "1", "--radius", "1"], SELF, "D(1; 1.0) overflows the float range"),
-    ], ids=["verify-axioms", "sampled verify-axioms", "verify-axioms row", "verify-axioms after a walk",
-            "topology", "separation", "ball"])
-    def test_overflow_is_one_error_line(self, argv, edits, message, tmp_path, capsys):
+    @staticmethod
+    def write(tmp_path, edits):
         text = TWO_POINT_B_FILE
         for before, after in edits:
             text = text.replace(before, after)
         path = tmp_path / "space.psb"
         path.write_text(text, encoding="utf-8")
-        assert run_cli(argv[0], "--space", f"file:{path}", *argv[1:]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        return path, spaces.load_tabulated_space(text)
 
+    @staticmethod
+    def exact_violations(space):
+        """[axiom, witness labels] of each partial-S_b violation, decided in
+        Fraction, in report order."""
+        pts, t = space.carrier.points, Fraction(space.coefficient)
 
-    def test_the_ball_base_check_is_one_error_line(self, tmp_path):
-        # The smallest balls stay finite; the base check compares the float
-        # dist(1,1,3) = 0.5 with dist(1,1,2) = 10^400 under the float margin.
+        def d(*tpl):
+            return Fraction(space.metric(*tpl))
+
+        found = []
+        for p, q, r in itertools.product(pts, repeat=3):
+            if (p == q == r) != (d(p, q, r) == d(p, p, p) == d(q, q, q) == d(r, r, r)):
+                found.append([1, [p, q, r]])
+            if d(p, p, p) > d(p, q, r):
+                found.append([2, [p, q, r]])
+        found += [[3, [p, q]] for p, q in itertools.product(pts, repeat=2) if d(p, p, q) != d(q, q, p)]
+        found += [
+            [4, [p, q, r, s]] for p, q, r, s in itertools.product(pts, repeat=4)
+            if d(p, q, r) > t * (d(p, p, s) + d(q, q, s) + d(r, r, s)) - d(s, s, s)
+        ]
+        return [[axiom, [str(x) for x in tpl]] for axiom, tpl in found]
+
+    @pytest.mark.parametrize("edits", [SCALED, SCALED_ROW, AFTER_WALK, GAPS, SELF],
+                             ids=["scaled", "scaled row", "after a walk", "gaps", "self"])
+    @pytest.mark.parametrize("extra", [[], ["--samples", "50"]], ids=["exhaustive", "sampled"])
+    def test_verify_axioms_prints_the_exact_verdict(self, edits, extra, tmp_path):
+        path, space = self.write(tmp_path, edits)
+        code, out, err = run_captured(["verify-axioms", "--space", f"file:{path}", *extra, "--format", "json"])
+        expected = self.exact_violations(space)
+        found = [[v["axiom"], v["witness"]] for v in json.loads(out)["violations"]]
+        assert (code, err) == (1 if found else 0, "")
+        if extra:  # a sample finds some of the exhaustive violations
+            assert all(v in expected for v in found)
+        else:
+            assert found == expected
+
+    def test_a_violation_without_a_float_right_hand_side_is_one_error_line(self, tmp_path):
+        path, space = self.write(tmp_path, self.SELF_SCALED)
+        assert [4, ["2", "2", "2", "1"]] in self.exact_violations(space)
+        argv = ["verify-axioms", "--space", f"file:{path}"]
+        assert run_captured(argv) == (2, "", "error: axiom 4 at (2, 2, 2, 1) overflows the float range\n")
+
+    def test_the_smallest_balls_compare_exactly(self, tmp_path):
+        # dist(x,x,z) = 10^400 > 4 = dist(x,x,x) for x != z: each smallest
+        # ball {z : dist(x,x,z) <= dist(x,x,x)} is {x}, and the topology is
+        # discrete.
+        path, space = self.write(tmp_path, self.GAPS)
+        assert all(Fraction(space.metric(x, x, z)) > Fraction(space.metric(x, x, x)) for x, z in ((1, 2), (2, 1)))
+        assert run_captured(["topology", "--space", f"file:{path}"]) == (
+            0, "carrier {1, 2}\nopens: {}, {1}, {2}, {1, 2}\nbase: True\n", "")
+        assert run_captured(["separation", "--space", f"file:{path}"]) == (0, "T0: True  T1: True  T2: True\n", "")
+
+    def test_a_float_radius_meets_a_self_distance_beyond_the_float_range(self, tmp_path):
+        # The cut 1.0 + 10^400 has no float; both distances lie below it.
+        path, space = self.write(tmp_path, self.SELF)
+        cut = Fraction(1.0) + Fraction(space.metric(1, 1, 1))
+        assert all(Fraction(space.metric(1, 1, z)) < cut for z in (1, 2))
+        argv = ["ball", "--space", f"file:{path}", "--center", "1", "--radius", "1"]
+        assert run_captured(argv) == (0, "D(1; 1.0) = {1, 2}\n", "")
+
+    def test_the_ball_base_check_compares_exactly(self, tmp_path):
+        # The float dist(1,1,3) = 0.5 against dist(1,1,2) = 10^400: every
+        # smallest ball is a singleton, so every ball is open.
         values = {(1, 1, 1): "0", (2, 2, 2): "0", (3, 3, 3): "0", (1, 1, 2): self.BIG, (1, 1, 3): "0.5"}
         path = tmp_path / "space.psb"
         path.write_text("points: 1 2 3\ncoefficient: 1\n" + "".join(
             f"{a} {b} {c} {values.get((a, b, c), '1')}\n" for a, b, c in itertools.product((1, 2, 3), repeat=3)
         ), encoding="utf-8")
-        argv = ["topology", "--space", f"file:{path}"]
-        assert run_captured(argv) == (2, "", "error: a distance from 1 overflows the float range\n")
+        code, out, err = run_captured(["topology", "--space", f"file:{path}", "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["base"] is True and len(report["opens"]) == 8
+
+
+class TestExactFloatVerdicts:
+    def test_a_self_distance_above_its_row_by_1e_9_exits_1(self, tmp_path):
+        # S(1,1,1) = 8.000000001 > 8 = S(1,1,2): self-minimality fails, by
+        # less than the relative slack of 1e-9 that float values once had.
+        path = tmp_path / "space.psb"
+        path.write_text(TWO_POINT_B_FILE.replace("1 1 1 4", "1 1 1 8.000000001"), encoding="utf-8")
+        code, out, err = run_captured(["verify-axioms", "--space", f"file:{path}", "--format", "json"])
+        assert (code, err) == (1, "")
+        assert [[v["axiom"], v["witness"]] for v in json.loads(out)["violations"]] == [
+            [2, ["1", "1", "2"]], [2, ["1", "2", "1"]], [2, ["1", "2", "2"]],
+        ]
+
+    def test_right_hand_sides_that_sum_to_inf_are_decided_exactly(self):
+        # 206 of the drawn right-hand sides sum to inf in floats; decided on
+        # their exact values they all hold, and the JSON holds no Infinity.
+        def no_constant(name):
+            raise AssertionError(f"JSON holds {name}")
+
+        argv = ["verify-axioms", "--space", "builtin:quintic_ray", "--samples", "2000", "--bound", "3.3e61"]
+        code, out, err = run_captured([*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_constant=no_constant)["passed"] is True
 
 
 class TestCertifyBeyondTheFloatRange:
@@ -638,8 +717,8 @@ class TestCertifyBeyondTheFloatRange:
 
 
 class TestCoverWitnessCentre:
-    """A radius below the float margin of the self-distances still covers
-    the centre: dist(1,1,1) <= dist(1,1,1) by exact comparison."""
+    """A radius whose float cut rounds to the self-distances still covers
+    the centre: dist(1,1,1) < 1 + dist(1,1,1) exactly."""
 
     TEXT = "points: 1 2\ncoefficient: 1\n" + "".join(
         f"{a} {b} {c} {'1e15' if a == b == c else '2e15'}\n" for a, b, c in itertools.product((1, 2), repeat=3)
@@ -656,15 +735,21 @@ class TestCoverWitnessCentre:
         ("builtin:quintic_gap", "4.5", []),
         ("builtin:quintic_ray", "1", ["--bound", "2.5"]),
     ], ids=["float-self-distance", "float-centre", "float-candidate"])
-    def test_an_index_beyond_the_float_range_is_one_error_line(self, space, center, extra, tmp_path):
+    def test_an_index_beyond_the_float_range_covers_exactly(self, space, center, extra, tmp_path):
         # 10^400 plus a float self-distance, or a float distance against the
-        # integer cut 10^400 + 1.
+        # integer cut 10^400 + 1: no float holds the cut, and every scanned
+        # point lies below it.
         if space == "big-self":
             path = tmp_path / "space.psb"
             path.write_text(self.TEXT, encoding="utf-8")
             space = f"file:{path}"
+        resolved = cli._with_bound(cli._resolve_space(space), 2.5 if extra else None)
+        c = spaces.parse_point(center)
+        cut = Fraction(10**400) + Fraction(resolved.metric(c, c, c))
+        scan = topology.witness_candidates(resolved, 2.5 if extra else 64)
+        assert all(Fraction(resolved.metric(c, c, z)) < cut for z in scan)
         argv = ["cover-witness", "--space", space, "--center", center, "--indices", "1," + "1" + "0" * 400, *extra]
-        assert run_captured(argv) == (2, "", f"error: a ball around {center} overflows the float range\n")
+        assert run_captured(argv) == (0, "covered: every scanned point lies in some subfamily ball\n", "")
 
 
 class TestPointsBeyondTheFloatRange:
@@ -1292,7 +1377,6 @@ class TestSubcommandArgvFuzz:
             ("--space", spaces, FUZZ_SPACE[2]),
             ("--start", POINTS, BAD_POINTS),
             ("--map", st.sampled_from(["paper_S", "identity"]), st.just("other")),
-            ("--tolerance", st.floats(0, 1e-3).map(repr), st.sampled_from(["-1", "-1e-300", "nan", "x"])),
             ("--max-iter", SIZES, BAD_SIZES),
             FUZZ_BOUND,
             ("--format", st.sampled_from(["text", "json", "csv"]), st.just("x")),

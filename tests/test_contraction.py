@@ -40,7 +40,7 @@ from psbmetric import (
     validate_exponents,
 )
 from psbmetric import contraction
-from psbmetric.numerics import leq, point_sort_key
+from psbmetric.numerics import point_sort_key
 from psbmetric.spaces import SAMPLE_BLOCK
 
 GAP = builtin_space("quintic_gap")
@@ -112,7 +112,7 @@ def reference_certificate(space, spec, triples):
         lhs = space.metric(S(a), S(b), S(c))
         rhs = reference_rhs(space, spec, a, b, c)
         margins.append(rhs - lhs)
-        if not leq(lhs, rhs):
+        if not lhs <= rhs:
             failures.append((a, b, c, lhs, rhs))
     failures.sort(key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
     return len(margins), tuple(failures), min(margins, default=None)

@@ -1,7 +1,8 @@
+import itertools
+
 import pytest
 
 from psbmetric import (
-    InvalidArgument,
     IterationTrace,
     NotAFixedPoint,
     UnknownPoint,
@@ -11,6 +12,7 @@ from psbmetric import (
     map_from_table,
     matkowski_envelope_check,
     picard_iterate,
+    tabulated_space,
     trace_to_csv,
     uniqueness_check,
     verify_fixed_point,
@@ -72,15 +74,25 @@ class TestPicardIterate:
         identity = builtin_map("identity")
         assert picard_iterate(GAP, identity, 4.5).orbit == (4.5, 4.5)
 
-    @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan")])
-    def test_negative_or_nan_tolerance_is_rejected(self, tol):
-        # A negative tolerance would read the fixed orbit 7.5 -> 7.5 as
-        # non-convergence.
-        with pytest.raises(InvalidArgument, match="tolerance must be >= 0"):
-            picard_iterate(GAP, builtin_map("identity"), 7.5, tol=tol, max_iter=5)
+    def test_the_orbit_converges_only_where_it_repeats_exactly(self):
+        # 4.5 -> 3 is a step of 1.5 and 3 is not fixed: the orbit goes on
+        # to 0, which is.
+        trace = picard_iterate(GAP, PAPER_S, 4.5)
+        assert trace.orbit == (4.5, 3, 0, 0)
+        assert trace.converged and trace.limit == 0
 
-    def test_zero_tolerance_stops_at_an_exact_repeat(self):
-        assert picard_iterate(GAP, builtin_map("identity"), 7.5, tol=0).converged
+    def test_points_a_float_step_apart_do_not_converge(self):
+        # The swap of two points 1e-12 apart cycles: no point repeats its
+        # predecessor, however close.
+        near = 1 + 1e-12
+        space = tabulated_space((1.0, near), {t: 0 for t in itertools.product((1.0, near), repeat=3)})
+        trace = picard_iterate(space, map_from_table({1.0: near, near: 1.0}), 1.0, max_iter=5)
+        assert len(trace.orbit) == 6 and not trace.converged
+
+    def test_there_is_no_tolerance(self):
+        with pytest.raises(TypeError):
+            picard_iterate(GAP, PAPER_S, 7, tol=2)
+
 
 class TestVerifyFixedPoint:
     def test_zero_is_fixed_with_zero_self_distance(self):
@@ -90,10 +102,14 @@ class TestVerifyFixedPoint:
         is_fixed, _ = verify_fixed_point(GAP, PAPER_S, 3)
         assert not is_fixed
 
-    @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan")])
-    def test_negative_or_nan_tolerance_is_rejected(self, tol):
-        with pytest.raises(InvalidArgument, match="tolerance must be >= 0"):
-            verify_fixed_point(GAP, PAPER_S, 0, tol=tol)
+    def test_a_self_distance_is_zero_exactly(self):
+        # 1e-12 is no zero self-distance, and there is no tolerance to make
+        # it one.
+        table = {t: 1e-12 for t in itertools.product((1, 2), repeat=3)}
+        space = tabulated_space((1, 2), table)
+        assert verify_fixed_point(space, builtin_map("identity"), 1) == (True, False)
+        with pytest.raises(TypeError):
+            verify_fixed_point(GAP, PAPER_S, 0, tol=0)
 
     def test_conclusions_are_independent(self):
         # Identity fixes every point, but self-distance stays positive.

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,9 @@ from psbmetric import (
     sample_carrier,
     tabulated_space,
 )
-from psbmetric.numerics import leq, point_label, point_sort_key, values_equal
+from psbmetric import spaces as spaces_module
+from psbmetric.errors import PsbmError
+from psbmetric.numerics import point_label, point_sort_key
 from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, sampled_positions
 
 TWO_POINT_B_FILE = """\
@@ -63,20 +67,58 @@ def absdiff_space(points=(0, 1, 3)):
 
 # --------------------------------------------------------------------------
 # Reference axiom checkers: one function per variant and axiom, as written
-# before the checkers took the variant differences as options.
+# before the checkers took the variant differences as options. Every
+# comparison is exact: two distances by a plain comparison, the rectangle's
+# right-hand side in Fraction (reference_rhs).
 # --------------------------------------------------------------------------
+
+INF = math.inf
+
+
+def finite(x):
+    return -INF < x < INF
+
+
+def reference_rhs(t, terms, offset):
+    """t * (sum of terms) - offset on true values, for a finite t > 0: an
+    int when every operand is one, a Fraction when every operand is finite,
+    else the sum of the infinite terms and the infinite negated offset (nan
+    for a nan operand or for inf - inf)."""
+    assert 0 < t < INF
+    if any(x != x for x in (*terms, offset)):
+        return math.nan
+    infinite = [x for x in (*terms, -offset) if x in (INF, -INF)]
+    if infinite:
+        return sum(infinite)
+    if all(type(x) is int for x in (t, *terms, offset)):
+        return t * sum(terms) - offset
+    return Fraction(t) * sum(Fraction(x) for x in terms) - Fraction(offset)
+
+
+def exact_violation(lhs, float_rhs, t, terms, offset):
+    """(lhs, float rhs) when lhs <= rhs fails on true values, else None. The
+    float rhs is float_rhs(), summed in the checker's order; a violation
+    whose sum overflows (raises, or is not finite on finite operands) has no
+    float to report and raises OverflowError."""
+    if lhs <= reference_rhs(t, terms, offset):
+        return None
+    rhs = float_rhs()
+    if not finite(rhs) and all(finite(x) for x in (t, *terms, offset)):
+        raise OverflowError("the right-hand side overflows")
+    return (lhs, rhs)
+
 
 def reference_all_equal(*values):
     first = values[0]
-    return all(values_equal(first, v) for v in values[1:])
+    return all(first == v for v in values[1:])
 
 
 def reference_zero_iff(space, tpl):
     u, v, w = tpl
     val = space.metric(u, v, w)
-    if u == v == w and not values_equal(val, 0):
+    if u == v == w and not val == 0:
         return (val, 0)
-    if values_equal(val, 0) and not (u == v == w):
+    if val == 0 and not (u == v == w):
         return (val, 0)
     return None
 
@@ -109,7 +151,7 @@ def reference_self_min(space, tpl):
     p, q, r = tpl
     lhs = space.metric(p, p, p)
     rhs = space.metric(p, q, r)
-    if not leq(lhs, rhs):
+    if not lhs <= rhs:
         return (lhs, rhs)
     return None
 
@@ -118,48 +160,37 @@ def reference_symmetry(space, tpl):
     p, q = tpl
     a = space.metric(p, p, q)
     b = space.metric(q, q, p)
-    if not values_equal(a, b):
+    if a != b:
         return (a, b)
     return None
 
 
-def reference_s_triangle(space, tpl):
+def rectangle_terms(space, tpl):
     p, q, r, s = tpl
-    lhs = space.metric(p, q, r)
-    rhs = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
-    if not leq(lhs, rhs):
-        return (lhs, rhs)
-    return None
+    metric = space.metric
+    return metric(p, q, r), (metric(p, p, s), metric(q, q, s), metric(r, r, s)), metric(s, s, s)
+
+
+def reference_s_triangle(space, tpl):
+    lhs, (a, b, c), _ = rectangle_terms(space, tpl)
+    return exact_violation(lhs, lambda: a + b + c, 1, (a, b, c), 0)
 
 
 def reference_partial_s_rectangle(space, tpl):
-    p, q, r, s = tpl
-    lhs = space.metric(p, q, r)
-    rhs = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
-    rhs = rhs - space.metric(s, s, s)
-    if not leq(lhs, rhs):
-        return (lhs, rhs)
-    return None
+    lhs, (a, b, c), o = rectangle_terms(space, tpl)
+    return exact_violation(lhs, lambda: (a + b + c) - o, 1, (a, b, c), o)
 
 
 def reference_sb_rectangle(space, tpl):
-    p, q, r, s = tpl
-    lhs = space.metric(p, q, r)
-    total = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
-    rhs = space.coefficient * total
-    if not leq(lhs, rhs):
-        return (lhs, rhs)
-    return None
+    lhs, (a, b, c), _ = rectangle_terms(space, tpl)
+    t = space.coefficient
+    return exact_violation(lhs, lambda: t * (a + b + c), t, (a, b, c), 0)
 
 
 def reference_psb_rectangle(space, tpl):
-    p, q, r, s = tpl
-    lhs = space.metric(p, q, r)
-    total = space.metric(p, p, s) + space.metric(q, q, s) + space.metric(r, r, s)
-    rhs = space.coefficient * total - space.metric(s, s, s)
-    if not leq(lhs, rhs):
-        return (lhs, rhs)
-    return None
+    lhs, (a, b, c), o = rectangle_terms(space, tpl)
+    t = space.coefficient
+    return exact_violation(lhs, lambda: t * (a + b + c) - o, t, (a, b, c), o)
 
 
 REFERENCE_AXIOMS = {
@@ -407,12 +438,13 @@ class TestOnePassMatchesTheTupleLoop:
                     if assert_matches_reference(space, variant, sample_count, seed) is None:
                         raised += 1
                         assert_names_an_overflowing_tuple(space, variant, sample_count, seed)
-        # Both outcomes occur: exact integer reports and overflow errors.
+        # Both outcomes occur: exact reports, and violations whose right-hand
+        # side has no float to report.
         assert 0 < raised < 80 * 8
 
     def test_exhaustive_errors_name_the_first_tuple_in_check_order(self):
-        # The error names the axiom and tuple that a triple-by-triple walk
-        # meets first, in the order the exhaustive loop checks them.
+        # The error names the first rectangle violation without a float
+        # right-hand side that a triple-by-triple walk meets, s by s.
         raised = 0
         for space in big_int_tables():
             for variant in AxiomSet:
@@ -427,17 +459,21 @@ class TestOnePassMatchesTheTupleLoop:
         assert raised
 
     def test_sampled_errors_name_the_first_quad_in_draw_order(self):
-        # One entry beyond the float range, at a triple of distinct points,
-        # in tables over 8 to 11 points, a float coefficient: the first quad
-        # that overflows often lies past the first block. The error names
-        # the axiom and tuple that a quad-by-quad walk meets first.
+        # A pair entry S(x,x,y) beyond the float range, a float coefficient,
+        # and a larger entry at each ordering of three distinct points
+        # holding x, in tables over 8 to 11 points: a quad (p, q, r, y) over
+        # those three points is violated with an overflowing right-hand
+        # side, and the first such often lies past the first block.
         big = 10 ** 400
         rng = random.Random("axioms:first-error")
         late = 0
         for i in range(40):
             labels = tuple(range(rng.randint(8, 11)))
             table = perturbed_table(rng, labels, floats=i % 2 == 1)
-            table[rng.choice([t for t in sorted(table) if len(set(t)) == 3])] = big
+            x, y, u, v = rng.sample(labels, 4)
+            table[(x, x, y)] = big
+            for tpl in itertools.permutations((x, u, v)):
+                table[tpl] = 10 * big
             space = tabulated_space(labels, table, rng.choice((1.5, 2.0)))
             variant = list(AxiomSet)[i % 4]
             expected = reference_first_sampled_error(space, variant, 3 * SAMPLE_BLOCK, i)
@@ -451,13 +487,13 @@ class TestOnePassMatchesTheTupleLoop:
             assert str(raised.value) == message
         assert late >= 5
 
-    def test_sampled_pair_overflows_name_the_first_quad(self):
-        # The entry beyond the float range sits at a pair triple (x, x, y),
-        # so symmetry, decided once per drawn pair, is among the axioms that
-        # overflow; with floats in the table, also its first test.
+    def test_pair_entries_beyond_the_float_range_are_compared_exactly(self):
+        # The entry beyond the float range sits at a pair triple (x, x, y):
+        # symmetry, self-minimality and identity compare it exactly with
+        # floats too, and report it as the int it is.
         big = 10 ** 400
         rng = random.Random("axioms:first-pair-error")
-        symmetry_first = 0
+        symmetry = 0
         for i in range(40):
             labels = tuple(range(rng.randint(6, 10)))
             table = perturbed_table(rng, labels, floats=i % 2 == 0)
@@ -465,16 +501,9 @@ class TestOnePassMatchesTheTupleLoop:
             table[(x, x, y)] = big
             space = tabulated_space(labels, table, rng.choice((1, 1.5)))
             variant = list(AxiomSet)[i % 4]
-            expected = reference_first_sampled_error(space, variant, 3 * SAMPLE_BLOCK, i)
-            if expected is None:
-                assert_matches_reference(space, variant, 3 * SAMPLE_BLOCK, i)
-                continue
-            message, _ = expected
-            with pytest.raises(DistanceOverflow) as raised:
-                check_axioms(space, variant, 3 * SAMPLE_BLOCK, i)
-            assert str(raised.value) == message
-            symmetry_first += message.startswith(f"axiom {2 if variant is AxiomSet.SB_METRIC else 3} at ({x}, {y})")
-        assert symmetry_first
+            report = assert_matches_reference(space, variant, 3 * SAMPLE_BLOCK, i)
+            symmetry += any(v.witness == (x, y) and v.lhs == big for v in report.violations)
+        assert symmetry
 
 
 def big_int_tables():
@@ -490,49 +519,22 @@ def big_int_tables():
         yield tabulated_space(labels, table, rng.choice((1, 2, 1.5)))
 
 
-# The rectangle's right-hand side per variant, from t, the sum
-# S(p,p,s) + S(q,q,s) + S(r,r,s) and S(s,s,s), as the reference checkers
-# above form it.
-REFERENCE_RHS = {
-    AxiomSet.S_METRIC: lambda t, total, s_self: total,
-    AxiomSet.PARTIAL_S: lambda t, total, s_self: total - s_self,
-    AxiomSet.SB_METRIC: lambda t, total, s_self: t * total,
-    AxiomSet.PARTIAL_SB: lambda t, total, s_self: t * total - s_self,
-}
+def overflow_message(index, tpl):
+    labels = ", ".join(point_label(x) for x in tpl)
+    return f"axiom {index} at ({labels}) overflows the float range"
 
 
 def reference_first_exhaustive_error(space, variant):
-    """The message of the first overflow that a walk over the exhaustive
-    triples meets, or None. Per triple (p, q, r): identity, self-minimality
-    and symmetry at the pair's first triple, in index order; then the
-    rectangle's right-hand sides over s, then its comparisons over s."""
-    pts, metric, t = space.carrier.points, space.metric, space.coefficient
-    *lower, (rectangle, _, _) = REFERENCE_AXIOMS[variant]
-
-    def message(index, tpl):
-        labels = ", ".join(point_label(x) for x in tpl)
-        return f"axiom {index} at ({labels}) overflows the float range"
-
-    for p, q, r in itertools.product(pts, repeat=3):
-        for index, arity, checker in lower:
-            if arity == 2 and r != pts[0]:
-                continue
-            try:
-                checker(space, (p, q, r)[:arity])
-            except OverflowError:
-                return message(index, (p, q, r)[:arity])
-        rhss = []
-        for s in pts:
-            try:
-                total = metric(p, p, s) + metric(q, q, s) + metric(r, r, s)
-                rhss.append(REFERENCE_RHS[variant](t, total, metric(s, s, s)))
-            except OverflowError:
-                return message(rectangle, (p, q, r, s))
-        for s, rhs in zip(pts, rhss):
-            try:
-                leq(metric(p, q, r), rhs)
-            except OverflowError:
-                return message(rectangle, (p, q, r, s))
+    """The message of the first rectangle violation without a float
+    right-hand side that a walk over the exhaustive triples meets, s by s
+    within each triple, or None."""
+    pts = space.carrier.points
+    index, _, checker = REFERENCE_AXIOMS[variant][-1]
+    for tpl in itertools.product(pts, repeat=4):
+        try:
+            checker(space, tpl)
+        except OverflowError:
+            return overflow_message(index, tpl)
     return None
 
 
@@ -547,20 +549,20 @@ def reference_first_sampled_error(space, variant, sample_count, seed):
             try:
                 checker(space, quad[:arity])
             except OverflowError:
-                labels = ", ".join(point_label(x) for x in quad[:arity])
-                return f"axiom {index} at ({labels}) overflows the float range", position
+                return overflow_message(index, quad[:arity]), position
     return None
 
 
 def assert_names_an_overflowing_tuple(space, variant, sample_count, seed):
-    """The overflow error names an axiom and an integer tuple on which the
-    reference checker of that axiom overflows too."""
+    """The overflow error names the rectangle and an integer quadruple on
+    which the reference rectangle is violated with no float to report."""
     with pytest.raises(DistanceOverflow) as raised:
         check_axioms(space, variant, sample_count, seed)
     match = re.fullmatch(r"axiom (\d+) at \(([\d, ]+)\) overflows the float range", str(raised.value))
     assert match, str(raised.value)
     index, tpl = int(match[1]), tuple(int(x) for x in match[2].split(", "))
     (checker,) = [checker for i, arity, checker in REFERENCE_AXIOMS[variant] if i == index and arity == len(tpl)]
+    assert len(tpl) == 4
     with pytest.raises(OverflowError):
         checker(space, tpl)
 
@@ -951,6 +953,102 @@ class TestSeedScope:
         assert check_axioms(space, sample_count=300) == check_axioms(space, sample_count=300, seed=0)
 
 
+# A 4-point table whose rectangle at FOCUS compares S(1,2,3) with
+# t * (S(1,1,4) + S(2,2,4) + S(3,3,4)) - S(4,4,4).
+FOCUS = (1, 2, 3, 4)
+
+
+def focus_table(val, a, b, c, o):
+    """Self-distances 1 and every other entry 10^6 (a valid table), then
+    S(1,2,3) = val, S(x,x,4) = S(4,4,x) = a, b, c for x = 1, 2, 3, and
+    S(4,4,4) = o."""
+    table = {tpl: 1 if len(set(tpl)) == 1 else 10**6 for tpl in itertools.product(FOCUS, repeat=3)}
+    table[(1, 2, 3)] = val
+    for x, v in zip(FOCUS, (a, b, c)):
+        table[(x, x, 4)] = table[(4, 4, x)] = v
+    table[(4, 4, 4)] = o
+    return table
+
+
+def fraction_rhs(t, a, b, c, o):
+    return Fraction(t) * (Fraction(a) + Fraction(b) + Fraction(c)) - Fraction(o)
+
+
+OPERANDS = {
+    "float": st.floats(min_value=0, max_value=1e6),
+    "int-float": st.one_of(st.integers(0, 10**20), st.floats(min_value=0, max_value=1e20)),
+    "400-digit": st.one_of(st.integers(10**399, 10**400), st.floats(min_value=0, max_value=1e300)),
+    "overflow": st.floats(min_value=1e307, max_value=1.7e308),
+}
+
+
+@st.composite
+def near_ties(draw):
+    """(val, a, b, c, o, t) with val within two ulps (or two units, past the
+    float range) of t * (a + b + c) - o, on either side."""
+    operands = OPERANDS[draw(st.sampled_from(sorted(OPERANDS)))]
+    a, b, c = draw(operands), draw(operands), draw(operands)
+    o = draw(st.one_of(st.just(0), operands))
+    t = draw(st.sampled_from([1, 2, 1.0, 1.5, 1.1]))
+    exact = fraction_rhs(t, a, b, c, o)
+    steps = draw(st.integers(-2, 2))
+    try:
+        val = float(exact)
+    except OverflowError:
+        return int(exact) + steps, a, b, c, o, t
+    for _ in range(abs(steps)):
+        val = math.nextafter(val, math.copysign(INF, steps))
+    return val, a, b, c, o, t
+
+
+class TestExactVerdicts:
+    """Every verdict is decided on true values, checked against a reference
+    in Fraction."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(near_ties())
+    def test_near_ties_are_decided_on_true_values(self, case):
+        val, a, b, c, o, t = case
+        space = tabulated_space(FOCUS, focus_table(val, a, b, c, o), t)
+        for variant, index, offset in ((AxiomSet.PARTIAL_SB, 4, o), (AxiomSet.SB_METRIC, 3, 0)):
+            violated = val > fraction_rhs(t, a, b, c, offset)
+            for sample_count, seed in ((None, None), (300, 1)):
+                report = assert_matches_reference(space, variant, sample_count, seed)
+                if report is None:
+                    continue
+                found = any(v.axiom == index and v.witness == FOCUS for v in report.violations)
+                assert found == violated or (sample_count and not found)
+
+    def test_a_self_distance_above_its_row_by_1e_9_is_a_violation(self):
+        # S(1,1,1) = 8.000000001 > 8 = S(1,1,2): well inside the old slack
+        # of 1e-9 of the larger side, and a violation of self-minimality.
+        space = load_tabulated_space(TWO_POINT_B_FILE.replace("1 1 1 4", "1 1 1 8.000000001"))
+        report = check_axioms(space)
+        assert [(v.axiom, v.witness, v.lhs, v.rhs) for v in report.violations] == [
+            (2, (1, 1, 2), 8.000000001, 8), (2, (1, 2, 1), 8.000000001, 8), (2, (1, 2, 2), 8.000000001, 8),
+        ]
+
+    def test_an_overflowed_rectangle_is_decided_exactly(self, monkeypatch):
+        # At --bound 3.3e61, 206 drawn quadruples of quintic_ray have a
+        # right-hand side whose float sum is inf. Each is decided on its
+        # exact value, which is finite, never against inf.
+        ray = builtin_space("quintic_ray")
+        space = dataclasses.replace(ray, carrier=dataclasses.replace(ray.carrier, bound=3.3e61))
+        decided, exact_value = [], spaces_module.exact_value
+
+        def spy(scale, terms, offset=0):
+            value = exact_value(scale, terms, offset)
+            decided.append((scale, terms, offset, value))
+            return value
+
+        monkeypatch.setattr(spaces_module, "exact_value", spy)
+        assert check_axioms(space, sample_count=2000, seed=0).passed
+        overflowed = [d for d in decided if d[0] * sum(d[1]) - d[2] == INF]
+        assert len(overflowed) == 206
+        for scale, (a, b, c), offset, value in overflowed:
+            assert isinstance(value, Fraction) and value == fraction_rhs(scale, a, b, c, offset)
+
+
 class TestSampledMemory:
     def test_a_long_sampled_check_holds_one_block(self):
         # Every sample at once would hold 200,000 quadruples and their
@@ -1154,6 +1252,13 @@ class TestRandomSpaces:
         for _ in range(10):
             space = random_valid_space(rng)
             assert check_axioms(space).passed
+
+    def test_an_exhausted_budget_is_a_psbm_error(self):
+        # The first draw from this seed violates the partial-Sb axioms.
+        rng = random.Random("psbm:t0:1")
+        assert not check_axioms(random_tabulated_space(random.Random("psbm:t0:1"))).passed
+        with pytest.raises(PsbmError, match="no valid random table found within 1 attempts"):
+            random_valid_space(rng, max_attempts=1)
 
     def test_random_table_is_symmetric_in_paired_slots(self):
         rng = random.Random("test-random-symmetric")

@@ -3,13 +3,14 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustered import CLUSTER_PROFILES, clustered_space
 from psbmetric import (
     CoverFamily,
-    DistanceOverflow,
     EmptySubfamily,
     FiniteCarrier,
     FiniteTopology,
@@ -33,7 +34,7 @@ from psbmetric import (
     witness_candidates,
 )
 from psbmetric.errors import PsbmError
-from psbmetric.numerics import point_sort_key, strictly_less
+from psbmetric.numerics import point_sort_key
 from psbmetric.spaces import RuleMetric, quintic
 from psbmetric.topology import sorted_labels, sorted_points
 
@@ -169,16 +170,16 @@ def reference_witness_candidates(space, search_bound):
 
 
 def reference_uncovered_witness(space, family, subfamily, search_bound, candidates=None):
-    """Every candidate against every ball D(c; n) of the subfamily; as in
-    open_ball, d <= dist(c,c,c) lies inside a ball of positive radius."""
+    """Every candidate against every ball D(c; n) of the subfamily, on the
+    exact cut n + dist(c,c,c)."""
     if candidates is None:
         candidates = reference_witness_candidates(space, search_bound)
     center = family.center
     self_d = space.metric(center, center, center)
-    balls = [(n, n + self_d) for n in subfamily]
+    cuts = [Fraction(n) + Fraction(self_d) for n in subfamily]
     for z in candidates:
         d = space.metric(center, center, z)
-        if not any((radius > 0 and d <= self_d) or strictly_less(d, cut) for radius, cut in balls):
+        if not any(d < cut for cut in cuts):
             return z
     return None
 
@@ -368,9 +369,9 @@ class TestGenerateTopology:
         topology = generate_topology(tabulated_space((1, 2), table))
         assert topology.opens == frozenset({frozenset(), frozenset({2}), frozenset({1, 2})})
 
-    def test_a_smallest_ball_below_the_margin_holds_its_centre(self):
-        # The radius 50 is below the comparator's margin (1e-12 of 1e15):
-        # each smallest ball still holds its centre, and only it.
+    def test_a_smallest_ball_of_a_small_gap_holds_its_centre(self):
+        # The gap 100 is 1e-13 of the distances: each smallest ball holds
+        # its centre, and only it.
         table = {t: 1e15 + 100 for t in itertools.product((1, 2), repeat=3)}
         table[(1, 1, 1)] = table[(2, 2, 2)] = 1e15
         space = tabulated_space((1, 2), table)
@@ -726,17 +727,33 @@ class TestCoverWitnessErrors:
             uncovered_witness(RAY, self.REPRO_FAMILY, [3], 64, candidates=[])
 
     @pytest.mark.parametrize("center, indices", [(4.5, [10**400]), (1, [3, 10**400])])
-    def test_a_cut_beyond_the_float_range_is_distance_overflow(self, center, indices):
+    def test_a_cut_beyond_the_float_range_is_decided_exactly(self, center, indices):
         # 10^400 + a float self-distance, or a float distance against the
-        # integer cut 10^400 + 1.
+        # integer cut 10^400 + 1: no float holds the cut, and every scanned
+        # point lies below it.
+        space = GAP if center == 4.5 else RAY
         family = CoverFamily(center=center, indices=tuple(indices))
-        with pytest.raises(DistanceOverflow, match=f"a ball around {center} overflows the float range"):
-            uncovered_witness(GAP if center == 4.5 else RAY, family, indices, 2.5)
+        cut = Fraction(max(indices)) + Fraction(space.metric(center, center, center))
+        assert all(space.metric(center, center, z) < cut for z in witness_candidates(space, 2.5))
+        assert uncovered_witness(space, family, indices, 2.5) is None
+
+    def test_distances_beyond_the_float_range_meet_a_float_radius_exactly(self):
+        # The cut 0.5 + 10^400 has no float: the centre lies below it and
+        # the other point, one above the self-distance, above it.
+        big = 10**400
+        table = {t: big if t == (1, 1, 1) else big + 1 for t in itertools.product((1, 2), repeat=3)}
+        space = tabulated_space((1, 2), table)
+        assert open_ball(space, 1, 0.5, [1, 2]).members == frozenset({1})
+        assert open_ball(space, 1, 1.5, [1, 2]).members == frozenset({1, 2})
+        family = CoverFamily(center=1, indices=(0.5, 1.5))
+        assert uncovered_witness(space, family, [0.5], 64) == 2
+        assert uncovered_witness(space, family, [0.5, 1.5], 64) is None
 
 
-class TestCentreUnderTheMargin:
+class TestCentreNearTheFloatCut:
     """A point with dist(c,c,z) <= dist(c,c,c) lies in every ball of
-    positive radius, as in open_ball, whatever the float margin says."""
+    positive radius: the exact cut r + dist(c,c,c) lies above it even where
+    the float cut rounds down to dist(c,c,c)."""
 
     @staticmethod
     def big_self_space(self_d=1e15, other=2e15):
@@ -746,7 +763,8 @@ class TestCentreUnderTheMargin:
     def test_the_centre_is_covered_and_the_other_point_escapes(self):
         space = self.big_self_space()
         family = CoverFamily(center=1, indices=(1, 2, 3))
-        assert not strictly_less(1e15, 1 + 1e15)
+        assert 1e15 + 1e-20 == 1e15
+        assert open_ball(space, 1, 1e-20, [1, 2]).members == frozenset({1})
         assert open_ball(space, 1, 3, [1, 2]).members == frozenset({1})
         for subfamily in ([1], [2, 3], [1, 2, 3]):
             assert uncovered_witness(space, family, subfamily, 64) == 2
@@ -778,6 +796,78 @@ class TestCentreUnderTheMargin:
             subfamilies = [rng.sample(radii, rng.randint(1, 5)) for _ in range(5)]
             witnesses |= assert_witness_matches_reference(space, family, subfamilies, 64)
         assert None in witnesses and len(witnesses) >= 3
+
+
+SELF_DISTANCES = st.one_of(
+    st.floats(min_value=0, max_value=1e20),
+    st.integers(0, 10**20),
+    st.integers(10**399, 10**400),
+)
+RADII = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e20),
+    st.integers(1, 10**20),
+    st.integers(10**399, 10**400),
+)
+
+
+@st.composite
+def ball_near_ties(draw):
+    """(self_d, radius, distances): distances within two ulps, or two
+    units, of the exact cut radius + self_d on either side, and self_d."""
+    self_d, radius = draw(SELF_DISTANCES), draw(RADII)
+    cut = Fraction(radius) + Fraction(self_d)
+    distances = [self_d] + [int(cut) + k for k in range(-2, 3)]
+    try:
+        near = float(cut)
+    except OverflowError:
+        return self_d, radius, distances
+    for direction in (-math.inf, math.inf):
+        d = near
+        for _ in range(3):
+            distances.append(d)
+            d = math.nextafter(d, direction)
+    return self_d, radius, distances
+
+
+def ray_table(self_d, distances):
+    """Point 0 at self-distance self_d and at dist(0,0,z) = distances[z-1]
+    from each point z >= 1; every other entry 0."""
+    labels = tuple(range(len(distances) + 1))
+    table = dict.fromkeys(itertools.product(labels, repeat=3), 0)
+    table[(0, 0, 0)] = self_d
+    for z, d in enumerate(distances, start=1):
+        table[(0, 0, z)] = d
+    return tabulated_space(labels, table)
+
+
+class TestBallOracle:
+    """Ball membership, d < r + dist(c,c,c), against the exact cut in
+    Fraction: near ties one ulp either side, ints of 400 digits beside
+    floats, and cuts beyond the float range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ball_near_ties())
+    def test_open_ball_members_lie_below_the_exact_cut(self, case):
+        self_d, radius, distances = case
+        space = ray_table(self_d, distances)
+        pts = list(exhaustive_points(space))
+        cut = Fraction(radius) + Fraction(self_d)
+        expected = frozenset(z for z in pts if space.metric(0, 0, z) < cut)
+        assert 0 in expected
+        assert open_ball(space, 0, radius, pts).members == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(ball_near_ties(), st.sampled_from([1, -1, 0]))
+    def test_the_cover_scan_finds_the_first_point_on_or_above_the_exact_cut(self, case, sign):
+        # Cover radii may be zero or negative: then the centre escapes too.
+        self_d, radius, distances = case
+        radius = sign * radius
+        space = ray_table(self_d, distances)
+        pts = sorted_points(exhaustive_points(space))
+        cut = Fraction(radius) + Fraction(self_d)
+        expected = next((z for z in pts if not space.metric(0, 0, z) < cut), None)
+        family = CoverFamily(center=0, indices=(radius,))
+        assert uncovered_witness(space, family, [radius], 64) == expected
 
 
 class TestWitnessCandidates:
