@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import le, lt, ne, sub
+from itertools import chain, repeat, starmap
+from operator import getitem, le, lt, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
@@ -221,14 +221,23 @@ class InequalitySides:
         return lhs, self._compare(products, n)
 
     def block(self, triples):
-        """(lhs list, rhs list) over a list of triples (a, b, c)."""
+        """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
+        fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
+        made once, in the order the triples first need it, and indexed by c."""
         index, image, fq, fr, fs = self._index, self._image, self._fq, self._fr, self._fs
         ks = [index[c] for _, _, c in triples]
-        fifth = [self._fifth_row(image[a], b)[k] for (a, b, _), k in zip(triples, ks)]
-        ds = [self._dist(a, b, c) for a, b, c in triples]
-        lhs = [self._lhs_row(image[a], image[b])[k] for (a, b, _), k in zip(triples, ks)]
-        products = self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], [fs[k] for k in ks], fifth)
+        fifth = _entries(self._fifth_row, [(image[a], b) for a, b, _ in triples], ks)
+        ds = list(starmap(self._dist, triples))
+        lhs = _entries(self._lhs_row, [(image[a], image[b]) for a, b, _ in triples], ks)
+        products = self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
         return lhs, self._compare(products)
+
+
+def _entries(make_row, keys, ks):
+    """[make_row(*key)[k] for key, k in zip(keys, ks)], with one make_row
+    call per distinct key, in the order of their first occurrence."""
+    rows = {key: make_row(*key) for key in dict.fromkeys(keys)}
+    return list(map(getitem, map(rows.__getitem__, keys), ks))
 
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:

@@ -259,8 +259,9 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
     candidates are covered; an empty scan covers nothing and is an error.
 
     Balls around one centre are nested in the radius, so each candidate is
-    compared once with the widest ball, of radius max(subfamily), which
-    must be finite. The default scan stops at the first witness; a fully
+    compared once with the widest ball, of radius max(subfamily). Every
+    radius must be finite; the first that is not, in subfamily order, is
+    named. The default scan stops at the first witness; a fully
     covered scan costs the length of the lattice.
     """
     subfamily = list(subfamily_indices)
@@ -271,10 +272,10 @@ def uncovered_witness(space: PartialSbSpace, family: CoverFamily, subfamily_indi
         raise InvalidArgument(f"indices {sorted(set(subfamily) - indices)} are not in the family")
     center = family.center
     self_d = space.metric(center, center, center)
-    radius = max(subfamily)
-    if not -math.inf < radius < math.inf:
-        raise InvalidArgument(f"radius of index {radius} is not finite")
-    inside = _ball_test(radius, self_d)
+    for radius in subfamily:  # before max, which passes over a nan not first
+        if not -math.inf < radius < math.inf:
+            raise InvalidArgument(f"radius of index {radius} is not finite")
+    inside = _ball_test(max(subfamily), self_d)
     scan = _scan_candidates(space, search_bound) if candidates is None else candidates
     z = None  # stays None only when the scan yields no point
     for z in scan:

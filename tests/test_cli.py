@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clustered import clustered_space
 from psbmetric import random_valid_space, tabulated_space
-from psbmetric import cli, spaces, topology
+from psbmetric import cli, contraction, spaces, topology
 from psbmetric.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1482,6 +1482,65 @@ class TestRowKernelParity:
         shipped = run_captured(argv)
         monkeypatch.setattr(spaces, "builtin_space", builtin_without_plane_kernel)
         assert spaces.builtin_space("quintic_gap").metric.plane_rule is None
+        assert run_captured(argv) == shipped
+        assert shipped[0] == code
+
+
+def choice_positions(rng, pool_size, arity, count):
+    """spaces.sampled_positions, drawn with one rng.choice per position."""
+    if pool_size < 1:
+        raise spaces.InvalidArgument("sample must be nonempty")
+    pool = range(pool_size)
+    for start in range(0, count, spaces.SAMPLE_BLOCK):
+        tuples = [[rng.choice(pool) for _ in range(arity)] for _ in range(min(spaces.SAMPLE_BLOCK, count - start))]
+        yield [list(column) for column in zip(*tuples)]
+
+
+def tied_space_file(tmp_path, self_d, pair, other):
+    """Points 1, 2, 3 under coefficient 1.5: S(x,x,x) = self_d, S(x,x,y) =
+    pair and every other triple `other`. With (0.5, 1.0, 2.5), S(1,2,1) ties
+    1.5 * (S(1,1,1) + S(2,2,1) + S(1,1,1)) - S(1,1,1) exactly; with (0.1,
+    0.2, 0.5) the float sum ties it."""
+    lines = ["points: 1 2 3", "coefficient: 1.5"]
+    for p, q, r in itertools.product((1, 2, 3), repeat=3):
+        value = self_d if p == q == r else pair if p == q else other
+        lines.append(f"{p} {q} {r} {value!r}")
+    path = tmp_path / f"tied-{other!r}.psb"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestBulkDrawParity:
+    """Drawing sampled positions a block of words at a time, and screening
+    them ahead of the axiom loop, changes no byte of any report: each run
+    equals the run whose positions come from one rng.choice per position."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify-axioms", "--space", "builtin:quintic_ray", "--samples", "40000", "--seed", "3"], 0),
+            (["verify-axioms", "--space", "builtin:quintic_gap", "--samples", "40000", "--seed", "3"], 0),
+            (["verify-axioms", "--space", "builtin:quintic_ray", "--samples", "2000", "--bound", "3.3e61"], 0),
+            (["verify-axioms", "--space", "builtin:quintic_ray", "--samples", "2000", "--bound", "3.9e61"], 2),
+            (["certify", *GAP, "--samples", "10000", "--seed", "1"], 0),
+            (["certify", *GAP, "--samples", "10000", "--seed", "1", "--matkowski"], 0),
+            *[(["repro", "--format", "json", "--seed", str(seed)], 0) for seed in range(5)],
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_same_output_as_choice_draws(self, argv, code, monkeypatch):
+        shipped = run_captured(argv)
+        monkeypatch.setattr(spaces, "sampled_positions", choice_positions)
+        monkeypatch.setattr(contraction, "sampled_positions", choice_positions)
+        assert run_captured(argv) == shipped
+        assert shipped[0] == code
+
+    @pytest.mark.parametrize("values, code", [((0.5, 1.0, 2.5), 0), ((0.1, 0.2, 0.5), 0), ((0.1, 0.2, 0.5000000000000001), 1)])
+    def test_float_files_whose_rows_tie_the_lhs(self, tmp_path, values, code, monkeypatch):
+        path = tied_space_file(tmp_path, *values)
+        argv = ["verify-axioms", "--space", f"file:{path}", "--samples", "3000", "--seed", "2", "--format", "json"]
+        shipped = run_captured(argv)
+        monkeypatch.setattr(spaces, "sampled_positions", choice_positions)
         assert run_captured(argv) == shipped
         assert shipped[0] == code
 

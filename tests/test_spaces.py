@@ -920,22 +920,33 @@ class TestCheckAxioms:
 class TestSampledPositions:
     """The one draw of sampled positions, shared with certify."""
 
+    # 1..70 holds every power of two up to 64 and each 2^k + 1; 255 is the
+    # largest pool decoded from one byte per word, 256 the smallest that is not.
+    POOLS = [*range(1, 71), 127, 128, 129, 255, 256, 257, 1000]
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**70])
     def test_same_positions_as_rng_choice(self, seed):
-        # 1..70 holds every power of two up to 64 and each 2^k + 1.
-        for n in range(1, 71):
+        for n in self.POOLS:
             reference = random.Random(f"psbm:axioms:{seed}")
             expected = [reference.choice(range(n)) for _ in range(2 * SAMPLE_BLOCK + 10)]
-            blocks = list(sampled_positions(random.Random(f"psbm:axioms:{seed}"), n, 1, len(expected)))
+            rng = random.Random(f"psbm:axioms:{seed}")
+            blocks = list(sampled_positions(rng, n, 1, len(expected)))
             assert [len(block[0]) for block in blocks] == [SAMPLE_BLOCK, SAMPLE_BLOCK, 10]
             assert [x for (positions,) in blocks for x in positions] == expected, n
+            assert rng.getstate() == reference.getstate(), n
 
-    @pytest.mark.parametrize("arity", [3, 4])
-    def test_tuples_take_consecutive_draws(self, arity):
-        reference = random.Random("psbm:certify:3")
-        expected = [tuple(reference.choice(range(33)) for _ in range(arity)) for _ in range(SAMPLE_BLOCK + 1)]
-        blocks = sampled_positions(random.Random("psbm:certify:3"), 33, arity, len(expected))
-        assert [tpl for block in blocks for tpl in zip(*block)] == expected
+    @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3])
+    @pytest.mark.parametrize("arity", [1, 3, 4])
+    def test_tuples_take_consecutive_draws(self, arity, count):
+        for n in (1, 2, 33, 128, 129, 255, 256, 1000):
+            reference = random.Random("psbm:certify:3")
+            expected = [tuple(reference.choice(range(n)) for _ in range(arity)) for _ in range(count)]
+            rng = random.Random("psbm:certify:3")
+            blocks = list(sampled_positions(rng, n, arity, count))
+            sizes = [min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)]
+            assert [[len(positions) for positions in block] for block in blocks] == [[size] * arity for size in sizes]
+            assert [tpl for block in blocks for tpl in zip(*block)] == expected, n
+            assert rng.getstate() == reference.getstate(), n
 
     def test_an_empty_pool_is_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -1244,6 +1255,36 @@ class TestRequirePoint:
         assert require_point(space, 2) == 2
         with pytest.raises(UnknownPoint):
             require_point(space, 3)
+
+
+def reference_random_valid_space(rng, labels):
+    """random_valid_space's loop, deciding each table by check_axioms."""
+    while True:
+        space = random_tabulated_space(rng, labels)
+        if check_axioms(space, AxiomSet.PARTIAL_SB).passed:
+            return space
+
+
+class TestFirstViolation:
+    """random_valid_space decides a table at its first violation."""
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), (1, 2, 3, 4), ("a", "b", "c")], ids=str)
+    def test_the_decision_is_check_axioms_passed(self, labels):
+        rng = random.Random(f"psbm:test:first-violation:{labels}")
+        verdicts = []
+        for _ in range(5000):
+            space = random_tabulated_space(rng, labels)
+            passed = check_axioms(space, AxiomSet.PARTIAL_SB).passed
+            assert spaces_module._passes_partial_sb(space) == passed
+            verdicts.append(passed)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_same_tables_after_the_same_draws(self, seed):
+        rng, reference = random.Random(f"psbm:t0:{seed}"), random.Random(f"psbm:t0:{seed}")
+        for _ in range(20):
+            assert random_valid_space(rng) == reference_random_valid_space(reference, (1, 2, 3))
+            assert rng.getstate() == reference.getstate()
 
 
 class TestRandomSpaces:

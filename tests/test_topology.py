@@ -710,6 +710,16 @@ class TestCoverWitnessErrors:
             uncovered_witness(RAY, family, bad, 64)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_radius_is_checked_in_subfamily_order(self, bad):
+        # max passes over a nan that is not first, and over -inf anywhere:
+        # the check reads every radius, so the order does not matter.
+        family = CoverFamily(center=1, indices=(3, bad, math.nan))
+        for subfamily in ([3, bad], [bad, 3], [bad, 3, math.nan]):
+            with pytest.raises(ValueError) as raised:
+                uncovered_witness(RAY, family, subfamily, 64)
+            assert str(raised.value) == f"radius of index {bad} is not finite", subfamily
+
     def test_the_subfamily_is_checked_before_the_centre(self):
         family = CoverFamily(center=9, indices=(1, 2))
         for subfamily, error in (([], EmptySubfamily), ([1, 5], ValueError), ([1], UnknownPoint)):
