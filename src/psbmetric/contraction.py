@@ -14,7 +14,11 @@ plane that does; both are bit for bit the pointwise calls. Every other
 factor is tabulated once per point, per image S(x), per (S(a), S(b)) or per
 (S(a), b), whichever it depends on. `certify` walks the a-planes of its
 points, n^2 triples each, and reduces each plane's margins at C level; its
-sampled path reads the same tables a block of drawn triples at a time. The
+sampled path reads the same tables a block of drawn triples at a time.
+Certificates whose specs differ only in the comparison share one walk
+(`_certificates`, as the reproduction script's two do): each plane or block
+is evaluated up to its products once, and each spec's comparison maps the
+products to its own rhs. The
 case table evaluates each a-plane once and files each c of each of its
 (a, b) rows into its subcase by the row's equality pattern. `ray_grid` is
 the one evenly spaced grid on a region carrier's ray, used by the case
@@ -26,7 +30,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from functools import partial
+from itertools import chain, product, repeat, starmap
 from operator import getitem, le, lt, ne, sub
 
 from .comparison import ComparisonFn, builtin_comparison
@@ -141,7 +146,8 @@ class InequalitySides:
     their triples before the next, and raise the first error met: the
     fifth-factor rows, the distances (in the metric's own (q, r) order in a
     plane), the lhs rows, the first negative distance, the products, and the
-    comparison.
+    comparison. Each is its comparison-free stage, `_plane_products` or
+    `_block_products`, followed by one comparison of the product list.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
@@ -151,11 +157,7 @@ class InequalitySides:
         # A bound __call__ method: cheaper to call once per triple than the
         # metric object itself.
         self._dist = dist = metric.__call__
-        comparison = spec.comparison
-        if isinstance(comparison, ComparisonFn):
-            self._compare = comparison.map
-        else:
-            self._compare = lambda products, run=None: list(map(comparison, products))
+        self._compare = _comparison_map(spec.comparison)
         self._p, self._e5 = spec.p, spec.residual
         self._two_t = 2 * space.coefficient
         self._index = {x: k for k, x in enumerate(points)}
@@ -211,26 +213,43 @@ class InequalitySides:
     def plane(self, a):
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
+        lhs, products = self._plane_products(a)
+        return lhs, self._compare(products, len(self.points))
+
+    def block(self, triples):
+        """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
+        fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
+        made once, in the order the triples first need it, and indexed by c."""
+        lhs, products = self._block_products(triples)
+        return lhs, self._compare(products)
+
+    def _plane_products(self, a):
+        """`plane` up to its comparison: the lhs list and the product list."""
         points, image = self.points, self._image
         n, ia = len(points), image[a]
         fifth = [self._fifth_row(ia, b) for b in points]
         ds = list(chain.from_iterable(self._metric.plane(a, points, points)))
         lhs = list(chain.from_iterable([self._lhs_row(ia, image[b]) for b in points]))
         frb = chain.from_iterable([repeat(self._fr[b], n) for b in points])
-        products = self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
-        return lhs, self._compare(products, n)
+        return lhs, self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
 
-    def block(self, triples):
-        """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
-        fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
-        made once, in the order the triples first need it, and indexed by c."""
+    def _block_products(self, triples):
+        """`block` up to its comparison: the lhs list and the product list."""
         index, image, fq, fr, fs = self._index, self._image, self._fq, self._fr, self._fs
         ks = [index[c] for _, _, c in triples]
         fifth = _entries(self._fifth_row, [(image[a], b) for a, b, _ in triples], ks)
         ds = list(starmap(self._dist, triples))
         lhs = _entries(self._lhs_row, [(image[a], image[b]) for a, b, _ in triples], ks)
-        products = self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
-        return lhs, self._compare(products)
+        return lhs, self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
+
+
+def _comparison_map(comparison):
+    """comparison(products, run=None): the comparison of a product list, by
+    a ComparisonFn's `map` (with `run`, the length of a plane's rows) and by
+    any other comparison value by value."""
+    if isinstance(comparison, ComparisonFn):
+        return comparison.map
+    return lambda products, run=None: list(map(comparison, products))
 
 
 def _entries(make_row, keys, ks):
@@ -296,6 +315,25 @@ def certify(
     Each lhs meets its rhs, a rounded product of powers with irrational
     exponents, in a plain <=: a tie within rounding needs outward rounding.
     """
+    return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
+
+
+def _certificates(space, specs, points=None, sample_count=None, seed=None) -> list:
+    """[certify(space, spec, ...) for spec in specs], report for report, from
+    one walk. The specs must share p, q, r, s and the map (InvalidArgument
+    otherwise), so that the products of every a-plane or block are made
+    once; each spec's comparison then maps them to its own rhs, and each
+    spec keeps its own minimum margin and failures. An error is the first of
+    the first a-plane or block that raises, in InequalitySides' stage order
+    up to the products, then spec by spec in `specs` order: the comparison,
+    then the margins. With one spec that is certify's error."""
+    first = specs[0]
+
+    def shared(spec):
+        return spec.p, spec.q, spec.r, spec.s, spec.residual, spec.mapping
+
+    if any(shared(spec) != shared(first) for spec in specs[1:]):
+        raise InvalidArgument("certificates on one walk must share the exponents p, q, r, s and the map")
     if (points is None) == (sample_count is None):
         raise InvalidArgument("certify takes exactly one of points and sample_count")
     if points is not None:
@@ -307,15 +345,19 @@ def certify(
             raise InvalidArgument("sample_count must be >= 1")
         seed = 0 if seed is None else seed
         pool = sample_carrier(space, seed=seed)
-    fixed = set(fixed_points_bruteforce(spec.mapping, pool))
+    fixed = set(fixed_points_bruteforce(first.mapping, pool))
     active = [x for x in pool if x not in fixed]
+    compares = [_comparison_map(spec.comparison) for spec in specs]
+    checked = 0
+    failures = [[] for _ in specs]
+    min_margins = [None] * len(specs)
     try:
-        sides = InequalitySides(space, spec, active)
+        sides = InequalitySides(space, first, active)
 
-        # Chunks of (triples, their lhs values, their rhs values); the triples
-        # are read only to list failures.
+        # Chunks of (a maker of the triples, the comparison run, their lhs
+        # values, their products); the triples are made only to list failures.
         if points is not None:
-            chunks = ((((a, b, c) for b in active for c in active), *sides.plane(a)) for a in active)
+            chunks = ((partial(product, (a,), active, active), len(active), *sides._plane_products(a)) for a in active)
         else:
             live = [x not in fixed for x in pool]
             rng = random.Random(f"psbm:certify:{seed}")
@@ -323,29 +365,28 @@ def certify(
                 [(pool[i], pool[j], pool[k]) for i, j, k in zip(*positions) if live[i] and live[j] and live[k]]
                 for positions in sampled_positions(rng, len(pool), 3, sample_count)
             )
-            chunks = ((block, *sides.block(block)) for block in blocks if block)
+            chunks = ((partial(iter, block), None, *sides._block_products(block)) for block in blocks if block)
 
-        checked = 0
-        failures = []
-        min_margin = None
-        for triples, lhs, rhs in chunks:
-            checked += len(rhs)
-            margins = map(sub, rhs, lhs)
-            # Continues the running minimum exactly as a triple-by-triple
-            # `if margin < min_margin` loop would, nan margins included.
-            min_margin = min(margins) if min_margin is None else min(chain((min_margin,), margins))
-            if not all(map(le, lhs, rhs)):
-                failures.extend((*t, l, r) for t, l, r in zip(triples, lhs, rhs) if not l <= r)
+        for triples, run, lhs, products in chunks:
+            checked += len(products)
+            for i, compare in enumerate(compares):
+                rhs = compare(products, run)
+                margins = map(sub, rhs, lhs)
+                # Continues the running minimum exactly as a triple-by-triple
+                # `if margin < min_margin` loop would, nan margins included.
+                min_margin = min_margins[i]
+                min_margins[i] = min(margins) if min_margin is None else min(chain((min_margin,), margins))
+                if not all(map(le, lhs, rhs)):
+                    failures[i].extend((*t, l, r) for t, l, r in zip(triples(), lhs, rhs) if not l <= r)
     except OverflowError:  # an int beyond the float range in a power, m or a margin
         raise DistanceOverflow("the contraction inequality overflows the float range") from None
 
-    failures.sort(key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
-    return CertificateReport(
-        triples_checked=checked,
-        excluded_fixed_points=tuple(sorted(fixed, key=point_sort_key)),
-        failures=tuple(failures),
-        min_margin=min_margin,
-    )
+    excluded = tuple(sorted(fixed, key=point_sort_key))
+    reports = []
+    for found, min_margin in zip(failures, min_margins):
+        found.sort(key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
+        reports.append(CertificateReport(checked, excluded, tuple(found), min_margin))
+    return reports
 
 
 # --------------------------------------------------------------------------

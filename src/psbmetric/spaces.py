@@ -10,6 +10,7 @@ numerics).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -407,37 +408,49 @@ def sampled_positions(rng: random.Random, pool_size: int, arity: int, count: int
 
     The positions are exactly those that `arity` calls of rng.choice(pool)
     per tuple select, in the same order, and rng is left in the same state:
-    with k = pool_size.bit_length(), each is the first rng.getrandbits(k)
-    below pool_size, that is the top k bits of the next 32-bit word of the
-    Mersenne Twister. A round draws a block's shortfall of m positions as m
-    words at once: rng.getrandbits(32 * m) holds word i at bits 32i..32i+31,
-    and each word yields at most one position, so no word is drawn that
-    the choice calls would not draw. In a pool of at most 255 points (k <=
-    8), the k bits lie in the top byte of each little-endian word, and
-    bytes.translate shifts them down and deletes the rejected ones in C. A
-    larger pool (only a large finite carrier) maps rng.getrandbits(k) over
-    the shortfall: a bulk decode of k > 8 bits, shifting an array of the
-    words, measured slower (3.6 ms against 2.8 ms for 40,000 words at k =
-    10; Python 3.11 on a 2-core x86-64 VM)."""
+    each block's positions are one _draw_below."""
     if pool_size < 1:
         raise InvalidArgument("sample must be nonempty")
-    bits = pool_size.bit_length()
-    if bits <= 8:
-        shift = 8 - bits
-        table = bytes(v >> shift for v in range(256))
-        rejected = bytes(v for v in range(256) if v >> shift >= pool_size)
-
-        def draw(m):
-            return rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(table, rejected)
-    else:
-        def draw(m):
-            return filter(pool_size.__gt__, map(rng.getrandbits, itertools.repeat(bits, m)))
     for start in range(0, count, SAMPLE_BLOCK):
-        need = arity * min(SAMPLE_BLOCK, count - start)
-        drawn = []
-        while len(drawn) < need:
-            drawn += draw(need - len(drawn))
+        drawn = _draw_below(rng, pool_size, arity * min(SAMPLE_BLOCK, count - start))
         yield [drawn[a::arity] for a in range(arity)]
+
+
+def _draw_below(rng: random.Random, n: int, need: int) -> list:
+    """`need` values below n >= 1, exactly those of `need` calls of
+    rng.randrange(n) (and of rng.choice over n points), in the same order,
+    leaving rng in the same state: with k = n.bit_length(), each is the first
+    rng.getrandbits(k) below n, that is the top k bits of the next 32-bit
+    word of the Mersenne Twister. A round draws the shortfall of m values as
+    m words at once: rng.getrandbits(32 * m) holds word i at bits
+    32i..32i+31, and each word yields at most one value, so no word is drawn
+    that the single calls would not draw. For n <= 255 (k <= 8), the k bits
+    lie in the top byte of each little-endian word, and bytes.translate
+    shifts them down and deletes the rejected ones in C. A larger n (only a
+    large finite carrier's pool) maps rng.getrandbits(k) over the shortfall:
+    a bulk decode of k > 8 bits, shifting an array of the words, measured
+    slower (3.6 ms against 2.8 ms for 40,000 words at k = 10; Python 3.11 on
+    a 2-core x86-64 VM)."""
+    bits = n.bit_length()
+    drawn = []
+    if bits <= 8:
+        table, rejected = _byte_decoder(n)
+        while len(drawn) < need:
+            m = need - len(drawn)
+            drawn += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(table, rejected)
+    else:
+        while len(drawn) < need:
+            drawn += filter(n.__gt__, map(rng.getrandbits, itertools.repeat(bits, need - len(drawn))))
+    return drawn
+
+
+@functools.cache
+def _byte_decoder(n: int) -> tuple:
+    """The two bytes.translate arguments that turn the top bytes of 32-bit
+    words into values below n <= 255: the table that shifts a byte down to
+    its top n.bit_length() bits, and the bytes whose value is n or more."""
+    shift = 8 - n.bit_length()
+    return bytes(v >> shift for v in range(256)), bytes(v for v in range(256) if v >> shift >= n)
 
 
 class _Decided(Exception):
@@ -745,21 +758,44 @@ def random_tabulated_space(rng: random.Random, labels=(1, 2, 3)) -> PartialSbSpa
 
     Biased so most draws satisfy the partial-Sb axioms, but not guaranteed
     valid; pair with check_axioms.
+
+    Each self-distance S(x,x,x) is rng.randint(0, 5), in label order, and
+    every other entry, in product order, rng.randint(floor, floor + span)
+    with floor the largest self-distance and span = max(floor, 3), except
+    that S(q,q,p) repeats S(p,p,q) when p comes before q. Each phase is one
+    _draw_below, so the tables and the generator state are those of one
+    randint call per drawn entry.
     """
     labels = tuple(labels)
-    selfs = {x: rng.randint(0, 5) for x in labels}
+    selfs = dict(zip(labels, _draw_below(rng, 6, len(labels))))
     floor = max(selfs.values())
     span = max(floor, 3)
-    table = {(x, x, x): selfs[x] for x in labels}
-    for tpl in itertools.product(labels, repeat=3):
-        if tpl in table:
-            continue
-        p, q, r = tpl
-        if p == q and (r, r, p) in table:
-            table[tpl] = table[(r, r, p)]
+    sources, free = _table_layout(len(selfs))
+    values = list(selfs.values()) + [floor + v for v in _draw_below(rng, span + 1, free)]
+    carrier = FiniteCarrier(labels)  # raises on repeated labels, after the same draws
+    n = len(labels)
+    lines = [tuple(map(values.__getitem__, sources[k:k + n])) for k in range(0, n ** 3, n)]
+    rows = tuple(tuple(lines[k:k + n]) for k in range(0, n * n, n))
+    return PartialSbSpace(carrier, TabulatedMetric(labels, rows))
+
+
+@functools.cache
+def _table_layout(n: int) -> tuple:
+    """For random_tabulated_space over n labels: the position of each
+    entry's value among the n self-distances and then the free entries, in
+    product order of the (i, j, k) triples, and the number of free entries."""
+    sources = {}
+    free = n
+    for tpl in itertools.product(range(n), repeat=3):
+        i, j, k = tpl
+        if i == j == k:
+            sources[tpl] = i
+        elif i == j and (k, k, i) in sources:
+            sources[tpl] = sources[(k, k, i)]
         else:
-            table[tpl] = rng.randint(floor, floor + span)
-    return tabulated_space(labels, table)
+            sources[tpl] = free
+            free += 1
+    return tuple(sources.values()), free - n
 
 
 def _passes_partial_sb(space: PartialSbSpace) -> bool:

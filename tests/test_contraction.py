@@ -30,6 +30,7 @@ from psbmetric import (
     certify,
     fixed_points_bruteforce,
     map_from_table,
+    piecewise_linear,
     random_tabulated_space,
     quintic,
     ray_grid,
@@ -528,6 +529,88 @@ class TestCertify:
         )
         assert base.passed and widened.passed
 
+
+
+def one_walk(space, specs, **kwargs):
+    """The reports of one shared walk, once their reprs are checked against
+    those of one certify per spec."""
+    walk = contraction._certificates(space, specs, **kwargs)
+    assert [repr(r) for r in walk] == [repr(certify(space, spec, **kwargs)) for spec in specs]
+    return walk
+
+
+def counted_raise(after, message):
+    """A comparison value that returns v / 4 `after` times and then raises."""
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        if calls[0] > after:
+            raise ArithmeticError(message)
+        return v / 4
+
+    return FakeComparison(message, fn)
+
+
+class TestSharedWalk:
+    """_certificates(space, specs) equals one certify per spec, report for
+    report, from one walk of the products."""
+
+    def test_repro_grid_with_both_builtins(self):
+        points = list(GAP.carrier.isolated) + ray_grid(GAP.carrier, 50)
+        walk = one_walk(GAP, (standard_spec(), standard_spec(matkowski=True)), points=points)
+        assert [(r.triples_checked, r.passed) for r in walk] == [(51**3, True)] * 2
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_random_tables_with_a_piecewise_comparison_beside_builtins(self, mode):
+        rng = random.Random(f"psbm:test:shared-walk:{mode}")
+        failing = passing = 0
+        for i in range(40):
+            labels = tuple(range(1, 3 + i % 4))
+            space = random_tabulated_space(rng, labels)
+            mapping = map_from_table({x: rng.choice(labels) for x in labels})
+            exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
+            breakpoints = sorted({(rng.uniform(0, 20), rng.uniform(0, 10)) for _ in range(3)})
+            comparisons = (
+                piecewise_linear(breakpoints),
+                builtin_comparison(rng.choice(["paper_tau", "half", "identity"])),
+                FakeComparison("quarter", lambda v: v / 4),
+            )
+            specs = tuple(InterpolativeSpec(*exps, comparison=c, mapping=mapping) for c in comparisons)
+            kwargs = {"points": labels} if mode == "grid" else {"sample_count": 300, "seed": i}
+            reports = one_walk(space, specs, **kwargs)
+            failing += sum(not r.passed for r in reports)
+            passing += sum(r.passed and r.triples_checked > 0 for r in reports)
+        assert failing and passing
+
+    @pytest.mark.parametrize("change", [
+        {"p": 0.1}, {"q": 0.1}, {"r": 0.1}, {"s": 0.1},
+        {"mapping": builtin_map("identity")},
+        # Equal rules are not enough when they are different objects.
+        {"mapping": map_from_table({0: 0, 3: 0})},
+    ], ids=["p", "q", "r", "s", "map", "table-map"])
+    def test_specs_that_differ_outside_the_comparison_are_rejected(self, change):
+        spec = dataclasses.replace(standard_spec(), mapping=map_from_table({0: 0, 3: 0}))
+        other = dataclasses.replace(spec, comparison=builtin_comparison("half"), **change)
+        for specs in ((spec, other), (other, spec), (spec, spec, other)):
+            with pytest.raises(InvalidArgument, match="^certificates on one walk must share the exponents p, q, r, s and the map$"):
+                contraction._certificates(GAP, specs, points=[0, 3, 4])
+
+    def test_comparison_errors_come_plane_by_plane_then_in_spec_order(self):
+        points, n = [0, 3, 4, 7], 3  # 0 is fixed
+        spec = standard_spec()
+
+        def run(*afters):
+            specs = [dataclasses.replace(spec, comparison=counted_raise(after, f"spec {k}")) for k, after in enumerate(afters)]
+            with pytest.raises(ArithmeticError) as info:
+                contraction._certificates(GAP, specs, points=points)
+            return str(info.value)
+
+        assert run(0, 0) == "spec 0"
+        assert run(n * n, 0) == "spec 1"
+        assert run(0, n * n) == "spec 0"
+        assert run(n * n, n * n + 1) == "spec 0"
+        assert run(2 * n * n, n * n) == "spec 1"
 
 
 class TestRowEvaluator:

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from psbmetric import repro, run_repro, spaces, topology
+from psbmetric import contraction, repro, run_repro, spaces, topology
+from psbmetric.cli import main
 from psbmetric.spaces import RuleMetric, quintic
 
 EXPECTED_ITEMS = (
@@ -95,6 +97,43 @@ REPRO_SEED_0_JSON = """\
 
 def test_repro_json_bytes_are_pinned(reports):
     assert json.dumps(reports[0], indent=2, sort_keys=True) + "\n" == REPRO_SEED_0_JSON
+
+
+# sha256 of the `psbm repro --seed N --format json` bytes for seeds 1-4,
+# which every change must keep as well.
+REPRO_JSON_SHA256 = {
+    1: "cb3a9753ffb42ab1540441cafaefdcdf3856c86a99920dfd4ce37f499a291821",
+    2: "225f94df9cb58135ccf3a424856639dc8d72dd1dfc206abb5b2ebb96a990447b",
+    3: "f298f86b6beab07dbc304b69c24d103ef775ac9f693298fbdf6d34ca89e1966e",
+    4: "bd1af6905022e359a15d5f5196289156dfc386463dd36ff26a3a184eae944ebb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPRO_JSON_SHA256))
+def test_repro_json_digests_are_pinned(capsys, seed):
+    assert main(["repro", "--seed", str(seed), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (REPRO_JSON_SHA256[seed], "")
+
+
+def test_contraction_item_walks_the_grid_once(monkeypatch):
+    """Both certificates share one walk of the 51 active grid points (0 is
+    fixed): one comparison-free plane per a, where two certify calls made
+    102; the case table adds its own 21 planes."""
+    real = contraction.InequalitySides._plane_products
+    planes = []
+
+    def counting(sides, a):
+        planes.append((len(sides.points), a))
+        return real(sides, a)
+
+    monkeypatch.setattr(contraction.InequalitySides, "_plane_products", counting)
+    item = repro._contraction_item(0)
+    assert item["passed"] is True
+    gap = spaces.builtin_space("quintic_gap")
+    active = [3] + contraction.ray_grid(gap.carrier, 50)
+    assert [a for n, a in planes if n == 51] == active
+    assert len(planes) == 51 + 21
 
 
 def test_cover_item_makes_one_scan_per_index(monkeypatch):

@@ -1287,6 +1287,50 @@ class TestFirstViolation:
             assert rng.getstate() == reference.getstate()
 
 
+def reference_random_tabulated_space(rng, labels=(1, 2, 3)):
+    """random_tabulated_space as one rng.randint per drawn entry, built
+    through a dict and tabulated_space."""
+    labels = tuple(labels)
+    selfs = {x: rng.randint(0, 5) for x in labels}
+    floor = max(selfs.values())
+    span = max(floor, 3)
+    table = {(x, x, x): selfs[x] for x in labels}
+    for tpl in itertools.product(labels, repeat=3):
+        if tpl in table:
+            continue
+        p, q, r = tpl
+        if p == q and (r, r, p) in table:
+            table[tpl] = table[(r, r, p)]
+        else:
+            table[tpl] = rng.randint(floor, floor + span)
+    return tabulated_space(labels, table)
+
+
+class TestRandomTableDraws:
+    """random_tabulated_space draws each phase as 32-bit words at once."""
+
+    LABELS = [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), tuple(range(5)), tuple(range(6)), ("a", "b", "c"), ("x", 2, 0.5)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_same_tables_and_state_as_randint(self, seed):
+        rng, reference = random.Random(f"psbm:t0:{seed}"), random.Random(f"psbm:t0:{seed}")
+        for i in range(2000):
+            labels = self.LABELS[i % len(self.LABELS)]
+            space, expected = random_tabulated_space(rng, labels), reference_random_tabulated_space(reference, labels)
+            assert space == expected
+            assert space.metric.rows == expected.metric.rows
+            assert rng.getstate() == reference.getstate(), (i, labels)
+
+    @pytest.mark.parametrize("labels", [(1, 1), (1, 2, 1), ("a", "b", "a", "c"), (2, 2, 2)], ids=str)
+    def test_repeated_labels_raise_the_same_error(self, labels):
+        rng, reference = random.Random(str(labels)), random.Random(str(labels))
+        with pytest.raises(InvalidArgument, match="^carrier points must be distinct$"):
+            reference_random_tabulated_space(reference, labels)
+        with pytest.raises(InvalidArgument, match="^carrier points must be distinct$"):
+            random_tabulated_space(rng, labels)
+        assert rng.getstate() == reference.getstate()
+
+
 class TestRandomSpaces:
     def test_random_valid_space_passes_filter(self):
         rng = random.Random("test-random-valid")
