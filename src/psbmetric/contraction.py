@@ -15,10 +15,17 @@ factor is tabulated once per point, per image S(x), per (S(a), S(b)) or per
 (S(a), b), whichever it depends on. `certify` walks the a-planes of its
 points, n^2 triples each, and reduces each plane's margins at C level; its
 sampled path reads the same tables a block of drawn triples at a time.
+
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane or block
-is evaluated up to its products once, and each spec's comparison maps the
-products to its own rhs. The
+is evaluated up to its products, and their min and max, once. Specs whose
+ComparisonFns read the products off lines equal bit for bit share one rhs
+list, one failure list and, while their running minimum margins have the
+same bits, one margin reduction; every report is bit for bit that of its
+own certify call. A spec maps the products on its own, as certify does,
+when its comparison is not a ComparisonFn, when no one piece holds the min
+and the max, when that piece's line is below 0 at either (clamped), or when
+the min or max raises. The
 case table evaluates each a-plane once and files each c of each of its
 (a, b) rows into its subcase by the row's equality pattern. `ray_grid` is
 the one evenly spaced grid on a region carrier's ray, used by the case
@@ -29,12 +36,13 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product, repeat, starmap
 from operator import getitem, le, lt, ne, sub
 
-from .comparison import ComparisonFn, builtin_comparison
+from .comparison import ComparisonFn, _span, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import point_label, point_sort_key
 from .spaces import PartialSbSpace, RegionCarrier, require_point, sample_carrier, sampled_positions
@@ -157,7 +165,7 @@ class InequalitySides:
         # A bound __call__ method: cheaper to call once per triple than the
         # metric object itself.
         self._dist = dist = metric.__call__
-        self._compare = _comparison_map(spec.comparison)
+        self._rhs = _comparison_rhs(spec.comparison)
         self._p, self._e5 = spec.p, spec.residual
         self._two_t = 2 * space.coefficient
         self._index = {x: k for k, x in enumerate(points)}
@@ -214,14 +222,14 @@ class InequalitySides:
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
         lhs, products = self._plane_products(a)
-        return lhs, self._compare(products, len(self.points))
+        return lhs, self._rhs(products, len(self.points), _span(products), None)[1]
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
         fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
         made once, in the order the triples first need it, and indexed by c."""
         lhs, products = self._block_products(triples)
-        return lhs, self._compare(products)
+        return lhs, self._rhs(products, None, _span(products), None)[1]
 
     def _plane_products(self, a):
         """`plane` up to its comparison: the lhs list and the product list."""
@@ -243,13 +251,23 @@ class InequalitySides:
         return lhs, self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
 
 
-def _comparison_map(comparison):
-    """comparison(products, run=None): the comparison of a product list, by
-    a ComparisonFn's `map` (with `run`, the length of a plane's rows) and by
-    any other comparison value by value."""
+def _comparison_rhs(comparison):
+    """rhs(products, run, span, made) -> (key, the comparison of a product
+    list): a ComparisonFn's `_map` (with `run`, the length of a plane's rows,
+    and span = _span(products)), and any other comparison value by value,
+    with key None."""
     if isinstance(comparison, ComparisonFn):
-        return comparison.map
-    return lambda products, run=None: list(map(comparison, products))
+        return comparison._map
+    return lambda products, run, span, made: (None, list(map(comparison, products)))
+
+
+def _bits(value):
+    """A key that two running minima share only when both are None or both
+    are the same float bit for bit: 0.0 and -0.0 differ, as do nans whose
+    bits differ."""
+    if value is None:
+        return None
+    return struct.pack("<d", value) if type(value) is float else object()
 
 
 def _entries(make_row, keys, ks):
@@ -314,19 +332,29 @@ def certify(
     of the first a-plane or block that raises.
     Each lhs meets its rhs, a rounded product of powers with irrational
     exponents, in a plain <=: a tie within rounding needs outward rounding.
+    It is `_certificates` with one spec: each chunk's products are scanned
+    once for their min and max, which pick the line `ComparisonFn._map`
+    reads them off, so one spec pays no pass for the sharing.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
 
 def _certificates(space, specs, points=None, sample_count=None, seed=None) -> list:
-    """[certify(space, spec, ...) for spec in specs], report for report, from
-    one walk. The specs must share p, q, r, s and the map (InvalidArgument
-    otherwise), so that the products of every a-plane or block are made
-    once; each spec's comparison then maps them to its own rhs, and each
-    spec keeps its own minimum margin and failures. An error is the first of
-    the first a-plane or block that raises, in InequalitySides' stage order
-    up to the products, then spec by spec in `specs` order: the comparison,
-    then the margins. With one spec that is certify's error."""
+    """[certify(space, spec, ...) for spec in specs], report for report and
+    bit for bit, from one walk. The specs must share p, q, r, s and the map
+    (InvalidArgument otherwise), so that the products of every a-plane or
+    block, and their min and max, are made once. Each spec's comparison then
+    maps them to its rhs: a ComparisonFn through `_map`, which reads the
+    list off one line when the min and max pick one unclamped piece, so that
+    specs whose lines are equal bit for bit get one rhs list, and any other
+    comparison value by value. Specs with one rhs list share its failures,
+    and its margin reduction while their running minima are the same bits
+    (a float key would merge 0.0 with -0.0); the rest reduce on their own.
+    An error is the first of the first a-plane or block that raises, in
+    InequalitySides' stage order up to the products, then spec by spec in
+    `specs` order: the comparison, then the margins. A shared step raised
+    nothing for the spec that made it, so it cannot raise for one that
+    reuses it; with one spec this order is certify's."""
     first = specs[0]
 
     def shared(spec):
@@ -347,7 +375,7 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         pool = sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(first.mapping, pool))
     active = [x for x in pool if x not in fixed]
-    compares = [_comparison_map(spec.comparison) for spec in specs]
+    rhs_maps = [_comparison_rhs(spec.comparison) for spec in specs]
     checked = 0
     failures = [[] for _ in specs]
     min_margins = [None] * len(specs)
@@ -369,15 +397,28 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
 
         for triples, run, lhs, products in chunks:
             checked += len(products)
-            for i, compare in enumerate(compares):
-                rhs = compare(products, run)
-                margins = map(sub, rhs, lhs)
-                # Continues the running minimum exactly as a triple-by-triple
-                # `if margin < min_margin` loop would, nan margins included.
+            # Specs whose comparisons read the chunk off one line share its rhs
+            # list (made, by the line's key; one spec has none to share), its
+            # failures (failed) and, while their running minima are the same
+            # bits, its margin reduction (reduced); any other rhs list has a
+            # key of its own.
+            span, made, reduced, failed = _span(products), {} if len(specs) > 1 else None, {}, {}
+            for i, rhs_map in enumerate(rhs_maps):
+                key, rhs = rhs_map(products, run, span, made)
+                if key is None:
+                    key = object()
                 min_margin = min_margins[i]
-                min_margins[i] = min(margins) if min_margin is None else min(chain((min_margin,), margins))
-                if not all(map(le, lhs, rhs)):
-                    failures[i].extend((*t, l, r) for t, l, r in zip(triples(), lhs, rhs) if not l <= r)
+                state = key, _bits(min_margin)
+                if state not in reduced:
+                    margins = map(sub, rhs, lhs)
+                    # Continues the running minimum exactly as a triple-by-triple
+                    # `if margin < min_margin` loop would, nan margins included.
+                    reduced[state] = min(margins) if min_margin is None else min(chain((min_margin,), margins))
+                min_margins[i] = reduced[state]
+                if key not in failed:
+                    failed[key] = () if all(map(le, lhs, rhs)) else [
+                        (*t, l, r) for t, l, r in zip(triples(), lhs, rhs) if not l <= r]
+                failures[i].extend(failed[key])
     except OverflowError:  # an int beyond the float range in a power, m or a margin
         raise DistanceOverflow("the contraction inequality overflows the float range") from None
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -531,12 +532,70 @@ class TestCertify:
 
 
 
-def one_walk(space, specs, **kwargs):
-    """The reports of one shared walk, once their reprs are checked against
-    those of one certify per spec."""
+def float_bits(value):
+    return struct.pack("<d", value) if type(value) is float else value
+
+
+def one_walk(space, specs, lines_read=None, **kwargs):
+    """The reports of one shared walk, once their reprs and their min_margin
+    bits are checked against those of one certify per spec. `lines_read`,
+    if given, is cleared before the walk."""
+    alone = [certify(space, spec, **kwargs) for spec in specs]
+    if lines_read is not None:
+        lines_read.clear()
     walk = contraction._certificates(space, specs, **kwargs)
-    assert [repr(r) for r in walk] == [repr(certify(space, spec, **kwargs)) for spec in specs]
+    assert [repr(r) for r in walk] == [repr(r) for r in alone]
+    assert [float_bits(r.min_margin) for r in walk] == [float_bits(r.min_margin) for r in alone]
     return walk
+
+
+def staged_space(overrides=()):
+    """Points 1-5; 1-4 map to 5 and 5 to 1. With p = r = s = 0.05 and
+    q = 0.7 (STAGED_EXPONENTS), the products of a-plane k over 1-4 lie in
+    [10^(2.1k + 0.3), 10^(2.1k + 1.2)], so the planes are apart, and every
+    lhs there is dist(5, 5, 5) = 0. `overrides` maps triples to values."""
+    overrides = dict(overrides)
+
+    def rule(p, q, r):
+        if (p, q, r) in overrides:
+            return overrides[(p, q, r)]
+        if (p, q, r) == (5, 5, 5):
+            return 0
+        return 10.0 ** (3 * p) if p == q and r == 5 else 1
+
+    return PartialSbSpace(FiniteCarrier((1, 2, 3, 4, 5)), RuleMetric("staged", rule))
+
+
+STAGED_EXPONENTS = (0.05, 0.7, 0.05, 0.05)
+STAGED_MAP = map_from_table({1: 5, 2: 5, 3: 5, 4: 5, 5: 1}, name="staged")
+
+
+def piecewise(name, *pieces):
+    """A ComparisonFn of closed pieces (start, x0, y0, x1, y1)."""
+    return ComparisonFn(name, tuple((b, ((x0, y0), (x1, y1)), True) for b, x0, y0, x1, y1 in pieces))
+
+
+def staged_specs(*comparisons):
+    return tuple(InterpolativeSpec(*STAGED_EXPONENTS, comparison=c, mapping=STAGED_MAP) for c in comparisons)
+
+
+def staged_walk(mode, comparisons, overrides=(), lines_read=None):
+    kwargs = {"points": [1, 2, 3, 4]} if mode == "grid" else {"sample_count": 3000, "seed": 7}
+    return one_walk(staged_space(overrides), staged_specs(*comparisons), lines_read, **kwargs)
+
+
+@pytest.fixture
+def lines_read(monkeypatch):
+    """The lengths of the lists ComparisonFn reads off one line, as made."""
+    real, lengths = ComparisonFn._line, []
+
+    def counting(fn, k, values):
+        if isinstance(values, list):
+            lengths.append(len(values))
+        return real(fn, k, values)
+
+    monkeypatch.setattr(ComparisonFn, "_line", counting)
+    return lengths
 
 
 def counted_raise(after, message):
@@ -611,6 +670,82 @@ class TestSharedWalk:
         assert run(0, n * n) == "spec 0"
         assert run(n * n, n * n + 1) == "spec 0"
         assert run(2 * n * n, n * n) == "spec 1"
+
+    def test_staged_planes_lie_apart(self):
+        sides = InequalitySides(staged_space(), staged_specs(QUARTER)[0], [1, 2, 3, 4])
+        spans = [(min(p), max(p)) for p in (sides._plane_products(a)[1] for a in (1, 2, 3, 4))]
+        assert [lo > 10.0 ** (2.1 * k + 0.29) and hi < 10.0 ** (2.1 * k + 1.21) for k, (lo, hi) in enumerate(spans, 1)] == [True] * 4
+        assert sides._plane_products(1)[0] == [0] * 16
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_pieces_shared_on_some_planes_only(self, mode, lines_read):
+        # Plane 1 lies on one line of the first two, planes 2 and 3 on
+        # different lines, plane 4 on one line again. Plane 2 starts on the
+        # first's line in the third too, but runs on into its next piece.
+        first = piecewise("first", (0.0, 0.0, 0.0, 1.0, 0.9), (1e4, 0.0, 0.0, 1.0, 0.5), (1e6, 0.0, 0.0, 1.0, 0.25))
+        second = piecewise("second", (0.0, 0.0, 0.0, 1.0, 0.9), (1e4, 0.0, 0.0, 1.0, 0.75), (1e8, 0.0, 0.0, 1.0, 0.25))
+        third = piecewise("third", (0.0, 0.0, 0.0, 1.0, 0.5), (1e5, 0.0, 0.0, 1.0, 0.3))
+        reports = staged_walk(mode, (first, second, third), lines_read=lines_read)
+        if mode == "grid":
+            assert [r.passed for r in reports] == [True] * 3
+            assert lines_read.count(16) == 6 + 3
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_lines_that_differ_only_in_the_sign_of_a_zero(self, mode, lines_read):
+        # Flat at +0.0 and at -0.0 below 10^6: every rhs of planes 1 and 2 is
+        # 0.0 + -0.0 = 0.0 or -0.0 + -0.0 = -0.0, and so is the margin (every
+        # lhs is 0). Planes 3 and 4 lie on the identity in both, so the rhs is
+        # shared there, but not the running minima, 0.0 and -0.0.
+        plus = piecewise("plus", (0.0, 1e6, 0.0, 2e6, 0.0), (1e6, 0.0, 0.0, 1.0, 1.0))
+        minus = piecewise("minus", (0.0, 1e6, -0.0, 2e6, -0.0), (1e6, 0.0, 0.0, 1.0, 1.0))
+        reports = staged_walk(mode, (plus, minus, plus), lines_read=lines_read)
+        if mode == "grid":
+            assert [float_bits(r.min_margin) for r in reports] == [float_bits(0.0), float_bits(-0.0), float_bits(0.0)]
+            assert lines_read == [16] * 6
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_a_piece_clamped_at_its_low_end(self, mode, lines_read):
+        # (t - 10^5) / 1000 is below 0 on plane 1 and on part of plane 2,
+        # which go through fn clamped; planes 3 and 4 share the line.
+        clamped = piecewise("clamped", (0.0, 1e5, 0.0, 1.1e5, 10.0))
+        split = piecewise("split", (0.0, 0.0, 0.0, 1.0, 0.5), (1e5, 1e5, 0.0, 1.1e5, 10.0))
+        reports = staged_walk(mode, (clamped, split), lines_read=lines_read)
+        if mode == "grid":
+            assert reports[0].min_margin == 0.0
+            assert lines_read.count(16) == 3
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    @pytest.mark.parametrize("overrides", [
+        {(1, 1, 1): math.nan},
+        {(3, 2, 4): math.nan},
+        {(2, 1, 1): -math.nan, (4, 3, 3): math.nan},
+    ], ids=["first-product", "inside-a-plane", "both-signs"])
+    def test_a_chunk_whose_products_hold_a_nan(self, mode, overrides):
+        first = piecewise("first", (0.0, 0.0, 0.0, 1.0, 0.5), (1e6, 0.0, 0.0, 1.0, 0.25))
+        second = piecewise("second", (0.0, 0.0, 0.0, 1.0, 0.5))
+        reports = staged_walk(mode, (first, second, QUARTER), overrides)
+        if mode == "grid" and (1, 1, 1) in overrides:
+            assert all(math.isnan(r.min_margin) for r in reports)
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_a_plain_callable_shares_nothing(self, mode, lines_read):
+        # Its values equal the line's, but only ComparisonFn lists are shared.
+        by_hand = FakeComparison("quarter-by-hand", lambda v: 0.0 + (v - 0.0) * 0.25)
+        reports = staged_walk(mode, (by_hand, QUARTER, by_hand, QUARTER), lines_read=lines_read)
+        assert reports[0] == reports[1] == reports[2] == reports[3]
+        if mode == "grid":
+            assert lines_read == [16] * 4
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_one_comparison_object_in_two_specs(self, mode, lines_read):
+        tau = builtin_comparison("paper_tau")
+        kwargs = {"points": CERT_POINTS} if mode == "grid" else {"sample_count": 3000, "seed": 3}
+        specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, builtin_comparison("half"), tau))
+        reports = one_walk(GAP, specs, lines_read, **kwargs)
+        assert reports[0] == reports[1] == reports[2]
+        if mode == "grid":
+            # 0 is fixed: one list per a-plane of the 51 others.
+            assert lines_read == [51 * 51] * 51
 
 
 class TestRowEvaluator:

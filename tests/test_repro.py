@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from psbmetric import contraction, repro, run_repro, spaces, topology
+from psbmetric import comparison, contraction, repro, run_repro, spaces, topology
 from psbmetric.cli import main
 from psbmetric.spaces import RuleMetric, quintic
 
@@ -134,6 +134,24 @@ def test_contraction_item_walks_the_grid_once(monkeypatch):
     active = [3] + contraction.ray_grid(gap.carrier, 50)
     assert [a for n, a in planes if n == 51] == active
     assert len(planes) == 51 + 21
+
+
+def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch):
+    """Above 1, paper_tau is t/2, the line of half, and every product on
+    the grid is above 1: the two certificates share one rhs list per
+    a-plane, 51 lists of 51^2 values per walk where they mapped 102."""
+    real = comparison.ComparisonFn._line
+    lengths = []
+
+    def counting(fn, k, values):
+        if isinstance(values, list):
+            lengths.append(len(values))
+        return real(fn, k, values)
+
+    monkeypatch.setattr(comparison.ComparisonFn, "_line", counting)
+    item = repro._contraction_item(0)
+    assert item["passed"] is True
+    assert lengths.count(51 * 51) == 51
 
 
 def test_cover_item_makes_one_scan_per_index(monkeypatch):
