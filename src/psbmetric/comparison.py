@@ -51,45 +51,36 @@ class ComparisonFn:
         y = y0 + (v - x0) * slope
         return 0.0 if y < 0 else y
 
-    def map(self, values: list, run: int | None = None) -> list:
-        """[fn(v) for v in values], bit for bit, by `_map`: the one path that
-        decides whether a list is read off one line."""
-        return self._map(values, run, _span(values), None)[1]
+    def map(self, values: list) -> list:
+        """[fn(v) for v in values], bit for bit, errors included: `_line` over
+        the list when `_piece` finds its piece and the read raises nothing
+        (an int beyond the float range between two floats would), else fn
+        value by value, which raises fn's own error at the first value."""
+        k = self._piece(_span(values))
+        if k is not None:
+            try:
+                return self._line(k, values)
+            except (TypeError, ArithmeticError):
+                pass
+        return [self(v) for v in values]
 
-    def _map(self, values: list, run, span, made: dict | None) -> tuple:
-        """(key, map(values, run)), given span = _span(values).
-
-        The list is read off one line when both ends of span pick the same
-        piece and its line is >= 0 at both (a nan there fails the test): the
-        rounded map v -> y0 + (v - x0) * slope is monotone, so every value
-        between them lands on that piece at a value >= 0, which the clamp
-        leaves as it is; a nan inside gives nan on any line. With a dict
-        `made`, shared by calls on the same values, key is then the line's
-        key and the list is kept under it: a later call whose piece has the
-        same line bit for bit, from this or another ComparisonFn, gets that
-        list object. Otherwise key is None. With no span or no one line, or
-        if reading it raises, a list of rows of `run` values maps each row so
-        on its own, since a row may lie on one piece when the whole list does
-        not; with no run, the values go through fn one at a time, which
-        raises fn's own error at the first value that meets one."""
+    def _piece(self, span):
+        """k when a list with span = _span(values) reads off piece k's line,
+        else None: both ends of span pick piece k and its line is >= 0 at
+        both (a nan there fails the test). The rounded map v -> y0 + (v - x0)
+        * slope is monotone, so every value between them lands on that piece
+        at a value >= 0, which the clamp leaves as it is; a nan inside gives
+        nan on any line. A list of floats whose ends pass reads every value
+        without raising."""
         if span is not None:
             try:
                 k = bisect_right(self._cuts, span[0])
                 y_lo, y_hi = self._line(k, span)
                 if k == bisect_right(self._cuts, span[1]) and y_lo >= 0 and y_hi >= 0:
-                    if made is None:
-                        return None, self._line(k, values)
-                    # Two lines share a key only when their parts have one type and, as floats,
-                    # one bit pattern (0.0 and -0.0 differ); a line with a nan part fails the test.
-                    key = tuple((type(c), c.hex() if type(c) is float else c) for c in self._lines[k])
-                    if key not in made:
-                        made[key] = self._line(k, values)
-                    return key, made[key]
+                    return k
             except (TypeError, ArithmeticError):
                 pass
-        if run is not None and run < len(values):
-            return None, [y for start in range(0, len(values), run) for y in self.map(values[start:start + run])]
-        return None, [self(v) for v in values]
+        return None
 
     def _line(self, k, values) -> list:
         """The values of piece k's line at values, unclamped."""

@@ -9,12 +9,12 @@ the map, since the defining inequality is quantified away from fixed points.
 dist(a, b, c) and the comparison per triple, a plane or a list at a time:
 the metric's `plane` gives the distances of one a over every (b, c), and a
 ComparisonFn's `map` the comparison of a list of products, reading its line
-once when the whole list lies on one piece, and else once per row of a
-plane that does; both are bit for bit the pointwise calls. Every other
-factor is tabulated once per point, per image S(x), per (S(a), S(b)) or per
-(S(a), b), whichever it depends on. `certify` walks the a-planes of its
-points, n^2 triples each, and reduces each plane's margins at C level; its
-sampled path reads the same tables a block of drawn triples at a time.
+once when the whole list lies on one piece; both are bit for bit the
+pointwise calls. Every other factor is tabulated once per point, per image
+S(x), per (S(a), S(b)) or per (S(a), b), whichever it depends on.
+`certify` walks the a-planes of its points, n^2 triples each, and reduces
+each plane's margins at C level; its sampled path reads the same tables a
+block of drawn triples at a time.
 
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane or block
@@ -22,14 +22,14 @@ is evaluated up to its products, and their min and max, once. Specs whose
 ComparisonFns read the products off lines equal bit for bit share one rhs
 list, one failure list and, while their running minimum margins have the
 same bits, one margin reduction; every report is bit for bit that of its
-own certify call. A spec maps the products on its own, as certify does,
+own certify call. A spec maps the products on its own, value by value,
 when its comparison is not a ComparisonFn, when no one piece holds the min
 and the max, when that piece's line is below 0 at either (clamped), or when
-the min or max raises. The
-case table evaluates each a-plane once and files each c of each of its
-(a, b) rows into its subcase by the row's equality pattern. `ray_grid` is
-the one evenly spaced grid on a region carrier's ray, used by the case
-table, by `psbm certify --grid` and by the reproduction script.
+the min or max raises. The case table evaluates each a-plane once and files
+each c of each of its (a, b) rows into its subcase by the row's equality
+pattern. `ray_grid` is the one evenly spaced grid on a region carrier's
+ray, used by the case table, by `psbm certify --grid` and by the
+reproduction script.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class InequalitySides:
         # A bound __call__ method: cheaper to call once per triple than the
         # metric object itself.
         self._dist = dist = metric.__call__
-        self._rhs = _comparison_rhs(spec.comparison)
+        self._comparison = spec.comparison
         self._p, self._e5 = spec.p, spec.residual
         self._two_t = 2 * space.coefficient
         self._index = {x: k for k, x in enumerate(points)}
@@ -222,14 +222,14 @@ class InequalitySides:
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
         lhs, products = self._plane_products(a)
-        return lhs, self._rhs(products, len(self.points), _span(products), None)[1]
+        return lhs, _rhs(self._comparison, products)
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
         fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
         made once, in the order the triples first need it, and indexed by c."""
         lhs, products = self._block_products(triples)
-        return lhs, self._rhs(products, None, _span(products), None)[1]
+        return lhs, _rhs(self._comparison, products)
 
     def _plane_products(self, a):
         """`plane` up to its comparison: the lhs list and the product list."""
@@ -251,20 +251,19 @@ class InequalitySides:
         return lhs, self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
 
 
-def _comparison_rhs(comparison):
-    """rhs(products, run, span, made) -> (key, the comparison of a product
-    list): a ComparisonFn's `_map` (with `run`, the length of a plane's rows,
-    and span = _span(products)), and any other comparison value by value,
-    with key None."""
+def _rhs(comparison, products):
+    """The comparison of a product list: a ComparisonFn's `map`, and any
+    other comparison value by value."""
     if isinstance(comparison, ComparisonFn):
-        return comparison._map
-    return lambda products, run, span, made: (None, list(map(comparison, products)))
+        return comparison.map(products)
+    return list(map(comparison, products))
 
 
 def _bits(value):
-    """A key that two running minima share only when both are None or both
-    are the same float bit for bit: 0.0 and -0.0 differ, as do nans whose
-    bits differ."""
+    """A key that two values share only when both are None or both are the
+    same float bit for bit: 0.0 and -0.0 differ, as do nans whose bits
+    differ, and a value of any other type shares its key with nothing. It
+    keys running minima, and lines by their parts (x0, y0, slope)."""
     if value is None:
         return None
     return struct.pack("<d", value) if type(value) is float else object()
@@ -333,8 +332,8 @@ def certify(
     Each lhs meets its rhs, a rounded product of powers with irrational
     exponents, in a plain <=: a tie within rounding needs outward rounding.
     It is `_certificates` with one spec: each chunk's products are scanned
-    once for their min and max, which pick the line `ComparisonFn._map`
-    reads them off, so one spec pays no pass for the sharing.
+    once for their min and max, from which `ComparisonFn._piece` picks the
+    line they are read off, so one spec pays no pass for the sharing.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -344,10 +343,10 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     bit for bit, from one walk. The specs must share p, q, r, s and the map
     (InvalidArgument otherwise), so that the products of every a-plane or
     block, and their min and max, are made once. Each spec's comparison then
-    maps them to its rhs: a ComparisonFn through `_map`, which reads the
-    list off one line when the min and max pick one unclamped piece, so that
-    specs whose lines are equal bit for bit get one rhs list, and any other
-    comparison value by value. Specs with one rhs list share its failures,
+    maps them to its rhs, as `map` would: off the line of the piece that
+    `_piece` finds from the min and max (float products never raise there),
+    one list for specs whose line parts have the same `_bits`, or else
+    value by value. Specs with one rhs list share its failures,
     and its margin reduction while their running minima are the same bits
     (a float key would merge 0.0 with -0.0); the rest reduce on their own.
     An error is the first of the first a-plane or block that raises, in
@@ -375,17 +374,16 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         pool = sample_carrier(space, seed=seed)
     fixed = set(fixed_points_bruteforce(first.mapping, pool))
     active = [x for x in pool if x not in fixed]
-    rhs_maps = [_comparison_rhs(spec.comparison) for spec in specs]
     checked = 0
     failures = [[] for _ in specs]
     min_margins = [None] * len(specs)
     try:
         sides = InequalitySides(space, first, active)
 
-        # Chunks of (a maker of the triples, the comparison run, their lhs
-        # values, their products); the triples are made only to list failures.
+        # Chunks of (a maker of the triples, their lhs values, their
+        # products); the triples are made only to list failures.
         if points is not None:
-            chunks = ((partial(product, (a,), active, active), len(active), *sides._plane_products(a)) for a in active)
+            chunks = ((partial(product, (a,), active, active), *sides._plane_products(a)) for a in active)
         else:
             live = [x not in fixed for x in pool]
             rng = random.Random(f"psbm:certify:{seed}")
@@ -393,20 +391,25 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
                 [(pool[i], pool[j], pool[k]) for i, j, k in zip(*positions) if live[i] and live[j] and live[k]]
                 for positions in sampled_positions(rng, len(pool), 3, sample_count)
             )
-            chunks = ((partial(iter, block), None, *sides._block_products(block)) for block in blocks if block)
+            chunks = ((partial(iter, block), *sides._block_products(block)) for block in blocks if block)
 
-        for triples, run, lhs, products in chunks:
+        for triples, lhs, products in chunks:
             checked += len(products)
-            # Specs whose comparisons read the chunk off one line share its rhs
-            # list (made, by the line's key; one spec has none to share), its
+            # Specs whose comparisons read the chunk off lines equal bit for
+            # bit share one rhs list (lines, keyed by the line's parts), its
             # failures (failed) and, while their running minima are the same
             # bits, its margin reduction (reduced); any other rhs list has a
             # key of its own.
-            span, made, reduced, failed = _span(products), {} if len(specs) > 1 else None, {}, {}
-            for i, rhs_map in enumerate(rhs_maps):
-                key, rhs = rhs_map(products, run, span, made)
-                if key is None:
-                    key = object()
+            span, lines, reduced, failed = _span(products), {}, {}, {}
+            for i, comparison in enumerate(spec.comparison for spec in specs):
+                k = comparison._piece(span) if isinstance(comparison, ComparisonFn) else None
+                if k is None:
+                    key, rhs = object(), list(map(comparison, products))
+                else:
+                    key = tuple(map(_bits, comparison._lines[k]))
+                    if key not in lines:
+                        lines[key] = comparison._line(k, products)
+                    rhs = lines[key]
                 min_margin = min_margins[i]
                 state = key, _bits(min_margin)
                 if state not in reduced:

@@ -474,23 +474,15 @@ def counting(fn):
 
 
 class TestListEvaluation:
-    """fn.map(values) and fn.map(values, run) are [fn(v) for v in values],
-    bit for bit, errors included."""
+    """fn.map(values) is [fn(v) for v in values], bit for bit, errors
+    included."""
 
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_equals_the_scalar_loop(self, data):
         fn = data.draw(st.one_of(piece_lists(), st.sampled_from([TAU, HALF, IDENTITY, STALL])))
         values = data.draw(value_lists(fn))
-        run = data.draw(st.one_of(st.none(), st.integers(1, 13)))
-        assert outcome(lambda: fn.map(values, run)) == outcome(lambda: [fn(v) for v in values])
-
-    def test_rows_on_one_piece_read_their_lines_once(self):
-        # Rows of two: below the cut, above it, across it.
-        fn = counting(TAU)
-        values = [0.5, 0.75, 2.0, 3.0, 0.25, 1.5]
-        assert outcome(lambda: fn.map(values, 2)) == outcome(lambda: [TAU(v) for v in values])
-        assert fn.calls == [0.25, 1.5]
+        assert outcome(lambda: fn.map(values)) == outcome(lambda: [fn(v) for v in values])
 
     @pytest.mark.parametrize("values", [
         [2.0, 3.5, 1e300, math.nextafter(1.0, INF)],

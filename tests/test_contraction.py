@@ -41,7 +41,7 @@ from psbmetric import (
     tabulated_space,
     validate_exponents,
 )
-from psbmetric import contraction
+from psbmetric import comparison as comparison_module, contraction
 from psbmetric.numerics import point_sort_key
 from psbmetric.spaces import SAMPLE_BLOCK
 
@@ -747,6 +747,57 @@ class TestSharedWalk:
             # 0 is fixed: one list per a-plane of the 51 others.
             assert lines_read == [51 * 51] * 51
 
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read):
+        # paper_tau with int starts, x0 and y0 gives the float one's values
+        # bit for bit, but only a line whose parts are all floats is shared.
+        int_tau = ComparisonFn("int_tau", ((0, ((0, 0), (10, 9)), True), (1, ((0, 0), (2, 1)), False)), BOYD_WONG)
+        tau = builtin_comparison("paper_tau")
+        kwargs = {"points": CERT_POINTS[:12]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
+        specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, int_tau, tau, int_tau))
+        reports = one_walk(GAP, specs, lines_read, **kwargs)
+        assert repr(reports[0]) == repr(reports[1])
+        if mode == "grid":
+            # 0 is fixed: per a-plane of the 11 others, one list for the two
+            # float lines and one for each int line.
+            assert lines_read == [11 * 11] * (11 * 3)
+
+    @pytest.mark.parametrize("mode", ["grid", "sampled"])
+    def test_one_scan_for_the_min_and_max_per_plane_or_block(self, mode, monkeypatch):
+        # certify and a shared walk take each chunk's span once, whether a
+        # spec reads a line (plane 1 of the first two), goes value by value
+        # (the third straddles its cut on plane 2; the sampled blocks mix
+        # planes) or is no ComparisonFn.
+        real_span, spans, chunks = comparison_module._span, [], []
+
+        def counting_span(values):
+            spans.append(len(values))
+            return real_span(values)
+
+        for name in ("_plane_products", "_block_products"):
+            def counting_chunk(sides, arg, real=getattr(InequalitySides, name)):
+                lhs, products = real(sides, arg)
+                chunks.append(len(products))
+                return lhs, products
+
+            monkeypatch.setattr(InequalitySides, name, counting_chunk)
+        monkeypatch.setattr(comparison_module, "_span", counting_span)
+        monkeypatch.setattr(contraction, "_span", counting_span)
+        first = piecewise("first", (0.0, 0.0, 0.0, 1.0, 0.9), (1e4, 0.0, 0.0, 1.0, 0.5))
+        third = piecewise("third", (0.0, 0.0, 0.0, 1.0, 0.5), (1e5, 0.0, 0.0, 1.0, 0.3))
+        by_hand = FakeComparison("quarter-by-hand", lambda v: v / 4)
+        kwargs = {"points": [1, 2, 3, 4]} if mode == "grid" else {"sample_count": 3000, "seed": 7}
+        space = staged_space()
+        for walk in (
+            lambda: [certify(space, staged_specs(third)[0], **kwargs)],
+            lambda: contraction._certificates(space, staged_specs(first, third), **kwargs),
+            lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs),
+        ):
+            spans.clear()
+            chunks.clear()
+            walk()
+            assert spans == chunks and len(chunks) == (4 if mode == "grid" else math.ceil(3000 / SAMPLE_BLOCK))
+
 
 class TestRowEvaluator:
     """The row-tabulated evaluator against the pointwise references above,
@@ -864,9 +915,8 @@ class TestRowEvaluator:
             assert m**3 <= len(calls) <= m**3 + 2 * m**2
 
     def test_tabulated_rows_straddling_the_cut_of_paper_tau_equal_reference(self):
-        # Float tables near 1, so that the products of one (a, b) row lie on
-        # both sides of paper_tau's cut at 1 and the row is evaluated value by
-        # value, while other rows lie on one side and read one line.
+        # Float tables near 1, so that the products of some (a, b) rows lie
+        # on both sides of paper_tau's cut at 1 and those of others on one.
         rng = random.Random("psbm:test:straddle")
         tau = builtin_comparison("paper_tau")
         identity = FakeComparison("identity", lambda v: v)
