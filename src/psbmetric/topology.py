@@ -23,6 +23,7 @@ index.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -177,18 +178,26 @@ class SeparationReport:
         }
 
 
+@functools.lru_cache(maxsize=32)
+def _pairs(points: tuple, ids: tuple) -> tuple:
+    """The pairs (u, v) of points, u before v, shared by the reports on the
+    same point objects (ids; the key holds them, so no id is reused)."""
+    return tuple(itertools.combinations(points, 2))
+
+
 def separation_report(topology: FiniteTopology) -> SeparationReport:
     """A pair (u, v) fails T0 when v is in U_u and u in U_v, T1 when either
     holds, and T2 when U_u meets U_v. Raises InvalidArgument naming the first
     point that lies in no open or whose U_x is not open."""
-    points = sorted_points(topology.carrier)
+    points = tuple(sorted_points(topology.carrier))
     smallest = _smallest_opens(topology.opens)
     for x in points:
         if smallest.get(x) not in topology.opens:
             raise InvalidArgument(f"point {point_label(x)} has no smallest open set")
     t0_bad, t1_bad, t2_bad = [], [], []
-    # The three witness lists share one tuple per pair.
-    for pair in itertools.combinations(points, 2):
+    # The three witness lists, and the reports on the same points, share one
+    # tuple per pair; points only equal to those (4.0 to 4) get their own.
+    for pair in _pairs(points, tuple(map(id, points))):
         u, v = pair
         v_near_u = v in smallest[u]
         u_near_v = u in smallest[v]
@@ -198,12 +207,8 @@ def separation_report(topology: FiniteTopology) -> SeparationReport:
             t1_bad.append(pair)
         if not smallest[u].isdisjoint(smallest[v]):
             t2_bad.append(pair)
-    return SeparationReport(
-        t0=not t0_bad,
-        t1=not t1_bad,
-        t2=not t2_bad,
-        witnesses={"t0": t0_bad, "t1": t1_bad, "t2": t2_bad},
-    )
+    witnesses = {"t0": t0_bad, "t1": t1_bad, "t2": t2_bad}
+    return SeparationReport(not t0_bad, not t1_bad, not t2_bad, witnesses)
 
 
 def is_connected(topology: FiniteTopology):

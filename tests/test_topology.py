@@ -499,6 +499,20 @@ class TestSeparation:
         assert t0 == t1 == t2 == [(1, 2)]
         assert t0[0] is t1[0] is t2[0]
 
+    def test_reports_on_the_same_points_share_their_pairs(self):
+        table = {tpl: 1 for tpl in itertools.product((1, 2), repeat=3)}
+        first, second = (
+            separation_report(generate_topology(tabulated_space((1, 2), table))).witnesses["t1"]
+            for _ in range(2)
+        )
+        assert first == second == [(1, 2)] and first is not second
+        assert first[0] is second[0]
+        # Points that are only equal to these get pairs of their own.
+        floats = {tuple(map(float, tpl)): 1 for tpl in table}
+        (pair,) = separation_report(generate_topology(tabulated_space((1.0, 2.0), floats))).witnesses["t1"]
+        assert pair == (1, 2) and all(type(x) is float for x in pair)
+        assert separation_report(generate_topology(tabulated_space((1, 2), table))).witnesses["t1"][0] is first[0]
+
 class TestConnected:
     def test_two_point_b_disconnects(self):
         connected, witness = is_connected(generate_topology(TWO_B))
