@@ -47,28 +47,27 @@ def _no_effect(flag: str, value, path: str) -> None:
         raise PsbmError(f"{flag} has no effect {path}")
 
 
+def _read_file(path: str, what: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be opened or decoded is
+    a usage error, `cannot read <what> <path>: <reason>`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PsbmError(f"cannot read {what} {path!r}: {exc}") from None
+
+
 def _resolve_space(selector: str):
     if selector.startswith("builtin:"):
         return spaces.builtin_space(selector[len("builtin:"):])
     if selector.startswith("file:"):
-        path = selector[len("file:"):]
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise PsbmError(f"cannot read space file {path!r}: {exc}") from None
-        return spaces.load_tabulated_space(text)
+        return spaces.load_tabulated_space(_read_file(selector[len("file:"):], "space file"))
     raise PsbmError(f"space selector must be builtin:<name> or file:<path>, got {selector!r}")
 
 
 def _resolve_comparison(name: str):
     if name.startswith("file:"):
-        path = name[len("file:"):]
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return comparison.load_piecewise(handle.read())
-        except OSError as exc:
-            raise PsbmError(f"cannot read breakpoints {path!r}: {exc}") from None
+        return comparison.load_piecewise(_read_file(name[len("file:"):], "breakpoints"))
     return comparison.builtin_comparison(name)
 
 
@@ -270,15 +269,9 @@ def _cmd_check_comparison(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _build_spec(args):
-    if args.spec != "paper":
-        raise PsbmError(f"unknown spec shorthand {args.spec!r}; only 'paper' is registered")
-    return contraction.standard_spec(matkowski=args.matkowski)
-
-
 def _cmd_certify(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
-    spec = _build_spec(args)
+    spec = contraction.standard_spec(matkowski=args.matkowski)
     if args.grid is not None:
         _no_effect("--seed", args.seed, "with --grid")
         _no_effect("--samples", args.samples, "with --grid")
@@ -308,7 +301,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_case_table(args) -> int:
     space = _with_bound(_resolve_space(args.space), args.bound)
-    spec = _build_spec(args)
+    spec = contraction.standard_spec(matkowski=args.matkowski)
     table = contraction.reproduce_case_table(space, spec, grid_size=args.grid_size)
     payload = table.to_dict()
     _emit(payload, args, lambda r: table.render())
@@ -413,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify an interpolative contraction")
     common(p, seed=True)
-    p.add_argument("--spec", default="paper")
+    p.add_argument("--spec", choices=("paper",), default="paper", help="the hypothesis; paper: p=q=r=s=1/5, map paper_S")
     p.add_argument("--matkowski", action="store_true")
     p.add_argument("--samples", type=int, default=None, help="sampled triples; default 200")
     p.add_argument("--grid", type=int, default=None, help="exhaustive over isolated points plus an n-point ray grid")
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("case-table", help="reproduce the worked-example case table")
     common(p)
-    p.add_argument("--spec", default="paper")
+    p.add_argument("--spec", choices=("paper",), default="paper", help="the hypothesis; paper: p=q=r=s=1/5, map paper_S")
     p.add_argument("--matkowski", action="store_true")
     p.add_argument("--grid-size", type=int, default=20)
     p.set_defaults(func=_cmd_case_table)

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ParseError, UnknownBuiltin
 
@@ -51,19 +52,6 @@ class ComparisonFn:
         y = y0 + (v - x0) * slope
         return 0.0 if y < 0 else y
 
-    def map(self, values: list) -> list:
-        """[fn(v) for v in values], bit for bit, errors included: `_line` over
-        the list when `_piece` finds its piece and the read raises nothing
-        (an int beyond the float range between two floats would), else fn
-        value by value, which raises fn's own error at the first value."""
-        k = self._piece(_span(values))
-        if k is not None:
-            try:
-                return self._line(k, values)
-            except (TypeError, ArithmeticError):
-                pass
-        return [self(v) for v in values]
-
     def _piece(self, span):
         """k when a list with span = _span(values) reads off piece k's line,
         else None: both ends of span pick piece k and its line is >= 0 at
@@ -71,7 +59,9 @@ class ComparisonFn:
         * slope is monotone, so every value between them lands on that piece
         at a value >= 0, which the clamp leaves as it is; a nan inside gives
         nan on any line. A list of floats whose ends pass reads every value
-        without raising."""
+        without raising; an int beyond the float range between them raises
+        at the same value, with the same error, as fn called value by value.
+        `contraction._rhs` is its one caller."""
         if span is not None:
             try:
                 k = bisect_right(self._cuts, span[0])
@@ -264,7 +254,7 @@ def _check_below_identity(fn):
 
 
 def _check_monotone(fn):
-    pair = None
+    falls = False
     for b, left, value, right, (lo, _, _), (_, hi, line) in _breakpoints(fn):
         if left > value:
             pair = _float_in(lo, b, lambda t: _exact(fn, t) > value), b
@@ -274,14 +264,18 @@ def _check_monotone(fn):
             # Falling while positive, whether or not clamped at 0 later.
             a = _float_in(b, hi, lambda t: _at(line, t) > 0)
             pair = a, a and _float_in(a, hi)
-        if pair:
-            break
-    if pair is None:
-        return PropertyCheck("monotone", True)
-    if None in pair:
+        else:
+            continue
+        if None in pair:
+            # Too few floats inside the spans: try the ends of the spans around b as well.
+            ends = sorted({w for w in (lo, b, *pair, hi) if w is not None and w < math.inf})
+            pair = next(((x, y) for x, y in combinations(ends, 2) if _exact(fn, x) > _exact(fn, y)), pair)
+        if None not in pair:
+            return PropertyCheck("monotone", False, pair, f"fn({pair[0]}) > fn({pair[1]})")
+        falls = True  # with no float pair here; a later fall may have one
+    if falls:
         return PropertyCheck("monotone", False, None, "fn falls only between adjacent floats")
-    a, c = pair
-    return PropertyCheck("monotone", False, pair, f"fn({a}) > fn({c})")
+    return PropertyCheck("monotone", True)
 
 
 def _check_usc(fn):

@@ -7,8 +7,8 @@ the map, since the defining inequality is quantified away from fixed points.
 
 `InequalitySides` is the one evaluator of both sides. It evaluates only
 dist(a, b, c) and the comparison per triple, a plane or a list at a time:
-the metric's `plane` gives the distances of one a over every (b, c), and a
-ComparisonFn's `map` the comparison of a list of products, reading its line
+the metric's `plane` gives the distances of one a over every (b, c), and
+`_rhs` the comparison of a list of products, reading a ComparisonFn's line
 once when the whole list lies on one piece; both are bit for bit the
 pointwise calls. Every other factor is tabulated once per point, per image
 S(x), per (S(a), S(b)) or per (S(a), b), whichever it depends on.
@@ -18,14 +18,13 @@ block of drawn triples at a time.
 
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane or block
-is evaluated up to its products, and their min and max, once. Specs whose
-ComparisonFns read the products off lines equal bit for bit share one rhs
+is evaluated up to its products, and their min and max, once. `_rhs`, the
+one maker of an rhs list (for the walk, and for `plane` and `block`, so for
+the case table), reads it off one piece's line, or else goes value by
+value. On the walk, specs whose lines are equal bit for bit share one rhs
 list, one failure list and, while their running minimum margins have the
 same bits, one margin reduction; every report is bit for bit that of its
-own certify call. A spec maps the products on its own, value by value,
-when its comparison is not a ComparisonFn, when no one piece holds the min
-and the max, when that piece's line is below 0 at either (clamped), or when
-the min or max raises. The case table evaluates each a-plane once and files
+own certify call. The case table evaluates each a-plane once and files
 each c of each of its (a, b) rows into its subcase by the row's equality
 pattern. `ray_grid` is the one evenly spaced grid on a region carrier's
 ray, used by the case table, by `psbm certify --grid` and by the
@@ -222,14 +221,14 @@ class InequalitySides:
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
         lhs, products = self._plane_products(a)
-        return lhs, _rhs(self._comparison, products)
+        return lhs, _rhs(self._comparison, products, _span(products), {})[1]
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
         fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
         made once, in the order the triples first need it, and indexed by c."""
         lhs, products = self._block_products(triples)
-        return lhs, _rhs(self._comparison, products)
+        return lhs, _rhs(self._comparison, products, _span(products), {})[1]
 
     def _plane_products(self, a):
         """`plane` up to its comparison: the lhs list and the product list."""
@@ -251,12 +250,21 @@ class InequalitySides:
         return lhs, self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
 
 
-def _rhs(comparison, products):
-    """The comparison of a product list: a ComparisonFn's `map`, and any
-    other comparison value by value."""
-    if isinstance(comparison, ComparisonFn):
-        return comparison.map(products)
-    return list(map(comparison, products))
+def _rhs(comparison, products, span, lines):
+    """(key, rhs) with rhs = [comparison(v) for v in products], bit for bit,
+    errors included; span is `_span(products)`. A ComparisonFn whose
+    `_piece(span)` finds a piece reads the list off that piece's line, once
+    per line: the list is kept in `lines` under the `_bits` of the line's
+    parts, which is also its key, so a later call with a line equal bit for
+    bit gets the same list object. Any other comparison, or a list that no
+    one piece covers, goes value by value under a key of its own."""
+    k = comparison._piece(span) if isinstance(comparison, ComparisonFn) else None
+    if k is None:
+        return object(), list(map(comparison, products))
+    key = tuple(map(_bits, comparison._lines[k]))
+    if key not in lines:
+        lines[key] = comparison._line(k, products)
+    return key, lines[key]
 
 
 def _bits(value):
@@ -332,8 +340,8 @@ def certify(
     Each lhs meets its rhs, a rounded product of powers with irrational
     exponents, in a plain <=: a tie within rounding needs outward rounding.
     It is `_certificates` with one spec: each chunk's products are scanned
-    once for their min and max, from which `ComparisonFn._piece` picks the
-    line they are read off, so one spec pays no pass for the sharing.
+    once for their min and max, from which `_rhs` picks the line they are
+    read off, so one spec pays no pass for the sharing.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -342,10 +350,9 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     """[certify(space, spec, ...) for spec in specs], report for report and
     bit for bit, from one walk. The specs must share p, q, r, s and the map
     (InvalidArgument otherwise), so that the products of every a-plane or
-    block, and their min and max, are made once. Each spec's comparison then
-    maps them to its rhs, as `map` would: off the line of the piece that
-    `_piece` finds from the min and max (float products never raise there),
-    one list for specs whose line parts have the same `_bits`, or else
+    block, and their min and max, are made once. `_rhs` then gives each
+    spec's rhs, one call per spec per chunk: one list for specs whose line
+    parts have the same `_bits`, and a list of its own for a spec that goes
     value by value. Specs with one rhs list share its failures,
     and its margin reduction while their running minima are the same bits
     (a float key would merge 0.0 with -0.0); the rest reduce on their own.
@@ -396,20 +403,13 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         for triples, lhs, products in chunks:
             checked += len(products)
             # Specs whose comparisons read the chunk off lines equal bit for
-            # bit share one rhs list (lines, keyed by the line's parts), its
+            # bit share one rhs list (kept by `_rhs` in lines), its
             # failures (failed) and, while their running minima are the same
             # bits, its margin reduction (reduced); any other rhs list has a
             # key of its own.
             span, lines, reduced, failed = _span(products), {}, {}, {}
-            for i, comparison in enumerate(spec.comparison for spec in specs):
-                k = comparison._piece(span) if isinstance(comparison, ComparisonFn) else None
-                if k is None:
-                    key, rhs = object(), list(map(comparison, products))
-                else:
-                    key = tuple(map(_bits, comparison._lines[k]))
-                    if key not in lines:
-                        lines[key] = comparison._line(k, products)
-                    rhs = lines[key]
+            for i, spec in enumerate(specs):
+                key, rhs = _rhs(spec.comparison, products, span, lines)
                 min_margin = min_margins[i]
                 state = key, _bits(min_margin)
                 if state not in reduced:

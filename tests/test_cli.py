@@ -96,6 +96,18 @@ class TestExitCodes:
         code = run_cli("check-comparison", "--fn", f"file:{path}", "--kind", "matkowski")
         assert code == 0
 
+    @pytest.mark.parametrize("argv, what", [
+        (["verify-axioms", "--space"], "space file"),
+        (["check-comparison", "--kind", "matkowski", "--fn"], "breakpoints"),
+    ], ids=["space", "breakpoints"])
+    def test_a_file_that_is_not_utf8_is_one_error_line(self, argv, what, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("points: \xe9\n".encode("latin-1"))
+        assert run_cli(*argv, f"file:{path}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {str(path)!r}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
     def test_untagged_comparison_needs_kind(self, capsys):
         assert run_cli("check-comparison", "--fn", "identity") == 2
 

@@ -19,6 +19,8 @@ from psbmetric import (
     load_piecewise,
     piecewise_linear,
 )
+from psbmetric.comparison import _span
+from psbmetric.contraction import _rhs
 
 TAU = builtin_comparison("paper_tau")
 HALF = builtin_comparison("half")
@@ -309,6 +311,32 @@ class TestMatkowskiChecks:
         a, c = check.witness
         assert a < c and exact_at(TAU, a) > exact_at(TAU, c)
 
+    def test_a_fall_on_a_piece_with_no_float_inside_is_named_at_its_ends(self):
+        # The piece [1, nextafter(1)) falls from 0.5 towards 0.4, and holds no
+        # float but 1; the pair is its own start and the next start.
+        after = math.nextafter(1.0, INF)
+        fn = piecewise_linear([(0, 0), (1, 0.5), (after, 0.4), (2, 0.8)])
+        check = check_matkowski_properties(fn).check("monotone")
+        assert not check.passed and check.witness == (1.0, after)
+        assert exact_at(fn, 1.0) == 0.5 > exact_at(fn, after) == 0.4
+        assert check.detail == f"fn(1.0) > fn({after})"
+
+    def test_a_fall_with_no_float_pair_is_reported_without_a_witness(self):
+        # The same falling piece, but the next piece is flat at fn(1): fn falls
+        # and comes back between two adjacent floats, so no float pair shows it.
+        after = math.nextafter(1.0, INF)
+        fn = pieces_fn((0.0, line(0, 0, 1, 0.5), True), (1.0, line(1, 0.5, 2, 0), True),
+                       (after, line(0, 0.5, 1, 0.5), True))
+        assert exact_at(fn, 1.0) == exact_at(fn, after) == 0.5
+        check = check_matkowski_properties(fn).check("monotone")
+        assert not check.passed and check.witness is None
+        assert check.detail == "fn falls only between adjacent floats"
+        # A later fall that a float pair shows is named, not hidden behind it.
+        falls_later = pieces_fn(*fn.pieces, (4.0, line(4, 0.5, 5, 0.1), True))
+        check = check_matkowski_properties(falls_later).check("monotone")
+        a, c = check.witness
+        assert 1 < a < c and exact_at(falls_later, a) > exact_at(falls_later, c)
+
     def test_undecided_without_monotonicity(self):
         # t/2 up to 1, then a drop to 0.1 t and a rise to t + 1 from 4 on.
         fn = pieces_fn((0.0, line(0, 0, 1, 0.5), True), (1.0, line(0, 0, 1, 0.1), False),
@@ -473,8 +501,14 @@ def counting(fn):
     return counted
 
 
+def listed(fn, values):
+    """The rhs list that `contraction._rhs` makes of values, as `plane` and
+    `block` call it: no line shared with another list."""
+    return _rhs(fn, values, _span(values), {})[1]
+
+
 class TestListEvaluation:
-    """fn.map(values) is [fn(v) for v in values], bit for bit, errors
+    """listed(fn, values) is [fn(v) for v in values], bit for bit, errors
     included."""
 
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -482,7 +516,7 @@ class TestListEvaluation:
     def test_equals_the_scalar_loop(self, data):
         fn = data.draw(st.one_of(piece_lists(), st.sampled_from([TAU, HALF, IDENTITY, STALL])))
         values = data.draw(value_lists(fn))
-        assert outcome(lambda: fn.map(values)) == outcome(lambda: [fn(v) for v in values])
+        assert outcome(lambda: listed(fn, values)) == outcome(lambda: [fn(v) for v in values])
 
     @pytest.mark.parametrize("values", [
         [2.0, 3.5, 1e300, math.nextafter(1.0, INF)],
@@ -493,7 +527,7 @@ class TestListEvaluation:
     ], ids=["above-the-cut", "zeros", "up-to-the-closed-cut", "nan-inside", "ints"])
     def test_one_piece_reads_the_line_once(self, values):
         fn = counting(TAU)
-        assert outcome(lambda: fn.map(values)) == outcome(lambda: [TAU(v) for v in values])
+        assert outcome(lambda: listed(fn, values)) == outcome(lambda: [TAU(v) for v in values])
         assert fn.calls == []
 
     @pytest.mark.parametrize("values", [
@@ -506,19 +540,19 @@ class TestListEvaluation:
     ], ids=["straddles-the-cut", "beside-the-cut", "nan-first", "infinities", "big-int", "not-a-number"])
     def test_otherwise_goes_value_by_value(self, values):
         fn = counting(TAU)
-        assert outcome(lambda: fn.map(values)) == outcome(lambda: [TAU(v) for v in values])
+        assert outcome(lambda: listed(fn, values)) == outcome(lambda: [TAU(v) for v in values])
         assert fn.calls
 
     def test_a_line_below_zero_at_an_end_is_clamped_value_by_value(self):
         # (t - 1) / 2 on its one piece: negative below 1.
         fn = counting(pieces_fn((0.0, line(1, 0, 3, 1), True)))
         values = [0.25, 2.0, 5.0]
-        assert outcome(lambda: fn.map(values)) == outcome(lambda: [fn(v) for v in values])
-        assert fn.map(values) == [0.0, 0.5, 2.0]
+        assert outcome(lambda: listed(fn, values)) == outcome(lambda: [fn(v) for v in values])
+        assert listed(fn, values) == [0.0, 0.5, 2.0]
         assert fn.calls
 
     def test_empty(self):
-        assert TAU.map([]) == []
+        assert listed(TAU, []) == []
 
 
 def shrinking_maps():

@@ -1255,3 +1255,13 @@ class TestCaseTable:
         text = self.TABLE.render()
         for label in REFERENCE_BOUNDS:
             assert label in text
+
+    def test_render_notes_a_failing_row(self):
+        rows = list(self.TABLE.rows)
+        k = next(k for k, row in enumerate(rows) if not row.discrepancy)
+        rows[k] = dataclasses.replace(rows[k], holds=False)
+        table = dataclasses.replace(self.TABLE, rows=tuple(rows))
+        assert not table.passed
+        lines = table.render().splitlines()[2:]
+        assert [line.endswith(" INEQUALITY FAILS") for line in lines] == [i == k for i in range(len(rows))]
+        assert "INEQUALITY FAILS" not in self.TABLE.render()
