@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import and_, eq, getitem, le, ne, not_
+from operator import and_, eq, getitem, not_
 from typing import Callable, Iterator
 
 from .errors import (
@@ -84,10 +84,25 @@ Carrier = FiniteCarrier | RegionCarrier
 # Triple metrics
 # --------------------------------------------------------------------------
 
+class _Pointwise:
+    """plane and row by the metric's own pointwise calls, made in (q, r)
+    order: an error is the one met at the first (q, r) that raises (and
+    none when qs or rs is empty)."""
+
+    def plane(self, p, qs: list, rs: list) -> list:
+        """[[self(p, q, r) for r in rs] for q in qs]."""
+        return [[self(p, q, r) for r in rs] for q in qs]
+
+    def row(self, p, q, rs: list) -> list:
+        """[self(p, q, r) for r in rs]: the plane of the one q."""
+        return self.plane(p, (q,), rs)[0]
+
+
 @dataclass(frozen=True)
-class TabulatedMetric:
+class TabulatedMetric(_Pointwise):
     """Distance given by an explicit value per ordered triple of points,
-    stored as rows: rows[i][j][k] = S(points[i], points[j], points[k])."""
+    stored as rows: rows[i][j][k] = S(points[i], points[j], points[k]).
+    Its planes and rows are pointwise calls."""
 
     points: tuple
     rows: tuple
@@ -104,23 +119,6 @@ class TabulatedMetric:
             x = next(x for x in (p, q, r) if x not in index)
             raise UnknownPoint(f"point {point_label(x)} is not in the carrier") from None
 
-    def plane(self, p, qs: list, rs: list) -> list:
-        """[[self(p, q, r) for r in rs] for q in qs], read off the stored
-        rows of p. On an error the calls are made one at a time, in (q, r)
-        order, so that the error raised is the pointwise call's at the first
-        (q, r) that meets one (and none when qs or rs is empty)."""
-        index = self._index
-        try:
-            lines = self.rows[index[p]]
-            ks = [index[r] for r in rs]
-            return [[line[k] for k in ks] for line in [lines[index[q]] for q in qs]]
-        except (KeyError, TypeError):
-            return [[self(p, q, r) for r in rs] for q in qs]
-
-    def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs]: the plane of the one q."""
-        return self.plane(p, (q,), rs)[0]
-
     @property
     def table(self) -> dict:
         """The value per ordered triple, as a new dict in carrier order."""
@@ -131,13 +129,14 @@ class TabulatedMetric:
 
 
 @dataclass(frozen=True)
-class RuleMetric:
+class RuleMetric(_Pointwise):
     """Distance given by a named analytic rule, with an optional plane rule:
     plane_rule(p, qs, rs) must equal [[rule(p, q, r) for r in rs] for q in
     qs] in every value and type whenever it returns. It may raise where the
     pointwise calls do not (a power taken ahead of the branch that needs
-    it, a check of a whole row): on any error the calls are replayed one at
-    a time. A plane holds len(qs) * len(rs) values."""
+    it, a check of a whole row): on any error, and with no plane rule, the
+    plane is made by pointwise calls. A plane holds len(qs) * len(rs)
+    values."""
 
     name: str
     rule: Callable
@@ -152,21 +151,13 @@ class RuleMetric:
 
     def plane(self, p, qs: list, rs: list) -> list:
         """[[self(p, q, r) for r in rs] for q in qs], from the plane rule
-        when there is one and from the rule per entry otherwise. On any
-        error the calls are made one at a time, in (q, r) order, so that the
-        error raised is the pointwise call's at the first (q, r) that meets
-        one (and none when qs or rs is empty)."""
-        try:
-            if self.plane_rule is not None:
+        when it returns."""
+        if self.plane_rule is not None:
+            try:
                 return self.plane_rule(p, qs, rs)
-            rule = self.rule
-            return [[rule(p, q, r) for r in rs] for q in qs]
-        except Exception:
-            return [[self(p, q, r) for r in rs] for q in qs]
-
-    def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs]: the plane of the one q."""
-        return self.plane(p, (q,), rs)[0]
+            except Exception:
+                pass
+        return super().plane(p, qs, rs)
 
 
 def quintic(p, q, r):
@@ -191,7 +182,7 @@ def _quintic_plane(p, qs, rs):
     finite if its sums with the least and the greatest r^5 are. A row whose
     two end sums are not finite and in order (nan, which min and max may
     return, included) raises OverflowError, also where quintic does not,
-    and the metric then replays the plane point by point."""
+    and RuleMetric.plane then makes the plane by pointwise calls."""
     p5 = p ** 5
     r5s = [r ** 5 for r in rs]
     lo, hi = (min(r5s), max(r5s)) if r5s else (0, 0)
@@ -367,8 +358,10 @@ def check_axioms(
     the quadruples' leading coordinates, so any sampled violation is also
     found by the exhaustive scan.
 
-    The verdicts come from one loop over tables of the point set, which
-    both modes feed (see _check_by_tables), and every one is exact. A
+    The verdicts come from one walk over tables of the point set, which
+    both modes feed (see _check_by_tables), and every one is exact; the
+    report keeps the first lhs and rhs of each violated tuple, sorted by
+    axiom and then by tuple. A
     rectangle violation whose right-hand side overflows the float range has
     no float to report and raises DistanceOverflow, naming the axiom and the
     tuple: the first such, triple by triple (exhaustive) or quadruple by
@@ -386,7 +379,9 @@ def check_axioms(
         seed = 0 if seed is None else seed
         pts = sample_carrier(space, seed=seed)
         checked = len(axioms) * sample_count
-    found = _check_by_tables(space, axioms, pts, sample_count, seed)
+    found = {}
+    for key, value in _check_by_tables(space, axioms, pts, sample_count, seed):
+        found.setdefault(key, value)
     violations = tuple(
         Violation(index, tpl, lhs, rhs)
         for (index, tpl), (lhs, rhs) in sorted(
@@ -453,26 +448,24 @@ def _byte_decoder(n: int) -> tuple:
     return bytes(v >> shift for v in range(256)), bytes(v for v in range(256) if v >> shift >= n)
 
 
-class _Decided(Exception):
-    """Stops a check at its first violation."""
+def _check_by_tables(space, axioms, pts, sample_count, seed) -> Iterator[tuple]:
+    """Yield ((axiom, tuple), (lhs, rhs)) per violation, in walk order:
+    triple by triple (s by s within a row) when exhaustive, quadruple by
+    quadruple in draw order when sampled. A key may come more than once
+    (a repeated tuple, a symmetry pair at each of its tuples); its first
+    value is the report's. The self-distances S(x,x,x) and the rows
+    S(x,x,s) are tabulated once over `pts`, by position: equal points such
+    as 3 and 3.0 may give an int and a float distance.
 
-
-def _check_by_tables(space, axioms, pts, sample_count, seed, first=False) -> dict:
-    """{(axiom, tuple): (lhs, rhs)} per violated tuple, first occurrence
-    kept; with `first`, the check stops at its first violation, which is
-    then the one entry. The self-distances S(x,x,x) and the rows S(x,x,s)
-    are tabulated once over `pts`, by position: equal points such as 3 and
-    3.0 may give an int and a float distance.
-
-    One loop, `check`, decides every axiom. It takes position tuples
-    (i, j, k, columns) and evaluates S(p,q,r) once per tuple, then checks
-    identity, self-minimality, symmetry (at the first tuple of each
-    position pair) and the rectangle, in that order. The exhaustive mode
-    feeds it every triple with columns = range(n), and the rectangle is
-    checked over the whole row of s; the sampled mode feeds it quadruples
-    from sampled_positions, and columns is the drawn s. Every variant's
-    right-hand side is scale * (S(p,p,s) + S(q,q,s) + S(r,r,s)) -
-    offset[s], scale being t or 1 and offset S(s,s,s) or 0: `1 * x` and
+    One loop decides every axiom. It takes position tuples (i, j, k,
+    columns) and evaluates S(p,q,r) once per tuple, then checks identity,
+    self-minimality, symmetry (read off the `symmetric` matrix, compared
+    once per check) and the rectangle at each s of `columns`, in that
+    order. The exhaustive mode feeds it every triple with columns =
+    range(n), the whole row of s; the sampled mode feeds it quadruples
+    from sampled_positions, and columns is the drawn s alone. Every
+    variant's right-hand side is scale * (S(p,p,s) + S(q,q,s) + S(r,r,s))
+    - offset[s], scale being t or 1 and offset S(s,s,s) or 0: `1 * x` and
     `x - 0` are x itself, an int or a float alike.
 
     Every comparison is exact. A right-hand side is summed in floats (in
@@ -481,23 +474,22 @@ def _check_by_tables(space, axioms, pts, sample_count, seed, first=False) -> dic
     0 on ints, none on a negative or non-finite operand); a whole
     exhaustive row holds at once when its min clears the largest bound.
     Any other, and any whose sum is not finite or overflows, is decided on
-    true values by numerics.exact_value. A violation reports the
-    float sum; one whose sum overflowed has none to report and raises
-    DistanceOverflow, naming the axiom and the tuple.
+    true values by numerics.exact_value. A violation reports the float
+    sum; one whose sum overflowed has none to report and raises
+    DistanceOverflow in place, naming the axiom and the tuple.
 
     A sampled block first passes `screen`, over aligned lists. It evaluates
     S(p,q,r) per quadruple (by the rule itself, for a rule metric) and
-    clears a quadruple on which `check` would record nothing: p != q and
+    clears a quadruple on which the loop would yield nothing: p != q and
     S(p,q,r) unequal to what identity compares it with, S(p,p,p) <=
-    S(p,q,r), a position pair outside the pool's asymmetric ones (found
-    once per check, n^2 comparisons), and check_rectangle's first test.
-    The others reach `check` in draw order, so the report and the first
-    error are those of checking every quadruple. A block on which the
-    screen raises reaches `check` whole, which meets a metric error again
-    at its quadruple.
+    S(p,q,r), a symmetric position pair, and check_rectangle's first test.
+    The others reach the loop in draw order, so the violations and the
+    first error are those of checking every quadruple. A block on which
+    the screen raises reaches the loop whole, which meets a metric error
+    again at its quadruple.
     """
     dist = space.metric.__call__
-    # The screen's evaluator: `check` replays any error it meets.
+    # The screen's evaluator: the loop replays any error it meets.
     evaluate = space.metric.rule if isinstance(space.metric, RuleMetric) else dist
     n = len(pts)
     selfs = [dist(x, x, x) for x in pts]
@@ -516,70 +508,34 @@ def _check_by_tables(space, axioms, pts, sample_count, seed, first=False) -> dic
         row_err = rel * (3 * scale * max(map(max, pairs), default=0) + max(offset, default=0)) + tiny
     except OverflowError:  # an int beyond the float range times a float
         row_err = math.nan
-    sampled = sample_count is not None
-    # A flag at i * n + j per position pair whose symmetry is decided: every
-    # pair's, in a variant without the symmetry axiom.
-    symmetry_decided = bytearray(n * n) if symmetry is not None else b"\1" * (n * n)
-    found = {}
-    if first:
-        def record(key, value):
-            found[key] = value
-            raise _Decided
-    else:
-        record = found.setdefault
+    # symmetric[i][j]: S(p,p,q) = S(q,q,p) at positions i, j; all True in a
+    # variant without the symmetry axiom.
+    symmetric = [[True] * n] * n if symmetry is None else [list(map(eq, row, column)) for row, column in zip(pairs, zip(*pairs))]
+    asymmetric = not all(map(all, symmetric))
 
     def check_rectangle(val, i, j, k, m):
+        """The rectangle's violation at positions (i, j, k, m), or None."""
         a, b, c, o = pairs[i][m], pairs[j][m], pairs[k][m], offset[m]
         value = None
         try:
             value = scale * (a + b + c) - o
             err = rel * (value + o + o) + tiny  # value inf: err inf, so nan below
             if val <= value - err:
-                return
+                return None
             violated = val > value + err
         except OverflowError:  # also an int value beyond the float range times a float
             violated = False
         if not violated:
             exact = exact_value(scale, (a, b, c), o)
             if val <= exact:
-                return
+                return None
             if value is None or not -math.inf < value < math.inf and -math.inf < exact < math.inf:
                 labels = ", ".join(point_label(pts[x]) for x in (i, j, k, m))
                 raise DistanceOverflow(f"axiom {rectangle} at ({labels}) overflows the float range")
-        record((rectangle, (pts[i], pts[j], pts[k], pts[m])), (val, value))
-
-    def check(tuples):
-        summed = None
-        for i, j, k, columns in tuples:
-            p, q, r = pts[i], pts[j], pts[k]
-            val, sp = dist(p, q, r), selfs[i]
-            if id_partial:
-                agrees = val == sp and val == selfs[j] and val == selfs[k]
-            else:
-                agrees = val == 0
-            if (p == q if id_pair else p == q == r) != agrees:
-                record((identity, (p, q, r)), (val, sp if id_partial else 0))
-            if self_min is not None and not sp <= val:
-                record((self_min, (p, q, r)), (sp, val))
-            if not symmetry_decided[i * n + j]:
-                if pairs[i][j] != pairs[j][i]:
-                    record((symmetry, (p, q)), (pairs[i][j], pairs[j][i]))
-                symmetry_decided[i * n + j] = 1
-            if sampled:
-                check_rectangle(val, i, j, k, columns)
-                continue
-            try:
-                if summed != (i, j):  # S(p,p,s) + S(q,q,s) serves every r
-                    summed, sums = (i, j), [a + b for a, b in zip(pairs[i], pairs[j])]
-                if val <= min([scale * (ab + c) - o for ab, c, o in zip(sums, pairs[k], offset)]) - row_err:
-                    continue
-            except OverflowError:
-                pass
-            for m in columns:
-                check_rectangle(val, i, j, k, m)
+        return (rectangle, (pts[i], pts[j], pts[k], pts[m])), (val, value)
 
     def screen(block):
-        """The quadruples of a sampled block that `check` must see."""
+        """The quadruples of a sampled block that the loop must see."""
         I, J, K, M = block
         try:
             P, Q, R = [list(map(pts.__getitem__, X)) for X in (I, J, K)]
@@ -598,24 +554,41 @@ def _check_by_tables(space, axioms, pts, sample_count, seed, first=False) -> dic
             ]
             if asymmetric:
                 clear = map(and_, clear, map(getitem, map(symmetric.__getitem__, I), J))
-            return list(itertools.compress(zip(I, J, K, M), map(not_, clear)))
+            return [(i, j, k, (m,)) for i, j, k, m in itertools.compress(zip(I, J, K, M), map(not_, clear))]
         except Exception:
-            return zip(*block)
+            return zip(I, J, K, zip(M))
 
-    try:
-        if sampled:
-            # symmetric[i][j]: S(p,p,q) = S(q,q,p) at positions i, j.
-            symmetric = [list(map(eq, row, column)) for row, column in zip(pairs, zip(*pairs))]
-            asymmetric = symmetry is not None and not all(map(all, symmetric))
-            rng = random.Random(f"psbm:axioms:{seed}")
-            for block in sampled_positions(rng, n, 4, sample_count):
-                check(screen(block))
+    if sample_count is not None:
+        rng = random.Random(f"psbm:axioms:{seed}")
+        tuples = itertools.chain.from_iterable(map(screen, sampled_positions(rng, n, 4, sample_count)))
+    else:
+        positions = range(n)
+        tuples = itertools.product(positions, positions, positions, (positions,))
+    summed = None
+    for i, j, k, columns in tuples:
+        p, q, r = pts[i], pts[j], pts[k]
+        val, sp = dist(p, q, r), selfs[i]
+        if id_partial:
+            agrees = val == sp and val == selfs[j] and val == selfs[k]
         else:
-            positions = range(n)
-            check(itertools.product(positions, positions, positions, (positions,)))
-    except _Decided:
-        pass
-    return found
+            agrees = val == 0
+        if (p == q if id_pair else p == q == r) != agrees:
+            yield (identity, (p, q, r)), (val, sp if id_partial else 0)
+        if self_min is not None and not sp <= val:
+            yield (self_min, (p, q, r)), (sp, val)
+        if not symmetric[i][j]:
+            yield (symmetry, (p, q)), (pairs[i][j], pairs[j][i])
+        if sample_count is None:
+            try:
+                if summed != (i, j):  # S(p,p,s) + S(q,q,s) serves every r
+                    summed, sums = (i, j), [a + b for a, b in zip(pairs[i], pairs[j])]
+                if val <= min([scale * (ab + c) - o for ab, c, o in zip(sums, pairs[k], offset)]) - row_err:
+                    continue
+            except OverflowError:
+                pass
+        for m in columns:
+            if violation := check_rectangle(val, i, j, k, m):
+                yield violation
 
 
 # --------------------------------------------------------------------------
@@ -800,15 +773,17 @@ def _table_layout(n: int) -> tuple:
 
 def _passes_partial_sb(space: PartialSbSpace) -> bool:
     """check_axioms(space, AxiomSet.PARTIAL_SB).passed, decided at the first
-    violation; it may return False where check_axioms would raise on a
-    later tuple, which no table of random_tabulated_space makes it do."""
-    return not _check_by_tables(space, _AXIOMS[AxiomSet.PARTIAL_SB], exhaustive_points(space), None, None, first=True)
+    violation: the walk is abandoned there. It may return False where
+    check_axioms would raise on a later tuple, which no table of
+    random_tabulated_space makes it do."""
+    return next(_check_by_tables(space, _AXIOMS[AxiomSet.PARTIAL_SB], exhaustive_points(space), None, None), None) is None
 
 
 def random_valid_space(rng: random.Random, labels=(1, 2, 3), max_attempts: int = 10000) -> PartialSbSpace:
     """Draw random tables until one passes the exhaustive partial-Sb check,
-    which stops at a table's first violation (see _passes_partial_sb);
-    PsbmError when none does within `max_attempts` draws."""
+    whose walk is abandoned at a table's first violation (see
+    _passes_partial_sb); PsbmError when none does within `max_attempts`
+    draws."""
     for _ in range(max_attempts):
         space = random_tabulated_space(rng, labels)
         if _passes_partial_sb(space):

@@ -1279,6 +1279,26 @@ class TestFirstViolation:
             verdicts.append(passed)
         assert 0 < sum(verdicts) < len(verdicts)
 
+    def test_the_walk_stops_at_the_first_violation(self):
+        # S(0,0,1) = 2 < 3 = S(0,0,0) breaks self-minimality at the walk's
+        # second triple; the first, (0, 0, 0), violates nothing.
+        selfs = {0: 3, 1: 1, 2: 1}
+        calls = []
+
+        def counting(p, q, r):
+            calls.append((p, q, r))
+            return selfs[p] if p == q == r else 2 if (p, q, r) == (0, 0, 1) else 4
+
+        space = PartialSbSpace(FiniteCarrier((0, 1, 2)), RuleMetric("counting", counting))
+        report = check_axioms(space, AxiomSet.PARTIAL_SB)
+        assert Violation(2, (0, 0, 1), 3, 2) in report.violations
+        assert not any(v.witness[:3] == (0, 0, 0) for v in report.violations)
+        checked = len(calls)
+        calls.clear()
+        assert spaces_module._passes_partial_sb(space) is False
+        assert calls[-1] == (0, 0, 1)
+        assert len(calls) < checked
+
     @pytest.mark.parametrize("seed", range(10))
     def test_the_same_tables_after_the_same_draws(self, seed):
         rng, reference = random.Random(f"psbm:t0:{seed}"), random.Random(f"psbm:t0:{seed}")
