@@ -16,6 +16,17 @@ S(x), per (S(a), S(b)) or per (S(a), b), whichever it depends on.
 each plane's margins at C level; its sampled path reads the same tables a
 block of drawn triples at a time.
 
+The grid walk decides most planes from a bound before making their
+products (interval analysis, Moore 1966). Once a plane's distances, lhs
+rows and fifth-factor rows are made, the products of the factors' minima
+and maxima, with d^p widened by (1 -+ 2^-48), bound every product below
+and above. A plane whose bound keeps every rhs above every lhs, and every
+margin above each spec's running minimum, is cleared: it cannot change a
+report, and its n^2 triples count in triples_checked unevaluated. The
+widening assumes a pow that is faithfully rounded (an error below 1 ulp),
+which Python does not promise. The sampled blocks and the case table
+evaluate every triple.
+
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane or block
 is evaluated up to its products, and their min and max, once. `_rhs`, the
@@ -36,6 +47,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product, repeat, starmap
@@ -184,6 +196,7 @@ class InequalitySides:
         self._pair = {ix: metric.row(ix, ix, points) for ix in dict.fromkeys(image.values())}
         self._lhs_rows = {}
         self._fifth_rows = {}
+        self._spans = {}
 
     def _lhs_row(self, ia, ib):
         """dist(ia, ib, S(c)) over the points c."""
@@ -230,15 +243,59 @@ class InequalitySides:
         lhs, products = self._block_products(triples)
         return lhs, _rhs(self._comparison, products, _span(products), {})[1]
 
-    def _plane_products(self, a):
-        """`plane` up to its comparison: the lhs list and the product list."""
+    def _plane_factors(self, a):
+        """The stages of `plane` that can raise before its products, in
+        order: (lhs list, distance list, fifth-factor rows)."""
         points, image = self.points, self._image
-        n, ia = len(points), image[a]
+        ia = image[a]
         fifth = [self._fifth_row(ia, b) for b in points]
         ds = list(chain.from_iterable(self._metric.plane(a, points, points)))
         lhs = list(chain.from_iterable([self._lhs_row(ia, image[b]) for b in points]))
+        return lhs, ds, fifth
+
+    def _plane_products(self, a, factors=None):
+        """`plane` up to its comparison: the lhs list and the product list,
+        from `factors`, `_plane_factors(a)`, when given."""
+        lhs, ds, fifth = factors or self._plane_factors(a)
+        points, n = self.points, len(self.points)
         frb = chain.from_iterable([repeat(self._fr[b], n) for b in points])
         return lhs, self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
+
+    def _plane_bounds(self, a, ds):
+        """(lo, hi, top) for a's plane, made by `_plane_factors(a)` with the
+        distances ds: lo <= every product <= hi < inf, and top is the
+        greatest lhs. None unless every distance, lhs value, fifth-factor
+        entry, g(x)^r and g(x)^s is finite (its sum is: no nan or inf, no
+        int beyond the float range) and the least distance d_lo is >= 0.
+        lo and hi are the products of the factors' minima and maxima in
+        `_products`' own order, so rounded * (monotone on nonnegative
+        operands) keeps every product between them; a finite hi also rules
+        out a product that overflows and then meets a 0 factor (nan). Only
+        d^p is widened, by (1 -+ 2^-48) and only to a normal float or 0:
+        Python does not promise a correctly rounded pow, and the widening
+        covers one that is faithfully rounded (an error below 1 ulp), which
+        is assumed. A plane's lhs and fifth-factor rows depend on a only
+        through S(a), so their spans are scanned once per image. An error
+        in a scan is raised."""
+        points, image = self.points, self._image
+        ia = image[a]
+        if ia not in self._spans:
+            fifth = chain.from_iterable(self._fifth_rows[(ia, b)] for b in points)
+            lhs = chain.from_iterable(self._lhs_rows[(ia, image[b])] for b in points)
+            self._spans[ia] = tuple(map(_finite_span, (fifth, lhs, self._fr.values(), self._fs)))
+        spans = self._spans[ia]
+        if None in spans or not math.isfinite(sum(ds)):
+            return None
+        d_lo, d_hi = min(ds), max(ds)
+        if not d_lo >= 0:
+            return None
+        w_lo, w_hi = d_lo ** self._p * _WIDEN[0], d_hi ** self._p * _WIDEN[1]
+        if not all(w == 0 or sys.float_info.min <= w < math.inf for w in (w_lo, w_hi)):
+            return None
+        (t_lo, t_hi), (_, top), (fr_lo, fr_hi), (fs_lo, fs_hi) = spans
+        fq = self._fq[a]
+        lo, hi = w_lo * fq * fr_lo * fs_lo * t_lo, w_hi * fq * fr_hi * fs_hi * t_hi
+        return (lo, hi, top) if hi < math.inf else None
 
     def _block_products(self, triples):
         """`block` up to its comparison: the lhs list and the product list."""
@@ -265,6 +322,17 @@ def _rhs(comparison, products, span, lines):
     if key not in lines:
         lines[key] = comparison._line(k, products)
     return key, lines[key]
+
+
+# d ** p times these is a bound below and above on the d ** p of a pow that
+# is faithfully rounded, when it is a normal float or 0 (`_plane_bounds`).
+_WIDEN = (1 - 2.0 ** -48, 1 + 2.0 ** -48)
+
+
+def _finite_span(values):
+    """(min(values), max(values)) when math.fsum(values) is finite, else None."""
+    values = list(values)
+    return (min(values), max(values)) if math.isfinite(math.fsum(values)) else None
 
 
 def _bits(value):
@@ -342,6 +410,12 @@ def certify(
     It is `_certificates` with one spec: each chunk's products are scanned
     once for their min and max, from which `_rhs` picks the line they are
     read off, so one spec pays no pass for the sharing.
+
+    With `points`, an a-plane after the first is cleared by `_cleared`, its
+    products never made, when a bound on them, rounded outward, shows that
+    it cannot change the report; triples_checked counts its triples all
+    the same. The bound assumes a faithfully rounded pow (see the module
+    docstring). With `sample_count`, every drawn triple is evaluated.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -388,9 +462,17 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         sides = InequalitySides(space, first, active)
 
         # Chunks of (a maker of the triples, their lhs values, their
-        # products); the triples are made only to list failures.
+        # products, or None for a plane that `_cleared` decides); the
+        # triples are made only to list failures.
         if points is not None:
-            chunks = ((partial(product, (a,), active, active), *sides._plane_products(a)) for a in active)
+            def planes():
+                for a in active:
+                    lhs, ds, _ = factors = sides._plane_factors(a)
+                    # min_margins holds the running minima of the planes before a.
+                    cleared = _cleared(sides, a, ds, specs, min_margins)
+                    yield partial(product, (a,), active, active), lhs, None if cleared else sides._plane_products(a, factors)[1]
+
+            chunks = planes()
         else:
             live = [x not in fixed for x in pool]
             rng = random.Random(f"psbm:certify:{seed}")
@@ -401,7 +483,9 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
             chunks = ((partial(iter, block), *sides._block_products(block)) for block in blocks if block)
 
         for triples, lhs, products in chunks:
-            checked += len(products)
+            checked += len(lhs)
+            if products is None:
+                continue
             # Specs whose comparisons read the chunk off lines equal bit for
             # bit share one rhs list (kept by `_rhs` in lines), its
             # failures (failed) and, while their running minima are the same
@@ -431,6 +515,38 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         found.sort(key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
         reports.append(CertificateReport(checked, excluded, tuple(found), min_margin))
     return reports
+
+
+def _cleared(sides, a, ds, specs, min_margins) -> bool:
+    """Whether a's plane, made by `sides._plane_factors(a)` with the
+    distances ds, leaves every report as it is, decided from
+    `sides._plane_bounds` before any product is made. It does when every
+    comparison is a ComparisonFn, every running minimum margin is a float
+    and not nan, and for each spec `_piece((lo, hi))` finds a piece k whose
+    line gives r = min(line(lo), line(hi)) with r >= top and r - top above
+    the minimum. Every product then lies in [lo, hi], on piece k, where the
+    rounded line is monotone and >= 0, so each rhs is >= r: no lhs (<= top)
+    fails, and each margin, rhs - lhs >= r - top, is above the minimum,
+    which keeps its bits. The later stages cannot raise there. Any error
+    while bounding means the plane is not cleared."""
+    if not all(isinstance(spec.comparison, ComparisonFn) and type(m) is float and m == m
+               for spec, m in zip(specs, min_margins)):
+        return False
+    try:
+        bounds = sides._plane_bounds(a, ds)
+        if bounds is None:
+            return False
+        lo, hi, top = bounds
+        for spec, min_margin in zip(specs, min_margins):
+            k = spec.comparison._piece((lo, hi))
+            if k is None:
+                return False
+            r = min(spec.comparison._line(k, (lo, hi)))
+            if not (r >= top and r - top > min_margin):
+                return False
+    except Exception:  # no bound, so the plane is evaluated
+        return False
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -1449,6 +1450,23 @@ class TestReadmeExamples:
     def test_example_exits_as_documented(self, argv, expected, capsys):
         assert run_cli(*argv) == expected
         assert capsys.readouterr().err == ""
+
+
+# sha256 of the `psbm certify --space builtin:quintic_gap <flags> --format
+# json` bytes, which every change must keep. CI reads them from here.
+CERTIFY_JSON_SHA256 = {
+    ("--grid", "50"): "544c74373881e56a5f327b8f4425f9709929e7e49c5631a417cef7fad640f08d",
+    ("--grid", "50", "--matkowski"): "544c74373881e56a5f327b8f4425f9709929e7e49c5631a417cef7fad640f08d",
+    ("--grid", "60"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
+    ("--grid", "60", "--matkowski"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CERTIFY_JSON_SHA256), ids=" ".join)
+def test_certify_json_digests_are_pinned(capsys, flags):
+    assert main(["certify", "--space", "builtin:quintic_gap", *flags, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (CERTIFY_JSON_SHA256[flags], "")
 
 
 class TestRepro:

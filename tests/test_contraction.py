@@ -579,8 +579,15 @@ def staged_specs(*comparisons):
     return tuple(InterpolativeSpec(*STAGED_EXPONENTS, comparison=c, mapping=STAGED_MAP) for c in comparisons)
 
 
-def staged_walk(mode, comparisons, overrides=(), lines_read=None):
-    kwargs = {"points": [1, 2, 3, 4]} if mode == "grid" else {"sample_count": 3000, "seed": 7}
+# The staged grid walked with falling products, plane 4 first: each plane's
+# margins then lie below the running minimum that the planes before it
+# leave, so that no plane is cleared by its bound and every plane is
+# evaluated.
+STAGED_FALLING = [4, 3, 2, 1]
+
+
+def staged_walk(mode, comparisons, overrides=(), lines_read=None, points=STAGED_FALLING):
+    kwargs = {"points": points} if mode == "grid" else {"sample_count": 3000, "seed": 7}
     return one_walk(staged_space(overrides), staged_specs(*comparisons), lines_read, **kwargs)
 
 
@@ -723,7 +730,8 @@ class TestSharedWalk:
     def test_a_chunk_whose_products_hold_a_nan(self, mode, overrides):
         first = piecewise("first", (0.0, 0.0, 0.0, 1.0, 0.5), (1e6, 0.0, 0.0, 1.0, 0.25))
         second = piecewise("second", (0.0, 0.0, 0.0, 1.0, 0.5))
-        reports = staged_walk(mode, (first, second, QUARTER), overrides)
+        # Plane 1 first, so that (1, 1, 1) is the first triple walked.
+        reports = staged_walk(mode, (first, second, QUARTER), overrides, points=[1, 2, 3, 4])
         if mode == "grid" and (1, 1, 1) in overrides:
             assert all(math.isnan(r.min_margin) for r in reports)
 
@@ -739,12 +747,13 @@ class TestSharedWalk:
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_one_comparison_object_in_two_specs(self, mode, lines_read):
         tau = builtin_comparison("paper_tau")
-        kwargs = {"points": CERT_POINTS} if mode == "grid" else {"sample_count": 3000, "seed": 3}
+        kwargs = {"points": CERT_POINTS[::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
         specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, builtin_comparison("half"), tau))
         reports = one_walk(GAP, specs, lines_read, **kwargs)
         assert reports[0] == reports[1] == reports[2]
         if mode == "grid":
-            # 0 is fixed: one list per a-plane of the 51 others.
+            # 0 is fixed: one list per a-plane of the 51 others, walked with
+            # falling products so that no plane is cleared.
             assert lines_read == [51 * 51] * 51
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
@@ -753,13 +762,14 @@ class TestSharedWalk:
         # bit for bit, but only a line whose parts are all floats is shared.
         int_tau = ComparisonFn("int_tau", ((0, ((0, 0), (10, 9)), True), (1, ((0, 0), (2, 1)), False)), BOYD_WONG)
         tau = builtin_comparison("paper_tau")
-        kwargs = {"points": CERT_POINTS[:12]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
+        kwargs = {"points": CERT_POINTS[11::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
         specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, int_tau, tau, int_tau))
         reports = one_walk(GAP, specs, lines_read, **kwargs)
         assert repr(reports[0]) == repr(reports[1])
         if mode == "grid":
-            # 0 is fixed: per a-plane of the 11 others, one list for the two
-            # float lines and one for each int line.
+            # 0 is fixed: per a-plane of the 11 others (with falling
+            # products, so none is cleared), one list for the two float
+            # lines and one for each int line.
             assert lines_read == [11 * 11] * (11 * 3)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
@@ -775,8 +785,8 @@ class TestSharedWalk:
             return real_span(values)
 
         for name in ("_plane_products", "_block_products"):
-            def counting_chunk(sides, arg, real=getattr(InequalitySides, name)):
-                lhs, products = real(sides, arg)
+            def counting_chunk(sides, *args, real=getattr(InequalitySides, name)):
+                lhs, products = real(sides, *args)
                 chunks.append(len(products))
                 return lhs, products
 
@@ -786,7 +796,7 @@ class TestSharedWalk:
         first = piecewise("first", (0.0, 0.0, 0.0, 1.0, 0.9), (1e4, 0.0, 0.0, 1.0, 0.5))
         third = piecewise("third", (0.0, 0.0, 0.0, 1.0, 0.5), (1e5, 0.0, 0.0, 1.0, 0.3))
         by_hand = FakeComparison("quarter-by-hand", lambda v: v / 4)
-        kwargs = {"points": [1, 2, 3, 4]} if mode == "grid" else {"sample_count": 3000, "seed": 7}
+        kwargs = {"points": STAGED_FALLING} if mode == "grid" else {"sample_count": 3000, "seed": 7}
         space = staged_space()
         for walk in (
             lambda: [certify(space, staged_specs(third)[0], **kwargs)],
@@ -797,6 +807,176 @@ class TestSharedWalk:
             chunks.clear()
             walk()
             assert spans == chunks and len(chunks) == (4 if mode == "grid" else math.ceil(3000 / SAMPLE_BLOCK))
+
+
+def walk_outcome(space, specs, points):
+    """The reports of one shared walk over `points`, as (repr, min_margin
+    bits) per spec, or the (type, message) of its error."""
+    try:
+        reports = contraction._certificates(space, specs, points=points)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    return [(repr(r), float_bits(r.min_margin)) for r in reports]
+
+
+def reference_outcome(space, specs, points):
+    """walk_outcome from the pointwise references: per spec the report of
+    reference_certificate, or the first error of reference_error, with an
+    OverflowError read as the DistanceOverflow that certify raises for it."""
+    active = [x for x in points if specs[0].mapping(x) != x]
+    triples = list(itertools.product(active, repeat=3))
+    for spec in specs:
+        error = reference_error(space, spec, active, triples)
+        if error is not None:
+            if issubclass(error[0], OverflowError):
+                return DistanceOverflow, "the contraction inequality overflows the float range"
+            return error
+    excluded = tuple(x for x in points if x not in active)
+    outcome = []
+    for spec in specs:
+        checked, failures, min_margin = reference_certificate(space, spec, triples)
+        report = contraction.CertificateReport(checked, excluded, failures, min_margin)
+        outcome.append((repr(report), float_bits(min_margin)))
+    return outcome
+
+
+# The identity, as one line through the origin.
+IDENTITY_LINE = piecewise("identity-line", (0.0, 0.0, 0.0, 1.0, 1.0))
+# Falling from 10^12 at 0 with slope -1.
+FALLING = piecewise("falling", (0.0, 0.0, 1e12, 1e12, 0.0))
+# The identity, but flat at 50 on [10^4, 10^6): below an lhs of 100 there.
+DIP = piecewise("dip", (0.0, 0.0, 0.0, 1.0, 1.0), (1e4, 0.0, 50.0, 1.0, 50.0), (1e6, 0.0, 0.0, 1.0, 1.0))
+
+
+class TestPlaneBound:
+    """certify --grid clears an a-plane from a bound on its products,
+    rounded outward, before making them. On grids made to trip the bound,
+    the walk equals the pointwise references: each report's repr and
+    min_margin bits, or the first error. The staged planes 1-4 walked in
+    rising order clear planes 2-4 unless something stops them."""
+
+    def check(self, cleared_planes, overrides, comparisons, expected, points=(1, 2, 3, 4)):
+        space, specs = staged_space(overrides), staged_specs(*comparisons)
+        outcome = walk_outcome(space, specs, list(points))
+        assert outcome == reference_outcome(space, specs, list(points))
+        assert cleared_planes == expected
+        return outcome
+
+    def test_rising_planes_clear_after_the_first(self, cleared_planes):
+        outcome = self.check(cleared_planes, {}, (QUARTER, IDENTITY_LINE), [False, True, True, True])
+        assert "triples_checked=64," in outcome[0][0]
+
+    @pytest.mark.parametrize("overrides, expected", [
+        # Inside plane 3's distances, so that their min and max are finite.
+        ({(3, 2, 4): math.nan}, [False, True, False, True]),
+        ({(3, 2, 4): -math.nan}, [False, True, False, True]),
+        # dist(5, 5, 2), so a fifth-factor entry of every plane.
+        ({(5, 5, 2): math.nan}, [False, False, False, False]),
+        # g(2) = dist(2, 2, 5), so every g(2) power.
+        ({(2, 2, 5): math.nan}, [False, False, False, False]),
+    ], ids=["distance", "negative-nan-distance", "fifth-factor", "g-power"])
+    def test_a_nan_inside_a_plane(self, cleared_planes, overrides, expected):
+        self.check(cleared_planes, overrides, (QUARTER,), expected)
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({(3, 2, 4): math.inf}, [False, True, False, True]),
+        # dist(5, 5, 5), so every lhs.
+        ({(5, 5, 5): math.inf}, [False, False, False, False]),
+        # Finite distances whose sum is not.
+        ({(3, 2, 4): 1e308, (3, 2, 3): 1e308}, [False, True, False, True]),
+    ], ids=["distance", "lhs", "sum"])
+    def test_an_inf_entry(self, cleared_planes, overrides, expected):
+        self.check(cleared_planes, overrides, (QUARTER, IDENTITY_LINE), expected)
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({(3, 2, 4): -1.0}, [False, True, False]),
+        # Plane 3's error comes first, before the overflow of plane 4.
+        ({(3, 2, 4): -1.0, (4, 1, 1): 10 ** 400}, [False, True, False]),
+        # A negative zero is >= 0 and raises nothing, but its product, 0,
+        # lowers the minimum.
+        ({(3, 2, 4): -0.0}, [False, True, False, True]),
+    ], ids=["alone", "before-an-overflow", "negative-zero"])
+    def test_a_negative_distance_in_a_later_plane(self, cleared_planes, overrides, expected):
+        outcome = self.check(cleared_planes, overrides, (QUARTER,), expected)
+        space, spec = staged_space(overrides), staged_specs(QUARTER)[0]
+        sides = InequalitySides(space, spec, [1, 2, 3, 4])
+        _, ds, _ = sides._plane_factors(3)
+        if min(ds) < 0:
+            assert outcome == (PsbmError, "negative distance factor -1.0")
+            assert sides._plane_bounds(3, ds) is None
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({(3, 2, 4): 10 ** 400}, [False, True, False]),
+        # Plane 3's distances sum to a finite int, but one is negative.
+        ({(3, 2, 4): 10 ** 400, (3, 2, 3): -10 ** 400}, [False, True, False]),
+        # Plane 3's overflow comes first, before the negative distance of plane 4.
+        ({(3, 2, 4): 10 ** 400, (4, 1, 1): -1}, [False, True, False]),
+    ], ids=["alone", "cancelled", "before-a-negative-distance"])
+    def test_an_int_distance_beyond_the_float_range(self, cleared_planes, overrides, expected):
+        self.check(cleared_planes, overrides, (QUARTER,), expected)
+
+    @pytest.mark.parametrize("points, overrides, expected", [
+        # Rising products on a falling line: each plane lowers the minimum.
+        ([1, 2, 3, 4], {}, [False] * 4),
+        # Falling products: each plane is above the minimum of plane 4.
+        ([4, 3, 2, 1], {}, [False, True, True, True]),
+        # Plane 4 also holds a product near plane 2's: its lowest margin
+        # sits at its greatest product, not at its least.
+        ([3, 4, 2, 1], {(4, 1, 1): 1e-60}, [False, False, True, True]),
+    ], ids=["rising", "falling", "spread"])
+    def test_a_piece_with_a_negative_slope(self, cleared_planes, points, overrides, expected):
+        self.check(cleared_planes, overrides, (FALLING,), expected, points)
+
+    def test_a_comparison_that_is_not_a_comparison_fn_is_never_cleared(self, cleared_planes):
+        by_hand = FakeComparison("quarter-by-hand", lambda v: v / 4)
+        self.check(cleared_planes, {}, (QUARTER, by_hand), [False] * 4)
+        cleared_planes.clear()
+        self.check(cleared_planes, {}, (by_hand,), [False] * 4)
+
+    def test_a_spec_that_fails_after_a_passing_first_plane(self, cleared_planes):
+        # Every lhs is dist(5, 5, 5) = 100. The identity passes every plane;
+        # the dip passes plane 1 and fails all 16 triples of plane 2.
+        overrides = {(5, 5, 5): 100.0}
+        outcome = self.check(cleared_planes, overrides, (IDENTITY_LINE, DIP), [False, False, True, True])
+        assert "failures=()" in outcome[0][0] and outcome[1][0].count("100.0, 50.0)") == 16
+        cleared_planes.clear()
+        self.check(cleared_planes, overrides, (DIP,), [False, False, True, True])
+        cleared_planes.clear()
+        self.check(cleared_planes, overrides, (IDENTITY_LINE,), [False, True, True, True])
+
+    def test_random_tables_equal_the_walk_that_evaluates_every_plane(self, monkeypatch):
+        # The walk that evaluates every plane is the walk with _cleared
+        # always False.
+        rng = random.Random("psbm:test:plane-bound")
+        real, cleared, raised = contraction._cleared, [], 0
+
+        def recording(*args):
+            cleared.append(real(*args))
+            return cleared[-1]
+
+        steep = piecewise("steep", (0.0, 0.0, 0.0, 1.0, 1e9))
+        comparisons = [QUARTER, IDENTITY_LINE, FALLING, steep, steep, builtin_comparison("paper_tau")]
+        for _ in range(150):
+            labels = tuple(range(1, rng.randint(3, 7)))
+            # dist(a, b, c) log-uniform in [10^(3a), 10^(3a + 1)], so that
+            # the planes lie apart and the bound clears some, and up to two
+            # adversarial entries.
+            table = {t: 10 ** rng.uniform(3 * t[0], 3 * t[0] + 1) for t in itertools.product(labels, repeat=3)}
+            for tpl in rng.sample(sorted(table), rng.randint(0, 2)):
+                table[tpl] = rng.choice([-1, 0, 10 ** 400, math.nan, math.inf, 1e300])
+            space = tabulated_space(labels, table)
+            # Images among the two lowest labels keep the lhs below the rhs.
+            mapping = map_from_table({x: rng.choice(labels[:2]) for x in labels})
+            exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
+            specs = tuple(InterpolativeSpec(*exps, comparison=rng.choice(comparisons), mapping=mapping) for _ in range(2))
+            points = list(labels)
+            rng.shuffle(points)
+            monkeypatch.setattr(contraction, "_cleared", recording)
+            outcome = walk_outcome(space, specs, points)
+            monkeypatch.setattr(contraction, "_cleared", lambda *args: False)
+            assert outcome == walk_outcome(space, specs, points)
+            raised += isinstance(outcome, tuple)
+        assert 50 < sum(cleared) < len(cleared) and 10 < raised < 140
 
 
 class TestRowEvaluator:
@@ -1265,3 +1445,15 @@ class TestCaseTable:
         lines = table.render().splitlines()[2:]
         assert [line.endswith(" INEQUALITY FAILS") for line in lines] == [i == k for i in range(len(rows))]
         assert "INEQUALITY FAILS" not in self.TABLE.render()
+
+    def test_render_notes_the_rows_of_a_failing_spec(self):
+        # An rhs of 0 everywhere: each subcase with a positive lhs fails, and
+        # each with a positive reference differs from it too.
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, FakeComparison("zero", lambda v: 0.0), PAPER_S)
+        table = reproduce_case_table(GAP, spec, grid_size=5)
+        lines = table.render().splitlines()[2:]
+        assert [row.holds for row in table.rows] == [lhs == 0 for lhs in EXPECTED_LHS_COLUMN]
+        for row, line in zip(table.rows, lines):
+            notes = ["differs from reference"] * (row.reference > 0) + ["INEQUALITY FAILS"] * (row.lhs > 0)
+            assert line.endswith(" " + "; ".join(notes))
+        assert lines[1].endswith(" differs from reference; INEQUALITY FAILS")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from psbmetric import comparison, contraction, repro, run_repro, spaces, topology
 from psbmetric.cli import main
 from psbmetric.spaces import RuleMetric, quintic
+from test_contraction import reference_certificate
 
 EXPECTED_ITEMS = (
     "axioms",
@@ -116,30 +118,40 @@ def test_repro_json_digests_are_pinned(capsys, seed):
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == (REPRO_JSON_SHA256[seed], "")
 
 
-def test_contraction_item_walks_the_grid_once(monkeypatch):
+def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     """Both certificates share one walk of the 51 active grid points (0 is
-    fixed): one comparison-free plane per a, where two certify calls made
-    102; the case table adds its own 21 planes."""
-    real = contraction.InequalitySides._plane_products
-    planes = []
+    fixed): the stages of one comparison-free plane per a, where two
+    certify calls made 102, and the products of the planes that its bound
+    does not clear, at most 2; the case table adds its own 21 planes."""
+    real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._plane_products
+    factors, products = [], []
 
-    def counting(sides, a):
-        planes.append((len(sides.points), a))
-        return real(sides, a)
+    def counting_factors(sides, a):
+        factors.append((len(sides.points), a))
+        return real_factors(sides, a)
 
-    monkeypatch.setattr(contraction.InequalitySides, "_plane_products", counting)
+    def counting_products(sides, a, *args):
+        products.append((len(sides.points), a))
+        return real_products(sides, a, *args)
+
+    monkeypatch.setattr(contraction.InequalitySides, "_plane_factors", counting_factors)
+    monkeypatch.setattr(contraction.InequalitySides, "_plane_products", counting_products)
     item = repro._contraction_item(0)
     assert item["passed"] is True
     gap = spaces.builtin_space("quintic_gap")
     active = [3] + contraction.ray_grid(gap.carrier, 50)
-    assert [a for n, a in planes if n == 51] == active
-    assert len(planes) == 51 + 21
+    assert [a for n, a in factors if n == 51] == active and len(cleared_planes) == 51
+    evaluated = [a for a, cleared in zip(active, cleared_planes) if not cleared]
+    assert [a for n, a in products if n == 51] == evaluated
+    assert evaluated[0] == 3 and len(evaluated) <= 2
+    assert len(factors) == 51 + 21 and len(products) == len(evaluated) + 21
 
 
-def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch):
+def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch, cleared_planes):
     """Above 1, paper_tau is t/2, the line of half, and every product on
     the grid is above 1: the two certificates share one rhs list per
-    a-plane, 51 lists of 51^2 values per walk where they mapped 102."""
+    evaluated a-plane, where they mapped two; a cleared plane maps none.
+    The evaluated and the cleared planes are the 51 of the walk."""
     real = comparison.ComparisonFn._line
     lengths = []
 
@@ -151,7 +163,34 @@ def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch):
     monkeypatch.setattr(comparison.ComparisonFn, "_line", counting)
     item = repro._contraction_item(0)
     assert item["passed"] is True
-    assert lengths.count(51 * 51) == 51
+    evaluated = cleared_planes.count(False)
+    assert evaluated + cleared_planes.count(True) == len(cleared_planes) == 51
+    assert 1 <= evaluated <= 2
+    assert lengths.count(51 * 51) == evaluated
+
+
+@pytest.mark.parametrize("matkowski", [False, True])
+def test_contraction_item_names_a_failing_certificate(monkeypatch, matkowski):
+    """A certificate that fails is the item's detail, with its number of
+    failing triples, that of the pointwise reference walk. The item's grid
+    is cut to 12 ray points, so that the reference walk is short; the case
+    table's grid keeps its 20."""
+    real_spec, real_grid = contraction.standard_spec, contraction.ray_grid
+    # t/4 fails where paper_tau and half pass.
+    quarter = comparison.piecewise_linear([(0.0, 0.0), (4.0, 1.0)], name="quarter")
+    failing = dataclasses.replace(real_spec(matkowski), comparison=quarter)
+
+    def spec(matkowski=False, failing_kind=matkowski):
+        return failing if matkowski == failing_kind else real_spec(matkowski)
+
+    monkeypatch.setattr(contraction, "standard_spec", spec)
+    monkeypatch.setattr(contraction, "ray_grid", lambda carrier, n: real_grid(carrier, 12 if n == 50 else n))
+    gap = spaces.builtin_space("quintic_gap")
+    active = [3] + real_grid(gap.carrier, 12)
+    _, failures, _ = reference_certificate(gap, failing, itertools.product(active, repeat=3))
+    assert len(failures) > 0
+    item = repro._contraction_item(0)
+    assert item == {"name": "contraction", "passed": False, "detail": f"certificate fails ({len(failures)} triples)"}
 
 
 def test_cover_item_makes_one_scan_per_index(monkeypatch):
