@@ -17,15 +17,19 @@ each plane's margins at C level; its sampled path reads the same tables a
 block of drawn triples at a time.
 
 The grid walk decides most planes from a bound before making their
-products (interval analysis, Moore 1966). Once a plane's distances, lhs
-rows and fifth-factor rows are made, the products of the factors' minima
-and maxima, with d^p widened by (1 -+ 2^-48), bound every product below
-and above. A plane whose bound keeps every rhs above every lhs, and every
-margin above each spec's running minimum, is cleared: it cannot change a
-report, and its n^2 triples count in triples_checked unevaluated. The
-widening assumes a pow that is faithfully rounded (an error below 1 ulp),
-which Python does not promise. The sampled blocks and the case table
-evaluate every triple.
+products (interval analysis, Moore 1966). A plane's lhs and fifth-factor
+lists depend on a only through S(a), so they are made, and scanned for
+their min and max, once per image; its distances are bounded by the
+metric's `span` (O(n) on the quintic builtins) or, when that gives none,
+made and bounded by their own min and max. The products of the factors'
+minima and maxima, with d^p widened by (1 -+ 2^-48), then bound every
+product below and above. A plane whose bound keeps every rhs above every
+lhs, and every margin above each spec's running minimum, is cleared: it
+cannot change a report, its n^2 triples count in triples_checked
+unevaluated, and neither its products nor, under a span, its distances
+are made. The widening assumes a pow that is faithfully rounded (an error
+below 1 ulp), which Python does not promise. The sampled blocks and the
+case table evaluate every triple.
 
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane or block
@@ -49,7 +53,7 @@ import random
 import struct
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, product, repeat, starmap
 from operator import getitem, le, lt, ne, sub
 
@@ -156,7 +160,10 @@ class InequalitySides:
     - the lhs, one row over c per distinct (S(a), S(b));
     - the fifth factor m^(1-p-q-r-s), one row over c per distinct (S(a), b),
       since m depends on a only through S(a); a mean m of +inf raises
-      DistanceOverflow.
+      DistanceOverflow;
+    - for the planes, per image S(a) an `_ImageFactors`, the fifth-factor
+      and lhs rows over every (b, c) as two flat lists, and once the
+      g(b)^r and g(c)^s over every (b, c).
     A row is computed whole when a triple first needs it, so an error in
     any of its entries is raised there, also when that triple's own entries
     are fine.
@@ -193,10 +200,11 @@ class InequalitySides:
         self._fq = {x: _power(gap[x], spec.q) for x in points}
         self._fr = {x: _power(gap[x], spec.r) for x in points}
         self._fs = [_power(gap[x], spec.s) for x in points]
+        self._g_spans = _finite_span(list(self._fr.values())), _finite_span(self._fs)
         self._pair = {ix: metric.row(ix, ix, points) for ix in dict.fromkeys(image.values())}
         self._lhs_rows = {}
         self._fifth_rows = {}
-        self._spans = {}
+        self._by_image = {}
 
     def _lhs_row(self, ia, ib):
         """dist(ia, ib, S(c)) over the points c."""
@@ -210,12 +218,22 @@ class InequalitySides:
         row = self._fifth_rows.get((ia, b))
         if row is None:
             pair_ab, two_t, e5 = self._pair[ia][self._index[b]], self._two_t, self._e5
-            row = []
-            for pair_bc in self._pair[self._image[b]]:
-                m = (pair_ab + pair_bc) / two_t
-                if m == math.inf:
-                    raise DistanceOverflow("the contraction inequality overflows the float range")
-                row.append(_power(m, e5))
+            pairs = self._pair[self._image[b]]
+            try:
+                means = [(pair_ab + pair_bc) / two_t for pair_bc in pairs]
+                # With no nan first, min and max see every negative and inf mean.
+                fast = 0 <= min(means) and max(means) < math.inf
+            except Exception:
+                fast = False
+            if fast:
+                row = [m ** e5 for m in means]
+            else:  # raises the first error of the row, mean by mean
+                row = []
+                for pair_bc in pairs:
+                    m = (pair_ab + pair_bc) / two_t
+                    if m == math.inf:
+                        raise DistanceOverflow("the contraction inequality overflows the float range")
+                    row.append(_power(m, e5))
             self._fifth_rows[(ia, b)] = row
         return row
 
@@ -234,7 +252,7 @@ class InequalitySides:
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
         lhs, products = self._plane_products(a)
-        return lhs, _rhs(self._comparison, products, _span(products), {})[1]
+        return lhs[:], _rhs(self._comparison, products, _span(products), {})[1]
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
@@ -243,50 +261,73 @@ class InequalitySides:
         lhs, products = self._block_products(triples)
         return lhs, _rhs(self._comparison, products, _span(products), {})[1]
 
-    def _plane_factors(self, a):
+    def _plane_factors(self, a, bounded=False):
         """The stages of `plane` that can raise before its products, in
-        order: (lhs list, distance list, fifth-factor rows)."""
-        points, image = self.points, self._image
-        ia = image[a]
-        fifth = [self._fifth_row(ia, b) for b in points]
-        ds = list(chain.from_iterable(self._metric.plane(a, points, points)))
-        lhs = list(chain.from_iterable([self._lhs_row(ia, image[b]) for b in points]))
-        return lhs, ds, fifth
+        order: the fifth-factor list of S(a), the distances and the lhs list
+        of S(a). Returns (S(a)'s `_ImageFactors`, made once per image and
+        holding both lists; the distance list; their span, None unless
+        `bounded`). With `bounded`, a span from the metric's `span` stands
+        for the distances, which are left unmade (None) for
+        `_plane_products`: the metric promises that they raise nothing.
+        Without one, they are made and their span is
+        `_finite_span(ds, sum)`."""
+        points, ia = self.points, self._image[a]
+        factors = self._by_image.get(ia)
+        if factors is None:
+            fifth = list(chain.from_iterable([self._fifth_row(ia, b) for b in points]))
+            factors = self._by_image[ia] = _ImageFactors(fifth)
+        d_span = self._metric.span(a, points, points) if bounded else None
+        ds = None
+        if d_span is None:
+            ds = self._distances(a)
+            d_span = _finite_span(ds, sum) if bounded else None
+        if factors.lhs is None:
+            factors.lhs = list(chain.from_iterable([self._lhs_row(ia, self._image[b]) for b in points]))
+        return factors, ds, d_span
+
+    def _distances(self, a):
+        """dist(a, b, c) for every b and then every c in `points`."""
+        return list(chain.from_iterable(self._metric.plane(a, self.points, self.points)))
 
     def _plane_products(self, a, factors=None):
         """`plane` up to its comparison: the lhs list and the product list,
-        from `factors`, `_plane_factors(a)`, when given."""
-        lhs, ds, fifth = factors or self._plane_factors(a)
-        points, n = self.points, len(self.points)
-        frb = chain.from_iterable([repeat(self._fr[b], n) for b in points])
-        return lhs, self._products(ds, repeat(self._fq[a]), frb, chain.from_iterable(repeat(self._fs, n)), chain.from_iterable(fifth))
+        from `factors`, `_plane_factors(a)`, when given; distances that it
+        left unmade are made here."""
+        image_factors, ds, _ = factors or self._plane_factors(a)
+        if ds is None:
+            ds = self._distances(a)
+        return image_factors.lhs, self._products(ds, repeat(self._fq[a]), *self._tiled, image_factors.fifth)
 
-    def _plane_bounds(self, a, ds):
-        """(lo, hi, top) for a's plane, made by `_plane_factors(a)` with the
-        distances ds: lo <= every product <= hi < inf, and top is the
-        greatest lhs. None unless every distance, lhs value, fifth-factor
-        entry, g(x)^r and g(x)^s is finite (its sum is: no nan or inf, no
-        int beyond the float range) and the least distance d_lo is >= 0.
-        lo and hi are the products of the factors' minima and maxima in
-        `_products`' own order, so rounded * (monotone on nonnegative
-        operands) keeps every product between them; a finite hi also rules
-        out a product that overflows and then meets a 0 factor (nan). Only
-        d^p is widened, by (1 -+ 2^-48) and only to a normal float or 0:
-        Python does not promise a correctly rounded pow, and the widening
-        covers one that is faithfully rounded (an error below 1 ulp), which
-        is assumed. A plane's lhs and fifth-factor rows depend on a only
-        through S(a), so their spans are scanned once per image. An error
-        in a scan is raised."""
-        points, image = self.points, self._image
-        ia = image[a]
-        if ia not in self._spans:
-            fifth = chain.from_iterable(self._fifth_rows[(ia, b)] for b in points)
-            lhs = chain.from_iterable(self._lhs_rows[(ia, image[b])] for b in points)
-            self._spans[ia] = tuple(map(_finite_span, (fifth, lhs, self._fr.values(), self._fs)))
-        spans = self._spans[ia]
-        if None in spans or not math.isfinite(sum(ds)):
+    @cached_property
+    def _tiled(self):
+        """g(b)^r and g(c)^s over (b, c), as every plane reads them."""
+        n = len(self.points)
+        return list(chain.from_iterable([repeat(self._fr[b], n) for b in self.points])), self._fs * n
+
+    def _plane_bounds(self, a, d_span):
+        """(lo, hi, top) for a's plane, made by `_plane_factors(a)`, whose
+        distances lie in d_span = (d_lo, d_hi): lo <= every product <= hi <
+        inf, and top is the greatest lhs. None unless d_span is given, every
+        lhs value, fifth-factor entry, g(x)^r and g(x)^s is finite (its
+        `_finite_span` is not None) and d_lo >= 0. lo and hi are the
+        products of the factors' minima and maxima in `_products`' own
+        order, so rounded * (monotone on nonnegative operands) keeps every
+        product between them; a finite hi also rules out a product that
+        overflows and then meets a 0 factor (nan). Only d^p is widened, by
+        (1 -+ 2^-48) and only to a normal float or 0: Python does not
+        promise a correctly rounded pow, and the widening covers one that
+        is faithfully rounded (an error below 1 ulp), which is assumed. The
+        lhs and fifth-factor spans are scanned once per image, the g spans
+        once."""
+        if d_span is None:
             return None
-        d_lo, d_hi = min(ds), max(ds)
+        factors = self._by_image[self._image[a]]
+        if factors.spans is None:
+            factors.spans = _finite_span(factors.fifth), _finite_span(factors.lhs)
+        spans = (*factors.spans, *self._g_spans)
+        if None in spans:
+            return None
+        d_lo, d_hi = d_span
         if not d_lo >= 0:
             return None
         w_lo, w_hi = d_lo ** self._p * _WIDEN[0], d_hi ** self._p * _WIDEN[1]
@@ -329,10 +370,26 @@ def _rhs(comparison, products, span, lines):
 _WIDEN = (1 - 2.0 ** -48, 1 + 2.0 ** -48)
 
 
-def _finite_span(values):
-    """(min(values), max(values)) when math.fsum(values) is finite, else None."""
-    values = list(values)
-    return (min(values), max(values)) if math.isfinite(math.fsum(values)) else None
+class _ImageFactors:
+    """The factors of every a-plane whose a has one image S(a), over (b, c):
+    the fifth-factor list, the lhs list and, once `_plane_bounds` needs
+    them, their `_finite_span`s; the lhs list is made at the plane's lhs
+    stage."""
+
+    __slots__ = ("fifth", "lhs", "spans")
+
+    def __init__(self, fifth):
+        self.fifth, self.lhs, self.spans = fifth, None, None
+
+
+def _finite_span(values, total=math.fsum):
+    """(min(values), max(values)) of a list when total(values) is finite,
+    else None, also when any of them raises: math.fsum rejects an int
+    beyond the float range; a plain sum, exact on ints, is the distances'."""
+    try:
+        return (min(values), max(values)) if math.isfinite(total(values)) else None
+    except Exception:
+        return None
 
 
 def _bits(value):
@@ -414,8 +471,10 @@ def certify(
     With `points`, an a-plane after the first is cleared by `_cleared`, its
     products never made, when a bound on them, rounded outward, shows that
     it cannot change the report; triples_checked counts its triples all
-    the same. The bound assumes a faithfully rounded pow (see the module
-    docstring). With `sample_count`, every drawn triple is evaluated.
+    the same. Its distances are not made either when the metric's `span`
+    bounds them. The bound assumes a faithfully rounded pow (see the
+    module docstring). With `sample_count`, every drawn triple is
+    evaluated.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -467,10 +526,10 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         if points is not None:
             def planes():
                 for a in active:
-                    lhs, ds, _ = factors = sides._plane_factors(a)
+                    image_factors, _, d_span = factors = sides._plane_factors(a, bounded=True)
                     # min_margins holds the running minima of the planes before a.
-                    cleared = _cleared(sides, a, ds, specs, min_margins)
-                    yield partial(product, (a,), active, active), lhs, None if cleared else sides._plane_products(a, factors)[1]
+                    cleared = _cleared(sides, a, d_span, specs, min_margins)
+                    yield partial(product, (a,), active, active), image_factors.lhs, None if cleared else sides._plane_products(a, factors)[1]
 
             chunks = planes()
         else:
@@ -517,12 +576,13 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     return reports
 
 
-def _cleared(sides, a, ds, specs, min_margins) -> bool:
-    """Whether a's plane, made by `sides._plane_factors(a)` with the
-    distances ds, leaves every report as it is, decided from
-    `sides._plane_bounds` before any product is made. It does when every
-    comparison is a ComparisonFn, every running minimum margin is a float
-    and not nan, and for each spec `_piece((lo, hi))` finds a piece k whose
+def _cleared(sides, a, d_span, specs, min_margins) -> bool:
+    """Whether a's plane, whose distances lie in d_span (None: unbounded),
+    leaves every report as it is, decided from `sides._plane_bounds` after
+    `sides._plane_factors(a, bounded=True)` and before any product, or any
+    distance the span stands for, is made. It does when every comparison is
+    a ComparisonFn, every running minimum margin is a float and not nan,
+    and for each spec `_piece((lo, hi))` finds a piece k whose
     line gives r = min(line(lo), line(hi)) with r >= top and r - top above
     the minimum. Every product then lies in [lo, hi], on piece k, where the
     rounded line is monotone and >= 0, so each rhs is >= r: no lhs (<= top)
@@ -533,7 +593,7 @@ def _cleared(sides, a, ds, specs, min_margins) -> bool:
                for spec, m in zip(specs, min_margins)):
         return False
     try:
-        bounds = sides._plane_bounds(a, ds)
+        bounds = sides._plane_bounds(a, d_span)
         if bounds is None:
             return False
         lo, hi, top = bounds

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import and_, eq, getitem, not_
+from operator import and_, eq, getitem, ne, not_
 from typing import Callable, Iterator
 
 from .errors import (
@@ -97,6 +97,10 @@ class _Pointwise:
         """[self(p, q, r) for r in rs]: the plane of the one q."""
         return self.plane(p, (q,), rs)[0]
 
+    def span(self, p, qs: list, rs: list):
+        """None: no bound on plane(p, qs, rs) short of making it."""
+        return None
+
 
 @dataclass(frozen=True)
 class TabulatedMetric(_Pointwise):
@@ -136,11 +140,18 @@ class RuleMetric(_Pointwise):
     pointwise calls do not (a power taken ahead of the branch that needs
     it, a check of a whole row): on any error, and with no plane rule, the
     plane is made by pointwise calls. A plane holds len(qs) * len(rs)
-    values."""
+    values.
+
+    The optional span rule bounds a plane without making it:
+    span_rule(p, qs, rs) returns None or finite (lo, hi), and when it
+    returns (lo, hi), plane(p, qs, rs) returns (raises nothing) and lo <= v
+    <= hi for each of its values v. On any error, and with no span rule,
+    `span` is None."""
 
     name: str
     rule: Callable
     plane_rule: Callable | None = None
+    span_rule: Callable | None = None
 
     def __call__(self, p, q, r):
         try:
@@ -159,6 +170,15 @@ class RuleMetric(_Pointwise):
                 pass
         return super().plane(p, qs, rs)
 
+    def span(self, p, qs: list, rs: list):
+        """The span rule's (lo, hi) on plane(p, qs, rs), or None."""
+        if self.span_rule is not None:
+            try:
+                return self.span_rule(p, qs, rs)
+            except Exception:
+                pass
+        return None
+
 
 def quintic(p, q, r):
     """Fifth-power distance: p^5 when all equal, 2(p^5+r^5) when p=q only,
@@ -175,31 +195,93 @@ def quintic(p, q, r):
     return d
 
 
+def _row_ends(p5, base, lo, hi):
+    """The least and greatest sums of a quintic plane's row whose r^5 lie
+    in [lo, hi]: 2(p^5 + r^5) in the row of q = p (base None) and base +
+    r^5, base = p^5 + q^5, in any other, added as quintic adds them. Float
+    addition is monotone, so every sum of the row lies between the two.
+    OverflowError unless -inf < low <= high < inf (nan, which min and max
+    may return, included)."""
+    if base is None:
+        low, high = 2 * (p5 + lo), 2 * (p5 + hi)
+    else:
+        low, high = base + lo, base + hi
+    if not -math.inf < low <= high < math.inf:
+        raise OverflowError("a fifth-power distance overflows the float range")
+    return low, high
+
+
 def _quintic_plane(p, qs, rs):
     """[[quintic(p, q, r) for r in rs] for q in qs] with p^5 taken once, the
     r^5 once per plane and p^5 + q^5 once per q; the sums add left to right,
-    as quintic's do. Float addition is monotone in r^5, so a row's sums are
-    finite if its sums with the least and the greatest r^5 are. A row whose
-    two end sums are not finite and in order (nan, which min and max may
-    return, included) raises OverflowError, also where quintic does not,
-    and RuleMetric.plane then makes the plane by pointwise calls."""
+    as quintic's do. A row whose `_row_ends` with the least and the greatest
+    r^5 raise OverflowError raises it, also where quintic does not, and
+    RuleMetric.plane then makes the plane by pointwise calls."""
     p5 = p ** 5
     r5s = [r ** 5 for r in rs]
     lo, hi = (min(r5s), max(r5s)) if r5s else (0, 0)
-    inf = math.inf
     plane = []
     for q in qs:
         if p == q:
-            low, high = 2 * (p5 + lo), 2 * (p5 + hi)
+            _row_ends(p5, None, lo, hi)
             row = [p5 if q == r else 2 * (p5 + r5) for r, r5 in zip(rs, r5s)]
         else:
             base = p5 + q ** 5
-            low, high = base + lo, base + hi
+            _row_ends(p5, base, lo, hi)
             row = [base + r5 for r5 in r5s]
-        if not -inf < low <= high < inf:
-            raise OverflowError("a fifth-power distance overflows the float range")
         plane.append(row)
     return plane
+
+
+# An int of at most this size, and the sum of four such, is a float exactly.
+_EXACT_INT = 2 ** 51
+
+
+def _quintic_span(p, qs, rs):
+    """(lo, hi), the least and greatest value of _quintic_plane(p, qs, rs),
+    in O(len(qs) + len(rs)), or None when the plane is empty or a fifth
+    power fails `_exact_powers`. The rows of q != p take the least and the
+    greatest q^5 (q != p) with every r^5, and the row of q = p, if any,
+    takes p^5 at r = p and the r^5 of r != p. Each bound is a value of the
+    plane, summed by `_row_ends`, whose OverflowError means no bound. With a
+    bound, every value is finite, so RuleMetric.plane raises nothing.
+
+    The bounds hold because rounded addition and doubling are monotone in
+    each operand. That needs one arithmetic: an int sum is exact and a
+    mixed one rounded, and the two are not monotone against each other
+    (2^53 + 1 + 0 is 2^53 + 1, and 2^53 + 1 + 0.0 is 2^53). Under
+    `_exact_powers`, every int sum of up to four fifth powers is a float
+    exactly, so each value and bound is the one float arithmetic gives."""
+    p5 = p ** 5
+    r5s = [r ** 5 for r in rs]
+    others = [r5 for r, r5 in zip(rs, r5s) if r != p]
+    # The walk's planes have qs = rs: their q^5 of q != p are the others.
+    q5s = others if qs is rs else [q ** 5 for q in qs if q != p]
+    if not _exact_powers([p5, *q5s, *r5s]):
+        return None
+    ends = []
+    if q5s and r5s:
+        lo, hi = min(r5s), max(r5s)
+        ends += _row_ends(p5, p5 + min(q5s), lo, hi)[0], _row_ends(p5, p5 + max(q5s), lo, hi)[1]
+    if len(q5s) < len(qs):
+        if others:
+            ends += _row_ends(p5, None, min(others), max(others))
+        if len(others) < len(rs):
+            ends.append(p5)
+    return (min(ends), max(ends)) if ends else None
+
+
+def _exact_powers(powers) -> bool:
+    """Whether every fifth power is a finite float or an int of magnitude
+    at most 2^51 (a Fraction, or any other type, is neither); with no nan
+    among them, min and max are the true least and greatest."""
+    kinds = set(map(type, powers))
+    if not kinds <= {int, float} or any(map(ne, powers, powers)):  # nan alone is unequal to itself
+        return False
+    lo, hi = min(powers), max(powers)
+    if not -math.inf < lo <= hi < math.inf:
+        return False
+    return int not in kinds or max(-lo, hi) <= _EXACT_INT or all(abs(v) <= _EXACT_INT for v in powers if type(v) is int)
 
 
 @dataclass(frozen=True)
@@ -616,12 +698,12 @@ def builtin_space(name: str) -> PartialSbSpace:
     if name == "quintic_ray":
         return PartialSbSpace(
             RegionCarrier(intervals=((1, None),)),
-            RuleMetric("quintic", quintic, _quintic_plane),
+            RuleMetric("quintic", quintic, _quintic_plane, _quintic_span),
         )
     if name == "quintic_gap":
         return PartialSbSpace(
             RegionCarrier(isolated=(0, 3), intervals=((4, None),)),
-            RuleMetric("quintic", quintic, _quintic_plane),
+            RuleMetric("quintic", quintic, _quintic_plane, _quintic_span),
         )
     if name == "two_point_a":
         return tabulated_space((1, 2), _TWO_POINT_A_TABLE)

@@ -1455,10 +1455,17 @@ class TestReadmeExamples:
 # sha256 of the `psbm certify --space builtin:quintic_gap <flags> --format
 # json` bytes, which every change must keep. CI reads them from here.
 CERTIFY_JSON_SHA256 = {
+    ("--grid", "20"): "e1399404c8628e12e12dcf0c430e1b3b8648c1a0aed509b765e086a118630788",
+    ("--grid", "20", "--matkowski"): "e1399404c8628e12e12dcf0c430e1b3b8648c1a0aed509b765e086a118630788",
+    ("--grid", "30"): "d049c0a8a7d805a0c1769201fc17b61f73ae4726352d9c625782d714936131e2",
+    ("--grid", "30", "--matkowski"): "d049c0a8a7d805a0c1769201fc17b61f73ae4726352d9c625782d714936131e2",
+    ("--grid", "40"): "70b14f09b4ba22c82491c55182eb5bd737b2813d805b1ee963a42ac74df21f34",
+    ("--grid", "40", "--matkowski"): "70b14f09b4ba22c82491c55182eb5bd737b2813d805b1ee963a42ac74df21f34",
     ("--grid", "50"): "544c74373881e56a5f327b8f4425f9709929e7e49c5631a417cef7fad640f08d",
     ("--grid", "50", "--matkowski"): "544c74373881e56a5f327b8f4425f9709929e7e49c5631a417cef7fad640f08d",
     ("--grid", "60"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
     ("--grid", "60", "--matkowski"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
+    ("--grid", "60", "--bound", "1e61"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
 }
 
 
@@ -1467,6 +1474,23 @@ def test_certify_json_digests_are_pinned(capsys, flags):
     assert main(["certify", "--space", "builtin:quintic_gap", *flags, "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == (CERTIFY_JSON_SHA256[flags], "")
+
+
+# sha256 of the `psbm case-table --space builtin:quintic_gap <flags> --format
+# json` bytes, which every change must keep. CI reads them from here.
+CASE_TABLE_JSON_SHA256 = {
+    ("--grid-size", "20"): "120a4911f3045b4b4badfefa8865e9bd12d85ae7081f49e2d510097a85e7a406",
+    ("--grid-size", "20", "--matkowski"): "120a4911f3045b4b4badfefa8865e9bd12d85ae7081f49e2d510097a85e7a406",
+    ("--grid-size", "40"): "1c684708866181947339911e3ebb81948a67238790689b6944442b5dcaca82ee",
+    ("--grid-size", "40", "--matkowski"): "1c684708866181947339911e3ebb81948a67238790689b6944442b5dcaca82ee",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CASE_TABLE_JSON_SHA256), ids=" ".join)
+def test_case_table_json_digests_are_pinned(capsys, flags):
+    assert main(["case-table", "--space", "builtin:quintic_gap", *flags, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (CASE_TABLE_JSON_SHA256[flags], "")
 
 
 class TestRepro:
@@ -1514,6 +1538,37 @@ class TestRowKernelParity:
         assert spaces.builtin_space("quintic_gap").metric.plane_rule is None
         assert run_captured(argv) == shipped
         assert shipped[0] == code
+
+
+def builtin_without_span_kernel(name):
+    """The builtin space, its rule metric stripped of any span rule."""
+    space = SHIPPED_BUILTIN(name)
+    if isinstance(space.metric, spaces.RuleMetric):
+        return dataclasses.replace(space, metric=dataclasses.replace(space.metric, span_rule=None))
+    return space
+
+
+class TestSpanKernelParity:
+    """certify --grid clears a plane from the quintic span without making
+    its distances; without the span it makes them and bounds them by their
+    own min and max. No byte of any report changes."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            *(["--grid", str(n), *matkowski] for n in (3, 10, 20, 30, 40, 50, 60, 80) for matkowski in ([], ["--matkowski"])),
+            ["--grid", "60", "--bound", "1e61"],
+        ],
+        ids=" ".join,
+    )
+    def test_same_output_without_the_span(self, flags, fmt, monkeypatch):
+        argv = ["certify", *GAP, *flags, "--format", fmt]
+        shipped = run_captured(argv)
+        monkeypatch.setattr(spaces, "builtin_space", builtin_without_span_kernel)
+        assert spaces.builtin_space("quintic_gap").metric.span_rule is None
+        assert run_captured(argv) == shipped
+        assert shipped[0] == 0
 
 
 def choice_positions(rng, pool_size, arity, count):

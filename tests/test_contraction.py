@@ -900,10 +900,13 @@ class TestPlaneBound:
         outcome = self.check(cleared_planes, overrides, (QUARTER,), expected)
         space, spec = staged_space(overrides), staged_specs(QUARTER)[0]
         sides = InequalitySides(space, spec, [1, 2, 3, 4])
-        _, ds, _ = sides._plane_factors(3)
+        # A tabulated metric has no span: the walk makes the distances and
+        # bounds them by their own min and max.
+        _, ds, d_span = sides._plane_factors(3, bounded=True)
+        assert d_span == (min(ds), max(ds))
         if min(ds) < 0:
             assert outcome == (PsbmError, "negative distance factor -1.0")
-            assert sides._plane_bounds(3, ds) is None
+            assert sides._plane_bounds(3, d_span) is None
 
     @pytest.mark.parametrize("overrides, expected", [
         ({(3, 2, 4): 10 ** 400}, [False, True, False]),
@@ -947,36 +950,72 @@ class TestPlaneBound:
     def test_random_tables_equal_the_walk_that_evaluates_every_plane(self, monkeypatch):
         # The walk that evaluates every plane is the walk with _cleared
         # always False.
-        rng = random.Random("psbm:test:plane-bound")
         real, cleared, raised = contraction._cleared, [], 0
 
         def recording(*args):
             cleared.append(real(*args))
             return cleared[-1]
 
-        steep = piecewise("steep", (0.0, 0.0, 0.0, 1.0, 1e9))
-        comparisons = [QUARTER, IDENTITY_LINE, FALLING, steep, steep, builtin_comparison("paper_tau")]
-        for _ in range(150):
-            labels = tuple(range(1, rng.randint(3, 7)))
-            # dist(a, b, c) log-uniform in [10^(3a), 10^(3a + 1)], so that
-            # the planes lie apart and the bound clears some, and up to two
-            # adversarial entries.
-            table = {t: 10 ** rng.uniform(3 * t[0], 3 * t[0] + 1) for t in itertools.product(labels, repeat=3)}
-            for tpl in rng.sample(sorted(table), rng.randint(0, 2)):
-                table[tpl] = rng.choice([-1, 0, 10 ** 400, math.nan, math.inf, 1e300])
-            space = tabulated_space(labels, table)
-            # Images among the two lowest labels keep the lhs below the rhs.
-            mapping = map_from_table({x: rng.choice(labels[:2]) for x in labels})
-            exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
-            specs = tuple(InterpolativeSpec(*exps, comparison=rng.choice(comparisons), mapping=mapping) for _ in range(2))
-            points = list(labels)
-            rng.shuffle(points)
+        for space, specs, points in random_walks("psbm:test:plane-bound", 150):
             monkeypatch.setattr(contraction, "_cleared", recording)
             outcome = walk_outcome(space, specs, points)
             monkeypatch.setattr(contraction, "_cleared", lambda *args: False)
             assert outcome == walk_outcome(space, specs, points)
             raised += isinstance(outcome, tuple)
         assert 50 < sum(cleared) < len(cleared) and 10 < raised < 140
+
+    def test_random_tables_under_a_span_equal_the_walk_that_makes_every_plane(self, monkeypatch, cleared_planes):
+        # The same tables, as rule metrics whose span rule is each plane's
+        # own min and max: a cleared plane's distances are never made, and
+        # every report and first error is that of the tabulated walk, which
+        # makes every plane's distances.
+        made = []
+        real_distances = InequalitySides._distances
+        monkeypatch.setattr(InequalitySides, "_distances", lambda sides, a: made.append(a) or real_distances(sides, a))
+        cleared = 0
+        for space, specs, points in random_walks("psbm:test:plane-bound", 150):
+            spanned = PartialSbSpace(space.carrier, RuleMetric("spanned", space.metric, span_rule=own_span(space.metric)))
+            cleared_planes.clear()
+            made.clear()
+            outcome = walk_outcome(spanned, specs, points)
+            assert len(made) <= cleared_planes.count(False)
+            cleared += sum(cleared_planes)
+            assert outcome == walk_outcome(space, specs, points)
+        assert cleared > 50
+
+
+def own_span(metric):
+    """A span rule that bounds a plane by its own least and greatest value,
+    None unless each is finite (an int beyond the float range raises)."""
+
+    def span(p, qs, rs):
+        values = [metric(p, q, r) for q in qs for r in rs]
+        return (min(values), max(values)) if values and all(map(math.isfinite, values)) else None
+
+    return span
+
+
+def random_walks(seed, count):
+    """`count` random (space, specs, points) for a shared walk: tables over
+    3-6 labels with dist(a, b, c) log-uniform in [10^(3a), 10^(3a + 1)], so
+    that the planes lie apart and the bound clears some, and up to two
+    adversarial entries; images among the two lowest labels keep the lhs
+    below the rhs."""
+    rng = random.Random(seed)
+    steep = piecewise("steep", (0.0, 0.0, 0.0, 1.0, 1e9))
+    comparisons = [QUARTER, IDENTITY_LINE, FALLING, steep, steep, builtin_comparison("paper_tau")]
+    for _ in range(count):
+        labels = tuple(range(1, rng.randint(3, 7)))
+        table = {t: 10 ** rng.uniform(3 * t[0], 3 * t[0] + 1) for t in itertools.product(labels, repeat=3)}
+        for tpl in rng.sample(sorted(table), rng.randint(0, 2)):
+            table[tpl] = rng.choice([-1, 0, 10 ** 400, math.nan, math.inf, 1e300])
+        space = tabulated_space(labels, table)
+        mapping = map_from_table({x: rng.choice(labels[:2]) for x in labels})
+        exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
+        specs = tuple(InterpolativeSpec(*exps, comparison=rng.choice(comparisons), mapping=mapping) for _ in range(2))
+        points = list(labels)
+        rng.shuffle(points)
+        yield space, specs, points
 
 
 class TestRowEvaluator:
@@ -1245,6 +1284,9 @@ class TestPlanes:
         # distance at the b before it.
         ({(1, 3, 1): None}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
         ({(1, 3, 1): None, (1, 2, 3): -7}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
+        # A metric overflow at the last b, ahead of an lhs row that
+        # overflows at the same b.
+        ({(1, 3, 1): None, (2, 1, 3): None}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
         # 3. An lhs row that overflows at the last b, ahead of a negative
         # distance at the b before it.
         ({(2, 1, 3): None, (1, 2, 3): -7}, QUARTER, DistanceOverflow, "patched(2, 1, 3) overflows the float range"),
@@ -1261,8 +1303,8 @@ class TestPlanes:
         ({(1, 2, 3): 6}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
          ZeroDivisionError, "division by zero"),
     ], ids=["fifth-factor overflow", "negative fifth factor", "distance overflow", "distance overflow first",
-            "lhs overflow first", "negative distance", "negative distance first", "product overflow first",
-            "comparison"])
+            "distance overflow before an lhs overflow", "lhs overflow first", "negative distance",
+            "negative distance first", "product overflow first", "comparison"])
     def test_plane_and_block_errors_follow_the_stage_order(self, overrides, comparison, error, message):
         space = patched_space(overrides)
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, ROTATE)
@@ -1270,6 +1312,13 @@ class TestPlanes:
         assert stage_outcome(space, spec, [1, 2, 3], triples) == (error, message)
         assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).plane(1)) == (error, message)
         assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).block(triples)) == (error, message)
+        # The grid walk's first plane is plane 1, also under a span, which
+        # stands for the distances wherever they raise nothing.
+        if error is OverflowError:
+            error, message = DistanceOverflow, "the contraction inequality overflows the float range"
+        spanned = PartialSbSpace(space.carrier, dataclasses.replace(space.metric, span_rule=own_span(space.metric)))
+        for walked in (space, spanned):
+            assert walk_outcome(walked, (spec,), [1, 2, 3]) == (error, message)
 
     def test_a_plane_straddling_a_cut_equals_reference(self):
         # Products below 1 at odd b and above 1 at even b: the plane lies on

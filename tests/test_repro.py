@@ -122,20 +122,34 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     """Both certificates share one walk of the 51 active grid points (0 is
     fixed): the stages of one comparison-free plane per a, where two
     certify calls made 102, and the products of the planes that its bound
-    does not clear, at most 2; the case table adds its own 21 planes."""
+    does not clear, at most 2; the case table adds its own 21 planes. The
+    factor lists of a plane are made once per image S(a), 2 on this grid,
+    and a plane's 51 x 51 distances only when it is evaluated: a cleared
+    plane is bounded by the metric's span."""
     real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._plane_products
-    factors, products = [], []
+    real_plane, real_image_factors = spaces._quintic_plane, contraction._ImageFactors
+    factors, products, planes, images = [], [], [], []
 
-    def counting_factors(sides, a):
+    def counting_factors(sides, a, *args, **kwargs):
         factors.append((len(sides.points), a))
-        return real_factors(sides, a)
+        return real_factors(sides, a, *args, **kwargs)
 
     def counting_products(sides, a, *args):
         products.append((len(sides.points), a))
         return real_products(sides, a, *args)
 
+    def counting_plane(p, qs, rs):
+        planes.append((len(qs), len(rs), p))
+        return real_plane(p, qs, rs)
+
+    def counting_image_factors(fifth):
+        images.append(len(fifth))
+        return real_image_factors(fifth)
+
     monkeypatch.setattr(contraction.InequalitySides, "_plane_factors", counting_factors)
     monkeypatch.setattr(contraction.InequalitySides, "_plane_products", counting_products)
+    monkeypatch.setattr(spaces, "_quintic_plane", counting_plane)
+    monkeypatch.setattr(contraction, "_ImageFactors", counting_image_factors)
     item = repro._contraction_item(0)
     assert item["passed"] is True
     gap = spaces.builtin_space("quintic_gap")
@@ -145,6 +159,8 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     assert [a for n, a in products if n == 51] == evaluated
     assert evaluated[0] == 3 and len(evaluated) <= 2
     assert len(factors) == 51 + 21 and len(products) == len(evaluated) + 21
+    assert [p for nq, nr, p in planes if nq == 51] == evaluated and all(nr == 51 for nq, nr, _ in planes if nq == 51)
+    assert images == [51 * 51] * 2 + [21 * 21] * 2
 
 
 def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch, cleared_planes):

@@ -36,7 +36,7 @@ from psbmetric import (
 from psbmetric import spaces as spaces_module
 from psbmetric.errors import PsbmError
 from psbmetric.numerics import point_label, point_sort_key
-from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, sampled_positions
+from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, _quintic_span, sampled_positions
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -772,6 +772,10 @@ class TestMetricRows:
     def test_quintic_builtins_carry_the_plane_kernel(self, name):
         assert builtin_space(name).metric.plane_rule is _quintic_plane
 
+    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
+    def test_quintic_builtins_carry_the_span_kernel(self, name):
+        assert builtin_space(name).metric.span_rule is _quintic_span
+
     def test_the_kernel_leaves_the_rule_to_planes_that_raise(self):
         calls = []
 
@@ -827,6 +831,92 @@ class TestMetricRows:
     def test_an_unknown_p_with_no_r_is_no_error(self):
         metric = builtin_space("two_point_a").metric
         assert metric.row(5, 1, []) == metric.row([5], 1, []) == []
+
+
+# The points of `psbm certify --grid 60 --bound 1e61`, whose fifth powers
+# reach 1e305, and floats around 3.4e61, beyond which 2(p^5 + r^5)
+# overflows, and 4.5e61, beyond which p^5 does.
+NEAR_OVERFLOW = [0, 3] + [4 + k * ((1e61 - 4) / 59) for k in range(60)]
+
+# Ints, with and without fifth powers beyond 2^53 (from 1178 on), every
+# float, and floats near overflow.
+SPAN_POINTS = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1100, max_value=5000),
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+    ROW_FLOATS,
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e61, max_value=5e61),
+    st.sampled_from([0, 0.0, -0.0, 3, 3.0, True, *NEAR_OVERFLOW]),
+)
+
+
+def span_holds(metric, p, qs, rs):
+    """Whether metric.span(p, qs, rs) is None, or finite (lo, hi) with
+    lo <= v <= hi for every value v of metric.plane(p, qs, rs), which
+    must then return."""
+    span = metric.span(p, qs, rs)
+    if span is None:
+        return True
+    lo, hi = span
+    return math.isfinite(lo) and math.isfinite(hi) and all(lo <= v <= hi for row in metric.plane(p, qs, rs) for v in row)
+
+
+class TestMetricSpan:
+    """metric.span(p, qs, rs) is None, or finite bounds on every value of
+    metric.plane(p, qs, rs), which then raises nothing."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(qs=st.lists(SPAN_POINTS, max_size=5), rs=st.lists(SPAN_POINTS, max_size=6), data=st.data())
+    def test_the_quintic_span_bounds_every_value(self, qs, rs, data):
+        # p is often a point of qs or rs, so that the planes hold the row of q = p.
+        p = data.draw(st.one_of(st.sampled_from(qs + rs), SPAN_POINTS) if qs + rs else SPAN_POINTS)
+        assert span_holds(builtin_space("quintic_gap").metric, p, qs, rs)
+
+    @pytest.mark.parametrize("bound", [64, 1e61])
+    def test_the_quintic_span_is_the_least_and_greatest_value_on_a_grid(self, bound):
+        # As on `certify --grid` (qs and rs the one list of points): the span
+        # is the plane's own min and max, so the walk decides a plane from
+        # it as from the plane.
+        metric = builtin_space("quintic_gap").metric
+        points = [3] + [4 + k * ((bound - 4) / 59) for k in range(60)]
+        for p in points:
+            values = list(itertools.chain.from_iterable(metric.plane(p, points, points)))
+            assert metric.span(p, points, points) == (min(values), max(values))
+        assert all(span_holds(metric, p, NEAR_OVERFLOW, NEAR_OVERFLOW) for p in NEAR_OVERFLOW)
+
+    def test_no_span_where_an_exact_int_sum_and_a_rounded_float_sum_disagree(self):
+        # 1600^5 + 1^5 = 2^53 + ... + 1 is exact as an int and rounds down
+        # as a float, so with r^5 = 0 and 0.0, which are equal, the plane's
+        # float value lies below its int value.
+        metric = builtin_space("quintic_gap").metric
+        (exact, rounded), = metric.plane(1600, [1], [0, 0.0])
+        assert type(exact) is int and type(rounded) is float and rounded < exact
+        assert metric.span(1600, [1], [0, 0.0]) is None
+        assert metric.span(1600.0, [1], [0, 0.0]) == (rounded, rounded)
+
+    def test_no_span_at_an_overflow_a_nan_or_a_non_number(self):
+        metric = builtin_space("quintic_gap").metric
+        for p, qs, rs in [
+            (3.4e61, [3.4e61], [3.5e61]),  # 2(p^5 + r^5) overflows
+            (3, [5e61], [3]),  # q^5 overflows
+            (3, [4, math.nan], [3]),
+            (3, [4], [math.inf]),
+            (3, [4], ["abc"]),
+            (Fraction(1, 3), [4], [5]),
+            (3, [], [4]),
+            (3, [4], []),
+        ]:
+            assert metric.span(p, qs, rs) is None, (p, qs, rs)
+
+    def test_metrics_without_a_span_rule_have_no_span(self):
+        assert builtin_space("two_point_a").metric.span(1, [1, 2], [1, 2]) is None
+        assert RuleMetric("quintic", quintic, _quintic_plane).span(3, [4], [5]) is None
+
+        def failing(p, qs, rs):
+            raise ValueError("no span")
+
+        assert RuleMetric("quintic", quintic, _quintic_plane, failing).span(3, [4], [5]) is None
 
 
 class TestCheckAxioms:
