@@ -18,12 +18,13 @@ block of drawn triples at a time.
 
 The grid walk decides most planes from a bound before making their
 products (interval analysis, Moore 1966). A plane's lhs and fifth-factor
-lists depend on a only through S(a), so they are made, and scanned for
-their min and max, once per image; its distances are bounded by the
+lists depend on a only through S(a), so they are made, and given their
+`numerics.finite_span`, once per image; its distances are bounded by the
 metric's `span` (O(n) on the quintic builtins) or, when that gives none,
-made and bounded by their own min and max. The products of the factors'
-minima and maxima, with d^p widened by (1 -+ 2^-48), then bound every
-product below and above. A plane whose bound keeps every rhs above every
+made and bounded by their own `finite_span`. A finite span needs finite
+values and no nan, not a finite sum. The products of the factors' minima
+and maxima, with d^p widened by (1 -+ 2^-48), then bound every product
+below and above. A plane whose bound keeps every rhs above every
 lhs, and every margin above each spec's running minimum, is cleared: it
 cannot change a report, its n^2 triples count in triples_checked
 unevaluated, and neither its products nor, under a span, its distances
@@ -59,7 +60,7 @@ from operator import getitem, le, lt, ne, sub
 
 from .comparison import ComparisonFn, _span, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
-from .numerics import point_label, point_sort_key
+from .numerics import finite_span, point_label, point_sort_key
 from .spaces import PartialSbSpace, RegionCarrier, require_point, sample_carrier, sampled_positions
 
 
@@ -161,9 +162,10 @@ class InequalitySides:
     - the fifth factor m^(1-p-q-r-s), one row over c per distinct (S(a), b),
       since m depends on a only through S(a); a mean m of +inf raises
       DistanceOverflow;
-    - for the planes, per image S(a) an `_ImageFactors`, the fifth-factor
-      and lhs rows over every (b, c) as two flat lists, and once the
-      g(b)^r and g(c)^s over every (b, c).
+    - for the planes, per image S(a), the fifth-factor and the lhs rows
+      over every (b, c) as two flat lists, each kept with its
+      `finite_span` as a pair (list, span), and once the g(b)^r and g(c)^s
+      over every (b, c).
     A row is computed whole when a triple first needs it, so an error in
     any of its entries is raised there, also when that triple's own entries
     are fine.
@@ -200,11 +202,12 @@ class InequalitySides:
         self._fq = {x: _power(gap[x], spec.q) for x in points}
         self._fr = {x: _power(gap[x], spec.r) for x in points}
         self._fs = [_power(gap[x], spec.s) for x in points]
-        self._g_spans = _finite_span(list(self._fr.values())), _finite_span(self._fs)
+        self._g_spans = finite_span(list(self._fr.values())), finite_span(self._fs)
         self._pair = {ix: metric.row(ix, ix, points) for ix in dict.fromkeys(image.values())}
         self._lhs_rows = {}
         self._fifth_rows = {}
-        self._by_image = {}
+        # Per image S(a): (list, finite_span(list)) over every (b, c).
+        self._fifth_lists, self._lhs_lists = {}, {}
 
     def _lhs_row(self, ia, ib):
         """dist(ia, ib, S(c)) over the points c."""
@@ -251,7 +254,7 @@ class InequalitySides:
     def plane(self, a):
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
-        lhs, products = self._plane_products(a)
+        lhs, products = self._plane_products(a, self._plane_factors(a))
         return lhs[:], _rhs(self._comparison, products, _span(products), {})[1]
 
     def block(self, triples):
@@ -264,39 +267,36 @@ class InequalitySides:
     def _plane_factors(self, a, bounded=False):
         """The stages of `plane` that can raise before its products, in
         order: the fifth-factor list of S(a), the distances and the lhs list
-        of S(a). Returns (S(a)'s `_ImageFactors`, made once per image and
-        holding both lists; the distance list; their span, None unless
-        `bounded`). With `bounded`, a span from the metric's `span` stands
-        for the distances, which are left unmade (None) for
-        `_plane_products`: the metric promises that they raise nothing.
-        Without one, they are made and their span is
-        `_finite_span(ds, sum)`."""
-        points, ia = self.points, self._image[a]
-        factors = self._by_image.get(ia)
-        if factors is None:
-            fifth = list(chain.from_iterable([self._fifth_row(ia, b) for b in points]))
-            factors = self._by_image[ia] = _ImageFactors(fifth)
+        of S(a). Returns (fifth, lhs, ds, d_span): fifth and lhs are the
+        pairs (list, `finite_span`), made once per image; ds is the distance
+        list and d_span its span, None unless `bounded`. With `bounded`, a
+        span from the metric's `span` stands for the distances, which are
+        left unmade (None) for `_plane_products`: the metric promises that
+        they raise nothing. Without one, they are made and their span is
+        their `finite_span`."""
+        points, image, fifths, lhss = self.points, self._image, self._fifth_lists, self._lhs_lists
+        ia = image[a]
+        fifth = fifths.get(ia) or _flat_span(fifths, ia, [self._fifth_row(ia, b) for b in points])
         d_span = self._metric.span(a, points, points) if bounded else None
         ds = None
         if d_span is None:
             ds = self._distances(a)
-            d_span = _finite_span(ds, sum) if bounded else None
-        if factors.lhs is None:
-            factors.lhs = list(chain.from_iterable([self._lhs_row(ia, self._image[b]) for b in points]))
-        return factors, ds, d_span
+            d_span = finite_span(ds) if bounded else None
+        lhs = lhss.get(ia) or _flat_span(lhss, ia, [self._lhs_row(ia, image[b]) for b in points])
+        return fifth, lhs, ds, d_span
 
     def _distances(self, a):
         """dist(a, b, c) for every b and then every c in `points`."""
         return list(chain.from_iterable(self._metric.plane(a, self.points, self.points)))
 
-    def _plane_products(self, a, factors=None):
+    def _plane_products(self, a, factors):
         """`plane` up to its comparison: the lhs list and the product list,
-        from `factors`, `_plane_factors(a)`, when given; distances that it
-        left unmade are made here."""
-        image_factors, ds, _ = factors or self._plane_factors(a)
+        from `factors`, `_plane_factors(a)`; distances that it left unmade
+        are made here."""
+        (fifth, _), (lhs, _), ds, _ = factors
         if ds is None:
             ds = self._distances(a)
-        return image_factors.lhs, self._products(ds, repeat(self._fq[a]), *self._tiled, image_factors.fifth)
+        return lhs, self._products(ds, repeat(self._fq[a]), *self._tiled, fifth)
 
     @cached_property
     def _tiled(self):
@@ -304,36 +304,29 @@ class InequalitySides:
         n = len(self.points)
         return list(chain.from_iterable([repeat(self._fr[b], n) for b in self.points])), self._fs * n
 
-    def _plane_bounds(self, a, d_span):
-        """(lo, hi, top) for a's plane, made by `_plane_factors(a)`, whose
-        distances lie in d_span = (d_lo, d_hi): lo <= every product <= hi <
-        inf, and top is the greatest lhs. None unless d_span is given, every
-        lhs value, fifth-factor entry, g(x)^r and g(x)^s is finite (its
-        `_finite_span` is not None) and d_lo >= 0. lo and hi are the
+    def _plane_bounds(self, a, factors):
+        """(lo, hi, top) for a's plane from its `_plane_factors(a,
+        bounded=True)`, whose distances lie in d_span = (d_lo, d_hi): lo <=
+        every product <= hi < inf, and top is the greatest lhs. None unless
+        d_span and the `finite_span`s of the fifth-factor and lhs lists and
+        of g(x)^r and g(x)^s are given, and d_lo >= 0. lo and hi are the
         products of the factors' minima and maxima in `_products`' own
         order, so rounded * (monotone on nonnegative operands) keeps every
         product between them; a finite hi also rules out a product that
         overflows and then meets a 0 factor (nan). Only d^p is widened, by
         (1 -+ 2^-48) and only to a normal float or 0: Python does not
         promise a correctly rounded pow, and the widening covers one that
-        is faithfully rounded (an error below 1 ulp), which is assumed. The
-        lhs and fifth-factor spans are scanned once per image, the g spans
-        once."""
-        if d_span is None:
-            return None
-        factors = self._by_image[self._image[a]]
-        if factors.spans is None:
-            factors.spans = _finite_span(factors.fifth), _finite_span(factors.lhs)
-        spans = (*factors.spans, *self._g_spans)
+        is faithfully rounded (an error below 1 ulp), which is assumed."""
+        (_, t_span), (_, lhs_span), _, d_span = factors
+        spans = (t_span, lhs_span, d_span, *self._g_spans)
         if None in spans:
             return None
-        d_lo, d_hi = d_span
+        (t_lo, t_hi), (_, top), (d_lo, d_hi), (fr_lo, fr_hi), (fs_lo, fs_hi) = spans
         if not d_lo >= 0:
             return None
         w_lo, w_hi = d_lo ** self._p * _WIDEN[0], d_hi ** self._p * _WIDEN[1]
         if not all(w == 0 or sys.float_info.min <= w < math.inf for w in (w_lo, w_hi)):
             return None
-        (t_lo, t_hi), (_, top), (fr_lo, fr_hi), (fs_lo, fs_hi) = spans
         fq = self._fq[a]
         lo, hi = w_lo * fq * fr_lo * fs_lo * t_lo, w_hi * fq * fr_hi * fs_hi * t_hi
         return (lo, hi, top) if hi < math.inf else None
@@ -370,26 +363,12 @@ def _rhs(comparison, products, span, lines):
 _WIDEN = (1 - 2.0 ** -48, 1 + 2.0 ** -48)
 
 
-class _ImageFactors:
-    """The factors of every a-plane whose a has one image S(a), over (b, c):
-    the fifth-factor list, the lhs list and, once `_plane_bounds` needs
-    them, their `_finite_span`s; the lhs list is made at the plane's lhs
-    stage."""
-
-    __slots__ = ("fifth", "lhs", "spans")
-
-    def __init__(self, fifth):
-        self.fifth, self.lhs, self.spans = fifth, None, None
-
-
-def _finite_span(values, total=math.fsum):
-    """(min(values), max(values)) of a list when total(values) is finite,
-    else None, also when any of them raises: math.fsum rejects an int
-    beyond the float range; a plain sum, exact on ints, is the distances'."""
-    try:
-        return (min(values), max(values)) if math.isfinite(total(values)) else None
-    except Exception:
-        return None
+def _flat_span(lists, key, rows):
+    """lists[key] = (values, finite_span(values)), values being the rows
+    chained into one list; returns the pair."""
+    values = list(chain.from_iterable(rows))
+    pair = lists[key] = values, finite_span(values)
+    return pair
 
 
 def _bits(value):
@@ -472,9 +451,10 @@ def certify(
     products never made, when a bound on them, rounded outward, shows that
     it cannot change the report; triples_checked counts its triples all
     the same. Its distances are not made either when the metric's `span`
-    bounds them. The bound assumes a faithfully rounded pow (see the
-    module docstring). With `sample_count`, every drawn triple is
-    evaluated.
+    bounds them. Every factor list must have a `finite_span`, finite
+    values and no nan, but need not have a finite sum. The bound assumes
+    a faithfully rounded pow (see the module docstring). With
+    `sample_count`, every drawn triple is evaluated.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -526,10 +506,10 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         if points is not None:
             def planes():
                 for a in active:
-                    image_factors, _, d_span = factors = sides._plane_factors(a, bounded=True)
+                    _, (lhs, _), _, _ = factors = sides._plane_factors(a, bounded=True)
                     # min_margins holds the running minima of the planes before a.
-                    cleared = _cleared(sides, a, d_span, specs, min_margins)
-                    yield partial(product, (a,), active, active), image_factors.lhs, None if cleared else sides._plane_products(a, factors)[1]
+                    cleared = _cleared(sides, a, factors, specs, min_margins)
+                    yield partial(product, (a,), active, active), lhs, None if cleared else sides._plane_products(a, factors)[1]
 
             chunks = planes()
         else:
@@ -576,11 +556,11 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     return reports
 
 
-def _cleared(sides, a, d_span, specs, min_margins) -> bool:
-    """Whether a's plane, whose distances lie in d_span (None: unbounded),
-    leaves every report as it is, decided from `sides._plane_bounds` after
-    `sides._plane_factors(a, bounded=True)` and before any product, or any
-    distance the span stands for, is made. It does when every comparison is
+def _cleared(sides, a, factors, specs, min_margins) -> bool:
+    """Whether a's plane leaves every report as it is, decided from
+    `sides._plane_bounds` on its `factors`, `sides._plane_factors(a,
+    bounded=True)`, and before any product, or any distance the span
+    stands for, is made. It does when every comparison is
     a ComparisonFn, every running minimum margin is a float and not nan,
     and for each spec `_piece((lo, hi))` finds a piece k whose
     line gives r = min(line(lo), line(hi)) with r >= top and r - top above
@@ -593,7 +573,7 @@ def _cleared(sides, a, d_span, specs, min_margins) -> bool:
                for spec, m in zip(specs, min_margins)):
         return False
     try:
-        bounds = sides._plane_bounds(a, d_span)
+        bounds = sides._plane_bounds(a, factors)
         if bounds is None:
             return False
         lo, hi, top = bounds

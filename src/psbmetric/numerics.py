@@ -8,9 +8,12 @@ callers compare the float result first and fall back to `exact_value` only
 when that result lies within `rounding_bound` of the other side, is not
 finite, or raised OverflowError (adaptive-precision predicates, Shewchuk
 1997). Integer operands stay in exact integer arithmetic throughout.
+`finite_span` is the one test that a list of values is finite and has a
+span, for the certificate's plane bound and the quintic distance span.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -50,6 +53,20 @@ def exact_value(scale, terms, offset=0):
     infinite = [t for t in terms if not -math.inf < t < math.inf]
     total = sum(infinite) if infinite else _sign(sum(map(Fraction, terms)))
     return _sign(scale) * total - (0 if -math.inf < offset < math.inf else offset)
+
+
+def finite_span(values):
+    """(min(values), max(values)) of a list when both lie within
+    +-sys.float_info.max and no value is nan, else None, also when min, max
+    or sum raises (an empty list, an int beyond the float range among
+    floats). A plain sum finds a nan: it is nan when a value is, and
+    otherwise only with an infinite value, which the ends rule out. It need
+    not be finite: finite values whose sum overflows get a span."""
+    try:
+        total, lo, hi = sum(values), min(values), max(values)
+    except (ValueError, OverflowError, TypeError):
+        return None
+    return (lo, hi) if total == total and -sys.float_info.max <= lo and hi <= sys.float_info.max else None
 
 
 def point_sort_key(p):

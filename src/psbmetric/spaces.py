@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import and_, eq, getitem, ne, not_
+from operator import and_, eq, getitem, not_
 from typing import Callable, Iterator
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     UnknownBuiltin,
     UnknownPoint,
 )
-from .numerics import exact_value, point_label, point_sort_key, rounding_bound
+from .numerics import exact_value, finite_span, point_label, point_sort_key, rounding_bound
 
 Point = int | float | str
 
@@ -273,14 +273,13 @@ def _quintic_span(p, qs, rs):
 
 def _exact_powers(powers) -> bool:
     """Whether every fifth power is a finite float or an int of magnitude
-    at most 2^51 (a Fraction, or any other type, is neither); with no nan
-    among them, min and max are the true least and greatest."""
+    at most 2^51 (a Fraction, or any other type, is neither); the finite
+    span and the absence of nan are `finite_span`'s."""
     kinds = set(map(type, powers))
-    if not kinds <= {int, float} or any(map(ne, powers, powers)):  # nan alone is unequal to itself
+    span = finite_span(powers) if kinds <= {int, float} else None
+    if span is None:
         return False
-    lo, hi = min(powers), max(powers)
-    if not -math.inf < lo <= hi < math.inf:
-        return False
+    lo, hi = span
     return int not in kinds or max(-lo, hi) <= _EXACT_INT or all(abs(v) <= _EXACT_INT for v in powers if type(v) is int)
 
 

@@ -1570,6 +1570,18 @@ class TestSpanKernelParity:
         assert run_captured(argv) == shipped
         assert shipped[0] == 0
 
+    def test_the_same_planes_clear_without_the_span(self, monkeypatch, cleared_planes):
+        # At --bound 1e61 the distances reach 3e305: each is finite, but the
+        # sum of a plane's 61 x 61 overflows, and a finite span needs no
+        # finite sum.
+        argv = ["certify", *GAP, "--grid", "60", "--bound", "1e61", "--format", "json"]
+        shipped = run_captured(argv)
+        spanned = cleared_planes[:]
+        cleared_planes.clear()
+        monkeypatch.setattr(spaces, "builtin_space", builtin_without_span_kernel)
+        assert run_captured(argv) == shipped
+        assert cleared_planes == spanned and len(spanned) == 61 and sum(spanned) == 59
+
 
 def choice_positions(rng, pool_size, arity, count):
     """spaces.sampled_positions, drawn with one rng.choice per position."""

@@ -680,9 +680,10 @@ class TestSharedWalk:
 
     def test_staged_planes_lie_apart(self):
         sides = InequalitySides(staged_space(), staged_specs(QUARTER)[0], [1, 2, 3, 4])
-        spans = [(min(p), max(p)) for p in (sides._plane_products(a)[1] for a in (1, 2, 3, 4))]
+        planes = [sides._plane_products(a, sides._plane_factors(a)) for a in (1, 2, 3, 4)]
+        spans = [(min(p), max(p)) for _, p in planes]
         assert [lo > 10.0 ** (2.1 * k + 0.29) and hi < 10.0 ** (2.1 * k + 1.21) for k, (lo, hi) in enumerate(spans, 1)] == [True] * 4
-        assert sides._plane_products(1)[0] == [0] * 16
+        assert planes[0][0] == [0] * 16
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_pieces_shared_on_some_planes_only(self, mode, lines_read):
@@ -882,8 +883,8 @@ class TestPlaneBound:
         ({(3, 2, 4): math.inf}, [False, True, False, True]),
         # dist(5, 5, 5), so every lhs.
         ({(5, 5, 5): math.inf}, [False, False, False, False]),
-        # Finite distances whose sum is not.
-        ({(3, 2, 4): 1e308, (3, 2, 3): 1e308}, [False, True, False, True]),
+        # Finite distances whose sum is not: their span is finite all the same.
+        ({(3, 2, 4): 1e308, (3, 2, 3): 1e308}, [False, True, True, True]),
     ], ids=["distance", "lhs", "sum"])
     def test_an_inf_entry(self, cleared_planes, overrides, expected):
         self.check(cleared_planes, overrides, (QUARTER, IDENTITY_LINE), expected)
@@ -901,12 +902,13 @@ class TestPlaneBound:
         space, spec = staged_space(overrides), staged_specs(QUARTER)[0]
         sides = InequalitySides(space, spec, [1, 2, 3, 4])
         # A tabulated metric has no span: the walk makes the distances and
-        # bounds them by their own min and max.
-        _, ds, d_span = sides._plane_factors(3, bounded=True)
+        # bounds them by their own finite_span.
+        factors = sides._plane_factors(3, bounded=True)
+        _, _, ds, d_span = factors
         assert d_span == (min(ds), max(ds))
         if min(ds) < 0:
             assert outcome == (PsbmError, "negative distance factor -1.0")
-            assert sides._plane_bounds(3, d_span) is None
+            assert sides._plane_bounds(3, factors) is None
 
     @pytest.mark.parametrize("overrides, expected", [
         ({(3, 2, 4): 10 ** 400}, [False, True, False]),

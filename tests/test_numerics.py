@@ -1,5 +1,5 @@
 """The exact decision for computed bounds, against a reference in Fraction,
-and the point sort key.
+the finite span of a list, and the point sort key.
 
 rounding_bound must bound the rounding of the float sums it guards, and
 exact_value must give the true value of t * (a + b + c) - o: a Fraction on
@@ -8,13 +8,14 @@ finite operands, the extended-real value otherwise.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbmetric import BUILTIN_SPACES, builtin_space, ray_grid, sample_carrier, witness_candidates
-from psbmetric.numerics import exact_value, point_sort_key, rounding_bound
+from psbmetric.numerics import exact_value, finite_span, point_sort_key, rounding_bound
 
 INF = math.inf
 
@@ -100,6 +101,74 @@ class TestRoundingBound:
     @pytest.mark.parametrize("operands", [(1.0, INF), (1, math.nan), (1.5, -1), (-0.5, 2)])
     def test_no_bound_on_negative_or_non_finite_operands(self, operands):
         assert all(math.isnan(x) for x in rounding_bound(operands))
+
+
+MAX = sys.float_info.max
+NAN = math.nan
+
+
+class TestFiniteSpan:
+    """finite_span gives (min, max) of a list exactly when every value is
+    within the float range and none is nan; a sum that overflows is no
+    reason to give none."""
+
+    @settings(max_examples=500)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.sampled_from([MAX, -MAX, INF, -INF, NAN, -0.0]),
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**400), 10**400),
+    )))
+    def test_a_span_is_finite_and_holds_every_value(self, values):
+        span = finite_span(values)
+        if span is not None:
+            lo, hi = span
+            assert -MAX <= lo <= hi <= MAX
+            assert all(lo <= v <= hi for v in values)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_finite_floats_always_get_their_min_and_max(self, values):
+        assert finite_span(values) == (min(values), max(values))
+
+    @pytest.mark.parametrize("values", [
+        [NAN, 1.0, 2.0],
+        [1.0, NAN, 2.0],
+        [1.0, 2.0, NAN],
+        [1, -NAN, 2],
+    ], ids=["first", "middle", "last", "negative-among-ints"])
+    def test_a_nan_anywhere_gives_none(self, values):
+        assert finite_span(values) is None
+
+    @pytest.mark.parametrize("values", [
+        [1.0, INF],
+        [-INF, 1.0],
+        [INF, 1.0, -INF],
+        [MAX, MAX, -INF],
+    ], ids=["inf", "minus-inf", "both", "overflowed-sum-and-minus-inf"])
+    def test_an_infinite_value_gives_none(self, values):
+        assert finite_span(values) is None
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [10**400],
+        [-(10**400), 1],
+        [1.0, 10**400, 2.0],
+        [2**1024],
+    ], ids=["empty", "int-alone", "negative-int-among-ints", "int-among-floats", "just-beyond"])
+    def test_no_span_beyond_the_float_range(self, values):
+        assert finite_span(values) is None
+
+    def test_finite_floats_whose_sum_overflows_get_a_span(self):
+        assert math.isinf(sum([MAX, MAX, 1.0]))
+        assert finite_span([MAX, MAX, 1.0]) == (1.0, MAX)
+        assert finite_span([-MAX, 0.0, -MAX]) == (-MAX, 0.0)
+
+    def test_ints_whose_exact_sum_passes_the_float_maximum_get_a_span(self):
+        top = int(MAX)
+        assert sum([top, top, 3]) > MAX
+        assert finite_span([top, 3, top]) == (3, top)
+        assert type(finite_span([top, 3, top])[1]) is int
 
 
 # The sort key before it keyed numbers by the number itself.

@@ -123,11 +123,11 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     fixed): the stages of one comparison-free plane per a, where two
     certify calls made 102, and the products of the planes that its bound
     does not clear, at most 2; the case table adds its own 21 planes. The
-    factor lists of a plane are made once per image S(a), 2 on this grid,
-    and a plane's 51 x 51 distances only when it is evaluated: a cleared
-    plane is bounded by the metric's span."""
+    fifth-factor and lhs lists of a plane are made once per image S(a), 0
+    and 3 on this grid, and a plane's 51 x 51 distances only when it is
+    evaluated: a cleared plane is bounded by the metric's span."""
     real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._plane_products
-    real_plane, real_image_factors = spaces._quintic_plane, contraction._ImageFactors
+    real_plane, real_flat_span = spaces._quintic_plane, contraction._flat_span
     factors, products, planes, images = [], [], [], []
 
     def counting_factors(sides, a, *args, **kwargs):
@@ -142,14 +142,14 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
         planes.append((len(qs), len(rs), p))
         return real_plane(p, qs, rs)
 
-    def counting_image_factors(fifth):
-        images.append(len(fifth))
-        return real_image_factors(fifth)
+    def counting_flat_span(lists, image, rows):
+        images.append((sum(map(len, rows)), image))
+        return real_flat_span(lists, image, rows)
 
     monkeypatch.setattr(contraction.InequalitySides, "_plane_factors", counting_factors)
     monkeypatch.setattr(contraction.InequalitySides, "_plane_products", counting_products)
     monkeypatch.setattr(spaces, "_quintic_plane", counting_plane)
-    monkeypatch.setattr(contraction, "_ImageFactors", counting_image_factors)
+    monkeypatch.setattr(contraction, "_flat_span", counting_flat_span)
     item = repro._contraction_item(0)
     assert item["passed"] is True
     gap = spaces.builtin_space("quintic_gap")
@@ -160,7 +160,8 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     assert evaluated[0] == 3 and len(evaluated) <= 2
     assert len(factors) == 51 + 21 and len(products) == len(evaluated) + 21
     assert [p for nq, nr, p in planes if nq == 51] == evaluated and all(nr == 51 for nq, nr, _ in planes if nq == 51)
-    assert images == [51 * 51] * 2 + [21 * 21] * 2
+    # The fifth-factor list, then the lhs list, of each image.
+    assert images == [(51 * 51, 0)] * 2 + [(51 * 51, 3)] * 2 + [(21 * 21, 0)] * 2 + [(21 * 21, 3)] * 2
 
 
 def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch, cleared_planes):
