@@ -280,9 +280,16 @@ def _cmd_certify(args) -> int:
             raise PsbmError("--grid needs a region carrier")
         points = list(carrier.isolated) + contraction.ray_grid(carrier, args.grid)
         report = contraction.certify(space, spec, points=points)
+    elif args.samples is not None:
+        report = contraction.certify(space, spec, sample_count=args.samples, seed=_seed(args))
     else:
-        samples = 200 if args.samples is None else args.samples
-        report = contraction.certify(space, spec, sample_count=samples, seed=_seed(args))
+        # Every triple of the seeded carrier sample (all of a finite carrier).
+        if isinstance(space.carrier, RegionCarrier):
+            seed = _seed(args)
+        else:
+            _no_effect("--seed", args.seed, "on a finite carrier")
+            seed = 0
+        report = contraction.certify(space, spec, points=spaces.sample_carrier(space, seed=seed))
     payload = report.to_dict()
 
     def render(r):
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--spec", choices=("paper",), default="paper", help="the hypothesis; paper: p=q=r=s=1/5, map paper_S")
     p.add_argument("--matkowski", action="store_true")
-    p.add_argument("--samples", type=int, default=None, help="sampled triples; default 200")
+    p.add_argument("--samples", type=int, default=None, help="sampled triples; default every triple of the seeded carrier sample")
     p.add_argument("--grid", type=int, default=None, help="exhaustive over isolated points plus an n-point ray grid")
     p.set_defaults(func=_cmd_certify)
 

@@ -16,32 +16,38 @@ S(x), per (S(a), S(b)) or per (S(a), b), whichever it depends on.
 each plane's margins at C level; its sampled path reads the same tables a
 block of drawn triples at a time.
 
-The grid walk decides most planes from a bound before making their
-products (interval analysis, Moore 1966). A plane's lhs and fifth-factor
-lists depend on a only through S(a), so they are made, and given their
-`numerics.finite_span`, once per image; its distances are bounded by the
-metric's `span` (O(n) on the quintic builtins) or, when that gives none,
-made and bounded by their own `finite_span`. A finite span needs finite
-values and no nan, not a finite sum. The products of the factors' minima
-and maxima, with d^p widened by (1 -+ 2^-48), then bound every product
-below and above. A plane whose bound keeps every rhs above every
-lhs, and every margin above each spec's running minimum, is cleared: it
-cannot change a report, its n^2 triples count in triples_checked
-unevaluated, and neither its products nor, under a span, its distances
-are made. The widening assumes a pow that is faithfully rounded (an error
-below 1 ulp), which Python does not promise. The sampled blocks and the
-case table evaluate every triple.
+The grid walk decides most planes, and most rows of the rest, from a
+bound before making their products (interval analysis, Moore 1966). A
+plane's lhs and fifth-factor rows depend on a only through S(a), so they
+are made, each with its `numerics.finite_span`, once per image; its
+distances are bounded row by row by the metric's `row_spans` (O(1) a row
+on the quintic builtins, from one pass over the walk's fifth powers) or,
+when that gives none, made and bounded by each row's own `finite_span`. A
+finite span needs finite values and no nan, not a finite sum. The products
+of the factors' minima and maxima over a block of rows (`_bounds`), with
+d^p widened by (1 -+ 2^-48), then bound every product of the block below
+and above. A plane whose bound keeps every rhs above every lhs, and every
+margin above each spec's running minimum, is cleared: it cannot change a
+report, its n^2 triples count in triples_checked unevaluated, and neither
+its products nor, under a span, its distances are made. A plane that is
+not cleared, but whose bound lies on one piece of each spec's comparison,
+so that nothing in it raises, is walked row by row under the same test,
+each row against the running minima that the rows before it leave. The
+widening assumes a pow that is faithfully rounded (an error below 1 ulp),
+which Python does not promise. The case table skips, by the same bound,
+the (a, b) rows that cannot change a subcase's minimum
+(`reproduce_case_table`); the sampled blocks evaluate every triple.
 
 Certificates whose specs differ only in the comparison share one walk
-(`_certificates`, as the reproduction script's two do): each plane or block
-is evaluated up to its products, and their min and max, once. `_rhs`, the
-one maker of an rhs list (for the walk, and for `plane` and `block`, so for
-the case table), reads it off one piece's line, or else goes value by
-value. On the walk, specs whose lines are equal bit for bit share one rhs
-list, one failure list and, while their running minimum margins have the
-same bits, one margin reduction; every report is bit for bit that of its
-own certify call. The case table evaluates each a-plane once and files
-each c of each of its (a, b) rows into its subcase by the row's equality
+(`_certificates`, as the reproduction script's two do): each plane, row or
+block is evaluated up to its products, and their min and max, once. `_rhs`,
+the one maker of an rhs list (for the walk, the case table, `plane` and
+`block`), reads it off one piece's line, or else goes value by value. On
+the walk, specs whose lines are equal bit for bit share one rhs list, one
+failure list and, while their running minimum margins have the same bits,
+one margin reduction; every report is bit for bit that of its own certify
+call. The case table walks each a-plane once and files each
+c of each of its (a, b) rows into its subcase by the row's equality
 pattern. `ray_grid` is the one evenly spaced grid on a region carrier's
 ray, used by the case table, by `psbm certify --grid` and by the
 reproduction script.
@@ -56,7 +62,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, product, repeat, starmap
-from operator import getitem, le, lt, ne, sub
+from operator import getitem, itemgetter, le, lt, ne, sub
+from typing import NamedTuple
 
 from .comparison import ComparisonFn, _span, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
@@ -163,9 +170,8 @@ class InequalitySides:
       since m depends on a only through S(a); a mean m of +inf raises
       DistanceOverflow;
     - for the planes, per image S(a), the fifth-factor and the lhs rows
-      over every (b, c) as two flat lists, each kept with its
-      `finite_span` as a pair (list, span), and once the g(b)^r and g(c)^s
-      over every (b, c).
+      over c, one per b, with the `finite_span` of each row and of them
+      all (`_Rows`).
     A row is computed whole when a triple first needs it, so an error in
     any of its entries is raised there, also when that triple's own entries
     are fine.
@@ -176,6 +182,7 @@ class InequalitySides:
     plane), the lhs rows, the first negative distance, the products, and the
     comparison. Each is its comparison-free stage, `_plane_products` or
     `_block_products`, followed by one comparison of the product list.
+    `_row_products` gives one (a, b) row of a plane past its factors.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
@@ -203,11 +210,13 @@ class InequalitySides:
         self._fr = {x: _power(gap[x], spec.r) for x in points}
         self._fs = [_power(gap[x], spec.s) for x in points]
         self._g_spans = finite_span(list(self._fr.values())), finite_span(self._fs)
+        # g(b)^r's span on its own, per b, for the rows.
+        self._fr_spans = [finite_span([self._fr[b]]) for b in points]
         self._pair = {ix: metric.row(ix, ix, points) for ix in dict.fromkeys(image.values())}
         self._lhs_rows = {}
         self._fifth_rows = {}
-        # Per image S(a): (list, finite_span(list)) over every (b, c).
-        self._fifth_lists, self._lhs_lists = {}, {}
+        # Per image S(a): the fifth-factor and the lhs rows of a plane, as _Rows.
+        self._fifth_planes, self._lhs_planes = {}, {}
 
     def _lhs_row(self, ia, ib):
         """dist(ia, ib, S(c)) over the points c."""
@@ -255,7 +264,7 @@ class InequalitySides:
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
         lhs, products = self._plane_products(a, self._plane_factors(a))
-        return lhs[:], _rhs(self._comparison, products, _span(products), {})[1]
+        return lhs, _rhs(self._comparison, products, _span(products), {})[1]
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
@@ -264,52 +273,68 @@ class InequalitySides:
         lhs, products = self._block_products(triples)
         return lhs, _rhs(self._comparison, products, _span(products), {})[1]
 
+    @cached_property
+    def _row_spans(self):
+        """The metric's `row_spans` over the points, a function of a, or None."""
+        return self._metric.row_spans(self.points, self.points)
+
     def _plane_factors(self, a, bounded=False):
         """The stages of `plane` that can raise before its products, in
-        order: the fifth-factor list of S(a), the distances and the lhs list
-        of S(a). Returns (fifth, lhs, ds, d_span): fifth and lhs are the
-        pairs (list, `finite_span`), made once per image; ds is the distance
-        list and d_span its span, None unless `bounded`. With `bounded`, a
-        span from the metric's `span` stands for the distances, which are
-        left unmade (None) for `_plane_products`: the metric promises that
-        they raise nothing. Without one, they are made and their span is
-        their `finite_span`."""
-        points, image, fifths, lhss = self.points, self._image, self._fifth_lists, self._lhs_lists
+        order: the fifth-factor rows of S(a), the distances and the lhs rows
+        of S(a). Returns (fifth, lhs, d), each a `_Rows` over the b; fifth
+        and lhs are made once per image. With `bounded`, spans from the
+        metric's `row_spans` stand for the distances, which are left unmade
+        (d.rows None) for `_plane_products` and `_row_products`: the metric
+        promises that they raise nothing. Without one, they are made and,
+        with `bounded`, bounded row by row by their own `finite_span`."""
+        points, image = self.points, self._image
         ia = image[a]
-        fifth = fifths.get(ia) or _flat_span(fifths, ia, [self._fifth_row(ia, b) for b in points])
-        d_span = self._metric.span(a, points, points) if bounded else None
-        ds = None
-        if d_span is None:
-            ds = self._distances(a)
-            d_span = finite_span(ds) if bounded else None
-        lhs = lhss.get(ia) or _flat_span(lhss, ia, [self._lhs_row(ia, image[b]) for b in points])
-        return fifth, lhs, ds, d_span
+        fifth = self._fifth_planes.get(ia) or self._fifth_planes.setdefault(
+            ia, _factor_rows([self._fifth_row(ia, b) for b in points]))
+        spans = self._row_spans(a) if bounded and self._row_spans is not None else None
+        if spans is not None:
+            lows, highs = spans
+            d = _Rows(None, list(zip(lows, highs)), (min(lows), max(highs)))
+        else:
+            rows = self._distances(a)
+            d = _factor_rows(rows) if bounded else _Rows(rows, None, None)
+        lhs = self._lhs_planes.get(ia) or self._lhs_planes.setdefault(
+            ia, _factor_rows([self._lhs_row(ia, image[b]) for b in points]))
+        return fifth, lhs, d
 
     def _distances(self, a):
-        """dist(a, b, c) for every b and then every c in `points`."""
-        return list(chain.from_iterable(self._metric.plane(a, self.points, self.points)))
+        """dist(a, b, c) as one row over c for every b in `points`."""
+        return self._metric.plane(a, self.points, self.points)
 
     def _plane_products(self, a, factors):
         """`plane` up to its comparison: the lhs list and the product list,
         from `factors`, `_plane_factors(a)`; distances that it left unmade
         are made here."""
-        (fifth, _), (lhs, _), ds, _ = factors
-        if ds is None:
-            ds = self._distances(a)
-        return lhs, self._products(ds, repeat(self._fq[a]), *self._tiled, fifth)
-
-    @cached_property
-    def _tiled(self):
-        """g(b)^r and g(c)^s over (b, c), as every plane reads them."""
+        fifth, lhs, d = factors
+        ds = list(chain.from_iterable(self._distances(a) if d.rows is None else d.rows))
         n = len(self.points)
-        return list(chain.from_iterable([repeat(self._fr[b], n) for b in self.points])), self._fs * n
+        frs = chain.from_iterable(repeat(self._fr[b], n) for b in self.points)
+        fss = chain.from_iterable(repeat(self._fs, n))
+        return list(chain.from_iterable(lhs.rows)), self._products(ds, repeat(self._fq[a]), frs, fss, chain.from_iterable(fifth.rows))
 
-    def _plane_bounds(self, a, factors):
-        """(lo, hi, top) for a's plane from its `_plane_factors(a,
-        bounded=True)`, whose distances lie in d_span = (d_lo, d_hi): lo <=
-        every product <= hi < inf, and top is the greatest lhs. None unless
-        d_span and the `finite_span`s of the fifth-factor and lhs lists and
-        of g(x)^r and g(x)^s are given, and d_lo >= 0. lo and hi are the
+    def _row_products(self, a, j, factors):
+        """The lhs row and the product row of (a, b, c) over the c, b being
+        points[j], from `factors`, `_plane_factors(a, bounded=True)` of a
+        plane whose products raise nothing; a distance row that it left
+        unmade is made here. The lhs row is shared: it is read only."""
+        fifth, lhs, d = factors
+        b = self.points[j]
+        ds = self._metric.row(a, b, self.points) if d.rows is None else d.rows[j]
+        return lhs.rows[j], self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), self._fs, fifth.rows[j])
+
+    def _bounds(self, a, d_spans, fr_spans, t_spans, lhs_spans):
+        """[(lo, hi, top) per block] for blocks of a's plane, a block being
+        the triples (a, b, c) of some b and every c: block i's distances,
+        g(b)^r, fifth factors and lhs lie in d_spans[i], fr_spans[i],
+        t_spans[i] and lhs_spans[i] (min, max), and it has lo <= every
+        product <= hi < inf and top the greatest lhs. A block's entry is
+        None unless each of its spans is given, and that of g(c)^s, and
+        d_lo >= 0; every entry is None on any error. lo and hi are the
         products of the factors' minima and maxima in `_products`' own
         order, so rounded * (monotone on nonnegative operands) keeps every
         product between them; a finite hi also rules out a product that
@@ -317,19 +342,39 @@ class InequalitySides:
         (1 -+ 2^-48) and only to a normal float or 0: Python does not
         promise a correctly rounded pow, and the widening covers one that
         is faithfully rounded (an error below 1 ulp), which is assumed."""
-        (_, t_span), (_, lhs_span), _, d_span = factors
-        spans = (t_span, lhs_span, d_span, *self._g_spans)
-        if None in spans:
-            return None
-        (t_lo, t_hi), (_, top), (d_lo, d_hi), (fr_lo, fr_hi), (fs_lo, fs_hi) = spans
-        if not d_lo >= 0:
-            return None
-        w_lo, w_hi = d_lo ** self._p * _WIDEN[0], d_hi ** self._p * _WIDEN[1]
-        if not all(w == 0 or sys.float_info.min <= w < math.inf for w in (w_lo, w_hi)):
-            return None
-        fq = self._fq[a]
-        lo, hi = w_lo * fq * fr_lo * fs_lo * t_lo, w_hi * fq * fr_hi * fs_hi * t_hi
-        return (lo, hi, top) if hi < math.inf else None
+        bounds = [None] * len(d_spans)
+        if self._g_spans[1] is None:
+            return bounds
+        (fs_lo, fs_hi), fq, p = self._g_spans[1], self._fq[a], self._p
+        (widen_lo, widen_hi), normal, inf = _WIDEN, sys.float_info.min, math.inf
+        try:
+            for i, spans in enumerate(zip(d_spans, fr_spans, t_spans, lhs_spans)):
+                if None in spans or not spans[0][0] >= 0:
+                    continue
+                (d_lo, d_hi), (fr_lo, fr_hi), (t_lo, t_hi), (_, top) = spans
+                w_lo, w_hi = d_lo ** p * widen_lo, d_hi ** p * widen_hi
+                if (w_lo == 0 or normal <= w_lo < inf) and (w_hi == 0 or normal <= w_hi < inf):
+                    lo, hi = w_lo * fq * fr_lo * fs_lo * t_lo, w_hi * fq * fr_hi * fs_hi * t_hi
+                    if hi < inf:
+                        bounds[i] = lo, hi, top
+        except Exception:  # no bound
+            return [None] * len(d_spans)
+        return bounds
+
+    def _plane_bounds(self, a, factors):
+        """`_bounds` of a's whole plane, one block, from
+        `_plane_factors(a, bounded=True)`."""
+        fifth, lhs, d = factors
+        return self._bounds(a, [d.span], [self._g_spans[0]], [fifth.span], [lhs.span])[0]
+
+    def _row_bounds(self, a, factors, plane):
+        """The (lo, hi, top) of each (a, b) row of a's plane, in the order
+        of b, from `_plane_factors(a, bounded=True)`: the `_bounds` of each
+        row, O(1) a row from the row spans, or the plane's own, `plane`, for
+        a row that has none."""
+        fifth, lhs, d = factors
+        rows = self._bounds(a, d.spans, self._fr_spans, fifth.spans, lhs.spans)
+        return [plane if row is None else row for row in rows]
 
     def _block_products(self, triples):
         """`block` up to its comparison: the lhs list and the product list."""
@@ -339,6 +384,27 @@ class InequalitySides:
         ds = list(starmap(self._dist, triples))
         lhs = _entries(self._lhs_row, [(image[a], image[b]) for a, b, _ in triples], ks)
         return lhs, self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
+
+
+class _Rows(NamedTuple):
+    """One factor of an a-plane as rows over c, one per b: the rows (None
+    for distances that a metric's span stands for), the `finite_span` of
+    each row, and the span of them all, None unless every row has one.
+    The distances of a plane made without `bounded` have no spans."""
+
+    rows: list | None
+    spans: list | None
+    span: tuple | None
+
+
+def _factor_rows(rows) -> _Rows:
+    """The _Rows of made rows, with one `finite_span` per distinct row
+    object: one lhs row serves every b of its image S(b)."""
+    distinct = {id(row): row for row in rows}
+    memo = {key: finite_span(row) for key, row in distinct.items()}
+    spans = [memo[id(row)] for row in rows]
+    span = None if None in spans else (min(lo for lo, _ in spans), max(hi for _, hi in spans))
+    return _Rows(rows, spans, span)
 
 
 def _rhs(comparison, products, span, lines):
@@ -359,16 +425,8 @@ def _rhs(comparison, products, span, lines):
 
 
 # d ** p times these is a bound below and above on the d ** p of a pow that
-# is faithfully rounded, when it is a normal float or 0 (`_plane_bounds`).
+# is faithfully rounded, when it is a normal float or 0 (`_bounds`).
 _WIDEN = (1 - 2.0 ** -48, 1 + 2.0 ** -48)
-
-
-def _flat_span(lists, key, rows):
-    """lists[key] = (values, finite_span(values)), values being the rows
-    chained into one list; returns the pair."""
-    values = list(chain.from_iterable(rows))
-    pair = lists[key] = values, finite_span(values)
-    return pair
 
 
 def _bits(value):
@@ -450,11 +508,14 @@ def certify(
     With `points`, an a-plane after the first is cleared by `_cleared`, its
     products never made, when a bound on them, rounded outward, shows that
     it cannot change the report; triples_checked counts its triples all
-    the same. Its distances are not made either when the metric's `span`
-    bounds them. Every factor list must have a `finite_span`, finite
-    values and no nan, but need not have a finite sum. The bound assumes
-    a faithfully rounded pow (see the module docstring). With
-    `sample_count`, every drawn triple is evaluated.
+    the same. Its distances are not made either when the metric's
+    `row_spans` bound them. A plane that is not cleared, but whose bound
+    lies on one piece of the comparison, is walked row by row, and a row
+    is cleared, under the same test, on its own bound. Every factor row
+    must have a `finite_span`, finite values and no nan, but need not have
+    a finite sum. The bound assumes a faithfully rounded pow (see the
+    module docstring). With `sample_count`, every drawn triple is
+    evaluated.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -500,16 +561,31 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     try:
         sides = InequalitySides(space, first, active)
 
-        # Chunks of (a maker of the triples, their lhs values, their
-        # products, or None for a plane that `_cleared` decides); the
-        # triples are made only to list failures.
+        # Chunks of (a maker of the triples, their number, their lhs values,
+        # their products), with lhs and products None for a plane or a row
+        # that its bound clears; the triples are made only to list failures.
         if points is not None:
+            n = len(active)
+
             def planes():
                 for a in active:
-                    _, (lhs, _), _, _ = factors = sides._plane_factors(a, bounded=True)
-                    # min_margins holds the running minima of the planes before a.
-                    cleared = _cleared(sides, a, factors, specs, min_margins)
-                    yield partial(product, (a,), active, active), lhs, None if cleared else sides._plane_products(a, factors)[1]
+                    factors = sides._plane_factors(a, bounded=True)
+                    # min_margins holds the running minima of the chunks before.
+                    if _cleared(sides, a, factors, specs, min_margins):
+                        yield None, n * n, None, None
+                        continue
+                    bounds = sides._plane_bounds(a, factors)
+                    pieces = _pieces(specs, bounds)
+                    if pieces is None:
+                        yield partial(product, (a,), active, active), n * n, *sides._plane_products(a, factors)
+                        continue
+                    # Nothing in this plane raises: each row is a chunk of
+                    # its own, which its bound may clear.
+                    for j, (b, row) in enumerate(zip(active, sides._row_bounds(a, factors, bounds))):
+                        if _clears(row, specs, pieces, min_margins):
+                            yield None, n, None, None
+                        else:
+                            yield partial(product, (a,), (b,), active), n, *sides._row_products(a, j, factors)
 
             chunks = planes()
         else:
@@ -519,10 +595,10 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
                 [(pool[i], pool[j], pool[k]) for i, j, k in zip(*positions) if live[i] and live[j] and live[k]]
                 for positions in sampled_positions(rng, len(pool), 3, sample_count)
             )
-            chunks = ((partial(iter, block), *sides._block_products(block)) for block in blocks if block)
+            chunks = ((partial(iter, block), len(block), *sides._block_products(block)) for block in blocks if block)
 
-        for triples, lhs, products in chunks:
-            checked += len(lhs)
+        for triples, count, lhs, products in chunks:
+            checked += count
             if products is None:
                 continue
             # Specs whose comparisons read the chunk off lines equal bit for
@@ -559,34 +635,58 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
 def _cleared(sides, a, factors, specs, min_margins) -> bool:
     """Whether a's plane leaves every report as it is, decided from
     `sides._plane_bounds` on its `factors`, `sides._plane_factors(a,
-    bounded=True)`, and before any product, or any distance the span
-    stands for, is made. It does when every comparison is
-    a ComparisonFn, every running minimum margin is a float and not nan,
-    and for each spec `_piece((lo, hi))` finds a piece k whose
-    line gives r = min(line(lo), line(hi)) with r >= top and r - top above
-    the minimum. Every product then lies in [lo, hi], on piece k, where the
-    rounded line is monotone and >= 0, so each rhs is >= r: no lhs (<= top)
-    fails, and each margin, rhs - lhs >= r - top, is above the minimum,
-    which keeps its bits. The later stages cannot raise there. Any error
-    while bounding means the plane is not cleared."""
-    if not all(isinstance(spec.comparison, ComparisonFn) and type(m) is float and m == m
-               for spec, m in zip(specs, min_margins)):
-        return False
+    bounded=True)`, before any product, or any distance a span stands for,
+    is made: `_clears` under the `_pieces` of the bound."""
+    bounds = sides._plane_bounds(a, factors)
+    pieces = _pieces(specs, bounds)
+    return pieces is not None and _clears(bounds, specs, pieces, min_margins)
+
+
+def _clears(bounds, specs, pieces, min_margins) -> bool:
+    """Whether a block of triples whose products lie in [lo, hi] and whose
+    lhs are at most top, bounds = (lo, hi, top), leaves every report as it
+    is, `pieces` being the `_pieces` of a bound that holds it. It does when
+    every running minimum margin is a float and not nan, and for each spec
+    r = `_floor` on its piece has r >= top and r - top above the minimum.
+    Each rhs is then >= r: no lhs fails, and each margin, rhs - lhs >= r -
+    top, is above the minimum, which keeps its bits. The later stages
+    cannot raise there. Any error while bounding means the block is not
+    cleared."""
+    top = bounds[2]
     try:
-        bounds = sides._plane_bounds(a, factors)
-        if bounds is None:
-            return False
-        lo, hi, top = bounds
-        for spec, min_margin in zip(specs, min_margins):
-            k = spec.comparison._piece((lo, hi))
-            if k is None:
+        for spec, k, min_margin in zip(specs, pieces, min_margins):
+            r = _floor(spec.comparison, k, bounds)
+            if not (type(min_margin) is float and r >= top and r - top > min_margin):
                 return False
-            r = min(spec.comparison._line(k, (lo, hi)))
-            if not (r >= top and r - top > min_margin):
-                return False
-    except Exception:  # no bound, so the plane is evaluated
+    except Exception:  # no bound, so the block is evaluated
         return False
     return True
+
+
+def _pieces(specs, bounds):
+    """Per spec, the piece k of its comparison that reads [lo, hi], bounds
+    = (lo, hi, top) (`ComparisonFn._piece`), or None when bounds is None or
+    a comparison is no ComparisonFn or has no such piece. A block within
+    the bound then reads each rhs off its spec's piece: nothing raises."""
+    if bounds is None:
+        return None
+    pieces = []
+    for spec in specs:
+        comparison = spec.comparison
+        k = comparison._piece(bounds[:2]) if isinstance(comparison, ComparisonFn) else None
+        if k is None:
+            return None
+        pieces.append(k)
+    return pieces
+
+
+def _floor(comparison, k, bounds):
+    """min(line(lo), line(hi)) on piece k of a ComparisonFn, bounds = (lo,
+    hi, top): a lower bound on comparison(v) for every v in [lo, hi] that
+    piece k reads, since the rounded line is monotone and the clamp only
+    raises it. A row's bound may reach past its plane's, on whose piece
+    its values lie; the floor still bounds them."""
+    return min(comparison._line(k, bounds[:2]))
 
 
 # --------------------------------------------------------------------------
@@ -725,6 +825,15 @@ def ray_grid(carrier: RegionCarrier, n: int) -> list:
     return grid
 
 
+def _limit(minima):
+    """max(minima): a row floor above it lies strictly above every running
+    minimum in minima. None when one is None or nan, which no floor lies
+    above."""
+    if any(m is None or m != m for m in minima):
+        return None
+    return max(minima)
+
+
 def _without(values, ks):
     """A copy of values without the ascending positions ks."""
     values = values[:]
@@ -737,13 +846,18 @@ class _Scan:
     """One subcase's lhs and first rhs minimum with its triple, over its
     segments (a, b, cs, lhs values, rhs values) fed in the subcase's order.
     The minimum continues the scan `if rhs_min is None or v < rhs_min:
-    rhs_min = v`, nan included, as a triple-by-triple loop finds it. The
-    first lhs value that differs from the first is kept, not raised, so that
-    the table can name the first subcase, in table order, whose lhs is not
-    constant."""
+    rhs_min = v`, nan included, as a triple-by-triple loop finds it. A
+    segment after the first whose every rhs lies strictly above rhs_min,
+    so that the scan would leave rhs_min and argmin as they are, is not
+    fed: `read` and `read_row` take its lhs values for the constant-lhs
+    check alone. The first lhs value that differs from the first is kept,
+    not raised, so that the table can name the first subcase, in table
+    order, whose lhs is not constant."""
 
     def __init__(self):
         self.lhs = self.differing = self.rhs_min = self.argmin = None
+        # Per lhs row key: the positions where the row differs from lhs.
+        self._differs = {}
 
     def feed(self, a, b, cs, lhs, rhs):
         if self.lhs is None:
@@ -755,6 +869,24 @@ class _Scan:
         if k:
             self.rhs_min, self.argmin = rhs[k - 1], (a, b, cs[k - 1])
 
+    def read(self, value):
+        """The constant-lhs check alone, of the one lhs value of a skipped
+        segment, after the first segment."""
+        if self.differing is None and value != self.lhs:
+            self.differing = value
+
+    def read_row(self, key, row, special):
+        """`read` of each value of the shared lhs row `row`, keyed by key,
+        outside the positions `special`, in order: O(1) from the positions
+        where the row differs from lhs, found once per key."""
+        if self.differing is None:
+            differs = self._differs.get(key)
+            if differs is None:
+                differs = self._differs[key] = [k for k, v in enumerate(row) if v != self.lhs]
+            k = next((k for k in differs if k not in special), None)
+            if k is not None:
+                self.differing = row[k]
+
 
 def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_size: int = 20) -> CaseTable:
     """The fifteen-subcase split of the worked example: exact lhs per subcase
@@ -763,6 +895,20 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     Reference bounds are compared at 1% and logged as discrepancies, never
     asserted; `holds` is a plain lhs <= rhs against the rounded grid
     minimum, so it speaks of grid points only, up to rounding.
+
+    The table skips an (a, b) row that cannot change a minimum: one whose
+    floor, the rounded-outward lower rhs bound of its `_row_bounds`
+    (`_floor`), lies strictly above the running rhs_min of every subcase
+    it feeds. Its distances, products and rhs are never made; its lhs
+    values, one row per (S(a), S(b)), are still read for the constant-lhs
+    check, so the error names the same subcase and value. 4(iii) is fed
+    in sorted (b, a) order after the walk, so its one cell per row is held
+    to the least 4(iii) rhs evaluated so far instead, and its first cell
+    is evaluated on its own if its row was skipped. A plane with no bound,
+    or whose bound does not lie on one piece of a ComparisonFn, is
+    evaluated whole, in `plane`'s stage order, and so is every plane of any
+    other comparison. On the worked example's grids all but a few rows
+    are skipped.
     """
     carrier = space.carrier
     if (
@@ -778,29 +924,69 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
         raise WrongSpaceShape("the ray grid holds the isolated point 3")
     points = [3] + grid
     sides = InequalitySides(space, spec, points)
+    comparison = spec.comparison
 
-    # Each row is filed as its plane is made, so that one plane is held at a
-    # time: a subcase takes at most one segment of a row, and its segments
-    # come in its own order, except 4(iii)'s, whose first minimum runs over
-    # b and then a; they wait in `late` for the sort.
+    # Each row is filed as it is made, so that one plane is held at a time:
+    # a subcase takes at most one segment of a row, and its segments come
+    # in its own order, except 4(iii)'s, whose first minimum runs over b
+    # and then a; they wait in `late`, by b, for the sort, with `least` the
+    # least of their rhs so far.
     scans = {label: _Scan() for label in _CONDITIONS}
-    late = []
+    late, least = [[] for _ in points], None
     n = len(points)
     for i, a in enumerate(points):
-        lhs_plane, rhs_plane = sides.plane(a)
+        factors = sides._plane_factors(a, bounded=True)
+        plane = sides._plane_bounds(a, factors)
+        pieces = _pieces((spec,), plane)
+        if pieces is None:
+            lhs_plane, products = sides._plane_products(a, factors)
+            rhs_plane = _rhs(comparison, products, _span(products), {})[1]
+        else:
+            floors = list(map(partial(_floor, comparison, pieces[0]), sides._row_bounds(a, factors, plane)))
+        # Per filing pattern, the floor above which a row of it is skipped.
+        limits = {}
         for j, b in enumerate(points):
-            lhs, rhs = lhs_plane[j * n:(j + 1) * n], rhs_plane[j * n:(j + 1) * n]
-            at_three, at_a, at_b, other = _FILING[(i == 0, j == 0, i == j)]
-            special = sorted({0, i, j})
-            for k in special:
-                label = at_three if k == 0 else at_a if k == i else at_b
+            pattern = i == 0, j == 0, i == j
+            at_three, at_a, at_b, other = _FILING[pattern]
+            # The label of c = 3, of c = a and of c = b, the first of them
+            # where two of those cells are one.
+            cells = {j: at_b, i: at_a, 0: at_three}
+            if pieces is None:
+                lhs, rhs = lhs_plane[j * n:(j + 1) * n], rhs_plane[j * n:(j + 1) * n]
+            else:
+                if pattern not in limits:
+                    limits[pattern] = _limit([least if label == "4(iii)" else scans[label].rhs_min
+                                              for label in (*cells.values(), other)])
+                if limits[pattern] is not None and floors[j] > limits[pattern]:
+                    lhs = factors[1].rows[j]
+                    for k, label in cells.items():
+                        if label == "4(iii)":
+                            late[j].append((a, lhs[k], None))
+                        else:
+                            scans[label].read(lhs[k])
+                    scans[other].read_row((sides._image[a], sides._image[b]), lhs, cells)
+                    continue
+                lhs, products = sides._row_products(a, j, factors)
+                rhs = _rhs(comparison, products, _span(products), {})[1]
+                limits.clear()
+            for k, label in cells.items():
                 if label == "4(iii)":
-                    late.append((b, a, lhs[k], rhs[k]))
+                    late[j].append((a, lhs[k], rhs[k]))
+                    if least is None or rhs[k] < least:
+                        least = rhs[k]
                 else:
                     scans[label].feed(a, b, [points[k]], [lhs[k]], [rhs[k]])
+            special = sorted(cells)
             scans[other].feed(a, b, *(_without(v, special) for v in (points, lhs, rhs)))
-    for b, a, lhs, rhs in sorted(late):
-        scans["4(iii)"].feed(a, b, [b], [lhs], [rhs])
+    ordered = [(b, *cell) for b, row in sorted(zip(points, late), key=itemgetter(0)) for cell in sorted(row, key=itemgetter(0))]
+    if ordered and ordered[0][3] is None:
+        b, a, lhs, _ = ordered[0]
+        ordered[0] = b, a, lhs, sides.block([(a, b, b)])[1][0]
+    for b, a, lhs, rhs in ordered:
+        if rhs is None:
+            scans["4(iii)"].read(lhs)
+        else:
+            scans["4(iii)"].feed(a, b, [b], [lhs], [rhs])
 
     rows = []
     for label, condition in _CONDITIONS.items():

@@ -9,7 +9,7 @@ when that result lies within `rounding_bound` of the other side, is not
 finite, or raised OverflowError (adaptive-precision predicates, Shewchuk
 1997). Integer operands stay in exact integer arithmetic throughout.
 `finite_span` is the one test that a list of values is finite and has a
-span, for the certificate's plane bound and the quintic distance span.
+span, for the certificate's block bounds and the quintic row spans.
 """
 
 import math

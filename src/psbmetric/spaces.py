@@ -97,8 +97,8 @@ class _Pointwise:
         """[self(p, q, r) for r in rs]: the plane of the one q."""
         return self.plane(p, (q,), rs)[0]
 
-    def span(self, p, qs: list, rs: list):
-        """None: no bound on plane(p, qs, rs) short of making it."""
+    def row_spans(self, qs: list, rs: list):
+        """None: no bound on a row short of making it."""
         return None
 
 
@@ -142,11 +142,12 @@ class RuleMetric(_Pointwise):
     plane is made by pointwise calls. A plane holds len(qs) * len(rs)
     values.
 
-    The optional span rule bounds a plane without making it:
-    span_rule(p, qs, rs) returns None or finite (lo, hi), and when it
-    returns (lo, hi), plane(p, qs, rs) returns (raises nothing) and lo <= v
-    <= hi for each of its values v. On any error, and with no span rule,
-    `span` is None."""
+    The optional span rule bounds the rows of a plane without making them:
+    span_rule(qs, rs) returns None or a function of p, which returns None
+    or (lows, highs), two lists of finite values aligned with qs. When it
+    returns them, plane(p, qs, rs) returns (raises nothing) and lows[i] <=
+    v <= highs[i] for each value v of its row i. On any error, and with no
+    span rule, there is no bound (see `row_spans`)."""
 
     name: str
     rule: Callable
@@ -170,14 +171,24 @@ class RuleMetric(_Pointwise):
                 pass
         return super().plane(p, qs, rs)
 
-    def span(self, p, qs: list, rs: list):
-        """The span rule's (lo, hi) on plane(p, qs, rs), or None."""
-        if self.span_rule is not None:
+    def row_spans(self, qs: list, rs: list):
+        """A function of p giving the span rule's (lows, highs) on the rows
+        of plane(p, qs, rs), or None where it gives none or raises; None
+        with no span rule, or when it gives none for (qs, rs) or raises."""
+        try:
+            rows = None if self.span_rule is None else self.span_rule(qs, rs)
+        except Exception:
+            rows = None
+        if rows is None:
+            return None
+
+        def spans(p):
             try:
-                return self.span_rule(p, qs, rs)
+                return rows(p)
             except Exception:
-                pass
-        return None
+                return None
+
+        return spans
 
 
 def quintic(p, q, r):
@@ -237,14 +248,18 @@ def _quintic_plane(p, qs, rs):
 _EXACT_INT = 2 ** 51
 
 
-def _quintic_span(p, qs, rs):
-    """(lo, hi), the least and greatest value of _quintic_plane(p, qs, rs),
-    in O(len(qs) + len(rs)), or None when the plane is empty or a fifth
-    power fails `_exact_powers`. The rows of q != p take the least and the
-    greatest q^5 (q != p) with every r^5, and the row of q = p, if any,
-    takes p^5 at r = p and the r^5 of r != p. Each bound is a value of the
-    plane, summed by `_row_ends`, whose OverflowError means no bound. With a
-    bound, every value is finite, so RuleMetric.plane raises nothing.
+def _quintic_row_spans(qs, rs):
+    """A function of p giving (lows, highs), the least and greatest value
+    of each row of _quintic_plane(p, qs, rs), each O(1) after an O(len(qs)
+    + len(rs)) pass per p; None when qs or rs is empty or a fifth power of
+    qs or rs fails `_exact_powers`. The fifth powers of qs and rs, and
+    their check, are made once for every p (the grid walk's qs and rs are
+    one list). The function gives None when p^5 fails `_exact_powers` or a
+    bound is not finite. A row of q != p spans (p^5 + q^5) + the least and
+    the greatest r^5, and the row of q = p spans p^5 at r = p and 2(p^5 +
+    r^5) at the r != p. Each bound is a value of the row, so their least
+    and greatest are those of the plane; with finite bounds every value is
+    finite, so RuleMetric.plane raises nothing.
 
     The bounds hold because rounded addition and doubling are monotone in
     each operand. That needs one arithmetic: an int sum is exact and a
@@ -252,23 +267,36 @@ def _quintic_span(p, qs, rs):
     (2^53 + 1 + 0 is 2^53 + 1, and 2^53 + 1 + 0.0 is 2^53). Under
     `_exact_powers`, every int sum of up to four fifth powers is a float
     exactly, so each value and bound is the one float arithmetic gives."""
-    p5 = p ** 5
     r5s = [r ** 5 for r in rs]
-    others = [r5 for r, r5 in zip(rs, r5s) if r != p]
-    # The walk's planes have qs = rs: their q^5 of q != p are the others.
-    q5s = others if qs is rs else [q ** 5 for q in qs if q != p]
-    if not _exact_powers([p5, *q5s, *r5s]):
+    q5s = r5s if qs is rs else [q ** 5 for q in qs]
+    if not (q5s and r5s and _exact_powers(q5s) and _exact_powers(r5s)):
         return None
-    ends = []
-    if q5s and r5s:
-        lo, hi = min(r5s), max(r5s)
-        ends += _row_ends(p5, p5 + min(q5s), lo, hi)[0], _row_ends(p5, p5 + max(q5s), lo, hi)[1]
-    if len(q5s) < len(qs):
-        if others:
-            ends += _row_ends(p5, None, min(others), max(others))
-        if len(others) < len(rs):
-            ends.append(p5)
-    return (min(ends), max(ends)) if ends else None
+    lo, hi = min(r5s), max(r5s)
+    # The positions of each q, for the rows of q = p: equal points share a key.
+    where = {}
+    for i, q in enumerate(qs):
+        where.setdefault(q, []).append(i)
+
+    def spans(p):
+        p5 = p ** 5
+        if not _exact_powers([p5]):
+            return None
+        bases = [p5 + q5 for q5 in q5s]
+        lows, highs = [base + lo for base in bases], [base + hi for base in bases]
+        at = where.get(p, ())
+        if at:
+            others = [r5 for r, r5 in zip(rs, r5s) if r != p]
+            ends = list(_row_ends(p5, None, min(others), max(others))) if others else []
+            if len(others) < len(rs):
+                ends.append(p5)
+            for i in at:
+                lows[i], highs[i] = min(ends), max(ends)
+        # No nan: each sum adds finite fifth powers, so only an end can overflow.
+        if not (-math.inf < min(lows) and max(highs) < math.inf):
+            return None
+        return lows, highs
+
+    return spans
 
 
 def _exact_powers(powers) -> bool:
@@ -697,12 +725,12 @@ def builtin_space(name: str) -> PartialSbSpace:
     if name == "quintic_ray":
         return PartialSbSpace(
             RegionCarrier(intervals=((1, None),)),
-            RuleMetric("quintic", quintic, _quintic_plane, _quintic_span),
+            RuleMetric("quintic", quintic, _quintic_plane, _quintic_row_spans),
         )
     if name == "quintic_gap":
         return PartialSbSpace(
             RegionCarrier(isolated=(0, 3), intervals=((4, None),)),
-            RuleMetric("quintic", quintic, _quintic_plane, _quintic_span),
+            RuleMetric("quintic", quintic, _quintic_plane, _quintic_row_spans),
         )
     if name == "two_point_a":
         return tabulated_space((1, 2), _TWO_POINT_A_TABLE)

@@ -79,6 +79,22 @@ class TestExitCodes:
         path.write_text(mutated, encoding="utf-8")
         assert run_cli("verify-axioms", "--space", f"file:{path}") == 1
 
+    def test_certify_on_the_ray_fails_at_a_triple_of_its_pool(self, capsys):
+        # The seed-0 pool holds a triple that 200 samples never drew: the
+        # default walk of the whole pool lists it and exits 1.
+        assert run_cli("certify", "--space", "builtin:quintic_ray", "--spec", "paper") == 1
+        out = capsys.readouterr().out
+        x = "1.5380782401191389"
+        assert out.startswith("triples checked: 32768  passed: False\n")
+        assert f"  fails at ({x}, {x}, {x}): lhs 243 > rhs 111.519" in out
+
+    def test_certify_default_rejects_a_seed_on_a_finite_carrier(self, tmp_path, capsys):
+        # A finite carrier's pool is every point: no seed changes it.
+        path = tmp_path / "two.psb"
+        path.write_text(TWO_POINT_B_FILE, encoding="utf-8")
+        assert run_cli("certify", "--space", f"file:{path}", "--seed", "3") == 2
+        assert capsys.readouterr().err == "error: --seed has no effect on a finite carrier\n"
+
     def test_certify_passes(self, capsys):
         code = run_cli(
             "certify", "--space", "builtin:quintic_gap", "--spec", "paper",
@@ -980,11 +996,27 @@ class TestFlagsThatChangeNothing:
         argv = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
         assert run_cli(*argv) == 0
 
-    def test_samples_defaults_to_200(self, capsys):
-        assert run_cli("certify", "--space", "builtin:quintic_gap", "--format", "json") == 0
-        default = capsys.readouterr().out
-        assert run_cli("certify", "--space", "builtin:quintic_gap", "--samples", "200", "--format", "json") == 0
-        assert capsys.readouterr().out == default
+    def test_default_walks_every_triple_of_the_seeded_pool(self, capsys, monkeypatch):
+        # Without --grid and --samples, certify decides every triple of the
+        # seeded carrier sample, as certify(points=pool) does, where it
+        # used to draw 200 of them; --samples 200 still draws them.
+        for name, matkowski, seed in itertools.product(["quintic_gap", "quintic_ray"], [False, True], range(5)):
+            space = spaces.builtin_space(name)
+            spec = contraction.standard_spec(matkowski=matkowski)
+            flags = ["--matkowski"] * matkowski
+            report = contraction.certify(space, spec, points=spaces.sample_carrier(space, seed=seed))
+            expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+            argv = ["certify", "--space", f"builtin:{name}", *flags, "--format", "json"]
+            assert run_cli(*argv, "--seed", str(seed)) == (0 if report.passed else 1)
+            assert capsys.readouterr().out == expected
+            monkeypatch.setenv("PSBM_SEED", str(seed))
+            assert run_cli(*argv) == (0 if report.passed else 1)
+            assert capsys.readouterr().out == expected
+            monkeypatch.delenv("PSBM_SEED")
+            sampled = contraction.certify(space, spec, sample_count=200, seed=seed)
+            assert run_cli(*argv, "--samples", "200", "--seed", str(seed)) == (0 if sampled.passed else 1)
+            assert capsys.readouterr().out == json.dumps(sampled.to_dict(), sort_keys=True, indent=2) + "\n"
+            assert report.triples_checked > sampled.triples_checked
 
 
 def run_captured(argv):
@@ -1466,6 +1498,8 @@ CERTIFY_JSON_SHA256 = {
     ("--grid", "60"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
     ("--grid", "60", "--matkowski"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
     ("--grid", "60", "--bound", "1e61"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
+    ("--grid", "200"): "136becdd181ba2626e4d1b5bdd03993c941258ae176a9258b8632313165d84b0",
+    ("--grid", "200", "--matkowski"): "136becdd181ba2626e4d1b5bdd03993c941258ae176a9258b8632313165d84b0",
 }
 
 
@@ -1483,6 +1517,8 @@ CASE_TABLE_JSON_SHA256 = {
     ("--grid-size", "20", "--matkowski"): "120a4911f3045b4b4badfefa8865e9bd12d85ae7081f49e2d510097a85e7a406",
     ("--grid-size", "40"): "1c684708866181947339911e3ebb81948a67238790689b6944442b5dcaca82ee",
     ("--grid-size", "40", "--matkowski"): "1c684708866181947339911e3ebb81948a67238790689b6944442b5dcaca82ee",
+    ("--grid-size", "80"): "76916c962b6c60aee80e47f84894eeae6dcee6cb6767d9f906adc1765714c0f6",
+    ("--grid-size", "80", "--matkowski"): "76916c962b6c60aee80e47f84894eeae6dcee6cb6767d9f906adc1765714c0f6",
 }
 
 

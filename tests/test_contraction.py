@@ -696,7 +696,12 @@ class TestSharedWalk:
         reports = staged_walk(mode, (first, second, third), lines_read=lines_read)
         if mode == "grid":
             assert [r.passed for r in reports] == [True] * 3
-            assert lines_read.count(16) == 6 + 3
+            # Planes 4, 3 and 1 lie on one piece of every spec, so they are
+            # walked a row at a time, and with falling products no row is
+            # cleared: 2, 3 and 2 lists a row. Plane 2 runs into the
+            # third's next piece, so it is evaluated whole, and only the
+            # first two read it off a line.
+            assert lines_read.count(4) == (2 + 3 + 2) * 4 and lines_read.count(16) == 2
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_lines_that_differ_only_in_the_sign_of_a_zero(self, mode, lines_read):
@@ -709,7 +714,10 @@ class TestSharedWalk:
         reports = staged_walk(mode, (plus, minus, plus), lines_read=lines_read)
         if mode == "grid":
             assert [float_bits(r.min_margin) for r in reports] == [float_bits(0.0), float_bits(-0.0), float_bits(0.0)]
-            assert lines_read == [16] * 6
+            # Every plane lies on one piece of each spec and is walked a row
+            # at a time, and no row's margins lie above the running minimum:
+            # one list a row of planes 4 and 3, two a row of planes 2 and 1.
+            assert lines_read == [4] * (4 + 4 + 2 * 4 + 2 * 4)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_a_piece_clamped_at_its_low_end(self, mode, lines_read):
@@ -720,7 +728,10 @@ class TestSharedWalk:
         reports = staged_walk(mode, (clamped, split), lines_read=lines_read)
         if mode == "grid":
             assert reports[0].min_margin == 0.0
-            assert lines_read.count(16) == 3
+            # Planes 4 and 3 are walked a row at a time, one shared list a
+            # row; planes 2 and 1 are evaluated whole, and only split reads
+            # plane 1 off a line.
+            assert lines_read.count(4) == 2 * 4 and lines_read.count(16) == 1
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     @pytest.mark.parametrize("overrides", [
@@ -753,9 +764,10 @@ class TestSharedWalk:
         reports = one_walk(GAP, specs, lines_read, **kwargs)
         assert reports[0] == reports[1] == reports[2]
         if mode == "grid":
-            # 0 is fixed: one list per a-plane of the 51 others, walked with
-            # falling products so that no plane is cleared.
-            assert lines_read == [51 * 51] * 51
+            # 0 is fixed: the 51 other a-planes, walked with falling products
+            # so that no plane is cleared, are walked a row at a time, one
+            # list a row that its bound does not clear; it clears most.
+            assert lines_read == [51] * len(lines_read) and 51 <= len(lines_read) < 51 * 51 / 10
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read):
@@ -768,24 +780,28 @@ class TestSharedWalk:
         reports = one_walk(GAP, specs, lines_read, **kwargs)
         assert repr(reports[0]) == repr(reports[1])
         if mode == "grid":
-            # 0 is fixed: per a-plane of the 11 others (with falling
-            # products, so none is cleared), one list for the two float
-            # lines and one for each int line.
-            assert lines_read == [11 * 11] * (11 * 3)
+            # 0 is fixed: per row evaluated of the a-planes of the 11 others
+            # (with falling products, so no plane is cleared), one list for
+            # the two float lines and one for each int line.
+            assert lines_read == [11] * len(lines_read) and len(lines_read) % 3 == 0
+            assert 11 * 3 <= len(lines_read) < 11 * 11 * 3
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_one_scan_for_the_min_and_max_per_plane_or_block(self, mode, monkeypatch):
         # certify and a shared walk take each chunk's span once, whether a
         # spec reads a line (plane 1 of the first two), goes value by value
         # (the third straddles its cut on plane 2; the sampled blocks mix
-        # planes) or is no ComparisonFn.
+        # planes) or is no ComparisonFn. A chunk is a plane, or a row of a
+        # plane that lies on one piece of every spec (planes 4, 3 and 1
+        # unless a spec is no ComparisonFn: 3 x 4 rows, none cleared), or a
+        # sampled block.
         real_span, spans, chunks = comparison_module._span, [], []
 
         def counting_span(values):
             spans.append(len(values))
             return real_span(values)
 
-        for name in ("_plane_products", "_block_products"):
+        for name in ("_plane_products", "_row_products", "_block_products"):
             def counting_chunk(sides, *args, real=getattr(InequalitySides, name)):
                 lhs, products = real(sides, *args)
                 chunks.append(len(products))
@@ -799,15 +815,15 @@ class TestSharedWalk:
         by_hand = FakeComparison("quarter-by-hand", lambda v: v / 4)
         kwargs = {"points": STAGED_FALLING} if mode == "grid" else {"sample_count": 3000, "seed": 7}
         space = staged_space()
-        for walk in (
-            lambda: [certify(space, staged_specs(third)[0], **kwargs)],
-            lambda: contraction._certificates(space, staged_specs(first, third), **kwargs),
-            lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs),
+        for walk, grid_chunks in (
+            (lambda: [certify(space, staged_specs(third)[0], **kwargs)], 3 * 4 + 1),
+            (lambda: contraction._certificates(space, staged_specs(first, third), **kwargs), 3 * 4 + 1),
+            (lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs), 4),
         ):
             spans.clear()
             chunks.clear()
             walk()
-            assert spans == chunks and len(chunks) == (4 if mode == "grid" else math.ceil(3000 / SAMPLE_BLOCK))
+            assert spans == chunks and len(chunks) == (grid_chunks if mode == "grid" else math.ceil(3000 / SAMPLE_BLOCK))
 
 
 def walk_outcome(space, specs, points):
@@ -901,11 +917,12 @@ class TestPlaneBound:
         outcome = self.check(cleared_planes, overrides, (QUARTER,), expected)
         space, spec = staged_space(overrides), staged_specs(QUARTER)[0]
         sides = InequalitySides(space, spec, [1, 2, 3, 4])
-        # A tabulated metric has no span: the walk makes the distances and
-        # bounds them by their own finite_span.
+        # A metric with no span rule: the walk makes the distances and
+        # bounds them by each row's own finite_span.
         factors = sides._plane_factors(3, bounded=True)
-        _, _, ds, d_span = factors
-        assert d_span == (min(ds), max(ds))
+        _, _, d = factors
+        ds = list(itertools.chain.from_iterable(d.rows))
+        assert d.span == (min(ds), max(ds)) and d.spans == [(min(row), max(row)) for row in d.rows]
         if min(ds) < 0:
             assert outcome == (PsbmError, "negative distance factor -1.0")
             assert sides._plane_bounds(3, factors) is None
@@ -951,20 +968,60 @@ class TestPlaneBound:
 
     def test_random_tables_equal_the_walk_that_evaluates_every_plane(self, monkeypatch):
         # The walk that evaluates every plane is the walk with _cleared
-        # always False.
+        # always False; it still clears rows of the planes that lie on one
+        # piece of every spec. The walk that evaluates every triple also
+        # has _clears, the one test of a plane or a row, always False.
         real, cleared, raised = contraction._cleared, [], 0
+        real_rows, rows = InequalitySides._row_products, [0]
 
         def recording(*args):
             cleared.append(real(*args))
             return cleared[-1]
 
+        def counting_rows(sides, a, j, factors):
+            rows[0] += 1
+            return real_rows(sides, a, j, factors)
+
+        def walk(space, specs, points, **patches):
+            """walk_outcome under the patches, and the rows it evaluated."""
+            with monkeypatch.context() as patched:
+                patched.setattr(InequalitySides, "_row_products", counting_rows)
+                for name, value in patches.items():
+                    patched.setattr(contraction, name, value)
+                rows[0] = 0
+                return walk_outcome(space, specs, points), rows[0]
+
+        clearing = every = 0
         for space, specs, points in random_walks("psbm:test:plane-bound", 150):
-            monkeypatch.setattr(contraction, "_cleared", recording)
-            outcome = walk_outcome(space, specs, points)
-            monkeypatch.setattr(contraction, "_cleared", lambda *args: False)
-            assert outcome == walk_outcome(space, specs, points)
+            outcome, _ = walk(space, specs, points, _cleared=recording)
+            planes, row_cleared = walk(space, specs, points, _cleared=lambda *args: False)
+            triples, row_evaluated = walk(space, specs, points, _clears=lambda *args: False)
+            assert outcome == planes == triples
+            clearing, every = clearing + row_cleared, every + row_evaluated
             raised += isinstance(outcome, tuple)
         assert 50 < sum(cleared) < len(cleared) and 10 < raised < 140
+        # The rows of the planes walked a row at a time: their bounds clear
+        # some, but not all.
+        assert every / 2 < every - clearing < every
+
+    def test_random_case_tables_equal_the_table_that_evaluates_every_triple(self, monkeypatch):
+        # The table that evaluates every triple is the table with _pieces
+        # always None: each plane is then evaluated whole, as `plane` does.
+        real, skipped, raised = contraction._Scan.read_row, [0], 0
+
+        def counting(*args):
+            skipped[0] += 1
+            return real(*args)
+
+        for space, spec, grid_size in random_case_tables("psbm:test:case-table-bound", 150):
+            with monkeypatch.context() as patched:
+                patched.setattr(contraction._Scan, "read_row", counting)
+                outcome = case_table_outcome(space, spec, grid_size)
+            with monkeypatch.context() as patched:
+                patched.setattr(contraction, "_pieces", lambda specs, bounds: None)
+                assert outcome == case_table_outcome(space, spec, grid_size)
+            raised += isinstance(outcome, tuple)
+        assert skipped[0] > 500 and 10 < raised < 140
 
     def test_random_tables_under_a_span_equal_the_walk_that_makes_every_plane(self, monkeypatch, cleared_planes):
         # The same tables, as rule metrics whose span rule is each plane's
@@ -986,15 +1043,57 @@ class TestPlaneBound:
         assert cleared > 50
 
 
+def case_table_outcome(space, spec, grid_size):
+    """repr of reproduce_case_table, which tells nan and -0.0 apart, or the
+    (type, message) of its error."""
+    try:
+        return repr(reproduce_case_table(space, spec, grid_size=grid_size))
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+def random_case_tables(seed, count):
+    """`count` random (space, spec, grid_size) for the case table: the
+    worked example's carrier with a table metric over 3, 0 and a ray grid
+    of 3-7 points, dist(a, b, c) log-uniform in [10^(3k), 10^(3k + 1)], k
+    the ranks of a and b, so that the rows lie apart and their bounds skip
+    some, and up to two adversarial entries. The map is paper_S, or now
+    and then sends a grid point to the grid's start, which makes some
+    subcase's lhs vary."""
+    rng = random.Random(seed)
+    steep = piecewise("steep", (0.0, 0.0, 0.0, 1.0, 1e9))
+    comparisons = [QUARTER, IDENTITY_LINE, FALLING, steep, builtin_comparison("paper_tau"), builtin_comparison("half")]
+    for _ in range(count):
+        grid_size = rng.randint(3, 7)
+        grid = ray_grid(GAP.carrier, grid_size)
+        points = [0, 3] + grid
+        rank = {x: k for k, x in enumerate(points)}
+        table = {t: 10 ** rng.uniform(3 * (rank[t[0]] + rank[t[1]]), 3 * (rank[t[0]] + rank[t[1]]) + 1)
+                 for t in itertools.product(points, repeat=3)}
+        for tpl in rng.sample(sorted(table), rng.randint(0, 2)):
+            table[tpl] = rng.choice([-1, 0, 10 ** 400, math.nan, math.inf, 1e300])
+        space = dataclasses.replace(GAP, metric=RuleMetric("random", lambda p, q, r, table=table: table[(p, q, r)]))
+        moved = rng.choice(grid) if rng.random() < 0.2 else None
+        mapping = SelfMap("moved", lambda x, moved=moved, start=grid[0]: start if x == moved else PAPER_S(x))
+        exps = [rng.uniform(0.05, 0.24) for _ in range(4)]
+        yield space, InterpolativeSpec(*exps, comparison=rng.choice(comparisons), mapping=mapping), grid_size
+
+
 def own_span(metric):
-    """A span rule that bounds a plane by its own least and greatest value,
-    None unless each is finite (an int beyond the float range raises)."""
+    """A span rule that bounds each row of a plane by its own least and
+    greatest value, None unless each value is finite (an int beyond the
+    float range raises)."""
 
-    def span(p, qs, rs):
-        values = [metric(p, q, r) for q in qs for r in rs]
-        return (min(values), max(values)) if values and all(map(math.isfinite, values)) else None
+    def span_rule(qs, rs):
+        def spans(p):
+            rows = [[metric(p, q, r) for r in rs] for q in qs]
+            if not (rs and all(map(math.isfinite, itertools.chain.from_iterable(rows)))):
+                return None
+            return [min(row) for row in rows], [max(row) for row in rows]
 
-    return span
+        return spans
+
+    return span_rule
 
 
 def random_walks(seed, count):
@@ -1177,6 +1276,23 @@ class TestRowEvaluator:
         with pytest.raises(PsbmError) as exc:
             reproduce_case_table(GAP, spec, grid_size=7)
         assert str(exc.value) == message
+
+    def test_a_skipped_row_still_names_a_non_constant_lhs(self, monkeypatch):
+        # The map sends the grid's end to its start, so 1(ii)'s lhs differs
+        # only at the last diagonal triple, whose row paper_tau's bound
+        # skips: its lhs is read all the same, and the error is the one the
+        # pointwise subcase order names.
+        grid = grid_points(4, 64, 7)
+        moved = SelfMap("moved", lambda x: grid[0] if x == grid[-1] else PAPER_S(x))
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"), moved)
+        lhs_values = [GAP.metric(moved(a), moved(b), moved(c)) for a, b, cs in _SUBCASES[1][2](grid) for c in cs]
+        assert lhs_values == [243] * 6 + [1024.0]
+        real, rows = InequalitySides._row_products, []
+        monkeypatch.setattr(InequalitySides, "_row_products", lambda sides, a, j, f: rows.append((a, sides.points[j])) or real(sides, a, j, f))
+        with pytest.raises(PsbmError) as exc:
+            reproduce_case_table(GAP, spec, grid_size=7)
+        assert str(exc.value) == "subcase 1(ii) lhs is not constant: 243 vs 1024.0"
+        assert (grid[0], grid[0]) in rows and (grid[-1], grid[-1]) not in rows
 
     def test_case_table_evaluation_errors_come_before_a_non_constant_lhs(self):
         # A comparison that refuses the product of (x, x, x) at the grid's
@@ -1418,27 +1534,114 @@ class TestCaseTable:
                     rhs_min, argmin = rhs, triple
             assert repr((row.rhs_min, row.argmin)) == repr((rhs_min, argmin))
 
-    @pytest.mark.parametrize("grid_size", [3, 4, 5, 20])
-    def test_each_triple_is_filed_once_in_its_subcase_order(self, grid_size, monkeypatch):
+    @staticmethod
+    def recorded_filing(monkeypatch, comparison, grid_size):
+        """Per subcase, the triples fed to its scan in order and the number
+        of lhs values read for a skipped segment, as the table is made."""
         scans = []
 
         class RecordingScan(contraction._Scan):
             def __init__(self):
                 super().__init__()
-                self.triples = []
+                self.triples, self.reads = [], 0
                 scans.append(self)
 
             def feed(self, a, b, cs, lhs, rhs):
                 self.triples += [(a, b, c) for c in cs]
                 super().feed(a, b, cs, lhs, rhs)
 
+            def read(self, value):
+                self.reads += 1
+                super().read(value)
+
+            def read_row(self, key, row, special):
+                self.reads += len(row) - len(special)
+                super().read_row(key, row, special)
+
         monkeypatch.setattr(contraction, "_Scan", RecordingScan)
-        reproduce_case_table(GAP, standard_spec(), grid_size=grid_size)
+        reproduce_case_table(GAP, dataclasses.replace(standard_spec(), comparison=comparison), grid_size=grid_size)
+        return [(scan.triples, scan.reads) for scan in scans]
+
+    @pytest.mark.parametrize("grid_size", [3, 4, 5, 20])
+    def test_each_triple_is_filed_once_in_its_subcase_order(self, grid_size, monkeypatch):
+        # paper_tau's skipped segments are read for the constant-lhs check
+        # alone: every triple is filed once, the fed ones in their
+        # subcase's order, the rest read.
+        filing = self.recorded_filing(monkeypatch, builtin_comparison("paper_tau"), grid_size)
         grid = grid_points(4, 64, grid_size)
         expected = [subcase_triples(subcase_rows, grid) for _, _, subcase_rows in _SUBCASES]
-        assert [scan.triples for scan in scans] == expected
+        for (fed, reads), triples in zip(filing, expected):
+            order = iter(triples)
+            assert all(t in order for t in fed) and len(fed) + reads == len(triples)
+        assert sum(reads for _, reads in filing) > len(grid) ** 3 / 2
         filed = [t for triples in expected for t in triples]
         assert sorted(filed) == sorted(itertools.product([3] + grid, repeat=3))
+
+    @pytest.mark.parametrize("grid_size", [3, 4, 5, 20])
+    def test_a_plain_callable_feeds_every_triple_in_its_subcase_order(self, grid_size, monkeypatch):
+        # A comparison that is no ComparisonFn is never bounded: no row is
+        # skipped.
+        tau = builtin_comparison("paper_tau")
+        filing = self.recorded_filing(monkeypatch, FakeComparison("tau-by-hand", tau), grid_size)
+        grid = grid_points(4, 64, grid_size)
+        assert filing == [(subcase_triples(subcase_rows, grid), 0) for _, _, subcase_rows in _SUBCASES]
+
+    @pytest.mark.parametrize("grid_size", [3, 5, 20])
+    def test_a_tie_with_a_running_minimum_is_not_skipped(self, grid_size, monkeypatch):
+        # A flat piece: every rhs, and every row's floor, is 5.0, which ties
+        # every running minimum. A row is skipped only strictly above the
+        # minima it feeds, so each is evaluated: 4(iii)'s first triple in
+        # (b, a) order, (grid[1], grid[0], grid[0]), comes after its least
+        # rhs so far, at (grid[0], grid[1], grid[1]), in the walk, and a
+        # skip on the tie would make that its argmin.
+        flat = piecewise("flat", (0.0, 0.0, 5.0, 1.0, 5.0))
+        real, skipped = contraction._Scan.read_row, []
+        monkeypatch.setattr(contraction._Scan, "read_row", lambda *args: skipped.append(args) or real(*args))
+        table = reproduce_case_table(GAP, dataclasses.replace(standard_spec(), comparison=flat), grid_size=grid_size)
+        grid = grid_points(4, 64, grid_size)
+        assert [row.argmin for row in table.rows] == [subcase_triples(rows, grid)[0] for _, _, rows in _SUBCASES]
+        assert all(row.rhs_min == 5.0 for row in table.rows) and skipped == []
+
+    def test_4iii_least_is_held_to_its_own_minimum(self):
+        # Every factor but the distance is 1, so each rhs is d^p / 4. Every
+        # distance off the isolated points is 1, but 10^4 at 4(iii)'s (a, b,
+        # b) and 100 over the late row (grid[-1], grid[1]): the 4(iii)
+        # minimum lies in a row whose floor is far above the minima of the
+        # other subcases it feeds, and only 4(iii)'s least so far, 10^4,
+        # keeps that row from being skipped.
+        grid = grid_points(4, 64, 6)
+        late = (grid[-1], grid[1])
+
+        def rule(p, q, r):
+            if p in (0, 3) or q in (0, 3) or p == q:
+                return 1.0
+            return 100.0 if (p, q) == late else 1e4 if r == q else 1.0
+
+        space = dataclasses.replace(GAP, metric=RuleMetric("staged-4iii", rule))
+        spec = dataclasses.replace(standard_spec(), comparison=QUARTER)
+        table = reproduce_case_table(space, spec, grid_size=6)
+        assert {row.label: row.argmin for row in table.rows}["4(iii)"] == (*late, late[1])
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(contraction, "_pieces", lambda specs, bounds: None)
+            assert repr(table) == repr(reproduce_case_table(space, spec, grid_size=6))
+
+    def test_4iii_first_triple_is_evaluated_when_its_row_is_skipped(self, monkeypatch):
+        # 4(iii)'s first triple in (b, a) order, (grid[1], grid[0],
+        # grid[0]), seeds its minimum, but its row, lifted far above every
+        # minimum it feeds, is skipped: the triple is evaluated on its own,
+        # and the table is that of every triple.
+        grid = grid_points(4, 64, 5)
+        lifted = (grid[1], grid[0])
+        rule = lambda p, q, r: 1e40 * quintic(p, q, r) if (p, q) == lifted else quintic(p, q, r)
+        space = dataclasses.replace(GAP, metric=RuleMetric("lifted", rule))
+        real_block, real_rows, blocks, rows = InequalitySides.block, InequalitySides._row_products, [], []
+        with monkeypatch.context() as patched:
+            patched.setattr(InequalitySides, "block", lambda sides, triples: blocks.append(triples) or real_block(sides, triples))
+            patched.setattr(InequalitySides, "_row_products", lambda sides, a, j, f: rows.append((a, sides.points[j])) or real_rows(sides, a, j, f))
+            outcome = case_table_outcome(space, standard_spec(), 5)
+        assert blocks == [[(*lifted, grid[0])]] and lifted not in rows
+        monkeypatch.setattr(contraction, "_pieces", lambda specs, bounds: None)
+        assert outcome == case_table_outcome(space, standard_spec(), 5)
 
     @pytest.mark.parametrize("grid_size", [3, 5, 20])
     def test_tied_rhs_takes_each_subcase_first_triple(self, grid_size):

@@ -121,69 +121,83 @@ def test_repro_json_digests_are_pinned(capsys, seed):
 def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     """Both certificates share one walk of the 51 active grid points (0 is
     fixed): the stages of one comparison-free plane per a, where two
-    certify calls made 102, and the products of the planes that its bound
-    does not clear, at most 2; the case table adds its own 21 planes. The
-    fifth-factor and lhs lists of a plane are made once per image S(a), 0
-    and 3 on this grid, and a plane's 51 x 51 distances only when it is
-    evaluated: a cleared plane is bounded by the metric's span."""
-    real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._plane_products
-    real_plane, real_flat_span = spaces._quintic_plane, contraction._flat_span
-    factors, products, planes, images = [], [], [], []
+    certify calls made 102; the case table adds its own 21 planes. The
+    walk clears all but at most 2 planes by their bounds and walks those a
+    row at a time, clearing all but a few rows; the table skips all but a
+    few rows too. The fifth-factor and lhs rows of a plane are made once
+    per image S(a), 0 and 3 on this grid, and a row's distances only when
+    it is evaluated: a cleared plane or row is bounded by the metric's row
+    spans."""
+    real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._row_products
+    real_plane, real_factor_rows = spaces._quintic_plane, contraction._factor_rows
+    factors, rows, planes, images = [], [], [], []
 
     def counting_factors(sides, a, *args, **kwargs):
         factors.append((len(sides.points), a))
         return real_factors(sides, a, *args, **kwargs)
 
-    def counting_products(sides, a, *args):
-        products.append((len(sides.points), a))
-        return real_products(sides, a, *args)
+    def counting_products(sides, a, j, *args):
+        rows.append((len(sides.points), a, sides.points[j]))
+        return real_products(sides, a, j, *args)
 
     def counting_plane(p, qs, rs):
         planes.append((len(qs), len(rs), p))
         return real_plane(p, qs, rs)
 
-    def counting_flat_span(lists, image, rows):
-        images.append((sum(map(len, rows)), image))
-        return real_flat_span(lists, image, rows)
+    def counting_factor_rows(made):
+        images.append((len(made), sum(map(len, made))))
+        return real_factor_rows(made)
 
     monkeypatch.setattr(contraction.InequalitySides, "_plane_factors", counting_factors)
-    monkeypatch.setattr(contraction.InequalitySides, "_plane_products", counting_products)
+    monkeypatch.setattr(contraction.InequalitySides, "_row_products", counting_products)
     monkeypatch.setattr(spaces, "_quintic_plane", counting_plane)
-    monkeypatch.setattr(contraction, "_flat_span", counting_flat_span)
+    monkeypatch.setattr(contraction, "_factor_rows", counting_factor_rows)
     item = repro._contraction_item(0)
     assert item["passed"] is True
     gap = spaces.builtin_space("quintic_gap")
     active = [3] + contraction.ray_grid(gap.carrier, 50)
     assert [a for n, a in factors if n == 51] == active and len(cleared_planes) == 51
     evaluated = [a for a, cleared in zip(active, cleared_planes) if not cleared]
-    assert [a for n, a in products if n == 51] == evaluated
     assert evaluated[0] == 3 and len(evaluated) <= 2
-    assert len(factors) == 51 + 21 and len(products) == len(evaluated) + 21
-    assert [p for nq, nr, p in planes if nq == 51] == evaluated and all(nr == 51 for nq, nr, _ in planes if nq == 51)
-    # The fifth-factor list, then the lhs list, of each image.
-    assert images == [(51 * 51, 0)] * 2 + [(51 * 51, 3)] * 2 + [(21 * 21, 0)] * 2 + [(21 * 21, 3)] * 2
+    assert len(factors) == 51 + 21
+    walked = [(a, b) for n, a, b in rows if n == 51]
+    assert [a for a in dict.fromkeys(a for a, _ in walked)] == evaluated and len(walked) <= 4
+    assert 0 < len(rows) - len(walked) <= 21
+    # No plane's distances are made: the metric's rows are, per walk, the
+    # dist(S(x), S(x), y) of the 2 images, the lhs of the 4 pairs of them,
+    # and the distances of each evaluated row.
+    assert all(nq == 1 for nq, _, _ in planes) and len(planes) == 2 * (2 + 4) + len(rows)
+    # The fifth-factor rows, then the lhs rows, of each image.
+    assert images == [(51, 51 * 51)] * 4 + [(21, 21 * 21)] * 4
 
 
 def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch, cleared_planes):
     """Above 1, paper_tau is t/2, the line of half, and every product on
     the grid is above 1: the two certificates share one rhs list per
-    evaluated a-plane, where they mapped two; a cleared plane maps none.
-    The evaluated and the cleared planes are the 51 of the walk."""
-    real = comparison.ComparisonFn._line
-    lengths = []
+    evaluated row, where they mapped two; a cleared plane or row maps
+    none. The evaluated and the cleared planes are the 51 of the walk, and
+    the evaluated planes lie on that line, so they are walked a row at a
+    time."""
+    real, real_products = comparison.ComparisonFn._line, contraction.InequalitySides._row_products
+    lengths, rows = [], []
 
     def counting(fn, k, values):
         if isinstance(values, list):
             lengths.append(len(values))
         return real(fn, k, values)
 
+    def counting_products(sides, a, j, *args):
+        rows.append(len(sides.points))
+        return real_products(sides, a, j, *args)
+
     monkeypatch.setattr(comparison.ComparisonFn, "_line", counting)
+    monkeypatch.setattr(contraction.InequalitySides, "_row_products", counting_products)
     item = repro._contraction_item(0)
     assert item["passed"] is True
     evaluated = cleared_planes.count(False)
     assert evaluated + cleared_planes.count(True) == len(cleared_planes) == 51
     assert 1 <= evaluated <= 2
-    assert lengths.count(51 * 51) == evaluated
+    assert lengths.count(51 * 51) == 0 and 1 <= lengths.count(51) == rows.count(51) <= 4
 
 
 @pytest.mark.parametrize("matkowski", [False, True])

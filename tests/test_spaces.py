@@ -36,7 +36,7 @@ from psbmetric import (
 from psbmetric import spaces as spaces_module
 from psbmetric.errors import PsbmError
 from psbmetric.numerics import point_label, point_sort_key
-from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, _quintic_span, sampled_positions
+from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, _quintic_row_spans, sampled_positions
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -774,7 +774,7 @@ class TestMetricRows:
 
     @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
     def test_quintic_builtins_carry_the_span_kernel(self, name):
-        assert builtin_space(name).metric.span_rule is _quintic_span
+        assert builtin_space(name).metric.span_rule is _quintic_row_spans
 
     def test_the_kernel_leaves_the_rule_to_planes_that_raise(self):
         calls = []
@@ -851,38 +851,52 @@ SPAN_POINTS = st.one_of(
 )
 
 
+def row_spans(metric, p, qs, rs):
+    """(lows, highs) of metric.row_spans(qs, rs) at p, or None."""
+    spans = metric.row_spans(qs, rs)
+    return None if spans is None else spans(p)
+
+
 def span_holds(metric, p, qs, rs):
-    """Whether metric.span(p, qs, rs) is None, or finite (lo, hi) with
-    lo <= v <= hi for every value v of metric.plane(p, qs, rs), which
-    must then return."""
-    span = metric.span(p, qs, rs)
-    if span is None:
+    """Whether row_spans(metric, p, qs, rs) is None, or finite (lows,
+    highs) aligned with qs, with lows[i] <= v <= highs[i] for every value v
+    of row i of metric.plane(p, qs, rs), which must then return."""
+    spans = row_spans(metric, p, qs, rs)
+    if spans is None:
         return True
-    lo, hi = span
-    return math.isfinite(lo) and math.isfinite(hi) and all(lo <= v <= hi for row in metric.plane(p, qs, rs) for v in row)
+    lows, highs = spans
+    plane = metric.plane(p, qs, rs)
+    return len(lows) == len(highs) == len(plane) and all(
+        math.isfinite(lo) and math.isfinite(hi) and all(lo <= v <= hi for v in row)
+        for lo, hi, row in zip(lows, highs, plane))
 
 
 class TestMetricSpan:
-    """metric.span(p, qs, rs) is None, or finite bounds on every value of
-    metric.plane(p, qs, rs), which then raises nothing."""
+    """metric.row_spans(qs, rs) is None, or a function of p giving None or
+    finite bounds on every value of each row of metric.plane(p, qs, rs),
+    which then raises nothing."""
 
     @settings(max_examples=400, deadline=None)
     @given(qs=st.lists(SPAN_POINTS, max_size=5), rs=st.lists(SPAN_POINTS, max_size=6), data=st.data())
     def test_the_quintic_span_bounds_every_value(self, qs, rs, data):
         # p is often a point of qs or rs, so that the planes hold the row of q = p.
         p = data.draw(st.one_of(st.sampled_from(qs + rs), SPAN_POINTS) if qs + rs else SPAN_POINTS)
-        assert span_holds(builtin_space("quintic_gap").metric, p, qs, rs)
+        metric = builtin_space("quintic_gap").metric
+        assert span_holds(metric, p, qs, rs)
+        # As on the grid walk, with qs and rs one list.
+        assert span_holds(metric, p, rs, rs)
 
     @pytest.mark.parametrize("bound", [64, 1e61])
     def test_the_quintic_span_is_the_least_and_greatest_value_on_a_grid(self, bound):
-        # As on `certify --grid` (qs and rs the one list of points): the span
-        # is the plane's own min and max, so the walk decides a plane from
-        # it as from the plane.
+        # As on `certify --grid` (qs and rs the one list of points): each
+        # row's span is its own min and max, so the walk decides a plane or
+        # a row from it as from its values.
         metric = builtin_space("quintic_gap").metric
         points = [3] + [4 + k * ((bound - 4) / 59) for k in range(60)]
+        spans = metric.row_spans(points, points)
         for p in points:
-            values = list(itertools.chain.from_iterable(metric.plane(p, points, points)))
-            assert metric.span(p, points, points) == (min(values), max(values))
+            rows = metric.plane(p, points, points)
+            assert spans(p) == ([min(row) for row in rows], [max(row) for row in rows])
         assert all(span_holds(metric, p, NEAR_OVERFLOW, NEAR_OVERFLOW) for p in NEAR_OVERFLOW)
 
     def test_no_span_where_an_exact_int_sum_and_a_rounded_float_sum_disagree(self):
@@ -892,31 +906,40 @@ class TestMetricSpan:
         metric = builtin_space("quintic_gap").metric
         (exact, rounded), = metric.plane(1600, [1], [0, 0.0])
         assert type(exact) is int and type(rounded) is float and rounded < exact
-        assert metric.span(1600, [1], [0, 0.0]) is None
-        assert metric.span(1600.0, [1], [0, 0.0]) == (rounded, rounded)
+        assert row_spans(metric, 1600, [1], [0, 0.0]) is None
+        assert row_spans(metric, 1600.0, [1], [0, 0.0]) == ([rounded], [rounded])
 
     def test_no_span_at_an_overflow_a_nan_or_a_non_number(self):
         metric = builtin_space("quintic_gap").metric
         for p, qs, rs in [
             (3.4e61, [3.4e61], [3.5e61]),  # 2(p^5 + r^5) overflows
             (3, [5e61], [3]),  # q^5 overflows
+            (5e61, [3], [3]),  # p^5 overflows
             (3, [4, math.nan], [3]),
+            (math.nan, [4], [3]),
             (3, [4], [math.inf]),
             (3, [4], ["abc"]),
+            ("abc", [4], [3]),
             (Fraction(1, 3), [4], [5]),
             (3, [], [4]),
             (3, [4], []),
         ]:
-            assert metric.span(p, qs, rs) is None, (p, qs, rs)
+            assert row_spans(metric, p, qs, rs) is None, (p, qs, rs)
 
     def test_metrics_without_a_span_rule_have_no_span(self):
-        assert builtin_space("two_point_a").metric.span(1, [1, 2], [1, 2]) is None
-        assert RuleMetric("quintic", quintic, _quintic_plane).span(3, [4], [5]) is None
+        assert builtin_space("two_point_a").metric.row_spans([1, 2], [1, 2]) is None
+        assert RuleMetric("quintic", quintic, _quintic_plane).row_spans([4], [5]) is None
 
-        def failing(p, qs, rs):
+        def failing(qs, rs):
             raise ValueError("no span")
 
-        assert RuleMetric("quintic", quintic, _quintic_plane, failing).span(3, [4], [5]) is None
+        def failing_rows(qs, rs):
+            def spans(p):
+                raise ValueError("no span")
+            return spans
+
+        assert RuleMetric("quintic", quintic, _quintic_plane, failing).row_spans([4], [5]) is None
+        assert row_spans(RuleMetric("quintic", quintic, _quintic_plane, failing_rows), 3, [4], [5]) is None
 
 
 class TestCheckAxioms:
