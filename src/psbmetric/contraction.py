@@ -275,7 +275,8 @@ class InequalitySides:
 
     @cached_property
     def _row_spans(self):
-        """The metric's `row_spans` over the points, a function of a, or None."""
+        """The metric's `row_spans` over the points: None, or a function of
+        a that gives None or raises where it has no span."""
         return self._metric.row_spans(self.points, self.points)
 
     def _plane_factors(self, a, bounded=False):
@@ -291,7 +292,12 @@ class InequalitySides:
         ia = image[a]
         fifth = self._fifth_planes.get(ia) or self._fifth_planes.setdefault(
             ia, _factor_rows([self._fifth_row(ia, b) for b in points]))
-        spans = self._row_spans(a) if bounded and self._row_spans is not None else None
+        spans = None
+        if bounded and self._row_spans is not None:
+            try:
+                spans = self._row_spans(a)
+            except Exception:  # no span for this plane
+                pass
         if spans is not None:
             lows, highs = spans
             d = _Rows(None, list(zip(lows, highs)), (min(lows), max(highs)))
@@ -570,12 +576,12 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
             def planes():
                 for a in active:
                     factors = sides._plane_factors(a, bounded=True)
-                    # min_margins holds the running minima of the chunks before.
-                    if _cleared(sides, a, factors, specs, min_margins):
-                        yield None, n * n, None, None
-                        continue
                     bounds = sides._plane_bounds(a, factors)
                     pieces = _pieces(specs, bounds)
+                    # min_margins holds the running minima of the chunks before.
+                    if _cleared(bounds, specs, pieces, min_margins):
+                        yield None, n * n, None, None
+                        continue
                     if pieces is None:
                         yield partial(product, (a,), active, active), n * n, *sides._plane_products(a, factors)
                         continue
@@ -632,13 +638,11 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     return reports
 
 
-def _cleared(sides, a, factors, specs, min_margins) -> bool:
-    """Whether a's plane leaves every report as it is, decided from
-    `sides._plane_bounds` on its `factors`, `sides._plane_factors(a,
-    bounded=True)`, before any product, or any distance a span stands for,
-    is made: `_clears` under the `_pieces` of the bound."""
-    bounds = sides._plane_bounds(a, factors)
-    pieces = _pieces(specs, bounds)
+def _cleared(bounds, specs, pieces, min_margins) -> bool:
+    """Whether an a-plane leaves every report as it is, decided from its
+    bound, `sides._plane_bounds` on `_plane_factors(a, bounded=True)`,
+    before any product, or any distance a span stands for, is made:
+    `_clears` under the bound's `_pieces`, and never when they are None."""
     return pieces is not None and _clears(bounds, specs, pieces, min_margins)
 
 

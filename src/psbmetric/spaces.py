@@ -144,10 +144,11 @@ class RuleMetric(_Pointwise):
 
     The optional span rule bounds the rows of a plane without making them:
     span_rule(qs, rs) returns None or a function of p, which returns None
-    or (lows, highs), two lists of finite values aligned with qs. When it
-    returns them, plane(p, qs, rs) returns (raises nothing) and lows[i] <=
-    v <= highs[i] for each value v of its row i. On any error, and with no
-    span rule, there is no bound (see `row_spans`)."""
+    or (lows, highs), two lists of finite values aligned with qs, or
+    raises. When it returns them, plane(p, qs, rs) returns (raises
+    nothing) and lows[i] <= v <= highs[i] for each value v of its row i.
+    On any error, and with no span rule, there is no bound (see
+    `row_spans`)."""
 
     name: str
     rule: Callable
@@ -172,23 +173,15 @@ class RuleMetric(_Pointwise):
         return super().plane(p, qs, rs)
 
     def row_spans(self, qs: list, rs: list):
-        """A function of p giving the span rule's (lows, highs) on the rows
-        of plane(p, qs, rs), or None where it gives none or raises; None
-        with no span rule, or when it gives none for (qs, rs) or raises."""
-        try:
-            rows = None if self.span_rule is None else self.span_rule(qs, rs)
-        except Exception:
-            rows = None
-        if rows is None:
+        """The span rule's function of p for (qs, rs), which may also give
+        None or raise for a p: no bound on that plane. None with no span
+        rule, or when it gives none for (qs, rs) or raises."""
+        if self.span_rule is None:
             return None
-
-        def spans(p):
-            try:
-                return rows(p)
-            except Exception:
-                return None
-
-        return spans
+        try:
+            return self.span_rule(qs, rs)
+        except Exception:
+            return None
 
 
 def quintic(p, q, r):

@@ -9,8 +9,8 @@ def cleared_planes(monkeypatch):
     order: True for a plane decided by its bound, False for one evaluated."""
     real, outcomes = contraction._cleared, []
 
-    def recording(sides, a, factors, specs, min_margins):
-        outcomes.append(real(sides, a, factors, specs, min_margins))
+    def recording(bounds, specs, pieces, min_margins):
+        outcomes.append(real(bounds, specs, pieces, min_margins))
         return outcomes[-1]
 
     monkeypatch.setattr(contraction, "_cleared", recording)

@@ -536,13 +536,14 @@ def float_bits(value):
     return struct.pack("<d", value) if type(value) is float else value
 
 
-def one_walk(space, specs, lines_read=None, **kwargs):
+def one_walk(space, specs, lines_read=None, rows_made=None, **kwargs):
     """The reports of one shared walk, once their reprs and their min_margin
-    bits are checked against those of one certify per spec. `lines_read`,
-    if given, is cleared before the walk."""
+    bits are checked against those of one certify per spec. `lines_read`
+    and `rows_made`, if given, are cleared before the walk."""
     alone = [certify(space, spec, **kwargs) for spec in specs]
-    if lines_read is not None:
-        lines_read.clear()
+    for log in (lines_read, rows_made):
+        if log is not None:
+            log.clear()
     walk = contraction._certificates(space, specs, **kwargs)
     assert [repr(r) for r in walk] == [repr(r) for r in alone]
     assert [float_bits(r.min_margin) for r in walk] == [float_bits(r.min_margin) for r in alone]
@@ -603,6 +604,21 @@ def lines_read(monkeypatch):
 
     monkeypatch.setattr(ComparisonFn, "_line", counting)
     return lengths
+
+
+@pytest.fixture
+def rows_made(monkeypatch):
+    """The number of (a, b) rows of products made per plane or row
+    evaluated on a grid walk, as made: n for a plane of n points, 1 for a
+    row."""
+    made = []
+    for name in ("_plane_products", "_row_products"):
+        def counting(sides, a, *args, real=getattr(InequalitySides, name), whole=name == "_plane_products"):
+            made.append(len(sides.points) if whole else 1)
+            return real(sides, a, *args)
+
+        monkeypatch.setattr(InequalitySides, name, counting)
+    return made
 
 
 def counted_raise(after, message):
@@ -757,34 +773,36 @@ class TestSharedWalk:
             assert lines_read == [16] * 4
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
-    def test_one_comparison_object_in_two_specs(self, mode, lines_read):
+    def test_one_comparison_object_in_two_specs(self, mode, lines_read, rows_made):
         tau = builtin_comparison("paper_tau")
         kwargs = {"points": CERT_POINTS[::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
         specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, builtin_comparison("half"), tau))
-        reports = one_walk(GAP, specs, lines_read, **kwargs)
+        reports = one_walk(GAP, specs, lines_read, rows_made, **kwargs)
         assert reports[0] == reports[1] == reports[2]
         if mode == "grid":
             # 0 is fixed: the 51 other a-planes, walked with falling products
             # so that no plane is cleared, are walked a row at a time, one
-            # list a row that its bound does not clear; it clears most.
-            assert lines_read == [51] * len(lines_read) and 51 <= len(lines_read) < 51 * 51 / 10
+            # list for the three specs per row that its bound does not
+            # clear; it clears most.
+            assert rows_made == [1] * len(rows_made) and 51 <= len(rows_made) < 51 * 51 / 10
+            assert lines_read == [51] * len(rows_made)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
-    def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read):
+    def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read, rows_made):
         # paper_tau with int starts, x0 and y0 gives the float one's values
         # bit for bit, but only a line whose parts are all floats is shared.
         int_tau = ComparisonFn("int_tau", ((0, ((0, 0), (10, 9)), True), (1, ((0, 0), (2, 1)), False)), BOYD_WONG)
         tau = builtin_comparison("paper_tau")
         kwargs = {"points": CERT_POINTS[11::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
         specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, int_tau, tau, int_tau))
-        reports = one_walk(GAP, specs, lines_read, **kwargs)
+        reports = one_walk(GAP, specs, lines_read, rows_made, **kwargs)
         assert repr(reports[0]) == repr(reports[1])
         if mode == "grid":
             # 0 is fixed: per row evaluated of the a-planes of the 11 others
             # (with falling products, so no plane is cleared), one list for
             # the two float lines and one for each int line.
-            assert lines_read == [11] * len(lines_read) and len(lines_read) % 3 == 0
-            assert 11 * 3 <= len(lines_read) < 11 * 11 * 3
+            assert rows_made == [1] * len(rows_made) and 11 <= len(rows_made) < 11 * 11
+            assert lines_read == [11] * (3 * len(rows_made))
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_one_scan_for_the_min_and_max_per_plane_or_block(self, mode, monkeypatch):
