@@ -1500,6 +1500,9 @@ CERTIFY_JSON_SHA256 = {
     ("--grid", "60", "--bound", "1e61"): "f3adc9c2c287a1afcb99eb21356e5f211423e7eaf92ce1965da46d2559fdd775",
     ("--grid", "200"): "136becdd181ba2626e4d1b5bdd03993c941258ae176a9258b8632313165d84b0",
     ("--grid", "200", "--matkowski"): "136becdd181ba2626e4d1b5bdd03993c941258ae176a9258b8632313165d84b0",
+    ("--samples", "10000", "--seed", "1"): "1e93335c090e8045159ed2e9a270400b775cb34736d7d597d7aee06e18cc9cec",
+    ("--samples", "10000", "--seed", "1", "--matkowski"): "1e93335c090e8045159ed2e9a270400b775cb34736d7d597d7aee06e18cc9cec",
+    ("--samples", "40000", "--seed", "3"): "c405e90aa1ca4ca4ae51401c73d96152a27d92a50e6f119eae83e6859e1a4836",
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import struct
 import tracemalloc
@@ -43,7 +44,7 @@ from psbmetric import (
 )
 from psbmetric import comparison as comparison_module, contraction
 from psbmetric.numerics import point_sort_key
-from psbmetric.spaces import SAMPLE_BLOCK
+from psbmetric.spaces import SAMPLE_BLOCK, RegionCarrier
 
 GAP = builtin_space("quintic_gap")
 PAPER_S = builtin_map("paper_S")
@@ -125,13 +126,18 @@ def grid_triples(spec, points):
     return itertools.product(active, repeat=3)
 
 
+def sampled_draws(space, sample_count, seed):
+    """The triples certify draws in sampled mode, fixed points included."""
+    pool = sample_carrier(space, seed=seed)
+    rng = random.Random(f"psbm:certify:{seed}")
+    return [tuple(rng.choice(pool) for _ in range(3)) for _ in range(sample_count)]
+
+
 def sampled_blocks(space, spec, sample_count, seed):
     """The triples certify draws in sampled mode, fixed points dropped, as
     the blocks it evaluates: the kept triples of each SAMPLE_BLOCK draws,
     empty blocks left out."""
-    pool = sample_carrier(space, seed=seed)
-    rng = random.Random(f"psbm:certify:{seed}")
-    drawn = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(sample_count)]
+    drawn = sampled_draws(space, sample_count, seed)
     chunks = (drawn[k:k + SAMPLE_BLOCK] for k in range(0, sample_count, SAMPLE_BLOCK))
     blocks = ([t for t in chunk if all(spec.mapping(x) != x for x in t)] for chunk in chunks)
     return [block for block in blocks if block]
@@ -607,6 +613,21 @@ def lines_read(monkeypatch):
 
 
 @pytest.fixture
+def blocks_evaluated(monkeypatch):
+    """The triples of each list that `_block_products` evaluates, as made:
+    on the sampled path, a block's kept triples or its first block's
+    probe."""
+    real, evaluated = InequalitySides._block_products, []
+
+    def recording(sides, triples):
+        evaluated.append(list(triples))
+        return real(sides, triples)
+
+    monkeypatch.setattr(InequalitySides, "_block_products", recording)
+    return evaluated
+
+
+@pytest.fixture
 def rows_made(monkeypatch):
     """The number of (a, b) rows of products made per plane or row
     evaluated on a grid walk, as made: n for a plane of n points, 1 for a
@@ -844,11 +865,12 @@ class TestSharedWalk:
             assert spans == chunks and len(chunks) == (grid_chunks if mode == "grid" else math.ceil(3000 / SAMPLE_BLOCK))
 
 
-def walk_outcome(space, specs, points):
-    """The reports of one shared walk over `points`, as (repr, min_margin
-    bits) per spec, or the (type, message) of its error."""
+def walk_outcome(space, specs, points=None, **kwargs):
+    """The reports of one shared walk over `points` (or of `sample_count`
+    draws), as (repr, min_margin bits) per spec, or the (type, message) of
+    its error."""
     try:
-        reports = contraction._certificates(space, specs, points=points)
+        reports = contraction._certificates(space, specs, points=points, **kwargs)
     except Exception as exc:  # the error is the outcome
         return type(exc), str(exc)
     return [(repr(r), float_bits(r.min_margin)) for r in reports]
@@ -1135,6 +1157,145 @@ def random_walks(seed, count):
         points = list(labels)
         rng.shuffle(points)
         yield space, specs, points
+
+
+SAMPLED_COUNTS = (1, 7, 1023, 1024, 1025, 10_000, 40_000)
+
+
+def sampled_references(space, specs, seed, counts=SAMPLED_COUNTS):
+    """{count: [reference_certificate(space, spec, sampled_triples(space,
+    spec, count, seed)) for spec in specs]}, min_margin as its bits, for
+    specs that share the map and the exponents: the draws of a smaller
+    count are a prefix of a larger count's, so each distinct triple drawn
+    for the largest is evaluated point by point once."""
+    S = specs[0].mapping
+    drawn = sampled_draws(space, max(counts), seed)
+    live = [all(S(x) != x for x in t) for t in drawn]
+    triples = list(itertools.compress(drawn, live))
+    lengths = {count: sum(live[:count]) for count in counts}
+    lhs = [space.metric(S(a), S(b), S(c)) for a, b, c in triples]
+    memo = {}
+    products = [memo[t] if t in memo else memo.setdefault(t, reference_product(space, specs[0], *t)) for t in triples]
+    references = {count: [] for count in counts}
+    for spec in specs:
+        rhs = list(map(spec.comparison, products))
+        failing = [(i, (*t, l, r)) for i, (t, l, r) in enumerate(zip(triples, lhs, rhs)) if not l <= r]
+        margins = list(map(operator.sub, rhs, lhs))
+        for count, n in lengths.items():
+            failures = sorted((f for i, f in failing if i < n),
+                              key=lambda f: tuple(point_sort_key(x) for x in f[:3]))
+            references[count].append((n, tuple(failures), float_bits(min(margins[:n], default=None))))
+    return references
+
+
+class TestSampledBound:
+    """certify(..., sample_count=N) on a metric with row spans skips each
+    drawn triple whose plane or row bound clears it, and its reports are
+    those that evaluate every triple, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("name", ["quintic_gap", "quintic_ray"])
+    def test_reports_equal_the_reference(self, name, seed):
+        space, specs = builtin_space(name), (standard_spec(), standard_spec(matkowski=True))
+        for count, references in sampled_references(space, specs, seed).items():
+            for spec, reference in zip(specs, references):
+                report = certify(space, spec, sample_count=count, seed=seed)
+                assert (report.triples_checked, report.failures, float_bits(report.min_margin)) == reference
+
+    def test_the_ray_fails_with_a_repeated_triple(self):
+        # quintic_ray's failures, and a failing triple drawn twice, are kept.
+        report = certify(builtin_space("quintic_ray"), standard_spec(), sample_count=40_000, seed=7)
+        assert len(report.failures) > len(set(report.failures)) > 0
+
+    def test_triples_evaluated_at_seed_1(self, blocks_evaluated):
+        report = certify(GAP, standard_spec(), sample_count=10_000, seed=1)
+        # The probe, then each block's kept triples: 124 of 9,076.
+        assert [len(t) for t in blocks_evaluated] == [1, 51, 15, 18, 4, 6, 5, 4, 6, 6, 8]
+        assert report.triples_checked == 9076 and report.passed
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_first_block_keeps_its_first_triple_and_its_probe(self, blocks_evaluated, seed):
+        certify(GAP, standard_spec(), sample_count=10_000, seed=seed)
+        probe, first = blocks_evaluated[:2]
+        block = sampled_blocks(GAP, standard_spec(), 10_000, seed)[0]
+        assert len(probe) == 1 and first[0] == block[0] and probe[0] in first
+        assert len(first) < len(block)
+
+    @pytest.mark.parametrize("above, evaluated", [(False, 1024), (True, 1)], ids=["equal", "one-ulp-above"])
+    def test_a_row_whose_slack_equals_the_threshold_is_evaluated(self, monkeypatch, blocks_evaluated, above, evaluated):
+        # Every row's slack is made the margin of the block's first triple,
+        # and no plane has any: each row ties, so the probe is that first
+        # triple and its margin is the threshold of the one block. Rows
+        # whose slack equals it are evaluated; one ulp above, each is
+        # skipped, but the block's first triple is evaluated.
+        spec = standard_spec()
+        block = sampled_blocks(GAP, spec, 1024, 2)[0]
+        lhs, rhs = InequalitySides(GAP, spec, sample_carrier(GAP, seed=2)[1:]).block(block[:1])
+        threshold = rhs[0] - lhs[0]
+        slack = math.nextafter(threshold, math.inf) if above else threshold
+
+        def slacks(bounds, specs, pieces):
+            return [None] if len(bounds) == 1 else [(slack,)] * len(bounds)
+
+        monkeypatch.setattr(contraction, "_slacks", slacks)
+        blocks_evaluated.clear()
+        certify(GAP, spec, sample_count=1024, seed=2)
+        assert blocks_evaluated[0] == block[:1]
+        assert blocks_evaluated[1] == (block if not above else block[:1])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_an_error_while_bounding_a_plane_is_not_raised(self, seed):
+        # dist(3, 3, x) = 1e308 for one pool point x overflows the mean of
+        # the fifth-factor row (3, x), and only that row: the triples (a, x,
+        # c) with S(a) = 3 raise. Bounding a plane of such an a makes the
+        # row of every b, so it meets the error also where no such triple
+        # is drawn; that plane then has no bound, and the report or first
+        # error is that of the drawn triples.
+        dented = sample_carrier(GAP, seed=seed)[5]
+
+        def rule(p, q, r):
+            return 1e308 if (p, q, r) == (3, 3, dented) else quintic(p, q, r)
+
+        space = dataclasses.replace(GAP, metric=RuleMetric("dented", rule, span_rule=own_span(rule)))
+        spec = standard_spec()
+        active = sample_carrier(GAP, seed=seed)[1:]
+        for count in (7, 200, 3000):
+            blocks = sampled_blocks(space, spec, count, seed)
+            outcomes = (stage_outcome(space, spec, active, block) for block in blocks)
+            expected = next((outcome for outcome in outcomes if raised(outcome)), None)
+            try:
+                report = certify(space, spec, sample_count=count, seed=seed)
+            except Exception as exc:
+                assert (type(exc), str(exc)) == expected == (DistanceOverflow, "the contraction inequality overflows the float range")
+            else:
+                assert expected is None and count < 3000
+                assert_matches_reference(report, space, spec, [t for block in blocks for t in block])
+
+    def test_a_pool_with_equal_keys_evaluates_every_triple(self, blocks_evaluated):
+        # 4 and the degenerate interval's 4.0 are one key in the tables, so
+        # a bound made for one plane could stand for the other's.
+        space = dataclasses.replace(GAP, carrier=RegionCarrier(isolated=(0, 3, 4), intervals=((4.0, 4.0), (5, None))))
+        assert [type(x) for x in sample_carrier(space, seed=0) if x == 4] == [int, float]
+        report = certify(space, standard_spec(), sample_count=3000, seed=0)
+        assert report.passed and sum(map(len, blocks_evaluated)) == report.triples_checked
+
+    def test_random_tables_under_a_span_equal_the_walk_that_evaluates_every_triple(self, blocks_evaluated):
+        # The tables of random_walks, adversarial entries included, as rule
+        # metrics whose span rule is each plane's own min and max, so that
+        # the sampled blocks skip; every report and first error is that of
+        # the tabulated blocks, which evaluate every drawn triple.
+        evaluated = drawn = raised = 0
+        for i, (space, specs, _) in enumerate(random_walks("psbm:test:sampled-bound", 150)):
+            spanned = PartialSbSpace(space.carrier, RuleMetric("spanned", space.metric, span_rule=own_span(space.metric)))
+            kwargs = {"sample_count": 3000, "seed": i}
+            blocks_evaluated.clear()
+            outcome = walk_outcome(spanned, specs, **kwargs)
+            evaluated += sum(map(len, blocks_evaluated))
+            blocks_evaluated.clear()
+            assert outcome == walk_outcome(space, specs, **kwargs)
+            drawn += sum(map(len, blocks_evaluated))
+            raised += isinstance(outcome, tuple)
+        assert evaluated < drawn * 2 / 3 and 10 < raised < 140
 
 
 class TestRowEvaluator:
