@@ -598,9 +598,8 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
                         continue
                     # Nothing in this plane raises: each row is a chunk of
                     # its own, which its bound may clear.
-                    rows = _slacks(sides._row_bounds(a, factors, bounds), specs, pieces)
-                    for j, (b, slacks) in enumerate(zip(active, rows)):
-                        if _clears(slacks, min_margins):
+                    for j, (b, row) in enumerate(zip(active, sides._row_bounds(a, factors, bounds))):
+                        if _clears(row, specs, pieces, min_margins):
                             yield None, n, None, None
                         else:
                             yield partial(product, (a,), (b,), active), n, *sides._row_products(a, j, factors)
@@ -659,25 +658,24 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
 
     Where the metric has `row_spans` (and no two points are equal keys), a
     block evaluates only the triples whose a-plane or (a, b) row is not
-    cleared: `_clears` on the `_slacks` of its bound, the grid walk's own
-    test. A skipped triple fails nothing and raises nothing in any stage,
-    so the kept ones raise the block's first error; its margin lies
-    strictly above a kept one, so every minimum keeps its bits. Each plane
-    is bounded once, as the grid walk bounds it, and its rows only once a
-    block does not clear the plane; any error while bounding means no
-    bound. A block whose minima are not all floats that are not nan is
-    evaluated whole; such minima only fall, so a plane or row once cleared
-    stays cleared.
+    cleared by the grid walk's own test, `_clears` on its bound. A skipped
+    triple fails nothing and raises nothing in any stage, so the kept ones
+    raise the block's first error; its margin lies strictly above a kept
+    one, so every minimum keeps its bits. Each plane is bounded once, as
+    the grid walk bounds it, and its rows only once a block does not clear
+    the plane; any error while bounding means no bound. A plane or row
+    once cleared stays cleared: a running minimum only falls, or, once nan,
+    stays nan whatever is skipped.
 
-    The first block has no minimum yet. A drawn triple of least bound
-    (least plane slacks, then least row slacks; no slacks is least), the
-    probe, is evaluated on its own, and its margins stand for the minima;
-    if it raises, the block is evaluated whole. The probe is kept, since
-    its slacks lie at or below its margins, so the minima the block leaves
-    lie at or below them. So is the block's first triple: `min` keeps the
-    first element of its fold, which a nan there would hold."""
-    # Per a: None (no bound) or (its slacks, factors, bounds and pieces); the
-    # (b, slacks) of its rows that have slacks; the b of its rows cleared.
+    The first block has no minimum yet. A drawn triple of least bound (on
+    the first spec's piece, least floor less top of its plane, then of its
+    row), the probe, is evaluated on its own, and its margins stand for the
+    minima; if it raises, the block is evaluated whole. The probe is kept,
+    since its bounds lie at or below its margins, so the minima the block
+    leaves lie at or below them. So is the block's first triple: `min`
+    keeps the first element of its fold, which a nan there would hold."""
+    # Per a: None (no bound) or (its bound, pieces and factors); the (b,
+    # bound) of its rows; the b of its rows cleared so far.
     planes, rows, done = {}, {}, {}
     skips = sides._row_spans is not None and len(sides._index) == len(sides.points)
     everything = frozenset(sides.points)
@@ -690,38 +688,41 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
                 bounds = sides._plane_bounds(a, factors)
                 pieces = _pieces(specs, bounds)
                 if pieces is not None:
-                    planes[a] = _slacks([bounds], specs, pieces)[0], factors, bounds, pieces
+                    planes[a] = bounds, pieces, factors
             except Exception:  # no bound: the plane's triples are evaluated
                 pass
         return planes[a]
 
-    def row_slacks(a):
+    def row_bounds(a):
         if a not in rows:
-            _, factors, bounds, pieces = planes[a]
-            slacks = _slacks(sides._row_bounds(a, factors, bounds), specs, pieces)
-            rows[a] = [(b, row) for b, row in zip(sides.points, slacks) if row is not None]
+            bounds, _, factors = planes[a]
+            rows[a] = list(zip(sides.points, sides._row_bounds(a, factors, bounds)))
         return rows[a]
 
     def cleared(a, minima):
         """The points b whose (a, b) rows the bounds clear."""
         found = done.get(a, ())
         if found is not everything and plane(a) is not None:
-            if _clears(planes[a][0], minima):
+            bounds, pieces, _ = planes[a]
+            if _clears(bounds, specs, pieces, minima):
                 found = everything
             else:
-                found = {b for b, slacks in row_slacks(a) if b in found or _clears(slacks, minima)}
+                found = {b for b, row in row_bounds(a) if b in found or _clears(row, specs, pieces, minima)}
             done[a] = found
         return found
 
     def probe(block, heads):
-        """The margins of a drawn triple of least bound, or None. Slacks
-        are never empty, so `or ()` puts no slacks first."""
+        """The margins of a drawn triple of least bound, or None."""
         bounded = [a for a in heads if plane(a) is not None]
         if not bounded:
             return None
-        a = min(bounded, key=lambda a: planes[a][0] or ())
-        slacks = dict(row_slacks(a))
-        triple = min((t for t in block if t[0] == a), key=lambda t: slacks.get(t[1]) or ())
+
+        def slack(bounds, pieces):
+            return _floor(specs[0].comparison, pieces[0], bounds) - bounds[2]
+
+        a = min(bounded, key=lambda a: slack(*planes[a][:2]))
+        pieces, slacks = planes[a][1], dict(row_bounds(a))
+        triple = min((t for t in block if t[0] == a), key=lambda t: slack(slacks[t[1]], pieces))
         try:
             lhs, products = sides._block_products([triple])
             return [spec.comparison(products[0]) - lhs[0] for spec in specs]
@@ -734,7 +735,7 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
             heads = dict.fromkeys(map(itemgetter(0), block))
             first = min_margins[0] is None
             minima = probe(block, heads) if first else min_margins
-            if minima is not None and all(type(m) is float and m == m for m in minima):
+            if minima is not None:
                 clear = {a: cleared(a, minima) for a in heads}
                 kept = [t for t in block if t[1] not in clear[t[0]]]
                 if first and kept[:1] != block[:1]:
@@ -749,35 +750,29 @@ def _cleared(bounds, specs, pieces, min_margins) -> bool:
     """Whether an a-plane leaves every report as it is, decided from its
     bound, `sides._plane_bounds` on `_plane_factors(a, bounded=True)`,
     before any product, or any distance a span stands for, is made:
-    `_clears` on its `_slacks` under the bound's `_pieces`, and never when
-    they are None."""
-    return pieces is not None and _clears(_slacks([bounds], specs, pieces)[0], min_margins)
+    `_clears` under the bound's `_pieces`, and never when they are None."""
+    return pieces is not None and _clears(bounds, specs, pieces, min_margins)
 
 
-def _clears(slacks, min_margins) -> bool:
-    """Whether a block of triples with these `_slacks` leaves every report
-    as it is: it does when there are slacks and each lies strictly above
-    its spec's running minimum margin, a float that is not nan. Each rhs is
-    then >= r, the spec's floor, and r >= top: no lhs fails, and each
-    margin, rhs - lhs >= r - top, is above the minimum, which keeps its
-    bits. The later stages cannot raise there. It is the one test of a
-    plane, a row or a sampled triple."""
-    return slacks is not None and all(type(m) is float and s > m for s, m in zip(slacks, min_margins))
-
-
-def _slacks(bounds, specs, pieces):
-    """Per block bound (lo, hi, top) in bounds, `pieces` being the `_pieces`
-    of a bound that holds them all: per spec r - top, r being its
-    `_floors` on its piece, a lower bound on every margin of the block.
-    A block's entry is None unless r >= top for every spec, and every
-    entry is None on any error: no bound, so nothing is cleared."""
+def _clears(bounds, specs, pieces, min_margins) -> bool:
+    """Whether a block of triples whose products lie in [lo, hi] and whose
+    lhs are at most top, bounds = (lo, hi, top), leaves every report as it
+    is, `pieces` being the `_pieces` of a bound that holds it. It does when
+    every running minimum margin is a float and not nan, and for each spec
+    r = `_floor` on its piece has r >= top and r - top above the minimum.
+    Each rhs is then >= r: no lhs fails, and each margin, rhs - lhs >= r -
+    top, is above the minimum, which keeps its bits. The later stages
+    cannot raise there. Any error while bounding means the block is not
+    cleared."""
+    top = bounds[2]
     try:
-        tops = [top for _, _, top in bounds]
-        columns = [[r - top if r >= top else None for r, top in zip(_floors(spec.comparison, k, bounds), tops)]
-                   for spec, k in zip(specs, pieces)]
-        return [None if None in row else row for row in zip(*columns)]
-    except Exception:  # no bound
-        return [None] * len(bounds)
+        for spec, k, min_margin in zip(specs, pieces, min_margins):
+            r = _floor(spec.comparison, k, bounds)
+            if not (type(min_margin) is float and r >= top and r - top > min_margin):
+                return False
+    except Exception:  # no bound, so the block is evaluated
+        return False
+    return True
 
 
 def _pieces(specs, bounds):
@@ -797,14 +792,13 @@ def _pieces(specs, bounds):
     return pieces
 
 
-def _floors(comparison, k, bounds):
-    """[min(line(lo), line(hi)) for (lo, hi, top) in bounds] on piece k of a
-    ComparisonFn: a lower bound on comparison(v) for every v in [lo, hi]
-    that piece k reads, since the rounded line is monotone and the clamp
-    only raises it. A row's bound may reach past its plane's, on whose
-    piece its values lie; the floor still bounds them."""
-    line = comparison._line
-    return list(map(min, line(k, map(itemgetter(0), bounds)), line(k, map(itemgetter(1), bounds))))
+def _floor(comparison, k, bounds):
+    """min(line(lo), line(hi)) on piece k of a ComparisonFn, bounds = (lo,
+    hi, top): a lower bound on comparison(v) for every v in [lo, hi] that
+    piece k reads, since the rounded line is monotone and the clamp only
+    raises it. A row's bound may reach past its plane's, on whose piece
+    its values lie; the floor still bounds them."""
+    return min(comparison._line(k, bounds[:2]))
 
 
 # --------------------------------------------------------------------------
@@ -1016,7 +1010,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
 
     The table skips an (a, b) row that cannot change a minimum: one whose
     floor, the rounded-outward lower rhs bound of its `_row_bounds`
-    (`_floors`), lies strictly above the running rhs_min of every subcase
+    (`_floor`), lies strictly above the running rhs_min of every subcase
     it feeds. Its distances, products and rhs are never made; its lhs
     values, one row per (S(a), S(b)), are still read for the constant-lhs
     check, so the error names the same subcase and value. 4(iii) is fed
@@ -1060,7 +1054,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
             lhs_plane, products = sides._plane_products(a, factors)
             rhs_plane = _rhs(comparison, products, _span(products), {})[1]
         else:
-            floors = _floors(comparison, pieces[0], sides._row_bounds(a, factors, plane))
+            floors = list(map(partial(_floor, comparison, pieces[0]), sides._row_bounds(a, factors, plane)))
         # Per filing pattern, the floor above which a row of it is skipped.
         limits = {}
         for j, b in enumerate(points):

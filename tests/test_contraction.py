@@ -1221,27 +1221,26 @@ class TestSampledBound:
         assert len(probe) == 1 and first[0] == block[0] and probe[0] in first
         assert len(first) < len(block)
 
-    @pytest.mark.parametrize("above, evaluated", [(False, 1024), (True, 1)], ids=["equal", "one-ulp-above"])
-    def test_a_row_whose_slack_equals_the_threshold_is_evaluated(self, monkeypatch, blocks_evaluated, above, evaluated):
-        # Every row's slack is made the margin of the block's first triple,
-        # and no plane has any: each row ties, so the probe is that first
-        # triple and its margin is the threshold of the one block. Rows
-        # whose slack equals it are evaluated; one ulp above, each is
-        # skipped, but the block's first triple is evaluated.
+    @pytest.mark.parametrize("above", [False, True], ids=["equal", "one-ulp-above"])
+    def test_a_row_whose_slack_equals_the_threshold_is_evaluated(self, monkeypatch, blocks_evaluated, above):
+        # Every plane gets one bound whose floor lies below its top, and
+        # every row one whose floor less top is the margin of the block's
+        # first triple (paper_tau reads products above 1 as t / 2, exactly).
+        # Each plane and each row ties, so the probe is that first triple
+        # and its margin is the threshold of the one block. Rows whose
+        # slack equals it are evaluated; one ulp above, each is skipped, but
+        # the block's first triple is evaluated.
         spec = standard_spec()
         block = sampled_blocks(GAP, spec, 1024, 2)[0]
         lhs, rhs = InequalitySides(GAP, spec, sample_carrier(GAP, seed=2)[1:]).block(block[:1])
         threshold = rhs[0] - lhs[0]
-        slack = math.nextafter(threshold, math.inf) if above else threshold
-
-        def slacks(bounds, specs, pieces):
-            return [None] if len(bounds) == 1 else [(slack,)] * len(bounds)
-
-        monkeypatch.setattr(contraction, "_slacks", slacks)
+        floor = math.nextafter(threshold, math.inf) if above else threshold
+        monkeypatch.setattr(InequalitySides, "_plane_bounds", lambda sides, a, factors: (2 * floor, 2 * floor, math.inf))
+        monkeypatch.setattr(InequalitySides, "_row_bounds", lambda sides, a, factors, plane: [(2 * floor, 2 * floor, 0)] * len(sides.points))
         blocks_evaluated.clear()
         certify(GAP, spec, sample_count=1024, seed=2)
         assert blocks_evaluated[0] == block[:1]
-        assert blocks_evaluated[1] == (block if not above else block[:1])
+        assert blocks_evaluated[1] == (block[:1] if above else block)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_an_error_while_bounding_a_plane_is_not_raised(self, seed):
