@@ -721,8 +721,8 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
             return _floor(specs[0].comparison, pieces[0], bounds) - bounds[2]
 
         a = min(bounded, key=lambda a: slack(*planes[a][:2]))
-        pieces, slacks = planes[a][1], dict(row_bounds(a))
-        triple = min((t for t in block if t[0] == a), key=lambda t: slack(slacks[t[1]], pieces))
+        pieces, row_of = planes[a][1], dict(row_bounds(a))
+        triple = min((t for t in block if t[0] == a), key=lambda t: slack(row_of[t[1]], pieces))
         try:
             lhs, products = sides._block_products([triple])
             return [spec.comparison(products[0]) - lhs[0] for spec in specs]
@@ -732,7 +732,7 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
     for block in blocks:
         kept = block
         if skips:
-            heads = dict.fromkeys(map(itemgetter(0), block))
+            heads = dict.fromkeys(map(itemgetter(0), block))  # its distinct a
             first = min_margins[0] is None
             minima = probe(block, heads) if first else min_margins
             if minima is not None:
