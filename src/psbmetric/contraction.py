@@ -9,9 +9,9 @@ the map, since the defining inequality is quantified away from fixed points.
 dist(a, b, c) and the comparison per triple, a plane or a list at a time:
 the metric's `plane` gives the distances of one a over every (b, c), and
 `_rhs` the comparison of a list of products, reading a ComparisonFn's line
-once when the whole list lies on one piece; both are bit for bit the
-pointwise calls. Every other factor is tabulated once per point, per image
-S(x), per (S(a), S(b)) or per (S(a), b), whichever it depends on.
+when the whole list lies on one piece; both are bit for bit the pointwise
+calls. Every other factor is tabulated once per point, per image S(x), per
+(S(a), S(b)) or per (S(a), b), whichever it depends on.
 `certify` walks the a-planes of its points, n^2 triples each, and reduces
 each plane's margins at C level; its sampled path reads the same tables a
 block of drawn triples at a time.
@@ -37,30 +37,27 @@ widening assumes a pow that is faithfully rounded (an error below 1 ulp),
 which Python does not promise. The case table skips, by the same bound,
 the (a, b) rows that cannot change a subcase's minimum
 (`reproduce_case_table`). On a metric with `row_spans`, a sampled block
-evaluates only the drawn triples whose plane or row is not cleared, each
-plane being bounded once per certificate (`_sampled_chunks`); the first
-block is held to the margins of one triple of least bound.
+after the first evaluates only the drawn triples whose plane or row is
+not cleared, each plane being bounded once per certificate
+(`_sampled_chunks`); the first block is evaluated whole.
 
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane, row or
-block is evaluated up to its products, and their min and max, once. `_rhs`,
-the one maker of an rhs list (for the walk, the case table, `plane` and
-`block`), reads it off one piece's line, or else goes value by value. On
-the walk, specs whose lines are equal bit for bit share one rhs list, one
-failure list and, while their running minimum margins have the same bits,
-one margin reduction; every report is bit for bit that of its own certify
-call. The case table walks each a-plane once and files each
-c of each of its (a, b) rows into its subcase by the row's equality
-pattern. `ray_grid` is the one evenly spaced grid on a region carrier's
-ray, used by the case table, by `psbm certify --grid` and by the
-reproduction script.
+block is evaluated up to its products, and their min and max, once; each
+spec then makes its own rhs list, margin reduction and failure list, so
+that every report is bit for bit that of its own certify call. `_rhs`, the
+one maker of an rhs list (for the walk, the case table, `plane` and
+`block`), reads it off one piece's line, or else goes value by value. The
+case table walks each a-plane once and files each c of each of its (a, b)
+rows into its subcase by the row's equality pattern. `ray_grid` is the one
+evenly spaced grid on a region carrier's ray, used by the case table, by
+`psbm certify --grid` and by the reproduction script.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -267,14 +264,14 @@ class InequalitySides:
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
         lhs, products = self._plane_products(a, self._plane_factors(a))
-        return lhs, _rhs(self._comparison, products, _span(products), {})[1]
+        return lhs, _rhs(self._comparison, products, _span(products))
 
     def block(self, triples):
         """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
         fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
         made once, in the order the triples first need it, and indexed by c."""
         lhs, products = self._block_products(triples)
-        return lhs, _rhs(self._comparison, products, _span(products), {})[1]
+        return lhs, _rhs(self._comparison, products, _span(products))
 
     @cached_property
     def _row_spans(self):
@@ -282,21 +279,21 @@ class InequalitySides:
         a that gives None or raises where it has no span."""
         return self._metric.row_spans(self.points, self.points)
 
-    def _plane_factors(self, a, bounded=False):
+    def _plane_factors(self, a):
         """The stages of `plane` that can raise before its products, in
         order: the fifth-factor rows of S(a), the distances and the lhs rows
         of S(a). Returns (fifth, lhs, d), each a `_Rows` over the b; fifth
-        and lhs are made once per image. With `bounded`, spans from the
-        metric's `row_spans` stand for the distances, which are left unmade
-        (d.rows None) for `_plane_products` and `_row_products`: the metric
-        promises that they raise nothing. Without one, they are made and,
-        with `bounded`, bounded row by row by their own `finite_span`."""
+        and lhs are made once per image. Spans from the metric's
+        `row_spans` stand for the distances, which are left unmade (d.rows
+        None) for `_plane_products` and `_row_products`: the metric promises
+        that they raise nothing. Without one, they are made and bounded row
+        by row by their own `finite_span`."""
         points, image = self.points, self._image
         ia = image[a]
         fifth = self._fifth_planes.get(ia) or self._fifth_planes.setdefault(
             ia, _factor_rows([self._fifth_row(ia, b) for b in points]))
         spans = None
-        if bounded and self._row_spans is not None:
+        if self._row_spans is not None:
             try:
                 spans = self._row_spans(a)
             except Exception:  # no span for this plane
@@ -305,8 +302,7 @@ class InequalitySides:
             lows, highs = spans
             d = _Rows(None, list(zip(lows, highs)), (min(lows), max(highs)))
         else:
-            rows = self._distances(a)
-            d = _factor_rows(rows) if bounded else _Rows(rows, None, None)
+            d = _factor_rows(self._distances(a))
         lhs = self._lhs_planes.get(ia) or self._lhs_planes.setdefault(
             ia, _factor_rows([self._lhs_row(ia, image[b]) for b in points]))
         return fifth, lhs, d
@@ -328,7 +324,7 @@ class InequalitySides:
 
     def _row_products(self, a, j, factors):
         """The lhs row and the product row of (a, b, c) over the c, b being
-        points[j], from `factors`, `_plane_factors(a, bounded=True)` of a
+        points[j], from `factors`, `_plane_factors(a)` of a
         plane whose products raise nothing; a distance row that it left
         unmade is made here. The lhs row is shared: it is read only."""
         fifth, lhs, d = factors
@@ -372,13 +368,13 @@ class InequalitySides:
 
     def _plane_bounds(self, a, factors):
         """`_bounds` of a's whole plane, one block, from
-        `_plane_factors(a, bounded=True)`."""
+        `_plane_factors(a)`."""
         fifth, lhs, d = factors
         return self._bounds(a, [d.span], [self._g_spans[0]], [fifth.span], [lhs.span])[0]
 
     def _row_bounds(self, a, factors, plane):
         """The (lo, hi, top) of each (a, b) row of a's plane, in the order
-        of b, from `_plane_factors(a, bounded=True)`: the `_bounds` of each
+        of b, from `_plane_factors(a)`: the `_bounds` of each
         row, O(1) a row from the row spans, or the plane's own, `plane`, for
         a row that has none."""
         fifth, lhs, d = factors
@@ -398,11 +394,10 @@ class InequalitySides:
 class _Rows(NamedTuple):
     """One factor of an a-plane as rows over c, one per b: the rows (None
     for distances that a metric's span stands for), the `finite_span` of
-    each row, and the span of them all, None unless every row has one.
-    The distances of a plane made without `bounded` have no spans."""
+    each row, and the span of them all, None unless every row has one."""
 
     rows: list | None
-    spans: list | None
+    spans: list
     span: tuple | None
 
 
@@ -416,36 +411,18 @@ def _factor_rows(rows) -> _Rows:
     return _Rows(rows, spans, span)
 
 
-def _rhs(comparison, products, span, lines):
-    """(key, rhs) with rhs = [comparison(v) for v in products], bit for bit,
-    errors included; span is `_span(products)`. A ComparisonFn whose
-    `_piece(span)` finds a piece reads the list off that piece's line, once
-    per line: the list is kept in `lines` under the `_bits` of the line's
-    parts, which is also its key, so a later call with a line equal bit for
-    bit gets the same list object. Any other comparison, or a list that no
-    one piece covers, goes value by value under a key of its own."""
+def _rhs(comparison, products, span):
+    """[comparison(v) for v in products], bit for bit, errors included; span
+    is `_span(products)`. A ComparisonFn whose `_piece(span)` finds a piece
+    reads the list off that piece's line; any other comparison, or a list
+    that no one piece covers, goes value by value."""
     k = comparison._piece(span) if isinstance(comparison, ComparisonFn) else None
-    if k is None:
-        return object(), list(map(comparison, products))
-    key = tuple(map(_bits, comparison._lines[k]))
-    if key not in lines:
-        lines[key] = comparison._line(k, products)
-    return key, lines[key]
+    return list(map(comparison, products)) if k is None else comparison._line(k, products)
 
 
 # d ** p times these is a bound below and above on the d ** p of a pow that
 # is faithfully rounded, when it is a normal float or 0 (`_bounds`).
 _WIDEN = (1 - 2.0 ** -48, 1 + 2.0 ** -48)
-
-
-def _bits(value):
-    """A key that two values share only when both are None or both are the
-    same float bit for bit: 0.0 and -0.0 differ, as do nans whose bits
-    differ, and a value of any other type shares its key with nothing. It
-    keys running minima, and lines by their parts (x0, y0, slope)."""
-    if value is None:
-        return None
-    return struct.pack("<d", value) if type(value) is float else object()
 
 
 def _entries(make_row, keys, ks):
@@ -512,7 +489,7 @@ def certify(
     exponents, in a plain <=: a tie within rounding needs outward rounding.
     It is `_certificates` with one spec: each chunk's products are scanned
     once for their min and max, from which `_rhs` picks the line they are
-    read off, so one spec pays no pass for the sharing.
+    read off.
 
     With `points`, an a-plane after the first is cleared by `_cleared`, its
     products never made, when a bound on them, rounded outward, shows that
@@ -526,13 +503,11 @@ def certify(
     module docstring).
 
     With `sample_count`, every drawn triple counts in triples_checked, but
-    where the metric has `row_spans` (the quintic builtins), a triple is
-    evaluated only when the bound of its a-plane or (a, b) row, by the same
-    test, does not clear it against the running minima of the blocks before
-    it. In the first block, the margins of one drawn triple of least bound,
-    evaluated on its own, stand for those minima, and the block's first
-    triple is always evaluated (`_sampled_chunks`). On any other metric,
-    every drawn triple is evaluated.
+    where the metric has `row_spans` (the quintic builtins), a triple of a
+    block after the first is evaluated only when the bound of its a-plane
+    or (a, b) row, by the same test, does not clear it against the running
+    minima of the blocks before it (`_sampled_chunks`). The first block, and
+    on any other metric every block, is evaluated whole.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -541,17 +516,12 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     """[certify(space, spec, ...) for spec in specs], report for report and
     bit for bit, from one walk. The specs must share p, q, r, s and the map
     (InvalidArgument otherwise), so that the products of every a-plane or
-    block, and their min and max, are made once. `_rhs` then gives each
-    spec's rhs, one call per spec per chunk: one list for specs whose line
-    parts have the same `_bits`, and a list of its own for a spec that goes
-    value by value. Specs with one rhs list share its failures,
-    and its margin reduction while their running minima are the same bits
-    (a float key would merge 0.0 with -0.0); the rest reduce on their own.
+    block, and their min and max, are made once. Each spec then makes its
+    own rhs list (`_rhs`), margin reduction and failure list from them.
     An error is the first of the first a-plane or block that raises, in
     InequalitySides' stage order up to the products, then spec by spec in
-    `specs` order: the comparison, then the margins. A shared step raised
-    nothing for the spec that made it, so it cannot raise for one that
-    reuses it; with one spec this order is certify's."""
+    `specs` order: the comparison, then the margins; with one spec this
+    order is certify's."""
     first = specs[0]
 
     def shared(spec):
@@ -586,7 +556,7 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
 
             def planes():
                 for a in active:
-                    factors = sides._plane_factors(a, bounded=True)
+                    factors = sides._plane_factors(a)
                     bounds = sides._plane_bounds(a, factors)
                     pieces = _pieces(specs, bounds)
                     # min_margins holds the running minima of the chunks before.
@@ -618,26 +588,15 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
             checked += count
             if products is None:
                 continue
-            # Specs whose comparisons read the chunk off lines equal bit for
-            # bit share one rhs list (kept by `_rhs` in lines), its
-            # failures (failed) and, while their running minima are the same
-            # bits, its margin reduction (reduced); any other rhs list has a
-            # key of its own.
-            span, lines, reduced, failed = _span(products), {}, {}, {}
+            span = _span(products)
             for i, spec in enumerate(specs):
-                key, rhs = _rhs(spec.comparison, products, span, lines)
-                min_margin = min_margins[i]
-                state = key, _bits(min_margin)
-                if state not in reduced:
-                    margins = map(sub, rhs, lhs)
-                    # Continues the running minimum exactly as a triple-by-triple
-                    # `if margin < min_margin` loop would, nan margins included.
-                    reduced[state] = min(margins) if min_margin is None else min(chain((min_margin,), margins))
-                min_margins[i] = reduced[state]
-                if key not in failed:
-                    failed[key] = () if all(map(le, lhs, rhs)) else [
-                        (*t, l, r) for t, l, r in zip(triples(), lhs, rhs) if not l <= r]
-                failures[i].extend(failed[key])
+                rhs = _rhs(spec.comparison, products, span)
+                margins = map(sub, rhs, lhs)
+                # Continues the running minimum exactly as a triple-by-triple
+                # `if margin < min_margin` loop would, nan margins included.
+                min_margins[i] = min(margins) if min_margins[i] is None else min(chain((min_margins[i],), margins))
+                if not all(map(le, lhs, rhs)):
+                    failures[i].extend((*t, l, r) for t, l, r in zip(triples(), lhs, rhs) if not l <= r)
     except OverflowError:  # an int beyond the float range in a power, m or a margin
         raise DistanceOverflow("the contraction inequality overflows the float range") from None
 
@@ -667,13 +626,8 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
     once cleared stays cleared: a running minimum only falls, or, once nan,
     stays nan whatever is skipped.
 
-    The first block has no minimum yet. A drawn triple of least bound (on
-    the first spec's piece, least floor less top of its plane, then of its
-    row), the probe, is evaluated on its own, and its margins stand for the
-    minima; if it raises, the block is evaluated whole. The probe is kept,
-    since its bounds lie at or below its margins, so the minima the block
-    leaves lie at or below them. So is the block's first triple: `min`
-    keeps the first element of its fold, which a nan there would hold."""
+    The first block has no minimum yet, so it is evaluated whole, as the
+    grid walk evaluates its first plane."""
     # Per a: None (no bound) or (its bound, pieces and factors); the (b,
     # bound) of its rows; the b of its rows cleared so far.
     planes, rows, done = {}, {}, {}
@@ -684,7 +638,7 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
         if a not in planes:
             planes[a] = None
             try:
-                factors = sides._plane_factors(a, bounded=True)
+                factors = sides._plane_factors(a)
                 bounds = sides._plane_bounds(a, factors)
                 pieces = _pieces(specs, bounds)
                 if pieces is not None:
@@ -693,53 +647,25 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
                 pass
         return planes[a]
 
-    def row_bounds(a):
-        if a not in rows:
-            bounds, _, factors = planes[a]
-            rows[a] = list(zip(sides.points, sides._row_bounds(a, factors, bounds)))
-        return rows[a]
-
-    def cleared(a, minima):
+    def cleared(a):
         """The points b whose (a, b) rows the bounds clear."""
         found = done.get(a, ())
         if found is not everything and plane(a) is not None:
-            bounds, pieces, _ = planes[a]
-            if _clears(bounds, specs, pieces, minima):
+            bounds, pieces, factors = planes[a]
+            if _clears(bounds, specs, pieces, min_margins):
                 found = everything
             else:
-                found = {b for b, row in row_bounds(a) if b in found or _clears(row, specs, pieces, minima)}
+                if a not in rows:
+                    rows[a] = list(zip(sides.points, sides._row_bounds(a, factors, bounds)))
+                found = {b for b, row in rows[a] if b in found or _clears(row, specs, pieces, min_margins)}
             done[a] = found
         return found
 
-    def probe(block, heads):
-        """The margins of a drawn triple of least bound, or None."""
-        bounded = [a for a in heads if plane(a) is not None]
-        if not bounded:
-            return None
-
-        def slack(bounds, pieces):
-            return _floor(specs[0].comparison, pieces[0], bounds) - bounds[2]
-
-        a = min(bounded, key=lambda a: slack(*planes[a][:2]))
-        pieces, row_of = planes[a][1], dict(row_bounds(a))
-        triple = min((t for t in block if t[0] == a), key=lambda t: slack(row_of[t[1]], pieces))
-        try:
-            lhs, products = sides._block_products([triple])
-            return [spec.comparison(products[0]) - lhs[0] for spec in specs]
-        except Exception:  # the block is evaluated whole, and raises in order
-            return None
-
     for block in blocks:
         kept = block
-        if skips:
-            heads = dict.fromkeys(map(itemgetter(0), block))  # its distinct a
-            first = min_margins[0] is None
-            minima = probe(block, heads) if first else min_margins
-            if minima is not None:
-                clear = {a: cleared(a, minima) for a in heads}
-                kept = [t for t in block if t[1] not in clear[t[0]]]
-                if first and kept[:1] != block[:1]:
-                    kept.insert(0, block[0])
+        if skips and min_margins[0] is not None:
+            clear = {a: cleared(a) for a in dict.fromkeys(map(itemgetter(0), block))}
+            kept = [t for t in block if t[1] not in clear[t[0]]]
         if kept:
             yield partial(iter, kept), len(block), *sides._block_products(kept)
         else:
@@ -748,7 +674,7 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
 
 def _cleared(bounds, specs, pieces, min_margins) -> bool:
     """Whether an a-plane leaves every report as it is, decided from its
-    bound, `sides._plane_bounds` on `_plane_factors(a, bounded=True)`,
+    bound, `sides._plane_bounds` on `_plane_factors(a)`,
     before any product, or any distance a span stands for, is made:
     `_clears` under the bound's `_pieces`, and never when they are None."""
     return pieces is not None and _clears(bounds, specs, pieces, min_margins)
@@ -1047,12 +973,12 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     late, least = [[] for _ in points], None
     n = len(points)
     for i, a in enumerate(points):
-        factors = sides._plane_factors(a, bounded=True)
+        factors = sides._plane_factors(a)
         plane = sides._plane_bounds(a, factors)
         pieces = _pieces((spec,), plane)
         if pieces is None:
             lhs_plane, products = sides._plane_products(a, factors)
-            rhs_plane = _rhs(comparison, products, _span(products), {})[1]
+            rhs_plane = _rhs(comparison, products, _span(products))
         else:
             floors = list(map(partial(_floor, comparison, pieces[0]), sides._row_bounds(a, factors, plane)))
         # Per filing pattern, the floor above which a row of it is skipped.
@@ -1079,7 +1005,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
                     scans[other].read_row((sides._image[a], sides._image[b]), lhs, cells)
                     continue
                 lhs, products = sides._row_products(a, j, factors)
-                rhs = _rhs(comparison, products, _span(products), {})[1]
+                rhs = _rhs(comparison, products, _span(products))
                 limits.clear()
             for k, label in cells.items():
                 if label == "4(iii)":

@@ -1503,6 +1503,8 @@ CERTIFY_JSON_SHA256 = {
     ("--samples", "10000", "--seed", "1"): "1e93335c090e8045159ed2e9a270400b775cb34736d7d597d7aee06e18cc9cec",
     ("--samples", "10000", "--seed", "1", "--matkowski"): "1e93335c090e8045159ed2e9a270400b775cb34736d7d597d7aee06e18cc9cec",
     ("--samples", "40000", "--seed", "3"): "c405e90aa1ca4ca4ae51401c73d96152a27d92a50e6f119eae83e6859e1a4836",
+    ("--samples", "10000", "--seed", "0"): "0b9f7e27f0d442ee1134c8ab84bc90a7ea2fdbb1868d14e3f547a681f6f558d8",
+    ("--samples", "10000", "--seed", "7"): "6e51267f73f82e147e39aee11145f6d83510dd9f489418984823350eb6e7d42a",
 }
 
 

@@ -503,8 +503,8 @@ def counting(fn):
 
 def listed(fn, values):
     """The rhs list that `contraction._rhs` makes of values, as `plane` and
-    `block` call it: no line shared with another list."""
-    return _rhs(fn, values, _span(values), {})[1]
+    `block` call it."""
+    return _rhs(fn, values, _span(values))
 
 
 class TestListEvaluation:

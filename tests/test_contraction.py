@@ -615,8 +615,7 @@ def lines_read(monkeypatch):
 @pytest.fixture
 def blocks_evaluated(monkeypatch):
     """The triples of each list that `_block_products` evaluates, as made:
-    on the sampled path, a block's kept triples or its first block's
-    probe."""
+    on the sampled path, a block's kept triples."""
     real, evaluated = InequalitySides._block_products, []
 
     def recording(sides, triples):
@@ -735,17 +734,17 @@ class TestSharedWalk:
             assert [r.passed for r in reports] == [True] * 3
             # Planes 4, 3 and 1 lie on one piece of every spec, so they are
             # walked a row at a time, and with falling products no row is
-            # cleared: 2, 3 and 2 lists a row. Plane 2 runs into the
+            # cleared: one list per spec a row. Plane 2 runs into the
             # third's next piece, so it is evaluated whole, and only the
             # first two read it off a line.
-            assert lines_read.count(4) == (2 + 3 + 2) * 4 and lines_read.count(16) == 2
+            assert lines_read.count(4) == 3 * 3 * 4 and lines_read.count(16) == 2
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_lines_that_differ_only_in_the_sign_of_a_zero(self, mode, lines_read):
         # Flat at +0.0 and at -0.0 below 10^6: every rhs of planes 1 and 2 is
         # 0.0 + -0.0 = 0.0 or -0.0 + -0.0 = -0.0, and so is the margin (every
-        # lhs is 0). Planes 3 and 4 lie on the identity in both, so the rhs is
-        # shared there, but not the running minima, 0.0 and -0.0.
+        # lhs is 0). Planes 3 and 4 lie on the identity in both, so the rhs
+        # lists are equal there, but not the running minima, 0.0 and -0.0.
         plus = piecewise("plus", (0.0, 1e6, 0.0, 2e6, 0.0), (1e6, 0.0, 0.0, 1.0, 1.0))
         minus = piecewise("minus", (0.0, 1e6, -0.0, 2e6, -0.0), (1e6, 0.0, 0.0, 1.0, 1.0))
         reports = staged_walk(mode, (plus, minus, plus), lines_read=lines_read)
@@ -753,8 +752,8 @@ class TestSharedWalk:
             assert [float_bits(r.min_margin) for r in reports] == [float_bits(0.0), float_bits(-0.0), float_bits(0.0)]
             # Every plane lies on one piece of each spec and is walked a row
             # at a time, and no row's margins lie above the running minimum:
-            # one list a row of planes 4 and 3, two a row of planes 2 and 1.
-            assert lines_read == [4] * (4 + 4 + 2 * 4 + 2 * 4)
+            # one list per spec a row.
+            assert lines_read == [4] * (3 * 4 * 4)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_a_piece_clamped_at_its_low_end(self, mode, lines_read):
@@ -765,10 +764,10 @@ class TestSharedWalk:
         reports = staged_walk(mode, (clamped, split), lines_read=lines_read)
         if mode == "grid":
             assert reports[0].min_margin == 0.0
-            # Planes 4 and 3 are walked a row at a time, one shared list a
+            # Planes 4 and 3 are walked a row at a time, one list per spec a
             # row; planes 2 and 1 are evaluated whole, and only split reads
             # plane 1 off a line.
-            assert lines_read.count(4) == 2 * 4 and lines_read.count(16) == 1
+            assert lines_read.count(4) == 2 * 2 * 4 and lines_read.count(16) == 1
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     @pytest.mark.parametrize("overrides", [
@@ -786,12 +785,13 @@ class TestSharedWalk:
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_a_plain_callable_shares_nothing(self, mode, lines_read):
-        # Its values equal the line's, but only ComparisonFn lists are shared.
+        # Its values equal the line's, but only a ComparisonFn reads a line.
         by_hand = FakeComparison("quarter-by-hand", lambda v: 0.0 + (v - 0.0) * 0.25)
         reports = staged_walk(mode, (by_hand, QUARTER, by_hand, QUARTER), lines_read=lines_read)
         assert reports[0] == reports[1] == reports[2] == reports[3]
         if mode == "grid":
-            assert lines_read == [16] * 4
+            # Every plane is evaluated whole, and each QUARTER spec reads it.
+            assert lines_read == [16] * (2 * 4)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_one_comparison_object_in_two_specs(self, mode, lines_read, rows_made):
@@ -803,15 +803,15 @@ class TestSharedWalk:
         if mode == "grid":
             # 0 is fixed: the 51 other a-planes, walked with falling products
             # so that no plane is cleared, are walked a row at a time, one
-            # list for the three specs per row that its bound does not
-            # clear; it clears most.
+            # list per spec per row that its bound does not clear; it
+            # clears most.
             assert rows_made == [1] * len(rows_made) and 51 <= len(rows_made) < 51 * 51 / 10
-            assert lines_read == [51] * len(rows_made)
+            assert lines_read == [51] * (3 * len(rows_made))
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read, rows_made):
         # paper_tau with int starts, x0 and y0 gives the float one's values
-        # bit for bit, but only a line whose parts are all floats is shared.
+        # bit for bit.
         int_tau = ComparisonFn("int_tau", ((0, ((0, 0), (10, 9)), True), (1, ((0, 0), (2, 1)), False)), BOYD_WONG)
         tau = builtin_comparison("paper_tau")
         kwargs = {"points": CERT_POINTS[11::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
@@ -820,10 +820,10 @@ class TestSharedWalk:
         assert repr(reports[0]) == repr(reports[1])
         if mode == "grid":
             # 0 is fixed: per row evaluated of the a-planes of the 11 others
-            # (with falling products, so no plane is cleared), one list for
-            # the two float lines and one for each int line.
+            # (with falling products, so no plane is cleared), one list per
+            # spec.
             assert rows_made == [1] * len(rows_made) and 11 <= len(rows_made) < 11 * 11
-            assert lines_read == [11] * (3 * len(rows_made))
+            assert lines_read == [11] * (4 * len(rows_made))
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_one_scan_for_the_min_and_max_per_plane_or_block(self, mode, monkeypatch):
@@ -959,7 +959,7 @@ class TestPlaneBound:
         sides = InequalitySides(space, spec, [1, 2, 3, 4])
         # A metric with no span rule: the walk makes the distances and
         # bounds them by each row's own finite_span.
-        factors = sides._plane_factors(3, bounded=True)
+        factors = sides._plane_factors(3)
         _, _, d = factors
         ds = list(itertools.chain.from_iterable(d.rows))
         assert d.span == (min(ds), max(ds)) and d.spans == [(min(row), max(row)) for row in d.rows]
@@ -1209,38 +1209,37 @@ class TestSampledBound:
 
     def test_triples_evaluated_at_seed_1(self, blocks_evaluated):
         report = certify(GAP, standard_spec(), sample_count=10_000, seed=1)
-        # The probe, then each block's kept triples: 124 of 9,076.
-        assert [len(t) for t in blocks_evaluated] == [1, 51, 15, 18, 4, 6, 5, 4, 6, 6, 8]
+        # The first block whole, then each block's kept triples: 1,008 of 9,076.
+        assert [len(t) for t in blocks_evaluated] == [936, 15, 18, 4, 6, 5, 4, 6, 6, 8]
         assert report.triples_checked == 9076 and report.passed
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_the_first_block_keeps_its_first_triple_and_its_probe(self, blocks_evaluated, seed):
+    def test_the_first_block_is_evaluated_whole(self, blocks_evaluated, seed):
+        # It has no running minimum to be held to; the second is.
         certify(GAP, standard_spec(), sample_count=10_000, seed=seed)
-        probe, first = blocks_evaluated[:2]
-        block = sampled_blocks(GAP, standard_spec(), 10_000, seed)[0]
-        assert len(probe) == 1 and first[0] == block[0] and probe[0] in first
-        assert len(first) < len(block)
+        first, second = sampled_blocks(GAP, standard_spec(), 10_000, seed)[:2]
+        assert blocks_evaluated[0] == first
+        assert set(blocks_evaluated[1]) <= set(second) and len(blocks_evaluated[1]) < len(second)
 
     @pytest.mark.parametrize("above", [False, True], ids=["equal", "one-ulp-above"])
     def test_a_row_whose_slack_equals_the_threshold_is_evaluated(self, monkeypatch, blocks_evaluated, above):
         # Every plane gets one bound whose floor lies below its top, and
-        # every row one whose floor less top is the margin of the block's
-        # first triple (paper_tau reads products above 1 as t / 2, exactly).
-        # Each plane and each row ties, so the probe is that first triple
-        # and its margin is the threshold of the one block. Rows whose
-        # slack equals it are evaluated; one ulp above, each is skipped, but
-        # the block's first triple is evaluated.
+        # every row one whose floor less top is the least margin of the
+        # first block (paper_tau reads products above 1 as t / 2, exactly),
+        # or one ulp above it. The first block is evaluated whole, and
+        # leaves that margin as the threshold of the second: rows whose
+        # slack equals it are evaluated; one ulp above, each is skipped.
         spec = standard_spec()
-        block = sampled_blocks(GAP, spec, 1024, 2)[0]
-        lhs, rhs = InequalitySides(GAP, spec, sample_carrier(GAP, seed=2)[1:]).block(block[:1])
-        threshold = rhs[0] - lhs[0]
+        first, second = sampled_blocks(GAP, spec, 2048, 2)
+        lhs, rhs = InequalitySides(GAP, spec, sample_carrier(GAP, seed=2)[1:]).block(first)
+        threshold = min(map(operator.sub, rhs, lhs))
         floor = math.nextafter(threshold, math.inf) if above else threshold
         monkeypatch.setattr(InequalitySides, "_plane_bounds", lambda sides, a, factors: (2 * floor, 2 * floor, math.inf))
         monkeypatch.setattr(InequalitySides, "_row_bounds", lambda sides, a, factors, plane: [(2 * floor, 2 * floor, 0)] * len(sides.points))
         blocks_evaluated.clear()
-        certify(GAP, spec, sample_count=1024, seed=2)
-        assert blocks_evaluated[0] == block[:1]
-        assert blocks_evaluated[1] == (block[:1] if above else block)
+        report = certify(GAP, spec, sample_count=2048, seed=2)
+        assert report.min_margin <= threshold
+        assert blocks_evaluated == ([first] if above else [first, second])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_an_error_while_bounding_a_plane_is_not_raised(self, seed):
@@ -1281,18 +1280,19 @@ class TestSampledBound:
     def test_random_tables_under_a_span_equal_the_walk_that_evaluates_every_triple(self, blocks_evaluated):
         # The tables of random_walks, adversarial entries included, as rule
         # metrics whose span rule is each plane's own min and max, so that
-        # the sampled blocks skip; every report and first error is that of
-        # the tabulated blocks, which evaluate every drawn triple.
+        # the sampled blocks after the first skip; every report and first
+        # error is that of the tabulated blocks, which evaluate every drawn
+        # triple.
         evaluated = drawn = raised = 0
         for i, (space, specs, _) in enumerate(random_walks("psbm:test:sampled-bound", 150)):
             spanned = PartialSbSpace(space.carrier, RuleMetric("spanned", space.metric, span_rule=own_span(space.metric)))
             kwargs = {"sample_count": 3000, "seed": i}
             blocks_evaluated.clear()
             outcome = walk_outcome(spanned, specs, **kwargs)
-            evaluated += sum(map(len, blocks_evaluated))
+            evaluated += sum(map(len, blocks_evaluated[1:]))
             blocks_evaluated.clear()
             assert outcome == walk_outcome(space, specs, **kwargs)
-            drawn += sum(map(len, blocks_evaluated))
+            drawn += sum(map(len, blocks_evaluated[1:]))
             raised += isinstance(outcome, tuple)
         assert evaluated < drawn * 2 / 3 and 10 < raised < 140
 

@@ -171,12 +171,12 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     assert images == [(51, 51 * 51)] * 4 + [(21, 21 * 21)] * 4
 
 
-def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch, cleared_planes):
+def test_contraction_item_maps_one_rhs_list_per_spec_per_row(monkeypatch, cleared_planes):
     """Above 1, paper_tau is t/2, the line of half, and every product on
-    the grid is above 1: the two certificates share one rhs list per
-    evaluated row, where they mapped two; a cleared plane or row maps
-    none. The evaluated and the cleared planes are the 51 of the walk, and
-    the evaluated planes lie on that line, so they are walked a row at a
+    the grid is above 1: each of the two certificates reads one rhs list
+    off that line per evaluated row; a cleared plane or row maps none.
+    The evaluated and the cleared planes are the 51 of the walk, and the
+    evaluated planes lie on that line, so they are walked a row at a
     time."""
     real, real_products = comparison.ComparisonFn._line, contraction.InequalitySides._row_products
     lengths, rows = [], []
@@ -197,7 +197,7 @@ def test_contraction_item_maps_one_rhs_list_per_plane(monkeypatch, cleared_plane
     evaluated = cleared_planes.count(False)
     assert evaluated + cleared_planes.count(True) == len(cleared_planes) == 51
     assert 1 <= evaluated <= 2
-    assert lengths.count(51 * 51) == 0 and 1 <= lengths.count(51) == rows.count(51) <= 4
+    assert lengths.count(51 * 51) == 0 and 1 <= rows.count(51) <= 4 and lengths.count(51) == 2 * rows.count(51)
 
 
 @pytest.mark.parametrize("matkowski", [False, True])
