@@ -18,18 +18,23 @@ block of drawn triples at a time.
 
 The grid walk decides most planes, and most rows of the rest, from a
 bound before making their products (interval analysis, Moore 1966). A
-plane's lhs and fifth-factor rows depend on a only through S(a), so they
-are made, each with its `numerics.finite_span`, once per image; its
-distances are bounded row by row by the metric's `row_spans` (O(1) a row
-on the quintic builtins, from one pass over the walk's fifth powers) or,
-when that gives none, made and bounded by each row's own `finite_span`. A
+plane's lhs rows depend on a only through S(a), so they are made, each
+with its `numerics.finite_span`, once per image. A fifth-factor row of
+(S(a), b) is bounded, without being made, from the least and greatest
+entry of the pair row dist(S(b), S(b), .) (`_fifth_bounds`), and made
+only when its row is evaluated. The distances are bounded by the metric's
+`row_spans`: on the quintic builtins the plane's bound takes O(1) and its
+rows' bounds, made only for a plane that its own bound does not clear,
+O(1) a row, each from one pass over the walk's fifth powers; when that
+gives none, they are made and bounded by each row's own `finite_span`. A
 finite span needs finite values and no nan, not a finite sum. The products
 of the factors' minima and maxima over a block of rows (`_bounds`), with
-d^p widened by (1 -+ 2^-48), then bound every product of the block below
-and above. A plane whose bound keeps every rhs above every lhs, and every
-margin above each spec's running minimum, is cleared: it cannot change a
-report, its n^2 triples count in triples_checked unevaluated, and neither
-its products nor, under a span, its distances are made. A plane that is
+d^p and the fifth factor's bounds widened by (1 -+ 2^-48), then bound
+every product of the block below and above. A plane whose bound keeps
+every rhs above every lhs, and every margin above each spec's running
+minimum, is cleared: it cannot change a report, its n^2 triples count in
+triples_checked unevaluated, and neither its products nor, under the
+bounds, its distances and fifth-factor rows are made. A plane that is
 not cleared, but whose bound lies on one piece of each spec's comparison,
 so that nothing in it raises, is walked row by row under the same test,
 each row against the running minima that the rows before it leave. The
@@ -39,7 +44,8 @@ the (a, b) rows that cannot change a subcase's minimum
 (`reproduce_case_table`). On a metric with `row_spans`, a sampled block
 after the first evaluates only the drawn triples whose plane or row is
 not cleared, each plane being bounded once per certificate
-(`_sampled_chunks`); the first block is evaluated whole.
+(`_sampled_chunks`); the skip is read on pool positions, so only the
+evaluated triples are made. The first block is evaluated whole.
 
 Certificates whose specs differ only in the comparison share one walk
 (`_certificates`, as the reproduction script's two do): each plane, row or
@@ -63,12 +69,12 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, product, repeat, starmap
 from operator import getitem, itemgetter, le, lt, ne, sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .comparison import ComparisonFn, _span, builtin_comparison
 from .errors import DistanceOverflow, InvalidArgument, InvalidExponents, PsbmError, UnknownBuiltin, UnknownPoint, WrongSpaceShape
 from .numerics import finite_span, point_label, point_sort_key
-from .spaces import PartialSbSpace, RegionCarrier, require_point, sample_carrier, sampled_positions
+from .spaces import PartialSbSpace, RegionCarrier, _exact_powers, require_point, sample_carrier, sampled_positions
 
 
 @dataclass(frozen=True)
@@ -169,9 +175,10 @@ class InequalitySides:
     - the fifth factor m^(1-p-q-r-s), one row over c per distinct (S(a), b),
       since m depends on a only through S(a); a mean m of +inf raises
       DistanceOverflow;
-    - for the planes, per image S(a), the fifth-factor and the lhs rows
-      over c, one per b, with the `finite_span` of each row and of them
-      all (`_Rows`).
+    - for the planes, per image S(a), the lhs rows over c, one per b,
+      with the `finite_span` of each row and of them all, and the bounds
+      of the fifth-factor rows, which are made only where a row is
+      evaluated (`_Rows`).
     A row is computed whole when a triple first needs it, so an error in
     any of its entries is raised there, also when that triple's own entries
     are fine.
@@ -260,6 +267,38 @@ class InequalitySides:
                 _power(d, p)  # raises at the first negative factor
         return [d ** p * fq * fr * f * t for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)]
 
+    @cached_property
+    def _pair_spans(self):
+        """Per image S(x): the `finite_span` of its pair row, None unless
+        every entry is a finite float or an int of magnitude at most 2^51
+        (`_exact_powers`), so that the means of a fifth-factor row add and
+        divide as floats do."""
+        return {ix: finite_span(row) if _exact_powers(row) else None for ix, row in self._pair.items()}
+
+    def _fifth_bounds(self, ia):
+        """Per b in `points`: (lo, hi) with lo <= v <= hi for every value v
+        of `_fifth_row(ia, b)`, or None. The means of the row are (pair_ab
+        + pair_bc) / 2t over the pair row of S(b); rounded + and / are
+        monotone, and under `_pair_spans` (with 2t passing `_exact_powers`)
+        in one arithmetic, so every mean lies between those of the row's
+        least and greatest pair_bc. Given them, 0 <= m_lo and m_hi < inf,
+        lo and hi are m_lo^e5 and m_hi^e5 `_widened`: this assumes, as the
+        bound on d^p does, a pow that is faithfully rounded. A row with a
+        bound raises nothing."""
+        pair_spans, two_t, e5, image, pair_a = self._pair_spans, self._two_t, self._e5, self._image, self._pair[ia]
+        if pair_spans[ia] is None or not _exact_powers([two_t]):
+            return [None] * len(self.points)
+        bounds = []
+        for b in self.points:
+            # As _fifth_row reads them: equal points share an index and an image.
+            pair_ab, span, bound = pair_a[self._index[b]], pair_spans[image[b]], None
+            if span is not None:
+                m_lo, m_hi = (pair_ab + span[0]) / two_t, (pair_ab + span[1]) / two_t
+                if 0 <= m_lo and m_hi < math.inf:
+                    bound = _widened(m_lo, m_hi, e5)
+            bounds.append(bound)
+        return bounds
+
     def plane(self, a):
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
         `points`, from one metric plane and one comparison of the whole list."""
@@ -282,16 +321,25 @@ class InequalitySides:
     def _plane_factors(self, a):
         """The stages of `plane` that can raise before its products, in
         order: the fifth-factor rows of S(a), the distances and the lhs rows
-        of S(a). Returns (fifth, lhs, d), each a `_Rows` over the b; fifth
-        and lhs are made once per image. Spans from the metric's
-        `row_spans` stand for the distances, which are left unmade (d.rows
-        None) for `_plane_products` and `_row_products`: the metric promises
-        that they raise nothing. Without one, they are made and bounded row
-        by row by their own `finite_span`."""
+        of S(a). Returns (fifth, lhs, d), each a `_Rows` over the b, fifth
+        and lhs once per image. A factor whose rows are bounded without
+        making them is left unmade (rows None) for `_plane_products` and
+        `_row_products`, since it raises nothing: the fifth-factor rows when
+        `_fifth_bounds` bounds every row (otherwise they are made here and
+        bounded by their own `finite_span`), and the distances when the
+        metric's `row_spans` gives the plane's span, whose per-row spans are
+        then made only when read. Without one, the distances are made and
+        bounded row by row by their own `finite_span`."""
         points, image = self.points, self._image
         ia = image[a]
-        fifth = self._fifth_planes.get(ia) or self._fifth_planes.setdefault(
-            ia, _factor_rows([self._fifth_row(ia, b) for b in points]))
+        fifth = self._fifth_planes.get(ia)
+        if fifth is None:
+            bounds = self._fifth_bounds(ia)
+            if None in bounds:
+                fifth = _factor_rows([self._fifth_row(ia, b) for b in points])
+            else:
+                fifth = _Rows(None, lambda: bounds, (min(lo for lo, _ in bounds), max(hi for _, hi in bounds)))
+            self._fifth_planes[ia] = fifth
         spans = None
         if self._row_spans is not None:
             try:
@@ -299,8 +347,8 @@ class InequalitySides:
             except Exception:  # no span for this plane
                 pass
         if spans is not None:
-            lows, highs = spans
-            d = _Rows(None, list(zip(lows, highs)), (min(lows), max(highs)))
+            low, high, rows = spans
+            d = _Rows(None, lambda: list(zip(*rows())), (low, high))
         else:
             d = _factor_rows(self._distances(a))
         lhs = self._lhs_planes.get(ia) or self._lhs_planes.setdefault(
@@ -313,24 +361,31 @@ class InequalitySides:
 
     def _plane_products(self, a, factors):
         """`plane` up to its comparison: the lhs list and the product list,
-        from `factors`, `_plane_factors(a)`; distances that it left unmade
-        are made here."""
+        from `factors`, `_plane_factors(a)`; rows that it left unmade are
+        made here."""
         fifth, lhs, d = factors
         ds = list(chain.from_iterable(self._distances(a) if d.rows is None else d.rows))
         n = len(self.points)
         frs = chain.from_iterable(repeat(self._fr[b], n) for b in self.points)
         fss = chain.from_iterable(repeat(self._fs, n))
-        return list(chain.from_iterable(lhs.rows)), self._products(ds, repeat(self._fq[a]), frs, fss, chain.from_iterable(fifth.rows))
+        fifths = map(partial(self._fifth_of, a, fifth), range(n))
+        return list(chain.from_iterable(lhs.rows)), self._products(ds, repeat(self._fq[a]), frs, fss, chain.from_iterable(fifths))
+
+    def _fifth_of(self, a, fifth, j):
+        """The fifth-factor row of (a, points[j]), from `fifth`, the first
+        factor of `_plane_factors(a)`, or made when it left it unmade."""
+        return self._fifth_row(self._image[a], self.points[j]) if fifth.rows is None else fifth.rows[j]
 
     def _row_products(self, a, j, factors):
         """The lhs row and the product row of (a, b, c) over the c, b being
         points[j], from `factors`, `_plane_factors(a)` of a
-        plane whose products raise nothing; a distance row that it left
-        unmade is made here. The lhs row is shared: it is read only."""
+        plane whose products raise nothing; a fifth-factor or distance row
+        that it left unmade is made here. The lhs row is shared: it is read
+        only."""
         fifth, lhs, d = factors
         b = self.points[j]
         ds = self._metric.row(a, b, self.points) if d.rows is None else d.rows[j]
-        return lhs.rows[j], self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), self._fs, fifth.rows[j])
+        return lhs.rows[j], self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), self._fs, self._fifth_of(a, fifth, j))
 
     def _bounds(self, a, d_spans, fr_spans, t_spans, lhs_spans):
         """[(lo, hi, top) per block] for blocks of a's plane, a block being
@@ -351,16 +406,15 @@ class InequalitySides:
         if self._g_spans[1] is None:
             return bounds
         (fs_lo, fs_hi), fq, p = self._g_spans[1], self._fq[a], self._p
-        (widen_lo, widen_hi), normal, inf = _WIDEN, sys.float_info.min, math.inf
         try:
             for i, spans in enumerate(zip(d_spans, fr_spans, t_spans, lhs_spans)):
                 if None in spans or not spans[0][0] >= 0:
                     continue
                 (d_lo, d_hi), (fr_lo, fr_hi), (t_lo, t_hi), (_, top) = spans
-                w_lo, w_hi = d_lo ** p * widen_lo, d_hi ** p * widen_hi
-                if (w_lo == 0 or normal <= w_lo < inf) and (w_hi == 0 or normal <= w_hi < inf):
-                    lo, hi = w_lo * fq * fr_lo * fs_lo * t_lo, w_hi * fq * fr_hi * fs_hi * t_hi
-                    if hi < inf:
+                widened = _widened(d_lo, d_hi, p)
+                if widened is not None:
+                    lo, hi = widened[0] * fq * fr_lo * fs_lo * t_lo, widened[1] * fq * fr_hi * fs_hi * t_hi
+                    if hi < math.inf:
                         bounds[i] = lo, hi, top
         except Exception:  # no bound
             return [None] * len(d_spans)
@@ -378,7 +432,7 @@ class InequalitySides:
         row, O(1) a row from the row spans, or the plane's own, `plane`, for
         a row that has none."""
         fifth, lhs, d = factors
-        rows = self._bounds(a, d.spans, self._fr_spans, fifth.spans, lhs.spans)
+        rows = self._bounds(a, d.spans(), self._fr_spans, fifth.spans(), lhs.spans())
         return [plane if row is None else row for row in rows]
 
     def _block_products(self, triples):
@@ -392,12 +446,13 @@ class InequalitySides:
 
 
 class _Rows(NamedTuple):
-    """One factor of an a-plane as rows over c, one per b: the rows (None
-    for distances that a metric's span stands for), the `finite_span` of
-    each row, and the span of them all, None unless every row has one."""
+    """One factor of an a-plane as rows over c, one per b: the rows, None
+    while they are unmade (bounded without them, they raise nothing); a
+    function that gives the bound of each row, its `finite_span` for a made
+    row; and the bound of them all, None unless every row has one."""
 
     rows: list | None
-    spans: list
+    spans: Callable
     span: tuple | None
 
 
@@ -408,7 +463,7 @@ def _factor_rows(rows) -> _Rows:
     memo = {key: finite_span(row) for key, row in distinct.items()}
     spans = [memo[id(row)] for row in rows]
     span = None if None in spans else (min(lo for lo, _ in spans), max(hi for _, hi in spans))
-    return _Rows(rows, spans, span)
+    return _Rows(rows, lambda: spans, span)
 
 
 def _rhs(comparison, products, span):
@@ -421,8 +476,20 @@ def _rhs(comparison, products, span):
 
 
 # d ** p times these is a bound below and above on the d ** p of a pow that
-# is faithfully rounded, when it is a normal float or 0 (`_bounds`).
+# is faithfully rounded, when it is a normal float or 0 (`_widened`).
 _WIDEN = (1 - 2.0 ** -48, 1 + 2.0 ** -48)
+
+
+def _widened(lo, hi, e):
+    """(lo^e, hi^e) widened by `_WIDEN`: with 0 <= lo, e > 0 and a pow that
+    is faithfully rounded (an error below 1 ulp, which Python does not
+    promise), a bound below and above on x ** e for every x in [lo, hi];
+    None unless each is a normal float or 0."""
+    w_lo, w_hi = lo ** e * _WIDEN[0], hi ** e * _WIDEN[1]
+    normal, inf = sys.float_info.min, math.inf
+    if (w_lo == 0 or normal <= w_lo < inf) and (w_hi == 0 or normal <= w_hi < inf):
+        return w_lo, w_hi
+    return None
 
 
 def _entries(make_row, keys, ks):
@@ -494,20 +561,23 @@ def certify(
     With `points`, an a-plane after the first is cleared by `_cleared`, its
     products never made, when a bound on them, rounded outward, shows that
     it cannot change the report; triples_checked counts its triples all
-    the same. Its distances are not made either when the metric's
-    `row_spans` bound them. A plane that is not cleared, but whose bound
-    lies on one piece of the comparison, is walked row by row, and a row
-    is cleared, under the same test, on its own bound. Every factor row
-    must have a `finite_span`, finite values and no nan, but need not have
-    a finite sum. The bound assumes a faithfully rounded pow (see the
-    module docstring).
+    the same. Nor are its distances, when the metric's `row_spans` bound
+    them, or its fifth-factor rows, when the pair rows bound them
+    (`InequalitySides._fifth_bounds`). A plane that is not cleared, but
+    whose bound lies on one piece of the comparison, is walked row by row,
+    and a row is cleared, under the same test, on its own bound. Every
+    factor row must have a finite bound, finite values and no nan, but
+    need not have a finite sum. The bound assumes a faithfully rounded pow
+    (see the module docstring).
 
     With `sample_count`, every drawn triple counts in triples_checked, but
     where the metric has `row_spans` (the quintic builtins), a triple of a
     block after the first is evaluated only when the bound of its a-plane
     or (a, b) row, by the same test, does not clear it against the running
-    minima of the blocks before it (`_sampled_chunks`). The first block, and
-    on any other metric every block, is evaluated whole.
+    minima of the blocks before it (`_sampled_chunks`). The skip is read
+    on the draw's pool positions, and only the triples evaluated are made.
+    The first block, and on any other metric every block, is evaluated
+    whole.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -576,13 +646,9 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
 
             chunks = planes()
         else:
-            live = [x not in fixed for x in pool]
             rng = random.Random(f"psbm:certify:{seed}")
-            blocks = (
-                [(pool[i], pool[j], pool[k]) for i, j, k in zip(*positions) if live[i] and live[j] and live[k]]
-                for positions in sampled_positions(rng, len(pool), 3, sample_count)
-            )
-            chunks = _sampled_chunks(sides, specs, filter(None, blocks), min_margins)
+            positions = sampled_positions(rng, len(pool), 3, sample_count)
+            chunks = _sampled_chunks(sides, specs, pool, fixed, positions, min_margins)
 
         for triples, count, lhs, products in chunks:
             checked += count
@@ -608,31 +674,42 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     return reports
 
 
-def _sampled_chunks(sides, specs, blocks, min_margins):
-    """`_certificates`' chunks of the nonempty blocks of drawn live triples:
-    (a maker of the triples evaluated, the block's length, their lhs
-    values, their products), lhs and products None when none is. A block is
-    made once the one before it is reduced, so min_margins holds the
-    running minima of the blocks before it.
+def _sampled_chunks(sides, specs, pool, fixed, positions, min_margins):
+    """`_certificates`' chunks of the drawn triples, a block of
+    `sampled_positions` at a time: (a maker of the triples evaluated, the
+    number of the block's live triples, those with no point in `fixed`,
+    their lhs values, their products), lhs and products None when none is
+    evaluated. A block is made once the one before it is reduced, so
+    min_margins holds the running minima of the blocks before it.
 
     Where the metric has `row_spans` (and no two points are equal keys), a
-    block evaluates only the triples whose a-plane or (a, b) row is not
-    cleared by the grid walk's own test, `_clears` on its bound. A skipped
-    triple fails nothing and raises nothing in any stage, so the kept ones
-    raise the block's first error; its margin lies strictly above a kept
-    one, so every minimum keeps its bits. Each plane is bounded once, as
-    the grid walk bounds it, and its rows only once a block does not clear
-    the plane; any error while bounding means no bound. A plane or row
-    once cleared stays cleared: a running minimum only falls, or, once nan,
-    stays nan whatever is skipped.
+    block evaluates only the live triples whose a-plane or (a, b) row is
+    not cleared by the grid walk's own test, `_clears` on its bound. A
+    skipped triple fails nothing and raises nothing in any stage, so the
+    kept ones raise the block's first error; its margin lies strictly
+    above a kept one, so every minimum keeps its bits. Each plane is
+    bounded once, as the grid walk bounds it, and its rows only once a
+    block does not clear the plane; any error while bounding means no
+    bound. A plane or row once cleared stays cleared: a running minimum
+    only falls, or, once nan, stays nan whatever is skipped.
 
-    The first block has no minimum yet, so it is evaluated whole, as the
-    grid walk evaluates its first plane."""
+    The skip is decided on pool positions (i, j, k): the triple is
+    evaluated when open[i][j] and live[k], open[i] being, per position j,
+    whether pool[j] is live and the row (pool[i], pool[j]) is not cleared,
+    remade only when more of that plane's rows are cleared. Only the
+    evaluated triples are made. The first block has no minimum yet, so it
+    is evaluated whole, as the grid walk evaluates its first plane."""
     # Per a: None (no bound) or (its bound, pieces and factors); the (b,
     # bound) of its rows; the b of its rows cleared so far.
     planes, rows, done = {}, {}, {}
     skips = sides._row_spans is not None and len(sides._index) == len(sides.points)
     everything = frozenset(sides.points)
+    live = [x not in fixed for x in pool]
+    closed = [False] * len(pool)
+    # Per position i, the positions j of the live triples (i, j, k) and,
+    # with the number of rows cleared when it was made, of the open ones.
+    alive = [live if x else closed for x in live]
+    opened = {}
 
     def plane(a):
         if a not in planes:
@@ -661,15 +738,27 @@ def _sampled_chunks(sides, specs, blocks, min_margins):
             done[a] = found
         return found
 
-    for block in blocks:
-        kept = block
+    def open_row(i):
+        if not live[i]:
+            return closed
+        found = cleared(pool[i])
+        made = opened.get(i)
+        if made is None or made[0] != len(found):
+            made = opened[i] = len(found), (closed if found is everything else [x and b not in found for x, b in zip(live, pool)])
+        return made[1]
+
+    for block in positions:
         if skips and min_margins[0] is not None:
-            clear = {a: cleared(a) for a in dict.fromkeys(map(itemgetter(0), block))}
-            kept = [t for t in block if t[1] not in clear[t[0]]]
-        if kept:
-            yield partial(iter, kept), len(block), *sides._block_products(kept)
+            count = len([0 for i, j, k in zip(*block) if alive[i][j] and live[k]])
+            masks = {i: open_row(i) for i in set(block[0])}
         else:
-            yield None, len(block), None, None
+            count, masks = None, alive
+        kept = [(pool[i], pool[j], pool[k]) for i, j, k in zip(*block) if masks[i][j] and live[k]]
+        count = len(kept) if count is None else count
+        if kept:
+            yield partial(iter, kept), count, *sides._block_products(kept)
+        elif count:
+            yield None, count, None, None
 
 
 def _cleared(bounds, specs, pieces, min_margins) -> bool:

@@ -142,13 +142,15 @@ class RuleMetric(_Pointwise):
     plane is made by pointwise calls. A plane holds len(qs) * len(rs)
     values.
 
-    The optional span rule bounds the rows of a plane without making them:
-    span_rule(qs, rs) returns None or a function of p, which returns None
-    or (lows, highs), two lists of finite values aligned with qs, or
-    raises. When it returns them, plane(p, qs, rs) returns (raises
-    nothing) and lows[i] <= v <= highs[i] for each value v of its row i.
-    On any error, and with no span rule, there is no bound (see
-    `row_spans`)."""
+    The optional span rule bounds a plane, and its rows, without making
+    them: span_rule(qs, rs) returns None or a function of p, which returns
+    None, raises, or returns (low, high, rows). low and high are finite,
+    with low <= v <= high for each value v of plane(p, qs, rs), which then
+    returns (raises nothing); rows() returns (lows, highs), two lists of
+    finite values aligned with qs, with lows[i] <= v <= highs[i] for each
+    value v of row i. So a plane is bounded without its per-row lists,
+    which are made only when rows() is called. On any error, and with no
+    span rule, there is no bound (see `row_spans`)."""
 
     name: str
     rule: Callable
@@ -242,17 +244,21 @@ _EXACT_INT = 2 ** 51
 
 
 def _quintic_row_spans(qs, rs):
-    """A function of p giving (lows, highs), the least and greatest value
-    of each row of _quintic_plane(p, qs, rs), each O(1) after an O(len(qs)
-    + len(rs)) pass per p; None when qs or rs is empty or a fifth power of
-    qs or rs fails `_exact_powers`. The fifth powers of qs and rs, and
-    their check, are made once for every p (the grid walk's qs and rs are
-    one list). The function gives None when p^5 fails `_exact_powers` or a
-    bound is not finite. A row of q != p spans (p^5 + q^5) + the least and
-    the greatest r^5, and the row of q = p spans p^5 at r = p and 2(p^5 +
-    r^5) at the r != p. Each bound is a value of the row, so their least
-    and greatest are those of the plane; with finite bounds every value is
-    finite, so RuleMetric.plane raises nothing.
+    """A function of p giving (low, high, rows) for _quintic_plane(p, qs,
+    rs): its least and greatest value, and rows(), which gives (lows,
+    highs), the least and greatest value of each row; None when qs or rs is
+    empty or a fifth power of qs or rs fails `_exact_powers`. The fifth
+    powers of qs and rs, their check, and their positions sorted by fifth
+    power are made once for every p (the grid walk's qs and rs are one
+    list), so that low and high take O(1) for a p with one key among qs and
+    rs, and rows() O(len(qs)). The function gives None when p^5 fails
+    `_exact_powers` or a bound is not finite. A row of q != p spans (p^5 +
+    q^5) + the least and the greatest r^5, so the rows of q != p span (p^5
+    + the least such q^5) + the least r^5 to (p^5 + the greatest) + the
+    greatest r^5; the row of q = p spans p^5 at r = p and 2(p^5 + r^5) at
+    the r != p. Each bound is a value of the plane, so low and high are the
+    least of the lows and the greatest of the highs; with finite bounds
+    every value is finite, so RuleMetric.plane raises nothing.
 
     The bounds hold because rounded addition and doubling are monotone in
     each operand. That needs one arithmetic: an int sum is exact and a
@@ -265,31 +271,52 @@ def _quintic_row_spans(qs, rs):
     if not (q5s and r5s and _exact_powers(q5s) and _exact_powers(r5s)):
         return None
     lo, hi = min(r5s), max(r5s)
+    q_order = sorted(range(len(qs)), key=q5s.__getitem__)
+    r_order = q_order if qs is rs else sorted(range(len(rs)), key=r5s.__getitem__)
     # The positions of each q, for the rows of q = p: equal points share a key.
     where = {}
     for i, q in enumerate(qs):
         where.setdefault(q, []).append(i)
+    r_keys = where if qs is rs else set(rs)
 
     def spans(p):
         p5 = p ** 5
         if not _exact_powers([p5]):
             return None
-        bases = [p5 + q5 for q5 in q5s]
-        lows, highs = [base + lo for base in bases], [base + hi for base in bases]
-        at = where.get(p, ())
+        at, own = where.get(p, ()), []
         if at:
-            others = [r5 for r, r5 in zip(rs, r5s) if r != p]
-            ends = list(_row_ends(p5, None, min(others), max(others))) if others else []
-            if len(others) < len(rs):
-                ends.append(p5)
-            for i in at:
-                lows[i], highs[i] = min(ends), max(ends)
+            others = _other_ends(rs, r5s, r_order, p)
+            if others is not None:
+                own += _row_ends(p5, None, *others)
+            if p in r_keys:
+                own.append(p5)
+        ends = own[:]
+        others = _other_ends(qs, q5s, q_order, p)
+        if others is not None:
+            ends += (p5 + others[0]) + lo, (p5 + others[1]) + hi
+        low, high = min(ends), max(ends)
         # No nan: each sum adds finite fifth powers, so only an end can overflow.
-        if not (-math.inf < min(lows) and max(highs) < math.inf):
+        if not (-math.inf < low and high < math.inf):
             return None
-        return lows, highs
+
+        def rows():
+            bases = [p5 + q5 for q5 in q5s]
+            lows, highs = [base + lo for base in bases], [base + hi for base in bases]
+            for i in at:
+                lows[i], highs[i] = min(own), max(own)
+            return lows, highs
+
+        return low, high, rows
 
     return spans
+
+
+def _other_ends(points, fifths, order, p):
+    """The least and greatest of fifths over the points other than p, or
+    None when there is none; order lists the positions by fifth power, so
+    this takes O(1) beyond the points equal to p."""
+    least = next((fifths[i] for i in order if points[i] != p), None)
+    return None if least is None else (least, next(fifths[i] for i in reversed(order) if points[i] != p))
 
 
 def _exact_powers(powers) -> bool:

@@ -1505,6 +1505,9 @@ CERTIFY_JSON_SHA256 = {
     ("--samples", "40000", "--seed", "3"): "c405e90aa1ca4ca4ae51401c73d96152a27d92a50e6f119eae83e6859e1a4836",
     ("--samples", "10000", "--seed", "0"): "0b9f7e27f0d442ee1134c8ab84bc90a7ea2fdbb1868d14e3f547a681f6f558d8",
     ("--samples", "10000", "--seed", "7"): "6e51267f73f82e147e39aee11145f6d83510dd9f489418984823350eb6e7d42a",
+    ("--samples", "10000", "--seed", "8"): "fbf0ea5d3347dae136fbc377844b0b73ec681dc33d10b3fb45ff3e48a3f5846e",
+    ("--samples", "10000", "--seed", "8", "--matkowski"): "fbf0ea5d3347dae136fbc377844b0b73ec681dc33d10b3fb45ff3e48a3f5846e",
+    ("--grid", "400"): "193fc8fc4815d25e8e95b27a225665b08ee5a87a1416057733bd0cdc361ebecf",
 }
 
 
@@ -1520,6 +1523,7 @@ def test_certify_json_digests_are_pinned(capsys, flags):
 CASE_TABLE_JSON_SHA256 = {
     ("--grid-size", "20"): "120a4911f3045b4b4badfefa8865e9bd12d85ae7081f49e2d510097a85e7a406",
     ("--grid-size", "20", "--matkowski"): "120a4911f3045b4b4badfefa8865e9bd12d85ae7081f49e2d510097a85e7a406",
+    ("--grid-size", "30"): "e0b93143f1d3a34146f3fdf9fb18837a636b73d08d75ce1a0b9eb68c3888e735",
     ("--grid-size", "40"): "1c684708866181947339911e3ebb81948a67238790689b6944442b5dcaca82ee",
     ("--grid-size", "40", "--matkowski"): "1c684708866181947339911e3ebb81948a67238790689b6944442b5dcaca82ee",
     ("--grid-size", "80"): "76916c962b6c60aee80e47f84894eeae6dcee6cb6767d9f906adc1765714c0f6",

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -44,7 +45,7 @@ from psbmetric import (
 )
 from psbmetric import comparison as comparison_module, contraction
 from psbmetric.numerics import point_sort_key
-from psbmetric.spaces import SAMPLE_BLOCK, RegionCarrier
+from psbmetric.spaces import SAMPLE_BLOCK, RegionCarrier, sampled_positions
 
 GAP = builtin_space("quintic_gap")
 PAPER_S = builtin_map("paper_S")
@@ -962,7 +963,7 @@ class TestPlaneBound:
         factors = sides._plane_factors(3)
         _, _, d = factors
         ds = list(itertools.chain.from_iterable(d.rows))
-        assert d.span == (min(ds), max(ds)) and d.spans == [(min(row), max(row)) for row in d.rows]
+        assert d.span == (min(ds), max(ds)) and d.spans() == [(min(row), max(row)) for row in d.rows]
         if min(ds) < 0:
             assert outcome == (PsbmError, "negative distance factor -1.0")
             assert sides._plane_bounds(3, factors) is None
@@ -1120,16 +1121,17 @@ def random_case_tables(seed, count):
 
 
 def own_span(metric):
-    """A span rule that bounds each row of a plane by its own least and
-    greatest value, None unless each value is finite (an int beyond the
-    float range raises)."""
+    """A span rule that bounds a plane, and each of its rows, by its own
+    least and greatest value, None unless each value is finite (an int
+    beyond the float range raises)."""
 
     def span_rule(qs, rs):
         def spans(p):
             rows = [[metric(p, q, r) for r in rs] for q in qs]
             if not (rs and all(map(math.isfinite, itertools.chain.from_iterable(rows)))):
                 return None
-            return [min(row) for row in rows], [max(row) for row in rows]
+            lows, highs = [min(row) for row in rows], [max(row) for row in rows]
+            return min(lows), max(highs), lambda: (lows, highs)
 
         return spans
 
@@ -1157,6 +1159,86 @@ def random_walks(seed, count):
         points = list(labels)
         rng.shuffle(points)
         yield space, specs, points
+
+
+# Pair entries S(x, x, y): ints and floats, zero, magnitudes near 2^51
+# (beyond which an int sum is no float sum) and near the float maximum, and
+# entries that allow no bound.
+PAIR_ENTRIES = st.one_of(
+    st.integers(0, 100),
+    st.integers(2 ** 51 - 64, 2 ** 51 + 64),
+    st.integers(2 ** 53, 2 ** 54),
+    st.floats(0.0, 1e6),
+    st.floats(1e307, sys.float_info.max),
+    st.sampled_from([0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1, math.inf, math.nan]),
+)
+# Points of quintic_gap's carrier, 4 and 4.0 among them, which are one key.
+FIFTH_POOL = (3, 4, 4.0, 5, 6.5)
+
+
+def pair_space(entries, coefficient):
+    """quintic_gap's carrier with S(x, x, y) = entries[key(x), key(y)], 4
+    and 4.0 keyed apart, and 1.0 off the pairs."""
+    keys = {(type(x), x): k for k, x in enumerate(FIFTH_POOL)}
+
+    def rule(p, q, r):
+        if p != q:
+            return 1.0
+        return entries[keys[type(p), p] * len(FIFTH_POOL) + keys[type(r), r]]
+
+    return PartialSbSpace(GAP.carrier, RuleMetric("pairs", rule), coefficient)
+
+
+class TestFifthFactorBound:
+    """The fifth factor m^(1-p-q-r-s) of each (S(a), b) row is bounded from
+    the least and greatest entry of the pair row of S(b), without making
+    the row (`InequalitySides._fifth_bounds`)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        points=st.lists(st.sampled_from(FIFTH_POOL), min_size=1, unique_by=lambda x: (type(x), x)),
+        entries=st.lists(PAIR_ENTRIES, min_size=len(FIFTH_POOL) ** 2, max_size=len(FIFTH_POOL) ** 2),
+        exponents=st.lists(st.floats(0.01, 0.24), min_size=4, max_size=4),
+        coefficient=st.sampled_from([1, 1.5, 3, 2 ** 52]),
+        data=st.data(),
+    )
+    def test_every_value_of_a_row_lies_in_its_bound(self, points, entries, exponents, coefficient, data):
+        # Also when pow errs by one ulp either way, as a faithfully rounded
+        # pow may: the bound assumes no more.
+        images = data.draw(st.lists(st.sampled_from(FIFTH_POOL), min_size=len(points), max_size=len(points)))
+        spec = InterpolativeSpec(*exponents, QUARTER, map_from_table(dict(zip(points, images))))
+        try:
+            sides = InequalitySides(pair_space(entries, coefficient), spec, points)
+        except PsbmError:  # a negative g(x)
+            return
+        for ia in dict.fromkeys(sides._image.values()):
+            for b, bound in zip(points, sides._fifth_bounds(ia)):
+                if bound is not None:
+                    lo, hi = bound
+                    for v in sides._fifth_row(ia, b):
+                        assert lo <= v <= hi
+                        if v:
+                            assert lo <= math.nextafter(v, 0) and math.nextafter(v, math.inf) <= hi
+
+    def test_the_worked_example_bounds_every_row(self):
+        sides = InequalitySides(GAP, standard_spec(), CERT_POINTS[1:])
+        for ia in (0, 3):
+            bounds = sides._fifth_bounds(ia)
+            assert None not in bounds and len(bounds) == len(CERT_POINTS) - 1
+        # A plane's fifth-factor rows are made only when it is evaluated.
+        sides._plane_bounds(4, sides._plane_factors(4))
+        assert sides._fifth_rows == {}
+
+    def test_no_bound_beyond_exact_arithmetic(self):
+        # An int pair entry beyond 2^51, or 2t beyond it, could add or
+        # divide otherwise than floats do: the rows are made and bounded by
+        # their own finite_span.
+        entries = [1] * len(FIFTH_POOL) ** 2
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, QUARTER, map_from_table({3: 3, 5: 3}))
+        assert None not in InequalitySides(pair_space(entries, 1), spec, [3, 5])._fifth_bounds(3)
+        assert InequalitySides(pair_space(entries, 2 ** 52), spec, [3, 5])._fifth_bounds(3) == [None, None]
+        entries[3] = 2 ** 51 + 1  # S(3, 3, 5)
+        assert InequalitySides(pair_space(entries, 1), spec, [3, 5])._fifth_bounds(3) == [None, None]
 
 
 SAMPLED_COUNTS = (1, 7, 1023, 1024, 1025, 10_000, 40_000)
@@ -1276,6 +1358,24 @@ class TestSampledBound:
         assert [type(x) for x in sample_carrier(space, seed=0) if x == 4] == [int, float]
         report = certify(space, standard_spec(), sample_count=3000, seed=0)
         assert report.passed and sum(map(len, blocks_evaluated)) == report.triples_checked
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_map_with_several_fixed_points_drops_them_by_position(self, blocks_evaluated, seed):
+        # Every fourth pool point is fixed, so the live mask drops the
+        # triples through nine pool positions, not quintic_gap's one; a few
+        # points go to a ray point, so that some triples fail. The report
+        # counts and fails exactly the live triples of sampled_positions.
+        pool = sample_carrier(GAP, seed=seed)
+        table = {x: x if k % 4 == 1 else pool[4] if k % 7 == 3 else PAPER_S(x) for k, x in enumerate(pool)}
+        spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"), map_from_table(table))
+        report = certify(GAP, spec, sample_count=3000, seed=seed)
+        live = [table[x] != x for x in pool]
+        rng = random.Random(f"psbm:certify:{seed}")
+        triples = [(pool[i], pool[j], pool[k]) for block in sampled_positions(rng, len(pool), 3, 3000)
+                   for i, j, k in zip(*block) if live[i] and live[j] and live[k]]
+        assert_matches_reference(report, GAP, spec, triples)
+        assert len(report.excluded_fixed_points) == live.count(False) == 9
+        assert sum(map(len, blocks_evaluated)) < len(triples) / 2
 
     def test_random_tables_under_a_span_equal_the_walk_that_evaluates_every_triple(self, blocks_evaluated):
         # The tables of random_walks, adversarial entries included, as rule

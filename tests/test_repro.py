@@ -124,13 +124,14 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     certify calls made 102; the case table adds its own 21 planes. The
     walk clears all but at most 2 planes by their bounds and walks those a
     row at a time, clearing all but a few rows; the table skips all but a
-    few rows too. The fifth-factor and lhs rows of a plane are made once
-    per image S(a), 0 and 3 on this grid, and a row's distances only when
-    it is evaluated: a cleared plane or row is bounded by the metric's row
-    spans."""
+    few rows too. The lhs rows of a plane are made once per image S(a), 0
+    and 3 on this grid, and a row's fifth factors and distances only when
+    it is evaluated: a cleared plane or row is bounded by the pair rows
+    and the metric's row spans."""
     real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._row_products
     real_plane, real_factor_rows = spaces._quintic_plane, contraction._factor_rows
-    factors, rows, planes, images = [], [], [], []
+    real_fifth_row = contraction.InequalitySides._fifth_row
+    factors, rows, planes, images, fifths = [], [], [], [], []
 
     def counting_factors(sides, a, *args, **kwargs):
         factors.append((len(sides.points), a))
@@ -139,6 +140,10 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     def counting_products(sides, a, j, *args):
         rows.append((len(sides.points), a, sides.points[j]))
         return real_products(sides, a, j, *args)
+
+    def counting_fifth_row(sides, ia, b):
+        fifths.append((len(sides.points), ia, b))
+        return real_fifth_row(sides, ia, b)
 
     def counting_plane(p, qs, rs):
         planes.append((len(qs), len(rs), p))
@@ -150,6 +155,7 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
 
     monkeypatch.setattr(contraction.InequalitySides, "_plane_factors", counting_factors)
     monkeypatch.setattr(contraction.InequalitySides, "_row_products", counting_products)
+    monkeypatch.setattr(contraction.InequalitySides, "_fifth_row", counting_fifth_row)
     monkeypatch.setattr(spaces, "_quintic_plane", counting_plane)
     monkeypatch.setattr(contraction, "_factor_rows", counting_factor_rows)
     item = repro._contraction_item(0)
@@ -167,8 +173,10 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     # dist(S(x), S(x), y) of the 2 images, the lhs of the 4 pairs of them,
     # and the distances of each evaluated row.
     assert all(nq == 1 for nq, _, _ in planes) and len(planes) == 2 * (2 + 4) + len(rows)
-    # The fifth-factor rows, then the lhs rows, of each image.
-    assert images == [(51, 51 * 51)] * 4 + [(21, 21 * 21)] * 4
+    # The lhs rows of each image; the fifth-factor rows are bounded from
+    # the pair rows, so a plane's are made only when it is evaluated.
+    assert images == [(51, 51 * 51)] * 2 + [(21, 21 * 21)] * 2
+    assert {(ia, b) for n, ia, b in fifths if n == 51} == {(contraction._paper_S(a), b) for a, b in walked}
 
 
 def test_contraction_item_maps_one_rhs_list_per_spec_per_row(monkeypatch, cleared_planes):

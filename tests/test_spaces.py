@@ -851,27 +851,38 @@ SPAN_POINTS = st.one_of(
 )
 
 
-def row_spans(metric, p, qs, rs):
-    """(lows, highs) of metric.row_spans(qs, rs) at p, or None where it
-    gives none or raises, as the grid walk reads it."""
+def plane_span(metric, p, qs, rs):
+    """(low, high, lows, highs) of metric.row_spans(qs, rs) at p, the
+    plane's bound and its rows' (rows() called), or None where it gives
+    none or raises, as the grid walk reads it."""
     spans = metric.row_spans(qs, rs)
     try:
-        return None if spans is None else spans(p)
+        if spans is None or spans(p) is None:
+            return None
+        low, high, rows = spans(p)
+        return (low, high, *rows())
     except Exception:
         return None
 
 
+def row_spans(metric, p, qs, rs):
+    """(lows, highs) of plane_span(metric, p, qs, rs), or None."""
+    spans = plane_span(metric, p, qs, rs)
+    return None if spans is None else spans[2:]
+
+
 def span_holds(metric, p, qs, rs):
-    """Whether row_spans(metric, p, qs, rs) is None, or finite (lows,
-    highs) aligned with qs, with lows[i] <= v <= highs[i] for every value v
-    of row i of metric.plane(p, qs, rs), which must then return."""
-    spans = row_spans(metric, p, qs, rs)
+    """Whether plane_span(metric, p, qs, rs) is None, or finite (low, high,
+    lows, highs), lows and highs aligned with qs, with low <= v <= high
+    and lows[i] <= v <= highs[i] for every value v of row i of
+    metric.plane(p, qs, rs), which must then return."""
+    spans = plane_span(metric, p, qs, rs)
     if spans is None:
         return True
-    lows, highs = spans
+    low, high, lows, highs = spans
     plane = metric.plane(p, qs, rs)
-    return len(lows) == len(highs) == len(plane) and all(
-        math.isfinite(lo) and math.isfinite(hi) and all(lo <= v <= hi for v in row)
+    return math.isfinite(low) and math.isfinite(high) and len(lows) == len(highs) == len(plane) and all(
+        math.isfinite(lo) and math.isfinite(hi) and all(low <= lo <= v <= hi <= high for v in row)
         for lo, hi, row in zip(lows, highs, plane))
 
 
@@ -900,8 +911,26 @@ class TestMetricSpan:
         spans = metric.row_spans(points, points)
         for p in points:
             rows = metric.plane(p, points, points)
-            assert spans(p) == ([min(row) for row in rows], [max(row) for row in rows])
+            low, high, row_spans = spans(p)
+            assert row_spans() == ([min(row) for row in rows], [max(row) for row in rows])
+            assert (low, high) == (min(map(min, rows)), max(map(max, rows)))
         assert all(span_holds(metric, p, NEAR_OVERFLOW, NEAR_OVERFLOW) for p in NEAR_OVERFLOW)
+
+    @settings(max_examples=400, deadline=None)
+    @given(qs=st.lists(st.one_of(SPAN_POINTS, st.sampled_from([4, 4.0])), max_size=6),
+           rs=st.lists(st.one_of(SPAN_POINTS, st.sampled_from([4, 4.0])), max_size=6), data=st.data())
+    def test_the_plane_span_is_that_of_its_rows(self, qs, rs, data):
+        # The plane's bound, made in O(1) from the sorted fifth powers, is
+        # the least of its rows' lows and the greatest of their highs, with
+        # p a point of qs or rs (equal keys such as 4 and 4.0 included) or
+        # any other point.
+        p = data.draw(st.one_of(st.sampled_from(qs + rs), SPAN_POINTS) if qs + rs else SPAN_POINTS)
+        metric = builtin_space("quintic_gap").metric
+        for rows in (qs, rs):
+            spans = plane_span(metric, p, rows, rs)
+            if spans is not None:
+                low, high, lows, highs = spans
+                assert (low, high) == (min(lows), max(highs))
 
     def test_no_span_where_an_exact_int_sum_and_a_rounded_float_sum_disagree(self):
         # 1600^5 + 1^5 = 2^53 + ... + 1 is exact as an int and rounds down
@@ -911,7 +940,7 @@ class TestMetricSpan:
         (exact, rounded), = metric.plane(1600, [1], [0, 0.0])
         assert type(exact) is int and type(rounded) is float and rounded < exact
         assert row_spans(metric, 1600, [1], [0, 0.0]) is None
-        assert row_spans(metric, 1600.0, [1], [0, 0.0]) == ([rounded], [rounded])
+        assert plane_span(metric, 1600.0, [1], [0, 0.0]) == (rounded, rounded, [rounded], [rounded])
 
     def test_no_span_at_an_overflow_a_nan_or_a_non_number(self):
         metric = builtin_space("quintic_gap").metric
