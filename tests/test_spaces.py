@@ -838,8 +838,8 @@ class TestMetricRows:
 # overflows, and 4.5e61, beyond which p^5 does.
 NEAR_OVERFLOW = [0, 3] + [4 + k * ((1e61 - 4) / 59) for k in range(60)]
 
-# Ints, with and without fifth powers beyond 2^53 (from 1178 on), every
-# float, and floats near overflow.
+# Ints, with and without fifth powers beyond 2^51 (from 1177 on) and 2^53
+# (from 1553 on), every float, and floats near overflow.
 SPAN_POINTS = st.one_of(
     st.integers(min_value=-40, max_value=40),
     st.integers(min_value=1100, max_value=5000),
