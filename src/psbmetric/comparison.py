@@ -61,7 +61,8 @@ class ComparisonFn:
         nan on any line. A list of floats whose ends pass reads every value
         without raising; an int beyond the float range between them raises
         at the same value, with the same error, as fn called value by value.
-        `contraction._rhs` is its one caller."""
+        Its callers are `contraction._rhs`, for a list of values, and
+        `contraction._pieces`, for a bound's (lo, hi)."""
         if span is not None:
             try:
                 k = bisect_right(self._cuts, span[0])

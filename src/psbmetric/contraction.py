@@ -6,8 +6,8 @@ checks lhs <= rhs over every generated triple whose points are not fixed by
 the map, since the defining inequality is quantified away from fixed points.
 
 `InequalitySides` is the one evaluator of both sides. It evaluates only
-dist(a, b, c) and the comparison per triple, a plane or a list at a time:
-the metric's `plane` gives the distances of one a over every (b, c), and
+dist(a, b, c) and the comparison per triple, a row or a list at a time:
+the metric's `row` gives the distances of one (a, b) over every c, and
 `_rhs` the comparison of a list of products, reading a ComparisonFn's line
 when the whole list lies on one piece; both are bit for bit the pointwise
 calls. Every other factor is tabulated once per point, per image S(x), per
@@ -166,7 +166,7 @@ class InequalitySides:
     a list of triples. Every image S(x) must be a carrier point (UnknownPoint
     names the map and the first point whose image is not).
 
-    Only dist(a, b, c) and the comparison are evaluated per triple, a plane
+    Only dist(a, b, c) and the comparison are evaluated per triple, a row
     or a list at a time (any comparison other than a ComparisonFn value by
     value). The rest is tabulated over `points`, keyed by what it depends on:
     - g(x)^q, g(x)^r and g(x)^s, once per point;
@@ -185,10 +185,11 @@ class InequalitySides:
 
     `plane` and `block` evaluate in one stage order, each stage over all
     their triples before the next, and raise the first error met: the
-    fifth-factor rows, the distances (in the metric's own (q, r) order in a
-    plane), the lhs rows, the first negative distance, the products, and the
-    comparison. Each is its comparison-free stage, `_plane_products` or
-    `_block_products`, followed by one comparison of the product list.
+    fifth-factor rows, the distances (one metric row per b in a plane, so
+    in (b, c) order), the lhs rows, the first negative distance, the
+    products, and the comparison. Each is its comparison-free stage,
+    `_plane_products` or `_block_products`, followed by one comparison of
+    the product list.
     `_row_products` gives one (a, b) row of a plane past its factors.
     """
 
@@ -301,7 +302,8 @@ class InequalitySides:
 
     def plane(self, a):
         """(lhs list, rhs list) over (a, b, c) for every b and then every c in
-        `points`, from one metric plane and one comparison of the whole list."""
+        `points`, from one metric row per b and one comparison of the whole
+        list."""
         lhs, products = self._plane_products(a, self._plane_factors(a))
         return lhs, _rhs(self._comparison, products, _span(products))
 
@@ -356,8 +358,9 @@ class InequalitySides:
         return fifth, lhs, d
 
     def _distances(self, a):
-        """dist(a, b, c) as one row over c for every b in `points`."""
-        return self._metric.plane(a, self.points, self.points)
+        """dist(a, b, c) as one metric row over c for every b in `points`."""
+        row, points = self._metric.row, self.points
+        return [row(a, b, points) for b in points]
 
     def _plane_products(self, a, factors):
         """`plane` up to its comparison: the lhs list and the product list,

@@ -85,17 +85,13 @@ Carrier = FiniteCarrier | RegionCarrier
 # --------------------------------------------------------------------------
 
 class _Pointwise:
-    """plane and row by the metric's own pointwise calls, made in (q, r)
-    order: an error is the one met at the first (q, r) that raises (and
-    none when qs or rs is empty)."""
-
-    def plane(self, p, qs: list, rs: list) -> list:
-        """[[self(p, q, r) for r in rs] for q in qs]."""
-        return [[self(p, q, r) for r in rs] for q in qs]
+    """row by the metric's own pointwise calls, made in r order: an error
+    is the one met at the first r that raises (and none when rs is
+    empty)."""
 
     def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs]: the plane of the one q."""
-        return self.plane(p, (q,), rs)[0]
+        """[self(p, q, r) for r in rs]."""
+        return [self(p, q, r) for r in rs]
 
     def row_spans(self, qs: list, rs: list):
         """None: no bound on a row short of making it."""
@@ -106,7 +102,7 @@ class _Pointwise:
 class TabulatedMetric(_Pointwise):
     """Distance given by an explicit value per ordered triple of points,
     stored as rows: rows[i][j][k] = S(points[i], points[j], points[k]).
-    Its planes and rows are pointwise calls."""
+    Its rows are pointwise calls."""
 
     points: tuple
     rows: tuple
@@ -134,27 +130,20 @@ class TabulatedMetric(_Pointwise):
 
 @dataclass(frozen=True)
 class RuleMetric(_Pointwise):
-    """Distance given by a named analytic rule, with an optional plane rule:
-    plane_rule(p, qs, rs) must equal [[rule(p, q, r) for r in rs] for q in
-    qs] in every value and type whenever it returns. It may raise where the
-    pointwise calls do not (a power taken ahead of the branch that needs
-    it, a check of a whole row): on any error, and with no plane rule, the
-    plane is made by pointwise calls. A plane holds len(qs) * len(rs)
-    values.
-
-    The optional span rule bounds a plane, and its rows, without making
-    them: span_rule(qs, rs) returns None or a function of p, which returns
-    None, raises, or returns (low, high, rows). low and high are finite,
-    with low <= v <= high for each value v of plane(p, qs, rs), which then
-    returns (raises nothing); rows() returns (lows, highs), two lists of
-    finite values aligned with qs, with lows[i] <= v <= highs[i] for each
-    value v of row i. So a plane is bounded without its per-row lists,
-    which are made only when rows() is called. On any error, and with no
-    span rule, there is no bound (see `row_spans`)."""
+    """Distance given by a named analytic rule, with an optional span rule
+    that bounds the rows (p, q, rs) of q in qs without making them:
+    span_rule(qs, rs) returns None or a function of p, which returns None,
+    raises, or returns (low, high, rows). low and high are finite, with
+    low <= v <= high for each value v of row(p, q, rs) for q in qs, each
+    of which then returns (raises nothing); rows() returns (lows, highs),
+    two lists of finite values aligned with qs, with lows[i] <= v <=
+    highs[i] for each value v of row i. So all the rows are bounded
+    without the per-row lists, which are made only when rows() is called.
+    On any error, and with no span rule, there is no bound (see
+    `row_spans`)."""
 
     name: str
     rule: Callable
-    plane_rule: Callable | None = None
     span_rule: Callable | None = None
 
     def __call__(self, p, q, r):
@@ -164,19 +153,9 @@ class RuleMetric(_Pointwise):
             labels = ", ".join(point_label(x) for x in (p, q, r))
             raise DistanceOverflow(f"{self.name}({labels}) overflows the float range") from None
 
-    def plane(self, p, qs: list, rs: list) -> list:
-        """[[self(p, q, r) for r in rs] for q in qs], from the plane rule
-        when it returns."""
-        if self.plane_rule is not None:
-            try:
-                return self.plane_rule(p, qs, rs)
-            except Exception:
-                pass
-        return super().plane(p, qs, rs)
-
     def row_spans(self, qs: list, rs: list):
         """The span rule's function of p for (qs, rs), which may also give
-        None or raise for a p: no bound on that plane. None with no span
+        None or raise for a p: no bound on those rows. None with no span
         rule, or when it gives none for (qs, rs) or raises."""
         if self.span_rule is None:
             return None
@@ -201,64 +180,26 @@ def quintic(p, q, r):
     return d
 
 
-def _row_ends(p5, base, lo, hi):
-    """The least and greatest sums of a quintic plane's row whose r^5 lie
-    in [lo, hi]: 2(p^5 + r^5) in the row of q = p (base None) and base +
-    r^5, base = p^5 + q^5, in any other, added as quintic adds them. Float
-    addition is monotone, so every sum of the row lies between the two.
-    OverflowError unless -inf < low <= high < inf (nan, which min and max
-    may return, included)."""
-    if base is None:
-        low, high = 2 * (p5 + lo), 2 * (p5 + hi)
-    else:
-        low, high = base + lo, base + hi
-    if not -math.inf < low <= high < math.inf:
-        raise OverflowError("a fifth-power distance overflows the float range")
-    return low, high
-
-
-def _quintic_plane(p, qs, rs):
-    """[[quintic(p, q, r) for r in rs] for q in qs] with p^5 taken once, the
-    r^5 once per plane and p^5 + q^5 once per q; the sums add left to right,
-    as quintic's do. A row whose `_row_ends` with the least and the greatest
-    r^5 raise OverflowError raises it, also where quintic does not, and
-    RuleMetric.plane then makes the plane by pointwise calls."""
-    p5 = p ** 5
-    r5s = [r ** 5 for r in rs]
-    lo, hi = (min(r5s), max(r5s)) if r5s else (0, 0)
-    plane = []
-    for q in qs:
-        if p == q:
-            _row_ends(p5, None, lo, hi)
-            row = [p5 if q == r else 2 * (p5 + r5) for r, r5 in zip(rs, r5s)]
-        else:
-            base = p5 + q ** 5
-            _row_ends(p5, base, lo, hi)
-            row = [base + r5 for r5 in r5s]
-        plane.append(row)
-    return plane
-
-
 # An int of at most this size, and the sum of four such, is a float exactly.
 _EXACT_INT = 2 ** 51
 
 
 def _quintic_row_spans(qs, rs):
-    """A function of p giving (low, high, rows) for _quintic_plane(p, qs,
-    rs): its least and greatest value, and rows(), which gives (lows,
-    highs), the least and greatest value of each row; None when qs or rs is
-    empty or a fifth power of qs or rs fails `_exact_powers`. The fifth
-    powers of qs and rs, their check, and their positions sorted by fifth
-    power are made once for every p (the grid walk's qs and rs are one
-    list), so that low and high take O(1) for a p with one key among qs and
-    rs, and rows() O(len(qs)). The function gives None when p^5 fails
+    """A function of p giving (low, high, rows) for the quintic rows (p, q,
+    rs) of q in qs: their least and greatest value, and rows(), which gives
+    (lows, highs), the least and greatest value of each row; None when qs
+    or rs is empty or a fifth power of qs or rs fails `_exact_powers`. The
+    fifth powers of qs and rs, their check, and their positions sorted by
+    fifth power are made once for every p (the grid walk's qs and rs are
+    one list), so that low and high take O(1) for a p with one key among qs
+    and rs, and rows() O(len(qs)). The function gives None when p^5 fails
     `_exact_powers` or a bound is not finite. A row of q != p spans (p^5 +
     q^5) + the least and the greatest r^5, so the rows of q != p span (p^5
     + the least such q^5) + the least r^5 to (p^5 + the greatest) + the
     greatest r^5; the row of q = p spans p^5 at r = p and 2(p^5 + r^5) at
-    the r != p. Each bound is a value of the plane, so low and high are the
+    the r != p. Each bound is a value of a row, so low and high are the
     least of the lows and the greatest of the highs; with finite bounds
-    every value is finite, so RuleMetric.plane raises nothing.
+    every value is finite, so no row raises.
 
     The bounds hold because rounded addition and doubling are monotone in
     each operand. That needs one arithmetic: an int sum is exact and a
@@ -287,7 +228,7 @@ def _quintic_row_spans(qs, rs):
         if at:
             others = _other_ends(rs, r5s, r_order, p)
             if others is not None:
-                own += _row_ends(p5, None, *others)
+                own += 2 * (p5 + others[0]), 2 * (p5 + others[1])
             if p in r_keys:
                 own.append(p5)
         ends = own[:]
@@ -745,12 +686,12 @@ def builtin_space(name: str) -> PartialSbSpace:
     if name == "quintic_ray":
         return PartialSbSpace(
             RegionCarrier(intervals=((1, None),)),
-            RuleMetric("quintic", quintic, _quintic_plane, _quintic_row_spans),
+            RuleMetric("quintic", quintic, span_rule=_quintic_row_spans),
         )
     if name == "quintic_gap":
         return PartialSbSpace(
             RegionCarrier(isolated=(0, 3), intervals=((4, None),)),
-            RuleMetric("quintic", quintic, _quintic_plane, _quintic_row_spans),
+            RuleMetric("quintic", quintic, span_rule=_quintic_row_spans),
         )
     if name == "two_point_a":
         return tabulated_space((1, 2), _TWO_POINT_A_TABLE)

@@ -1680,6 +1680,9 @@ class TestPlanes:
         # distance at the b before it.
         ({(1, 3, 1): None}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
         ({(1, 3, 1): None, (1, 2, 3): -7}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
+        # Metric overflows at the middle and the last b: the distances are
+        # made a b at a time, so the middle b's last c comes first.
+        ({(1, 2, 3): None, (1, 3, 1): None}, QUARTER, DistanceOverflow, "patched(1, 2, 3) overflows the float range"),
         # A metric overflow at the last b, ahead of an lhs row that
         # overflows at the same b.
         ({(1, 3, 1): None, (2, 1, 3): None}, QUARTER, DistanceOverflow, "patched(1, 3, 1) overflows the float range"),
@@ -1699,7 +1702,7 @@ class TestPlanes:
         ({(1, 2, 3): 6}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
          ZeroDivisionError, "division by zero"),
     ], ids=["fifth-factor overflow", "negative fifth factor", "distance overflow", "distance overflow first",
-            "distance overflow before an lhs overflow", "lhs overflow first", "negative distance",
+            "distance overflows in two rows", "distance overflow before an lhs overflow", "lhs overflow first", "negative distance",
             "negative distance first", "product overflow first", "comparison"])
     def test_plane_and_block_errors_follow_the_stage_order(self, overrides, comparison, error, message):
         space = patched_space(overrides)

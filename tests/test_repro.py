@@ -129,9 +129,9 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     it is evaluated: a cleared plane or row is bounded by the pair rows
     and the metric's row spans."""
     real_factors, real_products = contraction.InequalitySides._plane_factors, contraction.InequalitySides._row_products
-    real_plane, real_factor_rows = spaces._quintic_plane, contraction._factor_rows
+    real_row, real_factor_rows = spaces.RuleMetric.row, contraction._factor_rows
     real_fifth_row = contraction.InequalitySides._fifth_row
-    factors, rows, planes, images, fifths = [], [], [], [], []
+    factors, rows, metric_rows, images, fifths = [], [], [], [], []
 
     def counting_factors(sides, a, *args, **kwargs):
         factors.append((len(sides.points), a))
@@ -145,9 +145,9 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
         fifths.append((len(sides.points), ia, b))
         return real_fifth_row(sides, ia, b)
 
-    def counting_plane(p, qs, rs):
-        planes.append((len(qs), len(rs), p))
-        return real_plane(p, qs, rs)
+    def counting_row(metric, p, q, rs):
+        metric_rows.append(len(rs))
+        return real_row(metric, p, q, rs)
 
     def counting_factor_rows(made):
         images.append((len(made), sum(map(len, made))))
@@ -156,7 +156,7 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     monkeypatch.setattr(contraction.InequalitySides, "_plane_factors", counting_factors)
     monkeypatch.setattr(contraction.InequalitySides, "_row_products", counting_products)
     monkeypatch.setattr(contraction.InequalitySides, "_fifth_row", counting_fifth_row)
-    monkeypatch.setattr(spaces, "_quintic_plane", counting_plane)
+    monkeypatch.setattr(spaces.RuleMetric, "row", counting_row)
     monkeypatch.setattr(contraction, "_factor_rows", counting_factor_rows)
     item = repro._contraction_item(0)
     assert item["passed"] is True
@@ -171,8 +171,9 @@ def test_contraction_item_walks_the_grid_once(monkeypatch, cleared_planes):
     assert 0 < len(rows) - len(walked) <= 21
     # No plane's distances are made: the metric's rows are, per walk, the
     # dist(S(x), S(x), y) of the 2 images, the lhs of the 4 pairs of them,
-    # and the distances of each evaluated row.
-    assert all(nq == 1 for nq, _, _ in planes) and len(planes) == 2 * (2 + 4) + len(rows)
+    # and the distances of each evaluated row, each over the walk's points.
+    assert len(metric_rows) == 2 * (2 + 4) + len(rows)
+    assert sorted(set(metric_rows)) == [21, 51]
     # The lhs rows of each image; the fifth-factor rows are bounded from
     # the pair rows, so a plane's are made only when it is evaluated.
     assert images == [(51, 51 * 51)] * 2 + [(21, 21 * 21)] * 2

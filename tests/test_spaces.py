@@ -36,7 +36,7 @@ from psbmetric import (
 from psbmetric import spaces as spaces_module
 from psbmetric.errors import PsbmError
 from psbmetric.numerics import point_label, point_sort_key
-from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_plane, _quintic_row_spans, sampled_positions
+from psbmetric.spaces import SAMPLE_BLOCK, AxiomReport, Violation, _quintic_row_spans, sampled_positions
 
 TWO_POINT_B_FILE = """\
 # replicates the disconnected two-point table
@@ -660,10 +660,16 @@ def pointwise_plane(metric, p, qs, rs):
     return [[metric(p, q, r) for r in rs] for q in qs]
 
 
+def metric_rows(metric, p, qs, rs):
+    """metric.row(p, q, rs) for each q in qs, as the grid walk makes an
+    a-plane's distances."""
+    return [metric.row(p, q, rs) for q in qs]
+
+
 class TestMetricRows:
-    """metric.row(p, q, rs) is [metric(p, q, r) for r in rs] and
-    metric.plane(p, qs, rs) is [[metric(p, q, r) for r in rs] for q in qs],
-    errors included."""
+    """metric.row(p, q, rs) is [metric(p, q, r) for r in rs], and the rows
+    of the q in qs are [[metric(p, q, r) for r in rs] for q in qs], errors
+    included."""
 
     def test_rule_rows_equal_pointwise_calls(self):
         metric = builtin_space("quintic_gap").metric
@@ -719,7 +725,7 @@ class TestMetricRows:
             qs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
             rs = [rng.choice(values) for _ in range(rng.randint(0, 5))]
             expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
-            assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+            assert plane_outcome(lambda: metric_rows(metric, p, qs, rs)) == expected
             if isinstance(expected, tuple):
                 errors.add(expected[0])
         assert errors == {DistanceOverflow, TypeError}
@@ -733,20 +739,20 @@ class TestMetricRows:
         qs = data.draw(st.lists(st.one_of(st.sampled_from(ties), TIE_POINTS), max_size=4))
         rs = data.draw(st.lists(st.one_of(st.sampled_from(ties), TIE_POINTS), max_size=6))
         expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
-        assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+        assert plane_outcome(lambda: metric_rows(metric, p, qs, rs)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(p=ROW_FLOATS, qs=st.lists(ROW_FLOATS, max_size=4), rs=st.lists(ROW_FLOATS, max_size=6))
     def test_float_rule_planes_round_as_pointwise_calls(self, p, qs, rs):
         metric = builtin_space("quintic_gap").metric
         expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
-        assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+        assert plane_outcome(lambda: metric_rows(metric, p, qs, rs)) == expected
 
     def test_rule_plane_names_the_first_overflow_in_q_then_r_order(self):
         # Every r of q = 1e80 overflows, but (7, 1e90) comes first.
         metric = builtin_space("quintic_gap").metric
         with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+90\) overflows the float range$"):
-            metric.plane(4.5, [7, 1e80, 5], [4, 1e90])
+            metric_rows(metric, 4.5, [7, 1e80, 5], [4, 1e90])
 
     def test_a_float_sum_beyond_the_float_range_overflows(self):
         # Each fifth power is finite; their sum is not.
@@ -755,7 +761,7 @@ class TestMetricRows:
                 quintic(*triple)
         metric = builtin_space("quintic_gap").metric
         with pytest.raises(DistanceOverflow, match=r"^quintic\(3\.5e\+61, 3\.6e\+61, 3\.9e\+61\) overflows the float range$"):
-            metric.plane(3.5e61, [7, 3.6e61], [3, 3.9e61])
+            metric_rows(metric, 3.5e61, [7, 3.6e61], [3, 3.9e61])
         with pytest.raises(DistanceOverflow, match=r"^quintic\(3\.9e\+61, 3\.9e\+61, 3\) overflows the float range$"):
             metric.row(3.9e61, 3.9e61, [3.9e61, 3])
         # 2 * (p^5 + p^5) overflows, but the entry at r = p is p^5 alone.
@@ -765,32 +771,12 @@ class TestMetricRows:
         for name in ("quintic_gap", "two_point_a"):
             metric = builtin_space(name).metric
             for p in (1, 1e80, "abc", 5):
-                assert metric.plane(p, [], [1, 1e90, "x"]) == []
-                assert metric.plane(p, [1, 1e90, "x"], []) == [[], [], []]
-
-    @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
-    def test_quintic_builtins_carry_the_plane_kernel(self, name):
-        assert builtin_space(name).metric.plane_rule is _quintic_plane
+                assert metric_rows(metric, p, [], [1, 1e90, "x"]) == []
+                assert metric_rows(metric, p, [1, 1e90, "x"], []) == [[], [], []]
 
     @pytest.mark.parametrize("name", ["quintic_ray", "quintic_gap"])
     def test_quintic_builtins_carry_the_span_kernel(self, name):
         assert builtin_space(name).metric.span_rule is _quintic_row_spans
-
-    def test_the_kernel_leaves_the_rule_to_planes_that_raise(self):
-        calls = []
-
-        def counting(p, q, r):
-            calls.append((q, r))
-            return quintic(p, q, r)
-
-        metric = RuleMetric("quintic", counting, _quintic_plane)
-        points = [4 + k / 10 for k in range(61)]
-        assert metric.plane(4.5, points, points) == pointwise_plane(quintic, 4.5, points, points)
-        assert metric.row(4.5, 7, points) == [quintic(4.5, 7, r) for r in points]
-        assert calls == []
-        with pytest.raises(DistanceOverflow, match=r"^quintic\(4\.5, 7, 1e\+80\) overflows"):
-            metric.plane(4.5, [7, 8], [4, 1e80, 1e90])
-        assert calls == [(7, 4), (7, 1e80)]
 
     def test_tabulated_rows_equal_pointwise_calls(self):
         metric = builtin_space("two_point_a").metric
@@ -817,7 +803,7 @@ class TestMetricRows:
             qs = [rng.choice(values) for _ in range(rng.randint(0, 3))]
             rs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
             expected = plane_outcome(lambda: pointwise_plane(metric, p, qs, rs))
-            assert plane_outcome(lambda: metric.plane(p, qs, rs)) == expected
+            assert plane_outcome(lambda: metric_rows(metric, p, qs, rs)) == expected
             if isinstance(expected, tuple):
                 errors.add(expected)
         assert (UnknownPoint, "point 3 is not in the carrier") in errors
@@ -826,7 +812,7 @@ class TestMetricRows:
     def test_tabulated_plane_names_the_first_unknown_point_in_q_then_r_order(self):
         metric = builtin_space("two_point_a").metric
         with pytest.raises(UnknownPoint, match="^point x is not in the carrier$"):
-            metric.plane(1, [1, 3], [2, "x"])
+            metric_rows(metric, 1, [1, 3], [2, "x"])
 
     def test_an_unknown_p_with_no_r_is_no_error(self):
         metric = builtin_space("two_point_a").metric
@@ -875,12 +861,12 @@ def span_holds(metric, p, qs, rs):
     """Whether plane_span(metric, p, qs, rs) is None, or finite (low, high,
     lows, highs), lows and highs aligned with qs, with low <= v <= high
     and lows[i] <= v <= highs[i] for every value v of row i of
-    metric.plane(p, qs, rs), which must then return."""
+    metric_rows(metric, p, qs, rs), which must then return."""
     spans = plane_span(metric, p, qs, rs)
     if spans is None:
         return True
     low, high, lows, highs = spans
-    plane = metric.plane(p, qs, rs)
+    plane = metric_rows(metric, p, qs, rs)
     return math.isfinite(low) and math.isfinite(high) and len(lows) == len(highs) == len(plane) and all(
         math.isfinite(lo) and math.isfinite(hi) and all(low <= lo <= v <= hi <= high for v in row)
         for lo, hi, row in zip(lows, highs, plane))
@@ -889,7 +875,7 @@ def span_holds(metric, p, qs, rs):
 class TestMetricSpan:
     """metric.row_spans(qs, rs) is None, or a function of p that gives
     None, raises, or gives finite bounds on every value of each row of
-    metric.plane(p, qs, rs), which then raises nothing."""
+    metric_rows(metric, p, qs, rs), which then raises nothing."""
 
     @settings(max_examples=400, deadline=None)
     @given(qs=st.lists(SPAN_POINTS, max_size=5), rs=st.lists(SPAN_POINTS, max_size=6), data=st.data())
@@ -910,7 +896,7 @@ class TestMetricSpan:
         points = [3] + [4 + k * ((bound - 4) / 59) for k in range(60)]
         spans = metric.row_spans(points, points)
         for p in points:
-            rows = metric.plane(p, points, points)
+            rows = metric_rows(metric, p, points, points)
             low, high, row_spans = spans(p)
             assert row_spans() == ([min(row) for row in rows], [max(row) for row in rows])
             assert (low, high) == (min(map(min, rows)), max(map(max, rows)))
@@ -937,7 +923,7 @@ class TestMetricSpan:
         # as a float, so with r^5 = 0 and 0.0, which are equal, the plane's
         # float value lies below its int value.
         metric = builtin_space("quintic_gap").metric
-        (exact, rounded), = metric.plane(1600, [1], [0, 0.0])
+        exact, rounded = metric.row(1600, 1, [0, 0.0])
         assert type(exact) is int and type(rounded) is float and rounded < exact
         assert row_spans(metric, 1600, [1], [0, 0.0]) is None
         assert plane_span(metric, 1600.0, [1], [0, 0.0]) == (rounded, rounded, [rounded], [rounded])
@@ -961,7 +947,7 @@ class TestMetricSpan:
 
     def test_metrics_without_a_span_rule_have_no_span(self):
         assert builtin_space("two_point_a").metric.row_spans([1, 2], [1, 2]) is None
-        assert RuleMetric("quintic", quintic, _quintic_plane).row_spans([4], [5]) is None
+        assert RuleMetric("quintic", quintic).row_spans([4], [5]) is None
 
         def failing(qs, rs):
             raise ValueError("no span")
@@ -971,10 +957,10 @@ class TestMetricSpan:
                 raise ValueError("no span")
             return spans
 
-        assert RuleMetric("quintic", quintic, _quintic_plane, failing).row_spans([4], [5]) is None
+        assert RuleMetric("quintic", quintic, span_rule=failing).row_spans([4], [5]) is None
         # The rule's own function is returned; its error is the caller's.
         with pytest.raises(ValueError, match="no span"):
-            RuleMetric("quintic", quintic, _quintic_plane, failing_rows).row_spans([4], [5])(3)
+            RuleMetric("quintic", quintic, span_rule=failing_rows).row_spans([4], [5])(3)
 
 
 class TestCheckAxioms:
