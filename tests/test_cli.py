@@ -1514,6 +1514,11 @@ CERTIFY_JSON_SHA256 = {
     ("--seed", "3"): "43714c7b1bf1aee445b1a520cb6a39cec5ed318f97540a7e0ca6515ebb557c0b",
     ("--seed", "4"): "43714c7b1bf1aee445b1a520cb6a39cec5ed318f97540a7e0ca6515ebb557c0b",
     ("--samples", "200", "--seed", "0"): "de5fa6ecc8ca690750defaa4088050cd4328501a1aeb7f39c07bc64a417a5692",
+    ("--samples", "1", "--seed", "0"): "b9860b9d0953a1f8dd5c76321447641f82ed3bb1652b034d17ee0b54fb89819c",
+    ("--samples", "7", "--seed", "3"): "4b1d00eb36ae8008cb98ae66fc06ca3c9bade4e97433747f4aa189ac75387520",
+    ("--samples", "1024", "--seed", "2"): "20487db6092c49ab450e4c4df8bfe3ea43ba7cd3c7f4a0bcecb91c719938f6e8",
+    ("--samples", "1025", "--seed", "2"): "e13238091b27683d4ad9a5ad96d5d901270b49b4d1a34a8336b7fa5cfeb408a2",
+    ("--samples", "3000", "--seed", "4", "--matkowski"): "d9045ad86ea1aa946a6cebc1f34279e3363a4a820ffeedfa27b9ad13ef444b05",
 }
 
 
