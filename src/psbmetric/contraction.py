@@ -13,10 +13,11 @@ when the whole list lies on one piece; both are bit for bit the pointwise
 calls. Every other factor is tabulated once per point, per image S(x), per
 (S(a), S(b)) or per (S(a), b), whichever it depends on.
 `certify` walks the a-planes of its points, n^2 triples each, and reduces
-each plane's margins at C level; its sampled path reads the same tables a
-block of drawn triples at a time.
+each plane's margins at C level. A sampled certificate walks the planes of
+its pool that hold a drawn triple, counting and evaluating only the drawn
+triples.
 
-The grid walk decides most planes, and most rows of the rest, from a
+The walk decides most planes, and most rows of the rest, from a
 bound before making their products (interval analysis, Moore 1966). A
 plane's lhs rows depend on a only through S(a), so they are made, each
 with its `numerics.finite_span`, once per image. A fifth-factor row of
@@ -32,7 +33,7 @@ of the factors' minima and maxima over a block of rows (`_bounds`), with
 d^p and the fifth factor's bounds widened by (1 -+ 2^-48), then bound
 every product of the block below and above. A plane whose bound keeps
 every rhs above every lhs, and every margin above each spec's running
-minimum, is cleared: it cannot change a report, its n^2 triples count in
+minimum, is cleared: it cannot change a report, its triples count in
 triples_checked unevaluated, and neither its products nor, under the
 bounds, its distances and fifth-factor rows are made. A plane that is
 not cleared, but whose bound lies on one piece of each spec's comparison,
@@ -41,19 +42,15 @@ each row against the running minima that the rows before it leave. The
 widening assumes a pow that is faithfully rounded (an error below 1 ulp),
 which Python does not promise. The case table skips, by the same bound,
 the (a, b) rows that cannot change a subcase's minimum
-(`reproduce_case_table`). On a metric with `row_spans`, a sampled block
-after the first evaluates only the drawn triples whose plane or row is
-not cleared, each plane being bounded once per certificate
-(`_sampled_chunks`); the skip is read on pool positions, so only the
-evaluated triples are made. The first block is evaluated whole.
+(`reproduce_case_table`).
 
 Certificates whose specs differ only in the comparison share one walk
-(`_certificates`, as the reproduction script's two do): each plane, row or
-block is evaluated up to its products, and their min and max, once; each
-spec then makes its own rhs list, margin reduction and failure list, so
-that every report is bit for bit that of its own certify call. `_rhs`, the
-one maker of an rhs list (for the walk, the case table, `plane` and
-`block`), reads it off one piece's line, or else goes value by value. The
+(`_certificates`, as the reproduction script's two do): each plane or row
+is evaluated up to its products, and their min and max, once; each spec
+then makes its own rhs list, margin reduction and failure list, so that
+every report is bit for bit that of its own certify call. `_rhs`, the one
+maker of an rhs list (for the walk, the case table and `plane`), reads it
+off one piece's line, or else goes value by value. The
 case table walks each a-plane once and files each c of each of its (a, b)
 rows into its subcase by the row's equality pattern. `ray_grid` is the one
 evenly spaced grid on a region carrier's ray, used by the case table, by
@@ -65,10 +62,11 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, product, repeat, starmap
-from operator import getitem, itemgetter, le, lt, ne, sub
+from itertools import accumulate, chain, product, repeat
+from operator import itemgetter, le, lt, ne, sub
 from typing import Callable, NamedTuple
 
 from .comparison import ComparisonFn, _span, builtin_comparison
@@ -162,9 +160,9 @@ class InequalitySides:
     rhs = comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s)),
     with g(x) = dist(x, x, S(x)) and m = (dist(S(a),S(a),b) + dist(S(b),S(b),c)) / 2t.
     `sides.plane(a)` gives both sides for every b and then every c in
-    `points` as two lists (n^2 values each), and `sides.block(triples)` for
-    a list of triples. Every image S(x) must be a carrier point (UnknownPoint
-    names the map and the first point whose image is not).
+    `points` as two lists (n^2 values each). Every image S(x) must be a
+    carrier point (UnknownPoint names the map and the first point whose
+    image is not).
 
     Only dist(a, b, c) and the comparison are evaluated per triple, a row
     or a list at a time (any comparison other than a ComparisonFn value by
@@ -179,27 +177,24 @@ class InequalitySides:
       with the `finite_span` of each row and of them all, and the bounds
       of the fifth-factor rows, which are made only where a row is
       evaluated (`_Rows`).
-    A row is computed whole when a triple first needs it, so an error in
-    any of its entries is raised there, also when that triple's own entries
-    are fine.
+    A row is computed whole when a plane first needs it, so an error in
+    any of its entries is raised there, also when the triples evaluated
+    have fine entries of their own.
 
-    `plane` and `block` evaluate in one stage order, each stage over all
-    their triples before the next, and raise the first error met: the
-    fifth-factor rows, the distances (one metric row per b in a plane, so
-    in (b, c) order), the lhs rows, the first negative distance, the
-    products, and the comparison. Each is its comparison-free stage,
-    `_plane_products` or `_block_products`, followed by one comparison of
-    the product list.
-    `_row_products` gives one (a, b) row of a plane past its factors.
+    `plane` evaluates in one stage order, each stage over all its triples
+    before the next, and raises the first error met: the fifth-factor rows,
+    the distances (one metric row per b, so in (b, c) order), the lhs rows
+    (`_plane_factors`), the first negative distance, the products
+    (`_plane_products`), and the comparison of the product list.
+    `_row_products` gives one (a, b) row of a plane past its factors. Given
+    how often a sampled certificate draws each entry, both make the
+    products of the drawn entries alone.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
         validate_exponents(spec)
         self.points = points = list(points)
         self._metric = metric = space.metric
-        # A bound __call__ method: cheaper to call once per triple than the
-        # metric object itself.
-        self._dist = dist = metric.__call__
         self._comparison = spec.comparison
         self._p, self._e5 = spec.p, spec.residual
         self._two_t = 2 * space.coefficient
@@ -213,7 +208,7 @@ class InequalitySides:
         for (_, ix), x in firsts.items():
             spec.mapping.require_image(space, x, ix)
         self._images = [image[c] for c in points]
-        gap = {x: dist(x, x, image[x]) for x in points}
+        gap = {x: metric(x, x, image[x]) for x in points}
         self._fq = {x: _power(gap[x], spec.q) for x in points}
         self._fr = {x: _power(gap[x], spec.r) for x in points}
         self._fs = [_power(gap[x], spec.s) for x in points]
@@ -307,13 +302,6 @@ class InequalitySides:
         lhs, products = self._plane_products(a, self._plane_factors(a))
         return lhs, _rhs(self._comparison, products, _span(products))
 
-    def block(self, triples):
-        """(lhs list, rhs list) over a list of triples (a, b, c). Each distinct
-        fifth-factor row (S(a), b) and lhs row (S(a), S(b)) of the block is
-        made once, in the order the triples first need it, and indexed by c."""
-        lhs, products = self._block_products(triples)
-        return lhs, _rhs(self._comparison, products, _span(products))
-
     @cached_property
     def _row_spans(self):
         """The metric's `row_spans` over the points: None, or a function of
@@ -362,33 +350,43 @@ class InequalitySides:
         row, points = self._metric.row, self.points
         return [row(a, b, points) for b in points]
 
-    def _plane_products(self, a, factors):
+    def _plane_products(self, a, factors, weights=None):
         """`plane` up to its comparison: the lhs list and the product list,
         from `factors`, `_plane_factors(a)`; rows that it left unmade are
-        made here."""
+        made here. `weights`, one per entry (a, points[j], points[k]) at
+        j * n + k, keeps each entry that many times (`_picked`), before any
+        product is made."""
         fifth, lhs, d = factors
         ds = list(chain.from_iterable(self._distances(a) if d.rows is None else d.rows))
         n = len(self.points)
         frs = chain.from_iterable(repeat(self._fr[b], n) for b in self.points)
         fss = chain.from_iterable(repeat(self._fs, n))
-        fifths = map(partial(self._fifth_of, a, fifth), range(n))
-        return list(chain.from_iterable(lhs.rows)), self._products(ds, repeat(self._fq[a]), frs, fss, chain.from_iterable(fifths))
+        fifths = chain.from_iterable(map(partial(self._fifth_of, a, fifth), range(n)))
+        lhs = list(chain.from_iterable(lhs.rows))
+        if weights is not None:
+            lhs, ds, frs, fss, fifths = (_picked(v, weights) for v in (lhs, ds, frs, fss, fifths))
+        return lhs, self._products(ds, repeat(self._fq[a]), frs, fss, fifths)
 
     def _fifth_of(self, a, fifth, j):
         """The fifth-factor row of (a, points[j]), from `fifth`, the first
         factor of `_plane_factors(a)`, or made when it left it unmade."""
         return self._fifth_row(self._image[a], self.points[j]) if fifth.rows is None else fifth.rows[j]
 
-    def _row_products(self, a, j, factors):
+    def _row_products(self, a, j, factors, weights=None):
         """The lhs row and the product row of (a, b, c) over the c, b being
         points[j], from `factors`, `_plane_factors(a)` of a
         plane whose products raise nothing; a fifth-factor or distance row
         that it left unmade is made here. The lhs row is shared: it is read
-        only."""
+        only. `weights`, one per c, keeps each entry as `_plane_products`
+        does."""
         fifth, lhs, d = factors
         b = self.points[j]
         ds = self._metric.row(a, b, self.points) if d.rows is None else d.rows[j]
-        return lhs.rows[j], self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), self._fs, self._fifth_of(a, fifth, j))
+        rows = lhs.rows[j], ds, self._fs, self._fifth_of(a, fifth, j)
+        if weights is not None:
+            rows = [_picked(row, weights) for row in rows]
+        lhs, ds, fss, fifths = rows
+        return lhs, self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), fss, fifths)
 
     def _bounds(self, a, d_spans, fr_spans, t_spans, lhs_spans):
         """[(lo, hi, top) per block] for blocks of a's plane, a block being
@@ -438,15 +436,6 @@ class InequalitySides:
         rows = self._bounds(a, d.spans(), self._fr_spans, fifth.spans(), lhs.spans())
         return [plane if row is None else row for row in rows]
 
-    def _block_products(self, triples):
-        """`block` up to its comparison: the lhs list and the product list."""
-        index, image, fq, fr, fs = self._index, self._image, self._fq, self._fr, self._fs
-        ks = [index[c] for _, _, c in triples]
-        fifth = _entries(self._fifth_row, [(image[a], b) for a, b, _ in triples], ks)
-        ds = list(starmap(self._dist, triples))
-        lhs = _entries(self._lhs_row, [(image[a], image[b]) for a, b, _ in triples], ks)
-        return lhs, self._products(ds, [fq[a] for a, _, _ in triples], [fr[b] for _, b, _ in triples], map(fs.__getitem__, ks), fifth)
-
 
 class _Rows(NamedTuple):
     """One factor of an a-plane as rows over c, one per b: the rows, None
@@ -493,13 +482,6 @@ def _widened(lo, hi, e):
     if (w_lo == 0 or normal <= w_lo < inf) and (w_hi == 0 or normal <= w_hi < inf):
         return w_lo, w_hi
     return None
-
-
-def _entries(make_row, keys, ks):
-    """[make_row(*key)[k] for key, k in zip(keys, ks)], with one make_row
-    call per distinct key, in the order of their first occurrence."""
-    rows = {key: make_row(*key) for key in dict.fromkeys(keys)}
-    return list(map(getitem, map(rows.__getitem__, keys), ks))
 
 
 def fixed_points_bruteforce(mapping: SelfMap, sample) -> tuple:
@@ -549,38 +531,33 @@ def certify(
     or over `sample_count` random triples of a deterministic carrier sample
     (seed default 0); exactly one of the two is given, and a seed only with
     `sample_count`. Triples holding fixed points are skipped and reported.
-
-    Sampled triples are drawn by spaces.sampled_positions, the draw that
-    check_axioms uses, and evaluated a block at a time by
-    InequalitySides.block; the report is that of drawing and evaluating them
-    one at a time. An error is the first, in InequalitySides' stage order,
-    of the first a-plane or block that raises.
     Each lhs meets its rhs, a rounded product of powers with irrational
     exponents, in a plain <=: a tie within rounding needs outward rounding.
     It is `_certificates` with one spec: each chunk's products are scanned
     once for their min and max, from which `_rhs` picks the line they are
     read off.
 
-    With `points`, an a-plane after the first is cleared by `_cleared`, its
-    products never made, when a bound on them, rounded outward, shows that
-    it cannot change the report; triples_checked counts its triples all
-    the same. Nor are its distances, when the metric's `row_spans` bound
-    them, or its fifth-factor rows, when the pair rows bound them
-    (`InequalitySides._fifth_bounds`). A plane that is not cleared, but
-    whose bound lies on one piece of the comparison, is walked row by row,
-    and a row is cleared, under the same test, on its own bound. Every
-    factor row must have a finite bound, finite values and no nan, but
-    need not have a finite sum. The bound assumes a faithfully rounded pow
-    (see the module docstring).
+    The walk goes over the a-planes in the order of the points, and an
+    a-plane after the first is cleared, its products never made, when a
+    bound on them, rounded outward, shows that it cannot change the report;
+    triples_checked counts its triples all the same. Nor are its distances,
+    when the metric's `row_spans` bound them, or its fifth-factor rows,
+    when the pair rows bound them (`InequalitySides._fifth_bounds`). A
+    plane that is not cleared, but whose bound lies on one piece of the
+    comparison, is walked row by row, and a row is cleared, under the same
+    test, on its own bound. Every factor row must have a finite bound,
+    finite values and no nan, but need not have a finite sum. The bound
+    assumes a faithfully rounded pow (see the module docstring).
 
-    With `sample_count`, every drawn triple counts in triples_checked, but
-    where the metric has `row_spans` (the quintic builtins), a triple of a
-    block after the first is evaluated only when the bound of its a-plane
-    or (a, b) row, by the same test, does not clear it against the running
-    minima of the blocks before it (`_sampled_chunks`). The skip is read
-    on the draw's pool positions, and only the triples evaluated are made.
-    The first block, and on any other metric every block, is evaluated
-    whole.
+    Sampled triples are drawn by spaces.sampled_positions, the draw that
+    check_axioms uses, and dropped by pool position where they hold a fixed
+    point. The walk then goes over the pool's planes that hold a drawn
+    triple, and counts and evaluates only the drawn triples, repeats kept;
+    the report is that of evaluating them one at a time, up to the first
+    of several errors and a nan minimum, which follow the walk's (a, b, c)
+    order. As on the grid, an error is the first, in InequalitySides'
+    stage order, of the first a-plane that raises: making a plane's factor
+    rows may raise where no drawn triple of it does.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -589,9 +566,9 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     """[certify(space, spec, ...) for spec in specs], report for report and
     bit for bit, from one walk. The specs must share p, q, r, s and the map
     (InvalidArgument otherwise), so that the products of every a-plane or
-    block, and their min and max, are made once. Each spec then makes its
+    row, and their min and max, are made once. Each spec then makes its
     own rhs list (`_rhs`), margin reduction and failure list from them.
-    An error is the first of the first a-plane or block that raises, in
+    An error is the first of the first a-plane or row that raises, in
     InequalitySides' stage order up to the products, then spec by spec in
     `specs` order: the comparison, then the margins; with one spec this
     order is certify's."""
@@ -624,36 +601,42 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
         # Chunks of (a maker of the triples, their number, their lhs values,
         # their products), with lhs and products None for a plane or a row
         # that its bound clears; the triples are made only to list failures.
-        if points is not None:
-            n = len(active)
-
-            def planes():
-                for a in active:
-                    factors = sides._plane_factors(a)
-                    bounds = sides._plane_bounds(a, factors)
-                    pieces = _pieces(specs, bounds)
-                    # min_margins holds the running minima of the chunks before.
-                    if _cleared(bounds, specs, pieces, min_margins):
-                        yield None, n * n, None, None
-                        continue
-                    if pieces is None:
-                        yield partial(product, (a,), active, active), n * n, *sides._plane_products(a, factors)
-                        continue
-                    # Nothing in this plane raises: each row is a chunk of
-                    # its own, which its bound may clear.
-                    for j, (b, row) in enumerate(zip(active, sides._row_bounds(a, factors, bounds))):
-                        if _clears(row, specs, pieces, min_margins):
-                            yield None, n, None, None
-                        else:
-                            yield partial(product, (a,), (b,), active), n, *sides._row_products(a, j, factors)
-
-            chunks = planes()
-        else:
+        n, drawn = len(active), None
+        if points is None:
             rng = random.Random(f"psbm:certify:{seed}")
-            positions = sampled_positions(rng, len(pool), 3, sample_count)
-            chunks = _sampled_chunks(sides, specs, pool, fixed, positions, min_margins)
+            drawn = _drawn(pool, fixed, sampled_positions(rng, len(pool), 3, sample_count), n)
 
-        for triples, count, lhs, products in chunks:
+        def planes():
+            for i, a in enumerate(active):
+                # None for every triple of the plane, or how often each of
+                # its triples (a, active[j], active[k]) is drawn, at j * n + k.
+                weights = None if drawn is None else drawn[i * n * n:(i + 1) * n * n]
+                count = n * n if weights is None else sum(weights)
+                if not count:
+                    continue
+                factors = sides._plane_factors(a)
+                bounds = sides._plane_bounds(a, factors)
+                pieces = _pieces(specs, bounds)
+                # min_margins holds the running minima of the chunks before.
+                if pieces is not None and _clears(bounds, specs, pieces, min_margins):
+                    yield None, count, None, None
+                    continue
+                if pieces is None:
+                    yield partial(_triples, a, active, active, weights), count, *sides._plane_products(a, factors, weights)
+                    continue
+                # Nothing in this plane raises: each row is a chunk of its
+                # own, which its bound may clear.
+                for j, row in enumerate(sides._row_bounds(a, factors, bounds)):
+                    ks = None if weights is None else weights[j * n:(j + 1) * n]
+                    count = n if ks is None else sum(ks)
+                    if not count:
+                        continue
+                    if _clears(row, specs, pieces, min_margins):
+                        yield None, count, None, None
+                    else:
+                        yield partial(_triples, a, (active[j],), active, ks), count, *sides._row_products(a, j, factors, ks)
+
+        for triples, count, lhs, products in planes():
             checked += count
             if products is None:
                 continue
@@ -677,99 +660,32 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
     return reports
 
 
-def _sampled_chunks(sides, specs, pool, fixed, positions, min_margins):
-    """`_certificates`' chunks of the drawn triples, a block of
-    `sampled_positions` at a time: (a maker of the triples evaluated, the
-    number of the block's live triples, those with no point in `fixed`,
-    their lhs values, their products), lhs and products None when none is
-    evaluated. A block is made once the one before it is reduced, so
-    min_margins holds the running minima of the blocks before it.
-
-    Where the metric has `row_spans` (and no two points are equal keys), a
-    block evaluates only the live triples whose a-plane or (a, b) row is
-    not cleared by the grid walk's own test, `_clears` on its bound. A
-    skipped triple fails nothing and raises nothing in any stage, so the
-    kept ones raise the block's first error; its margin lies strictly
-    above a kept one, so every minimum keeps its bits. Each plane is
-    bounded once, as the grid walk bounds it, and its rows only once a
-    block does not clear the plane; any error while bounding means no
-    bound. A plane or row once cleared stays cleared: a running minimum
-    only falls, or, once nan, stays nan whatever is skipped.
-
-    The skip is decided on pool positions (i, j, k): the triple is
-    evaluated when open[i][j] and live[k], open[i] being, per position j,
-    whether pool[j] is live and the row (pool[i], pool[j]) is not cleared,
-    remade only when more of that plane's rows are cleared. Only the
-    evaluated triples are made. The first block has no minimum yet, so it
-    is evaluated whole, as the grid walk evaluates its first plane."""
-    # Per a: None (no bound) or (its bound, pieces and factors); the (b,
-    # bound) of its rows; the b of its rows cleared so far.
-    planes, rows, done = {}, {}, {}
-    skips = sides._row_spans is not None and len(sides._index) == len(sides.points)
-    everything = frozenset(sides.points)
+def _drawn(pool, fixed, positions, n) -> array:
+    """How often each triple is drawn at `positions` (`sampled_positions`
+    over pool), at (i * n + j) * n + k for its positions i, j, k among the
+    n points of pool not in `fixed`; a triple holding a point of `fixed`
+    is dropped by position. Its size is n^3 whatever the draws."""
     live = [x not in fixed for x in pool]
-    closed = [False] * len(pool)
-    # Per position i, the positions j of the live triples (i, j, k) and,
-    # with the number of rows cleared when it was made, of the open ones.
-    alive = [live if x else closed for x in live]
-    opened = {}
-
-    def plane(a):
-        if a not in planes:
-            planes[a] = None
-            try:
-                factors = sides._plane_factors(a)
-                bounds = sides._plane_bounds(a, factors)
-                pieces = _pieces(specs, bounds)
-                if pieces is not None:
-                    planes[a] = bounds, pieces, factors
-            except Exception:  # no bound: the plane's triples are evaluated
-                pass
-        return planes[a]
-
-    def cleared(a):
-        """The points b whose (a, b) rows the bounds clear."""
-        found = done.get(a, ())
-        if found is not everything and plane(a) is not None:
-            bounds, pieces, factors = planes[a]
-            if _clears(bounds, specs, pieces, min_margins):
-                found = everything
-            else:
-                if a not in rows:
-                    rows[a] = list(zip(sides.points, sides._row_bounds(a, factors, bounds)))
-                found = {b for b, row in rows[a] if b in found or _clears(row, specs, pieces, min_margins)}
-            done[a] = found
-        return found
-
-    def open_row(i):
-        if not live[i]:
-            return closed
-        found = cleared(pool[i])
-        made = opened.get(i)
-        if made is None or made[0] != len(found):
-            made = opened[i] = len(found), (closed if found is everything else [x and b not in found for x, b in zip(live, pool)])
-        return made[1]
-
+    at = list(accumulate(live, initial=-1))[1:]
+    counts = array("Q", [0]) * n ** 3
     for block in positions:
-        if skips and min_margins[0] is not None:
-            count = len([0 for i, j, k in zip(*block) if alive[i][j] and live[k]])
-            masks = {i: open_row(i) for i in set(block[0])}
-        else:
-            count, masks = None, alive
-        kept = [(pool[i], pool[j], pool[k]) for i, j, k in zip(*block) if masks[i][j] and live[k]]
-        count = len(kept) if count is None else count
-        if kept:
-            yield partial(iter, kept), count, *sides._block_products(kept)
-        elif count:
-            yield None, count, None, None
+        for i, j, k in zip(*block):
+            if live[i] and live[j] and live[k]:
+                counts[(at[i] * n + at[j]) * n + at[k]] += 1
+    return counts
 
 
-def _cleared(bounds, specs, pieces, min_margins) -> bool:
-    """Whether an a-plane leaves every report as it is, decided from its
-    bound, `sides._plane_bounds` on `_plane_factors(a)`,
-    before any product, or any distance a span stands for, is made:
-    `_clears` under the bound's `_pieces`, and never when they are None."""
-    return pieces is not None and _clears(bounds, specs, pieces, min_margins)
+def _picked(values, weights) -> list:
+    """Each of the values repeated its weight times, in order: the entries
+    of a sampled certificate's drawn triples, repeats kept."""
+    return list(chain.from_iterable(map(repeat, values, weights)))
+
+
+def _triples(a, bs, cs, weights=None):
+    """The triples (a, b, c) over bs and then cs, `_picked` by weights if
+    given."""
+    triples = product((a,), bs, cs)
+    return triples if weights is None else _picked(triples, weights)
 
 
 def _clears(bounds, specs, pieces, min_margins) -> bool:
@@ -1111,7 +1027,8 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     ordered = [(b, *cell) for b, row in sorted(zip(points, late), key=itemgetter(0)) for cell in sorted(row, key=itemgetter(0))]
     if ordered and ordered[0][3] is None:
         b, a, lhs, _ = ordered[0]
-        ordered[0] = b, a, lhs, sides.block([(a, b, b)])[1][0]
+        j = sides._index[b]
+        ordered[0] = b, a, lhs, comparison(sides._row_products(a, j, sides._plane_factors(a))[1][j])
     for b, a, lhs, rhs in ordered:
         if rhs is None:
             scans["4(iii)"].read(lhs)

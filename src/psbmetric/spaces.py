@@ -90,8 +90,9 @@ class _Pointwise:
     empty)."""
 
     def row(self, p, q, rs: list) -> list:
-        """[self(p, q, r) for r in rs]."""
-        return [self(p, q, r) for r in rs]
+        """[self(p, q, r) for r in rs], from one bound __call__."""
+        call = self.__call__
+        return [call(p, q, r) for r in rs]
 
     def row_spans(self, qs: list, rs: list):
         """None: no bound on a row short of making it."""

@@ -1676,6 +1676,8 @@ FLOAT_SUM_OVERFLOWS = [
      "quintic(3.9e+61, 3.9e+61, 3) overflows the float range"),
     (["certify", *GAP, "--grid", "5", "--bound", "3.5e61"], "the contraction inequality overflows the float range"),
     (["certify", *GAP, "--grid", "3", "--bound", "3.6e61"], "the contraction inequality overflows the float range"),
+    # The planes that hold the 3 drawn triples make every fifth-factor row.
+    (["certify", *GAP, "--samples", "3", "--seed", "0", "--bound", "3.5e61"], "the contraction inequality overflows the float range"),
     (["case-table", *GAP, "--grid-size", "3", "--bound", "3.6e61"], "the contraction inequality overflows the float range"),
     (["certify", *GAP, "--grid", "3", "--bound", "1e62"], "quintic(5e+61, 5e+61, 3) overflows the float range"),
 ]

@@ -149,6 +149,40 @@ def sampled_triples(space, spec, sample_count, seed):
     return [t for block in sampled_blocks(space, spec, sample_count, seed) for t in block]
 
 
+def drawn_planes(space, spec, sample_count, seed):
+    """[(a, its drawn triples)] per active pool point a that holds a triple
+    certify draws in sampled mode, as the walk meets them: in the order of
+    the active points, and each plane's triples in the order of b and then
+    c, repeats kept. The pool's points are distinct keys."""
+    active = [x for x in sample_carrier(space, seed=seed) if spec.mapping(x) != x]
+    rank = {x: k for k, x in enumerate(active)}
+    planes = {}
+    for t in sorted(sampled_triples(space, spec, sample_count, seed), key=lambda t: [rank[x] for x in t]):
+        planes.setdefault(t[0], []).append(t)
+    return list(planes.items())
+
+
+def weights_of(positions, size):
+    """How often each of range(size) is in positions."""
+    return [positions.count(k) for k in range(size)]
+
+
+def picked_sides(sides, a, positions=None, j=None):
+    """Both sides as a certificate walk makes them: of a's plane, or of its
+    row (a, points[j]), keeping only the entries at the ascending
+    `positions` (j * n + k of the plane, or k of the row), repeats
+    included, if given."""
+    factors = sides._plane_factors(a)
+    n = len(sides.points)
+    if j is None:
+        weights = None if positions is None else weights_of(positions, n * n)
+        lhs, products = sides._plane_products(a, factors, weights)
+    else:
+        weights = None if positions is None else weights_of(positions, n)
+        lhs, products = sides._row_products(a, j, factors, weights)
+    return lhs, contraction._rhs(sides._comparison, products, comparison_module._span(products))
+
+
 def assert_matches_reference(report, space, spec, triples):
     checked, failures, min_margin = reference_certificate(space, spec, triples)
     assert report.triples_checked == checked
@@ -177,7 +211,7 @@ def reference_error(space, spec, points, triples):
     return None
 
 
-def stage_outcome(space, spec, points, triples):
+def stage_outcome(space, spec, points, triples, made=None):
     """What an evaluator over `points` gives for `triples`, as sides_outcome
     puts it: both sides, or the first error that its stages meet, each
     stage evaluated point by point over every triple before the next. At
@@ -185,14 +219,18 @@ def stage_outcome(space, spec, points, triples):
     the fifth-factor row over `points` of each triple, its mean checked for
     +inf and then for sign at each c; the distances; the lhs row over
     `points` of each triple; the first negative distance; the products; and
-    the comparison."""
+    the comparison. `made`, if given, are the triples whose fifth-factor
+    rows, distances and lhs rows are made (those of the whole plane of
+    `triples`, as a walk makes them); the later stages see `triples`
+    alone."""
     S, dist = spec.mapping, space.metric
+    made = triples if made is None else made
 
     def factor(v):
         if v < 0:
             raise PsbmError(f"negative distance factor {v}")
 
-    pairs = list(dict.fromkeys((a, b) for a, b, _ in triples))  # a row per pair
+    pairs = list(dict.fromkeys((a, b) for a, b, _ in made))  # a row per pair
     try:
         for gap in [dist(x, x, S(x)) for x in points]:
             factor(gap)
@@ -202,10 +240,12 @@ def stage_outcome(space, spec, points, triples):
                 if mean == math.inf:
                     raise DistanceOverflow("the contraction inequality overflows the float range")
                 factor(mean)
-        ds = [dist(a, b, c) for a, b, c in triples]
+        for a, b, c in made:
+            dist(a, b, c)
         for a, b in pairs:
             for c in points:
                 dist(S(a), S(b), S(c))
+        ds = [dist(a, b, c) for a, b, c in triples]
         for d in ds:
             factor(d)
         products = [reference_product(space, spec, *t) for t in triples]
@@ -326,7 +366,8 @@ class TestRhsValue:
         tau = builtin_comparison("paper_tau")
         spec = InterpolativeSpec(*exps, comparison=tau, mapping=swap)
         assert math.isclose(reference_rhs(space, spec, 1, 2, 1), tau(v), rel_tol=1e-12)
-        assert InequalitySides(space, spec, (1, 2)).block([(1, 2, 1)]) == ([v], [reference_rhs(space, spec, 1, 2, 1)])
+        lhs, rhs = InequalitySides(space, spec, (1, 2)).plane(1)
+        assert (lhs[2], rhs[2]) == (v, reference_rhs(space, spec, 1, 2, 1))
 
 
 class TestInequalitySides:
@@ -335,17 +376,21 @@ class TestInequalitySides:
         for matkowski in (False, True):
             spec = standard_spec(matkowski=matkowski)
             sides = InequalitySides(GAP, spec, points)
+            n = len(points)
             for a in points:
                 triples = [(a, b, c) for b in points for c in points]
                 expected = reference_sides(GAP, spec, triples)
                 assert sides.plane(a) == expected
-                assert sides.block(triples) == expected
-                for b in points:
+                # Positions j * n + k with repeats, as a sampled walk draws them.
+                picks = sorted(random.Random(f"psbm:test:sides:{a}").choices(range(n * n), k=n))
+                assert picked_sides(sides, a, picks) == reference_sides(GAP, spec, [triples[i] for i in picks])
+                for j, b in enumerate(points):
                     row = [(a, b, c) for c in points]
-                    assert sides.block(row) == reference_sides(GAP, spec, row)
+                    assert picked_sides(sides, a, j=j) == reference_sides(GAP, spec, row)
+                    assert picked_sides(sides, a, sorted([j, 0, j]), j) == reference_sides(GAP, spec, sorted([row[j], row[0], row[j]]))
 
     def test_hand_expansion_at_444(self):
-        (lhs,), (rhs,) = InequalitySides(GAP, standard_spec(), [4]).block([(4, 4, 4)])
+        (lhs,), (rhs,) = InequalitySides(GAP, standard_spec(), [4]).plane(4)
         assert lhs == 243
         assert math.isclose(rhs, 1057.0007223483, rel_tol=1e-9)
 
@@ -614,16 +659,25 @@ def lines_read(monkeypatch):
 
 
 @pytest.fixture
-def blocks_evaluated(monkeypatch):
-    """The triples of each list that `_block_products` evaluates, as made:
-    on the sampled path, a block's kept triples."""
-    real, evaluated = InequalitySides._block_products, []
+def rows_evaluated(monkeypatch):
+    """((a, b), the number of its entries whose products are made) per row
+    of a plane that a walk evaluates, as made: on a sampled walk, the
+    row's drawn triples; rows with none are left out."""
+    evaluated = []
+    real_plane, real_row = InequalitySides._plane_products, InequalitySides._row_products
 
-    def recording(sides, triples):
-        evaluated.append(list(triples))
-        return real(sides, triples)
+    def plane(sides, a, factors, weights=None):
+        n = len(sides.points)
+        counts = [n] * n if weights is None else [sum(weights[j * n:(j + 1) * n]) for j in range(n)]
+        evaluated.extend(((a, b), count) for b, count in zip(sides.points, counts) if count)
+        return real_plane(sides, a, factors, weights)
 
-    monkeypatch.setattr(InequalitySides, "_block_products", recording)
+    def row(sides, a, j, factors, weights=None):
+        evaluated.append(((a, sides.points[j]), len(sides.points) if weights is None else sum(weights)))
+        return real_row(sides, a, j, factors, weights)
+
+    monkeypatch.setattr(InequalitySides, "_plane_products", plane)
+    monkeypatch.setattr(InequalitySides, "_row_products", row)
     return evaluated
 
 
@@ -827,21 +881,23 @@ class TestSharedWalk:
             assert lines_read == [11] * (4 * len(rows_made))
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
-    def test_one_scan_for_the_min_and_max_per_plane_or_block(self, mode, monkeypatch):
+    def test_one_scan_for_the_min_and_max_per_plane_or_row(self, mode, monkeypatch):
         # certify and a shared walk take each chunk's span once, whether a
         # spec reads a line (plane 1 of the first two), goes value by value
-        # (the third straddles its cut on plane 2; the sampled blocks mix
-        # planes) or is no ComparisonFn. A chunk is a plane, or a row of a
-        # plane that lies on one piece of every spec (planes 4, 3 and 1
-        # unless a spec is no ComparisonFn: 3 x 4 rows, none cleared), or a
-        # sampled block.
+        # (the third straddles its cut on plane 2) or is no ComparisonFn. A
+        # chunk is a plane, or a row of a plane that lies on one piece of
+        # every spec (planes 4, 3 and 1 unless a spec is no ComparisonFn: 3
+        # x 4 rows, none cleared). The sampled walk goes over the pool 1-5
+        # in rising order: it evaluates 3 drawn rows of plane 1, plane 2
+        # whole and 3 drawn rows of plane 5, and clears the rest; with no
+        # ComparisonFn, each plane whole.
         real_span, spans, chunks = comparison_module._span, [], []
 
         def counting_span(values):
             spans.append(len(values))
             return real_span(values)
 
-        for name in ("_plane_products", "_row_products", "_block_products"):
+        for name in ("_plane_products", "_row_products"):
             def counting_chunk(sides, *args, real=getattr(InequalitySides, name)):
                 lhs, products = real(sides, *args)
                 chunks.append(len(products))
@@ -855,15 +911,15 @@ class TestSharedWalk:
         by_hand = FakeComparison("quarter-by-hand", lambda v: v / 4)
         kwargs = {"points": STAGED_FALLING} if mode == "grid" else {"sample_count": 3000, "seed": 7}
         space = staged_space()
-        for walk, grid_chunks in (
-            (lambda: [certify(space, staged_specs(third)[0], **kwargs)], 3 * 4 + 1),
-            (lambda: contraction._certificates(space, staged_specs(first, third), **kwargs), 3 * 4 + 1),
-            (lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs), 4),
+        for walk, grid_chunks, sampled_chunks in (
+            (lambda: [certify(space, staged_specs(third)[0], **kwargs)], 3 * 4 + 1, 3 + 1 + 3),
+            (lambda: contraction._certificates(space, staged_specs(first, third), **kwargs), 3 * 4 + 1, 3 + 1 + 3),
+            (lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs), 4, 5),
         ):
             spans.clear()
             chunks.clear()
             walk()
-            assert spans == chunks and len(chunks) == (grid_chunks if mode == "grid" else math.ceil(3000 / SAMPLE_BLOCK))
+            assert spans == chunks and len(chunks) == (grid_chunks if mode == "grid" else sampled_chunks)
 
 
 def walk_outcome(space, specs, points=None, **kwargs):
@@ -1007,26 +1063,24 @@ class TestPlaneBound:
         cleared_planes.clear()
         self.check(cleared_planes, overrides, (IDENTITY_LINE,), [False, True, True, True])
 
-    def test_random_tables_equal_the_walk_that_evaluates_every_plane(self, monkeypatch):
-        # The walk that evaluates every plane is the walk with _cleared
-        # always False; it still clears rows of the planes that lie on one
-        # piece of every spec. The walk that evaluates every triple also
+    def test_random_tables_equal_the_walk_that_evaluates_every_plane(self, monkeypatch, cleared_planes):
+        # The walk that evaluates every plane is the walk whose plane tests
+        # are forced False; it still clears rows of the planes that lie on
+        # one piece of every spec. The walk that evaluates every triple also
         # has _clears, the one test of a plane or a row, always False.
-        real, cleared, raised = contraction._cleared, [], 0
+        cleared, raised = [], 0
         real_rows, rows = InequalitySides._row_products, [0]
 
-        def recording(*args):
-            cleared.append(real(*args))
-            return cleared[-1]
-
-        def counting_rows(sides, a, j, factors):
+        def counting_rows(sides, a, j, factors, weights=None):
             rows[0] += 1
-            return real_rows(sides, a, j, factors)
+            return real_rows(sides, a, j, factors, weights)
 
-        def walk(space, specs, points, **patches):
-            """walk_outcome under the patches, and the rows it evaluated."""
+        def walk(space, specs, points, forced=None, **patches):
+            """walk_outcome under the patches, with every plane test giving
+            `forced` if it is a bool, and the rows it evaluated."""
             with monkeypatch.context() as patched:
                 patched.setattr(InequalitySides, "_row_products", counting_rows)
+                patched.setattr(cleared_planes, "forced", forced)
                 for name, value in patches.items():
                     patched.setattr(contraction, name, value)
                 rows[0] = 0
@@ -1034,8 +1088,10 @@ class TestPlaneBound:
 
         clearing = every = 0
         for space, specs, points in random_walks("psbm:test:plane-bound", 150):
-            outcome, _ = walk(space, specs, points, _cleared=recording)
-            planes, row_cleared = walk(space, specs, points, _cleared=lambda *args: False)
+            cleared_planes.clear()
+            outcome, _ = walk(space, specs, points)
+            cleared += cleared_planes
+            planes, row_cleared = walk(space, specs, points, forced=False)
             triples, row_evaluated = walk(space, specs, points, _clears=lambda *args: False)
             assert outcome == planes == triples
             clearing, every = clearing + row_cleared, every + row_evaluated
@@ -1271,9 +1327,9 @@ def sampled_references(space, specs, seed, counts=SAMPLED_COUNTS):
 
 
 class TestSampledBound:
-    """certify(..., sample_count=N) on a metric with row spans skips each
-    drawn triple whose plane or row bound clears it, and its reports are
-    those that evaluate every triple, bit for bit."""
+    """certify(..., sample_count=N) walks the a-planes that hold a drawn
+    triple and skips each drawn triple whose plane or row bound clears it,
+    and its reports are those that evaluate every triple, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", ["quintic_gap", "quintic_ray"])
@@ -1289,48 +1345,76 @@ class TestSampledBound:
         report = certify(builtin_space("quintic_ray"), standard_spec(), sample_count=40_000, seed=7)
         assert len(report.failures) > len(set(report.failures)) > 0
 
-    def test_triples_evaluated_at_seed_1(self, blocks_evaluated):
+    @pytest.mark.parametrize("count", [1, 7, 200])
+    def test_only_the_planes_that_hold_a_drawn_triple_are_made(self, monkeypatch, count):
+        # In the walk's order, whichever order they are drawn in.
+        real, made = InequalitySides._plane_factors, []
+        monkeypatch.setattr(InequalitySides, "_plane_factors", lambda sides, a: made.append(a) or real(sides, a))
+        for seed in range(5):
+            made.clear()
+            report = certify(GAP, standard_spec(), sample_count=count, seed=seed)
+            planes = drawn_planes(GAP, standard_spec(), count, seed)
+            assert made == [a for a, _ in planes] and report.triples_checked == sum(len(t) for _, t in planes)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["quintic_gap", "quintic_ray"])
+    def test_the_pool_walk_implies_every_sampled_verdict(self, name, seed):
+        # The default walk covers the sampled pool's every triple: each drawn
+        # failure is one of its failures, and its minimum is at most the
+        # sampled one.
+        space = builtin_space(name)
+        walk = certify(space, standard_spec(), points=sample_carrier(space, seed=seed))
+        for count in (200, 10_000):
+            sampled = certify(space, standard_spec(), sample_count=count, seed=seed)
+            assert set(sampled.failures) <= set(walk.failures) and walk.min_margin <= sampled.min_margin
+        assert walk.passed == (name == "quintic_gap")
+
+    def test_rows_evaluated_at_seed_1(self, rows_evaluated):
         report = certify(GAP, standard_spec(), sample_count=10_000, seed=1)
-        # The first block whole, then each block's kept triples: 1,008 of 9,076.
-        assert [len(t) for t in blocks_evaluated] == [936, 15, 18, 4, 6, 5, 4, 6, 6, 8]
+        # The pool starts 3, x1, x2 on the ray. The rows (3, 3), (3, x1),
+        # (3, x2), (x1, 3), (x1, x1) and (x2, 3): 65 of the 9,076 drawn
+        # triples; every other plane and row is cleared.
+        pool = sample_carrier(GAP, seed=1)
+        rows = [(3, 3), (3, pool[2]), (3, pool[3]), (pool[2], 3), (pool[2], pool[2]), (pool[3], 3)]
+        assert rows_evaluated == list(zip(rows, [14, 10, 7, 15, 10, 9]))
         assert report.triples_checked == 9076 and report.passed
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_the_first_block_is_evaluated_whole(self, blocks_evaluated, seed):
-        # It has no running minimum to be held to; the second is.
-        certify(GAP, standard_spec(), sample_count=10_000, seed=seed)
-        first, second = sampled_blocks(GAP, standard_spec(), 10_000, seed)[:2]
-        assert blocks_evaluated[0] == first
-        assert set(blocks_evaluated[1]) <= set(second) and len(blocks_evaluated[1]) < len(second)
-
     @pytest.mark.parametrize("above", [False, True], ids=["equal", "one-ulp-above"])
-    def test_a_row_whose_slack_equals_the_threshold_is_evaluated(self, monkeypatch, blocks_evaluated, above):
-        # Every plane gets one bound whose floor lies below its top, and
-        # every row one whose floor less top is the least margin of the
-        # first block (paper_tau reads products above 1 as t / 2, exactly),
-        # or one ulp above it. The first block is evaluated whole, and
-        # leaves that margin as the threshold of the second: rows whose
-        # slack equals it are evaluated; one ulp above, each is skipped.
+    def test_a_row_whose_slack_equals_the_threshold_is_evaluated(self, monkeypatch, rows_evaluated, above):
+        # No plane's bound clears it, and every row gets one whose floor
+        # less top is the least margin of the first drawn row (paper_tau
+        # reads products above 1 as t / 2, exactly), or one ulp above it.
+        # The first row is evaluated, and leaves that margin as the
+        # threshold of the rows after it: a row whose slack equals the
+        # running minimum is evaluated, so they are until one lowers it;
+        # one ulp above, each is skipped.
         spec = standard_spec()
-        first, second = sampled_blocks(GAP, spec, 2048, 2)
-        lhs, rhs = InequalitySides(GAP, spec, sample_carrier(GAP, seed=2)[1:]).block(first)
-        threshold = min(map(operator.sub, rhs, lhs))
+        rows = [((a, b), list(triples)) for a, plane in drawn_planes(GAP, spec, 2048, 2)
+                for (_, b), triples in itertools.groupby(plane, lambda t: t[:2])]
+        margins = [min(map(operator.sub, rhs, lhs)) for lhs, rhs in (reference_sides(GAP, spec, t) for _, t in rows)]
+        threshold = margins[0]
         floor = math.nextafter(threshold, math.inf) if above else threshold
         monkeypatch.setattr(InequalitySides, "_plane_bounds", lambda sides, a, factors: (2 * floor, 2 * floor, math.inf))
         monkeypatch.setattr(InequalitySides, "_row_bounds", lambda sides, a, factors, plane: [(2 * floor, 2 * floor, 0)] * len(sides.points))
-        blocks_evaluated.clear()
         report = certify(GAP, spec, sample_count=2048, seed=2)
-        assert report.min_margin <= threshold
-        assert blocks_evaluated == ([first] if above else [first, second])
+        # The walk's rule on the reference margins: a row is skipped when
+        # its floor lies above the running minimum.
+        expected, least = [], None
+        for ((key, triples), margin) in zip(rows, margins):
+            if least is None or not floor > least:
+                expected.append((key, len(triples)))
+                least = margin if least is None else min(least, margin)
+        assert report.min_margin <= threshold and len(rows) > 500
+        assert rows_evaluated == expected and (len(expected) == 1 if above else len(expected) > 1)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_an_error_while_bounding_a_plane_is_not_raised(self, seed):
+    def test_an_error_while_making_a_plane_is_raised(self, seed):
         # dist(3, 3, x) = 1e308 for one pool point x overflows the mean of
         # the fifth-factor row (3, x), and only that row: the triples (a, x,
-        # c) with S(a) = 3 raise. Bounding a plane of such an a makes the
-        # row of every b, so it meets the error also where no such triple
-        # is drawn; that plane then has no bound, and the report or first
-        # error is that of the drawn triples.
+        # c) with S(a) = 3 raise. Making a plane of such an a makes the row
+        # of every b, as the walk does, so it raises also where no such
+        # triple is drawn: the error is the first that the a-planes holding
+        # a drawn triple meet, in walk order.
         dented = sample_carrier(GAP, seed=seed)[5]
 
         def rule(p, q, r):
@@ -1339,32 +1423,34 @@ class TestSampledBound:
         space = dataclasses.replace(GAP, metric=RuleMetric("dented", rule, span_rule=own_span(rule)))
         spec = standard_spec()
         active = sample_carrier(GAP, seed=seed)[1:]
-        for count in (7, 200, 3000):
-            blocks = sampled_blocks(space, spec, count, seed)
-            outcomes = (stage_outcome(space, spec, active, block) for block in blocks)
+        for count in (1, 7, 200):
+            planes = drawn_planes(space, spec, count, seed)
+            outcomes = (stage_outcome(space, spec, active, triples, plane_triples(active, a)) for a, triples in planes)
             expected = next((outcome for outcome in outcomes if raised(outcome)), None)
             try:
                 report = certify(space, spec, sample_count=count, seed=seed)
             except Exception as exc:
                 assert (type(exc), str(exc)) == expected == (DistanceOverflow, "the contraction inequality overflows the float range")
             else:
-                assert expected is None and count < 3000
-                assert_matches_reference(report, space, spec, [t for block in blocks for t in block])
+                assert expected is None and [a for a, _ in planes] == [3]
+                assert_matches_reference(report, space, spec, [t for _, triples in planes for t in triples])
 
-    def test_a_pool_with_equal_keys_evaluates_every_triple(self, blocks_evaluated):
-        # 4 and the degenerate interval's 4.0 are one key in the tables, so
-        # a bound made for one plane could stand for the other's.
+    def test_a_pool_with_equal_keys_equals_the_reference(self, rows_evaluated):
+        # 4 and the degenerate interval's 4.0 are one key in the tables; the
+        # walk reads its planes, rows and draws by position.
         space = dataclasses.replace(GAP, carrier=RegionCarrier(isolated=(0, 3, 4), intervals=((4.0, 4.0), (5, None))))
         assert [type(x) for x in sample_carrier(space, seed=0) if x == 4] == [int, float]
         report = certify(space, standard_spec(), sample_count=3000, seed=0)
-        assert report.passed and sum(map(len, blocks_evaluated)) == report.triples_checked
+        assert report.passed
+        assert_matches_reference(report, space, standard_spec(), sampled_triples(space, standard_spec(), 3000, 0))
+        assert sum(count for _, count in rows_evaluated) < report.triples_checked / 2
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_a_map_with_several_fixed_points_drops_them_by_position(self, blocks_evaluated, seed):
-        # Every fourth pool point is fixed, so the live mask drops the
-        # triples through nine pool positions, not quintic_gap's one; a few
-        # points go to a ray point, so that some triples fail. The report
-        # counts and fails exactly the live triples of sampled_positions.
+    def test_a_map_with_several_fixed_points_drops_them_by_position(self, rows_evaluated, seed):
+        # Every fourth pool point is fixed, so the drawn triples are dropped
+        # through nine pool positions, not quintic_gap's one; a few points
+        # go to a ray point, so that some triples fail. The report counts
+        # and fails exactly the live triples of sampled_positions.
         pool = sample_carrier(GAP, seed=seed)
         table = {x: x if k % 4 == 1 else pool[4] if k % 7 == 3 else PAPER_S(x) for k, x in enumerate(pool)}
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"), map_from_table(table))
@@ -1375,24 +1461,27 @@ class TestSampledBound:
                    for i, j, k in zip(*block) if live[i] and live[j] and live[k]]
         assert_matches_reference(report, GAP, spec, triples)
         assert len(report.excluded_fixed_points) == live.count(False) == 9
-        assert sum(map(len, blocks_evaluated)) < len(triples) / 2
+        assert sum(count for _, count in rows_evaluated) < len(triples) / 2
 
-    def test_random_tables_under_a_span_equal_the_walk_that_evaluates_every_triple(self, blocks_evaluated):
+    def test_random_tables_under_a_span_equal_the_walk_that_evaluates_every_triple(self, monkeypatch, rows_evaluated):
         # The tables of random_walks, adversarial entries included, as rule
-        # metrics whose span rule is each plane's own min and max, so that
-        # the sampled blocks after the first skip; every report and first
-        # error is that of the tabulated blocks, which evaluate every drawn
-        # triple.
+        # metrics whose span rule is each plane's own min and max, and as
+        # the tables themselves: every report and first error is that of
+        # the walk whose _clears, the one test of a plane or a row, is
+        # always False, which evaluates every drawn triple.
         evaluated = drawn = raised = 0
         for i, (space, specs, _) in enumerate(random_walks("psbm:test:sampled-bound", 150)):
             spanned = PartialSbSpace(space.carrier, RuleMetric("spanned", space.metric, span_rule=own_span(space.metric)))
             kwargs = {"sample_count": 3000, "seed": i}
-            blocks_evaluated.clear()
+            rows_evaluated.clear()
             outcome = walk_outcome(spanned, specs, **kwargs)
-            evaluated += sum(map(len, blocks_evaluated[1:]))
-            blocks_evaluated.clear()
+            evaluated += sum(count for _, count in rows_evaluated)
             assert outcome == walk_outcome(space, specs, **kwargs)
-            drawn += sum(map(len, blocks_evaluated[1:]))
+            rows_evaluated.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(contraction, "_clears", lambda *args: False)
+                assert outcome == walk_outcome(space, specs, **kwargs)
+            drawn += sum(count for _, count in rows_evaluated)
             raised += isinstance(outcome, tuple)
         assert evaluated < drawn * 2 / 3 and 10 < raised < 140
 
@@ -1471,9 +1560,10 @@ class TestRowEvaluator:
 
     @pytest.mark.parametrize("comparison", [QUARTER, FakeComparison("picky", picky)], ids=lambda fn: fn.name)
     def test_sampled_errors_follow_the_stage_order(self, comparison):
-        # Several blocks per certificate. Where certify raises, the error is
-        # the first in stage order of the first block that meets one; where
-        # it does not, the report is the reference's.
+        # Several planes per certificate. Where certify raises, the error is
+        # the first in stage order of the first a-plane holding a drawn
+        # triple that meets one, its factor rows and distances made whole;
+        # where it does not, the report is the reference's.
         rng = random.Random(f"psbm:test:block-errors:{comparison.name}")
         count = 0
         for _ in range(40):
@@ -1484,8 +1574,8 @@ class TestRowEvaluator:
             space = tabulated_space(labels, table)
             spec = random_spec(rng, labels, [comparison])
             active = [x for x in labels if spec.mapping(x) != x]
-            blocks = sampled_blocks(space, spec, 2500, 5)
-            outcomes = (stage_outcome(space, spec, active, block) for block in blocks)
+            planes = drawn_planes(space, spec, 2500, 5)
+            outcomes = (stage_outcome(space, spec, active, triples, plane_triples(active, a)) for a, triples in planes)
             expected = next((outcome for outcome in outcomes if raised(outcome)), None)
             try:
                 report = certify(space, spec, sample_count=2500, seed=5)
@@ -1494,7 +1584,7 @@ class TestRowEvaluator:
                 count += 1
             else:
                 assert expected is None
-                assert_matches_reference(report, space, spec, [t for block in blocks for t in block])
+                assert_matches_reference(report, space, spec, [t for _, triples in planes for t in triples])
         assert 5 < count < 40
 
     def test_grid_certify_evaluates_each_triple_distance_once(self):
@@ -1593,7 +1683,7 @@ class TestRowEvaluator:
             spec = dataclasses.replace(spec, comparison=FakeComparison("refuse", refuse))
             sides = InequalitySides(GAP, spec, [3] + grid)
             with pytest.raises(ArithmeticError, match="^refused "):
-                sides.block([(grid[-1], grid[-1], grid[-1])])
+                sides.plane(grid[-1])
             with pytest.raises(Exception) as exc:
                 reproduce_case_table(GAP, spec, grid_size=7)
             assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
@@ -1627,23 +1717,26 @@ def plane_triples(points, a):
 
 
 class TestPlanes:
-    """sides.plane(a) and sides.block over the same triples give what
-    stage_outcome gives, bit for bit, errors included; each runs on its own
-    evaluator, so that neither reads a table the other filled."""
+    """sides.plane(a), and a plane's rows and drawn positions as a walk
+    makes them, give what stage_outcome gives, bit for bit, errors
+    included; each runs on its own evaluator, so that neither reads a table
+    the other filled."""
 
     @pytest.mark.parametrize("n", [7, 40])
     @pytest.mark.parametrize("matkowski", [False, True])
-    def test_planes_and_blocks_equal_reference_on_gap_grids(self, matkowski, n):
+    def test_planes_and_rows_equal_reference_on_gap_grids(self, matkowski, n):
         spec = standard_spec(matkowski=matkowski)
         points = [3] + grid_points(4, 64, n)
-        planes, blocks = InequalitySides(GAP, spec, points), InequalitySides(GAP, spec, points)
+        planes, rows = InequalitySides(GAP, spec, points), InequalitySides(GAP, spec, points)
         for a in points:
             triples = plane_triples(points, a)
             expected = sides_outcome(lambda: reference_sides(GAP, spec, triples))
             assert sides_outcome(lambda: planes.plane(a)) == expected
-            assert sides_outcome(lambda: blocks.block(triples)) == expected
+            for j in range(len(points)):
+                row = triples[j * len(points):(j + 1) * len(points)]
+                assert sides_outcome(lambda: picked_sides(rows, a, j=j)) == sides_outcome(lambda: reference_sides(GAP, spec, row))
 
-    def test_planes_and_blocks_follow_the_stage_order_on_random_tabulated_spaces(self):
+    def test_planes_and_picks_follow_the_stage_order_on_random_tabulated_spaces(self):
         # The tables of the certificate error tests: negative entries, and
         # comparisons that raise, give nan or inf, or straddle a cut.
         rng = random.Random("psbm:test:planes")
@@ -1657,15 +1750,19 @@ class TestPlanes:
             space = tabulated_space(labels, table)
             spec = random_spec(rng, labels, comparisons)
             try:
-                planes, blocks = InequalitySides(space, spec, labels), InequalitySides(space, spec, labels)
+                planes, picked = InequalitySides(space, spec, labels), InequalitySides(space, spec, labels)
             except PsbmError:  # a negative self-gap
                 continue
             for a in labels:
                 triples = plane_triples(labels, a)
                 expected = stage_outcome(space, spec, labels, triples)
                 assert sides_outcome(lambda: planes.plane(a)) == expected
-                assert sides_outcome(lambda: blocks.block(triples)) == expected
                 outcomes["raised" if raised(expected) else "returned"] += 1
+                # Drawn positions, repeats included: the factor rows and the
+                # distances of the whole plane, the rest of the picks alone.
+                picks = sorted(rng.choices(range(len(triples)), k=rng.randint(1, len(triples))))
+                drawn = [triples[i] for i in picks]
+                assert sides_outcome(lambda: picked_sides(picked, a, picks)) == stage_outcome(space, spec, labels, drawn, triples)
         assert outcomes["raised"] > 50 and outcomes["returned"] > 50
 
     @pytest.mark.parametrize("overrides, comparison, error, message", [
@@ -1704,13 +1801,13 @@ class TestPlanes:
     ], ids=["fifth-factor overflow", "negative fifth factor", "distance overflow", "distance overflow first",
             "distance overflows in two rows", "distance overflow before an lhs overflow", "lhs overflow first", "negative distance",
             "negative distance first", "product overflow first", "comparison"])
-    def test_plane_and_block_errors_follow_the_stage_order(self, overrides, comparison, error, message):
+    def test_plane_and_pick_errors_follow_the_stage_order(self, overrides, comparison, error, message):
         space = patched_space(overrides)
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, ROTATE)
         triples = plane_triples([1, 2, 3], 1)
         assert stage_outcome(space, spec, [1, 2, 3], triples) == (error, message)
         assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).plane(1)) == (error, message)
-        assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).block(triples)) == (error, message)
+        assert sides_outcome(lambda: picked_sides(InequalitySides(space, spec, [1, 2, 3]), 1, list(range(9)))) == (error, message)
         # The grid walk's first plane is plane 1, also under a span, which
         # stands for the distances wherever they raise nothing.
         if error is OverflowError:
@@ -1915,12 +2012,14 @@ class TestCaseTable:
         lifted = (grid[1], grid[0])
         rule = lambda p, q, r: 1e40 * quintic(p, q, r) if (p, q) == lifted else quintic(p, q, r)
         space = dataclasses.replace(GAP, metric=RuleMetric("lifted", rule))
-        real_block, real_rows, blocks, rows = InequalitySides.block, InequalitySides._row_products, [], []
+        real_factors, real_rows, planes, rows = InequalitySides._plane_factors, InequalitySides._row_products, [], []
         with monkeypatch.context() as patched:
-            patched.setattr(InequalitySides, "block", lambda sides, triples: blocks.append(triples) or real_block(sides, triples))
+            patched.setattr(InequalitySides, "_plane_factors", lambda sides, a: planes.append(a) or real_factors(sides, a))
             patched.setattr(InequalitySides, "_row_products", lambda sides, a, j, f: rows.append((a, sides.points[j])) or real_rows(sides, a, j, f))
             outcome = case_table_outcome(space, standard_spec(), 5)
-        assert blocks == [[(*lifted, grid[0])]] and lifted not in rows
+        # Its row is made once, after the walk of the 6 planes, from its
+        # plane's factors.
+        assert rows.count(lifted) == 1 and rows[-1] == lifted and planes == [3, *grid, lifted[0]]
         monkeypatch.setattr(contraction, "_pieces", lambda specs, bounds: None)
         assert outcome == case_table_outcome(space, standard_spec(), 5)
 
