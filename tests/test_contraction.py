@@ -45,7 +45,7 @@ from psbmetric import (
 )
 from psbmetric import comparison as comparison_module, contraction
 from psbmetric.numerics import point_sort_key
-from psbmetric.spaces import SAMPLE_BLOCK, RegionCarrier, sampled_positions
+from psbmetric.spaces import RegionCarrier, sampled_positions
 
 GAP = builtin_space("quintic_gap")
 PAPER_S = builtin_map("paper_S")
@@ -134,19 +134,9 @@ def sampled_draws(space, sample_count, seed):
     return [tuple(rng.choice(pool) for _ in range(3)) for _ in range(sample_count)]
 
 
-def sampled_blocks(space, spec, sample_count, seed):
-    """The triples certify draws in sampled mode, fixed points dropped, as
-    the blocks it evaluates: the kept triples of each SAMPLE_BLOCK draws,
-    empty blocks left out."""
-    drawn = sampled_draws(space, sample_count, seed)
-    chunks = (drawn[k:k + SAMPLE_BLOCK] for k in range(0, sample_count, SAMPLE_BLOCK))
-    blocks = ([t for t in chunk if all(spec.mapping(x) != x for x in t)] for chunk in chunks)
-    return [block for block in blocks if block]
-
-
 def sampled_triples(space, spec, sample_count, seed):
     """The triples certify draws in sampled mode, fixed points dropped."""
-    return [t for block in sampled_blocks(space, spec, sample_count, seed) for t in block]
+    return [t for t in sampled_draws(space, sample_count, seed) if all(spec.mapping(x) != x for x in t)]
 
 
 def drawn_planes(space, spec, sample_count, seed):
@@ -522,7 +512,8 @@ class TestCertify:
 
     def test_a_long_sampled_certificate_holds_one_block(self):
         # Every sample at once would hold 200,000 triples and both sides of
-        # each: tens of megabytes.
+        # each: tens of megabytes. The walk holds one block of draws and a
+        # count per triple of the pool.
         tracemalloc.start()
         try:
             report = certify(GAP, standard_spec(), sample_count=200_000, seed=1)
@@ -1423,7 +1414,7 @@ class TestSampledBound:
         space = dataclasses.replace(GAP, metric=RuleMetric("dented", rule, span_rule=own_span(rule)))
         spec = standard_spec()
         active = sample_carrier(GAP, seed=seed)[1:]
-        for count in (1, 7, 200):
+        for count in (1, 7, 200, 3000):
             planes = drawn_planes(space, spec, count, seed)
             outcomes = (stage_outcome(space, spec, active, triples, plane_triples(active, a)) for a, triples in planes)
             expected = next((outcome for outcome in outcomes if raised(outcome)), None)
