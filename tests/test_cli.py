@@ -1481,7 +1481,32 @@ class TestReadmeExamples:
     )
     def test_example_exits_as_documented(self, argv, expected, capsys):
         assert run_cli(*argv) == expected
-        assert capsys.readouterr().err == ""
+        out, err = capsys.readouterr()
+        assert (hashlib.sha256(out.encode()).hexdigest(), err) == (README_STDOUT_SHA256[tuple(argv)], "")
+
+    def test_every_example_is_pinned(self):
+        assert sorted(README_STDOUT_SHA256) == sorted(tuple(argv) for argv, _ in readme_examples())
+
+
+# sha256 of the stdout of each `psbm` line of README's command-line block, as
+# written there, which every change must keep. CI reads them from here.
+README_STDOUT_SHA256 = {
+    ("verify-axioms", "--space", "builtin:two_point_b"): "9b7ab8efb7f40ab34a45d16c43a8148f220d76f4c3bd003eeac9a24bd8b83a7f",
+    ("verify-axioms", "--space", "builtin:quintic_gap", "--samples", "10000", "--seed", "0"): "9adeaf29b7f85f0413e86a30ce1d7e42ea98321bc5663b84d0407066cd21794a",
+    ("ball", "--space", "builtin:quintic_ray", "--center", "1", "--radius", "3"): "0ac8c15445ca55efec29a24116b8de6c766b2c3910d0b95a4c7321b81607b1ab",
+    ("topology", "--space", "builtin:two_point_a", "--format", "json"): "2575b196314323ad3635b50b5f611b94bf1630da4d52c8b1fe18a62ec2cf3260",
+    ("separation", "--space", "builtin:two_point_a"): "6da6e3932b5162f30b8c41c5436509c8dc40dac619fa7acde657d39289df6938",
+    ("connected", "--space", "builtin:two_point_b"): "8c55ad0b25eb5e9136d27e55ee920fbc27203790e6cfd03d5adf5f435df29955",
+    ("cover-witness", "--space", "builtin:quintic_ray", "--center", "1", "--indices", "3..20", "--subfamily", "3,5"): "6aa81dd41377f6d0b2910adbf0cc886314e02fbe211ab9f222a4b01da6cd2797",
+    ("check-comparison", "--fn", "paper_tau"): "274c6f7afc8b460058ea70236961e2763c9bb791db303dbd077431c0cf63b29e",
+    ("check-comparison", "--fn", "identity", "--kind", "matkowski"): "aa8a06022037a8bb14ad795af4cfd8a0f62fbef65d73d5c7c1dbcce057d77821",
+    ("certify", "--space", "builtin:quintic_gap", "--spec", "paper", "--samples", "200", "--seed", "0"): "ddef66b6d1a2c4ed87b51f5364d622176a109b935d72820af5094ef22ec253b5",
+    ("certify", "--space", "builtin:quintic_gap", "--spec", "paper", "--matkowski", "--grid", "50"): "b60f0907c100f2687d2357d6206a21ab96db8ee4a9af041d4ad67743e4143b72",
+    ("case-table", "--space", "builtin:quintic_gap"): "187c0146a0331b33353a3fe90176707ed57c8cf9d33228d2aa1fa523c6d82910",
+    ("fixpoint", "--space", "builtin:quintic_gap", "--map", "paper_S", "--start", "7"): "5dbc9608b804bbb96b0652903a3cadab52b3c5ca4e91b7fda377ee63a1a175a7",
+    ("fixpoint", "--space", "builtin:quintic_gap", "--start", "7", "--format", "csv"): "6f9da0e7ff1c80be69e51c90d0601b0a6f3c25ca14633b381a52b69c3949e204",
+    ("repro", "--format", "json"): "c6a814545ec03851e7d8d27b6364e2635a9b98d2007ec937ea7ea2648f8dff43",
+}
 
 
 # sha256 of the `psbm certify --space builtin:quintic_gap <flags> --format
@@ -1549,12 +1574,37 @@ def test_case_table_json_digests_are_pinned(capsys, flags):
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == (CASE_TABLE_JSON_SHA256[flags], "")
 
 
+# A space on 0, 3, 4 and 5 with self-distances 0.1 and every other entry
+# 1.5. Under the paper spec each of its 3 active planes has products on
+# both sides of paper_tau's cut at 1, so no one piece reads a plane's
+# bound; 18 of its 27 triples fail.
+STRADDLING_FILE = "points: 0 3 4 5\ncoefficient: 1\n" + "".join(
+    f"{p} {q} {r} {0.1 if p == q == r else 1.5}\n" for p, q, r in itertools.product((0, 3, 4, 5), repeat=3)
+)
+
+# sha256 of the `psbm certify --space <STRADDLING_FILE> <flags> --format json`
+# bytes, which every change must keep; each run exits 1.
+STRADDLING_CERTIFY_JSON_SHA256 = {
+    (): "769350b6093168d0b054a315695bcb501a088962b881fbb9f223c6251d424aa5",
+    ("--samples", "20", "--seed", "0"): "11f140264548ecc5a2dbd672d992289f3798988df0fcb1295bc9d8b952086f95",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(STRADDLING_CERTIFY_JSON_SHA256), ids=lambda flags: " ".join(flags) or "default")
+def test_straddling_certify_json_digests_are_pinned(tmp_path, flags):
+    path = tmp_path / "straddling.psb"
+    path.write_text(STRADDLING_FILE, encoding="utf-8")
+    code, out, err = run_captured(["certify", "--space", f"file:{path}", *flags, "--format", "json"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (1, STRADDLING_CERTIFY_JSON_SHA256[flags], "")
+
+
 class TestRepro:
     def test_repro_passes_and_is_deterministic(self):
         first = run_subprocess("repro", "--format", "json")
         second = run_subprocess("repro", "--format", "json")
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
+        assert hashlib.sha256(first.stdout.encode()).hexdigest() == README_STDOUT_SHA256[("repro", "--format", "json")]
         payload = json.loads(first.stdout)
         assert payload["passed"] is True
         assert len(payload["items"]) == 8
