@@ -12,10 +12,14 @@ the metric's `row` gives the distances of one (a, b) over every c, and
 when the whole list lies on one piece; both are bit for bit the pointwise
 calls. Every other factor is tabulated once per point, per image S(x), per
 (S(a), S(b)) or per (S(a), b), whichever it depends on.
-`certify` walks the a-planes of its points, n^2 triples each, and reduces
-each plane's margins at C level. A sampled certificate walks the planes of
-its pool that hold a drawn triple, counting and evaluating only the drawn
-triples.
+`certify` walks the a-planes of its points, n^2 triples each, and
+evaluates each plane an (a, b) row at a time, reducing each row's margins
+at C level. A sampled certificate walks the planes of its pool that hold
+a drawn triple, counting and evaluating only the drawn triples. Every
+evaluation raises the first error met in one stage order: a plane's
+factor rows (the fifth-factor rows, the distances and the lhs rows), then
+row by row the first negative distance, the products, and each spec's
+comparison followed by its margins.
 
 The walk decides most planes, and most rows of the rest, from a
 bound before making their products (interval analysis, Moore 1966). A
@@ -35,22 +39,23 @@ every product of the block below and above. A plane whose bound keeps
 every rhs above every lhs, and every margin above each spec's running
 minimum, is cleared: it cannot change a report, its triples count in
 triples_checked unevaluated, and neither its products nor, under the
-bounds, its distances and fifth-factor rows are made. A plane that is
+bounds, its distances and fifth-factor rows are made. In a plane that is
 not cleared, but whose bound lies on one piece of each spec's comparison,
-so that nothing in it raises, is walked row by row under the same test,
-each row against the running minima that the rows before it leave. The
+so that nothing in it raises, each row is tried under the same test
+against the running minima that the rows before it leave; any other
+plane evaluates every row. The
 widening assumes a pow that is faithfully rounded (an error below 1 ulp),
 which Python does not promise. The case table skips, by the same bound,
 the (a, b) rows that cannot change a subcase's minimum
 (`reproduce_case_table`).
 
 Certificates whose specs differ only in the comparison share one walk
-(`_certificates`, as the reproduction script's two do): each plane or row
-is evaluated up to its products, and their min and max, once; each spec
+(`_certificates`, as the reproduction script's two do): each row is
+evaluated up to its products, and their min and max, once; each spec
 then makes its own rhs list, margin reduction and failure list, so that
 every report is bit for bit that of its own certify call. `_rhs`, the one
-maker of an rhs list (for the walk, the case table and `plane`), reads it
-off one piece's line, or else goes value by value. The
+maker of an rhs list (for the walk and the case table), reads it off one
+piece's line, or else goes value by value. The
 case table walks each a-plane once and files each c of each of its (a, b)
 rows into its subcase by the row's equality pattern. `ray_grid` is the one
 evenly spaced grid on a region carrier's ray, used by the case table, by
@@ -159,10 +164,11 @@ class InequalitySides:
     For a triple (a, b, c), lhs = dist(S(a), S(b), S(c)) and
     rhs = comparison(dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s)),
     with g(x) = dist(x, x, S(x)) and m = (dist(S(a),S(a),b) + dist(S(b),S(b),c)) / 2t.
-    `sides.plane(a)` gives both sides for every b and then every c in
-    `points` as two lists (n^2 values each). Every image S(x) must be a
-    carrier point (UnknownPoint names the map and the first point whose
-    image is not).
+    `_plane_factors(a)` makes the factor rows of a's plane, and
+    `_row_products(a, j, factors)` the lhs and the products of its row
+    (a, points[j]) over every c in `points`; the comparison is the caller's
+    (`_rhs`). Every image S(x) must be a carrier point (UnknownPoint names
+    the map and the first point whose image is not).
 
     Only dist(a, b, c) and the comparison are evaluated per triple, a row
     or a list at a time (any comparison other than a ComparisonFn value by
@@ -181,14 +187,14 @@ class InequalitySides:
     any of its entries is raised there, also when the triples evaluated
     have fine entries of their own.
 
-    `plane` evaluates in one stage order, each stage over all its triples
-    before the next, and raises the first error met: the fifth-factor rows,
-    the distances (one metric row per b, so in (b, c) order), the lhs rows
-    (`_plane_factors`), the first negative distance, the products
-    (`_plane_products`), and the comparison of the product list.
-    `_row_products` gives one (a, b) row of a plane past its factors. Given
-    how often a sampled certificate draws each entry, both make the
-    products of the drawn entries alone.
+    A plane raises the first error met in one stage order: its factor
+    rows, each stage over all of them before the next (the fifth-factor
+    rows, the distances, one metric row per b and so in (b, c) order, and
+    the lhs rows: `_plane_factors`), then row by row the first negative
+    distance and the products (`_row_products`), and the comparison of the
+    row's product list. Given how often a sampled certificate draws each
+    entry of a row, `_row_products` makes the products of the drawn
+    entries alone.
     """
 
     def __init__(self, space: PartialSbSpace, spec: InterpolativeSpec, points):
@@ -252,17 +258,6 @@ class InequalitySides:
             self._fifth_rows[(ia, b)] = row
         return row
 
-    def _products(self, ds, fqa, frb, fs, fifth):
-        """dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s * m^(1-p-q-r-s) for a
-        sequence of dist(a, b, c) values and aligned iterables of the other
-        factors, with the factors multiplied in this order; the comparison
-        of the products is the caller's."""
-        p = self._p
-        if not (ds and min(ds) >= 0):
-            for d in ds:
-                _power(d, p)  # raises at the first negative factor
-        return [d ** p * fq * fr * f * t for d, fq, fr, f, t in zip(ds, fqa, frb, fs, fifth)]
-
     @cached_property
     def _pair_spans(self):
         """Per image S(x): the `finite_span` of its pair row, None unless
@@ -295,13 +290,6 @@ class InequalitySides:
             bounds.append(bound)
         return bounds
 
-    def plane(self, a):
-        """(lhs list, rhs list) over (a, b, c) for every b and then every c in
-        `points`, from one metric row per b and one comparison of the whole
-        list."""
-        lhs, products = self._plane_products(a, self._plane_factors(a))
-        return lhs, _rhs(self._comparison, products, _span(products))
-
     @cached_property
     def _row_spans(self):
         """The metric's `row_spans` over the points: None, or a function of
@@ -309,12 +297,12 @@ class InequalitySides:
         return self._metric.row_spans(self.points, self.points)
 
     def _plane_factors(self, a):
-        """The stages of `plane` that can raise before its products, in
-        order: the fifth-factor rows of S(a), the distances and the lhs rows
-        of S(a). Returns (fifth, lhs, d), each a `_Rows` over the b, fifth
-        and lhs once per image. A factor whose rows are bounded without
-        making them is left unmade (rows None) for `_plane_products` and
-        `_row_products`, since it raises nothing: the fifth-factor rows when
+        """The stages of a's plane that come before its rows, in order:
+        the fifth-factor rows of S(a), the distances and the lhs rows of
+        S(a). Returns (fifth, lhs, d), each a `_Rows` over the b, fifth and
+        lhs once per image. A factor whose rows are bounded without making
+        them is left unmade (rows None) for `_row_products`, since it
+        raises nothing: the fifth-factor rows when
         `_fifth_bounds` bounds every row (otherwise they are made here and
         bounded by their own `finite_span`), and the distances when the
         metric's `row_spans` gives the plane's span, whose per-row spans are
@@ -340,53 +328,34 @@ class InequalitySides:
             low, high, rows = spans
             d = _Rows(None, lambda: list(zip(*rows())), (low, high))
         else:
-            d = _factor_rows(self._distances(a))
+            d = _factor_rows([self._metric.row(a, b, points) for b in points])
         lhs = self._lhs_planes.get(ia) or self._lhs_planes.setdefault(
             ia, _factor_rows([self._lhs_row(ia, image[b]) for b in points]))
         return fifth, lhs, d
 
-    def _distances(self, a):
-        """dist(a, b, c) as one metric row over c for every b in `points`."""
-        row, points = self._metric.row, self.points
-        return [row(a, b, points) for b in points]
-
-    def _plane_products(self, a, factors, weights=None):
-        """`plane` up to its comparison: the lhs list and the product list,
-        from `factors`, `_plane_factors(a)`; rows that it left unmade are
-        made here. `weights`, one per entry (a, points[j], points[k]) at
-        j * n + k, keeps each entry that many times (`_picked`), before any
-        product is made."""
-        fifth, lhs, d = factors
-        ds = list(chain.from_iterable(self._distances(a) if d.rows is None else d.rows))
-        n = len(self.points)
-        frs = chain.from_iterable(repeat(self._fr[b], n) for b in self.points)
-        fss = chain.from_iterable(repeat(self._fs, n))
-        fifths = chain.from_iterable(map(partial(self._fifth_of, a, fifth), range(n)))
-        lhs = list(chain.from_iterable(lhs.rows))
-        if weights is not None:
-            lhs, ds, frs, fss, fifths = (_picked(v, weights) for v in (lhs, ds, frs, fss, fifths))
-        return lhs, self._products(ds, repeat(self._fq[a]), frs, fss, fifths)
-
-    def _fifth_of(self, a, fifth, j):
-        """The fifth-factor row of (a, points[j]), from `fifth`, the first
-        factor of `_plane_factors(a)`, or made when it left it unmade."""
-        return self._fifth_row(self._image[a], self.points[j]) if fifth.rows is None else fifth.rows[j]
-
     def _row_products(self, a, j, factors, weights=None):
         """The lhs row and the product row of (a, b, c) over the c, b being
-        points[j], from `factors`, `_plane_factors(a)` of a
-        plane whose products raise nothing; a fifth-factor or distance row
-        that it left unmade is made here. The lhs row is shared: it is read
-        only. `weights`, one per c, keeps each entry as `_plane_products`
-        does."""
+        points[j], from `factors`, `_plane_factors(a)`; a fifth-factor or
+        distance row that it left unmade is made here, and raises nothing.
+        Each product is dist(a,b,c)^p * g(a)^q * g(b)^r * g(c)^s *
+        m^(1-p-q-r-s), the factors multiplied in this order; the first
+        negative distance of the row raises before any is made, and the
+        comparison is the caller's. The lhs row is shared: it is read
+        only. `weights`, one per c, keeps each entry that many times
+        (`_picked`), before any product is made."""
         fifth, lhs, d = factors
         b = self.points[j]
         ds = self._metric.row(a, b, self.points) if d.rows is None else d.rows[j]
-        rows = lhs.rows[j], ds, self._fs, self._fifth_of(a, fifth, j)
+        fifths = self._fifth_row(self._image[a], b) if fifth.rows is None else fifth.rows[j]
+        rows = lhs.rows[j], ds, self._fs, fifths
         if weights is not None:
             rows = [_picked(row, weights) for row in rows]
         lhs, ds, fss, fifths = rows
-        return lhs, self._products(ds, repeat(self._fq[a]), repeat(self._fr[b]), fss, fifths)
+        p, fq, fr = self._p, self._fq[a], self._fr[b]
+        if not (ds and min(ds) >= 0):
+            for value in ds:
+                _power(value, p)  # raises at the first negative factor
+        return lhs, [d ** p * fq * fr * f * t for d, f, t in zip(ds, fss, fifths)]
 
     def _bounds(self, a, d_spans, fr_spans, t_spans, lhs_spans):
         """[(lo, hi, top) per block] for blocks of a's plane, a block being
@@ -396,7 +365,7 @@ class InequalitySides:
         product <= hi < inf and top the greatest lhs. A block's entry is
         None unless each of its spans is given, and that of g(c)^s, and
         d_lo >= 0; every entry is None on any error. lo and hi are the
-        products of the factors' minima and maxima in `_products`' own
+        products of the factors' minima and maxima in `_row_products`' own
         order, so rounded * (monotone on nonnegative operands) keeps every
         product between them; a finite hi also rules out a product that
         overflows and then meets a 0 factor (nan). Only d^p is widened, by
@@ -430,8 +399,8 @@ class InequalitySides:
     def _row_bounds(self, a, factors, plane):
         """The (lo, hi, top) of each (a, b) row of a's plane, in the order
         of b, from `_plane_factors(a)`: the `_bounds` of each
-        row, O(1) a row from the row spans, or the plane's own, `plane`, for
-        a row that has none."""
+        row, O(1) a row from the row spans, or the plane's own bound,
+        `plane`, for a row that has none."""
         fifth, lhs, d = factors
         rows = self._bounds(a, d.spans(), self._fr_spans, fifth.spans(), lhs.spans())
         return [plane if row is None else row for row in rows]
@@ -533,7 +502,7 @@ def certify(
     `sample_count`. Triples holding fixed points are skipped and reported.
     Each lhs meets its rhs, a rounded product of powers with irrational
     exponents, in a plain <=: a tie within rounding needs outward rounding.
-    It is `_certificates` with one spec: each chunk's products are scanned
+    It is `_certificates` with one spec: each row's products are scanned
     once for their min and max, from which `_rhs` picks the line they are
     read off.
 
@@ -543,11 +512,14 @@ def certify(
     triples_checked counts its triples all the same. Nor are its distances,
     when the metric's `row_spans` bound them, or its fifth-factor rows,
     when the pair rows bound them (`InequalitySides._fifth_bounds`). A
-    plane that is not cleared, but whose bound lies on one piece of the
-    comparison, is walked row by row, and a row is cleared, under the same
-    test, on its own bound. Every factor row must have a finite bound,
-    finite values and no nan, but need not have a finite sum. The bound
-    assumes a faithfully rounded pow (see the module docstring).
+    plane that is not cleared is walked an (a, b) row at a time: where its
+    bound lies on one piece of the comparison, a row is cleared, under the
+    same test, on its own bound, and otherwise every row is evaluated.
+    Every factor row must have a finite bound, finite values and no nan,
+    but need not have a finite sum. The bound assumes a faithfully rounded
+    pow (see the module docstring). An error is the first met in one stage
+    order: the factor rows of the plane, then row by row the first
+    negative distance, the products, the comparison and the margins.
 
     Sampled triples are drawn by spaces.sampled_positions, the draw that
     check_axioms uses, and dropped by pool position where they hold a fixed
@@ -555,9 +527,9 @@ def certify(
     triple, and counts and evaluates only the drawn triples, repeats kept;
     the report is that of evaluating them one at a time, up to the first
     of several errors and a nan minimum, which follow the walk's (a, b, c)
-    order. As on the grid, an error is the first, in InequalitySides'
-    stage order, of the first a-plane that raises: making a plane's factor
-    rows may raise where no drawn triple of it does.
+    order. As on the grid, an error is the first in that stage order:
+    making a plane's factor rows may raise where no drawn triple of it
+    does.
     """
     return _certificates(space, (spec,), points=points, sample_count=sample_count, seed=seed)[0]
 
@@ -565,13 +537,13 @@ def certify(
 def _certificates(space, specs, points=None, sample_count=None, seed=None) -> list:
     """[certify(space, spec, ...) for spec in specs], report for report and
     bit for bit, from one walk. The specs must share p, q, r, s and the map
-    (InvalidArgument otherwise), so that the products of every a-plane or
+    (InvalidArgument otherwise), so that the products of every (a, b)
     row, and their min and max, are made once. Each spec then makes its
     own rhs list (`_rhs`), margin reduction and failure list from them.
-    An error is the first of the first a-plane or row that raises, in
-    InequalitySides' stage order up to the products, then spec by spec in
-    `specs` order: the comparison, then the margins; with one spec this
-    order is certify's."""
+    An error is the first met in one stage order: the factor rows of a
+    plane, then row by row the first negative distance and the products,
+    then spec by spec in `specs` order the comparison and the margins;
+    with one spec this order is certify's."""
     first = specs[0]
 
     def shared(spec):
@@ -621,20 +593,18 @@ def _certificates(space, specs, points=None, sample_count=None, seed=None) -> li
                 if pieces is not None and _clears(bounds, specs, pieces, min_margins):
                     yield None, count, None, None
                     continue
-                if pieces is None:
-                    yield partial(_triples, a, active, active, weights), count, *sides._plane_products(a, factors, weights)
-                    continue
-                # Nothing in this plane raises: each row is a chunk of its
-                # own, which its bound may clear.
-                for j, row in enumerate(sides._row_bounds(a, factors, bounds)):
+                # Each row is a chunk of its own, which its bound may clear
+                # when the plane's lies on one piece of each comparison.
+                rows = [None] * n if pieces is None else sides._row_bounds(a, factors, bounds)
+                for j, row in enumerate(rows):
                     ks = None if weights is None else weights[j * n:(j + 1) * n]
                     count = n if ks is None else sum(ks)
                     if not count:
                         continue
-                    if _clears(row, specs, pieces, min_margins):
+                    if row is not None and _clears(row, specs, pieces, min_margins):
                         yield None, count, None, None
                     else:
-                        yield partial(_triples, a, (active[j],), active, ks), count, *sides._row_products(a, j, factors, ks)
+                        yield partial(_triples, a, active[j], active, ks), count, *sides._row_products(a, j, factors, ks)
 
         for triples, count, lhs, products in planes():
             checked += count
@@ -681,10 +651,9 @@ def _picked(values, weights) -> list:
     return list(chain.from_iterable(map(repeat, values, weights)))
 
 
-def _triples(a, bs, cs, weights=None):
-    """The triples (a, b, c) over bs and then cs, `_picked` by weights if
-    given."""
-    triples = product((a,), bs, cs)
+def _triples(a, b, cs, weights=None):
+    """The triples (a, b, c) over cs, `_picked` by weights if given."""
+    triples = product((a,), (b,), cs)
     return triples if weights is None else _picked(triples, weights)
 
 
@@ -951,10 +920,12 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     in sorted (b, a) order after the walk, so its one cell per row is held
     to the least 4(iii) rhs evaluated so far instead, and its first cell
     is evaluated on its own if its row was skipped. A plane with no bound,
-    or whose bound does not lie on one piece of a ComparisonFn, is
-    evaluated whole, in `plane`'s stage order, and so is every plane of any
-    other comparison. On the worked example's grids all but a few rows
-    are skipped.
+    or whose bound does not lie on one piece of a ComparisonFn, evaluates
+    every row and skips none, and so does every plane of any other
+    comparison. On the worked example's grids all but a few rows are
+    skipped. An error is the first met in one stage order: the factor rows
+    of a plane, then row by row the first negative distance, the products
+    and the comparison.
     """
     carrier = space.carrier
     if (
@@ -979,15 +950,11 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
     # least of their rhs so far.
     scans = {label: _Scan() for label in _CONDITIONS}
     late, least = [[] for _ in points], None
-    n = len(points)
     for i, a in enumerate(points):
         factors = sides._plane_factors(a)
         plane = sides._plane_bounds(a, factors)
         pieces = _pieces((spec,), plane)
-        if pieces is None:
-            lhs_plane, products = sides._plane_products(a, factors)
-            rhs_plane = _rhs(comparison, products, _span(products))
-        else:
+        if pieces is not None:
             floors = list(map(partial(_floor, comparison, pieces[0]), sides._row_bounds(a, factors, plane)))
         # Per filing pattern, the floor above which a row of it is skipped.
         limits = {}
@@ -997,9 +964,7 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
             # The label of c = 3, of c = a and of c = b, the first of them
             # where two of those cells are one.
             cells = {j: at_b, i: at_a, 0: at_three}
-            if pieces is None:
-                lhs, rhs = lhs_plane[j * n:(j + 1) * n], rhs_plane[j * n:(j + 1) * n]
-            else:
+            if pieces is not None:
                 if pattern not in limits:
                     limits[pattern] = _limit([least if label == "4(iii)" else scans[label].rhs_min
                                               for label in (*cells.values(), other)])
@@ -1012,9 +977,9 @@ def reproduce_case_table(space: PartialSbSpace, spec: InterpolativeSpec, grid_si
                             scans[label].read(lhs[k])
                     scans[other].read_row((sides._image[a], sides._image[b]), lhs, cells)
                     continue
-                lhs, products = sides._row_products(a, j, factors)
-                rhs = _rhs(comparison, products, _span(products))
-                limits.clear()
+            lhs, products = sides._row_products(a, j, factors)
+            rhs = _rhs(comparison, products, _span(products))
+            limits.clear()
             for k, label in cells.items():
                 if label == "4(iii)":
                     late[j].append((a, lhs[k], rhs[k]))

@@ -215,11 +215,12 @@ def is_connected(topology: FiniteTopology):
     """True, or False with the lexicographically first separating pair of
     disjoint nonempty opens: the first open whose complement in the carrier
     is a nonempty open, and that complement."""
-    carrier = topology.carrier
-    for a in sorted((o for o in topology.opens if o), key=sorted_labels):
-        if a < carrier and carrier - a in topology.opens:
-            return False, (a, carrier - a)
-    return True, None
+    carrier, opens = topology.carrier, topology.opens
+    separating = [a for a in opens if a and a < carrier and carrier - a in opens]
+    if not separating:
+        return True, None
+    a = min(separating, key=sorted_labels)
+    return False, (a, carrier - a)
 
 
 @dataclass(frozen=True)

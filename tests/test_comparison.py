@@ -502,8 +502,8 @@ def counting(fn):
 
 
 def listed(fn, values):
-    """The rhs list that `contraction._rhs` makes of values, as `plane` and
-    `block` call it."""
+    """The rhs list that `contraction._rhs` makes of values, as the walk
+    and the case table call it for each row."""
     return _rhs(fn, values, _span(values))
 
 

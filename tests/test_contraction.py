@@ -158,19 +158,24 @@ def weights_of(positions, size):
 
 
 def picked_sides(sides, a, positions=None, j=None):
-    """Both sides as a certificate walk makes them: of a's plane, or of its
-    row (a, points[j]), keeping only the entries at the ascending
-    `positions` (j * n + k of the plane, or k of the row), repeats
-    included, if given."""
+    """Both sides as a certificate walk makes them, a row at a time: of the
+    row (a, points[j]), or of every row of a's plane in the order of b,
+    each made, compared and joined to the rows before it in turn. Only the
+    entries at the ascending `positions` (k of the row, or j * n + k of
+    the plane) are kept, repeats included, if given; a row with none is
+    not made."""
     factors = sides._plane_factors(a)
     n = len(sides.points)
-    if j is None:
-        weights = None if positions is None else weights_of(positions, n * n)
-        lhs, products = sides._plane_products(a, factors, weights)
-    else:
-        weights = None if positions is None else weights_of(positions, n)
-        lhs, products = sides._row_products(a, j, factors, weights)
-    return lhs, contraction._rhs(sides._comparison, products, comparison_module._span(products))
+    lhs, rhs = [], []
+    for row in range(n) if j is None else [j]:
+        start = row * n if j is None else 0
+        ks = None if positions is None else [i - start for i in positions if start <= i < start + n]
+        if ks == []:
+            continue
+        row_lhs, products = sides._row_products(a, row, factors, None if ks is None else weights_of(ks, n))
+        lhs += row_lhs
+        rhs += contraction._rhs(sides._comparison, products, comparison_module._span(products))
+    return lhs, rhs
 
 
 def assert_matches_reference(report, space, spec, triples):
@@ -248,6 +253,31 @@ def stage_outcome(space, spec, points, triples, made=None):
 
 def raised(outcome):
     return isinstance(outcome[0], type)
+
+
+def rows_outcome(space, spec, points, a, triples=None):
+    """stage_outcome of a's plane over `points` as a walk takes it, a row at
+    a time: each (a, b) row of `triples` (of the whole plane if not given),
+    with the factor rows and distances of the whole plane made. The first
+    row that raises gives its error; otherwise the rows' sides, joined in
+    order."""
+    plane = plane_triples(points, a)
+    lhs, rhs = [], []
+    for _, row in itertools.groupby(plane if triples is None else triples, lambda t: t[:2]):
+        outcome = stage_outcome(space, spec, points, list(row), plane)
+        if raised(outcome):
+            return outcome
+        lhs += outcome[0]
+        rhs += outcome[1]
+    return lhs, rhs
+
+
+def first_row_error(space, spec, points, planes):
+    """The error of the first (a, b) row that raises in walk order, as
+    rows_outcome gives it, over `planes`, [(a, its triples)] as
+    drawn_planes gives them; None if no row raises."""
+    outcomes = (rows_outcome(space, spec, points, a, triples) for a, triples in planes)
+    return next((outcome for outcome in outcomes if raised(outcome)), None)
 
 
 def picky(v):
@@ -356,8 +386,8 @@ class TestRhsValue:
         tau = builtin_comparison("paper_tau")
         spec = InterpolativeSpec(*exps, comparison=tau, mapping=swap)
         assert math.isclose(reference_rhs(space, spec, 1, 2, 1), tau(v), rel_tol=1e-12)
-        lhs, rhs = InequalitySides(space, spec, (1, 2)).plane(1)
-        assert (lhs[2], rhs[2]) == (v, reference_rhs(space, spec, 1, 2, 1))
+        lhs, rhs = picked_sides(InequalitySides(space, spec, (1, 2)), 1, j=1)
+        assert (lhs[0], rhs[0]) == (v, reference_rhs(space, spec, 1, 2, 1))
 
 
 class TestInequalitySides:
@@ -370,7 +400,7 @@ class TestInequalitySides:
             for a in points:
                 triples = [(a, b, c) for b in points for c in points]
                 expected = reference_sides(GAP, spec, triples)
-                assert sides.plane(a) == expected
+                assert picked_sides(sides, a) == expected
                 # Positions j * n + k with repeats, as a sampled walk draws them.
                 picks = sorted(random.Random(f"psbm:test:sides:{a}").choices(range(n * n), k=n))
                 assert picked_sides(sides, a, picks) == reference_sides(GAP, spec, [triples[i] for i in picks])
@@ -380,7 +410,7 @@ class TestInequalitySides:
                     assert picked_sides(sides, a, sorted([j, 0, j]), j) == reference_sides(GAP, spec, sorted([row[j], row[0], row[j]]))
 
     def test_hand_expansion_at_444(self):
-        (lhs,), (rhs,) = InequalitySides(GAP, standard_spec(), [4]).plane(4)
+        (lhs,), (rhs,) = picked_sides(InequalitySides(GAP, standard_spec(), [4]), 4, j=0)
         assert lhs == 243
         assert math.isclose(rhs, 1057.0007223483, rel_tol=1e-9)
 
@@ -579,12 +609,12 @@ def float_bits(value):
     return struct.pack("<d", value) if type(value) is float else value
 
 
-def one_walk(space, specs, lines_read=None, rows_made=None, **kwargs):
+def one_walk(space, specs, lines_read=None, rows_evaluated=None, **kwargs):
     """The reports of one shared walk, once their reprs and their min_margin
     bits are checked against those of one certify per spec. `lines_read`
-    and `rows_made`, if given, are cleared before the walk."""
+    and `rows_evaluated`, if given, are cleared before the walk."""
     alone = [certify(space, spec, **kwargs) for spec in specs]
-    for log in (lines_read, rows_made):
+    for log in (lines_read, rows_evaluated):
         if log is not None:
             log.clear()
     walk = contraction._certificates(space, specs, **kwargs)
@@ -652,39 +682,17 @@ def lines_read(monkeypatch):
 @pytest.fixture
 def rows_evaluated(monkeypatch):
     """((a, b), the number of its entries whose products are made) per row
-    of a plane that a walk evaluates, as made: on a sampled walk, the
-    row's drawn triples; rows with none are left out."""
+    that a walk evaluates, as made: on a sampled walk, the row's drawn
+    triples; rows with none are left out."""
     evaluated = []
-    real_plane, real_row = InequalitySides._plane_products, InequalitySides._row_products
-
-    def plane(sides, a, factors, weights=None):
-        n = len(sides.points)
-        counts = [n] * n if weights is None else [sum(weights[j * n:(j + 1) * n]) for j in range(n)]
-        evaluated.extend(((a, b), count) for b, count in zip(sides.points, counts) if count)
-        return real_plane(sides, a, factors, weights)
+    real = InequalitySides._row_products
 
     def row(sides, a, j, factors, weights=None):
         evaluated.append(((a, sides.points[j]), len(sides.points) if weights is None else sum(weights)))
-        return real_row(sides, a, j, factors, weights)
+        return real(sides, a, j, factors, weights)
 
-    monkeypatch.setattr(InequalitySides, "_plane_products", plane)
     monkeypatch.setattr(InequalitySides, "_row_products", row)
     return evaluated
-
-
-@pytest.fixture
-def rows_made(monkeypatch):
-    """The number of (a, b) rows of products made per plane or row
-    evaluated on a grid walk, as made: n for a plane of n points, 1 for a
-    row."""
-    made = []
-    for name in ("_plane_products", "_row_products"):
-        def counting(sides, a, *args, real=getattr(InequalitySides, name), whole=name == "_plane_products"):
-            made.append(len(sides.points) if whole else 1)
-            return real(sides, a, *args)
-
-        monkeypatch.setattr(InequalitySides, name, counting)
-    return made
 
 
 def counted_raise(after, message):
@@ -744,7 +752,9 @@ class TestSharedWalk:
             with pytest.raises(InvalidArgument, match="^certificates on one walk must share the exponents p, q, r, s and the map$"):
                 contraction._certificates(GAP, specs, points=[0, 3, 4])
 
-    def test_comparison_errors_come_plane_by_plane_then_in_spec_order(self):
+    def test_comparison_errors_come_row_by_row_then_in_spec_order(self):
+        # No counted_raise is a ComparisonFn, so every row of every plane
+        # is evaluated, each spec's comparison in turn.
         points, n = [0, 3, 4, 7], 3  # 0 is fixed
         spec = standard_spec()
 
@@ -755,6 +765,7 @@ class TestSharedWalk:
             return str(info.value)
 
         assert run(0, 0) == "spec 0"
+        assert run(n, 0) == "spec 1"
         assert run(n * n, 0) == "spec 1"
         assert run(0, n * n) == "spec 0"
         assert run(n * n, n * n + 1) == "spec 0"
@@ -762,10 +773,10 @@ class TestSharedWalk:
 
     def test_staged_planes_lie_apart(self):
         sides = InequalitySides(staged_space(), staged_specs(QUARTER)[0], [1, 2, 3, 4])
-        planes = [sides._plane_products(a, sides._plane_factors(a)) for a in (1, 2, 3, 4)]
-        spans = [(min(p), max(p)) for _, p in planes]
+        planes = [[sides._row_products(a, j, sides._plane_factors(a)) for j in range(4)] for a in (1, 2, 3, 4)]
+        spans = [(min(min(p) for _, p in rows), max(max(p) for _, p in rows)) for rows in planes]
         assert [lo > 10.0 ** (2.1 * k + 0.29) and hi < 10.0 ** (2.1 * k + 1.21) for k, (lo, hi) in enumerate(spans, 1)] == [True] * 4
-        assert planes[0][0] == [0] * 16
+        assert [lhs for lhs, _ in planes[0]] == [[0] * 4] * 4
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_pieces_shared_on_some_planes_only(self, mode, lines_read):
@@ -778,12 +789,13 @@ class TestSharedWalk:
         reports = staged_walk(mode, (first, second, third), lines_read=lines_read)
         if mode == "grid":
             assert [r.passed for r in reports] == [True] * 3
-            # Planes 4, 3 and 1 lie on one piece of every spec, so they are
-            # walked a row at a time, and with falling products no row is
-            # cleared: one list per spec a row. Plane 2 runs into the
-            # third's next piece, so it is evaluated whole, and only the
-            # first two read it off a line.
-            assert lines_read.count(4) == 3 * 3 * 4 and lines_read.count(16) == 2
+            # Every plane is walked a row at a time, and with falling
+            # products no row is cleared. Planes 4, 3 and 1 lie on one piece
+            # of every spec: one list per spec a row. Plane 2 runs into the
+            # third's next piece, so it has no bound on one piece: the first
+            # two read each of its rows off a line, and the third only its
+            # row b = 4, the one whose products lie below 10^5.
+            assert lines_read == [4] * (3 * 3 * 4 + 2 * 4 + 1)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_lines_that_differ_only_in_the_sign_of_a_zero(self, mode, lines_read):
@@ -810,10 +822,12 @@ class TestSharedWalk:
         reports = staged_walk(mode, (clamped, split), lines_read=lines_read)
         if mode == "grid":
             assert reports[0].min_margin == 0.0
-            # Planes 4 and 3 are walked a row at a time, one list per spec a
-            # row; planes 2 and 1 are evaluated whole, and only split reads
-            # plane 1 off a line.
-            assert lines_read.count(4) == 2 * 2 * 4 and lines_read.count(16) == 1
+            # Every plane is walked a row at a time. Planes 4 and 3 lie on
+            # one piece of each spec: one list per spec a row. Planes 2 and
+            # 1 do not, and only split reads a row of them off a line: each
+            # row of plane 1, and plane 2's row b = 4, whose products lie
+            # below 10^5.
+            assert lines_read == [4] * (2 * 2 * 4 + 4 + 1)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     @pytest.mark.parametrize("overrides", [
@@ -836,65 +850,69 @@ class TestSharedWalk:
         reports = staged_walk(mode, (by_hand, QUARTER, by_hand, QUARTER), lines_read=lines_read)
         assert reports[0] == reports[1] == reports[2] == reports[3]
         if mode == "grid":
-            # Every plane is evaluated whole, and each QUARTER spec reads it.
-            assert lines_read == [16] * (2 * 4)
+            # Every row of every plane is evaluated, and each QUARTER spec
+            # reads it.
+            assert lines_read == [4] * (2 * 4 * 4)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
-    def test_one_comparison_object_in_two_specs(self, mode, lines_read, rows_made):
+    def test_one_comparison_object_in_two_specs(self, mode, lines_read, rows_evaluated):
         tau = builtin_comparison("paper_tau")
         kwargs = {"points": CERT_POINTS[::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
         specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, builtin_comparison("half"), tau))
-        reports = one_walk(GAP, specs, lines_read, rows_made, **kwargs)
+        reports = one_walk(GAP, specs, lines_read, rows_evaluated, **kwargs)
         assert reports[0] == reports[1] == reports[2]
         if mode == "grid":
             # 0 is fixed: the 51 other a-planes, walked with falling products
             # so that no plane is cleared, are walked a row at a time, one
             # list per spec per row that its bound does not clear; it
             # clears most.
-            assert rows_made == [1] * len(rows_made) and 51 <= len(rows_made) < 51 * 51 / 10
-            assert lines_read == [51] * (3 * len(rows_made))
+            evaluated = len(rows_evaluated)
+            assert [count for _, count in rows_evaluated] == [51] * evaluated and 51 <= evaluated < 51 * 51 / 10
+            assert lines_read == [51] * (3 * evaluated)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
-    def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read, rows_made):
+    def test_a_line_with_int_parts_shares_nothing(self, mode, lines_read, rows_evaluated):
         # paper_tau with int starts, x0 and y0 gives the float one's values
         # bit for bit.
         int_tau = ComparisonFn("int_tau", ((0, ((0, 0), (10, 9)), True), (1, ((0, 0), (2, 1)), False)), BOYD_WONG)
         tau = builtin_comparison("paper_tau")
         kwargs = {"points": CERT_POINTS[11::-1]} if mode == "grid" else {"sample_count": 3000, "seed": 3}
         specs = tuple(dataclasses.replace(standard_spec(), comparison=c) for c in (tau, int_tau, tau, int_tau))
-        reports = one_walk(GAP, specs, lines_read, rows_made, **kwargs)
+        reports = one_walk(GAP, specs, lines_read, rows_evaluated, **kwargs)
         assert repr(reports[0]) == repr(reports[1])
         if mode == "grid":
             # 0 is fixed: per row evaluated of the a-planes of the 11 others
             # (with falling products, so no plane is cleared), one list per
             # spec.
-            assert rows_made == [1] * len(rows_made) and 11 <= len(rows_made) < 11 * 11
-            assert lines_read == [11] * (4 * len(rows_made))
+            evaluated = len(rows_evaluated)
+            assert [count for _, count in rows_evaluated] == [11] * evaluated and 11 <= evaluated < 11 * 11
+            assert lines_read == [11] * (4 * evaluated)
 
     @pytest.mark.parametrize("mode", ["grid", "sampled"])
     def test_one_scan_for_the_min_and_max_per_plane_or_row(self, mode, monkeypatch):
         # certify and a shared walk take each chunk's span once, whether a
         # spec reads a line (plane 1 of the first two), goes value by value
         # (the third straddles its cut on plane 2) or is no ComparisonFn. A
-        # chunk is a plane, or a row of a plane that lies on one piece of
-        # every spec (planes 4, 3 and 1 unless a spec is no ComparisonFn: 3
-        # x 4 rows, none cleared). The sampled walk goes over the pool 1-5
-        # in rising order: it evaluates 3 drawn rows of plane 1, plane 2
-        # whole and 3 drawn rows of plane 5, and clears the rest; with no
-        # ComparisonFn, each plane whole.
+        # chunk is a row. On the grid no row is cleared: 4 x 4 rows. The
+        # sampled walk goes over the pool 1-5 in rising order: it evaluates
+        # the 3 drawn rows of plane 1 that their bounds do not clear, every
+        # drawn row of plane 2 (5, since plane 2 lies on no one piece of the
+        # third) and 3 drawn rows of plane 5, and clears the rest; with no
+        # ComparisonFn, no plane or row has a bound on one piece, and every
+        # drawn row of the 5 planes is evaluated.
         real_span, spans, chunks = comparison_module._span, [], []
+        real_row = InequalitySides._row_products
 
         def counting_span(values):
             spans.append(len(values))
             return real_span(values)
 
-        for name in ("_plane_products", "_row_products"):
-            def counting_chunk(sides, *args, real=getattr(InequalitySides, name)):
-                lhs, products = real(sides, *args)
-                chunks.append(len(products))
-                return lhs, products
+        def counting_chunk(sides, *args):
+            lhs, products = real_row(sides, *args)
+            chunks.append(len(products))
+            return lhs, products
 
-            monkeypatch.setattr(InequalitySides, name, counting_chunk)
+        monkeypatch.setattr(InequalitySides, "_row_products", counting_chunk)
         monkeypatch.setattr(comparison_module, "_span", counting_span)
         monkeypatch.setattr(contraction, "_span", counting_span)
         first = piecewise("first", (0.0, 0.0, 0.0, 1.0, 0.9), (1e4, 0.0, 0.0, 1.0, 0.5))
@@ -903,9 +921,9 @@ class TestSharedWalk:
         kwargs = {"points": STAGED_FALLING} if mode == "grid" else {"sample_count": 3000, "seed": 7}
         space = staged_space()
         for walk, grid_chunks, sampled_chunks in (
-            (lambda: [certify(space, staged_specs(third)[0], **kwargs)], 3 * 4 + 1, 3 + 1 + 3),
-            (lambda: contraction._certificates(space, staged_specs(first, third), **kwargs), 3 * 4 + 1, 3 + 1 + 3),
-            (lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs), 4, 5),
+            (lambda: [certify(space, staged_specs(third)[0], **kwargs)], 4 * 4, 3 + 5 + 3),
+            (lambda: contraction._certificates(space, staged_specs(first, third), **kwargs), 4 * 4, 3 + 5 + 3),
+            (lambda: contraction._certificates(space, staged_specs(first, first, third, by_hand), **kwargs), 4 * 4, 5 * 5),
         ):
             spans.clear()
             chunks.clear()
@@ -1060,41 +1078,49 @@ class TestPlaneBound:
         # one piece of every spec. The walk that evaluates every triple also
         # has _clears, the one test of a plane or a row, always False.
         cleared, raised = [], 0
-        real_rows, rows = InequalitySides._row_products, [0]
+        real_rows, real_bounds, counts = InequalitySides._row_products, InequalitySides._row_bounds, [0, 0]
 
         def counting_rows(sides, a, j, factors, weights=None):
-            rows[0] += 1
+            counts[0] += 1
             return real_rows(sides, a, j, factors, weights)
+
+        def counting_bounds(sides, a, factors, plane):
+            rows = real_bounds(sides, a, factors, plane)
+            counts[1] += len(rows)
+            return rows
 
         def walk(space, specs, points, forced=None, **patches):
             """walk_outcome under the patches, with every plane test giving
-            `forced` if it is a bool, and the rows it evaluated."""
+            `forced` if it is a bool, the rows it evaluated, and the rows
+            of its planes that lie on one piece of every spec, which alone
+            have bounds."""
             with monkeypatch.context() as patched:
                 patched.setattr(InequalitySides, "_row_products", counting_rows)
+                patched.setattr(InequalitySides, "_row_bounds", counting_bounds)
                 patched.setattr(cleared_planes, "forced", forced)
                 for name, value in patches.items():
                     patched.setattr(contraction, name, value)
-                rows[0] = 0
-                return walk_outcome(space, specs, points), rows[0]
+                counts[:] = 0, 0
+                return walk_outcome(space, specs, points), *counts
 
-        clearing = every = 0
+        clearing = every = bounded = 0
         for space, specs, points in random_walks("psbm:test:plane-bound", 150):
             cleared_planes.clear()
-            outcome, _ = walk(space, specs, points)
+            outcome, *_ = walk(space, specs, points)
             cleared += cleared_planes
-            planes, row_cleared = walk(space, specs, points, forced=False)
-            triples, row_evaluated = walk(space, specs, points, _clears=lambda *args: False)
+            planes, row_cleared, _ = walk(space, specs, points, forced=False)
+            triples, row_evaluated, row_bounded = walk(space, specs, points, _clears=lambda *args: False)
             assert outcome == planes == triples
-            clearing, every = clearing + row_cleared, every + row_evaluated
+            clearing, every, bounded = clearing + row_cleared, every + row_evaluated, bounded + row_bounded
             raised += isinstance(outcome, tuple)
         assert 50 < sum(cleared) < len(cleared) and 10 < raised < 140
-        # The rows of the planes walked a row at a time: their bounds clear
-        # some, but not all.
-        assert every / 2 < every - clearing < every
+        # The rows of the planes walked under row bounds: their bounds
+        # clear some, but not all. Every other row is evaluated in both.
+        assert bounded / 2 < every - clearing < bounded < every
 
     def test_random_case_tables_equal_the_table_that_evaluates_every_triple(self, monkeypatch):
         # The table that evaluates every triple is the table with _pieces
-        # always None: each plane is then evaluated whole, as `plane` does.
+        # always None: each plane then evaluates every row.
         real, skipped, raised = contraction._Scan.read_row, [0], 0
 
         def counting(*args):
@@ -1116,9 +1142,24 @@ class TestPlaneBound:
         # own min and max: a cleared plane's distances are never made, and
         # every report and first error is that of the tabulated walk, which
         # makes every plane's distances.
-        made = []
-        real_distances = InequalitySides._distances
-        monkeypatch.setattr(InequalitySides, "_distances", lambda sides, a: made.append(a) or real_distances(sides, a))
+        # The planes whose distances are made, whole by _plane_factors or
+        # a row at a time by _row_products where the span stands for them.
+        made = set()
+        real_factors, real_row = InequalitySides._plane_factors, InequalitySides._row_products
+
+        def factors(sides, a):
+            made_factors = real_factors(sides, a)
+            if made_factors[2].rows is not None:
+                made.add(a)
+            return made_factors
+
+        def row(sides, a, j, factors, weights=None):
+            if factors[2].rows is None:
+                made.add(a)
+            return real_row(sides, a, j, factors, weights)
+
+        monkeypatch.setattr(InequalitySides, "_plane_factors", factors)
+        monkeypatch.setattr(InequalitySides, "_row_products", row)
         cleared = 0
         for space, specs, points in random_walks("psbm:test:plane-bound", 150):
             spanned = PartialSbSpace(space.carrier, RuleMetric("spanned", space.metric, span_rule=own_span(space.metric)))
@@ -1404,8 +1445,8 @@ class TestSampledBound:
         # the fifth-factor row (3, x), and only that row: the triples (a, x,
         # c) with S(a) = 3 raise. Making a plane of such an a makes the row
         # of every b, as the walk does, so it raises also where no such
-        # triple is drawn: the error is the first that the a-planes holding
-        # a drawn triple meet, in walk order.
+        # triple is drawn: the error is the first that the drawn rows meet,
+        # in walk order, each with its plane's factor rows made.
         dented = sample_carrier(GAP, seed=seed)[5]
 
         def rule(p, q, r):
@@ -1416,8 +1457,7 @@ class TestSampledBound:
         active = sample_carrier(GAP, seed=seed)[1:]
         for count in (1, 7, 200, 3000):
             planes = drawn_planes(space, spec, count, seed)
-            outcomes = (stage_outcome(space, spec, active, triples, plane_triples(active, a)) for a, triples in planes)
-            expected = next((outcome for outcome in outcomes if raised(outcome)), None)
+            expected = first_row_error(space, spec, active, planes)
             try:
                 report = certify(space, spec, sample_count=count, seed=seed)
             except Exception as exc:
@@ -1552,9 +1592,9 @@ class TestRowEvaluator:
     @pytest.mark.parametrize("comparison", [QUARTER, FakeComparison("picky", picky)], ids=lambda fn: fn.name)
     def test_sampled_errors_follow_the_stage_order(self, comparison):
         # Several planes per certificate. Where certify raises, the error is
-        # the first in stage order of the first a-plane holding a drawn
-        # triple that meets one, its factor rows and distances made whole;
-        # where it does not, the report is the reference's.
+        # the first in stage order of the first drawn (a, b) row that meets
+        # one, in walk order, its plane's factor rows and distances made
+        # whole; where it does not, the report is the reference's.
         rng = random.Random(f"psbm:test:block-errors:{comparison.name}")
         count = 0
         for _ in range(40):
@@ -1566,8 +1606,7 @@ class TestRowEvaluator:
             spec = random_spec(rng, labels, [comparison])
             active = [x for x in labels if spec.mapping(x) != x]
             planes = drawn_planes(space, spec, 2500, 5)
-            outcomes = (stage_outcome(space, spec, active, triples, plane_triples(active, a)) for a, triples in planes)
-            expected = next((outcome for outcome in outcomes if raised(outcome)), None)
+            expected = first_row_error(space, spec, active, planes)
             try:
                 report = certify(space, spec, sample_count=2500, seed=5)
             except Exception as exc:
@@ -1607,10 +1646,9 @@ class TestRowEvaluator:
             spec = random_spec(rng, labels, [tau])
             active = [x for x in labels if spec.mapping(x) != x]
             products = InequalitySides(space, dataclasses.replace(spec, comparison=identity), active)
-            n = len(active)
             for a in active:
-                plane = products.plane(a)[1]
-                for row in (plane[j * n:(j + 1) * n] for j in range(n)):
+                for j in range(len(active)):
+                    row = picked_sides(products, a, j=j)[1]
                     if min(row) <= 1 < max(row):
                         straddling += 1
                     else:
@@ -1674,7 +1712,7 @@ class TestRowEvaluator:
             spec = dataclasses.replace(spec, comparison=FakeComparison("refuse", refuse))
             sides = InequalitySides(GAP, spec, [3] + grid)
             with pytest.raises(ArithmeticError, match="^refused "):
-                sides.plane(grid[-1])
+                picked_sides(sides, grid[-1], j=len(grid))
             with pytest.raises(Exception) as exc:
                 reproduce_case_table(GAP, spec, grid_size=7)
             assert (type(exc.value), str(exc.value)) == (ArithmeticError, f"refused {refused}")
@@ -1708,10 +1746,10 @@ def plane_triples(points, a):
 
 
 class TestPlanes:
-    """sides.plane(a), and a plane's rows and drawn positions as a walk
-    makes them, give what stage_outcome gives, bit for bit, errors
-    included; each runs on its own evaluator, so that neither reads a table
-    the other filled."""
+    """A plane's rows and drawn positions, made a row at a time as a walk
+    makes them, give what stage_outcome gives row by row, bit for bit,
+    errors included; each runs on its own evaluator, so that neither reads
+    a table the other filled."""
 
     @pytest.mark.parametrize("n", [7, 40])
     @pytest.mark.parametrize("matkowski", [False, True])
@@ -1722,7 +1760,7 @@ class TestPlanes:
         for a in points:
             triples = plane_triples(points, a)
             expected = sides_outcome(lambda: reference_sides(GAP, spec, triples))
-            assert sides_outcome(lambda: planes.plane(a)) == expected
+            assert sides_outcome(lambda: picked_sides(planes, a)) == expected
             for j in range(len(points)):
                 row = triples[j * len(points):(j + 1) * len(points)]
                 assert sides_outcome(lambda: picked_sides(rows, a, j=j)) == sides_outcome(lambda: reference_sides(GAP, spec, row))
@@ -1746,14 +1784,14 @@ class TestPlanes:
                 continue
             for a in labels:
                 triples = plane_triples(labels, a)
-                expected = stage_outcome(space, spec, labels, triples)
-                assert sides_outcome(lambda: planes.plane(a)) == expected
+                expected = rows_outcome(space, spec, labels, a)
+                assert sides_outcome(lambda: picked_sides(planes, a)) == expected
                 outcomes["raised" if raised(expected) else "returned"] += 1
                 # Drawn positions, repeats included: the factor rows and the
                 # distances of the whole plane, the rest of the picks alone.
                 picks = sorted(rng.choices(range(len(triples)), k=rng.randint(1, len(triples))))
                 drawn = [triples[i] for i in picks]
-                assert sides_outcome(lambda: picked_sides(picked, a, picks)) == stage_outcome(space, spec, labels, drawn, triples)
+                assert sides_outcome(lambda: picked_sides(picked, a, picks)) == rows_outcome(space, spec, labels, a, drawn)
         assert outcomes["raised"] > 50 and outcomes["returned"] > 50
 
     @pytest.mark.parametrize("overrides, comparison, error, message", [
@@ -1777,27 +1815,34 @@ class TestPlanes:
         # 3. An lhs row that overflows at the last b, ahead of a negative
         # distance at the b before it.
         ({(2, 1, 3): None, (1, 2, 3): -7}, QUARTER, DistanceOverflow, "patched(2, 1, 3) overflows the float range"),
-        # 4. A negative dist(a, b, c) at the last b alone, and ahead of a
-        # comparison that refuses the one product above 5.1, at the middle b.
+        # Then row by row: 4. a negative dist(a, b, c) at the last b alone,
+        # and ahead of a comparison that refuses the one product above 5.1,
+        # in the same row.
         ({(1, 3, 2): -4}, QUARTER, PsbmError, "negative distance factor -4"),
-        ({(1, 2, 3): 6, (1, 3, 2): -4}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+        ({(1, 3, 1): 6, (1, 3, 2): -4}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
          PsbmError, "negative distance factor -4"),
-        # 5. A product whose integer distance is beyond the float range, at
-        # the last b, ahead of the refusal at the middle b.
-        ({(1, 2, 3): 6, (1, 3, 3): 10 ** 400}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+        # 5. A product whose integer distance is beyond the float range,
+        # ahead of the refusal in the same row.
+        ({(1, 3, 1): 6, (1, 3, 3): 10 ** 400}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
          OverflowError, "int too large to convert to float"),
-        # 6. The refusal alone.
+        # 6. The refusal alone, and at the middle b ahead of a negative
+        # distance or a product overflow at the last b: a row's every
+        # stage comes before the next row's.
         ({(1, 2, 3): 6}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+         ZeroDivisionError, "division by zero"),
+        ({(1, 2, 3): 6, (1, 3, 2): -4}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
+         ZeroDivisionError, "division by zero"),
+        ({(1, 2, 3): 6, (1, 3, 3): 10 ** 400}, FakeComparison("refuse", lambda v: v / 4 if v < 5.1 else 1 / 0),
          ZeroDivisionError, "division by zero"),
     ], ids=["fifth-factor overflow", "negative fifth factor", "distance overflow", "distance overflow first",
             "distance overflows in two rows", "distance overflow before an lhs overflow", "lhs overflow first", "negative distance",
-            "negative distance first", "product overflow first", "comparison"])
+            "negative distance first", "product overflow first", "comparison", "comparison before a later negative distance",
+            "comparison before a later product overflow"])
     def test_plane_and_pick_errors_follow_the_stage_order(self, overrides, comparison, error, message):
         space = patched_space(overrides)
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, comparison, ROTATE)
-        triples = plane_triples([1, 2, 3], 1)
-        assert stage_outcome(space, spec, [1, 2, 3], triples) == (error, message)
-        assert sides_outcome(lambda: InequalitySides(space, spec, [1, 2, 3]).plane(1)) == (error, message)
+        assert rows_outcome(space, spec, [1, 2, 3], 1) == (error, message)
+        assert sides_outcome(lambda: picked_sides(InequalitySides(space, spec, [1, 2, 3]), 1)) == (error, message)
         assert sides_outcome(lambda: picked_sides(InequalitySides(space, spec, [1, 2, 3]), 1, list(range(9)))) == (error, message)
         # The grid walk's first plane is plane 1, also under a span, which
         # stands for the distances wherever they raise nothing.
@@ -1816,13 +1861,29 @@ class TestPlanes:
         spec = InterpolativeSpec(0.2, 0.2, 0.2, 0.2, builtin_comparison("paper_tau"),
                                  map_from_table({x: 2 + (x - 1) % 10 for x in labels}))
         identity = FakeComparison("identity", lambda v: v)
-        products = InequalitySides(space, dataclasses.replace(spec, comparison=identity), labels).plane(2)[1]
+        products = picked_sides(InequalitySides(space, dataclasses.replace(spec, comparison=identity), labels), 2)[1]
         assert min(products) < 1 < max(products)
         sides = InequalitySides(space, spec, labels)
+        assert contraction._pieces((spec,), sides._plane_bounds(2, sides._plane_factors(2))) is None
         for a in labels:
             expected = sides_outcome(lambda: reference_sides(space, spec, plane_triples(labels, a)))
-            assert sides_outcome(lambda: sides.plane(a)) == expected
+            assert sides_outcome(lambda: picked_sides(sides, a)) == expected
         assert_matches_reference(certify(space, spec, points=labels), space, spec, grid_triples(spec, labels))
+
+    def test_a_space_whose_every_plane_straddles_a_cut_walks_each_row(self, rows_evaluated):
+        # The space of the command line's straddling pins: 0 is fixed, and
+        # each other plane has products on both sides of paper_tau's cut at
+        # 1, so no plane's bound lies on one piece and each row is evaluated.
+        labels = (0, 3, 4, 5)
+        space = tabulated_space(labels, {t: 0.1 if t[0] == t[1] == t[2] else 1.5 for t in itertools.product(labels, repeat=3)})
+        spec = standard_spec()
+        sides = InequalitySides(space, spec, labels[1:])
+        assert [contraction._pieces((spec,), sides._plane_bounds(a, sides._plane_factors(a))) for a in labels[1:]] == [None] * 3
+        rows_evaluated.clear()
+        report = certify(space, spec, points=labels)
+        assert rows_evaluated == [((a, b), 3) for a in labels[1:] for b in labels[1:]]
+        assert_matches_reference(report, space, spec, grid_triples(spec, labels))
+        assert (report.triples_checked, len(report.failures)) == (27, 18)
 
     def test_an_image_off_the_carrier_names_the_map_and_the_point(self):
         # The quintic ray is [1, inf); paper_S sends 3.0 to 0.
